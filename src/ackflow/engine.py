@@ -27,18 +27,21 @@ __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate",
            "StaticLinkResult", "static_link_check"]
 
 
+# history kept by pruning: the sum of all channel delays plus this margin,
+# which covers the queueing delays in any backward read
+PRUNE_MARGIN_S = 5.0
+
+
 class SimulationError(RuntimeError):
     """Engine abort: the message names the failing block and time."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt_s: float = 1e-4
+    dt_s: float = 1e-4  # must be <= smallest positive delay / 10
     horizon_s: float = 10.0
     init: str = "cold"  # "cold" | "equilibrium"
-    enforce_dt_headroom: bool = True  # dt <= smallest positive delay / 10
     prune_history: bool = False
-    prune_margin_s: float = 5.0
 
 
 @dataclass
@@ -89,16 +92,19 @@ class _Reader:
             idx = k - self.shift
             if idx < 0:
                 return self.initial
-            if idx >= len(self.values):
+            # sample number idx (one per tick from tick 0) sits behind the
+            # samples that pruning dropped from the front of the list
+            idx -= self.traj.dropped
+            if not 0 <= idx < len(self.values):
                 raise SimulationError(
                     f"causality violation: read {self.delay}s behind t={t} "
-                    "touches an unrecorded sample")
+                    "touches an unrecorded or pruned sample")
             return self.values[idx]
         return self.traj.eval_at(t - self.delay)
 
 
 class _UserCtx:
-    __slots__ = ("uid", "state", "circuit", "controller", "fast_params",
+    __slots__ = ("uid", "state", "spec", "fast_params",
                  "schedule", "impulses", "ack_reader", "rect_cum", "total_delay",
                  "send0")
 
@@ -113,7 +119,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     if dt <= 0 or config.horizon_s <= 0:
         raise SimulationError("dt and horizon must be positive")
     min_delay = network.min_positive_delay_s()
-    if config.enforce_dt_headroom and min_delay is not None and dt > min_delay / 10:
+    if min_delay is not None and dt > min_delay / 10:
         raise SimulationError(
             f"dt={dt} too coarse for the smallest positive propagation delay "
             f"{min_delay}s; need dt <= delay/10 for causality headroom")
@@ -133,7 +139,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     protos = {u.id: u.protocol for u in scenario.users}
 
     # pre-seed horizon for the backward maps: covers any backward read
-    total_delay_sum = sum(e.delay_s for e in network.edges if e.kind == "channel")
+    total_delay_sum = sum(network.channel_delays_s())
     preseed = config.horizon_s + total_delay_sum + 10.0
 
     queues: dict[str, FifoQueue] = {}
@@ -155,8 +161,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     users: dict[str, _UserCtx] = {}
     for uid, uspec in network.users.items():
         ctx = _UserCtx(uid)
-        ctx.circuit = network.circuits[uid]
-        ctx.total_delay = ctx.circuit.total_delay_s
+        ctx.spec = uspec
+        ctx.total_delay = uspec.total_delay_s
         proto = protos[uid]
         w0 = proto.initial_window_pkts
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
@@ -179,9 +185,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             # the window appears at t=0: emitted as an opening burst
             ctx.impulses = dict(ctx.impulses)
             ctx.impulses[0] = ctx.impulses.get(0, 0.0) + w0
-        last_q = ctx.circuit.queue_ids[-1]
+        last_q = uspec.queue_path[-1]
         ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
-                                 delay_s=ctx.circuit.return_delay_s, dt_s=dt)
+                                 delay_s=uspec.return_delay_s, dt_s=dt)
         ctx.rect_cum = [0.0]
         users[uid] = ctx
 
@@ -240,7 +246,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             w_now = st.window
             # flight by the independent route: sending integral back to the
             # circuit entry time of the traffic being acknowledged now
-            b_t = circuit_backward_time(ctx.circuit, queues, t)
+            b_t = circuit_backward_time(ctx.spec, queues, t)
             flight_int = _rect_at(ctx, t, dt) - _rect_at(ctx, b_t, dt)
             if ctx.fast_params is not None:
                 tau_back = max(0.0, (t - b_t) - ctx.total_delay)
@@ -290,7 +296,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                     f"divergence in queue block '{qid}' at t={t:.6f}")
 
         if prune_every and k and k % prune_every == 0:
-            cutoff = t - (total_delay_sum + config.prune_margin_s)
+            cutoff = t - (total_delay_sum + PRUNE_MARGIN_S)
             if cutoff > 0:
                 for q in queue_step_list:
                     q.forward_map.prune_before(cutoff)

@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from .history import Trajectory
 
-__all__ = ["FifoQueue", "InvertibilityError"]
+__all__ = ["FifoQueue"]
 
 # backlog below this many packets counts as empty (avoids float mode flicker)
 EPS_BACKLOG_PKTS = 1e-9
-
-
-class InvertibilityError(RuntimeError):
-    """Backward-time query hit a span with no recorded arrivals."""
 
 
 class FifoQueue:
@@ -46,7 +42,7 @@ class FifoQueue:
 
     __slots__ = (
         "queue_id", "capacity", "flow_ids", "backlog", "congested",
-        "inputs", "outputs", "forward_map", "now", "_last_rates",
+        "inputs", "outputs", "forward_map", "_last_rates",
         "_last_total", "stall_fallbacks", "_share_hint", "_g_now",
     )
 
@@ -58,7 +54,6 @@ class FifoQueue:
         *,
         backlog0_pkts: float = 0.0,
         input_rates0: dict[str, float] | None = None,
-        start_time_s: float = 0.0,
         preseed_from_s: float = 100.0,
     ):
         if capacity_pps <= 0:
@@ -73,12 +68,11 @@ class FifoQueue:
         self.inputs = {f: Trajectory(rates0.get(f, 0.0)) for f in self.flow_ids}
         self.outputs = {f: Trajectory(rates0.get(f, 0.0)) for f in self.flow_ids}
         tau0 = self.backlog / self.capacity
-        self.now = float(start_time_s)
         self.forward_map = Trajectory()
-        t_seed = start_time_s - abs(preseed_from_s)
+        t_seed = -abs(preseed_from_s)
         self.forward_map.record(t_seed, t_seed + tau0)
-        self.forward_map.record(self.now, self.now + tau0)
-        self._g_now = None  # cached backward time of self.now
+        self.forward_map.record(0.0, tau0)
+        self._g_now = None  # (time, backward time) of the latest step end
         self._last_rates: tuple[float, ...] = tuple(
             rates0.get(f, 0.0) for f in self.flow_ids)
         self._last_total = sum(self._last_rates)
@@ -91,10 +85,6 @@ class FifoQueue:
             self._share_hint = tuple(1.0 / len(self.flow_ids) for _ in self.flow_ids)
         else:
             self._share_hint = ()
-
-    @property
-    def queueing_delay(self) -> float:
-        return self.backlog / self.capacity
 
     @property
     def last_total_arrival(self) -> float:
@@ -123,54 +113,15 @@ class FifoQueue:
         """Arrival time of the traffic departing at ``t``."""
         return self.forward_map.invert_monotone(t)
 
-    def backward_rate(self, t: float) -> float:
-        """Right derivative of the backward time map at ``t``."""
-        g = self.backward_time(t)
-        tau_at_g = t - g
-        if tau_at_g > max(EPS_BACKLOG_PKTS / self.capacity, 1e-12):
-            congested_at_g = True
-        else:
-            # empty at g: mode decided by the instantaneous arrival rate there
-            congested_at_g = self._total_input_at(g) > self.capacity
-        if not congested_at_g:
-            return 1.0
-        total = self._total_input_at(g)
-        if total <= 0.0:
-            raise InvertibilityError(
-                f"queue '{self.queue_id}': no arrivals at backward time {g!r} "
-                f"while serving a backlog (departure time {t!r})")
-        return self.capacity / total
-
-    def _total_input_at(self, t: float) -> float:
-        return sum(traj.eval_at(t) for traj in self.inputs.values())
-
-    def output_rates(self, t: float) -> tuple[float, ...]:
-        """Instantaneous per-flow departure rates at ``t``.
-
-        Congested: each flow gets the capacity times its share of the total
-        arrival rate at the backward time (scaled, time-warped arrivals).
-        Otherwise the queue is transparent.
-        """
-        if not self.congested:
-            return self._last_rates
-        g = self.backward_time(t)
-        rates_at_g = tuple(traj.eval_at(g) for traj in self.inputs.values())
-        total = sum(rates_at_g)
-        if total <= 0.0:
-            self.stall_fallbacks += 1
-            return tuple(self.capacity * s for s in self._share_hint)
-        scale = self.capacity / total
-        return tuple(scale * r for r in rates_at_g)
-
-    def step(self, dt: float, end_time_s: float | None = None) -> float:
+    def step(self, dt: float, end_time_s: float) -> float:
         """Advance the backlog using this tick's recorded inputs.
 
         Locates the emptying instant inside the step so the backlog never
         crosses zero, then extends the arrival->departure map at the new
-        time.  ``end_time_s`` should be the caller's exact grid time for
-        the step end (avoids float drift against later queries); it
-        defaults to accumulating ``dt``.  Returns the average service rate
-        over the step (the instantaneous rate except on a mode switch).
+        time.  ``end_time_s`` is the caller's exact grid time for the step
+        end (accumulating ``dt`` would drift against later queries).
+        Returns the average service rate over the step (the instantaneous
+        rate except on a mode switch).
         """
         a = self._last_total
         c = self.capacity
@@ -185,8 +136,7 @@ class FifoQueue:
                 service = (c * theta + a * (dt - theta)) / dt
         else:
             service = a
-        self.now = self.now + dt if end_time_s is None else end_time_s
-        self.forward_map.record(self.now, self.now + self.backlog / c)
+        self.forward_map.record(end_time_s, end_time_s + self.backlog / c)
         return service
 
     def transport_outputs(self, t0: float, t1: float,

@@ -2,16 +2,16 @@
 
 The whole simulator runs on :class:`Trajectory`: an append-only record of
 (time, value) samples with linear interpolation, a constant pre-history,
-a running integral and monotone-map inversion.  Delayed reads, in-transit
-packet counts and backward (departure -> arrival) time queries are all
-answered from here.
+a sample-and-hold running integral and monotone-map inversion.  Delayed
+reads, queue transport masses and backward (departure -> arrival) time
+queries are all answered from here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-__all__ = ["Trajectory", "PacketCounter", "HistoryError", "CausalityError"]
+__all__ = ["Trajectory", "HistoryError", "CausalityError"]
 
 
 class HistoryError(ValueError):
@@ -25,44 +25,34 @@ class CausalityError(HistoryError):
 class Trajectory:
     """Time-indexed scalar signal, linearly interpolated between samples.
 
-    Sample times must be strictly increasing.  For times before the first
-    sample the signal is the constant ``initial_value``, so delayed reads
-    at simulation start are well defined.  Reads beyond the newest sample
-    raise :class:`CausalityError`: the engine must never consume values it
-    has not produced yet.
+    Sample times must be strictly increasing.  Before the first sample the
+    signal is the constant ``initial_value``, which is taken to be sampled
+    one sample spacing before ``times[0]`` and interpolated from there, so
+    delayed reads at simulation start are well defined.  Reads beyond the
+    newest sample raise :class:`CausalityError`: the engine must never
+    consume values it has not produced yet.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.  Within one simulation, single-threaded use is the contract.
     """
 
-    __slots__ = ("times", "values", "cumulative", "hold_cumulative",
-                 "initial_value", "pruned_before")
+    __slots__ = ("times", "values", "hold_cumulative", "initial_value",
+                 "pruned_before", "dropped")
 
     def __init__(self, initial_value: float = 0.0):
         self.times: list[float] = []
         self.values: list[float] = []
-        # cumulative[i] = trapezoidal integral from times[0] to times[i];
-        # hold_cumulative[i] = same with each value held to the next sample
-        self.cumulative: list[float] = []
+        # hold_cumulative[i] = integral from the first sample ever recorded
+        # to times[i], each value held to the next sample
         self.hold_cumulative: list[float] = []
         self.initial_value = float(initial_value)
-        # prune_before() moves this forward; queries older than it fail
+        # prune_before() moves these forward; queries older than the cut
+        # fail, and list index i holds sample number i + dropped
         self.pruned_before: float | None = None
+        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def last_time(self) -> float:
-        if not self.times:
-            raise HistoryError("empty trajectory has no last time")
-        return self.times[-1]
-
-    @property
-    def last_value(self) -> float:
-        if not self.values:
-            return self.initial_value
-        return self.values[-1]
 
     def record(self, t: float, v: float) -> None:
         """Append a sample. ``t`` must exceed the last recorded time."""
@@ -73,12 +63,9 @@ class Trajectory:
                 raise HistoryError(
                     f"non-monotone record: t={t!r} after t={prev!r} "
                     "(engine ordering bug)")
-            prev_v = self.values[-1]
-            span = t - prev
-            self.cumulative.append(self.cumulative[-1] + 0.5 * (prev_v + v) * span)
-            self.hold_cumulative.append(self.hold_cumulative[-1] + prev_v * span)
+            self.hold_cumulative.append(
+                self.hold_cumulative[-1] + self.values[-1] * (t - prev))
         else:
-            self.cumulative.append(0.0)
             self.hold_cumulative.append(0.0)
         times.append(t)
         self.values.append(v)
@@ -99,7 +86,14 @@ class Trajectory:
                 f"future read at t={t!r} (history ends at {times[-1]!r})")
         if t < times[0]:
             self._check_not_pruned(t)
-            return self.initial_value
+            if len(times) < 2:
+                return self.initial_value
+            spacing = times[1] - times[0]
+            lag = times[0] - t
+            if lag >= spacing:
+                return self.initial_value
+            v0 = self.initial_value
+            return v0 + (self.values[0] - v0) * (spacing - lag) / spacing
         i = bisect_right(times, t) - 1
         t0 = times[i]
         if t == t0 or i == len(times) - 1:
@@ -108,36 +102,9 @@ class Trajectory:
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def _cumulative_at(self, t: float) -> float:
-        """Integral from times[0] to t (negative/linear before history)."""
-        times = self.times
-        if t <= times[0]:
-            return self.initial_value * (t - times[0])
-        i = bisect_right(times, t) - 1
-        if t == times[i]:
-            return self.cumulative[i]
-        # partial trapezoid inside cell i (value is linear there)
-        va = self.values[i]
-        vb = self.eval_at(t)
-        return self.cumulative[i] + 0.5 * (va + vb) * (t - times[i])
-
-    def integrate(self, t0: float, t1: float) -> float:
-        """Trapezoidal integral over [t0, t1] on the sample grid."""
-        if t1 < t0:
-            raise HistoryError(f"reversed integration bounds [{t0!r}, {t1!r}]")
-        if t0 == t1:
-            return 0.0
-        self._check_not_pruned(t0)
-        if not self.times:
-            return self.initial_value * (t1 - t0)
-        if t1 > self.times[-1]:
-            raise CausalityError(
-                f"integration end t={t1!r} beyond history ({self.times[-1]!r})")
-        return self._cumulative_at(t1) - self._cumulative_at(t0)
-
     def _hold_cumulative_at(self, t: float) -> float:
         times = self.times
-        if t <= times[0]:
+        if t < times[0]:
             return self.initial_value * (t - times[0])
         i = bisect_right(times, t) - 1
         return self.hold_cumulative[i] + self.values[i] * (t - times[i])
@@ -146,8 +113,7 @@ class Trajectory:
         """Integral reading each sample as held until the next one.
 
         Matches explicit left-point state stepping, so queue transport
-        accounting based on it is exact; ``integrate`` (trapezoidal on the
-        interpolated signal) remains the measurement-grade quadrature.
+        accounting based on it is exact.
         """
         if t1 < t0:
             raise HistoryError(f"reversed integration bounds [{t0!r}, {t1!r}]")
@@ -198,28 +164,10 @@ class Trajectory:
         keep_from = bisect_right(times, t) - 1
         if keep_from <= 0:
             return 0
-        base = self.cumulative[keep_from]
-        hold_base = self.hold_cumulative[keep_from]
         del self.times[:keep_from]
         del self.values[:keep_from]
-        del self.cumulative[:keep_from]
         del self.hold_cumulative[:keep_from]
-        self.cumulative[:] = [c - base for c in self.cumulative]
-        self.hold_cumulative[:] = [c - hold_base for c in self.hold_cumulative]
         self.pruned_before = self.times[0]
+        self.dropped += keep_from
         return keep_from
 
-
-class PacketCounter:
-    """Counts packets passing a node: the flow integral over [t0, t]."""
-
-    __slots__ = ("flow",)
-
-    def __init__(self, flow: Trajectory):
-        self.flow = flow
-
-    def count(self, t: float, t0: float) -> float:
-        """Packets through the node between ``t0`` and ``t`` (t >= t0)."""
-        if t < t0:
-            raise HistoryError(f"packet count over reversed span [{t0!r}, {t!r}]")
-        return self.flow.integrate(t0, t)

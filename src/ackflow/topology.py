@@ -1,74 +1,25 @@
-"""Network graph: every element lives on an edge, nodes are connection points.
+"""Network description: queues and the flows that cross them.
 
 Users, FIFO buffers and exogenous (cross-traffic style) sources are declared
-by the queue path their packets take; building the network materializes the
-node/edge graph, validates it, derives each user's closed circuit and fixes
-a causal evaluation order for the queues.
+by the queue path their packets take and the channel delay before each
+queue.  A user's closed circuit is its ``UserSpec``: hop channels into each
+queue on the path, then the return channel back to the user.  Building the
+network validates the description and fixes a causal evaluation order for
+the queues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "TopologyError", "Node", "Edge", "Circuit", "Network",
-    "QueueSpec", "UserSpec", "RateFlowSpec", "build_network", "circuit_of",
+    "TopologyError", "Network", "QueueSpec", "UserSpec", "RateFlowSpec",
+    "build_network",
 ]
 
 
 class TopologyError(ValueError):
     """Invalid network description; the offending element is named."""
-
-
-# node kinds: data comes in at "-" nodes and leaves at "+" nodes
-USER_IN, USER_OUT = "user_in", "user_out"
-BUFFER_IN, BUFFER_OUT = "buffer_in", "buffer_out"
-CROSS_IN, CROSS_OUT = "cross_in", "cross_out"
-
-_CHANNEL_ALLOWED = {
-    (USER_OUT, BUFFER_IN),
-    (BUFFER_OUT, USER_IN),
-    (BUFFER_OUT, BUFFER_IN),
-    (CROSS_IN, BUFFER_IN),
-    (BUFFER_OUT, CROSS_OUT),
-}
-
-
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: str
-    multiplicity: int  # number of parallel flows through this node
-
-
-@dataclass(frozen=True)
-class Edge:
-    kind: str  # "user" | "queue" | "channel"
-    tail: str  # input node id
-    head: str  # output node id
-    delay_s: float = 0.0  # channels only
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Closed path from a user's output node back to its input node."""
-
-    user_id: str
-    edges: tuple[Edge, ...]
-    queue_ids: tuple[str, ...]
-    hop_delays_s: tuple[float, ...]   # channel delay before each queue, in path order
-    return_delay_s: float             # last buffer output -> user input
-    forward_offsets_s: tuple[float, ...]  # cumulative propagation before each queue
-
-    @property
-    def total_delay_s(self) -> float:
-        return sum(self.hop_delays_s) + self.return_delay_s
-
-    @property
-    def node_sequence(self) -> tuple[str, ...]:
-        seq = [self.edges[0].tail]
-        seq.extend(e.head for e in self.edges)
-        return tuple(seq)
 
 
 @dataclass(frozen=True)
@@ -84,7 +35,11 @@ class UserSpec:
     id: str
     queue_path: tuple[str, ...]
     hop_delays_s: tuple[float, ...]  # channel delay before each queue
-    return_delay_s: float
+    return_delay_s: float            # last queue output -> user input
+
+    @property
+    def total_delay_s(self) -> float:
+        return sum(self.hop_delays_s) + self.return_delay_s
 
 
 @dataclass(frozen=True)
@@ -105,10 +60,7 @@ class Network:
     queues: dict[str, QueueSpec]
     users: dict[str, UserSpec]
     rate_flows: dict[str, RateFlowSpec]
-    nodes: dict[str, Node] = field(default_factory=dict)
-    edges: tuple[Edge, ...] = ()
-    circuits: dict[str, Circuit] = field(default_factory=dict)
-    queue_order: tuple[str, ...] = ()  # causal evaluation order per tick
+    queue_order: tuple[str, ...]  # causal evaluation order per tick
 
     def flows_through(self, queue_id: str) -> tuple[str, ...]:
         """Flow ids entering a queue, in deterministic declaration order."""
@@ -121,8 +73,22 @@ class Network:
                 out.append(fid)
         return tuple(out)
 
+    def channel_delays_s(self) -> tuple[float, ...]:
+        """Every channel delay: users' hops then return, then rate flows' hops.
+
+        The engine sums these for its preseed horizon; the fixed order
+        keeps that float sum reproducible.
+        """
+        delays: list[float] = []
+        for u in self.users.values():
+            delays.extend(u.hop_delays_s)
+            delays.append(u.return_delay_s)
+        for f in self.rate_flows.values():
+            delays.extend(f.hop_delays_s)
+        return tuple(delays)
+
     def min_positive_delay_s(self) -> float | None:
-        delays = [e.delay_s for e in self.edges if e.kind == "channel" and e.delay_s > 0]
+        delays = [d for d in self.channel_delays_s() if d > 0]
         return min(delays) if delays else None
 
 
@@ -181,7 +147,7 @@ def build_network(
     users: list[UserSpec],
     rate_flows: list[RateFlowSpec] = (),
 ) -> Network:
-    """Validate the description and assemble the node/edge graph."""
+    """Validate the description and fix the queue evaluation order."""
     qmap: dict[str, QueueSpec] = {}
     for q in queues:
         if q.id in qmap:
@@ -200,7 +166,7 @@ def build_network(
         _check_path("user", u.id, u.queue_path, u.hop_delays_s, qmap)
         if u.return_delay_s < 0:
             raise TopologyError(f"user '{u.id}' has a negative return delay")
-        if sum(u.hop_delays_s) + u.return_delay_s <= 0:
+        if u.total_delay_s <= 0:
             raise TopologyError(
                 f"user '{u.id}' circuit has zero total propagation delay; "
                 "at least one channel must be strictly positive")
@@ -212,78 +178,5 @@ def build_network(
         _check_path("rate flow", f.id, f.queue_path, f.hop_delays_s, qmap)
         fmap[f.id] = f
 
-    net = Network(queues=qmap, users=umap, rate_flows=fmap)
-
-    # materialize nodes with flow multiplicities
-    nodes: dict[str, Node] = {}
-    for qid in qmap:
-        sigma = len(net.flows_through(qid))
-        nodes[f"{qid}-"] = Node(f"{qid}-", BUFFER_IN, sigma)
-        nodes[f"{qid}+"] = Node(f"{qid}+", BUFFER_OUT, sigma)
-    for uid in umap:
-        nodes[f"{uid}-"] = Node(f"{uid}-", USER_IN, 1)
-        nodes[f"{uid}+"] = Node(f"{uid}+", USER_OUT, 1)
-    for fid in fmap:
-        nodes[f"{fid}-"] = Node(f"{fid}-", CROSS_IN, 1)
-        nodes[f"{fid}+"] = Node(f"{fid}+", CROSS_OUT, 1)
-
-    edges: list[Edge] = []
-    seen_edges: set[tuple[str, str]] = set()
-
-    def add_edge(kind, tail, head, delay=0.0):
-        key = (tail, head)
-        if key in seen_edges:
-            raise TopologyError(f"duplicate edge <{tail}, {head}>")
-        seen_edges.add(key)
-        if kind == "channel":
-            pair = (nodes[tail].kind, nodes[head].kind)
-            if pair not in _CHANNEL_ALLOWED:
-                raise TopologyError(
-                    f"channel <{tail}, {head}> connects {pair[0]} to {pair[1]}")
-        edges.append(Edge(kind, tail, head, delay))
-
-    for qid in qmap:
-        add_edge("queue", f"{qid}-", f"{qid}+")
-    for uid in umap:
-        add_edge("user", f"{uid}-", f"{uid}+")
-    circuits: dict[str, Circuit] = {}
-    for uid, u in umap.items():
-        path_edges: list[Edge] = []
-        prev_out = f"{uid}+"
-        offsets, acc = [], 0.0
-        for qid, hop in zip(u.queue_path, u.hop_delays_s):
-            add_edge("channel", prev_out, f"{qid}-", hop)
-            path_edges.append(edges[-1])
-            acc += hop
-            offsets.append(acc)
-            path_edges.append(next(e for e in edges if e.kind == "queue" and e.tail == f"{qid}-"))
-            prev_out = f"{qid}+"
-        add_edge("channel", prev_out, f"{uid}-", u.return_delay_s)
-        path_edges.append(edges[-1])
-        circuits[uid] = Circuit(
-            user_id=uid,
-            edges=tuple(path_edges),
-            queue_ids=tuple(u.queue_path),
-            hop_delays_s=tuple(u.hop_delays_s),
-            return_delay_s=u.return_delay_s,
-            forward_offsets_s=tuple(offsets),
-        )
-    for fid, f in fmap.items():
-        prev_out = f"{fid}-"
-        for qid, hop in zip(f.queue_path, f.hop_delays_s):
-            add_edge("channel", prev_out, f"{qid}-", hop)
-            prev_out = f"{qid}+"
-        add_edge("channel", prev_out, f"{fid}+", 0.0)
-
-    net.nodes = nodes
-    net.edges = tuple(edges)
-    net.circuits = circuits
-    net.queue_order = _queue_eval_order(qmap, umap, fmap)
-    return net
-
-
-def circuit_of(network: Network, user_id: str) -> Circuit:
-    try:
-        return network.circuits[user_id]
-    except KeyError:
-        raise TopologyError(f"unknown user '{user_id}'") from None
+    return Network(queues=qmap, users=umap, rate_flows=fmap,
+                   queue_order=_queue_eval_order(qmap, umap, fmap))

@@ -10,19 +10,11 @@ resumes the instant the buffer refills to zero (located inside the step).
 from __future__ import annotations
 
 from .history import Trajectory
-from .topology import Circuit
+from .topology import UserSpec
 
-__all__ = ["UserState", "sending_flow", "circuit_backward_time",
-           "circuit_backward_rate", "ack_flow_identity_check"]
+__all__ = ["UserState", "circuit_backward_time"]
 
 EPS_ACK_BUFFER_PKTS = 1e-9
-
-
-def sending_flow(active: bool, wdot: float, ack_rate: float) -> float:
-    """Send-on-ACK rate: window slope plus ACK rate while active, else 0."""
-    if not active:
-        return 0.0
-    return wdot + ack_rate
 
 
 class UserState:
@@ -98,47 +90,16 @@ class UserState:
         self.flight_balance += (send_avg - ack_rate) * dt
         return send_avg
 
-    def flight_from_history(self, circuit_entry_time_s: float, t: float) -> float:
-        """Flight size as the sending integral since the circuit entry time
-        of the traffic being acknowledged now (the independent measurement,
-        as opposed to the running ``flight_balance``)."""
-        return self.sending.integrate(circuit_entry_time_s, t)
 
-
-def circuit_backward_time(circuit: Circuit, queues: dict, t: float) -> float:
-    """Entry time of the traffic leaving the circuit at ``t``.
+def circuit_backward_time(user: UserSpec, queues: dict, t: float) -> float:
+    """Entry time of the traffic leaving the user's circuit at ``t``.
 
     Walks the circuit backwards: undo the return channel, invert each
     queue's arrival->departure map, undo each hop channel.
     """
-    x = t - circuit.return_delay_s
-    for qid, hop in zip(reversed(circuit.queue_ids), reversed(circuit.hop_delays_s)):
+    x = t - user.return_delay_s
+    for qid, hop in zip(reversed(user.queue_path), reversed(user.hop_delays_s)):
         x = queues[qid].backward_time(x)
         x -= hop
     return x
 
-
-def circuit_backward_rate(circuit: Circuit, queues: dict, t: float) -> float:
-    """Slope of the circuit backward time map (channels contribute one)."""
-    x = t - circuit.return_delay_s
-    rate = 1.0
-    for qid, hop in zip(reversed(circuit.queue_ids), reversed(circuit.hop_delays_s)):
-        rate *= queues[qid].backward_rate(x)
-        x = queues[qid].backward_time(x)
-        x -= hop
-    return rate
-
-
-def ack_flow_identity_check(user: UserState, circuit: Circuit, queues: dict,
-                            t: float) -> float:
-    """Residual between the measured ACK rate and its structural value.
-
-    The engine forms ACK flows by composing queue and channel outputs; the
-    same rate must equal the sending flow read at the circuit backward time,
-    scaled by the backward slope.  A large residual flags an inconsistency
-    between the recorded histories and the delay operators.
-    """
-    measured = user.acks.eval_at(t)
-    b = circuit_backward_time(circuit, queues, t)
-    rate = circuit_backward_rate(circuit, queues, t)
-    return abs(measured - rate * user.sending.eval_at(b))

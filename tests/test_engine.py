@@ -4,10 +4,10 @@ import pytest
 from ackflow.engine import (
     SimConfig, SimulationError, simulate, static_link_check,
 )
-from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue
+from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
 from ackflow.scenario import (
-    ConstantProfile, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, to_network,
+    ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
+    ScheduledProtocol, UserConf, mbps_to_pps, to_network,
 )
 
 
@@ -61,16 +61,17 @@ class TestBasics:
             simulate(to_network(sc), sc, cfg)
 
     def test_return_delay_must_cover_one_step(self):
+        # a zero return delay passes the headroom rule, which looks only at
+        # positive delays, and must still be refused
         sc = Scenario(
             name="bad", packet_bytes=1000,
             queues=(QueueConf("b1", 500.0),),
-            users=(UserConf("u1", ("b1",), (0.05,), 0.0005,
+            users=(UserConf("u1", ("b1",), (0.05,), 0.0,
                             ScheduledProtocol(10.0)),),
             run=RunConf(1e-3, 1.0, "cold"))
         with pytest.raises(SimulationError, match="return channel"):
             simulate(to_network(sc), sc, SimConfig(
-                dt_s=1e-3, horizon_s=1.0, init="cold",
-                enforce_dt_headroom=False))
+                dt_s=1e-3, horizon_s=1.0, init="cold"))
 
 
 class TestEquilibrium:
@@ -250,3 +251,60 @@ class TestGridRefinement:
             a = tail_mean(coarse, name)
             b = tail_mean(fine, name)
             assert a == pytest.approx(b, rel=0.005)
+
+
+class TestOffGridReads:
+    def test_cold_start_burst_reaches_the_queue_whole(self):
+        # two FAST users whose delays fall between grid points: the opening
+        # burst is read through interpolated history, and none of it may be
+        # lost, so the two flight-size forms must agree once it has cycled
+        fast = FastProtocol(gamma=0.5, alpha_pkts=200.0, initial_window_pkts=100.0)
+        sc = Scenario(
+            name="fast_pair_offgrid", packet_bytes=1590,
+            queues=(QueueConf("b1", mbps_to_pps(100.0, 1590)),),
+            users=(UserConf("u1", ("b1",), (0.01237,), 0.03771, fast),
+                   UserConf("u2", ("b1",), (0.00313,), 0.08859, fast)),
+            run=RunConf(1e-4, 2.0, "cold"))
+        traces = run(sc)
+        second = traces.time >= 1.0
+        for uid in ("u1", "u2"):
+            gap = np.abs(traces[f"flight.{uid}"] - traces[f"flight_ode.{uid}"])
+            assert gap[second].max() < 1.0, uid
+
+
+class TestPruning:
+    def test_pruned_run_is_bitwise_equal_to_unpruned(self):
+        # pruning starts once t exceeds the delays plus the 5 s margin and
+        # repeats every simulated second: 8 s gives two prunes
+        sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
+        full, pruned = run(sc), run(sc, prune_history=True)
+        assert pruned.queues["b1"].inputs["u1"].dropped > 0
+        for name in full.signal_names():
+            assert np.array_equal(full[name], pruned[name]), name
+
+
+class TestSharedPath:
+    def test_two_users_on_one_queue_to_queue_hop_match_packet_sim(self):
+        # both users cross b1 -> b2 over the same 10 ms link; cross traffic
+        # joins at b2, which is the bottleneck
+        sc = Scenario(
+            name="shared_hop", packet_bytes=1000,
+            queues=(QueueConf("b1", 500.0), QueueConf("b2", 600.0)),
+            users=(
+                UserConf("u1", ("b1", "b2"), (0.01, 0.01), 0.03,
+                         ScheduledProtocol(60.0)),
+                UserConf("u2", ("b1", "b2"), (0.02, 0.01), 0.06,
+                         ScheduledProtocol(50.0)),
+            ),
+            rate_flows=(RateFlowConf("x", ("b2",), (0.0,), ConstantProfile(300.0)),),
+            run=RunConf(1e-3, 4.0, "equilibrium"))
+        traces = run(sc)
+        ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=5.0)
+        dt = traces.dt_s
+        idx = np.rint(ref.sample_times / dt).astype(int)
+        assert traces["congested.b2"].min() == 1.0
+        for qid, q_pkt in ref.queue_lengths.items():
+            assert np.abs(traces[f"q.{qid}"][idx] - q_pkt).max() <= 5.0, qid
+        for (qid, fid), cnt in ref.dequeue_counts.items():
+            cum = np.concatenate(([0.0], np.cumsum(traces[f"out.{qid}.{fid}"]) * dt))
+            assert np.abs(cum[idx] - (cnt - cnt[0])).max() <= 5.0, (qid, fid)

@@ -3,15 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ackflow.fifo_queue import FifoQueue, InvertibilityError
+from ackflow.fifo_queue import FifoQueue
 
 
-def drive(queue, input_fns, dt, n_ticks, t0=0.0):
-    """Run the queue standalone; returns per-tick traces."""
+def drive(queue, input_fns, dt, n_ticks):
+    """Run the queue standalone from t = 0; returns per-tick traces."""
     trace = {"t": [], "backlog": [], "service": [], "out": [], "in": []}
     for k in range(n_ticks):
-        t = t0 + k * dt
-        t_next = t0 + (k + 1) * dt
+        t = k * dt
+        t_next = (k + 1) * dt
         rates = [fn(t) for fn in input_fns]
         queue.record_inputs(t, rates)
         trace["t"].append(t)
@@ -25,13 +25,18 @@ def drive(queue, input_fns, dt, n_ticks, t0=0.0):
     return trace
 
 
+def backward_slope(queue, t, h=1e-3):
+    """Right slope of the backward time map, by a finite difference."""
+    return (queue.backward_time(t + h) - queue.backward_time(t)) / h
+
+
 class TestStep:
     def test_linear_growth_when_overloaded(self):
         q = FifoQueue("b", 100.0, ["f"])
         drive(q, [lambda t: 150.0], dt=0.001, n_ticks=1000)
         # analytic: backlog grows at 50 pkt/s, so q(1.0) = 50
         assert q.backlog == pytest.approx(50.0, rel=1e-9)
-        assert q.queueing_delay == pytest.approx(0.5, rel=1e-9)
+        assert q.backlog / q.capacity == pytest.approx(0.5, rel=1e-9)
 
     def test_uncongested_passthrough(self):
         q = FifoQueue("b", 100.0, ["f"])
@@ -79,7 +84,7 @@ class TestBackwardOps:
         q = FifoQueue("b", 100.0, ["f"])
         drive(q, [lambda t: 20.0], dt=0.01, n_ticks=101)
         assert q.backward_time(0.73) == pytest.approx(0.73, abs=1e-12)
-        assert q.backward_rate(0.73) == pytest.approx(1.0)
+        assert backward_slope(q, 0.73) == pytest.approx(1.0)
 
     def test_linear_backlog_backward_time(self):
         # input 150, c=100: delay 0.5t so departure(t)=1.5t; analytic inverse
@@ -95,20 +100,13 @@ class TestBackwardOps:
         drive(q, [lambda t: 100.0], dt=0.01, n_ticks=101)
         assert q.backward_time(0.9) == pytest.approx(0.7, rel=1e-9)
         # boundary continuity: arrivals exactly at capacity give slope one
-        assert q.backward_rate(0.9) == pytest.approx(1.0)
+        assert backward_slope(q, 0.9) == pytest.approx(1.0)
 
     def test_backward_rate_half_when_double_input(self):
         # direct evaluation: capacity / arrivals(backward time) = 100/200
         q = FifoQueue("b", 100.0, ["f"])
         drive(q, [lambda t: 200.0], dt=0.01, n_ticks=101)
-        assert q.backward_rate(1.0) == pytest.approx(0.5, rel=1e-9)
-
-    def test_backward_rate_invertibility_error(self):
-        # backlog present but no arrivals ever recorded
-        q = FifoQueue("b", 100.0, ["f"], backlog0_pkts=10.0)
-        drive(q, [lambda t: 0.0], dt=0.01, n_ticks=3)
-        with pytest.raises(InvertibilityError):
-            q.backward_rate(0.02)
+        assert backward_slope(q, 1.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_backward_time_beyond_map_errors(self):
         from ackflow.history import HistoryError
@@ -132,14 +130,26 @@ class TestOutputSeparation:
         assert tr["out"][-1] == (pytest.approx(30.0), pytest.approx(20.0))
 
     def test_stalled_sources_reuse_last_mix_with_diagnostic(self):
-        q = FifoQueue("b", 100.0, ["f1", "f2"])
-        inputs = [lambda t: 90.0 if t < 0.5 else 0.0,
-                  lambda t: 30.0 if t < 0.5 else 0.0]
-        drive(q, inputs, dt=0.01, n_ticks=60)
-        assert q.stall_fallbacks >= 0  # fallback may or may not trigger
-        # outputs never exceed capacity
-        total = sum(q.outputs[f].last_value for f in ("f1", "f2"))
-        assert total <= 100.0 + 1e-9
+        # a 10-pkt backlog whose pre-history carries no arrivals: serving
+        # it finds no arrival mass to split, so each step's service goes
+        # out in the last known mix (even until sources start at 0.05 s,
+        # then theirs) and every such step is counted
+        q = FifoQueue("b", 100.0, ["f1", "f2"], backlog0_pkts=10.0)
+        dt = 0.01
+        hints = []
+        for k in range(30):
+            t, t_next = k * dt, (k + 1) * dt
+            q.record_inputs(t, [30.0, 10.0] if k >= 5 else [0.0, 0.0])
+            hint, before = q._share_hint, q.stall_fallbacks
+            service = q.step(dt, t_next)
+            out = q.transport_outputs(t, t_next, service * dt)
+            q.record_outputs(t, out)
+            if q.stall_fallbacks > before:
+                hints.append(hint)
+                assert sum(out) == pytest.approx(service, rel=1e-12)
+                assert out == pytest.approx(tuple(service * s for s in hint))
+        assert q.stall_fallbacks == len(hints) > 0
+        assert set(hints) == {(0.5, 0.5), (0.75, 0.25)}
 
 
 def rect_sum(values, dt):
@@ -190,9 +200,10 @@ class TestInvariants:
             100.0, [lambda t: 150.0 if t < 0.4 else 60.0], dt=0.002, n_ticks=500)
         for t in (0.2, 0.4, 0.6):
             fwd = q.forward_map.eval_at(t)
-            n_in = q.inputs["f0"].integrate(0.0, t)
-            n_out = q.outputs["f0"].integrate(0.0, fwd)
-            assert n_out == pytest.approx(n_in, abs=2.0)
+            n_in = q.inputs["f0"].integrate_hold(0.0, t)
+            n_out = q.outputs["f0"].integrate_hold(0.0, fwd)
+            # transport uses the same sample-hold masses, so counts match
+            assert n_out == pytest.approx(n_in, abs=1e-9)
 
     @given(
         st.lists(st.floats(0.0, 250.0), min_size=3, max_size=6),

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ackflow.history import CausalityError, HistoryError, PacketCounter, Trajectory
+from ackflow.history import CausalityError, HistoryError, Trajectory
 
 
 def make(samples, initial=0.0):
@@ -49,34 +49,47 @@ class TestRecordEval:
         tr = make([(0.0, 0.0), (2.0, 4.0)])
         assert tr.eval_at(1.5) == pytest.approx(3.0)
 
+    def test_gap_before_first_sample_interpolates_from_initial(self):
+        # the pre-history value sits one sample spacing before the first
+        # sample, as a grid read one tick earlier would see it
+        tr = make([(1.0, 10.0), (1.5, 20.0)], initial=4.0)
+        assert tr.eval_at(0.5) == 4.0
+        assert tr.eval_at(0.75) == pytest.approx(7.0)
+        assert tr.eval_at(0.95) == pytest.approx(9.4)
+        assert tr.eval_at(1.0) == 10.0
+
 
 class TestIntegrate:
+    """``integrate_hold``: each sample held until the next one."""
+
     def test_constant_rate(self):
         # 100 pkt/s over half a second -> 50 packets
         tr = make([(0.0, 100.0), (1.0, 100.0)])
-        assert tr.integrate(0.0, 0.5) == pytest.approx(50.0)
+        assert tr.integrate_hold(0.0, 0.5) == pytest.approx(50.0)
 
     def test_zero_length(self):
         tr = make([(0.0, 3.0), (1.0, 9.0)])
-        assert tr.integrate(0.7, 0.7) == 0.0
+        assert tr.integrate_hold(0.7, 0.7) == 0.0
 
     def test_ramp_triangle_area(self):
-        tr = make([(0.0, 0.0), (1.0, 100.0)])
-        assert tr.integrate(0.0, 1.0) == pytest.approx(50.0)
+        # ramp to 100 over 1 s on a 1 ms grid: the left-point sum is the
+        # triangle's 50 less half a cell's worth
+        tr = make([(k * 1e-3, 100.0 * k * 1e-3) for k in range(1001)])
+        assert tr.integrate_hold(0.0, 1.0) == pytest.approx(50.0 - 0.05, rel=1e-9)
 
     def test_reversed_bounds_rejected(self):
         tr = make([(0.0, 1.0), (1.0, 1.0)])
         with pytest.raises(HistoryError):
-            tr.integrate(0.8, 0.2)
+            tr.integrate_hold(0.8, 0.2)
 
     def test_pre_history_contribution(self):
         tr = make([(1.0, 2.0)], initial=2.0)
-        assert tr.integrate(0.0, 1.0) == pytest.approx(2.0)
+        assert tr.integrate_hold(0.0, 1.0) == pytest.approx(2.0)
 
     def test_partial_cells(self):
-        tr = make([(0.0, 0.0), (2.0, 4.0)])
-        # analytic: integral of t*2 from 0.5 to 1.5 is [t^2] = 2.25 - 0.25
-        assert tr.integrate(0.5, 1.5) == pytest.approx(2.0)
+        tr = make([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
+        # half a cell at 1 and half a cell at 3
+        assert tr.integrate_hold(0.5, 1.5) == pytest.approx(2.0)
 
 
 class TestInvertMonotone:
@@ -111,9 +124,19 @@ class TestPrune:
         before = tr.eval_at(7.5)
         dropped = tr.prune_before(6.2)
         assert dropped == 6
+        assert tr.dropped == 6
         assert tr.eval_at(7.5) == before
-        assert tr.integrate(6.5, 8.0) == pytest.approx(
-            make([(float(k), float(k * k)) for k in range(10)]).integrate(6.5, 8.0))
+        whole = make([(float(k), float(k * k)) for k in range(10)])
+        # cumulatives stay absolute, so pruned integrals are bitwise equal
+        for t0, t1 in ((6.5, 8.0), (6.0, 9.0), (7.0, 7.25)):
+            assert tr.integrate_hold(t0, t1) == whole.integrate_hold(t0, t1)
+
+    def test_dropped_counts_every_prune(self):
+        tr = make([(float(k), 1.0) for k in range(10)])
+        tr.prune_before(3.0)
+        tr.prune_before(5.5)
+        assert tr.dropped == 5
+        assert tr.times[0] == 5.0
 
     def test_pruned_region_reads_fail(self):
         tr = make([(float(k), 1.0) for k in range(10)])
@@ -121,7 +144,7 @@ class TestPrune:
         with pytest.raises(HistoryError):
             tr.eval_at(2.0)
         with pytest.raises(HistoryError):
-            tr.integrate(2.0, 7.0)
+            tr.integrate_hold(2.0, 7.0)
 
 
 @st.composite
@@ -151,8 +174,8 @@ class TestProperties:
         span = samples[-1][0] - samples[0][0]
         pts = sorted(samples[0][0] + x * span for x in (a, b, c))
         t0, t1, t2 = pts
-        whole = tr.integrate(t0, t2)
-        split = tr.integrate(t0, t1) + tr.integrate(t1, t2)
+        whole = tr.integrate_hold(t0, t2)
+        split = tr.integrate_hold(t0, t1) + tr.integrate_hold(t1, t2)
         assert whole == pytest.approx(split, rel=1e-12, abs=1e-9)
 
     @given(sampled_signal(), st.floats(0.0, 1.0))
@@ -169,21 +192,3 @@ class TestProperties:
         x = tr.invert_monotone(y)
         assert tr.eval_at(x) == pytest.approx(y, rel=1e-9, abs=1e-9)
 
-
-class TestPacketCounter:
-    def test_zero_span_and_nonnegative(self):
-        flow = make([(0.0, 50.0), (2.0, 50.0)])
-        counter = PacketCounter(flow)
-        assert counter.count(1.0, 1.0) == 0.0
-        assert counter.count(2.0, 0.0) >= 0.0
-
-    def test_additivity(self):
-        flow = make([(0.0, 10.0), (1.0, 30.0), (2.0, 0.0)])
-        counter = PacketCounter(flow)
-        whole = counter.count(2.0, 0.0)
-        assert whole == pytest.approx(counter.count(1.3, 0.0) + counter.count(2.0, 1.3))
-
-    def test_reversed_span_rejected(self):
-        counter = PacketCounter(make([(0.0, 1.0), (1.0, 1.0)]))
-        with pytest.raises(HistoryError):
-            counter.count(0.0, 1.0)

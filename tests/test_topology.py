@@ -1,9 +1,10 @@
 import pytest
 
+from ackflow.fifo_queue import FifoQueue
 from ackflow.topology import (
-    Circuit, Network, QueueSpec, RateFlowSpec, TopologyError, UserSpec,
-    build_network, circuit_of,
+    QueueSpec, RateFlowSpec, TopologyError, UserSpec, build_network,
 )
+from ackflow.user import circuit_backward_time
 
 
 def single_buffer_net():
@@ -36,29 +37,28 @@ def series_net():
 
 
 class TestBuild:
-    def test_single_buffer_circuit_node_sequence(self):
-        net = single_buffer_net()
-        circ = circuit_of(net, "u1")
-        assert circ.node_sequence == ("u1+", "b-", "b+", "u1-")
-
     def test_two_users_share_queue_edge(self):
         net = shared_buffer_net()
-        c1, c2 = circuit_of(net, "u1"), circuit_of(net, "u2")
-        q1 = [e for e in c1.edges if e.kind == "queue"]
-        q2 = [e for e in c2.edges if e.kind == "queue"]
-        assert q1 == q2
+        assert net.users["u1"].queue_path == net.users["u2"].queue_path == ("b",)
         assert net.flows_through("b") == ("u1", "u2")
-        assert net.nodes["b-"].multiplicity == 2
+
+    def test_flows_share_a_queue_to_queue_hop(self):
+        # two users and a rate flow all cross b1 -> b2 over the same link
+        net = build_network(
+            [QueueSpec("b1", 100.0), QueueSpec("b2", 100.0)],
+            [UserSpec("u1", ("b1", "b2"), (0.01, 0.005), 0.03),
+             UserSpec("u2", ("b1", "b2"), (0.02, 0.005), 0.06)],
+            [RateFlowSpec("x", ("b1", "b2"), (0.0, 0.005))],
+        )
+        assert net.flows_through("b2") == ("u1", "u2", "x")
+        assert net.queue_order == ("b1", "b2")
 
     def test_series_circuit_traverses_queues_in_order(self):
         net = series_net()
-        assert circuit_of(net, "u1").queue_ids == ("b1", "b2")
-        assert circuit_of(net, "u3").queue_ids == ("b1",)
-        assert circuit_of(net, "u1").forward_offsets_s == (0.0, 0.02)
-
-    def test_unknown_user_rejected(self):
-        with pytest.raises(TopologyError):
-            circuit_of(single_buffer_net(), "nope")
+        assert net.users["u1"].queue_path == ("b1", "b2")
+        assert net.users["u3"].queue_path == ("b1",)
+        assert net.flows_through("b1") == ("u1", "u3")
+        assert net.flows_through("b2") == ("u1", "u2")
 
     def test_dangling_queue_reference_named(self):
         with pytest.raises(TopologyError, match="ghost"):
@@ -111,18 +111,23 @@ class TestBuild:
 class TestCircuitInvariants:
     @pytest.mark.parametrize("net_fn", [single_buffer_net, shared_buffer_net, series_net])
     def test_circuits_closed(self, net_fn):
+        # walking a circuit back from the user's input through empty queues
+        # reaches the user's output one total propagation delay earlier
         net = net_fn()
-        for uid, circ in net.circuits.items():
-            seq = circ.node_sequence
-            assert seq[0] == f"{uid}+"
-            assert seq[-1] == f"{uid}-"
+        queues = {qid: FifoQueue(qid, q.capacity_pps, net.flows_through(qid))
+                  for qid, q in net.queues.items()}
+        for user in net.users.values():
+            assert circuit_backward_time(user, queues, 0.0) == pytest.approx(
+                -user.total_delay_s, abs=1e-12)
 
     @pytest.mark.parametrize("net_fn", [single_buffer_net, shared_buffer_net, series_net])
     def test_total_delay_is_channel_sum(self, net_fn):
         net = net_fn()
-        for circ in net.circuits.values():
-            channel_sum = sum(e.delay_s for e in circ.edges if e.kind == "channel")
-            assert channel_sum == pytest.approx(circ.total_delay_s)
+        for user in net.users.values():
+            assert user.total_delay_s == pytest.approx(
+                sum(user.hop_delays_s) + user.return_delay_s)
+        assert sum(net.channel_delays_s()) == pytest.approx(
+            sum(u.total_delay_s for u in net.users.values()))
 
     def test_min_positive_delay(self):
         assert series_net().min_positive_delay_s() == pytest.approx(0.02)

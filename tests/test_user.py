@@ -1,23 +1,30 @@
+import numpy as np
 import pytest
 
+from ackflow.engine import SimConfig, simulate
 from ackflow.fifo_queue import FifoQueue
-from ackflow.history import Trajectory
-from ackflow.topology import QueueSpec, UserSpec, build_network
-from ackflow.user import (
-    UserState, circuit_backward_rate, circuit_backward_time, sending_flow,
+from ackflow.scenario import (
+    QueueConf, RunConf, Scenario, ScheduledProtocol, UserConf, to_network,
 )
+from ackflow.topology import QueueSpec, UserSpec, build_network
+from ackflow.user import UserState, circuit_backward_time
 
 
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
-        assert sending_flow(True, 0.0, 100.0) == pytest.approx(100.0)
+        u = UserState("u", 10.0)
+        assert u.step(0.0, 0.0, 100.0, 1e-3) == pytest.approx(100.0)
 
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
-        assert sending_flow(True, 50.0, 100.0) == pytest.approx(150.0)
+        u = UserState("u", 10.0)
+        assert u.step(50.0, 0.0, 100.0, 1e-3) == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
-        assert sending_flow(False, 50.0, 1000.0) == 0.0
+        u = UserState("u", 200.0)
+        u.apply_window_jump(-100.0)
+        assert u.step(50.0, 0.0, 1000.0, 1e-3) == 0.0
+        assert not u.active
 
 
 class TestAckBufferStep:
@@ -80,19 +87,31 @@ class TestAckBufferStep:
         assert not u.active
 
 
+def flight_trace(window_pkts, init):
+    """Engine flight size (the sending integral since the circuit entry
+    time of the traffic acknowledged now) of one user on an idle link."""
+    sc = Scenario(
+        name="flight", packet_bytes=1000,
+        queues=(QueueConf("b", 1000.0),),
+        users=(UserConf("u", ("b",), (0.04,), 0.06,
+                        ScheduledProtocol(window_pkts)),),
+        run=RunConf(1e-3, 0.5, init))
+    traces = simulate(to_network(sc), sc, SimConfig(
+        dt_s=1e-3, horizon_s=0.5, init=init))
+    return traces["send.u"], traces["flight.u"]
+
+
 class TestFlightSize:
     def test_constant_flow_fixed_rtt(self):
-        u = UserState("u", 10.0, sending0_pps=100.0, flight0_pkts=10.0)
-        for k in range(50):
-            u.sending.record(k * 0.01, 100.0)
         # 100 pkt/s with a 0.1 s round trip keeps 10 packets in flight
-        assert u.flight_from_history(0.3 - 0.1, 0.3) == pytest.approx(10.0)
+        send, flight = flight_trace(10.0, "equilibrium")
+        assert send == pytest.approx(np.full_like(send, 100.0))
+        assert flight == pytest.approx(np.full_like(flight, 10.0))
 
     def test_zero_history_zero_flight(self):
-        u = UserState("u", 0.0)
-        for k in range(10):
-            u.sending.record(k * 0.01, 0.0)
-        assert u.flight_from_history(0.0, 0.09) == 0.0
+        send, flight = flight_trace(0.0, "cold")
+        assert np.all(send == 0.0)
+        assert np.all(flight == 0.0)
 
     def test_balance_form_tracks_burst(self):
         u = UserState("u", 10.0, flight0_pkts=10.0)
@@ -117,7 +136,7 @@ class TestCircuitBackwardOps:
             q.record_inputs(t, [150.0])
             service = q.step(dt, (k + 1) * dt)
             q.record_outputs(t, q.transport_outputs(t, (k + 1) * dt, service * dt))
-        return net.circuits["u"], {"b": q}
+        return net.users["u"], {"b": q}
 
     def test_backward_time_composition(self):
         circ, queues = self.make_env()
@@ -127,10 +146,16 @@ class TestCircuitBackwardOps:
         assert circuit_backward_time(circ, queues, t) == pytest.approx(x)
 
     def test_backward_rate_composition(self):
+        # channels have slope one, so the circuit's backward map has the
+        # queue's slope: capacity over arrival rate, 100 / 150
         circ, queues = self.make_env()
-        t = 1.5
-        expected = queues["b"].backward_rate(t - 0.02)
-        assert circuit_backward_rate(circ, queues, t) == pytest.approx(expected)
+        t, h = 1.5, 0.05
+        circuit_slope = (circuit_backward_time(circ, queues, t + h)
+                         - circuit_backward_time(circ, queues, t)) / h
+        queue_slope = (queues["b"].backward_time(t + h - 0.02)
+                       - queues["b"].backward_time(t - 0.02)) / h
+        assert circuit_slope == pytest.approx(queue_slope, rel=1e-12)
+        assert circuit_slope == pytest.approx(100.0 / 150.0, rel=1e-9)
 
     def test_rtt_identity(self):
         # entry time + propagation + queueing recovers the departure time

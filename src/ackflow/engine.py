@@ -4,14 +4,19 @@ Every tick evaluates, in circuit order, only data with timestamps at or
 before the current time: ACK rates from recorded queue outputs, controller
 window rates, sending flows, then queue arrivals, per-flow departures and
 the state integration with event sub-stepping (queue emptying, ACK-buffer
-refill).  Delays that are exact grid multiples are read by index; everything
-else goes through interpolated history reads.
+refill).
+
+Every signal is one float64 column on the grid ``k * dt``.  The flows
+(sending, ACK, queue input and output rates) are the history columns the
+blocks read back, by index when a delay is a grid multiple and by
+interpolation otherwise; the returned traces are views of the columns.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +32,8 @@ __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate",
            "StaticLinkResult", "static_link_check"]
 
 
-# history kept by pruning: the sum of all channel delays plus this margin,
-# which covers the queueing delays in any backward read
+# history readable after pruning: the sum of all channel delays plus this
+# margin, which covers the queueing delays in any backward read
 PRUNE_MARGIN_S = 5.0
 
 
@@ -41,12 +46,19 @@ class SimConfig:
     dt_s: float = 1e-4  # must be <= smallest positive delay / 10
     horizon_s: float = 10.0
     init: str = "cold"  # "cold" | "equilibrium"
+    # once a simulated second, raise every history's read floor to the
+    # oldest time a read can still need, so a read below it fails; this
+    # frees nothing, since the traces span the horizon and are the history
     prune_history: bool = False
 
 
 @dataclass
 class TraceSet:
-    """All recorded signals of one run, on the shared engine grid."""
+    """All recorded signals of one run, on the shared engine grid.
+
+    The signals view the histories in ``queues`` and ``users``, which can
+    therefore no longer grow.
+    """
 
     time: np.ndarray
     dt_s: float
@@ -92,21 +104,18 @@ class _Reader:
             idx = k - self.shift
             if idx < 0:
                 return self.initial
-            # sample number idx (one per tick from tick 0) sits behind the
-            # samples that pruning dropped from the front of the list
-            idx -= self.traj.dropped
-            if not 0 <= idx < len(self.values):
+            try:
+                return self.values[idx]
+            except IndexError:
                 raise SimulationError(
                     f"causality violation: read {self.delay}s behind t={t} "
-                    "touches an unrecorded or pruned sample")
-            return self.values[idx]
+                    "touches an unrecorded sample") from None
         return self.traj.eval_at(t - self.delay)
 
 
 class _UserCtx:
-    __slots__ = ("uid", "state", "spec", "fast_params",
-                 "schedule", "impulses", "ack_reader", "rect_cum", "total_delay",
-                 "send0")
+    __slots__ = ("uid", "state", "spec", "fast_params", "impulses", "ack_reader",
+                 "rect_cum", "total_delay", "send0", "appends")
 
     def __init__(self, uid):
         self.uid = uid
@@ -138,10 +147,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     profiles = {f.id: f.profile for f in scenario.rate_flows}
     protos = {u.id: u.protocol for u in scenario.users}
 
-    # pre-seed horizon for the backward maps: covers any backward read
-    total_delay_sum = sum(network.channel_delays_s())
-    preseed = config.horizon_s + total_delay_sum + 10.0
-
     queues: dict[str, FifoQueue] = {}
     for qid in network.queue_order:
         cap = network.queues[qid].capacity_pps
@@ -155,8 +160,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                     rates0[fid] = profiles[fid].rate_at(0.0)
                 else:
                     rates0[fid] = eq_init.rates_pps[fid]
-        queues[qid] = FifoQueue(qid, cap, flows, backlog0_pkts=backlog0,
-                                input_rates0=rates0, preseed_from_s=preseed)
+        queues[qid] = FifoQueue(qid, cap, flows, dt_s=dt, backlog0_pkts=backlog0,
+                                input_rates0=rates0)
 
     users: dict[str, _UserCtx] = {}
     for uid, uspec in network.users.items():
@@ -168,15 +173,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
         window_start = w0 if eq_init is not None else 0.0
         flight0 = w0 if eq_init is not None else 0.0
-        ctx.state = UserState(uid, window_start, sending0_pps=send0,
+        ctx.state = UserState(uid, window_start, dt_s=dt, sending0_pps=send0,
                               flight0_pkts=flight0)
         ctx.send0 = send0
         if isinstance(proto, ScheduledProtocol):
-            ctx.schedule = WindowSchedule(w0, proto.steps)
             ctx.fast_params = None
-            ctx.impulses = ctx.schedule.impulses_by_tick(dt)
+            ctx.impulses = WindowSchedule(w0, proto.steps).impulses_by_tick(dt)
         elif isinstance(proto, FastProtocol):
-            ctx.schedule = None
             ctx.fast_params = FastParams(proto.gamma, proto.alpha_pkts)
             ctx.impulses = {}
         else:
@@ -188,54 +191,58 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         last_q = uspec.queue_path[-1]
         ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
                                  delay_s=uspec.return_delay_s, dt_s=dt)
-        ctx.rect_cum = [0.0]
+        ctx.rect_cum = array("d", [0.0])
         users[uid] = ctx
 
-    # per-queue input readers, in the queue's flow order
+    # per-queue input readers, in the queue's flow order: the upstream
+    # queue's output, else the user's sending flow or the flow's profile
     input_readers: dict[str, list[_Reader]] = {}
     for qid in network.queue_order:
-        readers = []
+        readers = input_readers[qid] = []
         for fid in queues[qid].flow_ids:
-            if fid in network.users:
-                spec = network.users[fid]
-                pos = spec.queue_path.index(qid)
-                if pos == 0:
-                    src = users[fid].state.sending
-                else:
-                    src = queues[spec.queue_path[pos - 1]].outputs[fid]
-                readers.append(_Reader(traj=src, delay_s=spec.hop_delays_s[pos],
-                                       dt_s=dt))
+            spec = network.users.get(fid) or network.rate_flows[fid]
+            pos = spec.queue_path.index(qid)
+            delay = spec.hop_delays_s[pos]
+            if pos:
+                src = queues[spec.queue_path[pos - 1]].outputs[fid]
+            elif fid in users:
+                src = users[fid].state.sending
             else:
-                spec = network.rate_flows[fid]
-                pos = spec.queue_path.index(qid)
-                if pos == 0:
-                    readers.append(_Reader(profile=profiles[fid],
-                                           delay_s=spec.hop_delays_s[pos]))
-                else:
-                    src = queues[spec.queue_path[pos - 1]].outputs[fid]
-                    readers.append(_Reader(traj=src, delay_s=spec.hop_delays_s[pos],
-                                           dt_s=dt))
-        input_readers[qid] = readers
+                readers.append(_Reader(profile=profiles[fid], delay_s=delay))
+                continue
+            readers.append(_Reader(traj=src, delay_s=delay, dt_s=dt))
 
     n_ticks = int(round(config.horizon_s / dt)) + 1
 
-    # trace buffers (plain lists; converted to arrays at the end)
-    tr: dict[str, list[float]] = {}
-    queue_trace_ids = [q.id for q in scenario.queues]
-    user_trace_ids = [u.id for u in scenario.users]
-    for qid in queue_trace_ids:
-        for name in ("q", "tau", "r", "arrival", "congested"):
-            tr[f"{name}.{qid}"] = []
-        for fid in queues[qid].flow_ids:
-            tr[f"in.{qid}.{fid}"] = []
-            tr[f"out.{qid}.{fid}"] = []
-    for uid in user_trace_ids:
-        for name in ("w", "ackbuf", "flight", "flight_ode", "send", "ack", "active"):
-            tr[f"{name}.{uid}"] = []
+    # traces, named here once: the flows are history columns, every other
+    # signal a column the tick loop fills through bound append methods
+    columns: dict[str, array] = {}
 
-    queue_step_list = [queues[qid] for qid in network.queue_order]
-    user_list = [users[uid] for uid in user_trace_ids]
+    def appenders(owner: str, *names: str) -> tuple:
+        new = [array("d") for _ in names]
+        columns.update((f"{name}.{owner}", col) for name, col in zip(names, new))
+        return tuple(col.append for col in new)
+
+    queue_appends = {}
+    for qid in (q.id for q in scenario.queues):
+        q = queues[qid]
+        queue_appends[qid] = appenders(qid, "q", "r", "arrival", "congested")
+        for fid in q.flow_ids:
+            columns[f"in.{qid}.{fid}"] = q.inputs[fid].values
+            columns[f"out.{qid}.{fid}"] = q.outputs[fid].values
+    user_list = [users[u.id] for u in scenario.users]
+    for ctx in user_list:
+        ctx.appends = appenders(ctx.uid, "w", "ackbuf", "flight", "flight_ode", "active")
+        columns[f"send.{ctx.uid}"] = ctx.state.sending.values
+        columns[f"ack.{ctx.uid}"] = ctx.state.acks.values
+
+    queue_steps = [(queues[qid], input_readers[qid], queue_appends[qid])
+                   for qid in network.queue_order]
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
+    prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
+    histories = [h for q in queues.values()
+                 for h in (q.forward_map, *q.inputs.values(), *q.outputs.values())]
+    histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
 
     for k in range(n_ticks):
         t = k * dt
@@ -261,53 +268,45 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             st.sending.record(t, send_avg)
             st.acks.record(t, ack)
             ctx.rect_cum.append(ctx.rect_cum[-1] + send_avg * dt)
-            uid = ctx.uid
-            tr[f"w.{uid}"].append(w_now)
-            tr[f"ackbuf.{uid}"].append(pi_now)
-            tr[f"flight.{uid}"].append(flight_int)
-            tr[f"flight_ode.{uid}"].append(flight_ode)
-            tr[f"send.{uid}"].append(send_avg)
-            tr[f"ack.{uid}"].append(ack)
-            tr[f"active.{uid}"].append(1.0 if st.active else 0.0)
+            add_w, add_pi, add_flight, add_ode, add_active = ctx.appends
+            add_w(w_now)
+            add_pi(pi_now)
+            add_flight(flight_int)
+            add_ode(flight_ode)
+            add_active(1.0 if st.active else 0.0)
             if not (math.isfinite(st.window) and math.isfinite(send_avg)
                     and math.isfinite(st.ack_buffer)):
                 raise SimulationError(
-                    f"divergence in user block '{uid}' at t={t:.6f}")
+                    f"divergence in user block '{ctx.uid}' at t={t:.6f}")
 
         t_next = (k + 1) * dt
-        for q in queue_step_list:
-            rates = [r.read(k, t) for r in input_readers[q.queue_id]]
+        for q, readers, (add_q, add_r, add_arrival, add_congested) in queue_steps:
+            rates = [r.read(k, t) for r in readers]
             q.record_inputs(t, rates)
-            backlog_before = q.backlog
+            add_q(q.backlog)
             service_avg = q.step(dt, t_next)
             out = q.transport_outputs(t, t_next, service_avg * dt)
             q.record_outputs(t, out)
-            qid = q.queue_id
-            tr[f"q.{qid}"].append(backlog_before)
-            tr[f"tau.{qid}"].append(backlog_before / q.capacity)
-            tr[f"r.{qid}"].append(service_avg)
-            tr[f"arrival.{qid}"].append(q.last_total_arrival)
-            tr[f"congested.{qid}"].append(1.0 if q.congested else 0.0)
-            for fid, rin, rout in zip(q.flow_ids, rates, out):
-                tr[f"in.{qid}.{fid}"].append(rin)
-                tr[f"out.{qid}.{fid}"].append(rout)
+            add_r(service_avg)
+            add_arrival(q.last_total_arrival)
+            add_congested(1.0 if q.congested else 0.0)
             if not math.isfinite(q.backlog):
                 raise SimulationError(
-                    f"divergence in queue block '{qid}' at t={t:.6f}")
+                    f"divergence in queue block '{q.queue_id}' at t={t:.6f}")
 
-        if prune_every and k and k % prune_every == 0:
-            cutoff = t - (total_delay_sum + PRUNE_MARGIN_S)
-            if cutoff > 0:
-                for q in queue_step_list:
-                    q.forward_map.prune_before(cutoff)
-                    for traj in (*q.inputs.values(), *q.outputs.values()):
-                        traj.prune_before(cutoff)
-                for ctx in user_list:
-                    ctx.state.sending.prune_before(cutoff)
-                    ctx.state.acks.prune_before(cutoff)
+        if prune_every and k % prune_every == 0 and t > prune_lag:
+            for h in histories:
+                h.prune_before(t - prune_lag)
 
-    signals = {name: np.asarray(vals) for name, vals in tr.items()}
-    traces = TraceSet(
+    # zero-copy views; tau is q / capacity, which IEEE division rounds
+    # exactly as a per-tick division would
+    signals = {}
+    for name, col in columns.items():
+        signals[name] = np.frombuffer(col)
+        kind, _, qid = name.partition(".")
+        if kind == "q":
+            signals[f"tau.{qid}"] = signals[name] / queues[qid].capacity
+    return TraceSet(
         time=np.arange(n_ticks) * dt,
         dt_s=dt,
         signals=signals,
@@ -321,7 +320,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                      for qid, q in queues.items()},
         runtime_s=time.perf_counter() - t_wall,
     )
-    return traces
 
 
 def _rect_at(ctx, x: float, dt: float) -> float:

@@ -30,14 +30,15 @@ class FifoQueue:
         Service rate in packets per second (> 0).
     flow_ids : sequence of str
         Flows entering this queue, in a fixed order.
+    dt_s : float
+        Engine grid step; every history holds one sample per step.
     backlog0_pkts : float
         Initial queue size.
     input_rates0 : per-flow rates assumed for all times before the start
         (pre-history); also taken as the composition of any initial backlog.
-    preseed_from_s : float
-        How far back the arrival->departure map is seeded as a straight
-        line (shifted by the initial queueing delay), so that backward
-        reads at simulation start are answerable.
+        Before the start the queue holds its initial backlog, so the
+        arrival->departure map there is the line t + backlog0 / capacity,
+        which answers backward reads at simulation start.
     """
 
     __slots__ = (
@@ -52,9 +53,9 @@ class FifoQueue:
         capacity_pps: float,
         flow_ids,
         *,
+        dt_s: float,
         backlog0_pkts: float = 0.0,
         input_rates0: dict[str, float] | None = None,
-        preseed_from_s: float = 100.0,
     ):
         if capacity_pps <= 0:
             raise ValueError(f"queue '{queue_id}': capacity must be positive")
@@ -65,12 +66,10 @@ class FifoQueue:
         self.flow_ids = tuple(flow_ids)
         self.backlog = float(backlog0_pkts)
         rates0 = input_rates0 or {}
-        self.inputs = {f: Trajectory(rates0.get(f, 0.0)) for f in self.flow_ids}
-        self.outputs = {f: Trajectory(rates0.get(f, 0.0)) for f in self.flow_ids}
+        self.inputs = {f: Trajectory(dt_s, rates0.get(f, 0.0)) for f in self.flow_ids}
+        self.outputs = {f: Trajectory(dt_s, rates0.get(f, 0.0)) for f in self.flow_ids}
         tau0 = self.backlog / self.capacity
-        self.forward_map = Trajectory()
-        t_seed = -abs(preseed_from_s)
-        self.forward_map.record(t_seed, t_seed + tau0)
+        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0)
         self.forward_map.record(0.0, tau0)
         self._g_now = None  # (time, backward time) of the latest step end
         self._last_rates: tuple[float, ...] = tuple(

@@ -1,15 +1,19 @@
-"""Sampled signal histories with past-time queries.
+"""Signal histories on the engine's uniform time grid.
 
-The whole simulator runs on :class:`Trajectory`: an append-only record of
-(time, value) samples with linear interpolation, a constant pre-history,
-a sample-and-hold running integral and monotone-map inversion.  Delayed
-reads, queue transport masses and backward (departure -> arrival) time
-queries are all answered from here.
+Every engine signal is sampled once per tick, so a :class:`Trajectory` is a
+float64 column whose sample ``i`` sits at time ``i * dt``.  Delayed reads
+are index arithmetic with linear interpolation between samples, a
+sample-and-hold running integral gives queue transport masses, and a
+bisection over the values inverts monotone (arrival -> departure) time
+maps.  The columns are also the engine's output: its traces are zero-copy
+views of them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from array import array
+from bisect import bisect_left
 
 __all__ = ["Trajectory", "HistoryError", "CausalityError"]
 
@@ -23,108 +27,111 @@ class CausalityError(HistoryError):
 
 
 class Trajectory:
-    """Time-indexed scalar signal, linearly interpolated between samples.
+    """Scalar signal sampled on the grid ``i * dt``, linear between samples.
 
-    Sample times must be strictly increasing.  Before the first sample the
-    signal is the constant ``initial_value``, which is taken to be sampled
-    one sample spacing before ``times[0]`` and interpolated from there, so
-    delayed reads at simulation start are well defined.  Reads beyond the
-    newest sample raise :class:`CausalityError`: the engine must never
-    consume values it has not produced yet.
+    Before ``t = 0`` the signal is its pre-history.  By default that is the
+    constant ``initial_value``, taken to be sampled at ``-dt`` and
+    interpolated to the first sample, so delayed reads at simulation start
+    are well defined.  With ``pre_slope`` set it is the line
+    ``initial_value + pre_slope * t`` instead (a time map extended
+    backwards).  Reads beyond the newest sample raise
+    :class:`CausalityError`: the engine must never consume values it has not
+    produced yet.
 
     Concurrency: single writer appends; readers of strictly past data are
-    safe.  Within one simulation, single-threaded use is the contract.
+    safe.  A numpy view of ``values`` stops the column from growing.
     """
 
-    __slots__ = ("times", "values", "hold_cumulative", "initial_value",
-                 "pruned_before", "dropped")
+    __slots__ = ("dt", "values", "hold_cumulative", "initial_value",
+                 "pre_slope", "pruned_before")
 
-    def __init__(self, initial_value: float = 0.0):
-        self.times: list[float] = []
-        self.values: list[float] = []
-        # hold_cumulative[i] = integral from the first sample ever recorded
-        # to times[i], each value held to the next sample
-        self.hold_cumulative: list[float] = []
+    def __init__(self, dt: float, initial_value: float = 0.0, *,
+                 pre_slope: float = 0.0):
+        self.dt = dt
+        self.values = array("d")
+        # hold_cumulative[i] = integral from 0 to i * dt, each value held to
+        # the next sample; built on the first integral that needs it
+        self.hold_cumulative = array("d")
         self.initial_value = float(initial_value)
-        # prune_before() moves these forward; queries older than the cut
-        # fail, and list index i holds sample number i + dropped
-        self.pruned_before: float | None = None
-        self.dropped = 0
+        self.pre_slope = float(pre_slope)
+        # prune_before() raises this floor; reads older than it fail
+        self.pruned_before = -math.inf
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.values)
 
     def record(self, t: float, v: float) -> None:
-        """Append a sample. ``t`` must exceed the last recorded time."""
-        times = self.times
-        if times:
-            prev = times[-1]
-            if t <= prev:
-                raise HistoryError(
-                    f"non-monotone record: t={t!r} after t={prev!r} "
-                    "(engine ordering bug)")
-            self.hold_cumulative.append(
-                self.hold_cumulative[-1] + self.values[-1] * (t - prev))
-        else:
-            self.hold_cumulative.append(0.0)
-        times.append(t)
+        """Append the next sample; ``t`` must be its grid time ``len(self) * dt``."""
+        n = len(self.values)
+        if t != n * self.dt:
+            raise HistoryError(f"record at t={t!r} is not sample {n} at "
+                               f"{n * self.dt!r} (engine ordering bug)")
         self.values.append(v)
 
+    def _index(self, t: float) -> int:
+        """Largest ``i`` with ``i * dt <= t``, for ``t >= 0``."""
+        dt = self.dt
+        i = int(t / dt)
+        if i * dt > t:
+            i -= 1
+        elif (i + 1) * dt <= t:
+            i += 1
+        return i
+
     def _check_not_pruned(self, t: float) -> None:
-        if self.pruned_before is not None and t < self.pruned_before:
+        if t < self.pruned_before:
             raise HistoryError(
                 f"read at t={t!r} precedes pruned history (< {self.pruned_before!r})")
 
     def eval_at(self, t: float) -> float:
         """Value at ``t``; exact on samples, interpolated between them."""
-        times = self.times
-        if not times:
-            self._check_not_pruned(t)
-            return self.initial_value
-        if t > times[-1]:
+        values = self.values
+        dt = self.dt
+        last = len(values) - 1
+        if t > last * dt:
             raise CausalityError(
-                f"future read at t={t!r} (history ends at {times[-1]!r})")
-        if t < times[0]:
-            self._check_not_pruned(t)
-            if len(times) < 2:
-                return self.initial_value
-            spacing = times[1] - times[0]
-            lag = times[0] - t
-            if lag >= spacing:
-                return self.initial_value
+                f"future read at t={t!r} (history ends at {last * dt!r})")
+        self._check_not_pruned(t)
+        if t < 0.0:
             v0 = self.initial_value
-            return v0 + (self.values[0] - v0) * (spacing - lag) / spacing
-        i = bisect_right(times, t) - 1
-        t0 = times[i]
-        if t == t0 or i == len(times) - 1:
-            return self.values[i]
-        t1 = times[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+            if self.pre_slope:
+                return v0 + self.pre_slope * t
+            lag = -t
+            if lag >= dt:
+                return v0
+            return v0 + (values[0] - v0) * (dt - lag) / dt
+        i = self._index(t)
+        t0 = i * dt
+        if t == t0 or i == last:
+            return values[i]
+        v0, v1 = values[i], values[i + 1]
+        return v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)
 
     def _hold_cumulative_at(self, t: float) -> float:
-        times = self.times
-        if t < times[0]:
-            return self.initial_value * (t - times[0])
-        i = bisect_right(times, t) - 1
-        return self.hold_cumulative[i] + self.values[i] * (t - times[i])
+        if t < 0.0:
+            return self.initial_value * t
+        i = self._index(t)
+        values, cum, dt = self.values, self.hold_cumulative, self.dt
+        for n in range(len(cum), i + 1):  # each cell as wide as its grid times
+            cum.append(cum[-1] + values[n - 1] * (n * dt - (n - 1) * dt) if n else 0.0)
+        return cum[i] + values[i] * (t - i * dt)
 
     def integrate_hold(self, t0: float, t1: float) -> float:
         """Integral reading each sample as held until the next one.
 
         Matches explicit left-point state stepping, so queue transport
-        accounting based on it is exact.
+        accounting based on it is exact.  The pre-history counts as the
+        constant ``initial_value``.
         """
         if t1 < t0:
             raise HistoryError(f"reversed integration bounds [{t0!r}, {t1!r}]")
         if t0 == t1:
             return 0.0
         self._check_not_pruned(t0)
-        if not self.times:
-            return self.initial_value * (t1 - t0)
-        if t1 > self.times[-1]:
+        last = (len(self.values) - 1) * self.dt
+        if t1 > last:
             raise CausalityError(
-                f"integration end t={t1!r} beyond history ({self.times[-1]!r})")
+                f"integration end t={t1!r} beyond history ({last!r})")
         return self._hold_cumulative_at(t1) - self._hold_cumulative_at(t0)
 
     def invert_monotone(self, y: float) -> float:
@@ -132,42 +139,37 @@ class Trajectory:
 
         Where the map is flat, the left edge of the flat interval is
         returned (FIFO earliest-arrival tie-break).  ``y`` must lie inside
-        the recorded value range.
+        the recorded value range, or below it on a rising pre-history line.
         """
         values = self.values
         if not values:
             raise HistoryError("cannot invert an empty trajectory")
-        if y < values[0] or y > values[-1]:
+        if y < values[0] and self.pre_slope > 0.0:
+            x = (y - self.initial_value) / self.pre_slope
+        elif y < values[0] or y > values[-1]:
             raise HistoryError(
                 f"inverse of {y!r} not determined: recorded range "
                 f"[{values[0]!r}, {values[-1]!r}]")
-        i = bisect_left(values, y)
-        if values[i] == y:
-            return self.times[i]
-        v0, v1 = values[i - 1], values[i]
-        if v1 <= v0:  # defensive; bisect_left guarantees v0 < y < v1
-            raise HistoryError("trajectory is not nondecreasing around the target")
-        t0, t1 = self.times[i - 1], self.times[i]
-        return t0 + (t1 - t0) * (y - v0) / (v1 - v0)
+        else:
+            dt = self.dt
+            i = bisect_left(values, y)
+            if values[i] == y:
+                x = i * dt
+            else:
+                v0, v1 = values[i - 1], values[i]  # v0 < y < v1
+                t0 = (i - 1) * dt
+                x = t0 + (i * dt - t0) * (y - v0) / (v1 - v0)
+        self._check_not_pruned(x)
+        return x
 
-    def prune_before(self, t: float) -> int:
-        """Drop samples strictly older than the one bracketing ``t``.
+    def prune_before(self, t: float) -> None:
+        """Raise the read floor to the sample bracketing ``t``.
 
-        Keeps interpolation exact for all times >= t.  Queries older than
-        the cut raise :class:`HistoryError`.  Returns the number of samples
-        dropped.  Intended for bounding memory on very long runs; pruned
-        spans disappear from exported traces.
+        Reads at or after that sample stay exact; older ones raise
+        :class:`HistoryError`.  Every sample is kept: the columns are the
+        run's traces, so pruning guards reads and frees no memory.
         """
-        times = self.times
-        if not times or t <= times[0]:
-            return 0
-        keep_from = bisect_right(times, t) - 1
-        if keep_from <= 0:
-            return 0
-        del self.times[:keep_from]
-        del self.values[:keep_from]
-        del self.hold_cumulative[:keep_from]
-        self.pruned_before = self.times[0]
-        self.dropped += keep_from
-        return keep_from
-
+        n = len(self.values)
+        if n and t > 0.0:
+            floor = min(self._index(t), n - 1) * self.dt
+            self.pruned_before = max(self.pruned_before, floor)

@@ -9,7 +9,6 @@ description.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import deque
@@ -23,7 +22,7 @@ from .protocol import WindowSchedule
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
     "EquilibriumProblem", "EquilibriumResult", "equilibrium_queue",
-    "equilibrium_from_scenario", "events_to_csv",
+    "equilibrium_from_scenario",
 ]
 
 
@@ -49,14 +48,6 @@ class PacketSimResult:
     dequeue_counts: dict[tuple[str, str], np.ndarray]  # cumulative, per (queue, flow)
     send_times: dict[str, np.ndarray]
     events: list[PacketEvent] | None = None
-
-
-def events_to_csv(events, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["packet_id", "flow_id", "kind", "time_s"])
-        for e in events:
-            w.writerow([e.packet_id, e.flow_id, e.kind, f"{e.time_s:.9f}"])
 
 
 class _PQueue:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .protocol import FastParams, ProtocolError, WindowSchedule
 from .topology import Network, QueueSpec, RateFlowSpec, UserSpec, build_network
 
 __all__ = [
@@ -130,12 +131,6 @@ class Scenario:
     rate_flows: tuple[RateFlowConf, ...] = ()
     run: RunConf = field(default_factory=RunConf)
 
-    def queue(self, qid: str) -> QueueConf:
-        for q in self.queues:
-            if q.id == qid:
-                return q
-        raise ScenarioError(f"unknown queue '{qid}'")
-
 
 def to_network(scenario: Scenario) -> Network:
     return build_network(
@@ -168,9 +163,47 @@ def _no_leftovers(d: dict, path: str):
 
 
 def _number(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise _err(path, f"expected a number, got {x!r}")
-    return float(x)
+    """A finite number as float; non-numbers, .nan and .inf are refused."""
+    if not isinstance(x, bool) and isinstance(x, (int, float)):
+        try:
+            v = float(x)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise _err(path, f"expected a finite number, got {x!r}")
+
+
+def _name(x, path: str) -> str:
+    if not isinstance(x, str):
+        raise _err(path, f"expected a name, got {x!r}")
+    return x
+
+
+def _mapping(x, path: str) -> dict:
+    if not isinstance(x, dict):
+        raise _err(path, f"expected a mapping, got {x!r}")
+    return dict(x)
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise _err(path, f"expected a list, got {x!r}")
+    return x
+
+
+def _section(doc: dict, key: str) -> list:
+    """An optional top-level list of mappings, e.g. ``users``."""
+    items = _list(_take(doc, "scenario", key, required=False, default=[]), key)
+    return [_mapping(x, f"{key}[{i}]") for i, x in enumerate(items)]
+
+
+def _validated(path: str, build, *args) -> None:
+    """Run a controller's own configuration checks, naming the field."""
+    try:
+        build(*args)
+    except ProtocolError as e:
+        raise _err(path, str(e)) from None
 
 
 def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
@@ -193,30 +226,32 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
 
 
 def _parse_protocol(d, path: str):
-    if not isinstance(d, dict):
-        raise _err(path, "protocol must be a mapping")
-    d = dict(d)
+    d = _mapping(d, path)
     kind = _take(d, path, "kind")
+    if kind not in ("scheduled", "fast"):
+        raise _err(path, f"unknown protocol kind '{kind}'")
+    w0 = _number(_take(d, path, "initial_window_pkts"), f"{path}.initial_window_pkts")
+    if w0 < 0:
+        raise _err(f"{path}.initial_window_pkts", "must be nonnegative")
     if kind == "scheduled":
-        w0 = _number(_take(d, path, "initial_window_pkts"), f"{path}.initial_window_pkts")
-        raw_steps = _take(d, path, "steps", required=False, default=[])
+        raw_steps = _list(_take(d, path, "steps", required=False, default=[]),
+                          f"{path}.steps")
         steps = []
         for i, s in enumerate(raw_steps):
             sp = f"{path}.steps[{i}]"
-            s = dict(s)
+            s = _mapping(s, sp)
             at = _number(_take(s, sp, "at_s"), f"{sp}.at_s")
             w = _number(_take(s, sp, "window_pkts"), f"{sp}.window_pkts")
             _no_leftovers(s, sp)
             steps.append((at, w))
         _no_leftovers(d, path)
+        _validated(f"{path}.steps", WindowSchedule, w0, steps)
         return ScheduledProtocol(w0, tuple(steps))
-    if kind == "fast":
-        gamma = _number(_take(d, path, "gamma"), f"{path}.gamma")
-        alpha = _number(_take(d, path, "alpha_pkts"), f"{path}.alpha_pkts")
-        w0 = _number(_take(d, path, "initial_window_pkts"), f"{path}.initial_window_pkts")
-        _no_leftovers(d, path)
-        return FastProtocol(gamma, alpha, w0)
-    raise _err(path, f"unknown protocol kind '{kind}'")
+    gamma = _number(_take(d, path, "gamma"), f"{path}.gamma")
+    alpha = _number(_take(d, path, "alpha_pkts"), f"{path}.alpha_pkts")
+    _no_leftovers(d, path)
+    _validated(path, FastParams, gamma, alpha)
+    return FastProtocol(gamma, alpha, w0)
 
 
 def _delays_s(d: dict, path: str, prefix: str, n_expected=None):
@@ -247,17 +282,17 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario file must contain a YAML mapping")
     doc = dict(doc)
 
-    name = _take(doc, "scenario", "name")
+    name = _name(_take(doc, "scenario", "name"), "name")
     packet_bytes = _take(doc, "scenario", "packet_bytes")
     if not isinstance(packet_bytes, int) or packet_bytes <= 0:
         raise _err("packet_bytes", "must be a positive integer")
 
     queues = []
     qcaps: dict[str, float] = {}
-    for i, q in enumerate(_take(doc, "scenario", "queues")):
+    for i, q in enumerate(_list(_take(doc, "scenario", "queues"), "queues")):
         path = f"queues[{i}]"
-        q = dict(q)
-        qid = _take(q, path, "id")
+        q = _mapping(q, path)
+        qid = _name(_take(q, path, "id"), f"{path}.id")
         cap = _rate_pps(q, path, "capacity", packet_bytes, lambda: 0.0)
         if cap <= 0:
             raise _err(path, "capacity must be positive")
@@ -270,16 +305,15 @@ def parse_scenario(text: str) -> Scenario:
     def check_path(raw, path):
         if not isinstance(raw, list) or not raw:
             raise _err(path, "path must be a non-empty list of queue ids")
-        for qid in raw:
-            if qid not in qcaps:
+        for i, qid in enumerate(raw):
+            if _name(qid, f"{path}[{i}]") not in qcaps:
                 raise _err(path, f"references unknown queue '{qid}'")
         return tuple(raw)
 
     users = []
-    for i, u in enumerate(_take(doc, "scenario", "users", required=False, default=[])):
+    for i, u in enumerate(_section(doc, "users")):
         path = f"users[{i}]"
-        u = dict(u)
-        uid = _take(u, path, "id")
+        uid = _name(_take(u, path, "id"), f"{path}.id")
         qpath = check_path(_take(u, path, "path"), f"{path}.path")
         hops = _delays_s(u, path, "hop_delays", n_expected=len(qpath))
         if isinstance(hops, float):
@@ -290,16 +324,15 @@ def parse_scenario(text: str) -> Scenario:
         users.append(UserConf(uid, qpath, hops, ret, proto))
 
     flows = []
-    for i, f in enumerate(_take(doc, "scenario", "rate_flows", required=False, default=[])):
+    for i, f in enumerate(_section(doc, "rate_flows")):
         path = f"rate_flows[{i}]"
-        f = dict(f)
-        fid = _take(f, path, "id")
+        fid = _name(_take(f, path, "id"), f"{path}.id")
         qpath = check_path(_take(f, path, "path"), f"{path}.path")
         hops = _delays_s(f, path, "hop_delays", n_expected=len(qpath))
         if isinstance(hops, float):
             hops = (hops,)
-        praw = dict(_take(f, path, "profile"))
         ppath = f"{path}.profile"
+        praw = _mapping(_take(f, path, "profile"), ppath)
         pkind = _take(praw, ppath, "kind")
         cap_of_first = lambda qp=qpath: qcaps[qp[0]]
         if pkind == "constant":
@@ -310,9 +343,11 @@ def parse_scenario(text: str) -> Scenario:
             low = _rate_pps(praw, ppath, "low", packet_bytes, cap_of_first)
             period = _number(_take(praw, ppath, "period_s"), f"{ppath}.period_s")
             start_high = _take(praw, ppath, "start_high", required=False, default=True)
+            if not isinstance(start_high, bool):
+                raise _err(f"{ppath}.start_high", f"expected true or false, got {start_high!r}")
             if period <= 0:
                 raise _err(ppath, "period_s must be positive")
-            profile = SquareProfile(high, low, period, bool(start_high))
+            profile = SquareProfile(high, low, period, start_high)
         else:
             raise _err(ppath, f"unknown profile kind '{pkind}'")
         _no_leftovers(praw, ppath)
@@ -320,10 +355,9 @@ def parse_scenario(text: str) -> Scenario:
         flows.append(RateFlowConf(fid, qpath, hops, profile))
 
     # cross_traffic is sugar for a constant rate flow into one queue
-    for i, x in enumerate(_take(doc, "scenario", "cross_traffic", required=False, default=[])):
+    for i, x in enumerate(_section(doc, "cross_traffic")):
         path = f"cross_traffic[{i}]"
-        x = dict(x)
-        qid = _take(x, path, "queue")
+        qid = _name(_take(x, path, "queue"), f"{path}.queue")
         if qid not in qcaps:
             raise _err(path, f"references unknown queue '{qid}'")
         frac = _number(_take(x, path, "fraction"), f"{path}.fraction")
@@ -333,7 +367,7 @@ def parse_scenario(text: str) -> Scenario:
         flows.append(RateFlowConf(
             f"cross_{qid}", (qid,), (0.0,), ConstantProfile(frac * qcaps[qid])))
 
-    run_raw = dict(_take(doc, "scenario", "run", required=False, default={}))
+    run_raw = _mapping(_take(doc, "scenario", "run", required=False, default={}), "run")
     dt = _number(_take(run_raw, "run", "dt_s", required=False, default=1e-4), "run.dt_s")
     horizon = _number(_take(run_raw, "run", "horizon_s", required=False, default=10.0),
                       "run.horizon_s")

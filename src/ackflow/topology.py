@@ -76,8 +76,8 @@ class Network:
     def channel_delays_s(self) -> tuple[float, ...]:
         """Every channel delay: users' hops then return, then rate flows' hops.
 
-        The engine sums these for its preseed horizon; the fixed order
-        keeps that float sum reproducible.
+        The engine sums these for the history its pruning must keep; the
+        fixed order keeps that float sum reproducible.
         """
         delays: list[float] = []
         for u in self.users.values():

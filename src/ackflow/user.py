@@ -23,14 +23,14 @@ class UserState:
     __slots__ = ("user_id", "window", "ack_buffer", "flight_balance",
                  "sending", "acks", "active")
 
-    def __init__(self, user_id: str, window0_pkts: float, *,
+    def __init__(self, user_id: str, window0_pkts: float, *, dt_s: float,
                  sending0_pps: float = 0.0, flight0_pkts: float = 0.0):
         self.user_id = user_id
         self.window = float(window0_pkts)
         self.ack_buffer = 0.0          # nonpositive; packets to absorb
         self.flight_balance = float(flight0_pkts)
-        self.sending = Trajectory(initial_value=sending0_pps)
-        self.acks = Trajectory(initial_value=sending0_pps)
+        self.sending = Trajectory(dt_s, sending0_pps)
+        self.acks = Trajectory(dt_s, sending0_pps)
         self.active = True
 
     def apply_window_jump(self, delta_pkts: float) -> float:

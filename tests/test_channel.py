@@ -42,22 +42,20 @@ def traces():
     return tr
 
 
-def constant_flow(rate, until=5.0, dt=0.1):
-    tr = Trajectory(initial_value=rate)
-    t = 0.0
-    while t <= until + 1e-12:
-        tr.record(t, rate)
-        t += dt
+def grid_flow(rate_at, initial, until=5.0, dt=0.01):
+    """A flow sampled from ``rate_at`` on the grid ``k * dt`` up to ``until``."""
+    tr = Trajectory(dt, initial)
+    for k in range(int(round(until / dt)) + 1):
+        tr.record(k * dt, rate_at(k * dt))
     return tr
 
 
-def step_flow(t_step, lo, hi, until=5.0, dt=0.01):
-    tr = Trajectory(initial_value=lo)
-    t = 0.0
-    while t <= until + 1e-12:
-        tr.record(t, hi if t >= t_step else lo)
-        t += dt
-    return tr
+def constant_flow(rate):
+    return grid_flow(lambda t: rate, rate, dt=0.1)
+
+
+def step_flow(t_step, lo, hi):
+    return grid_flow(lambda t: hi if t >= t_step else lo, lo)
 
 
 def in_transit(flow, delay_s, t):
@@ -100,9 +98,7 @@ class TestInTransit:
     def test_ramp_triangle(self):
         # ramp to 100 pkt/s over 1 s on a 1 ms grid: the held samples carry
         # the triangle's 50 packets less half a cell's worth
-        tr = Trajectory()
-        for k in range(1001):
-            tr.record(k * 1e-3, 100.0 * k * 1e-3)
+        tr = grid_flow(lambda t: 100.0 * t, 0.0, until=1.0, dt=1e-3)
         assert in_transit(tr, 1.0, 1.0) == pytest.approx(50.0 - 0.05, rel=1e-9)
 
 

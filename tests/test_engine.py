@@ -7,7 +7,7 @@ from ackflow.engine import (
 from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, mbps_to_pps, to_network,
+    ScheduledProtocol, UserConf, mbps_to_pps, preset, to_network,
 )
 
 
@@ -59,6 +59,15 @@ class TestBasics:
         cfg = SimConfig(dt_s=0.01, horizon_s=1.0, init="cold")
         with pytest.raises(SimulationError, match="headroom"):
             simulate(to_network(sc), sc, cfg)
+
+    def test_flow_traces_are_views_of_the_history_store(self):
+        # send/ack/in/out traces are the store's columns, not copies
+        traces = run(two_user_scenario(cross=100.0, horizon=0.5))
+        q, u = traces.queues["b1"], traces.users["u1"]
+        for name, traj in (("send.u1", u.sending), ("ack.u1", u.acks),
+                           ("in.b1.u1", q.inputs["u1"]),
+                           ("out.b1.cross_b1", q.outputs["cross_b1"])):
+            assert np.shares_memory(traces[name], np.frombuffer(traj.values)), name
 
     def test_return_delay_must_cover_one_step(self):
         # a zero return delay passes the headroom rule, which looks only at
@@ -149,13 +158,12 @@ class TestBackwardIdentities:
     def test_roundtrip_and_fixed_point_on_grid(self):
         traces = run(two_user_scenario(steps1=[(2.0, 150.0)]))
         q = traces.queues["b1"]
-        f_times = np.asarray(q.forward_map.times)
-        f_vals = np.asarray(q.forward_map.values)
         grid = traces.time
         congested = traces["congested.b1"] > 0.5
-        g = np.interp(grid[congested], f_vals, f_times)
+        # the store's own reads, pre-history line included
+        g = np.array([q.backward_time(t) for t in grid[congested]])
         # departure(arrival time) recovers t, and t = g + delay(g)
-        f_of_g = np.interp(g, f_times, f_vals)
+        f_of_g = np.array([q.forward_map.eval_at(x) for x in g])
         assert np.abs(f_of_g - grid[congested]).max() <= 1e-6
         tau_at_g = f_of_g - g
         assert np.abs(g + tau_at_g - grid[congested]).max() <= 1e-6
@@ -272,13 +280,24 @@ class TestOffGridReads:
             assert gap[second].max() < 1.0, uid
 
 
+class TestHorizonIndependence:
+    def test_short_run_is_prefix_of_long_run(self):
+        # nothing in a run may depend on how long it is going to be
+        sc = preset("scenario1")
+        short, long = (simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=h, init=sc.run.init)) for h in (0.3, 3.0))
+        n = len(short.time)
+        for name in short.signal_names():
+            assert np.array_equal(short[name], long[name][:n]), name
+
+
 class TestPruning:
     def test_pruned_run_is_bitwise_equal_to_unpruned(self):
         # pruning starts once t exceeds the delays plus the 5 s margin and
         # repeats every simulated second: 8 s gives two prunes
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
         full, pruned = run(sc), run(sc, prune_history=True)
-        assert pruned.queues["b1"].inputs["u1"].dropped > 0
+        assert pruned.queues["b1"].inputs["u1"].pruned_before > 0
         for name in full.signal_names():
             assert np.array_equal(full[name], pruned[name]), name
 

@@ -32,14 +32,14 @@ def backward_slope(queue, t, h=1e-3):
 
 class TestStep:
     def test_linear_growth_when_overloaded(self):
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.001)
         drive(q, [lambda t: 150.0], dt=0.001, n_ticks=1000)
         # analytic: backlog grows at 50 pkt/s, so q(1.0) = 50
         assert q.backlog == pytest.approx(50.0, rel=1e-9)
         assert q.backlog / q.capacity == pytest.approx(0.5, rel=1e-9)
 
     def test_uncongested_passthrough(self):
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         tr = drive(q, [lambda t: 50.0], dt=0.01, n_ticks=100)
         assert q.backlog == 0.0
         assert all(s == pytest.approx(50.0) for s in tr["service"])
@@ -47,7 +47,7 @@ class TestStep:
 
     def test_drain_hits_empty_at_analytic_instant(self):
         # analytic drain time is backlog0 / capacity = 10/100 = 0.1 s
-        q = FifoQueue("b", 100.0, ["f"], backlog0_pkts=10.0)
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.025, backlog0_pkts=10.0)
         tr = drive(q, [lambda t: 0.0], dt=0.025, n_ticks=9)
         t_empty = 10.0 / 100.0
         for t, b in zip(tr["t"], tr["backlog"]):
@@ -62,14 +62,14 @@ class TestStep:
         assert tr["service"][-1] == pytest.approx(0.0)
 
     def test_negative_input_rejected(self):
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         with pytest.raises(ValueError):
             q.record_inputs(0.0, [-1.0])
 
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
         # the recorded average rates must still integrate to the backlog
-        q = FifoQueue("b", 100.0, ["f"], backlog0_pkts=10.0)
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.04, backlog0_pkts=10.0)
         tr = drive(q, [lambda t: 30.0], dt=0.04, n_ticks=10)
         assert min(tr["backlog"]) >= 0.0
         assert q.backlog == 0.0
@@ -81,7 +81,7 @@ class TestStep:
 
 class TestBackwardOps:
     def test_idle_queue_backward_identity(self):
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         drive(q, [lambda t: 20.0], dt=0.01, n_ticks=101)
         assert q.backward_time(0.73) == pytest.approx(0.73, abs=1e-12)
         assert backward_slope(q, 0.73) == pytest.approx(1.0)
@@ -89,13 +89,13 @@ class TestBackwardOps:
     def test_linear_backlog_backward_time(self):
         # input 150, c=100: delay 0.5t so departure(t)=1.5t; analytic inverse
         # of 3.0 is 3.0/1.5 = 2.0
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         drive(q, [lambda t: 150.0], dt=0.01, n_ticks=301)
         assert q.backward_time(3.0) == pytest.approx(2.0, rel=1e-9)
 
     def test_constant_delay_backward_time(self):
         # backlog 20 pkts at c=100 and input exactly c: delay locked at 0.2
-        q = FifoQueue("b", 100.0, ["f"], backlog0_pkts=20.0,
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, backlog0_pkts=20.0,
                       input_rates0={"f": 100.0})
         drive(q, [lambda t: 100.0], dt=0.01, n_ticks=101)
         assert q.backward_time(0.9) == pytest.approx(0.7, rel=1e-9)
@@ -104,13 +104,13 @@ class TestBackwardOps:
 
     def test_backward_rate_half_when_double_input(self):
         # direct evaluation: capacity / arrivals(backward time) = 100/200
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         drive(q, [lambda t: 200.0], dt=0.01, n_ticks=101)
         assert backward_slope(q, 1.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_backward_time_beyond_map_errors(self):
         from ackflow.history import HistoryError
-        q = FifoQueue("b", 100.0, ["f"])
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
         drive(q, [lambda t: 10.0], dt=0.01, n_ticks=2)
         with pytest.raises(HistoryError):
             q.backward_time(5.0)
@@ -118,14 +118,14 @@ class TestBackwardOps:
 
 class TestOutputSeparation:
     def test_symmetric_split_when_congested(self):
-        q = FifoQueue("b", 100.0, ["f1", "f2"])
+        q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01)
         tr = drive(q, [lambda t: 60.0, lambda t: 60.0], dt=0.01, n_ticks=200)
         o1, o2 = tr["out"][-1]
         assert o1 == pytest.approx(50.0, rel=1e-9)
         assert o2 == pytest.approx(50.0, rel=1e-9)
 
     def test_uncongested_outputs_equal_inputs(self):
-        q = FifoQueue("b", 100.0, ["f1", "f2"])
+        q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01)
         tr = drive(q, [lambda t: 30.0, lambda t: 20.0], dt=0.01, n_ticks=50)
         assert tr["out"][-1] == (pytest.approx(30.0), pytest.approx(20.0))
 
@@ -134,7 +134,7 @@ class TestOutputSeparation:
         # it finds no arrival mass to split, so each step's service goes
         # out in the last known mix (even until sources start at 0.05 s,
         # then theirs) and every such step is counted
-        q = FifoQueue("b", 100.0, ["f1", "f2"], backlog0_pkts=10.0)
+        q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01, backlog0_pkts=10.0)
         dt = 0.01
         hints = []
         for k in range(30):
@@ -158,7 +158,7 @@ def rect_sum(values, dt):
 
 def run_invariant_checks(capacity, rate_fns, dt, n_ticks, backlog0=0.0, rates0=None):
     flows = [f"f{i}" for i in range(len(rate_fns))]
-    q = FifoQueue("b", capacity, flows, backlog0_pkts=backlog0,
+    q = FifoQueue("b", capacity, flows, dt_s=dt, backlog0_pkts=backlog0,
                   input_rates0=rates0)
     tr = drive(q, rate_fns, dt, n_ticks)
     # backlog never negative, outputs never exceed capacity

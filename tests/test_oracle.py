@@ -96,8 +96,7 @@ class TestEquilibrium:
         tau1 = res.queueing_delays_s["b1"]
         tau2 = res.queueing_delays_s["b2"]
         assert res.congested["b1"] and res.congested["b2"]
-        c1 = sc.queue("b1").capacity_pps
-        c2 = sc.queue("b2").capacity_pps
+        c1, c2 = (q.capacity_pps for q in sc.queues)
         x1 = 1600.0 / (0.12 + tau1 + tau2)
         x2 = 1200.0 / (0.08 + tau2)
         x3 = 5.0 / (0.04 + tau1)

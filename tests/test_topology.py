@@ -114,7 +114,8 @@ class TestCircuitInvariants:
         # walking a circuit back from the user's input through empty queues
         # reaches the user's output one total propagation delay earlier
         net = net_fn()
-        queues = {qid: FifoQueue(qid, q.capacity_pps, net.flows_through(qid))
+        queues = {qid: FifoQueue(qid, q.capacity_pps, net.flows_through(qid),
+                                     dt_s=1e-3)
                   for qid, q in net.queues.items()}
         for user in net.users.values():
             assert circuit_backward_time(user, queues, 0.0) == pytest.approx(

@@ -18,17 +18,17 @@ from ackflow.scenario import preset, preset_names, to_network
 HORIZON_S = 0.3
 
 FROZEN = {
-    "scenario1": "38af81d020cd242b86383dcdad2a4879d545dd4075db785bb1422d39d033aaa7",
-    "scenario2": "948aff5e6def6d33260176a102ae41e3ce6c53dcc4a6fed53b29c6a4592723b4",
-    "scenario3": "6e0fffae486df3e0c562c0a97f92a51a6507b75fca5dd872ffe100b6f3457f6c",
-    "scenario4": "6e0fffae486df3e0c562c0a97f92a51a6507b75fca5dd872ffe100b6f3457f6c",
-    "scenario5": "1a7689535124554cb15e8aca6c8b0626e51a9e2ba7f991d6327ef0e680b3e750",
-    "scenario6": "1a7689535124554cb15e8aca6c8b0626e51a9e2ba7f991d6327ef0e680b3e750",
-    "scenario7": "4795226b139ff732cdcd816ed709808a9c24a0fb28061fa419d4796d431fb335",
-    "scenario8": "44347a1d5f365ccfb4f1d25e46bd60c245b3b0950e975b8e6313dcb417d9b056",
+    "scenario1": "99e80c03a5987ff1e0c5b51e191a56be889a47187bddd26c5da63650b306af02",
+    "scenario2": "183dded0edf0b86b9890226e6c51ef164014246c8185582e89cb19c87ec2a268",
+    "scenario3": "f91811fc3c723a90eb26a8cbe38a67f4f1e88ca944974c1d0c2d4d419df8672a",
+    "scenario4": "f91811fc3c723a90eb26a8cbe38a67f4f1e88ca944974c1d0c2d4d419df8672a",
+    "scenario5": "1823ff192ff6727cdd809fbc36fc15b32a805c3aa5f36480f26a91ebcb69e291",
+    "scenario6": "1823ff192ff6727cdd809fbc36fc15b32a805c3aa5f36480f26a91ebcb69e291",
+    "scenario7": "2aab0f25d139be4418860eb03200d0d8a0e6cb95647c044470bdc47c1887b566",
+    "scenario8": "65696250566d7a3580f72d119ca37715944b92db3c495724cd3c314d85bbb612",
     "squarewave": "3aca413b5f8328c99ab264cd4c374e5513de175dfbda8592dd91898f9c428098",
-    "fast2": "ff744bf57bc22bd101ba099da654521afa4ce6d023647c1b89a0fb9b8624f6d2",
-    "staticlink": "78ec9fdf1d5861288ca2c84572031c552cb54070806f4ee5088b18b3a7c0b2ec",
+    "fast2": "f21021489d3100da71ef0b9f7de93ef1df4a76353dd520bf6d414ff3869f0967",
+    "staticlink": "a161aea5f140ef989a98f0df076fd4492d59985c2a08204f0cde898d446cef51",
 }
 
 

@@ -12,16 +12,16 @@ from ackflow.user import UserState, circuit_backward_time
 
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
-        u = UserState("u", 10.0)
+        u = UserState("u", 10.0, dt_s=1e-3)
         assert u.step(0.0, 0.0, 100.0, 1e-3) == pytest.approx(100.0)
 
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
-        u = UserState("u", 10.0)
+        u = UserState("u", 10.0, dt_s=1e-3)
         assert u.step(50.0, 0.0, 100.0, 1e-3) == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
-        u = UserState("u", 200.0)
+        u = UserState("u", 200.0, dt_s=1e-3)
         u.apply_window_jump(-100.0)
         assert u.step(50.0, 0.0, 1000.0, 1e-3) == 0.0
         assert not u.active
@@ -29,7 +29,7 @@ class TestSendingFlow:
 
 class TestAckBufferStep:
     def test_halving_drops_buffer_by_deficit(self):
-        u = UserState("u", 500.0)
+        u = UserState("u", 500.0, dt_s=1e-3)
         burst = u.apply_window_jump(-250.0)
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
@@ -39,7 +39,7 @@ class TestAckBufferStep:
 
     def test_refill_time_matches_analytic_fill(self):
         # analytic: |buffer| / ack_rate = 250/100 = 2.5 s to refill
-        u = UserState("u", 500.0)
+        u = UserState("u", 500.0, dt_s=1e-3)
         dt = 1e-3
         u.apply_window_jump(-250.0)
         t, sends = 0.0, []
@@ -56,21 +56,21 @@ class TestAckBufferStep:
         assert 0.0 <= sends[-1][1] <= 100.0
 
     def test_buffer_stays_zero_when_active(self):
-        u = UserState("u", 100.0)
+        u = UserState("u", 100.0, dt_s=1e-3)
         for _ in range(10):
             u.step(0.0, 0.0, 50.0, 1e-3)
         assert u.ack_buffer == 0.0
         assert u.active
 
     def test_buffer_never_positive(self):
-        u = UserState("u", 100.0)
+        u = UserState("u", 100.0, dt_s=1e-3)
         u.apply_window_jump(-30.0)
         for _ in range(2000):
             u.step(0.0, 0.0, 40.0, 1e-3)
             assert u.ack_buffer <= 0.0
 
     def test_positive_jump_while_retaining_refills_buffer(self):
-        u = UserState("u", 100.0)
+        u = UserState("u", 100.0, dt_s=1e-3)
         u.apply_window_jump(-50.0)
         burst = u.apply_window_jump(+50.0)
         assert u.ack_buffer == pytest.approx(0.0)
@@ -80,7 +80,7 @@ class TestAckBufferStep:
         assert u.apply_window_jump(+10.0) == pytest.approx(10.0)
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
-        u = UserState("u", 100.0)
+        u = UserState("u", 100.0, dt_s=1e-3)
         send = u.step(wdot=-500.0, burst_pkts=0.0, ack_rate=100.0, dt=1e-3)
         assert send == 0.0
         assert u.ack_buffer < 0.0
@@ -114,7 +114,7 @@ class TestFlightSize:
         assert np.all(flight == 0.0)
 
     def test_balance_form_tracks_burst(self):
-        u = UserState("u", 10.0, flight0_pkts=10.0)
+        u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=10.0)
         dt = 1e-3
         burst = u.apply_window_jump(+100.0)
         u.step(0.0, burst, 10.0, dt)  # burst of 100 on top of send-on-ack
@@ -129,8 +129,8 @@ class TestCircuitBackwardOps:
             queues=[QueueSpec("b", 100.0)],
             users=[UserSpec("u", ("b",), (0.01,), 0.02)],
         )
-        q = FifoQueue("b", 100.0, ["u"])
         dt = 0.01
+        q = FifoQueue("b", 100.0, ["u"], dt_s=dt)
         for k in range(200):
             t = k * dt
             q.record_inputs(t, [150.0])

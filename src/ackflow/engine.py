@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fifo_queue import FifoQueue
 from .oracle import EquilibriumResult, equilibrium_from_scenario, equilibrium_queue
 from .protocol import FastParams, WindowSchedule, fast_wdot
-from .scenario import FastProtocol, Scenario, ScheduledProtocol, to_network
+from .scenario import FastProtocol, RunConf, Scenario, ScheduledProtocol
 from .topology import Network
 from .user import UserState, circuit_backward_time
 
@@ -42,10 +42,9 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    dt_s: float = 1e-4  # must be <= smallest positive delay / 10
-    horizon_s: float = 10.0
-    init: str = "cold"  # "cold" | "equilibrium"
+class SimConfig(RunConf):
+    """A scenario's run settings plus what only the engine needs."""
+
     # once a simulated second, raise every history's read floor to the
     # oldest time a read can still need, so a read below it fails; this
     # frees nothing, since the traces span the horizon and are the history
@@ -64,24 +63,22 @@ class TraceSet:
     dt_s: float
     signals: dict[str, np.ndarray]
     scenario: Scenario
-    network: Network
     config: SimConfig
     equilibrium_init: EquilibriumResult | None
     queues: dict[str, FifoQueue]
     users: dict[str, UserState]
-    diagnostics: dict[str, float] = field(default_factory=dict)
     runtime_s: float = 0.0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.signals[name]
 
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(self.signals)
-
 
 class _Reader:
     """Delayed read of a recorded per-tick trajectory or analytic profile."""
 
+    # An index read skips the history's prune floor, and needs no check: its
+    # shift is one channel delay, while the floor lags the current time by
+    # the sum of all channel delays plus PRUNE_MARGIN_S.
     __slots__ = ("values", "initial", "shift", "traj", "delay", "profile")
 
     def __init__(self, *, traj=None, profile=None, delay_s=0.0, dt_s=1e-4):
@@ -114,7 +111,7 @@ class _Reader:
 
 
 class _UserCtx:
-    __slots__ = ("uid", "state", "spec", "fast_params", "impulses", "ack_reader",
+    __slots__ = ("uid", "state", "conf", "fast_params", "impulses", "ack_reader",
                  "rect_cum", "total_delay", "send0", "appends")
 
     def __init__(self, uid):
@@ -144,9 +141,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     elif config.init != "cold":
         raise SimulationError(f"unknown init mode {config.init!r}")
 
-    profiles = {f.id: f.profile for f in scenario.rate_flows}
-    protos = {u.id: u.protocol for u in scenario.users}
-
     queues: dict[str, FifoQueue] = {}
     for qid in network.queue_order:
         cap = network.queues[qid].capacity_pps
@@ -156,19 +150,19 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         if eq_init is not None:
             backlog0 = cap * eq_init.queueing_delays_s[qid]
             for fid in flows:
-                if fid in profiles:
-                    rates0[fid] = profiles[fid].rate_at(0.0)
+                if fid in network.rate_flows:
+                    rates0[fid] = network.rate_flows[fid].profile.rate_at(0.0)
                 else:
                     rates0[fid] = eq_init.rates_pps[fid]
         queues[qid] = FifoQueue(qid, cap, flows, dt_s=dt, backlog0_pkts=backlog0,
                                 input_rates0=rates0)
 
     users: dict[str, _UserCtx] = {}
-    for uid, uspec in network.users.items():
+    for uid, uconf in network.users.items():
         ctx = _UserCtx(uid)
-        ctx.spec = uspec
-        ctx.total_delay = uspec.total_delay_s
-        proto = protos[uid]
+        ctx.conf = uconf
+        ctx.total_delay = uconf.total_delay_s
+        proto = uconf.protocol
         w0 = proto.initial_window_pkts
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
         window_start = w0 if eq_init is not None else 0.0
@@ -188,9 +182,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             # the window appears at t=0: emitted as an opening burst
             ctx.impulses = dict(ctx.impulses)
             ctx.impulses[0] = ctx.impulses.get(0, 0.0) + w0
-        last_q = uspec.queue_path[-1]
+        last_q = uconf.queue_path[-1]
         ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
-                                 delay_s=uspec.return_delay_s, dt_s=dt)
+                                 delay_s=uconf.return_delay_s, dt_s=dt)
         ctx.rect_cum = array("d", [0.0])
         users[uid] = ctx
 
@@ -200,15 +194,15 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     for qid in network.queue_order:
         readers = input_readers[qid] = []
         for fid in queues[qid].flow_ids:
-            spec = network.users.get(fid) or network.rate_flows[fid]
-            pos = spec.queue_path.index(qid)
-            delay = spec.hop_delays_s[pos]
+            flow = network.users.get(fid) or network.rate_flows[fid]
+            pos = flow.queue_path.index(qid)
+            delay = flow.hop_delays_s[pos]
             if pos:
-                src = queues[spec.queue_path[pos - 1]].outputs[fid]
+                src = queues[flow.queue_path[pos - 1]].outputs[fid]
             elif fid in users:
                 src = users[fid].state.sending
             else:
-                readers.append(_Reader(profile=profiles[fid], delay_s=delay))
+                readers.append(_Reader(profile=flow.profile, delay_s=delay))
                 continue
             readers.append(_Reader(traj=src, delay_s=delay, dt_s=dt))
 
@@ -224,13 +218,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         return tuple(col.append for col in new)
 
     queue_appends = {}
-    for qid in (q.id for q in scenario.queues):
+    for qid in network.queues:
         q = queues[qid]
         queue_appends[qid] = appenders(qid, "q", "r", "arrival", "congested")
         for fid in q.flow_ids:
             columns[f"in.{qid}.{fid}"] = q.inputs[fid].values
             columns[f"out.{qid}.{fid}"] = q.outputs[fid].values
-    user_list = [users[u.id] for u in scenario.users]
+    user_list = list(users.values())
     for ctx in user_list:
         ctx.appends = appenders(ctx.uid, "w", "ackbuf", "flight", "flight_ode", "active")
         columns[f"send.{ctx.uid}"] = ctx.state.sending.values
@@ -253,7 +247,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             w_now = st.window
             # flight by the independent route: sending integral back to the
             # circuit entry time of the traffic being acknowledged now
-            b_t = circuit_backward_time(ctx.spec, queues, t)
+            b_t = circuit_backward_time(ctx.conf, queues, t)
             flight_int = _rect_at(ctx, t, dt) - _rect_at(ctx, b_t, dt)
             if ctx.fast_params is not None:
                 tau_back = max(0.0, (t - b_t) - ctx.total_delay)
@@ -311,13 +305,10 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         dt_s=dt,
         signals=signals,
         scenario=scenario,
-        network=network,
         config=config,
         equilibrium_init=eq_init,
         queues=queues,
         users={uid: ctx.state for uid, ctx in users.items()},
-        diagnostics={f"stall_fallbacks.{qid}": float(q.stall_fallbacks)
-                     for qid, q in queues.items()},
         runtime_s=time.perf_counter() - t_wall,
     )
 

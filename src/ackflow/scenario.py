@@ -1,11 +1,16 @@
 """Scenario descriptions: topology, protocols, traffic and run settings.
 
-One YAML document describes a run.  Keys carry explicit units
-(``capacity_mbps``, ``hop_delays_ms``) and everything is normalized to
-packets and seconds on load; capacities given in Mb/s are converted with
-the scenario's packet size (bits per second divided by 8 * packet bytes).
-Serialization emits the canonical normalized form, which parses back to an
-identical scenario.
+This module owns the flow types: ``QueueConf``, ``UserConf`` and
+``RateFlowConf`` describe each queue, user and rate flow once, and the
+same objects are the network (``topology`` checks their ids, paths and
+delays and orders the queues).  One YAML document describes a run.  Keys
+carry explicit units (``capacity_mbps``, ``hop_delays_ms``) and everything
+is normalized to packets and seconds on load; capacities given in Mb/s
+are converted with the scenario's packet size (bits per second divided by
+8 * packet bytes).  The parser adds each entry to a ``Network`` as it
+reads it, so a topology fault names the entry's field.  Serialization
+emits the canonical normalized form, which parses back to an identical
+scenario.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .protocol import FastParams, ProtocolError, WindowSchedule
-from .topology import Network, QueueSpec, RateFlowSpec, UserSpec, build_network
+from .topology import Network, TopologyError, build_network
 
 __all__ = [
     "Scenario", "QueueConf", "UserConf", "RateFlowConf", "RunConf",
@@ -117,7 +122,7 @@ class RateFlowConf:
 
 @dataclass(frozen=True)
 class RunConf:
-    dt_s: float = 1e-4
+    dt_s: float = 1e-4  # must be <= smallest positive delay / 10
     horizon_s: float = 10.0
     init: str = "cold"  # "cold" | "equilibrium"
 
@@ -133,13 +138,7 @@ class Scenario:
 
 
 def to_network(scenario: Scenario) -> Network:
-    return build_network(
-        queues=[QueueSpec(q.id, q.capacity_pps) for q in scenario.queues],
-        users=[UserSpec(u.id, u.queue_path, u.hop_delays_s, u.return_delay_s)
-               for u in scenario.users],
-        rate_flows=[RateFlowSpec(f.id, f.queue_path, f.hop_delays_s)
-                    for f in scenario.rate_flows],
-    )
+    return build_network(scenario.queues, scenario.users, scenario.rate_flows)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +197,21 @@ def _section(doc: dict, key: str) -> list:
     return [_mapping(x, f"{key}[{i}]") for i, x in enumerate(items)]
 
 
-def _validated(path: str, build, *args) -> None:
-    """Run a controller's own configuration checks, naming the field."""
+def _validated(path: str, check, *args, keys: dict | None = None) -> None:
+    """Run a controller's or the topology's own checks, naming the field.
+
+    ``keys`` maps the attribute a topology fault names to the entry's key
+    in the document, e.g. ``queue_path`` to ``path``.
+    """
     try:
-        build(*args)
-    except ProtocolError as e:
-        raise _err(path, str(e)) from None
+        check(*args)
+    except (ProtocolError, TopologyError) as e:
+        key = (keys or {}).get(getattr(e, "field", None))
+        raise _err(f"{path}.{key}" if key else path, str(e)) from None
 
 
 def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
-              capacity_lookup) -> float:
+              capacity_pps: float) -> float:
     """Resolve one rate given as _pps, _mbps, or a capacity fraction."""
     keys = [k for k in (f"{prefix}_pps", f"{prefix}_mbps", f"{prefix}_fraction")
             if k in d]
@@ -222,7 +226,7 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
         return mbps_to_pps(val, packet_bytes)
     if not 0.0 <= val < 1.0:
         raise _err(path, f"{key} must lie in [0, 1)")
-    return val * capacity_lookup()
+    return val * capacity_pps
 
 
 def _parse_protocol(d, path: str):
@@ -254,22 +258,27 @@ def _parse_protocol(d, path: str):
     return FastProtocol(gamma, alpha, w0)
 
 
-def _delays_s(d: dict, path: str, prefix: str, n_expected=None):
-    """One of <prefix>_s / <prefix>_ms, scalar or list, in seconds."""
+def _delays_s(d: dict, path: str, prefix: str, listed: bool):
+    """One of <prefix>_s / <prefix>_ms in seconds, and the key it came in.
+
+    With ``listed`` the value is a tuple, one delay per queue; a single
+    number stands for a one-entry list.
+    """
     keys = [k for k in (f"{prefix}_s", f"{prefix}_ms") if k in d]
     if len(keys) != 1:
         raise _err(path, f"give exactly one of {prefix}_s / {prefix}_ms")
     key = keys[0]
     scale = 1.0 if key.endswith("_s") else 1e-3
     raw = d.pop(key)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return _number(raw, f"{path}.{key}") * scale
-    if not isinstance(raw, list):
-        raise _err(path, f"{key} must be a number or list")
-    vals = tuple(_number(x, f"{path}.{key}[{i}]") * scale for i, x in enumerate(raw))
-    if n_expected is not None and len(vals) != n_expected:
-        raise _err(path, f"{key} must have {n_expected} entries (one per queue)")
-    return vals
+    if listed and isinstance(raw, list):
+        return tuple(_number(x, f"{path}.{key}[{i}]") * scale
+                     for i, x in enumerate(raw)), key
+    value = _number(raw, f"{path}.{key}") * scale
+    return ((value,) if listed else value), key
+
+
+def _queue_path(raw, path: str) -> tuple[str, ...]:
+    return tuple(_name(q, f"{path}[{i}]") for i, q in enumerate(_list(raw, path)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -287,54 +296,41 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(packet_bytes, int) or packet_bytes <= 0:
         raise _err("packet_bytes", "must be a positive integer")
 
-    queues = []
-    qcaps: dict[str, float] = {}
+    # every entry joins the network as it is read, so the topology's own
+    # checks run on it and a fault names the entry's field
+    net = Network()
     for i, q in enumerate(_list(_take(doc, "scenario", "queues"), "queues")):
         path = f"queues[{i}]"
         q = _mapping(q, path)
         qid = _name(_take(q, path, "id"), f"{path}.id")
-        cap = _rate_pps(q, path, "capacity", packet_bytes, lambda: 0.0)
-        if cap <= 0:
-            raise _err(path, "capacity must be positive")
+        cap = _rate_pps(q, path, "capacity", packet_bytes, 0.0)
         _no_leftovers(q, path)
-        if qid in qcaps:
-            raise _err(path, f"duplicate queue id '{qid}'")
-        qcaps[qid] = cap
-        queues.append(QueueConf(qid, cap))
+        _validated(path, net.add_queue, QueueConf(qid, cap), keys={"id": "id"})
 
-    def check_path(raw, path):
-        if not isinstance(raw, list) or not raw:
-            raise _err(path, "path must be a non-empty list of queue ids")
-        for i, qid in enumerate(raw):
-            if _name(qid, f"{path}[{i}]") not in qcaps:
-                raise _err(path, f"references unknown queue '{qid}'")
-        return tuple(raw)
-
-    users = []
     for i, u in enumerate(_section(doc, "users")):
         path = f"users[{i}]"
         uid = _name(_take(u, path, "id"), f"{path}.id")
-        qpath = check_path(_take(u, path, "path"), f"{path}.path")
-        hops = _delays_s(u, path, "hop_delays", n_expected=len(qpath))
-        if isinstance(hops, float):
-            hops = (hops,)
-        ret = _delays_s(u, path, "return_delay")
+        qpath = _queue_path(_take(u, path, "path"), f"{path}.path")
+        hops, hop_key = _delays_s(u, path, "hop_delays", listed=True)
+        ret, ret_key = _delays_s(u, path, "return_delay", listed=False)
         proto = _parse_protocol(_take(u, path, "protocol"), f"{path}.protocol")
         _no_leftovers(u, path)
-        users.append(UserConf(uid, qpath, hops, ret, proto))
+        _validated(path, net.add_user, UserConf(uid, qpath, hops, ret, proto),
+                   keys={"id": "id", "queue_path": "path", "hop_delays_s": hop_key,
+                         "return_delay_s": ret_key})
 
-    flows = []
     for i, f in enumerate(_section(doc, "rate_flows")):
         path = f"rate_flows[{i}]"
         fid = _name(_take(f, path, "id"), f"{path}.id")
-        qpath = check_path(_take(f, path, "path"), f"{path}.path")
-        hops = _delays_s(f, path, "hop_delays", n_expected=len(qpath))
-        if isinstance(hops, float):
-            hops = (hops,)
+        qpath = _queue_path(_take(f, path, "path"), f"{path}.path")
+        hops, hop_key = _delays_s(f, path, "hop_delays", listed=True)
+        # a capacity fraction needs the first queue, so check the route first
+        _validated(path, net.check_route, "rate flow", fid, qpath, hops,
+                   keys={"id": "id", "queue_path": "path", "hop_delays_s": hop_key})
+        cap_of_first = net.queues[qpath[0]].capacity_pps
         ppath = f"{path}.profile"
         praw = _mapping(_take(f, path, "profile"), ppath)
         pkind = _take(praw, ppath, "kind")
-        cap_of_first = lambda qp=qpath: qcaps[qp[0]]
         if pkind == "constant":
             rate = _rate_pps(praw, ppath, "rate", packet_bytes, cap_of_first)
             profile = ConstantProfile(rate)
@@ -352,26 +348,29 @@ def parse_scenario(text: str) -> Scenario:
             raise _err(ppath, f"unknown profile kind '{pkind}'")
         _no_leftovers(praw, ppath)
         _no_leftovers(f, path)
-        flows.append(RateFlowConf(fid, qpath, hops, profile))
+        net.add_rate_flow(RateFlowConf(fid, qpath, hops, profile))
 
-    # cross_traffic is sugar for a constant rate flow into one queue
+    # cross_traffic is sugar for a constant rate flow into one queue, whose
+    # flow id is cross_<queue>
     for i, x in enumerate(_section(doc, "cross_traffic")):
         path = f"cross_traffic[{i}]"
         qid = _name(_take(x, path, "queue"), f"{path}.queue")
-        if qid not in qcaps:
-            raise _err(path, f"references unknown queue '{qid}'")
+        fid = f"cross_{qid}"
+        _validated(path, net.check_route, "cross traffic", fid, (qid,), (0.0,),
+                   keys={"id": "queue", "queue_path": "queue"})
         frac = _number(_take(x, path, "fraction"), f"{path}.fraction")
         if not 0.0 <= frac < 1.0:
             raise _err(path, "fraction must lie in [0, 1)")
         _no_leftovers(x, path)
-        flows.append(RateFlowConf(
-            f"cross_{qid}", (qid,), (0.0,), ConstantProfile(frac * qcaps[qid])))
+        net.add_rate_flow(RateFlowConf(
+            fid, (qid,), (0.0,), ConstantProfile(frac * net.queues[qid].capacity_pps)))
 
     run_raw = _mapping(_take(doc, "scenario", "run", required=False, default={}), "run")
-    dt = _number(_take(run_raw, "run", "dt_s", required=False, default=1e-4), "run.dt_s")
-    horizon = _number(_take(run_raw, "run", "horizon_s", required=False, default=10.0),
-                      "run.horizon_s")
-    init = _take(run_raw, "run", "init", required=False, default="cold")
+    dt = _number(_take(run_raw, "run", "dt_s", required=False, default=RunConf.dt_s),
+                 "run.dt_s")
+    horizon = _number(_take(run_raw, "run", "horizon_s", required=False,
+                            default=RunConf.horizon_s), "run.horizon_s")
+    init = _take(run_raw, "run", "init", required=False, default=RunConf.init)
     if init not in ("cold", "equilibrium"):
         raise _err("run.init", f"must be 'cold' or 'equilibrium', got {init!r}")
     if dt <= 0 or horizon <= 0:
@@ -379,10 +378,9 @@ def parse_scenario(text: str) -> Scenario:
     _no_leftovers(run_raw, "run")
 
     _no_leftovers(doc, "scenario")
-    scenario = Scenario(name, packet_bytes, tuple(queues), tuple(users),
-                        tuple(flows), RunConf(dt, horizon, init))
-    to_network(scenario)  # surface topology errors at parse time
-    return scenario
+    return Scenario(name, packet_bytes, tuple(net.queues.values()),
+                    tuple(net.users.values()), tuple(net.rate_flows.values()),
+                    RunConf(dt, horizon, init))
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -1,66 +1,123 @@
-"""Network description: queues and the flows that cross them.
+"""Network validation and ordering over the scenario's flow descriptions.
 
-Users, FIFO buffers and exogenous (cross-traffic style) sources are declared
-by the queue path their packets take and the channel delay before each
-queue.  A user's closed circuit is its ``UserSpec``: hop channels into each
-queue on the path, then the return channel back to the user.  Building the
-network validates the description and fixes a causal evaluation order for
-the queues.
+The flow types, ``QueueConf``, ``UserConf`` and ``RateFlowConf``, are
+defined once, in ``scenario``; this module reads only their ids,
+capacities, queue paths and channel delays, so it imports nothing from
+there.  A user's closed circuit is its ``UserConf``: hop channels into
+each queue on the path, then the return channel back to the user.  A
+``Network`` indexes those objects by id, checks each one as it is added,
+and keeps a causal evaluation order for the queues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = [
-    "TopologyError", "Network", "QueueSpec", "UserSpec", "RateFlowSpec",
-    "build_network",
-]
+__all__ = ["TopologyError", "Network", "build_network"]
 
 
 class TopologyError(ValueError):
-    """Invalid network description; the offending element is named."""
+    """Invalid network description; the offending element is named.
 
-
-@dataclass(frozen=True)
-class QueueSpec:
-    id: str
-    capacity_pps: float  # service rate, packets per second
-
-
-@dataclass(frozen=True)
-class UserSpec:
-    """Window-controlled source and the queue path its packets traverse."""
-
-    id: str
-    queue_path: tuple[str, ...]
-    hop_delays_s: tuple[float, ...]  # channel delay before each queue
-    return_delay_s: float            # last queue output -> user input
-
-    @property
-    def total_delay_s(self) -> float:
-        return sum(self.hop_delays_s) + self.return_delay_s
-
-
-@dataclass(frozen=True)
-class RateFlowSpec:
-    """Exogenous open-loop flow (cross traffic, prescribed demos).
-
-    Enters its first queue after ``hop_delays_s[0]`` and leaves the network
-    after its last queue; nothing is acknowledged.
+    ``field`` is the attribute of the element at fault (``id``,
+    ``queue_path``, ``hop_delays_s``, ...), or None when no single one is.
     """
 
-    id: str
-    queue_path: tuple[str, ...]
-    hop_delays_s: tuple[float, ...]
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
-@dataclass
 class Network:
-    queues: dict[str, QueueSpec]
-    users: dict[str, UserSpec]
-    rate_flows: dict[str, RateFlowSpec]
-    queue_order: tuple[str, ...]  # causal evaluation order per tick
+    """Queues and flows by id, in declaration order; validated as added."""
+
+    def __init__(self):
+        self.queues: dict = {}      # id -> QueueConf
+        self.users: dict = {}       # id -> UserConf
+        self.rate_flows: dict = {}  # id -> RateFlowConf
+        self.queue_order: tuple[str, ...] = ()  # causal evaluation order per tick
+
+    def add_queue(self, q) -> None:
+        if q.id in self.queues:
+            raise TopologyError(f"duplicate queue id '{q.id}'", "id")
+        if q.capacity_pps <= 0:
+            raise TopologyError(f"queue '{q.id}' capacity must be positive",
+                                "capacity_pps")
+        self.queues[q.id] = q
+        self.queue_order += (q.id,)
+
+    def add_user(self, u) -> None:
+        order = self.check_route("user", u.id, u.queue_path, u.hop_delays_s)
+        if u.return_delay_s < 0:
+            raise TopologyError(f"user '{u.id}' has a negative return delay",
+                                "return_delay_s")
+        if u.total_delay_s <= 0:
+            raise TopologyError(
+                f"user '{u.id}' circuit has zero total propagation delay; "
+                "at least one channel must be strictly positive")
+        self.queue_order = order
+        self.users[u.id] = u
+
+    def add_rate_flow(self, f) -> None:
+        """An exogenous open-loop flow: enters its first queue after
+        ``hop_delays_s[0]``, leaves after its last queue, is never acknowledged."""
+        self.queue_order = self.check_route(
+            "rate flow", f.id, f.queue_path, f.hop_delays_s)
+        self.rate_flows[f.id] = f
+
+    def check_route(self, kind: str, fid: str, path, hops) -> tuple[str, ...]:
+        """Check a new flow's id and route; returns the queue order with it.
+
+        The order is topological over zero-delay inter-queue channels: a
+        queue fed through one needs its upstream queue evaluated first
+        within the same tick; positive delays impose nothing.
+        """
+        if fid in self.users or fid in self.rate_flows:
+            raise TopologyError(f"duplicate flow id '{fid}' ({kind})", "id")
+        if not path:
+            raise TopologyError(f"{kind} '{fid}' has an empty queue path", "queue_path")
+        seen = set()
+        for qid in path:
+            if qid not in self.queues:
+                raise TopologyError(
+                    f"{kind} '{fid}' references unknown queue '{qid}'", "queue_path")
+            if qid in seen:
+                raise TopologyError(
+                    f"{kind} '{fid}' traverses buffer '{qid}' twice (unsupported)",
+                    "queue_path")
+            seen.add(qid)
+        if len(hops) != len(path):
+            raise TopologyError(
+                f"{kind} '{fid}': {len(path)} queues but {len(hops)} hop delays",
+                "hop_delays_s")
+        if any(d < 0 for d in hops):
+            raise TopologyError(f"{kind} '{fid}' has a negative channel delay",
+                                "hop_delays_s")
+        if 0.0 not in hops[1:]:
+            return self.queue_order  # the route adds no same-tick dependency
+
+        ids = list(self.queues)
+        deps: dict[str, set[str]] = {q: set() for q in ids}
+        routes = [(f.queue_path, f.hop_delays_s)
+                  for f in (*self.users.values(), *self.rate_flows.values())]
+        for p, h in (*routes, (path, hops)):
+            for i in range(1, len(p)):
+                if h[i] == 0.0:
+                    deps[p[i]].add(p[i - 1])
+        order: list[str] = []
+        ready = [q for q in ids if not deps[q]]
+        while ready:
+            q = ready.pop(0)
+            order.append(q)
+            for other in ids:
+                if q in deps[other]:
+                    deps[other].discard(q)
+                    if not deps[other] and other not in order and other not in ready:
+                        ready.append(other)
+        if len(order) != len(ids):
+            stuck = sorted(set(ids) - set(order))
+            raise TopologyError(
+                f"{kind} '{fid}' closes a zero-delay channel cycle through queues "
+                f"{stuck}; insert a positive propagation delay", "hop_delays_s")
+        return tuple(order)
 
     def flows_through(self, queue_id: str) -> tuple[str, ...]:
         """Flow ids entering a queue, in deterministic declaration order."""
@@ -92,91 +149,13 @@ class Network:
         return min(delays) if delays else None
 
 
-def _check_path(kind: str, fid: str, path, hops, queues) -> None:
-    if not path:
-        raise TopologyError(f"{kind} '{fid}' has an empty queue path")
-    if len(hops) != len(path):
-        raise TopologyError(
-            f"{kind} '{fid}': {len(path)} queues but {len(hops)} hop delays")
-    seen = set()
-    for qid in path:
-        if qid not in queues:
-            raise TopologyError(f"{kind} '{fid}' references unknown queue '{qid}'")
-        if qid in seen:
-            raise TopologyError(
-                f"{kind} '{fid}' traverses buffer '{qid}' twice (unsupported)")
-        seen.add(qid)
-    for d in hops:
-        if d < 0:
-            raise TopologyError(f"{kind} '{fid}' has a negative channel delay")
-
-
-def _queue_eval_order(queues, users, rate_flows) -> tuple[str, ...]:
-    """Topological order over zero-delay inter-queue channels.
-
-    A queue fed through a zero-delay channel needs its upstream queue
-    evaluated first within the same tick; positive delays impose nothing.
-    """
-    ids = list(queues)
-    deps: dict[str, set[str]] = {q: set() for q in ids}
-    for spec in list(users.values()) + list(rate_flows.values()):
-        path, hops = spec.queue_path, spec.hop_delays_s
-        for i in range(1, len(path)):
-            if hops[i] == 0.0:
-                deps[path[i]].add(path[i - 1])
-    order: list[str] = []
-    ready = [q for q in ids if not deps[q]]
-    while ready:
-        q = ready.pop(0)
-        order.append(q)
-        for other in ids:
-            if q in deps[other]:
-                deps[other].discard(q)
-                if not deps[other] and other not in order and other not in ready:
-                    ready.append(other)
-    if len(order) != len(ids):
-        stuck = sorted(set(ids) - set(order))
-        raise TopologyError(
-            f"zero-delay channel cycle through queues {stuck}; "
-            "insert a positive propagation delay")
-    return tuple(order)
-
-
-def build_network(
-    queues: list[QueueSpec],
-    users: list[UserSpec],
-    rate_flows: list[RateFlowSpec] = (),
-) -> Network:
-    """Validate the description and fix the queue evaluation order."""
-    qmap: dict[str, QueueSpec] = {}
+def build_network(queues, users, rate_flows=()) -> Network:
+    """Index the scenario's queue, user and rate-flow objects, checking each."""
+    net = Network()
     for q in queues:
-        if q.id in qmap:
-            raise TopologyError(f"duplicate queue id '{q.id}'")
-        if q.capacity_pps <= 0:
-            raise TopologyError(f"queue '{q.id}' capacity must be positive")
-        qmap[q.id] = q
-
-    umap: dict[str, UserSpec] = {}
-    fmap: dict[str, RateFlowSpec] = {}
-    flow_ids: set[str] = set()
+        net.add_queue(q)
     for u in users:
-        if u.id in flow_ids:
-            raise TopologyError(f"duplicate flow id '{u.id}'")
-        flow_ids.add(u.id)
-        _check_path("user", u.id, u.queue_path, u.hop_delays_s, qmap)
-        if u.return_delay_s < 0:
-            raise TopologyError(f"user '{u.id}' has a negative return delay")
-        if u.total_delay_s <= 0:
-            raise TopologyError(
-                f"user '{u.id}' circuit has zero total propagation delay; "
-                "at least one channel must be strictly positive")
-        umap[u.id] = u
+        net.add_user(u)
     for f in rate_flows:
-        if f.id in flow_ids:
-            raise TopologyError(f"duplicate flow id '{f.id}'")
-        flow_ids.add(f.id)
-        _check_path("rate flow", f.id, f.queue_path, f.hop_delays_s, qmap)
-        fmap[f.id] = f
-
-    return Network(queues=qmap, users=umap, rate_flows=fmap,
-                   queue_order=_queue_eval_order(qmap, umap, fmap))
+        net.add_rate_flow(f)
+    return net

@@ -10,7 +10,7 @@ resumes the instant the buffer refills to zero (located inside the step).
 from __future__ import annotations
 
 from .history import Trajectory
-from .topology import UserSpec
+from .scenario import UserConf
 
 __all__ = ["UserState", "circuit_backward_time"]
 
@@ -91,7 +91,7 @@ class UserState:
         return send_avg
 
 
-def circuit_backward_time(user: UserSpec, queues: dict, t: float) -> float:
+def circuit_backward_time(user: UserConf, queues: dict, t: float) -> float:
     """Entry time of the traffic leaving the user's circuit at ``t``.
 
     Walks the circuit backwards: undo the return channel, invert each

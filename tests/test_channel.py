@@ -16,7 +16,7 @@ from ackflow.history import Trajectory
 from ackflow.scenario import (
     QueueConf, RunConf, Scenario, ScheduledProtocol, UserConf, to_network,
 )
-from ackflow.topology import QueueSpec, TopologyError, UserSpec, build_network
+from ackflow.topology import TopologyError, build_network
 
 DT = 1e-3
 HOP1, HOP2, RET = 20, 30, 50  # channel delays of u1, in ticks
@@ -82,8 +82,8 @@ class TestOutput:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(TopologyError, match="negative channel delay"):
-            build_network([QueueSpec("b", 1.0)],
-                          [UserSpec("u", ("b",), (-0.1,), 0.2)])
+            build_network([QueueConf("b", 1.0)],
+                          [UserConf("u", ("b",), (-0.1,), 0.2, ScheduledProtocol(1.0))])
 
 
 class TestInTransit:

@@ -51,7 +51,7 @@ class TestBasics:
     def test_determinism_bitwise(self):
         sc = two_user_scenario(steps1=[(2.0, 150.0)])
         t1, t2 = run(sc), run(sc)
-        for name in t1.signal_names():
+        for name in t1.signals:
             assert np.array_equal(t1[name], t2[name]), name
 
     def test_dt_headroom_enforced(self):
@@ -287,7 +287,7 @@ class TestHorizonIndependence:
         short, long = (simulate(to_network(sc), sc, SimConfig(
             dt_s=sc.run.dt_s, horizon_s=h, init=sc.run.init)) for h in (0.3, 3.0))
         n = len(short.time)
-        for name in short.signal_names():
+        for name in short.signals:
             assert np.array_equal(short[name], long[name][:n]), name
 
 
@@ -298,7 +298,7 @@ class TestPruning:
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
         full, pruned = run(sc), run(sc, prune_history=True)
         assert pruned.queues["b1"].inputs["u1"].pruned_before > 0
-        for name in full.signal_names():
+        for name in full.signals:
             assert np.array_equal(full[name], pruned[name]), name
 
 

@@ -67,6 +67,13 @@ def sched(doc):
     return doc["users"][0]["protocol"]
 
 
+def zero_delay_cycle(doc):
+    # u1 feeds b2 from b1 and u2 feeds b1 from b2, both without delay
+    doc["queues"].append({"id": "b2", "capacity_pps": 500.0})
+    doc["users"][0].update(path=["b1", "b2"], hop_delays_s=[0.0, 0.0])
+    doc["users"][1].update(path=["b2", "b1"], hop_delays_s=[0.0, 0.0])
+
+
 MALFORMED = {
     "queues-not-a-list": (lambda d: d.update(queues=5), "queues"),
     "queue-not-a-mapping": (lambda d: d.update(queues=["b1"]), "queues[0]"),
@@ -106,6 +113,27 @@ MALFORMED = {
     "negative-step-window": (
         lambda d: sched(d)["steps"].append({"at_s": 2.0, "window_pkts": -5.0}),
         "users[0].protocol.steps"),
+    "return-delay-a-list": (lambda d: d["users"][0].update(return_delay_s=[0.02]),
+                            "users[0].return_delay_s"),
+    # topology faults, found by the network's own checks
+    "duplicate-user-id": (lambda d: d["users"][1].update(id="u1"), "users[1].id"),
+    "user-id-is-a-rate-flow-id": (lambda d: d["rate_flows"][0].update(id="u2"),
+                                  "rate_flows[0].id"),
+    "cross-traffic-twice-on-one-queue": (
+        lambda d: d["cross_traffic"].append({"queue": "b1", "fraction": 0.2}),
+        "cross_traffic[1].queue"),
+    "negative-hop-delay": (lambda d: d["users"][0].update(hop_delays_s=-0.01),
+                           "users[0].hop_delays_s"),
+    "negative-return-delay": (lambda d: d["users"][1].update(return_delay_s=-0.01),
+                              "users[1].return_delay_s"),
+    "hop-count-mismatch": (lambda d: d["users"][0].update(hop_delays_s=[0.01, 0.01]),
+                           "users[0].hop_delays_s"),
+    "queue-repeated-in-path": (
+        lambda d: d["users"][0].update(path=["b1", "b1"], hop_delays_s=[0.01, 0.01]),
+        "users[0].path"),
+    "zero-total-delay": (lambda d: d["users"][0].update(hop_delays_s=0.0, return_delay_s=0.0),
+                         "users[0]"),
+    "zero-delay-queue-cycle": (zero_delay_cycle, "users[1].hop_delays_s"),
 }
 
 

@@ -1,25 +1,35 @@
 import pytest
 
 from ackflow.fifo_queue import FifoQueue
-from ackflow.topology import (
-    QueueSpec, RateFlowSpec, TopologyError, UserSpec, build_network,
+from ackflow.scenario import (
+    ConstantProfile, QueueConf, RateFlowConf, ScheduledProtocol, UserConf, preset,
+    to_network,
 )
+from ackflow.topology import TopologyError, build_network
 from ackflow.user import circuit_backward_time
+
+
+def user(uid, path, hops, ret):
+    return UserConf(uid, path, hops, ret, ScheduledProtocol(10.0))
+
+
+def rate_flow(fid, path, hops):
+    return RateFlowConf(fid, path, hops, ConstantProfile(5.0))
 
 
 def single_buffer_net():
     return build_network(
-        queues=[QueueSpec("b", 100.0)],
-        users=[UserSpec("u1", ("b",), (0.01,), 0.02)],
+        queues=[QueueConf("b", 100.0)],
+        users=[user("u1", ("b",), (0.01,), 0.02)],
     )
 
 
 def shared_buffer_net():
     return build_network(
-        queues=[QueueSpec("b", 100.0)],
+        queues=[QueueConf("b", 100.0)],
         users=[
-            UserSpec("u1", ("b",), (0.001,), 0.002),
-            UserSpec("u2", ("b",), (0.05,), 0.06),
+            user("u1", ("b",), (0.001,), 0.002),
+            user("u2", ("b",), (0.05,), 0.06),
         ],
     )
 
@@ -27,16 +37,23 @@ def shared_buffer_net():
 def series_net():
     # user 1 crosses both queues, users 2/3 one each
     return build_network(
-        queues=[QueueSpec("b1", 100.0), QueueSpec("b2", 200.0)],
+        queues=[QueueConf("b1", 100.0), QueueConf("b2", 200.0)],
         users=[
-            UserSpec("u1", ("b1", "b2"), (0.0, 0.02), 0.1),
-            UserSpec("u2", ("b2",), (0.0,), 0.08),
-            UserSpec("u3", ("b1",), (0.0,), 0.04),
+            user("u1", ("b1", "b2"), (0.0, 0.02), 0.1),
+            user("u2", ("b2",), (0.0,), 0.08),
+            user("u3", ("b1",), (0.0,), 0.04),
         ],
     )
 
 
 class TestBuild:
+    def test_network_indexes_the_scenario_objects(self):
+        sc = preset("scenario5")
+        net = to_network(sc)
+        assert all(net.queues[q.id] is q for q in sc.queues)
+        assert all(net.users[u.id] is u for u in sc.users)
+        assert all(net.rate_flows[f.id] is f for f in sc.rate_flows)
+
     def test_two_users_share_queue_edge(self):
         net = shared_buffer_net()
         assert net.users["u1"].queue_path == net.users["u2"].queue_path == ("b",)
@@ -45,10 +62,10 @@ class TestBuild:
     def test_flows_share_a_queue_to_queue_hop(self):
         # two users and a rate flow all cross b1 -> b2 over the same link
         net = build_network(
-            [QueueSpec("b1", 100.0), QueueSpec("b2", 100.0)],
-            [UserSpec("u1", ("b1", "b2"), (0.01, 0.005), 0.03),
-             UserSpec("u2", ("b1", "b2"), (0.02, 0.005), 0.06)],
-            [RateFlowSpec("x", ("b1", "b2"), (0.0, 0.005))],
+            [QueueConf("b1", 100.0), QueueConf("b2", 100.0)],
+            [user("u1", ("b1", "b2"), (0.01, 0.005), 0.03),
+             user("u2", ("b1", "b2"), (0.02, 0.005), 0.06)],
+            [rate_flow("x", ("b1", "b2"), (0.0, 0.005))],
         )
         assert net.flows_through("b2") == ("u1", "u2", "x")
         assert net.queue_order == ("b1", "b2")
@@ -63,47 +80,47 @@ class TestBuild:
     def test_dangling_queue_reference_named(self):
         with pytest.raises(TopologyError, match="ghost"):
             build_network(
-                queues=[QueueSpec("b", 10.0)],
-                users=[UserSpec("u1", ("ghost",), (0.01,), 0.01)],
+                queues=[QueueConf("b", 10.0)],
+                users=[user("u1", ("ghost",), (0.01,), 0.01)],
             )
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(TopologyError, match="duplicate queue"):
-            build_network([QueueSpec("b", 1.0), QueueSpec("b", 2.0)], [])
+            build_network([QueueConf("b", 1.0), QueueConf("b", 2.0)], [])
         with pytest.raises(TopologyError, match="duplicate flow"):
             build_network(
-                [QueueSpec("b", 1.0)],
-                [UserSpec("u", ("b",), (0.1,), 0.1), UserSpec("u", ("b",), (0.1,), 0.1)],
+                [QueueConf("b", 1.0)],
+                [user("u", ("b",), (0.1,), 0.1), user("u", ("b",), (0.1,), 0.1)],
             )
 
     def test_same_buffer_twice_rejected(self):
         with pytest.raises(TopologyError, match="twice"):
             build_network(
-                [QueueSpec("b", 1.0)],
-                [UserSpec("u", ("b", "b"), (0.1, 0.1), 0.1)],
+                [QueueConf("b", 1.0)],
+                [user("u", ("b", "b"), (0.1, 0.1), 0.1)],
             )
 
     def test_zero_total_delay_rejected(self):
         with pytest.raises(TopologyError, match="zero total"):
             build_network(
-                [QueueSpec("b", 1.0)],
-                [UserSpec("u", ("b",), (0.0,), 0.0)],
+                [QueueConf("b", 1.0)],
+                [user("u", ("b",), (0.0,), 0.0)],
             )
 
     def test_zero_delay_cycle_rejected(self):
         with pytest.raises(TopologyError, match="cycle"):
             build_network(
-                [QueueSpec("a", 1.0), QueueSpec("b", 1.0)],
+                [QueueConf("a", 1.0), QueueConf("b", 1.0)],
                 [
-                    UserSpec("u1", ("a", "b"), (0.0, 0.0), 0.1),
-                    UserSpec("u2", ("b", "a"), (0.0, 0.0), 0.1),
+                    user("u1", ("a", "b"), (0.0, 0.0), 0.1),
+                    user("u2", ("b", "a"), (0.0, 0.0), 0.1),
                 ],
             )
 
     def test_queue_order_respects_zero_delay_links(self):
         net = build_network(
-            [QueueSpec("b2", 1.0), QueueSpec("b1", 1.0)],
-            [UserSpec("u1", ("b1", "b2"), (0.0, 0.0), 0.1)],
+            [QueueConf("b2", 1.0), QueueConf("b1", 1.0)],
+            [user("u1", ("b1", "b2"), (0.0, 0.0), 0.1)],
         )
         assert net.queue_order.index("b1") < net.queue_order.index("b2")
 

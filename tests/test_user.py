@@ -6,7 +6,7 @@ from ackflow.fifo_queue import FifoQueue
 from ackflow.scenario import (
     QueueConf, RunConf, Scenario, ScheduledProtocol, UserConf, to_network,
 )
-from ackflow.topology import QueueSpec, UserSpec, build_network
+from ackflow.topology import build_network
 from ackflow.user import UserState, circuit_backward_time
 
 
@@ -126,8 +126,8 @@ class TestFlightSize:
 class TestCircuitBackwardOps:
     def make_env(self):
         net = build_network(
-            queues=[QueueSpec("b", 100.0)],
-            users=[UserSpec("u", ("b",), (0.01,), 0.02)],
+            queues=[QueueConf("b", 100.0)],
+            users=[UserConf("u", ("b",), (0.01,), 0.02, ScheduledProtocol(10.0))],
         )
         dt = 0.01
         q = FifoQueue("b", 100.0, ["u"], dt_s=dt)

@@ -6,6 +6,21 @@ window rates, sending flows, then queue arrivals, per-flow departures and
 the state integration with event sub-stepping (queue emptying, ACK-buffer
 refill).
 
+The engine advances ``L`` ticks per step (a block; the time-stepped fluid
+solution of Liu et al., SIGMETRICS 2003, with its step loop batched).  A
+user reads queue data only through its return channel (its ACKs and the
+circuit inversion of its flight size), and a queue reads another queue only
+through a queue-to-queue hop, so ``L`` is the smallest ``floor(delay / dt)``
+over the users' return delays and the positive queue-to-queue hop delays,
+at least 1 and at most ``BLOCK_CAP_TICKS``: every tick of a block then
+reads only earlier blocks, or queues earlier in ``network.queue_order``
+through a zero-delay hop.  Each block runs the users, then the queues in
+that order.  Reads, the circuit inversion and the queue transport are array
+arithmetic over the block; only the window, ACK-buffer and backlog
+recurrences run tick by tick.  Every expression is the per-tick one, so the
+traces do not depend on ``L``, and a failed check names the first bad tick.
+With pruning on, a block also ends at each pruning tick.
+
 Every signal is one float64 column on the grid ``k * dt``.  The flows
 (sending, ACK, queue input and output rates) are the history columns the
 blocks read back, by index when a delay is a grid multiple and by
@@ -16,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +49,9 @@ __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate",
 # history readable after pruning: the sum of all channel delays plus this
 # margin, which covers the queueing delays in any backward read
 PRUNE_MARGIN_S = 5.0
+
+# most ticks in one block, whatever the delays: bounds the block's arrays
+BLOCK_CAP_TICKS = 1024
 
 
 class SimulationError(RuntimeError):
@@ -55,8 +72,7 @@ class SimConfig(RunConf):
 class TraceSet:
     """All recorded signals of one run, on the shared engine grid.
 
-    The signals view the histories in ``queues`` and ``users``, which can
-    therefore no longer grow.
+    The flow signals view the histories in ``queues`` and ``users``.
     """
 
     time: np.ndarray
@@ -79,43 +95,59 @@ class _Reader:
     # An index read skips the history's prune floor, and needs no check: its
     # shift is one channel delay, while the floor lags the current time by
     # the sum of all channel delays plus PRUNE_MARGIN_S.
-    __slots__ = ("values", "initial", "shift", "traj", "delay", "profile")
+    __slots__ = ("traj", "profile", "delay", "shift")
 
     def __init__(self, *, traj=None, profile=None, delay_s=0.0, dt_s=1e-4):
         self.profile = profile
         self.traj = traj
         self.delay = delay_s
+        self.shift = None
         if traj is not None:
             ticks = delay_s / dt_s
             if abs(ticks - round(ticks)) < 1e-6:
                 self.shift = int(round(ticks))
-                self.values = traj.values
-                self.initial = traj.initial_value
-            else:
-                self.shift = None
 
-    def read(self, k: int, t: float) -> float:
+    def read(self, k0: int, ticks: np.ndarray) -> np.ndarray:
+        """The delayed values at a block's tick times, the first tick ``k0``."""
         if self.profile is not None:
-            return self.profile.rate_at(t - self.delay)
-        if self.shift is not None:
-            idx = k - self.shift
-            if idx < 0:
-                return self.initial
-            try:
-                return self.values[idx]
-            except IndexError:
-                raise SimulationError(
-                    f"causality violation: read {self.delay}s behind t={t} "
-                    "touches an unrecorded sample") from None
-        return self.traj.eval_at(t - self.delay)
+            rate_at, delay = self.profile.rate_at, self.delay
+            return np.array([rate_at(t - delay) for t in ticks.tolist()])
+        if self.shift is None:
+            return self.traj.eval_at(ticks - self.delay)
+        traj = self.traj
+        lo = k0 - self.shift
+        hi = lo + len(ticks)
+        if hi > len(traj):
+            t = float(ticks[max(len(traj) - lo, 0)])
+            raise SimulationError(
+                f"causality violation: read {self.delay}s behind t={t} "
+                "touches an unrecorded sample")
+        if lo >= 0:
+            return traj.values[lo:hi]
+        head = np.full(min(-lo, len(ticks)), traj.initial_value)
+        return np.concatenate((head, traj.values[:max(hi, 0)]))
 
 
 class _UserCtx:
     __slots__ = ("uid", "state", "conf", "fast_params", "impulses", "ack_reader",
-                 "rect_cum", "total_delay", "send0", "appends")
+                 "rect_cum", "total_delay", "send0", "columns")
 
     def __init__(self, uid):
         self.uid = uid
+
+
+def block_ticks(network: Network, dt: float) -> int:
+    """Ticks advanced per block: the shortest feedback delay in whole ticks.
+
+    A tick reads queue data only through a user's return channel (its ACKs
+    and its circuit inversion) or a positive queue-to-queue hop, so every
+    tick of a block shorter than the shortest such delay reads only earlier
+    blocks.  Zero-delay hops are served by ``network.queue_order``.
+    """
+    flows = (*network.users.values(), *network.rate_flows.values())
+    delays = [u.return_delay_s for u in network.users.values()]
+    delays += [d for f in flows for d in f.hop_delays_s[1:] if d > 0]
+    return max(1, min([BLOCK_CAP_TICKS, *(int(d / dt) for d in delays)]))
 
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
@@ -141,6 +173,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     elif config.init != "cold":
         raise SimulationError(f"unknown init mode {config.init!r}")
 
+    n_ticks = int(round(config.horizon_s / dt)) + 1
     queues: dict[str, FifoQueue] = {}
     for qid in network.queue_order:
         cap = network.queues[qid].capacity_pps
@@ -155,7 +188,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 else:
                     rates0[fid] = eq_init.rates_pps[fid]
         queues[qid] = FifoQueue(qid, cap, flows, dt_s=dt, backlog0_pkts=backlog0,
-                                input_rates0=rates0)
+                                input_rates0=rates0, n_ticks=n_ticks)
 
     users: dict[str, _UserCtx] = {}
     for uid, uconf in network.users.items():
@@ -168,7 +201,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         window_start = w0 if eq_init is not None else 0.0
         flight0 = w0 if eq_init is not None else 0.0
         ctx.state = UserState(uid, window_start, dt_s=dt, sending0_pps=send0,
-                              flight0_pkts=flight0)
+                              flight0_pkts=flight0, n_ticks=n_ticks)
         ctx.send0 = send0
         if isinstance(proto, ScheduledProtocol):
             ctx.fast_params = None
@@ -182,10 +215,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             # the window appears at t=0: emitted as an opening burst
             ctx.impulses = dict(ctx.impulses)
             ctx.impulses[0] = ctx.impulses.get(0, 0.0) + w0
+        ctx.impulses = {k: v for k, v in ctx.impulses.items() if v}  # tick -> jump
         last_q = uconf.queue_path[-1]
         ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
                                  delay_s=uconf.return_delay_s, dt_s=dt)
-        ctx.rect_cum = array("d", [0.0])
+        # running sum of sending * dt: rect_cum[k] covers ticks before k
+        ctx.rect_cum = np.empty(n_ticks + 1)
+        ctx.rect_cum[0] = 0.0
         users[uid] = ctx
 
     # per-queue input readers, in the queue's flow order: the upstream
@@ -206,31 +242,24 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 continue
             readers.append(_Reader(traj=src, delay_s=delay, dt_s=dt))
 
-    n_ticks = int(round(config.horizon_s / dt)) + 1
-
     # traces, named here once: the flows are history columns, every other
-    # signal a column the tick loop fills through bound append methods
-    columns: dict[str, array] = {}
+    # signal a preallocated column the blocks fill
+    columns: dict[str, np.ndarray] = {}
 
-    def appenders(owner: str, *names: str) -> tuple:
-        new = [array("d") for _ in names]
+    def new_columns(owner: str, *names: str) -> tuple:
+        new = tuple(np.empty(n_ticks) for _ in names)
         columns.update((f"{name}.{owner}", col) for name, col in zip(names, new))
-        return tuple(col.append for col in new)
+        return new
 
-    queue_appends = {}
+    queue_columns = {}
     for qid in network.queues:
-        q = queues[qid]
-        queue_appends[qid] = appenders(qid, "q", "r", "arrival", "congested")
-        for fid in q.flow_ids:
-            columns[f"in.{qid}.{fid}"] = q.inputs[fid].values
-            columns[f"out.{qid}.{fid}"] = q.outputs[fid].values
+        queue_columns[qid] = new_columns(qid, "q", "r", "arrival", "congested")
     user_list = list(users.values())
     for ctx in user_list:
-        ctx.appends = appenders(ctx.uid, "w", "ackbuf", "flight", "flight_ode", "active")
-        columns[f"send.{ctx.uid}"] = ctx.state.sending.values
-        columns[f"ack.{ctx.uid}"] = ctx.state.acks.values
+        ctx.columns = new_columns(ctx.uid, "w", "ackbuf", "flight", "flight_ode",
+                                  "active")
 
-    queue_steps = [(queues[qid], input_readers[qid], queue_appends[qid])
+    queue_steps = [(queues[qid], input_readers[qid], queue_columns[qid])
                    for qid in network.queue_order]
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
     prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
@@ -238,68 +267,84 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                  for h in (q.forward_map, *q.inputs.values(), *q.outputs.values())]
     histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
 
-    for k in range(n_ticks):
-        t = k * dt
+    span = block_ticks(network, dt)
+    k0 = 0
+    while k0 < n_ticks:
+        k1 = min(k0 + span, n_ticks)
+        if prune_every:  # a block ends at each pruning tick
+            k1 = min(k1, -(-k0 // prune_every) * prune_every + 1)
+        times = np.arange(k0, k1 + 1) * dt
+        ticks = times[:-1]
 
         for ctx in user_list:
             st = ctx.state
-            ack = ctx.ack_reader.read(k, t)
-            w_now = st.window
+            acks = ctx.ack_reader.read(k0, ticks)
             # flight by the independent route: sending integral back to the
             # circuit entry time of the traffic being acknowledged now
-            b_t = circuit_backward_time(ctx.conf, queues, t)
-            flight_int = _rect_at(ctx, t, dt) - _rect_at(ctx, b_t, dt)
+            b_t = circuit_backward_time(ctx.conf, queues, ticks)
+            wdot = None
             if ctx.fast_params is not None:
-                tau_back = max(0.0, (t - b_t) - ctx.total_delay)
-                wdot = fast_wdot(w_now, tau_back, ctx.total_delay, ctx.fast_params)
-            else:
-                wdot = 0.0
-            impulse = ctx.impulses.get(k, 0.0)
-            burst = st.apply_window_jump(impulse) if impulse else 0.0
-            pi_now = st.ack_buffer  # post-jump: the trace shows the drop
-            flight_ode = st.flight_balance
-            send_avg = st.step(wdot, burst, ack, dt)
-            st.sending.record(t, send_avg)
-            st.acks.record(t, ack)
-            ctx.rect_cum.append(ctx.rect_cum[-1] + send_avg * dt)
-            add_w, add_pi, add_flight, add_ode, add_active = ctx.appends
-            add_w(w_now)
-            add_pi(pi_now)
-            add_flight(flight_int)
-            add_ode(flight_ode)
-            add_active(1.0 if st.active else 0.0)
-            if not (math.isfinite(st.window) and math.isfinite(send_avg)
+                lag = (ticks - b_t) - ctx.total_delay
+                wdot = _fast_controller(np.where(lag > 0.0, lag, 0.0).tolist(),
+                                        ctx.total_delay, ctx.fast_params)
+            jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
+            send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, wdot=wdot)
+            if not (np.isfinite(send).all() and np.isfinite(w).all()
+                    and np.isfinite(pi).all() and math.isfinite(st.window)
                     and math.isfinite(st.ack_buffer)):
+                # a step's end state is the next tick's start
+                sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
+                        & np.isfinite(np.append(pi[1:], st.ack_buffer)))
                 raise SimulationError(
-                    f"divergence in user block '{ctx.uid}' at t={t:.6f}")
+                    f"divergence in user block '{ctx.uid}' at "
+                    f"t={ticks[sane.argmin()]:.6f}")
+            st.sending.record(ticks[0], send)
+            st.acks.record(ticks[0], acks)
+            cum = ctx.rect_cum
+            cum[k0:k1 + 1] = np.cumsum(np.concatenate(([cum[k0]], send * dt)))
+            last = np.arange(k0, k1)
+            rect = _rect_at(cum, ctx.send0, np.concatenate((ticks, b_t)),
+                            np.concatenate((last, last)), dt)
+            flight = rect[:k1 - k0] - rect[k1 - k0:]
+            for col, values in zip(ctx.columns, (w, pi, flight, flight_ode, active)):
+                col[k0:k1] = values
 
-        t_next = (k + 1) * dt
-        for q, readers, (add_q, add_r, add_arrival, add_congested) in queue_steps:
-            rates = [r.read(k, t) for r in readers]
-            q.record_inputs(t, rates)
-            add_q(q.backlog)
-            service_avg = q.step(dt, t_next)
-            out = q.transport_outputs(t, t_next, service_avg * dt)
-            q.record_outputs(t, out)
-            add_r(service_avg)
-            add_arrival(q.last_total_arrival)
-            add_congested(1.0 if q.congested else 0.0)
-            if not math.isfinite(q.backlog):
+        for q, readers, (col_q, col_r, col_arrival, col_congested) in queue_steps:
+            total = q.record_inputs(ticks, [r.read(k0, ticks) for r in readers])
+            backlog, service, congested = q.step(dt, times[1:])
+            if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
+                ends = np.isfinite(np.append(backlog[1:], q.backlog))
                 raise SimulationError(
-                    f"divergence in queue block '{q.queue_id}' at t={t:.6f}")
+                    f"divergence in queue block '{q.queue_id}' at "
+                    f"t={ticks[ends.argmin()]:.6f}")
+            q.record_outputs(ticks[0], q.transport_outputs(times, service * dt))
+            col_q[k0:k1] = backlog
+            col_r[k0:k1] = service
+            col_arrival[k0:k1] = total
+            col_congested[k0:k1] = congested
 
+        k = k1 - 1
+        t = k * dt
         if prune_every and k % prune_every == 0 and t > prune_lag:
             for h in histories:
                 h.prune_before(t - prune_lag)
+        k0 = k1
 
-    # zero-copy views; tau is q / capacity, which IEEE division rounds
-    # exactly as a per-tick division would
+    # the flows are views of the history columns; tau is q / capacity, which
+    # IEEE division rounds exactly as a per-tick division would
+    for qid, q in queues.items():
+        for fid in q.flow_ids:
+            columns[f"in.{qid}.{fid}"] = q.inputs[fid].values
+            columns[f"out.{qid}.{fid}"] = q.outputs[fid].values
+    for ctx in user_list:
+        columns[f"send.{ctx.uid}"] = ctx.state.sending.values
+        columns[f"ack.{ctx.uid}"] = ctx.state.acks.values
     signals = {}
     for name, col in columns.items():
-        signals[name] = np.frombuffer(col)
+        signals[name] = col
         kind, _, qid = name.partition(".")
         if kind == "q":
-            signals[f"tau.{qid}"] = signals[name] / queues[qid].capacity
+            signals[f"tau.{qid}"] = col / queues[qid].capacity
     return TraceSet(
         time=np.arange(n_ticks) * dt,
         dt_s=dt,
@@ -313,22 +358,28 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     )
 
 
-def _rect_at(ctx, x: float, dt: float) -> float:
-    """Piecewise-linear cumulative of the recorded sending rate at time x.
+def _fast_controller(tau_back: list, total_delay: float, params: FastParams):
+    """FAST window rate for a block: tick ``j`` measures ``tau_back[j]``.
 
-    Matches the rectangle quadrature of the per-tick rate samples; before
-    t=0 the pre-history rate extends linearly.
+    ``fast_wdot`` is looked up at each call, so a patched global is seen.
     """
-    if x <= 0.0:
-        return ctx.send0 * x
-    cum = ctx.rect_cum
+    def wdot(window: float, j: int) -> float:
+        return fast_wdot(window, tau_back[j], total_delay, params)
+    return wdot
+
+
+def _rect_at(cum: np.ndarray, send0: float, x: np.ndarray, last: np.ndarray,
+             dt: float) -> np.ndarray:
+    """Piecewise-linear cumulative of the recorded sending rate at times x.
+
+    Matches the rectangle quadrature of the per-tick rate samples, clamped
+    to ``cum[last]``, the sum over the ticks before each read's own tick;
+    before t=0 the pre-history rate extends linearly.
+    """
     pos = x / dt
-    i = int(pos)
-    last = len(cum) - 1
-    if i >= last:
-        return cum[last]
-    frac = pos - i
-    return cum[i] + (cum[i + 1] - cum[i]) * frac
+    i = np.minimum(np.maximum(pos, 0.0), last).astype(np.int64)
+    inner = cum[i] + (cum[np.minimum(i + 1, last)] - cum[i]) * (pos - i)
+    return np.where(x <= 0.0, send0 * x, np.where(i < last, inner, cum[last]))
 
 
 # ---------------------------------------------------------------------------

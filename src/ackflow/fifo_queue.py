@@ -8,9 +8,16 @@ backward-time queries.  Per-flow departures are the arrivals scaled and
 time-warped through that inverse, which is what makes the queue
 order-preserving at the flow level: the mass departing over any interval is
 exactly the mass that arrived over the backward image of that interval.
+
+The queue advances a block of ticks per call sequence: ``record_inputs``,
+``step``, ``transport_outputs``, ``record_outputs``.  Only the backlog and
+mode recurrence runs tick by tick; the transport is array arithmetic over
+the block.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .history import Trajectory
 
@@ -39,12 +46,14 @@ class FifoQueue:
         Before the start the queue holds its initial backlog, so the
         arrival->departure map there is the line t + backlog0 / capacity,
         which answers backward reads at simulation start.
+    n_ticks : int
+        Ticks to preallocate in every history.
     """
 
     __slots__ = (
-        "queue_id", "capacity", "flow_ids", "backlog", "congested",
-        "inputs", "outputs", "forward_map", "_last_rates",
-        "_last_total", "stall_fallbacks", "_share_hint", "_g_now",
+        "queue_id", "capacity", "flow_ids", "backlog", "inputs", "outputs",
+        "forward_map", "stall_fallbacks", "_share_hint", "_hint_before",
+        "_rates", "_total", "_congested",
     )
 
     def __init__(
@@ -56,6 +65,7 @@ class FifoQueue:
         dt_s: float,
         backlog0_pkts: float = 0.0,
         input_rates0: dict[str, float] | None = None,
+        n_ticks: int = 16,
     ):
         if capacity_pps <= 0:
             raise ValueError(f"queue '{queue_id}': capacity must be positive")
@@ -65,110 +75,154 @@ class FifoQueue:
         self.capacity = float(capacity_pps)
         self.flow_ids = tuple(flow_ids)
         self.backlog = float(backlog0_pkts)
-        rates0 = input_rates0 or {}
-        self.inputs = {f: Trajectory(dt_s, rates0.get(f, 0.0)) for f in self.flow_ids}
-        self.outputs = {f: Trajectory(dt_s, rates0.get(f, 0.0)) for f in self.flow_ids}
+        rates0 = tuple(float((input_rates0 or {}).get(f, 0.0)) for f in self.flow_ids)
+        self.inputs = {f: Trajectory(dt_s, r, capacity=n_ticks)
+                       for f, r in zip(self.flow_ids, rates0)}
+        self.outputs = {f: Trajectory(dt_s, r, capacity=n_ticks)
+                        for f, r in zip(self.flow_ids, rates0)}
         tau0 = self.backlog / self.capacity
-        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0)
+        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0, capacity=n_ticks + 1)
         self.forward_map.record(0.0, tau0)
-        self._g_now = None  # (time, backward time) of the latest step end
-        self._last_rates: tuple[float, ...] = tuple(
-            rates0.get(f, 0.0) for f in self.flow_ids)
-        self._last_total = sum(self._last_rates)
-        self.congested = self.backlog > EPS_BACKLOG_PKTS or self._last_total > self.capacity
         self.stall_fallbacks = 0
-        total0 = self._last_total
+        total0 = sum(rates0)
         if total0 > 0:
-            self._share_hint = tuple(r / total0 for r in self._last_rates)
+            self._share_hint = tuple(r / total0 for r in rates0)
         elif self.flow_ids:
             self._share_hint = tuple(1.0 / len(self.flow_ids) for _ in self.flow_ids)
         else:
             self._share_hint = ()
+        # the block being stepped: per-flow and total input rates, congested
+        # flags, and the mix in force before it (for stalled steps)
+        self._rates: list[np.ndarray] = []
+        self._total = self._congested = np.zeros(0)
+        self._hint_before = self._share_hint
 
-    @property
-    def last_total_arrival(self) -> float:
-        return self._last_total
+    def record_inputs(self, ticks: np.ndarray, rates) -> np.ndarray:
+        """Record one block of per-flow arrival rates.
 
-    def record_inputs(self, t: float, rates) -> None:
-        """Record this tick's per-flow arrival rates (same order as flow_ids)."""
-        total = 0.0
+        ``ticks`` are the grid times of the block's ticks, and ``rates[i]``
+        holds flow ``flow_ids[i]``'s rate at each.  Returns the total
+        arrival rate per tick.
+        """
+        rates = [np.asarray(r, dtype=np.float64) for r in rates]
+        if rates:
+            negative = np.array(rates) < 0
+            if negative.any():
+                j = negative.any(axis=0).argmax()
+                f = negative[:, j].argmax()
+                raise ValueError(f"queue '{self.queue_id}': negative input flow "
+                                 f"{float(rates[f][j])!r} at t={float(ticks[j])!r}")
+        total = np.zeros(len(ticks))
         for traj, r in zip(self.inputs.values(), rates):
-            if r < 0:
-                raise ValueError(
-                    f"queue '{self.queue_id}': negative input flow {r!r} at t={t!r}")
-            traj.record(t, r)
-            total += r
-        self._last_rates = tuple(rates)
-        self._last_total = total
-        self.congested = self.backlog > EPS_BACKLOG_PKTS or total > self.capacity
-        if total > 0:
-            self._share_hint = tuple(r / total for r in rates)
+            traj.record(ticks[0], r)
+            total = total + r
+        self._rates, self._total = rates, total
+        self._hint_before = self._share_hint
+        self._share_hint = self._hint_at(len(total) - 1)
+        return total
 
-    def record_outputs(self, t: float, rates) -> None:
-        for traj, r in zip(self.outputs.values(), rates):
-            traj.record(t, r)
-
-    def backward_time(self, t: float) -> float:
-        """Arrival time of the traffic departing at ``t``."""
+    def backward_time(self, t):
+        """Arrival time of the traffic departing at ``t`` (elementwise)."""
         return self.forward_map.invert_monotone(t)
 
-    def step(self, dt: float, end_time_s: float) -> float:
-        """Advance the backlog using this tick's recorded inputs.
+    def step(self, dt: float, end_times_s: np.ndarray):
+        """Advance the backlog over the recorded block.
 
-        Locates the emptying instant inside the step so the backlog never
-        crosses zero, then extends the arrival->departure map at the new
-        time.  ``end_time_s`` is the caller's exact grid time for the step
-        end (accumulating ``dt`` would drift against later queries).
-        Returns the average service rate over the step (the instantaneous
-        rate except on a mode switch).
+        ``end_times_s`` are the exact grid times at which its steps end
+        (accumulating ``dt`` would drift against later queries).  Locates
+        each emptying instant inside its step so the backlog never crosses
+        zero, and extends the arrival->departure map at the step ends.
+        Returns, per tick, the backlog at the step start, the average
+        service rate over the step (the instantaneous rate except on a mode
+        switch) and whether the queue was congested.
         """
-        a = self._last_total
         c = self.capacity
-        if self.congested:
-            nb = self.backlog + (a - c) * dt
-            if nb >= 0.0:
-                self.backlog = nb
-                service = c
+        b = self.backlog
+        starts, services, flags = [], [], []
+        for a in self._total.tolist():
+            starts.append(b)
+            congested = b > EPS_BACKLOG_PKTS or a > c
+            flags.append(congested)
+            if congested:
+                nb = b + (a - c) * dt
+                if nb >= 0.0:
+                    b = nb
+                    services.append(c)
+                else:
+                    theta = b / (c - a)
+                    b = 0.0
+                    services.append((c * theta + a * (dt - theta)) / dt)
             else:
-                theta = self.backlog / (c - a)
-                self.backlog = 0.0
-                service = (c * theta + a * (dt - theta)) / dt
-        else:
-            service = a
-        self.forward_map.record(end_time_s, end_time_s + self.backlog / c)
-        return service
+                services.append(a)
+        self.backlog = b
+        backlog = np.array(starts)
+        ends = np.append(backlog[1:], b)
+        self.forward_map.record(end_times_s[0], end_times_s + ends / c)
+        self._congested = np.array(flags)
+        return backlog, np.array(services), self._congested
 
-    def transport_outputs(self, t0: float, t1: float,
-                          total_departed_pkts: float) -> tuple[float, ...]:
-        """Average per-flow departure rates over the step [t0, t1].
+    def transport_outputs(self, times: np.ndarray,
+                          total_departed_pkts: np.ndarray) -> list[np.ndarray]:
+        """Average per-flow departure rates over the block's steps.
 
-        While serving a backlog the departures over the step are the
-        arrivals over the backward image [g(t0), g(t1)], split exactly in
-        proportion to each flow's arrival mass there and normalized to the
-        total the server actually released.  Masses use the sample-hold
-        quadrature so they agree exactly with the stepping that built the
-        time map; per-flow packet counts then survive arbitrarily sharp
-        input transients.  If the backward image carries no arrivals at all
-        (all sources stalled before a backlog formed), the last known mix
-        is reused and the event counted in ``stall_fallbacks``.
+        Step ``j`` spans ``[times[j], times[j + 1]]`` and released
+        ``total_departed_pkts[j]``.  While serving a backlog the departures
+        over a step are the arrivals over the backward image [g(t0), g(t1)],
+        split exactly in proportion to each flow's arrival mass there and
+        normalized to the total the server actually released.  Masses use
+        the sample-hold quadrature so they agree exactly with the stepping
+        that built the time map; per-flow packet counts then survive
+        arbitrarily sharp input transients.  If the backward image carries
+        no arrivals at all (all sources stalled before a backlog formed),
+        the last known mix is reused and the event counted in
+        ``stall_fallbacks``.  Uncongested, the outputs are the inputs.
         """
-        dt = t1 - t0
-        if not self.congested:
-            return self._last_rates
-        cache = self._g_now
-        g0 = cache[1] if cache is not None and cache[0] == t0 else self.backward_time(t0)
-        g1 = self.backward_time(t1)
-        self._g_now = (t1, g1)
+        outs = [r.copy() for r in self._rates]
+        busy = np.flatnonzero(self._congested)
+        if not busy.size:
+            return outs
+        g = self.backward_time(times)
+        g0, g1 = g[busy], g[busy + 1]
+        t0 = times[busy]
+        width = times[busy + 1] - t0
+        departed = np.asarray(total_departed_pkts, dtype=np.float64)[busy]
         # arrivals are recorded through t0; within the running step they
         # continue at the current rates (same convention as the state update)
-        bound = g1 if g1 <= t0 else t0
-        masses = [traj.integrate_hold(g0, bound) for traj in self.inputs.values()]
-        if g1 > t0:
-            tail = g1 - t0
-            masses = [m + r * tail for m, r in zip(masses, self._last_rates)]
-        total = sum(masses)
-        if total <= 0.0:
+        bound = np.where(g1 <= t0, g1, t0)
+        tail = g1 > t0
+        masses = []
+        total = np.zeros(busy.size)
+        for traj, r in zip(self.inputs.values(), self._rates):
+            m = traj.integrate_hold(g0, bound)
+            m = np.where(tail, m + r[busy] * (g1 - t0), m)
+            masses.append(m)
+            total = total + m
+        fed = total > 0.0
+        scale = departed[fed] / total[fed] / width[fed]
+        for out, m in zip(outs, masses):
+            out[busy[fed]] = scale * m[fed]
+        for j in np.flatnonzero(~fed):
             self.stall_fallbacks += 1
-            return tuple(total_departed_pkts / dt * s for s in self._share_hint)
-        scale = total_departed_pkts / total / dt
-        return tuple(scale * m for m in masses)
+            k = busy[j]
+            hint = self._hint_at(k)
+            for out, s in zip(outs, hint):
+                out[k] = departed[j] / width[j] * s
+        return outs
+
+    def _hint_at(self, k: int) -> tuple[float, ...]:
+        """The arrival mix in force at the block's tick ``k``: the latest
+        tick with arrivals, else the mix from before the block."""
+        total = self._total
+        if k >= 0 and total[k] > 0:
+            i = k
+        else:
+            fed = np.flatnonzero(total[:k + 1] > 0)
+            if not fed.size:
+                return self._hint_before
+            i = fed[-1]
+        return tuple(r[i] / total[i] for r in self._rates)
+
+    def record_outputs(self, t: float, rates) -> None:
+        """Record one block of per-flow departure rates from grid time ``t``."""
+        for traj, r in zip(self.outputs.values(), rates):
+            traj.record(t, r)

@@ -1,19 +1,21 @@
 """Signal histories on the engine's uniform time grid.
 
 Every engine signal is sampled once per tick, so a :class:`Trajectory` is a
-float64 column whose sample ``i`` sits at time ``i * dt``.  Delayed reads
-are index arithmetic with linear interpolation between samples, a
-sample-and-hold running integral gives queue transport masses, and a
-bisection over the values inverts monotone (arrival -> departure) time
-maps.  The columns are also the engine's output: its traces are zero-copy
-views of them.
+float64 column whose sample ``i`` sits at time ``i * dt``.  The engine
+appends and reads whole blocks of ticks: ``record`` takes an array of
+consecutive samples, and the reads take arrays of times and answer
+elementwise.  Delayed reads are index arithmetic with linear interpolation
+between samples, a sample-and-hold running integral gives queue transport
+masses, and a binary search over the values inverts monotone (arrival ->
+departure) time maps.  The columns are also the engine's output: its
+traces are zero-copy views of them.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
+
+import numpy as np
 
 __all__ = ["Trajectory", "HistoryError", "CausalityError"]
 
@@ -26,6 +28,21 @@ class CausalityError(HistoryError):
     """A query touched data the simulation has not produced yet."""
 
 
+def _grown(buf: np.ndarray, keep: int, size: int) -> np.ndarray:
+    """``buf`` with room for ``size`` samples, its first ``keep`` kept."""
+    if size <= len(buf):
+        return buf
+    new = np.empty(max(size, 2 * len(buf)))
+    new[:keep] = buf[:keep]
+    return new
+
+
+def _times(t) -> tuple[np.ndarray, bool]:
+    """Times as a 1-D float64 array, and whether a scalar was given."""
+    arr = np.asarray(t, dtype=np.float64)
+    return arr.reshape(-1), arr.ndim == 0
+
+
 class Trajectory:
     """Scalar signal sampled on the grid ``i * dt``, linear between samples.
 
@@ -36,131 +53,196 @@ class Trajectory:
     ``initial_value + pre_slope * t`` instead (a time map extended
     backwards).  Reads beyond the newest sample raise
     :class:`CausalityError`: the engine must never consume values it has not
-    produced yet.
+    produced yet.  Reads take a time or an array of times; a check that
+    fails names the first offending time.
+
+    ``capacity`` preallocates that many samples; the column doubles when it
+    runs out, which leaves earlier ``values`` views behind.
 
     Concurrency: single writer appends; readers of strictly past data are
-    safe.  A numpy view of ``values`` stops the column from growing.
+    safe.
     """
 
-    __slots__ = ("dt", "values", "hold_cumulative", "initial_value",
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_n_cum", "initial_value",
                  "pre_slope", "pruned_before")
 
     def __init__(self, dt: float, initial_value: float = 0.0, *,
-                 pre_slope: float = 0.0):
+                 pre_slope: float = 0.0, capacity: int = 16):
         self.dt = dt
-        self.values = array("d")
-        # hold_cumulative[i] = integral from 0 to i * dt, each value held to
-        # the next sample; built on the first integral that needs it
-        self.hold_cumulative = array("d")
+        self._buf = np.empty(max(capacity, 1))
+        self._n = 0
+        # _cum[i] = integral from 0 to i * dt, each value held to the next
+        # sample; built on the first integral that needs it
+        self._cum = None
+        self._n_cum = 0
         self.initial_value = float(initial_value)
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._n
 
-    def record(self, t: float, v: float) -> None:
-        """Append the next sample; ``t`` must be its grid time ``len(self) * dt``."""
-        n = len(self.values)
+    @property
+    def values(self) -> np.ndarray:
+        """The recorded samples, as a view of the column."""
+        return self._buf[:self._n]
+
+    def record(self, t: float, v) -> None:
+        """Append one sample or an array of consecutive ones.
+
+        ``t`` is the grid time of the first, which must be the next one,
+        ``len(self) * dt``.
+        """
+        n = self._n
         if t != n * self.dt:
-            raise HistoryError(f"record at t={t!r} is not sample {n} at "
+            raise HistoryError(f"record at t={float(t)!r} is not sample {n} at "
                                f"{n * self.dt!r} (engine ordering bug)")
-        self.values.append(v)
+        v = np.asarray(v, dtype=np.float64).reshape(-1)
+        end = n + len(v)
+        self._buf = _grown(self._buf, n, end)
+        self._buf[n:end] = v
+        self._n = end
 
-    def _index(self, t: float) -> int:
-        """Largest ``i`` with ``i * dt <= t``, for ``t >= 0``."""
+    def _index(self, t: np.ndarray) -> np.ndarray:
+        """Largest ``i`` with ``i * dt <= t``, elementwise, for ``t >= 0``."""
         dt = self.dt
-        i = int(t / dt)
-        if i * dt > t:
-            i -= 1
-        elif (i + 1) * dt <= t:
-            i += 1
+        i = (t / dt).astype(np.int64)
+        i -= i * dt > t
+        i += (i + 1) * dt <= t  # never after a decrement, which leaves (i+1)*dt > t
         return i
 
-    def _check_not_pruned(self, t: float) -> None:
-        if t < self.pruned_before:
+    def _check_not_pruned(self, t: np.ndarray) -> None:
+        if self.pruned_before == -math.inf:
+            return
+        below = t < self.pruned_before
+        if below.any():
             raise HistoryError(
-                f"read at t={t!r} precedes pruned history (< {self.pruned_before!r})")
+                f"read at t={float(t[below.argmax()])!r} precedes pruned history "
+                f"(< {self.pruned_before!r})")
 
-    def eval_at(self, t: float) -> float:
+    def eval_at(self, t):
         """Value at ``t``; exact on samples, interpolated between them."""
+        t, scalar = _times(t)
         values = self.values
         dt = self.dt
-        last = len(values) - 1
-        if t > last * dt:
+        last = self._n - 1
+        late = t > last * dt
+        if late.any():
             raise CausalityError(
-                f"future read at t={t!r} (history ends at {last * dt!r})")
+                f"future read at t={float(t[late.argmax()])!r} "
+                f"(history ends at {last * dt!r})")
         self._check_not_pruned(t)
-        if t < 0.0:
-            v0 = self.initial_value
-            if self.pre_slope:
-                return v0 + self.pre_slope * t
+        neg = t < 0.0
+        p0 = self.initial_value
+        if self.pre_slope:
+            out = p0 + self.pre_slope * t
+        else:
+            # with no sample yet, every read is at least dt early
             lag = -t
-            if lag >= dt:
-                return v0
-            return v0 + (values[0] - v0) * (dt - lag) / dt
-        i = self._index(t)
-        t0 = i * dt
-        if t == t0 or i == last:
-            return values[i]
-        v0, v1 = values[i], values[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)
+            first = values[0] if self._n else p0
+            out = np.where(lag >= dt, p0, p0 + (first - p0) * (dt - lag) / dt)
+        if not neg.all():
+            i = self._index(np.where(neg, 0.0, t))
+            t0 = i * dt
+            v0, v1 = values[i], values[np.minimum(i + 1, last)]
+            out = np.where(neg, out, np.where(
+                (t == t0) | (i == last), v0,
+                v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
+        return float(out[0]) if scalar else out
 
-    def _hold_cumulative_at(self, t: float) -> float:
-        if t < 0.0:
-            return self.initial_value * t
-        i = self._index(t)
-        values, cum, dt = self.values, self.hold_cumulative, self.dt
-        for n in range(len(cum), i + 1):  # each cell as wide as its grid times
-            cum.append(cum[-1] + values[n - 1] * (n * dt - (n - 1) * dt) if n else 0.0)
-        return cum[i] + values[i] * (t - i * dt)
+    def _hold_cumulative_at(self, t: np.ndarray) -> np.ndarray:
+        early = t.min() < 0.0
+        i = self._index(np.maximum(t, 0.0) if early else t)
+        top = int(i.max()) + 1
+        if top > self._n_cum:
+            self._extend_cumulative(top)
+        values, cum, dt = self._buf, self._cum, self.dt
+        held = cum[i] + values[i] * (t - i * dt)
+        return np.where(t < 0.0, self.initial_value * t, held) if early else held
 
-    def integrate_hold(self, t0: float, t1: float) -> float:
+    def _extend_cumulative(self, top: int) -> None:
+        """Fill the hold cumulative up to entry ``top - 1``.
+
+        ``np.cumsum`` adds in sequence, so seeding it with the last entry
+        gives each cell exactly the one-at-a-time running sum.
+        """
+        n0 = self._n_cum
+        if self._cum is None or len(self._cum) < len(self._buf):
+            self._cum = _grown(self._cum if self._cum is not None else np.empty(0),
+                               n0, len(self._buf))
+        cum, dt = self._cum, self.dt
+        if n0 == 0:
+            cum[0] = 0.0
+            n0 = 1
+        n = np.arange(n0, top)
+        # each cell as wide as its grid times
+        cells = self._buf[n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
+        cum[n0 - 1:top] = np.cumsum(np.concatenate(([cum[n0 - 1]], cells)))
+        self._n_cum = top
+
+    def integrate_hold(self, t0, t1):
         """Integral reading each sample as held until the next one.
 
         Matches explicit left-point state stepping, so queue transport
         accounting based on it is exact.  The pre-history counts as the
         constant ``initial_value``.
         """
-        if t1 < t0:
-            raise HistoryError(f"reversed integration bounds [{t0!r}, {t1!r}]")
-        if t0 == t1:
-            return 0.0
+        (t0, scalar), (t1, _) = _times(t0), _times(t1)
+        t0, t1 = np.broadcast_arrays(t0, t1)
+        reversed_ = t1 < t0
+        if reversed_.any():
+            j = reversed_.argmax()
+            raise HistoryError(
+                f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
+        span = t0 != t1
+        if not span.all():  # empty spans integrate to zero, unchecked
+            out = np.zeros(t0.shape)
+            if span.any():
+                out[span] = self.integrate_hold(t0[span], t1[span])
+            return float(out[0]) if scalar else out
         self._check_not_pruned(t0)
-        last = (len(self.values) - 1) * self.dt
-        if t1 > last:
+        last = (self._n - 1) * self.dt
+        late = t1 > last
+        if late.any():
             raise CausalityError(
-                f"integration end t={t1!r} beyond history ({last!r})")
-        return self._hold_cumulative_at(t1) - self._hold_cumulative_at(t0)
+                f"integration end t={float(t1[late.argmax()])!r} beyond history "
+                f"({last!r})")
+        held = self._hold_cumulative_at(np.concatenate((t0, t1)))
+        out = held[len(t0):] - held[:len(t0)]
+        return float(out[0]) if scalar else out
 
-    def invert_monotone(self, y: float) -> float:
+    def invert_monotone(self, y):
         """Earliest time where a nondecreasing trajectory reaches ``y``.
 
         Where the map is flat, the left edge of the flat interval is
         returned (FIFO earliest-arrival tie-break).  ``y`` must lie inside
         the recorded value range, or below it on a rising pre-history line.
         """
+        y, scalar = _times(y)
         values = self.values
-        if not values:
+        if not self._n:
             raise HistoryError("cannot invert an empty trajectory")
-        if y < values[0] and self.pre_slope > 0.0:
-            x = (y - self.initial_value) / self.pre_slope
-        elif y < values[0] or y > values[-1]:
+        lo, hi = values[0], values[-1]
+        early = y.min() < lo
+        rising = self.pre_slope > 0.0
+        if y.max() > hi or (early and not rising):
+            outside = (y > hi) | (y < lo) & (not rising)
             raise HistoryError(
-                f"inverse of {y!r} not determined: recorded range "
-                f"[{values[0]!r}, {values[-1]!r}]")
-        else:
-            dt = self.dt
-            i = bisect_left(values, y)
-            if values[i] == y:
-                x = i * dt
-            else:
-                v0, v1 = values[i - 1], values[i]  # v0 < y < v1
-                t0 = (i - 1) * dt
-                x = t0 + (i * dt - t0) * (y - v0) / (v1 - v0)
+                f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "
+                f"range [{float(lo)!r}, {float(hi)!r}]")
+        # values[i - 1] < y <= values[i]; i == 0 only where y <= lo, and
+        # there values[i - 1] wraps to an entry the result does not use
+        i = np.searchsorted(values, y)
+        v0, v1 = values[i - 1], values[i]
+        ti = i * self.dt
+        t0 = (i - 1) * self.dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(v1 == y, ti, t0 + (ti - t0) * (y - v0) / (v1 - v0))
+        if early:
+            x = np.where(y < lo, (y - self.initial_value) / self.pre_slope, x)
         self._check_not_pruned(x)
-        return x
+        return float(x[0]) if scalar else x
 
     def prune_before(self, t: float) -> None:
         """Raise the read floor to the sample bracketing ``t``.
@@ -169,7 +251,7 @@ class Trajectory:
         :class:`HistoryError`.  Every sample is kept: the columns are the
         run's traces, so pruning guards reads and frees no memory.
         """
-        n = len(self.values)
+        n = self._n
         if n and t > 0.0:
-            floor = min(self._index(t), n - 1) * self.dt
+            floor = min(int(self._index(np.array([t]))[0]), n - 1) * self.dt
             self.pruned_before = max(self.pruned_before, floor)

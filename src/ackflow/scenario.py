@@ -293,7 +293,9 @@ def parse_scenario(text: str) -> Scenario:
 
     name = _name(_take(doc, "scenario", "name"), "name")
     packet_bytes = _take(doc, "scenario", "packet_bytes")
-    if not isinstance(packet_bytes, int) or packet_bytes <= 0:
+    # a YAML true is an int to isinstance, not a packet size
+    if (not isinstance(packet_bytes, int) or isinstance(packet_bytes, bool)
+            or packet_bytes <= 0):
         raise _err("packet_bytes", "must be a positive integer")
 
     # every entry joins the network as it is read, so the topology's own

@@ -1,14 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ackflow.engine as engine
 from ackflow.engine import (
-    SimConfig, SimulationError, simulate, static_link_check,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, block_ticks, simulate,
+    static_link_check,
 )
 from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, mbps_to_pps, preset, to_network,
+    ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps, preset,
+    to_network,
 )
+
+OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fast_pair_offgrid.yaml")
 
 
 def two_user_scenario(w1=100.0, w2=50.0, steps1=(), cap=500.0, horizon=4.0,
@@ -327,3 +335,58 @@ class TestSharedPath:
         for (qid, fid), cnt in ref.dequeue_counts.items():
             cum = np.concatenate(([0.0], np.cumsum(traces[f"out.{qid}.{fid}"]) * dt))
             assert np.abs(cum[idx] - (cnt - cnt[0])).max() <= 5.0, (qid, fid)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("source, ticks", [
+        ("scenario1", 16),               # u1's 1.6 ms return channel
+        ("scenario3", 200),              # the 20 ms b1 -> b2 hop
+        (OFFGRID_YAML, 377),             # floor(37.71 ms / 0.1 ms)
+        ("squarewave", BLOCK_CAP_TICKS),  # no user, no queue-to-queue hop
+    ])
+    def test_block_is_the_shortest_feedback_delay(self, source, ticks):
+        sc = load_scenario(source)
+        assert block_ticks(to_network(sc), sc.run.dt_s) == ticks
+
+    def mixed_scenario(self):
+        # two queues joined by a 13 ms hop, an off-grid return delay, a
+        # window cut into ACK retaining and back, a FAST user and square
+        # cross traffic; 1501 ticks are not a whole number of 13-tick blocks
+        return Scenario(
+            name="mixed", packet_bytes=1000,
+            queues=(QueueConf("b1", 500.0), QueueConf("b2", 400.0)),
+            users=(
+                UserConf("u1", ("b1", "b2"), (0.0, 0.013), 0.0371,
+                         ScheduledProtocol(30.0, ((0.5, 10.0), (1.0, 40.0)))),
+                UserConf("u2", ("b2",), (0.0152,), 0.02,
+                         FastProtocol(gamma=0.5, alpha_pkts=10.0,
+                                      initial_window_pkts=5.0)),
+            ),
+            rate_flows=(RateFlowConf("x", ("b1",), (0.0,),
+                                     SquareProfile(600.0, 100.0, 0.4)),),
+            run=RunConf(1e-3, 1.5, "cold"))
+
+    def test_block_size_leaves_every_trace_bitwise_equal(self, monkeypatch):
+        sc = self.mixed_scenario()
+        assert block_ticks(to_network(sc), sc.run.dt_s) == 13
+        blocked = run(sc)
+        assert blocked["ackbuf.u1"].min() < 0.0 and blocked["congested.b2"].max() == 1.0
+        monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", 1)
+        per_tick = run(sc)
+        for name in blocked.signals:
+            assert np.array_equal(blocked[name], per_tick[name]), name
+
+    def test_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
+        # a FAST gain far too high for the step blows the window up
+        fast = FastProtocol(gamma=1e5, alpha_pkts=50.0, initial_window_pkts=10.0)
+        sc = Scenario(
+            name="diverge", packet_bytes=1000, queues=(QueueConf("b1", 500.0),),
+            users=(UserConf("u1", ("b1",), (0.01,), 0.02, fast),),
+            run=RunConf(1e-3, 1.0, "cold"))
+        messages = []
+        for cap in (BLOCK_CAP_TICKS, 1):
+            monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", cap)
+            with pytest.raises(SimulationError, match="divergence in user block 'u1'") as err:
+                run(sc)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "divergence in user block 'u1' at t=0.199000"

@@ -1,27 +1,27 @@
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ackflow.fifo_queue import FifoQueue
 
 
-def drive(queue, input_fns, dt, n_ticks):
-    """Run the queue standalone from t = 0; returns per-tick traces."""
+def drive(queue, input_fns, dt, n_ticks, block=7):
+    """Run the queue standalone from t = 0 in blocks of ``block`` ticks;
+    returns per-tick traces."""
     trace = {"t": [], "backlog": [], "service": [], "out": [], "in": []}
-    for k in range(n_ticks):
-        t = k * dt
-        t_next = (k + 1) * dt
-        rates = [fn(t) for fn in input_fns]
-        queue.record_inputs(t, rates)
-        trace["t"].append(t)
-        trace["backlog"].append(queue.backlog)
-        service = queue.step(dt, t_next)
-        out = queue.transport_outputs(t, t_next, service * dt)
-        queue.record_outputs(t, out)
-        trace["service"].append(service)
-        trace["out"].append(out)
-        trace["in"].append(tuple(rates))
+    for k0 in range(0, n_ticks, block):
+        times = np.arange(k0, min(k0 + block, n_ticks) + 1) * dt
+        ticks = times[:-1]
+        rates = [np.array([fn(t) for t in ticks.tolist()]) for fn in input_fns]
+        queue.record_inputs(ticks, rates)
+        backlog, service, _ = queue.step(dt, times[1:])
+        out = queue.transport_outputs(times, service * dt)
+        queue.record_outputs(ticks[0], out)
+        trace["t"] += ticks.tolist()
+        trace["backlog"] += backlog.tolist()
+        trace["service"] += service.tolist()
+        trace["out"] += zip(*(o.tolist() for o in out))
+        trace["in"] += zip(*(r.tolist() for r in rates))
     return trace
 
 
@@ -63,8 +63,8 @@ class TestStep:
 
     def test_negative_input_rejected(self):
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01)
-        with pytest.raises(ValueError):
-            q.record_inputs(0.0, [-1.0])
+        with pytest.raises(ValueError, match="negative input flow -1.0 at t=0.02"):
+            q.record_inputs(np.arange(3) * 0.01, [[0.0, 2.0, -1.0]])
 
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
@@ -137,19 +137,35 @@ class TestOutputSeparation:
         q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01, backlog0_pkts=10.0)
         dt = 0.01
         hints = []
-        for k in range(30):
-            t, t_next = k * dt, (k + 1) * dt
-            q.record_inputs(t, [30.0, 10.0] if k >= 5 else [0.0, 0.0])
+        for k in range(30):  # blocks of one tick, to see each step's mix
+            times = np.array([k, k + 1]) * dt
+            q.record_inputs(times[:1], [[30.0], [10.0]] if k >= 5 else [[0.0], [0.0]])
             hint, before = q._share_hint, q.stall_fallbacks
-            service = q.step(dt, t_next)
-            out = q.transport_outputs(t, t_next, service * dt)
-            q.record_outputs(t, out)
+            _, (service,), _ = q.step(dt, times[1:])
+            out = tuple(o[0] for o in q.transport_outputs(times, [service * dt]))
+            q.record_outputs(times[0], out)
             if q.stall_fallbacks > before:
                 hints.append(hint)
                 assert sum(out) == pytest.approx(service, rel=1e-12)
                 assert out == pytest.approx(tuple(service * s for s in hint))
         assert q.stall_fallbacks == len(hints) > 0
         assert set(hints) == {(0.5, 0.5), (0.75, 0.25)}
+
+
+class TestBlocks:
+    def test_block_size_leaves_every_trace_bitwise_equal(self):
+        # 100 ticks in blocks of 1 and of 7 (the last one short): a block
+        # only batches the per-tick arithmetic, so nothing may change; the
+        # backlog grows, empties inside a step, then stays empty
+        runs = []
+        for block in (1, 7):
+            q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.005, backlog0_pkts=5.0,
+                          input_rates0={"f1": 50.0, "f2": 50.0})
+            tr = drive(q, [lambda t: 150.0 if t < 0.1 else 0.0, lambda t: 30.0],
+                       dt=0.005, n_ticks=100, block=block)
+            runs.append((tr, q.forward_map.values.tolist(), q.backlog))
+        assert runs[0] == runs[1]
+        assert max(runs[0][0]["backlog"]) > 0.0 and min(runs[0][0]["backlog"]) == 0.0
 
 
 def rect_sum(values, dt):

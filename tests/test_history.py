@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +8,7 @@ from ackflow.history import CausalityError, HistoryError, Trajectory
 def make(values, dt=1.0, initial=0.0, **kwargs):
     """Trajectory holding ``values`` as samples 0, 1, ... at ``i * dt``."""
     tr = Trajectory(dt, initial, **kwargs)
-    for i, v in enumerate(values):
-        tr.record(i * dt, v)
+    tr.record(0.0, values)
     return tr
 
 
@@ -24,8 +24,18 @@ class TestRecordEval:
         for t in (1.0, 2.0, 4.0):  # past, repeated, skipping a sample
             with pytest.raises(HistoryError):
                 tr.record(t, 0.0)
+            with pytest.raises(HistoryError):
+                tr.record(t, [0.0, 0.0])
         tr.record(3.0, 0.0)
-        assert len(tr) == 4
+        tr.record(4.0, [5.0, 6.0])
+        assert len(tr) == 6
+        assert tr.values.tolist() == [1.0, 2.0, 3.0, 0.0, 5.0, 6.0]
+
+    def test_column_grows_past_its_capacity(self):
+        tr = Trajectory(0.5, capacity=2)
+        for k in range(5):
+            tr.record(3 * k * 0.5, [float(k)] * 3)
+        assert tr.values.tolist() == [float(k) for k in range(5) for _ in range(3)]
 
     def test_linear_interpolation_midpoint(self):
         tr = make([0.0, 10.0])
@@ -155,6 +165,30 @@ class TestPrune:
             tr.integrate_hold(2.0, 7.0)
         with pytest.raises(HistoryError):
             tr.invert_monotone(2.0)
+
+
+class TestBlockReads:
+    """Array reads answer elementwise what one-time reads answer."""
+
+    def test_reads_match_scalar_reads(self):
+        tr = make([1.0, 2.0, 4.0, 4.0, 9.0], dt=0.5, initial=1.5)
+        times = np.array([-1.0, -0.2, 0.0, 0.3, 1.0, 1.7, 2.0])
+        assert tr.eval_at(times).tolist() == [tr.eval_at(t) for t in times]
+        t1 = np.minimum(times + 0.6, 2.0)
+        assert tr.integrate_hold(times, t1).tolist() == [
+            tr.integrate_hold(a, b) for a, b in zip(times, t1)]
+        ys = np.array([1.0, 3.0, 4.0, 8.0, 9.0])
+        assert tr.invert_monotone(ys).tolist() == [tr.invert_monotone(y) for y in ys]
+
+    def test_check_names_the_first_offending_time(self):
+        tr = make([float(k) for k in range(10)])
+        tr.prune_before(5.0)
+        with pytest.raises(HistoryError, match="t=4.5 precedes"):
+            tr.eval_at(np.array([6.0, 4.5, 2.0]))
+        with pytest.raises(CausalityError, match="t=9.5"):
+            tr.eval_at(np.array([6.0, 9.5, 12.0]))
+        with pytest.raises(HistoryError, match=r"inverse of 9.5 not"):
+            tr.invert_monotone(np.array([6.0, 9.5]))
 
 
 @st.composite

@@ -99,6 +99,7 @@ MALFORMED = {
             "kind": "square", "high_pps": 5.0, "low_pps": 0.0, "period_s": 1.0,
             "start_high": "maybe"}),
         "rate_flows[0].profile.start_high"),
+    "packet-bytes-a-bool": (lambda d: d.update(packet_bytes=True), "packet_bytes"),
     "run-not-a-mapping": (lambda d: d.update(run="fast"), "run"),
     "nan-step": (lambda d: d["run"].update(dt_s=float("nan")), "run.dt_s"),
     "infinite-horizon": (lambda d: d["run"].update(horizon_s=float("inf")), "run.horizon_s"),

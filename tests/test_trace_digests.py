@@ -2,20 +2,26 @@
 
 Each preset runs over a shortened 0.3 s horizon with its own dt and init
 mode; the SHA-256 covers every signal name and its float64 bytes in sorted
-order.  A refactor that claims identical engine behaviour must leave these
-digests unchanged.  A deliberate behaviour change re-freezes them and says
-why in CHANGES.md.
+order.  ``FROZEN_LONG`` adds longer runs that reach what 0.3 s does not: a
+window step (scenario1, staticlink), ACK retaining after a window cut
+(scenario7) and interpolated reads of off-grid delays (fast_pair_offgrid).
+A refactor that claims identical engine behaviour must leave these digests
+unchanged.  A deliberate behaviour change re-freezes them and says why in
+CHANGES.md.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ackflow.engine import SimConfig, simulate
-from ackflow.scenario import preset, preset_names, to_network
+from ackflow.scenario import load_scenario, preset_names, to_network
 
 HORIZON_S = 0.3
+OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fast_pair_offgrid.yaml")
 
 FROZEN = {
     "scenario1": "99e80c03a5987ff1e0c5b51e191a56be889a47187bddd26c5da63650b306af02",
@@ -32,10 +38,23 @@ FROZEN = {
 }
 
 
-def trace_digest(name: str) -> str:
-    sc = preset(name)
+# (scenario source, horizon in seconds) -> digest
+FROZEN_LONG = {
+    ("scenario1", 3.5):
+        "256b666f86a739e2b7a696364d6bc6f3cd8677bf75a91499027e9392dcd62b55",
+    ("scenario7", 5.5):
+        "2a2db4146e27fb9e562abc8c5042bcef811536fe409f03ac244285b1c41c384d",
+    ("staticlink", 3.5):
+        "47c70fe6e6bdbb3dc5f77520fc62de756831dac67e1388484c7ca69806eb96e1",
+    (OFFGRID_YAML, 0.3):
+        "36f9ef2af0a9f77cd746512480e228c351a636b2430d2946e696dec54d47c87a",
+}
+
+
+def trace_digest(source: str, horizon_s: float = HORIZON_S) -> str:
+    sc = load_scenario(source)
     traces = simulate(to_network(sc), sc, SimConfig(
-        dt_s=sc.run.dt_s, horizon_s=HORIZON_S, init=sc.run.init))
+        dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
     digest = hashlib.sha256()
     for signal in sorted(traces.signals):
         digest.update(signal.encode())
@@ -51,3 +70,9 @@ def test_every_preset_is_frozen():
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_preset_trace_digest_unchanged(name):
     assert trace_digest(name) == FROZEN[name]
+
+
+@pytest.mark.parametrize("source, horizon_s", list(FROZEN_LONG),
+                         ids=[f"{Path(s).stem}-{h}" for s, h in FROZEN_LONG])
+def test_long_trace_digest_unchanged(source, horizon_s):
+    assert trace_digest(source, horizon_s) == FROZEN_LONG[source, horizon_s]

@@ -10,20 +10,30 @@ from ackflow.topology import build_network
 from ackflow.user import UserState, circuit_backward_time
 
 
+def constant_wdot(rate):
+    return lambda window, j: rate
+
+
+def send_of(u, ack, dt=1e-3, **kwargs):
+    """Sending rate of a one-tick block."""
+    send, *_ = u.step([ack], dt, **kwargs)
+    return send[0]
+
+
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
         u = UserState("u", 10.0, dt_s=1e-3)
-        assert u.step(0.0, 0.0, 100.0, 1e-3) == pytest.approx(100.0)
+        assert send_of(u, 100.0) == pytest.approx(100.0)
 
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
         u = UserState("u", 10.0, dt_s=1e-3)
-        assert u.step(50.0, 0.0, 100.0, 1e-3) == pytest.approx(150.0)
+        assert send_of(u, 100.0, wdot=constant_wdot(50.0)) == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
         u = UserState("u", 200.0, dt_s=1e-3)
         u.apply_window_jump(-100.0)
-        assert u.step(50.0, 0.0, 1000.0, 1e-3) == 0.0
+        assert send_of(u, 1000.0, wdot=constant_wdot(50.0)) == 0.0
         assert not u.active
 
 
@@ -34,40 +44,33 @@ class TestAckBufferStep:
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
         assert u.window == pytest.approx(250.0)
-        assert u.step(0.0, 0.0, 0.0, 1e-3) == 0.0
+        assert send_of(u, 0.0) == 0.0
         assert not u.active
 
     def test_refill_time_matches_analytic_fill(self):
         # analytic: |buffer| / ack_rate = 250/100 = 2.5 s to refill
         u = UserState("u", 500.0, dt_s=1e-3)
         dt = 1e-3
-        u.apply_window_jump(-250.0)
-        t, sends = 0.0, []
-        while True:
-            send = u.step(0.0, 0.0, 100.0, dt)
-            sends.append((t, send))
-            t += dt
-            if u.active:
-                break
-        resume_t = sends[-1][0]
-        assert resume_t == pytest.approx(2.5, abs=2 * dt)
+        send, _, _, _, active = u.step(np.full(3000, 100.0), dt, jumps={0: -250.0})
+        k_resume = int(np.argmax(active == 1.0))
+        assert k_resume * dt == pytest.approx(2.5, abs=2 * dt)
         # silent the whole way, except the partial resume step
-        assert all(s == 0.0 for _, s in sends[:-1])
-        assert 0.0 <= sends[-1][1] <= 100.0
+        assert np.all(send[:k_resume] == 0.0)
+        assert 0.0 <= send[k_resume] <= 100.0
 
     def test_buffer_stays_zero_when_active(self):
         u = UserState("u", 100.0, dt_s=1e-3)
-        for _ in range(10):
-            u.step(0.0, 0.0, 50.0, 1e-3)
+        u.step(np.full(10, 50.0), 1e-3)
         assert u.ack_buffer == 0.0
         assert u.active
 
     def test_buffer_never_positive(self):
+        # the buffer at each tick start is the one the step before left
         u = UserState("u", 100.0, dt_s=1e-3)
         u.apply_window_jump(-30.0)
-        for _ in range(2000):
-            u.step(0.0, 0.0, 40.0, 1e-3)
-            assert u.ack_buffer <= 0.0
+        _, _, buffers, _, _ = u.step(np.full(2000, 40.0), 1e-3)
+        assert np.all(buffers <= 0.0)
+        assert u.ack_buffer <= 0.0
 
     def test_positive_jump_while_retaining_refills_buffer(self):
         u = UserState("u", 100.0, dt_s=1e-3)
@@ -81,7 +84,7 @@ class TestAckBufferStep:
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
         u = UserState("u", 100.0, dt_s=1e-3)
-        send = u.step(wdot=-500.0, burst_pkts=0.0, ack_rate=100.0, dt=1e-3)
+        send = send_of(u, 100.0, wdot=constant_wdot(-500.0))
         assert send == 0.0
         assert u.ack_buffer < 0.0
         assert not u.active
@@ -116,11 +119,30 @@ class TestFlightSize:
     def test_balance_form_tracks_burst(self):
         u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=10.0)
         dt = 1e-3
-        burst = u.apply_window_jump(+100.0)
-        u.step(0.0, burst, 10.0, dt)  # burst of 100 on top of send-on-ack
-        for _ in range(100):
-            u.step(0.0, 0.0, 10.0, dt)
+        # a burst of 100 on top of send-on-ack, then 100 more steps
+        u.step(np.full(101, 10.0), dt, jumps={0: +100.0})
         assert u.flight_balance == pytest.approx(110.0, abs=1e-6)
+
+
+class TestBlocks:
+    def test_block_size_leaves_every_trace_bitwise_equal(self):
+        # a window cut into retaining, a refill and a burst over 250 ticks,
+        # in one block and in blocks of 16 (the last one short)
+        acks = np.where(np.arange(250) < 120, 300.0, 150.0)
+        jumps = {5: -40.0, 200: +25.0}
+        runs = []
+        for block in (250, 16):
+            u = UserState("u", 100.0, dt_s=1e-3, flight0_pkts=100.0)
+            parts = [u.step(acks[k0:k0 + block], 1e-3,
+                            jumps={k - k0: v for k, v in jumps.items()
+                                   if k0 <= k < k0 + block},
+                            wdot=constant_wdot(-20.0))
+                     for k0 in range(0, 250, block)]
+            runs.append([np.concatenate(v).tolist() for v in zip(*parts)]
+                        + [u.window, u.ack_buffer, u.flight_balance, u.active])
+        assert runs[0] == runs[1]
+        send, active = np.array(runs[0][0]), np.array(runs[0][4])
+        assert send.min() == 0.0 and 0.0 in active and active[-1] == 1.0
 
 
 class TestCircuitBackwardOps:
@@ -131,11 +153,11 @@ class TestCircuitBackwardOps:
         )
         dt = 0.01
         q = FifoQueue("b", 100.0, ["u"], dt_s=dt)
-        for k in range(200):
-            t = k * dt
-            q.record_inputs(t, [150.0])
-            service = q.step(dt, (k + 1) * dt)
-            q.record_outputs(t, q.transport_outputs(t, (k + 1) * dt, service * dt))
+        for k0 in range(0, 200, 64):  # the last block is short
+            times = np.arange(k0, min(k0 + 64, 200) + 1) * dt
+            q.record_inputs(times[:-1], [np.full(len(times) - 1, 150.0)])
+            _, service, _ = q.step(dt, times[1:])
+            q.record_outputs(times[0], q.transport_outputs(times, service * dt))
         return net.users["u"], {"b": q}
 
     def test_backward_time_composition(self):

@@ -15,11 +15,17 @@ over the users' return delays and the positive queue-to-queue hop delays,
 at least 1 and at most ``BLOCK_CAP_TICKS``: every tick of a block then
 reads only earlier blocks, or queues earlier in ``network.queue_order``
 through a zero-delay hop.  Each block runs the users, then the queues in
-that order.  Reads, the circuit inversion and the queue transport are array
-arithmetic over the block; only the window, ACK-buffer and backlog
-recurrences run tick by tick.  Every expression is the per-tick one, so the
-traces do not depend on ``L``, and a failed check names the first bad tick.
-With pruning on, a block also ends at each pruning tick.
+that order.  Reads, profile rates, the circuit inversion and the queue
+transport are array arithmetic over the block.  The window, ACK-buffer and
+backlog recurrences run as regime spans: runs of ticks in which no branch
+of the recurrence changes, each one ``np.cumsum`` or array copy, cut where a
+branch would flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum``
+adds in sequence, so a span's sums are the tick-by-tick ones.  The FAST
+window ODE is the one loop left tick by tick: its window multiplies its own
+previous value, which no cumulative sum reproduces to the bit.  Every
+expression is the per-tick one, so the traces do not depend on ``L`` or on
+the spans, and a failed check names the first bad tick.  With pruning on, a
+block also ends at each pruning tick.
 
 Every signal is one float64 column on the grid ``k * dt``.  The flows
 (sending, ACK, queue input and output rates) are the history columns the
@@ -110,8 +116,7 @@ class _Reader:
     def read(self, k0: int, ticks: np.ndarray) -> np.ndarray:
         """The delayed values at a block's tick times, the first tick ``k0``."""
         if self.profile is not None:
-            rate_at, delay = self.profile.rate_at, self.delay
-            return np.array([rate_at(t - delay) for t in ticks.tolist()])
+            return self.profile.rates_at(ticks - self.delay)
         if self.shift is None:
             return self.traj.eval_at(ticks - self.delay)
         traj = self.traj

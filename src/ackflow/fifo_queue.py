@@ -10,16 +10,17 @@ order-preserving at the flow level: the mass departing over any interval is
 exactly the mass that arrived over the backward image of that interval.
 
 The queue advances a block of ticks per call sequence: ``record_inputs``,
-``step``, ``transport_outputs``, ``record_outputs``.  Only the backlog and
-mode recurrence runs tick by tick; the transport is array arithmetic over
-the block.
+``step``, ``transport_outputs``, ``record_outputs``.  The backlog and mode
+recurrence runs as regime spans, congested ones as one ``np.cumsum`` of
+``(a - c) * dt``, cut at each mode switch; the transport is array
+arithmetic over the block, with one bracket pass shared by all input flows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .history import Trajectory
+from .history import Trajectory, first_true, hold_integrals
 
 __all__ = ["FifoQueue"]
 
@@ -135,31 +136,52 @@ class FifoQueue:
         Returns, per tick, the backlog at the step start, the average
         service rate over the step (the instantaneous rate except on a mode
         switch) and whether the queue was congested.
+
+        The block runs as regime spans.  A congested span integrates
+        ``(a - c) * dt`` with one ``np.cumsum`` from its start backlog and
+        ends at the first tick whose start value no longer congests the
+        queue, or whose end value is negative: that tick empties the queue
+        at the instant ``theta`` inside it.  An uncongested span holds the
+        backlog and serves the arrivals until the first tick whose arrival
+        rate exceeds the capacity.  ``np.cumsum`` adds in sequence, so the
+        backlog is the tick-by-tick sum whatever the spans.
         """
         c = self.capacity
+        a = self._total
+        n = len(a)
+        over = a > c
+        backlog, services = np.empty(n), np.empty(n)
+        congested = np.zeros(n, dtype=bool)
         b = self.backlog
-        starts, services, flags = [], [], []
-        for a in self._total.tolist():
-            starts.append(b)
-            congested = b > EPS_BACKLOG_PKTS or a > c
-            flags.append(congested)
-            if congested:
-                nb = b + (a - c) * dt
-                if nb >= 0.0:
-                    b = nb
-                    services.append(c)
-                else:
-                    theta = b / (c - a)
+        s = 0
+        while s < n:
+            if b > EPS_BACKLOG_PKTS or over[s]:
+                cum = np.cumsum(np.concatenate(([b], (a[s:] - c) * dt)))
+                stays = (cum[:-1] > EPS_BACKLOG_PKTS) | over[s:]
+                r = first_true(~(stays & (cum[1:] >= 0.0)))
+                e = s + r
+                backlog[s:e] = cum[:r]
+                services[s:e] = c
+                congested[s:e] = True
+                b = cum[r]
+                if e < n and stays[r]:
+                    # empties during this step: serve c until theta, then a
+                    backlog[e] = b
+                    theta = b / (c - a[e])
+                    services[e] = (c * theta + a[e] * (dt - theta)) / dt
+                    congested[e] = True
                     b = 0.0
-                    services.append((c * theta + a * (dt - theta)) / dt)
+                    e += 1
             else:
-                services.append(a)
-        self.backlog = b
-        backlog = np.array(starts)
+                e = s + first_true(over[s:])
+                backlog[s:e] = b
+                services[s:e] = a[s:e]
+            s = e
+        self.backlog = float(b)
         ends = np.append(backlog[1:], b)
         self.forward_map.record(end_times_s[0], end_times_s + ends / c)
-        self._congested = np.array(flags)
-        return backlog, np.array(services), self._congested
+        self._congested = congested
+        return backlog, services, congested
 
     def transport_outputs(self, times: np.ndarray,
                           total_departed_pkts: np.ndarray) -> list[np.ndarray]:
@@ -192,8 +214,7 @@ class FifoQueue:
         tail = g1 > t0
         masses = []
         total = np.zeros(busy.size)
-        for traj, r in zip(self.inputs.values(), self._rates):
-            m = traj.integrate_hold(g0, bound)
+        for m, r in zip(hold_integrals(self.inputs.values(), g0, bound), self._rates):
             m = np.where(tail, m + r[busy] * (g1 - t0), m)
             masses.append(m)
             total = total + m

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Trajectory", "HistoryError", "CausalityError"]
+__all__ = ["Trajectory", "HistoryError", "CausalityError", "hold_integrals"]
 
 
 class HistoryError(ValueError):
@@ -35,6 +35,12 @@ def _grown(buf: np.ndarray, keep: int, size: int) -> np.ndarray:
     new = np.empty(max(size, 2 * len(buf)))
     new[:keep] = buf[:keep]
     return new
+
+
+def first_true(mask: np.ndarray) -> int:
+    """Index of the first true entry of a nonempty mask, else its length."""
+    i = int(mask.argmax())
+    return i if mask[i] else len(mask)
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -151,16 +157,6 @@ class Trajectory:
                 v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
         return float(out[0]) if scalar else out
 
-    def _hold_cumulative_at(self, t: np.ndarray) -> np.ndarray:
-        early = t.min() < 0.0
-        i = self._index(np.maximum(t, 0.0) if early else t)
-        top = int(i.max()) + 1
-        if top > self._n_cum:
-            self._extend_cumulative(top)
-        values, cum, dt = self._buf, self._cum, self.dt
-        held = cum[i] + values[i] * (t - i * dt)
-        return np.where(t < 0.0, self.initial_value * t, held) if early else held
-
     def _extend_cumulative(self, top: int) -> None:
         """Fill the hold cumulative up to entry ``top - 1``.
 
@@ -189,27 +185,7 @@ class Trajectory:
         constant ``initial_value``.
         """
         (t0, scalar), (t1, _) = _times(t0), _times(t1)
-        t0, t1 = np.broadcast_arrays(t0, t1)
-        reversed_ = t1 < t0
-        if reversed_.any():
-            j = reversed_.argmax()
-            raise HistoryError(
-                f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
-        span = t0 != t1
-        if not span.all():  # empty spans integrate to zero, unchecked
-            out = np.zeros(t0.shape)
-            if span.any():
-                out[span] = self.integrate_hold(t0[span], t1[span])
-            return float(out[0]) if scalar else out
-        self._check_not_pruned(t0)
-        last = (self._n - 1) * self.dt
-        late = t1 > last
-        if late.any():
-            raise CausalityError(
-                f"integration end t={float(t1[late.argmax()])!r} beyond history "
-                f"({last!r})")
-        held = self._hold_cumulative_at(np.concatenate((t0, t1)))
-        out = held[len(t0):] - held[:len(t0)]
+        (out,) = hold_integrals((self,), *np.broadcast_arrays(t0, t1))
         return float(out[0]) if scalar else out
 
     def invert_monotone(self, y):
@@ -255,3 +231,50 @@ class Trajectory:
         if n and t > 0.0:
             floor = min(int(self._index(np.array([t]))[0]), n - 1) * self.dt
             self.pruned_before = max(self.pruned_before, floor)
+
+
+def hold_integrals(trajs, t0: np.ndarray, t1: np.ndarray) -> list[np.ndarray]:
+    """``Trajectory.integrate_hold`` of several trajectories over the same
+    bounds ``[t0, t1]`` (1-D arrays).
+
+    The trajectories must share one grid, length and read floor, as a
+    queue's input columns do: the bound checks and the index arithmetic run
+    once, and each trajectory only gathers from its own hold cumulative.
+    """
+    trajs = tuple(trajs)
+    if not trajs:
+        return []
+    ref = trajs[0]
+    reversed_ = t1 < t0
+    if reversed_.any():
+        j = reversed_.argmax()
+        raise HistoryError(
+            f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
+    span = t0 != t1
+    if not span.all():  # empty spans integrate to zero, unchecked
+        outs = [np.zeros(t0.shape) for _ in trajs]
+        if span.any():
+            for out, part in zip(outs, hold_integrals(trajs, t0[span], t1[span])):
+                out[span] = part
+        return outs
+    ref._check_not_pruned(t0)
+    last = (ref._n - 1) * ref.dt
+    late = t1 > last
+    if late.any():
+        raise CausalityError(
+            f"integration end t={float(t1[late.argmax()])!r} beyond history "
+            f"({last!r})")
+    t = np.concatenate((t0, t1))
+    early = t.min() < 0.0
+    i = ref._index(np.maximum(t, 0.0) if early else t)
+    top = int(i.max()) + 1
+    offset = t - i * ref.dt
+    outs = []
+    for tr in trajs:
+        if top > tr._n_cum:
+            tr._extend_cumulative(top)
+        held = tr._cum[i] + tr._buf[i] * offset
+        if early:
+            held = np.where(t < 0.0, tr.initial_value * t, held)
+        outs.append(held[len(t0):] - held[:len(t0)])
+    return outs

@@ -94,7 +94,9 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     serve one packet every 1/capacity seconds; channels delay; exogenous
     rate flows emit deterministically whenever their cumulative rate
     integral crosses an integer.  Fully deterministic: simultaneous events
-    run in insertion order.
+    run in insertion order.  A sample reads the state before every event of
+    its instant, the left limit: the backlog before that tick's arrivals and
+    departures, as the engine's ``q.*`` holds it at each tick start.
 
     ``warmup_s`` starts the system that long before t=0 so it reaches its
     own steady state before the reported window; samples cover [0, horizon].
@@ -130,7 +132,8 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
 
     def push(t, kind, data):
         nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, data))
+        # a sample sorts before every event of its instant (the left limit)
+        heapq.heappush(heap, (t, -1 if kind == "sample" else seq, kind, data))
         seq += 1
 
     events: list[PacketEvent] | None = [] if record_events else None

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 import yaml
 
 from .protocol import FastParams, ProtocolError, WindowSchedule
@@ -83,6 +84,10 @@ class ConstantProfile:
     def rate_at(self, t: float) -> float:
         return self.rate_pps
 
+    def rates_at(self, t: np.ndarray) -> np.ndarray:
+        """``rate_at`` over an array of times."""
+        return np.full(np.shape(t), float(self.rate_pps))
+
     def next_change_after(self, t: float) -> float:
         return float("inf")
 
@@ -103,6 +108,13 @@ class SquareProfile:
         if in_first_half == self.start_high:
             return self.high_pps
         return self.low_pps
+
+    def rates_at(self, t: np.ndarray) -> np.ndarray:
+        """``rate_at`` over an array of times; numpy's float ``%`` takes the
+        divisor's sign as Python's does, so the values are the same."""
+        in_first_half = (t % self.period_s) / self.period_s < 0.5
+        return np.where(in_first_half == self.start_high,
+                        float(self.high_pps), float(self.low_pps))
 
     def next_change_after(self, t: float) -> float:
         half = self.period_s / 2.0

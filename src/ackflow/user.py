@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import Trajectory
+from .history import Trajectory, first_true
 from .scenario import UserConf
 
 __all__ = ["UserState", "circuit_backward_time"]
@@ -44,14 +44,8 @@ class UserState:
         the part that refills it past zero comes out as a burst.
         """
         self.window += delta_pkts
-        if self.ack_buffer >= -EPS_ACK_BUFFER_PKTS and delta_pkts >= 0:
-            return delta_pkts
-        nb = self.ack_buffer + delta_pkts
-        if nb > 0:
-            self.ack_buffer = 0.0
-            return nb
-        self.ack_buffer = nb
-        return 0.0
+        self.ack_buffer, burst = _absorb_jump(self.ack_buffer, delta_pkts)
+        return burst
 
     def step(self, acks, dt: float, *, jumps=None, wdot=None):
         """Advance window and ACK buffer over one block of steps of ``dt``.
@@ -64,58 +58,110 @@ class UserState:
         The buffer-refill instant is located inside its step so packet
         counts stay exact.
 
+        The block is cut at its jump ticks and, between cuts, into regime
+        spans: an active span sends the whole inflow (window rate plus ACK
+        rate) until the first tick whose inflow is negative, which starts
+        retaining; a retaining span fills the buffer by ``inflow * dt`` per
+        tick, one ``np.cumsum``, until the first tick that ends at or above
+        ``-EPS_ACK_BUFFER_PKTS``, where a refill resumes sending for the
+        rest of that step.  ``np.cumsum`` adds in sequence and every branch
+        is decided on the value a tick-by-tick loop would see, so the
+        result does not depend on how the ticks are grouped.  The FAST
+        window ODE is the one loop left tick by tick: the window multiplies
+        its own previous value, so no cumulative sum reproduces its
+        rounding.
+
         Returns arrays over the block: the average sending rate over each
         step (what a rate sample at the step start should carry), and at
         each tick start the window before any jump, the ACK buffer after
         it and the flight balance, and 1.0 where the source ended the step
         sending.
         """
+        acks = np.asarray(acks, dtype=np.float64)
+        n = len(acks)
         jumps = jumps or {}
-        window, buf, balance = self.window, self.ack_buffer, self.flight_balance
-        active = self.active
-        sends, windows, bufs, balances, actives = [], [], [], [], []
-        for j, ack in enumerate(np.asarray(acks, dtype=np.float64).tolist()):
-            windows.append(window)
-            rate = wdot(window, j) if wdot is not None else 0.0
-            burst_rate = 0.0
-            if j in jumps:
-                self.window, self.ack_buffer = window, buf
-                burst_rate = self.apply_window_jump(jumps[j]) / dt
-                window, buf = self.window, self.ack_buffer
-            bufs.append(buf)
-            balances.append(balance)
-            window += rate * dt
-
-            inflow = rate + burst_rate + ack
-            if buf >= -EPS_ACK_BUFFER_PKTS:
-                buf = 0.0
-                if inflow >= 0.0:
-                    active = True
-                    send = inflow
+        cuts = sorted(j for j in jumps if 0 <= j < n)
+        windows, rates, self.window = _window_path(self.window, n, dt, cuts, jumps,
+                                                   wdot)
+        inflow = (rates + 0.0) + acks
+        sends, actives, bufs = np.zeros(n), np.zeros(n), np.empty(n)
+        buf, active = self.ack_buffer, self.active
+        for a, end in zip([0, *cuts], [*cuts, n]):
+            if a in jumps and a < end:
+                buf, burst = _absorb_jump(buf, jumps[a])
+                inflow[a] = (rates[a] + burst / dt) + acks[a]
+            while a < end:
+                if buf >= -EPS_ACK_BUFFER_PKTS:
+                    # active: send the inflow up to the first tick it is negative
+                    bufs[a] = buf
+                    stop = a + first_true(~(inflow[a:end] >= 0.0))
+                    sends[a:stop] = inflow[a:stop]
+                    actives[a:stop] = 1.0
+                    bufs[a + 1:stop + 1] = 0.0
+                    if stop == end:
+                        buf, active = 0.0, True
+                    else:
+                        buf, active = inflow[stop] * dt, False
+                    a = stop + 1
                 else:
-                    # window falling faster than ACKs arrive: start retaining
+                    # retaining: the buffer fills until a tick ends near zero
+                    cum = np.cumsum(np.concatenate(([buf], inflow[a:end] * dt)))
+                    r = first_true(cum[1:] >= -EPS_ACK_BUFFER_PKTS)
+                    stop = a + r
+                    bufs[a:stop] = cum[:r]
                     active = False
-                    buf = inflow * dt
-                    send = 0.0
-            else:
-                nb = buf + inflow * dt
-                if nb >= 0.0 and inflow > 0.0:
-                    # refills during this step: resume for the remaining fraction
-                    theta = -buf / inflow
-                    buf = 0.0
-                    active = True
-                    send = inflow * (dt - theta) / dt
-                else:
-                    buf = min(nb, 0.0)
-                    active = False
-                    send = 0.0
+                    if stop == end:
+                        buf = cum[-1]
+                    else:
+                        bufs[stop] = cum[r]
+                        nb, rate = cum[r + 1], inflow[stop]
+                        if nb >= 0.0 and rate > 0.0:
+                            # refills during this step: resume for the rest of it
+                            theta = -cum[r] / rate
+                            sends[stop] = rate * (dt - theta) / dt
+                            actives[stop] = 1.0
+                            buf, active = 0.0, True
+                        else:
+                            buf = min(nb, 0.0)
+                    a = stop + 1
+        balance = np.cumsum(np.concatenate(([self.flight_balance],
+                                            (sends - acks) * dt)))
+        self.ack_buffer, self.active = float(buf), active
+        self.flight_balance = float(balance[-1])
+        return sends, windows, bufs, balance[:-1], actives
 
-            balance += (send - ack) * dt
-            sends.append(send)
-            actives.append(1.0 if active else 0.0)
-        self.window, self.ack_buffer, self.flight_balance = window, buf, balance
-        self.active = active
-        return tuple(np.array(v) for v in (sends, windows, bufs, balances, actives))
+
+def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, wdot):
+    """Window at each tick start of a block from ``w``, its rate of change,
+    and the window at the block end."""
+    if wdot is None:
+        # flat between jumps: each step adds 0.0 * dt
+        windows = np.full(n, w)
+        start = 0
+        for j in (*cuts, n):
+            windows[start + 1:j + 1] = w + 0.0
+            if j < n:
+                w, start = windows[j] + jumps[j], j
+        return windows, np.zeros(n), float(w + 0.0) if n else w
+    windows, rates = [], []
+    for j in range(n):
+        windows.append(w)
+        rate = wdot(w, j)
+        rates.append(rate)
+        if j in jumps:
+            w += jumps[j]
+        w += rate * dt
+    return np.array(windows, dtype=np.float64), np.array(rates, dtype=np.float64), w
+
+
+def _absorb_jump(buf: float, delta_pkts: float) -> tuple[float, float]:
+    """ACK buffer after a window jump of ``delta_pkts``, and the burst."""
+    if buf >= -EPS_ACK_BUFFER_PKTS and delta_pkts >= 0:
+        return buf, delta_pkts
+    nb = buf + delta_pkts
+    if nb > 0:
+        return 0.0, nb
+    return nb, 0.0
 
 
 def circuit_backward_time(user: UserConf, queues: dict, t):

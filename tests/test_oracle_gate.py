@@ -5,7 +5,10 @@ cumulative dequeues per (queue, flow) must agree within ``GATE_PKTS``, the
 bound the benchmark applies as well.  scenario3 runs 11 s, past its window
 step at 10 s, with the packet simulator started 5 s early so that it has
 reached the equilibrium the fluid run starts in; squarewave starts cold and
-runs its full 11 s.
+runs its full 11 s.  staticlink runs its full 8 s, warmed up like scenario3,
+and gates the queue length only: its users share one round-trip time, so in
+``packet_sim`` each window travels as one train and the per-flow dequeues
+swing by the train size around the fluid's even split.
 """
 
 import dataclasses
@@ -20,7 +23,9 @@ from ackflow.scenario import preset, to_network
 GATE_PKTS = 5.0
 
 # preset -> (horizon, packet-oracle warm-up), in seconds
-CASES = {"scenario3": (11.0, 5.0), "squarewave": (11.0, 0.0)}
+CASES = {"scenario3": (11.0, 5.0), "squarewave": (11.0, 0.0),
+         "staticlink": (8.0, 5.0)}
+QUEUE_ONLY = {"staticlink"}
 
 
 def oracle_errors(name: str) -> tuple[float, float]:
@@ -46,4 +51,5 @@ def oracle_errors(name: str) -> tuple[float, float]:
 def test_fluid_tracks_packet_sim_within_the_gate(name):
     q_err, dep_err = oracle_errors(name)
     assert q_err <= GATE_PKTS, q_err
-    assert dep_err <= GATE_PKTS, dep_err
+    if name not in QUEUE_ONLY:
+        assert dep_err <= GATE_PKTS, dep_err

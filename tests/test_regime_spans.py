@@ -1,0 +1,353 @@
+"""Regime-span solvers against the tick-by-tick loops they replaced.
+
+``UserState.step`` and ``FifoQueue.step`` solve a block as spans of ticks
+in which no branch of the recurrence changes, and the rate profiles answer
+a whole block of times at once.  The references below are the per-tick
+loops those replaced, kept here verbatim in their arithmetic.  Every
+result must match them to the bit (``tobytes`` tells -0.0 from 0.0 and
+keeps NaN payloads), whatever the block split.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ackflow.fifo_queue import EPS_BACKLOG_PKTS, FifoQueue
+from ackflow.history import HistoryError, Trajectory, hold_integrals
+from ackflow.scenario import ConstantProfile, SquareProfile
+from ackflow.user import EPS_ACK_BUFFER_PKTS, UserState
+
+
+def bits(*values) -> list[bytes]:
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+def reference_user(window, buf, balance, active, acks, dt, jumps, wdot):
+    """One tick at a time; returns the per-tick arrays and the end state."""
+    sends, windows, bufs, balances, actives = [], [], [], [], []
+    for j, ack in enumerate(np.asarray(acks, dtype=np.float64).tolist()):
+        windows.append(window)
+        rate = wdot(window, j) if wdot is not None else 0.0
+        burst_rate = 0.0
+        if j in jumps:
+            delta = jumps[j]
+            window += delta
+            if buf >= -EPS_ACK_BUFFER_PKTS and delta >= 0:
+                burst = delta
+            else:
+                nb = buf + delta
+                if nb > 0:
+                    buf, burst = 0.0, nb
+                else:
+                    buf, burst = nb, 0.0
+            burst_rate = burst / dt
+        bufs.append(buf)
+        balances.append(balance)
+        window += rate * dt
+
+        inflow = rate + burst_rate + ack
+        if buf >= -EPS_ACK_BUFFER_PKTS:
+            buf = 0.0
+            if inflow >= 0.0:
+                active = True
+                send = inflow
+            else:
+                active = False
+                buf = inflow * dt
+                send = 0.0
+        else:
+            nb = buf + inflow * dt
+            if nb >= 0.0 and inflow > 0.0:
+                theta = -buf / inflow
+                buf = 0.0
+                active = True
+                send = inflow * (dt - theta) / dt
+            else:
+                buf = min(nb, 0.0)
+                active = False
+                send = 0.0
+
+        balance += (send - ack) * dt
+        sends.append(send)
+        actives.append(1.0 if active else 0.0)
+    arrays = tuple(np.array(v, dtype=np.float64)
+                   for v in (sends, windows, bufs, balances, actives))
+    return arrays, (window, buf, balance, active)
+
+
+def reference_queue(b, total, c, dt):
+    """One tick at a time; returns backlog, service, congested and the end backlog."""
+    starts, services, flags = [], [], []
+    for a in total.tolist():
+        starts.append(b)
+        congested = b > EPS_BACKLOG_PKTS or a > c
+        flags.append(congested)
+        if congested:
+            nb = b + (a - c) * dt
+            if nb >= 0.0:
+                b = nb
+                services.append(c)
+            else:
+                theta = b / (c - a)
+                b = 0.0
+                services.append((c * theta + a * (dt - theta)) / dt)
+        else:
+            services.append(a)
+    return np.array(starts), np.array(services), np.array(flags), b
+
+
+# ---------------------------------------------------------------------------
+# users
+
+DTS = st.sampled_from([1e-4, 1e-3, 1e-2])
+# buffers at the edges of the mode switch, and well inside retaining
+BUFFERS = st.one_of(
+    st.sampled_from([0.0, -0.0, -EPS_ACK_BUFFER_PKTS, -2 * EPS_ACK_BUFFER_PKTS,
+                     -0.5 * EPS_ACK_BUFFER_PKTS]),
+    st.floats(-80.0, 0.0))
+
+
+@st.composite
+def user_blocks(draw):
+    dt = draw(DTS)
+    n = draw(st.integers(1, 60))
+    window = draw(st.floats(0.0, 200.0) | st.just(-0.0))
+    # ACK rates around the window's fall rate, so inflow changes sign
+    fall = draw(st.sampled_from([0.0, 100.0, 300.0]))
+    acks = draw(st.lists(
+        st.one_of(st.floats(0.0, 600.0), st.sampled_from([0.0, -0.0, fall, 1e-6])),
+        min_size=n, max_size=n))
+    ticks = st.integers(0, n - 1)
+    jumps = draw(st.dictionaries(ticks, st.one_of(
+        st.floats(-150.0, 150.0), st.sampled_from([0.0, -window, window])),
+        max_size=4))
+    kind = draw(st.sampled_from(["none", "constant", "affine", "per_tick"]))
+    if kind == "none":
+        wdot = None
+    elif kind == "constant":
+        wdot = (lambda r: lambda w, j: r)(-fall)
+    elif kind == "affine":  # FAST-like: the rate depends on the window itself
+        g, k, alpha = draw(st.floats(0.1, 50.0)), draw(st.floats(0.0, 1.0)), \
+            draw(st.floats(0.0, 200.0))
+        wdot = lambda w, j: g * (-k * w + alpha)
+    else:
+        rates = draw(st.lists(st.floats(-fall - 200.0, 200.0) | st.just(-0.0),
+                              min_size=n, max_size=n))
+        wdot = lambda w, j: rates[j]
+    state = (window, draw(BUFFERS), draw(st.floats(-100.0, 300.0)), draw(st.booleans()))
+    split = draw(st.integers(0, n))
+    return dt, acks, jumps, wdot, state, split
+
+
+@given(user_blocks())
+@settings(max_examples=300, deadline=None)
+def test_user_step_matches_the_tick_loop(block):
+    dt, acks, jumps, wdot, (window, buf, balance, active), split = block
+    ref, ref_end = reference_user(window, buf, balance, active, acks, dt, jumps, wdot)
+
+    u = UserState("u", window, dt_s=dt, flight0_pkts=balance)
+    u.ack_buffer, u.active = buf, active
+    parts = []
+    for k0, k1 in ((0, split), (split, len(acks))):
+        if k1 > k0:  # the second block's wdot sees its own tick offsets
+            w = None if wdot is None else (lambda k0: lambda x, j: wdot(x, j + k0))(k0)
+            block_jumps = {k - k0: v for k, v in jumps.items() if k0 <= k < k1}
+            parts.append(u.step(acks[k0:k1], dt, wdot=w, jumps=block_jumps))
+    got = [np.concatenate(v) for v in zip(*parts)]
+    assert bits(*got) == bits(*ref)
+    assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
+    assert u.active == ref_end[3]
+
+
+def check_user(window, buf, acks, dt, jumps=None, wdot=None):
+    """Run one block against the reference; returns the arrays."""
+    jumps = jumps or {}
+    ref, ref_end = reference_user(window, buf, 100.0, True, acks, dt, jumps, wdot)
+    u = UserState("u", window, dt_s=dt, flight0_pkts=100.0)
+    u.ack_buffer = buf
+    got = u.step(acks, dt, jumps=jumps, wdot=wdot)
+    assert bits(*got) == bits(*ref)
+    assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
+    assert u.active == ref_end[3]
+    return got
+
+
+@pytest.mark.parametrize("delta", [-40.0, -40.0 - 1e-12, -10.0, +25.0, +80.0])
+def test_jump_while_retaining_and_to_a_zero_window(delta):
+    # a cut into retaining at tick 3, then a second jump while retaining:
+    # -40.0 takes the window to exactly 0, +80.0 refills the buffer past zero
+    got = check_user(100.0, 0.0, np.full(50, 120.0), 1e-3, {3: -60.0, 10: delta})
+    assert 0.0 in got[4]  # it did retain
+
+
+@pytest.mark.parametrize("buf, ack", [
+    (-2e-9, 1e-6),      # the buffer ends a tick at exactly -EPS: active next
+    (-1.5e-9, 0.75e-6),  # ends inside (-EPS, 0) without refilling
+    (-1e-6, 1e-3),      # ends at exactly 0: a refill with nothing left to send
+])
+def test_retaining_spans_end_at_the_buffer_threshold(buf, ack):
+    assert -EPS_ACK_BUFFER_PKTS <= buf + ack * 1e-3 <= 0.0
+    got = check_user(100.0, buf, np.full(4, ack), 1e-3)
+    assert got[4][-1] == 1.0
+
+
+def test_negative_zeros_survive():
+    # a -0.0 window and -0.0 rates: the span solver keeps the loop's signs
+    got = check_user(-0.0, 0.0, np.array([-0.0, 0.0, -0.0]), 1e-3,
+                     wdot=lambda w, j: -0.0)
+    assert bits(got[1]) == bits([-0.0, -0.0, -0.0])
+    got = check_user(-0.0, 0.0, np.array([-0.0, 0.0]), 1e-3)
+    assert bits(got[1]) == bits([-0.0, 0.0])
+
+
+def test_empty_block_leaves_the_user_unchanged():
+    u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=3.0)
+    out = u.step([], 1e-3, jumps={0: 5.0})
+    assert all(len(v) == 0 for v in out)
+    assert (u.window, u.ack_buffer, u.flight_balance) == (10.0, 0.0, 3.0)
+    assert u.active
+
+
+# ---------------------------------------------------------------------------
+# queues
+
+CAP = 100.0
+
+
+@st.composite
+def queue_blocks(draw):
+    dt = draw(DTS)
+    n = draw(st.integers(1, 80))
+    # rates crossing the capacity, sitting on it, or just above it
+    rate = st.one_of(st.floats(0.0, 2.5 * CAP),
+                     st.sampled_from([0.0, CAP, CAP * (1 + 1e-12), CAP * (1 - 1e-12)]))
+    flows = draw(st.lists(st.lists(rate, min_size=n, max_size=n),
+                          min_size=1, max_size=3))
+    backlog0 = draw(st.one_of(
+        st.sampled_from([0.0, EPS_BACKLOG_PKTS, 2 * EPS_BACKLOG_PKTS,
+                         0.5 * EPS_BACKLOG_PKTS]),
+        st.floats(0.0, 5.0), st.floats(0.0, 200.0)))
+    split = draw(st.integers(0, n))
+    return dt, flows, backlog0, split
+
+
+@given(queue_blocks())
+@settings(max_examples=150, deadline=None)
+def test_queue_step_matches_the_tick_loop(block):
+    dt, flows, backlog0, split = block
+    n = len(flows[0])
+    q = FifoQueue("b", CAP, [f"f{i}" for i in range(len(flows))], dt_s=dt,
+                  backlog0_pkts=backlog0, n_ticks=n)
+    b = backlog0
+    for k0, k1 in ((0, split), (split, n)):
+        if k1 == k0:
+            continue
+        times = np.arange(k0, k1 + 1) * dt
+        total = q.record_inputs(times[:-1], [np.array(f[k0:k1]) for f in flows])
+        *ref, b = reference_queue(b, total, CAP, dt)
+        got = q.step(dt, times[1:])
+        assert bits(*got) == bits(*ref)
+        assert bits(q.backlog) == bits(b)
+        ends = np.append(ref[0][1:], b)
+        assert bits(q.forward_map.values[k0 + 1:]) == bits(times[1:] + ends / CAP)
+        q.record_outputs(times[0], q.transport_outputs(times, got[1] * dt))
+
+
+def check_queue(b0, total, dt):
+    """Run one block against the reference; returns the arrays."""
+    q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0)
+    times = np.arange(len(total) + 1) * dt
+    q.record_inputs(times[:-1], [np.asarray(total, dtype=np.float64)])
+    *ref, b = reference_queue(b0, np.asarray(total, dtype=np.float64), CAP, dt)
+    got = q.step(dt, times[1:])
+    assert bits(*got) == bits(*ref)
+    assert bits(q.backlog) == bits(b)
+    return got
+
+
+def test_queue_empties_mid_block_and_idles_at_eps():
+    # 5 pkts drained at 50 pkt/s net empty inside a tick near t = 0.1 s
+    total = np.concatenate((np.full(150, 50.0), np.full(10, 10.0)))
+    got = check_queue(5.0, total, 1e-3)
+    assert np.count_nonzero(np.diff(got[2])) == 1 and got[2][0] and not got[2][-1]
+    # a backlog of exactly EPS_BACKLOG_PKTS under light load counts as empty
+    got = check_queue(EPS_BACKLOG_PKTS, np.full(10, 10.0), 1e-3)
+    assert not got[2].any() and (got[0] == EPS_BACKLOG_PKTS).all()
+
+
+def test_congested_span_ends_on_a_backlog_of_exactly_eps():
+    # the first tick drains the backlog to exactly EPS_BACKLOG_PKTS, which
+    # no longer congests the queue at the next tick's lighter load
+    dt = 2.0 ** -10
+    a = CAP - 2.0 ** -31 / dt
+    b0 = EPS_BACKLOG_PKTS - (a - CAP) * dt
+    assert b0 + (a - CAP) * dt == EPS_BACKLOG_PKTS
+    got = check_queue(b0, [a, 10.0, 10.0], dt)
+    assert got[2].tolist() == [True, False, False]
+
+
+def test_congested_span_ends_on_a_backlog_of_exactly_zero():
+    # a step that drains the backlog to exactly 0.0 serves c for the whole
+    # step; located as an emptying instant it would serve c only to the ulp
+    a, dt = 13.436424411240122, 1e-4
+    b0 = (CAP - a) * dt
+    assert b0 + (a - CAP) * dt == 0.0
+    theta = b0 / (CAP - a)
+    assert (CAP * theta + a * (dt - theta)) / dt != CAP
+    got = check_queue(b0, [a, a], dt)
+    assert got[1].tolist() == [CAP, a]
+
+
+# ---------------------------------------------------------------------------
+# rate profiles
+
+@st.composite
+def profile_times(draw):
+    period = draw(st.sampled_from([1.0, 0.3, 0.07, 1e-3]) | st.floats(1e-3, 5.0))
+    profile = SquareProfile(draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4)),
+                            period, draw(st.booleans()))
+    dt = draw(DTS)
+    delay = draw(st.floats(0.0, 2.0))
+    k0 = draw(st.integers(0, 50_000))
+    ticks = np.arange(k0, k0 + draw(st.integers(1, 64))) * dt
+    # grid reads behind a delay (negative near the start), and the
+    # half-period edges with their neighbours
+    m = np.arange(-6, 7)
+    edges = m * (period / 2.0)
+    edges = np.concatenate((edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)))
+    return profile, np.concatenate((ticks - delay, edges))
+
+
+@given(profile_times())
+@settings(max_examples=200, deadline=None)
+def test_square_profile_array_reads_equal_scalar_reads(case):
+    profile, t = case
+    scalar = np.array([profile.rate_at(x) for x in t.tolist()], dtype=np.float64)
+    assert bits(profile.rates_at(t)) == bits(scalar)
+
+
+def test_constant_profile_array_reads_equal_scalar_reads():
+    profile = ConstantProfile(1234.5)
+    t = np.array([-1.0, 0.0, 0.5, 1e9])
+    assert bits(profile.rates_at(t)) == bits([profile.rate_at(x) for x in t])
+
+
+# ---------------------------------------------------------------------------
+# one bracket pass for several columns
+
+def test_hold_integrals_share_one_bracket_pass():
+    dt = 0.1
+    trajs = [Trajectory(dt, v0) for v0 in (3.0, 0.0)]
+    for tr, scale in zip(trajs, (1.0, 2.5)):
+        tr.record(0.0, scale * np.arange(20.0))
+    t0 = np.array([-0.25, 0.0, 0.3, 0.75, 1.2])
+    t1 = np.array([0.05, 0.0, 0.95, 1.85, 1.2])
+    got = hold_integrals(trajs, t0, t1)
+    for tr, g in zip(trajs, got):
+        assert bits(g) == bits([tr.integrate_hold(a, b) for a, b in zip(t0, t1)])
+    with pytest.raises(HistoryError, match="reversed integration bounds"):
+        hold_integrals(trajs, t1, t0)

@@ -6,26 +6,38 @@ window rates, sending flows, then queue arrivals, per-flow departures and
 the state integration with event sub-stepping (queue emptying, ACK-buffer
 refill).
 
-The engine advances ``L`` ticks per step (a block; the time-stepped fluid
-solution of Liu et al., SIGMETRICS 2003, with its step loop batched).  A
-user reads queue data only through its return channel (its ACKs and the
-circuit inversion of its flight size), and a queue reads another queue only
-through a queue-to-queue hop, so ``L`` is the smallest ``floor(delay / dt)``
-over the users' return delays and the positive queue-to-queue hop delays,
-at least 1 and at most ``BLOCK_CAP_TICKS``: every tick of a block then
-reads only earlier blocks, or queues earlier in ``network.queue_order``
-through a zero-delay hop.  Each block runs the users, then the queues in
-that order.  Reads, profile rates, the circuit inversion and the queue
-transport are array arithmetic over the block.  The window, ACK-buffer and
-backlog recurrences run as regime spans: runs of ticks in which no branch
-of the recurrence changes, each one ``np.cumsum`` or array copy, cut where a
+Each user and each queue advances in blocks of ticks (the time-stepped
+fluid solution of Liu et al., SIGMETRICS 2003, with its step loop batched)
+and keeps its own frontier: the number of ticks it has recorded.  This is
+conservative lookahead (Chandy and Misra, IEEE TSE 1979; Nicol, JACM 1993).
+A component reads another only across a channel, so it may run ahead of
+each input by that channel's lag in whole ticks: the index shift for a delay
+on the grid, the floor of ``delay / dt`` off it (``input_lags``).  A queue's
+inputs are its flows' first-hop users and its upstream queues, across the
+hop delays; a user's are its last queue, across the return delay (its ACKs
+and the circuit inversion of its flight size), and each upstream queue,
+across the return delay plus the hops after it.  A component's next block
+ends at the least of the horizon, its frontier plus ``BLOCK_CAP_TICKS``,
+and each input's frontier plus that input's lag.  A sweep runs the users,
+then the queues in ``network.queue_order``, which serves zero-delay hops;
+each advances once if it can.  Every cycle of inputs has a positive total
+lag (a return delay is at least one tick, and the topology refuses
+zero-delay cycles of queues), so each sweep advances some component, and a
+feedback loop advances by its whole cycle delay per sweep.  With pruning
+on, every block also ends by the next pruning tick + 1: the components wait
+at that barrier, the histories are pruned, and the barrier moves on.
+
+Reads, profile rates, the circuit inversion and the queue transport are
+array arithmetic over a block.  The window, ACK-buffer and backlog
+recurrences run as regime spans: runs of ticks in which no branch of the
+recurrence changes, each one ``np.cumsum`` or array copy, cut where a
 branch would flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum``
 adds in sequence, so a span's sums are the tick-by-tick ones.  The FAST
 window ODE is the one loop left tick by tick: its window multiplies its own
 previous value, which no cumulative sum reproduces to the bit.  Every
-expression is the per-tick one, so the traces do not depend on ``L`` or on
-the spans, and a failed check names the first bad tick.  With pruning on, a
-block also ends at each pruning tick.
+expression is the per-tick one on the same data, so the traces do not
+depend on the blocks, the frontiers or the spans, and a failed check names
+the first bad tick.
 
 Every signal is one float64 column on the grid ``k * dt``.  The flows
 (sending, ACK, queue input and output rates) are the history columns the
@@ -35,6 +47,7 @@ interpolation otherwise; the returned traces are views of the columns.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -107,11 +120,7 @@ class _Reader:
         self.profile = profile
         self.traj = traj
         self.delay = delay_s
-        self.shift = None
-        if traj is not None:
-            ticks = delay_s / dt_s
-            if abs(ticks - round(ticks)) < 1e-6:
-                self.shift = int(round(ticks))
+        self.shift = None if traj is None else _grid_shift(delay_s, dt_s)
 
     def read(self, k0: int, ticks: np.ndarray) -> np.ndarray:
         """The delayed values at a block's tick times, the first tick ``k0``."""
@@ -141,26 +150,65 @@ class _UserCtx:
         self.uid = uid
 
 
-def block_ticks(network: Network, dt: float) -> int:
-    """Ticks advanced per block: the shortest feedback delay in whole ticks.
+def _grid_shift(delay_s: float, dt: float) -> int | None:
+    """A delay in whole ticks when it is a grid multiple, else None."""
+    ticks = delay_s / dt
+    if abs(ticks - round(ticks)) < 1e-6:
+        return int(round(ticks))
+    return None
 
-    A tick reads queue data only through a user's return channel (its ACKs
-    and its circuit inversion) or a positive queue-to-queue hop, so every
-    tick of a block shorter than the shortest such delay reads only earlier
-    blocks.  Zero-delay hops are served by ``network.queue_order``.
+
+def _lag_ticks(delay_s: float, dt: float) -> int:
+    """Ticks a reader may run ahead of a source across ``delay_s``: the
+    index shift on the grid, the floor off it."""
+    shift = _grid_shift(delay_s, dt)
+    return math.floor(delay_s / dt) if shift is None else shift
+
+
+def input_lags(network: Network, dt: float) -> dict:
+    """Every component's inputs with their lags in whole ticks.
+
+    Components are keyed ``("user", id)`` and ``("queue", id)``, since a
+    user and a queue may share an id.  A user reads its last queue across
+    the return delay (ACKs and the circuit inversion), and each upstream
+    queue across the return delay plus the hops after it, in the order
+    ``circuit_backward_time`` walks them.  A queue reads each flow's
+    upstream queue across that hop, or a user's sending flow across its
+    first hop; a rate flow's profile is known at every time and is no input.
     """
-    flows = (*network.users.values(), *network.rate_flows.values())
-    delays = [u.return_delay_s for u in network.users.values()]
-    delays += [d for f in flows for d in f.hop_delays_s[1:] if d > 0]
-    return max(1, min([BLOCK_CAP_TICKS, *(int(d / dt) for d in delays)]))
+    lags: dict = {}
+    for uid, u in network.users.items():
+        feeds = lags["user", uid] = {}
+        delay = u.return_delay_s
+        for qid, hop in zip(reversed(u.queue_path), reversed(u.hop_delays_s)):
+            feeds["queue", qid] = _lag_ticks(delay, dt)
+            delay += hop
+    for qid in network.queue_order:
+        feeds = lags["queue", qid] = {}
+        for fid in network.flows_through(qid):
+            flow = network.users.get(fid) or network.rate_flows[fid]
+            pos = flow.queue_path.index(qid)
+            if pos:
+                src = ("queue", flow.queue_path[pos - 1])
+            elif fid in network.users:
+                src = ("user", fid)
+            else:
+                continue
+            lag = _lag_ticks(flow.hop_delays_s[pos], dt)
+            feeds[src] = min(lag, feeds.get(src, lag))
+    return lags
 
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
     """Run the fluid model; returns every signal on the engine grid."""
     t_wall = time.perf_counter()
     dt = config.dt_s
-    if dt <= 0 or config.horizon_s <= 0:
-        raise SimulationError("dt and horizon must be positive")
+    for name in ("dt_s", "horizon_s"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise SimulationError(f"{name} must be finite, got {value!r}")
+        if value <= 0:
+            raise SimulationError(f"{name} must be positive, got {value!r}")
     min_delay = network.min_positive_delay_s()
     if min_delay is not None and dt > min_delay / 10:
         raise SimulationError(
@@ -264,76 +312,54 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         ctx.columns = new_columns(ctx.uid, "w", "ackbuf", "flight", "flight_ode",
                                   "active")
 
-    queue_steps = [(queues[qid], input_readers[qid], queue_columns[qid])
-                   for qid in network.queue_order]
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
     prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
                  for h in (q.forward_map, *q.inputs.values(), *q.outputs.values())]
     histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
 
-    span = block_ticks(network, dt)
-    k0 = 0
-    while k0 < n_ticks:
-        k1 = min(k0 + span, n_ticks)
-        if prune_every:  # a block ends at each pruning tick
-            k1 = min(k1, -(-k0 // prune_every) * prune_every + 1)
-        times = np.arange(k0, k1 + 1) * dt
-        ticks = times[:-1]
+    # the sweep: each component with its name, its block body and its
+    # inputs as (component, lag); frontiers are keyed by the component
+    # object, since a user and a queue may share an id
+    lags = input_lags(network, dt)
+    comps = {("user", ctx.uid): ctx for ctx in user_list}
+    comps.update((("queue", qid), queues[qid]) for qid in network.queue_order)
+    sweep = []
+    for (kind, cid), comp in comps.items():
+        if kind == "user":
+            body = functools.partial(_user_block, comp, queues, dt)
+        else:
+            body = functools.partial(_queue_block, comp, input_readers[cid],
+                                     queue_columns[cid], dt)
+        feeds = [(comps[src], lag) for src, lag in lags[kind, cid].items()]
+        sweep.append((comp, f"{kind} '{cid}'", body, feeds))
+    frontier = dict.fromkeys(comps.values(), 0)
 
-        for ctx in user_list:
-            st = ctx.state
-            acks = ctx.ack_reader.read(k0, ticks)
-            # flight by the independent route: sending integral back to the
-            # circuit entry time of the traffic being acknowledged now
-            b_t = circuit_backward_time(ctx.conf, queues, ticks)
-            wdot = None
-            if ctx.fast_params is not None:
-                lag = (ticks - b_t) - ctx.total_delay
-                wdot = _fast_controller(np.where(lag > 0.0, lag, 0.0).tolist(),
-                                        ctx.total_delay, ctx.fast_params)
-            jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
-            send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, wdot=wdot)
-            if not (np.isfinite(send).all() and np.isfinite(w).all()
-                    and np.isfinite(pi).all() and math.isfinite(st.window)
-                    and math.isfinite(st.ack_buffer)):
-                # a step's end state is the next tick's start
-                sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
-                        & np.isfinite(np.append(pi[1:], st.ack_buffer)))
-                raise SimulationError(
-                    f"divergence in user block '{ctx.uid}' at "
-                    f"t={ticks[sane.argmin()]:.6f}")
-            st.sending.record(ticks[0], send)
-            st.acks.record(ticks[0], acks)
-            cum = ctx.rect_cum
-            cum[k0:k1 + 1] = np.cumsum(np.concatenate(([cum[k0]], send * dt)))
-            last = np.arange(k0, k1)
-            rect = _rect_at(cum, ctx.send0, np.concatenate((ticks, b_t)),
-                            np.concatenate((last, last)), dt)
-            flight = rect[:k1 - k0] - rect[k1 - k0:]
-            for col, values in zip(ctx.columns, (w, pi, flight, flight_ode, active)):
-                col[k0:k1] = values
-
-        for q, readers, (col_q, col_r, col_arrival, col_congested) in queue_steps:
-            total = q.record_inputs(ticks, [r.read(k0, ticks) for r in readers])
-            backlog, service, congested = q.step(dt, times[1:])
-            if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
-                ends = np.isfinite(np.append(backlog[1:], q.backlog))
-                raise SimulationError(
-                    f"divergence in queue block '{q.queue_id}' at "
-                    f"t={ticks[ends.argmin()]:.6f}")
-            q.record_outputs(ticks[0], q.transport_outputs(times, service * dt))
-            col_q[k0:k1] = backlog
-            col_r[k0:k1] = service
-            col_arrival[k0:k1] = total
-            col_congested[k0:k1] = congested
-
-        k = k1 - 1
-        t = k * dt
-        if prune_every and k % prune_every == 0 and t > prune_lag:
-            for h in histories:
-                h.prune_before(t - prune_lag)
-        k0 = k1
+    barrier = 1 if prune_every else n_ticks  # the next pruning tick + 1
+    while True:
+        advanced = False
+        for comp, _, body, feeds in sweep:
+            k0 = frontier[comp]
+            k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
+                     *[frontier[src] + lag for src, lag in feeds])
+            if k1 > k0:
+                body(k0, k1)
+                frontier[comp] = k1
+                advanced = True
+        if all(f == barrier for f in frontier.values()):
+            k = barrier - 1
+            t = k * dt
+            if prune_every and k % prune_every == 0 and t > prune_lag:
+                for h in histories:
+                    h.prune_before(t - prune_lag)
+            if barrier == n_ticks:
+                break
+            barrier = min(barrier + prune_every, n_ticks)
+        elif not advanced:
+            stuck = ", ".join(f"{name} at t={frontier[comp] * dt:.6f}"
+                              for comp, name, _, _ in sweep
+                              if frontier[comp] < barrier)
+            raise SimulationError(f"no component can advance: {stuck}")
 
     # the flows are views of the history columns; tau is q / capacity, which
     # IEEE division rounds exactly as a per-tick division would
@@ -361,6 +387,62 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         users={uid: ctx.state for uid, ctx in users.items()},
         runtime_s=time.perf_counter() - t_wall,
     )
+
+
+def _user_block(ctx: _UserCtx, queues: dict, dt: float, k0: int, k1: int) -> None:
+    """Advance one user over ticks ``[k0, k1)``."""
+    ticks = np.arange(k0, k1) * dt
+    st = ctx.state
+    acks = ctx.ack_reader.read(k0, ticks)
+    # flight by the independent route: sending integral back to the
+    # circuit entry time of the traffic being acknowledged now
+    b_t = circuit_backward_time(ctx.conf, queues, ticks)
+    wdot = None
+    if ctx.fast_params is not None:
+        lag = (ticks - b_t) - ctx.total_delay
+        wdot = _fast_controller(np.where(lag > 0.0, lag, 0.0).tolist(),
+                                ctx.total_delay, ctx.fast_params)
+    jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
+    send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, wdot=wdot)
+    if not (np.isfinite(send).all() and np.isfinite(w).all()
+            and np.isfinite(pi).all() and math.isfinite(st.window)
+            and math.isfinite(st.ack_buffer)):
+        # a step's end state is the next tick's start
+        sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
+                & np.isfinite(np.append(pi[1:], st.ack_buffer)))
+        raise SimulationError(
+            f"divergence in user block '{ctx.uid}' at "
+            f"t={ticks[sane.argmin()]:.6f}")
+    st.sending.record(ticks[0], send)
+    st.acks.record(ticks[0], acks)
+    cum = ctx.rect_cum
+    cum[k0:k1 + 1] = np.cumsum(np.concatenate(([cum[k0]], send * dt)))
+    last = np.arange(k0, k1)
+    rect = _rect_at(cum, ctx.send0, np.concatenate((ticks, b_t)),
+                    np.concatenate((last, last)), dt)
+    flight = rect[:k1 - k0] - rect[k1 - k0:]
+    for col, values in zip(ctx.columns, (w, pi, flight, flight_ode, active)):
+        col[k0:k1] = values
+
+
+def _queue_block(q: FifoQueue, readers: list, columns: tuple, dt: float,
+                 k0: int, k1: int) -> None:
+    """Advance one queue over ticks ``[k0, k1)``."""
+    times = np.arange(k0, k1 + 1) * dt
+    ticks = times[:-1]
+    col_q, col_r, col_arrival, col_congested = columns
+    total = q.record_inputs(ticks, [r.read(k0, ticks) for r in readers])
+    backlog, service, congested = q.step(dt, times[1:])
+    if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
+        ends = np.isfinite(np.append(backlog[1:], q.backlog))
+        raise SimulationError(
+            f"divergence in queue block '{q.queue_id}' at "
+            f"t={ticks[ends.argmin()]:.6f}")
+    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt))
+    col_q[k0:k1] = backlog
+    col_r[k0:k1] = service
+    col_arrival[k0:k1] = total
+    col_congested[k0:k1] = congested
 
 
 def _fast_controller(tau_back: list, total_delay: float, params: FastParams):

@@ -1,13 +1,19 @@
+import functools
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ackflow.engine as engine
 from ackflow.engine import (
-    BLOCK_CAP_TICKS, SimConfig, SimulationError, block_ticks, simulate,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, simulate,
     static_link_check,
 )
+from ackflow.history import Trajectory
 from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
@@ -36,6 +42,11 @@ def two_user_scenario(w1=100.0, w2=50.0, steps1=(), cap=500.0, horizon=4.0,
         rate_flows=flows,
         run=RunConf(1e-3, horizon, init),
     )
+
+
+# component keys of input_lags
+U1, U2, U3 = ("user", "u1"), ("user", "u2"), ("user", "u3")
+B1, B2 = ("queue", "b1"), ("queue", "b2")
 
 
 def run(sc, **overrides):
@@ -76,6 +87,18 @@ class TestBasics:
                            ("in.b1.u1", q.inputs["u1"]),
                            ("out.b1.cross_b1", q.outputs["cross_b1"])):
             assert np.shares_memory(traces[name], np.frombuffer(traj.values)), name
+
+    @pytest.mark.parametrize("field", ["dt_s", "horizon_s"])
+    @pytest.mark.parametrize("value, problem", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+        (0.0, "positive"), (-1e-3, "positive"),
+    ])
+    def test_bad_step_or_horizon_names_the_field(self, field, value, problem):
+        sc = two_user_scenario()
+        cfg = SimConfig(**{"dt_s": 1e-3, "horizon_s": 1.0, "init": "cold",
+                           field: value})
+        with pytest.raises(SimulationError, match=f"^{field} must be {problem}"):
+            simulate(to_network(sc), sc, cfg)
 
     def test_return_delay_must_cover_one_step(self):
         # a zero return delay passes the headroom rule, which looks only at
@@ -309,6 +332,25 @@ class TestPruning:
         for name in full.signals:
             assert np.array_equal(full[name], pruned[name]), name
 
+    def test_every_history_waits_at_each_pruning_tick(self, monkeypatch):
+        # the histories are pruned at 6, 7 and 8 s, once all the components
+        # have recorded through that tick and none beyond it
+        sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
+        calls = []
+        prune = Trajectory.prune_before
+
+        def spy(traj, t):
+            # a time map holds one sample more than the flows: its step ends
+            calls.append((t, len(traj) - (traj.pre_slope > 0.0)))
+            prune(traj, t)
+
+        monkeypatch.setattr(Trajectory, "prune_before", spy)
+        run(sc, prune_history=True)
+        lag = sum(to_network(sc).channel_delays_s()) + engine.PRUNE_MARGIN_S
+        assert sorted({round(t + lag, 9) for t, _ in calls}) == [6.0, 7.0, 8.0]
+        for t, recorded in calls:
+            assert recorded == round((t + lag) / sc.run.dt_s) + 1
+
 
 class TestSharedPath:
     def test_two_users_on_one_queue_to_queue_hop_match_packet_sim(self):
@@ -338,20 +380,27 @@ class TestSharedPath:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("source, ticks", [
-        ("scenario1", 16),               # u1's 1.6 ms return channel
-        ("scenario3", 200),              # the 20 ms b1 -> b2 hop
-        (OFFGRID_YAML, 377),             # floor(37.71 ms / 0.1 ms)
-        ("squarewave", BLOCK_CAP_TICKS),  # no user, no queue-to-queue hop
-    ])
-    def test_block_is_the_shortest_feedback_delay(self, source, ticks):
+    @pytest.mark.parametrize("source, lags", [
+        # u1's 1.6 ms hop and return channels, u2's 58.5 ms ones
+        ("scenario1", {U1: {B1: 16}, U2: {B1: 585}, B1: {U1: 16, U2: 585}}),
+        # u1 reads b2 across its 100 ms return and b1 across the 20 ms hop
+        # more; the hop is b2's lag behind b1, and the users enter at 0 ms
+        ("scenario3", {U1: {B2: 1000, B1: 1200}, U2: {B2: 800}, U3: {B1: 400},
+                       B1: {U1: 0, U3: 0}, B2: {B1: 200, U2: 0}}),
+        # off the grid: floor(37.71 ms / 0.1 ms), floor(12.37 ms / 0.1 ms), ...
+        (OFFGRID_YAML, {U1: {B1: 377}, U2: {B1: 885}, B1: {U1: 123, U2: 31}}),
+        # rate flows only: their profiles are known at every time
+        ("squarewave", {B1: {}}),
+    ], ids=["scenario1", "scenario3", "fast_pair_offgrid", "squarewave"])
+    def test_input_lags_are_the_channel_delays_in_whole_ticks(self, source, lags):
         sc = load_scenario(source)
-        assert block_ticks(to_network(sc), sc.run.dt_s) == ticks
+        assert input_lags(to_network(sc), sc.run.dt_s) == lags
 
-    def mixed_scenario(self):
+    @staticmethod
+    def mixed_scenario():
         # two queues joined by a 13 ms hop, an off-grid return delay, a
         # window cut into ACK retaining and back, a FAST user and square
-        # cross traffic; 1501 ticks are not a whole number of 13-tick blocks
+        # cross traffic; 1501 ticks are a whole number of none of its lags
         return Scenario(
             name="mixed", packet_bytes=1000,
             queues=(QueueConf("b1", 500.0), QueueConf("b2", 400.0)),
@@ -368,13 +417,38 @@ class TestBlocks:
 
     def test_block_size_leaves_every_trace_bitwise_equal(self, monkeypatch):
         sc = self.mixed_scenario()
-        assert block_ticks(to_network(sc), sc.run.dt_s) == 13
+        assert input_lags(to_network(sc), sc.run.dt_s)[B2][B1] == 13
         blocked = run(sc)
         assert blocked["ackbuf.u1"].min() < 0.0 and blocked["congested.b2"].max() == 1.0
         monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", 1)
         per_tick = run(sc)
         for name in blocked.signals:
             assert np.array_equal(blocked[name], per_tick[name]), name
+
+    @given(cap=st.integers(1, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_any_block_cap_leaves_every_trace_bitwise_equal(self, cap):
+        # the cap reshapes every component's blocks and so how far each one
+        # runs ahead of the others: a different frontier schedule per draw
+        default = mixed_default_run()
+        with mock.patch.object(engine, "BLOCK_CAP_TICKS", cap):
+            capped = run(self.mixed_scenario())
+        for name in default.signals:
+            assert np.array_equal(default[name], capped[name]), name
+
+    def test_a_sweep_that_advances_nothing_names_the_stuck_components(
+            self, monkeypatch):
+        # a zero-lag cycle between u1 and b1: neither can move first, and
+        # u2 stops one return delay ahead of b1
+        sc = two_user_scenario(horizon=0.2)
+        lags = input_lags(to_network(sc), sc.run.dt_s)
+        lags[U1][B1] = lags[B1][U1] = 0
+        monkeypatch.setattr(engine, "input_lags", lambda network, dt: lags)
+        with pytest.raises(SimulationError) as err:
+            run(sc)
+        assert str(err.value) == (
+            "no component can advance: user 'u1' at t=0.000000, user 'u2' at "
+            "t=0.050000, queue 'b1' at t=0.000000")
 
     def test_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
         # a FAST gain far too high for the step blows the window up
@@ -390,3 +464,8 @@ class TestBlocks:
                 run(sc)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "divergence in user block 'u1' at t=0.199000"
+
+
+@functools.cache
+def mixed_default_run():
+    return run(TestBlocks.mixed_scenario())

@@ -1,41 +1,67 @@
-"""The fluid engine against the packet-level oracle, as a standing gate.
+"""The fluid engine against its oracles, as a standing gate.
 
-On ``packet_sim``'s 10 ms sample grid, the queue lengths and the
-cumulative dequeues per (queue, flow) must agree within ``GATE_PKTS``, the
-bound the benchmark applies as well.  scenario3 runs 11 s, past its window
-step at 10 s, with the packet simulator started 5 s early so that it has
-reached the equilibrium the fluid run starts in; squarewave starts cold and
-runs its full 11 s.  staticlink runs its full 8 s, warmed up like scenario3,
-and gates the queue length only: its users share one round-trip time, so in
+Packet presets: on ``packet_sim``'s 10 ms sample grid the queue lengths
+must agree within ``GATE_PKTS``, the bound the benchmark applies as well.
+Equilibrium presets start ``packet_sim`` 5 s early, so that it has reached
+the equilibrium the fluid run starts in; squarewave starts cold.  Tier-1
+runs each preset to 1 s past its window step (squarewave and staticlink to
+their full horizons); the full horizons run under the ``slow`` marker.
+
+The cumulative dequeues per (queue, flow) are gated on scenario3 and
+squarewave only.  staticlink's users share one round-trip time, so in
 ``packet_sim`` each window travels as one train and the per-flow dequeues
-swing by the train size around the fluid's even split.
+swing by the train size around the fluid's even split; scenario1 and
+scenario2 drift by about 1 pkt/s after their window steps, which is not
+explained yet.
+
+FAST presets: fast2 and ``perfbench/fast_pair_offgrid.yaml`` run 20 s
+against the FAST fixed point on one bottleneck, where each user keeps
+``alpha`` packets queued: over the last 5 % of the run the backlog must lie
+within ``FAST_QUEUE_PKTS`` of the sum of the alphas, and each user's
+``send * q / c`` within ``FAST_USER_PKTS`` of its alpha.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ackflow.engine import SimConfig, simulate
 from ackflow.oracle import packet_sim
-from ackflow.scenario import preset, to_network
+from ackflow.scenario import load_scenario, preset, to_network
 
 GATE_PKTS = 5.0
+FAST_QUEUE_PKTS = 1.0
+FAST_USER_PKTS = 2.0
 
-# preset -> (horizon, packet-oracle warm-up), in seconds
-CASES = {"scenario3": (11.0, 5.0), "squarewave": (11.0, 0.0),
-         "staticlink": (8.0, 5.0)}
-QUEUE_ONLY = {"staticlink"}
+# preset -> (tier-1 horizon, packet-oracle warm-up), in seconds
+CASES = {
+    "scenario1": (4.0, 5.0), "scenario2": (6.0, 5.0), "scenario3": (11.0, 5.0),
+    "scenario4": (11.0, 5.0), "scenario5": (11.0, 5.0), "scenario6": (11.0, 5.0),
+    "scenario7": (6.0, 5.0), "scenario8": (6.0, 5.0), "squarewave": (11.0, 0.0),
+    "staticlink": (8.0, 5.0),
+}
+DEQUEUES_GATED = {"scenario3", "squarewave"}
+# the presets tier-1 cuts short
+LONG = sorted(name for name, (horizon_s, _) in CASES.items()
+              if horizon_s < preset(name).run.horizon_s)
+
+OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fast_pair_offgrid.yaml")
 
 
-def oracle_errors(name: str) -> tuple[float, float]:
-    """Largest queue-length and cumulative-dequeue gaps to packet_sim, in pkts."""
-    horizon_s, warmup_s = CASES[name]
-    sc = preset(name)
+def run(sc, horizon_s: float):
     sc = dataclasses.replace(sc, run=dataclasses.replace(sc.run, horizon_s=horizon_s))
     traces = simulate(to_network(sc), sc, SimConfig(
         dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
-    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=warmup_s)
+    return sc, traces
+
+
+def oracle_errors(name: str, horizon_s: float) -> tuple[float, float]:
+    """Largest queue-length and cumulative-dequeue gaps to packet_sim, in pkts."""
+    sc, traces = run(preset(name), horizon_s)
+    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=CASES[name][1])
     dt = traces.dt_s
     idx = np.rint(ref.sample_times / dt).astype(int)
     q_err = max(float(np.abs(traces[f"q.{qid}"][idx] - q_pkt).max())
@@ -47,9 +73,42 @@ def oracle_errors(name: str) -> tuple[float, float]:
     return q_err, dep_err
 
 
+def check_gate(name: str, horizon_s: float) -> None:
+    q_err, dep_err = oracle_errors(name, horizon_s)
+    assert q_err <= GATE_PKTS, q_err
+    if name in DEQUEUES_GATED:
+        assert dep_err <= GATE_PKTS, dep_err
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fluid_tracks_packet_sim_within_the_gate(name):
-    q_err, dep_err = oracle_errors(name)
-    assert q_err <= GATE_PKTS, q_err
-    if name not in QUEUE_ONLY:
-        assert dep_err <= GATE_PKTS, dep_err
+    check_gate(name, CASES[name][0])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LONG)
+def test_fluid_tracks_packet_sim_over_the_full_horizon(name):
+    check_gate(name, preset(name).run.horizon_s)
+
+
+def fast_errors(source: str) -> tuple[float, float]:
+    """Largest |q - sum(alpha)| and |send * q / c - alpha| over the last 5 %."""
+    sc, traces = run(load_scenario(source), 20.0)
+    (queue,) = sc.queues
+    q = traces[f"q.{queue.id}"]
+    tail = traces.time >= traces.time[-1] * 0.95
+    alphas = {u.id: u.protocol.alpha_pkts for u in sc.users}
+    q_err = float(np.abs(q[tail] - sum(alphas.values())).max())
+    user_err = max(
+        float(np.abs(traces[f"send.{uid}"][tail] * q[tail] / queue.capacity_pps
+                     - alpha).max())
+        for uid, alpha in alphas.items())
+    return q_err, user_err
+
+
+@pytest.mark.parametrize("source", ["fast2", OFFGRID_YAML],
+                         ids=["fast2", "fast_pair_offgrid"])
+def test_fast_users_reach_the_alpha_fixed_point(source):
+    q_err, user_err = fast_errors(source)
+    assert q_err <= FAST_QUEUE_PKTS, q_err
+    assert user_err <= FAST_USER_PKTS, user_err

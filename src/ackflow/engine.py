@@ -18,14 +18,26 @@ hop delays; a user's are its last queue, across the return delay (its ACKs
 and the circuit inversion of its flight size), and each upstream queue,
 across the return delay plus the hops after it.  A component's next block
 ends at the least of the horizon, its frontier plus ``BLOCK_CAP_TICKS``,
-and each input's frontier plus that input's lag.  A sweep runs the users,
-then the queues in ``network.queue_order``, which serves zero-delay hops;
-each advances once if it can.  Every cycle of inputs has a positive total
-lag (a return delay is at least one tick, and the topology refuses
-zero-delay cycles of queues), so each sweep advances some component, and a
-feedback loop advances by its whole cycle delay per sweep.  With pruning
-on, every block also ends by the next pruning tick + 1: the components wait
-at that barrier, the histories are pruned, and the barrier moves on.
+and each input's frontier plus that input's lag.
+
+A sweep runs the users, then the queues in ``network.queue_order``, which
+serves zero-delay hops, in two passes.  The first advances only the
+components whose next block is a full length, or ends at the barrier (the
+horizon, or the pruning tick below).  A component's length is its
+shortest feedback cycle (``shortest_cycles``), capped at
+``BLOCK_CAP_TICKS``: the longest block it can ever take, since around its
+cycle each frontier is at most its input's plus the lag, so no block runs
+further past its own frontier.  Without the first pass, a long-loop
+component would advance whenever the short loop that paces its queue
+moved, in that loop's short blocks, and every block has a fixed cost.  If
+the first pass advances nothing, the second advances every component that
+can, as far as it can.  Every cycle of inputs has a positive total lag (a
+return delay is at least one tick, and the topology refuses zero-delay
+cycles of queues), so that pass advances some component, and a feedback
+loop advances by its whole cycle delay per sweep.  ``TraceSet.blocks``
+counts each component's blocks.  With pruning on, every block also ends by
+the next pruning tick + 1: the components wait at that barrier, the
+histories are pruned, and the barrier moves on.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The window, ACK-buffer and backlog
@@ -48,6 +60,7 @@ interpolation otherwise; the returned traces are views of the columns.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -102,6 +115,8 @@ class TraceSet:
     equilibrium_init: EquilibriumResult | None
     queues: dict[str, FifoQueue]
     users: dict[str, UserState]
+    # blocks each component ran, keyed like ``input_lags``
+    blocks: dict[tuple[str, str], int]
     runtime_s: float = 0.0
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -197,6 +212,31 @@ def input_lags(network: Network, dt: float) -> dict:
             lag = _lag_ticks(flow.hop_delays_s[pos], dt)
             feeds[src] = min(lag, feeds.get(src, lag))
     return lags
+
+
+def shortest_cycles(lags: dict) -> dict:
+    """Each component's shortest feedback cycle in ticks, from ``input_lags``.
+
+    The least total lag of a cycle of inputs through the component, or None
+    when it lies on no cycle.  One Dijkstra per component, walking inputs
+    from it until it is reached again; the lags are nonnegative.
+    """
+    cycles = {}
+    for start, feeds in lags.items():
+        heap = [(lag, src) for src, lag in feeds.items()]
+        heapq.heapify(heap)
+        done = set()
+        cycles[start] = None
+        while heap:
+            dist, node = heapq.heappop(heap)
+            if node == start:
+                cycles[start] = dist
+                break
+            if node not in done:
+                done.add(node)
+                for src, lag in lags[node].items():
+                    heapq.heappush(heap, (dist + lag, src))
+    return cycles
 
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
@@ -318,34 +358,38 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                  for h in (q.forward_map, *q.inputs.values(), *q.outputs.values())]
     histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
 
-    # the sweep: each component with its name, its block body and its
-    # inputs as (component, lag); frontiers are keyed by the component
-    # object, since a user and a queue may share an id
+    # the sweep, per component keyed like input_lags (a user and a queue
+    # may share an id): its block body, block length and inputs as (key, lag)
     lags = input_lags(network, dt)
-    comps = {("user", ctx.uid): ctx for ctx in user_list}
-    comps.update((("queue", qid), queues[qid]) for qid in network.queue_order)
+    cycles = shortest_cycles(lags)
+    bodies = {("user", ctx.uid): functools.partial(_user_block, ctx, queues, dt)
+              for ctx in user_list}
+    for qid in network.queue_order:
+        bodies["queue", qid] = functools.partial(
+            _queue_block, queues[qid], input_readers[qid], queue_columns[qid], dt)
     sweep = []
-    for (kind, cid), comp in comps.items():
-        if kind == "user":
-            body = functools.partial(_user_block, comp, queues, dt)
-        else:
-            body = functools.partial(_queue_block, comp, input_readers[cid],
-                                     queue_columns[cid], dt)
-        feeds = [(comps[src], lag) for src, lag in lags[kind, cid].items()]
-        sweep.append((comp, f"{kind} '{cid}'", body, feeds))
-    frontier = dict.fromkeys(comps.values(), 0)
+    for key, body in bodies.items():
+        cycle = cycles[key]
+        length = BLOCK_CAP_TICKS if cycle is None else min(BLOCK_CAP_TICKS, cycle)
+        sweep.append((key, body, length, list(lags[key].items())))
+    frontier = dict.fromkeys(bodies, 0)
+    blocks = dict.fromkeys(bodies, 0)
 
     barrier = 1 if prune_every else n_ticks  # the next pruning tick + 1
     while True:
         advanced = False
-        for comp, _, body, feeds in sweep:
-            k0 = frontier[comp]
-            k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
-                     *[frontier[src] + lag for src, lag in feeds])
-            if k1 > k0:
-                body(k0, k1)
-                frontier[comp] = k1
-                advanced = True
+        for eager in (False, True):
+            for key, body, length, feeds in sweep:
+                k0 = frontier[key]
+                k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
+                         *[frontier[src] + lag for src, lag in feeds])
+                if k1 > k0 and (eager or k1 == barrier or k1 - k0 >= length):
+                    body(k0, k1)
+                    frontier[key] = k1
+                    blocks[key] += 1
+                    advanced = True
+            if advanced:
+                break
         if all(f == barrier for f in frontier.values()):
             k = barrier - 1
             t = k * dt
@@ -356,9 +400,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 break
             barrier = min(barrier + prune_every, n_ticks)
         elif not advanced:
-            stuck = ", ".join(f"{name} at t={frontier[comp] * dt:.6f}"
-                              for comp, name, _, _ in sweep
-                              if frontier[comp] < barrier)
+            stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
+                              for (kind, cid), k in frontier.items() if k < barrier)
             raise SimulationError(f"no component can advance: {stuck}")
 
     # the flows are views of the history columns; tau is q / capacity, which
@@ -385,6 +428,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         equilibrium_init=eq_init,
         queues=queues,
         users={uid: ctx.state for uid, ctx in users.items()},
+        blocks=blocks,
         runtime_s=time.perf_counter() - t_wall,
     )
 

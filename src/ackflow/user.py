@@ -36,17 +36,6 @@ class UserState:
         self.acks = Trajectory(dt_s, sending0_pps, capacity=n_ticks)
         self.active = True
 
-    def apply_window_jump(self, delta_pkts: float) -> float:
-        """Instantaneous window change; returns the packet burst to emit.
-
-        A positive jump while sending is a burst of that many packets; any
-        jump while retaining moves through the ACK buffer first, and only
-        the part that refills it past zero comes out as a burst.
-        """
-        self.window += delta_pkts
-        self.ack_buffer, burst = _absorb_jump(self.ack_buffer, delta_pkts)
-        return burst
-
     def step(self, acks, dt: float, *, jumps=None, wdot=None):
         """Advance window and ACK buffer over one block of steps of ``dt``.
 

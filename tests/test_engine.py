@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import ackflow.engine as engine
 from ackflow.engine import (
-    BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, simulate,
-    static_link_check,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, shortest_cycles,
+    simulate, static_link_check,
 )
 from ackflow.history import Trajectory
 from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
@@ -325,7 +325,8 @@ class TestHorizonIndependence:
 class TestPruning:
     def test_pruned_run_is_bitwise_equal_to_unpruned(self):
         # pruning starts once t exceeds the delays plus the 5 s margin and
-        # repeats every simulated second: 8 s gives two prunes
+        # repeats every simulated second: 8 s gives three prunes, at 6, 7
+        # and 8 s
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
         full, pruned = run(sc), run(sc, prune_history=True)
         assert pruned.queues["b1"].inputs["u1"].pruned_before > 0
@@ -395,6 +396,39 @@ class TestBlocks:
     def test_input_lags_are_the_channel_delays_in_whole_ticks(self, source, lags):
         sc = load_scenario(source)
         assert input_lags(to_network(sc), sc.run.dt_s) == lags
+
+    @pytest.mark.parametrize("source, cycles", [
+        # u1 -> b1 -> u1 and u1 -> b1 -> b2 -> u1 both take 1200 ticks; b1's
+        # shortest is through u3, b2's through u2
+        ("scenario3", {U1: 1200, U2: 800, U3: 400, B1: 400, B2: 800}),
+        # 123 + 377 and 31 + 885 ticks; b1 lies on both
+        (OFFGRID_YAML, {U1: 500, U2: 916, B1: 500}),
+        # no user, so no feedback: b1's blocks are capped only
+        ("squarewave", {B1: None}),
+    ], ids=["scenario3", "fast_pair_offgrid", "squarewave"])
+    def test_shortest_cycles_are_the_least_lag_around_each_loop(self, source, cycles):
+        sc = load_scenario(source)
+        assert shortest_cycles(input_lags(to_network(sc), sc.run.dt_s)) == cycles
+
+    @pytest.mark.parametrize("source, blocks", [
+        # 160001 ticks: u3 and b1 in 400-tick blocks; u1, u2 and b2 wait
+        # for 800-tick ones, u1 paced by b2
+        ("scenario3", {U1: 201, U2: 201, U3: 401, B1: 401, B2: 201}),
+        # 110001 ticks in blocks of BLOCK_CAP_TICKS
+        ("squarewave", {B1: 108}),
+        # 200001 ticks; u2 (916-tick cycle) is paced by b1's 500-tick blocks
+        (OFFGRID_YAML, {U1: 401, U2: 400, B1: 401}),
+    ], ids=["scenario3", "squarewave", "fast_pair_offgrid"])
+    def test_blocks_counts_each_components_blocks(self, source, blocks):
+        assert run(load_scenario(source)).blocks == blocks
+
+    def test_a_long_loop_waits_for_its_own_long_blocks(self):
+        # scenario1: u1's loop is 32 ticks, u2's 1170; u2 reads the same
+        # queue that u1's short loop moves, yet takes capped blocks
+        sc = preset("scenario1")
+        blocks = simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=4.0, init=sc.run.init)).blocks
+        assert blocks[U2] <= blocks[U1] / 10
 
     @staticmethod
     def mixed_scenario():

@@ -20,6 +20,12 @@ def send_of(u, ack, dt=1e-3, **kwargs):
     return send[0]
 
 
+def burst_of(u, delta_pkts, dt=1e-3):
+    """Packets a one-tick block without ACKs emits after a window jump."""
+    send, *_ = u.step([0.0], dt, jumps={0: delta_pkts})
+    return send[0] * dt
+
+
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
         u = UserState("u", 10.0, dt_s=1e-3)
@@ -32,7 +38,7 @@ class TestSendingFlow:
 
     def test_retaining_mode_sends_nothing(self):
         u = UserState("u", 200.0, dt_s=1e-3)
-        u.apply_window_jump(-100.0)
+        burst_of(u, -100.0)
         assert send_of(u, 1000.0, wdot=constant_wdot(50.0)) == 0.0
         assert not u.active
 
@@ -40,7 +46,7 @@ class TestSendingFlow:
 class TestAckBufferStep:
     def test_halving_drops_buffer_by_deficit(self):
         u = UserState("u", 500.0, dt_s=1e-3)
-        burst = u.apply_window_jump(-250.0)
+        burst = burst_of(u, -250.0)
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
         assert u.window == pytest.approx(250.0)
@@ -67,20 +73,20 @@ class TestAckBufferStep:
     def test_buffer_never_positive(self):
         # the buffer at each tick start is the one the step before left
         u = UserState("u", 100.0, dt_s=1e-3)
-        u.apply_window_jump(-30.0)
+        burst_of(u, -30.0)
         _, _, buffers, _, _ = u.step(np.full(2000, 40.0), 1e-3)
         assert np.all(buffers <= 0.0)
         assert u.ack_buffer <= 0.0
 
     def test_positive_jump_while_retaining_refills_buffer(self):
         u = UserState("u", 100.0, dt_s=1e-3)
-        u.apply_window_jump(-50.0)
-        burst = u.apply_window_jump(+50.0)
+        burst_of(u, -50.0)
+        burst = burst_of(u, +50.0)
         assert u.ack_buffer == pytest.approx(0.0)
         # the jump only cancels the deficit; nothing to emit
         assert burst == pytest.approx(0.0, abs=1e-9)
         # any further increase comes out as a real burst
-        assert u.apply_window_jump(+10.0) == pytest.approx(10.0)
+        assert burst_of(u, +10.0) == pytest.approx(10.0)
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
         u = UserState("u", 100.0, dt_s=1e-3)

@@ -54,7 +54,9 @@ the first bad tick.
 Every signal is one float64 column on the grid ``k * dt``.  The flows
 (sending, ACK, queue input and output rates) are the history columns the
 blocks read back, by index when a delay is a grid multiple and by
-interpolation otherwise; the returned traces are views of the columns.
+interpolation otherwise; the returned traces are views of the columns.  A
+user's flight is its sending column's hold integral back to the circuit
+entry time, the same running sum a queue's transport reads from its inputs.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ import numpy as np
 
 from .fifo_queue import FifoQueue
 from .oracle import EquilibriumResult, equilibrium_from_scenario, equilibrium_queue
-from .protocol import FastParams, WindowSchedule, fast_wdot
-from .scenario import FastProtocol, RunConf, Scenario, ScheduledProtocol
+from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
+from .scenario import RunConf, Scenario
 from .topology import Network
 from .user import UserState, circuit_backward_time
 
@@ -158,8 +160,7 @@ class _Reader:
 
 
 class _UserCtx:
-    __slots__ = ("uid", "state", "conf", "fast_params", "impulses", "ack_reader",
-                 "rect_cum", "total_delay", "send0", "columns")
+    __slots__ = ("uid", "state", "conf", "impulses", "ack_reader", "columns")
 
     def __init__(self, uid):
         self.uid = uid
@@ -287,7 +288,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     for uid, uconf in network.users.items():
         ctx = _UserCtx(uid)
         ctx.conf = uconf
-        ctx.total_delay = uconf.total_delay_s
         proto = uconf.protocol
         w0 = proto.initial_window_pkts
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
@@ -295,26 +295,19 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         flight0 = w0 if eq_init is not None else 0.0
         ctx.state = UserState(uid, window_start, dt_s=dt, sending0_pps=send0,
                               flight0_pkts=flight0, n_ticks=n_ticks)
-        ctx.send0 = send0
         if isinstance(proto, ScheduledProtocol):
-            ctx.fast_params = None
-            ctx.impulses = WindowSchedule(w0, proto.steps).impulses_by_tick(dt)
+            impulses = proto.impulses_by_tick(dt)
         elif isinstance(proto, FastProtocol):
-            ctx.fast_params = FastParams(proto.gamma, proto.alpha_pkts)
-            ctx.impulses = {}
+            impulses = {}
         else:
             raise SimulationError(f"user '{uid}': unsupported protocol {proto!r}")
         if eq_init is None:
             # the window appears at t=0: emitted as an opening burst
-            ctx.impulses = dict(ctx.impulses)
-            ctx.impulses[0] = ctx.impulses.get(0, 0.0) + w0
-        ctx.impulses = {k: v for k, v in ctx.impulses.items() if v}  # tick -> jump
+            impulses[0] = impulses.get(0, 0.0) + w0
+        ctx.impulses = {k: v for k, v in impulses.items() if v}  # tick -> jump
         last_q = uconf.queue_path[-1]
         ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
                                  delay_s=uconf.return_delay_s, dt_s=dt)
-        # running sum of sending * dt: rect_cum[k] covers ticks before k
-        ctx.rect_cum = np.empty(n_ticks + 1)
-        ctx.rect_cum[0] = 0.0
         users[uid] = ctx
 
     # per-queue input readers, in the queue's flow order: the upstream
@@ -438,14 +431,15 @@ def _user_block(ctx: _UserCtx, queues: dict, dt: float, k0: int, k1: int) -> Non
     ticks = np.arange(k0, k1) * dt
     st = ctx.state
     acks = ctx.ack_reader.read(k0, ticks)
-    # flight by the independent route: sending integral back to the
-    # circuit entry time of the traffic being acknowledged now
+    # entry time of the traffic being acknowledged now
     b_t = circuit_backward_time(ctx.conf, queues, ticks)
     wdot = None
-    if ctx.fast_params is not None:
-        lag = (ticks - b_t) - ctx.total_delay
+    proto = ctx.conf.protocol
+    if isinstance(proto, FastProtocol):
+        total_delay = ctx.conf.total_delay_s
+        lag = (ticks - b_t) - total_delay
         wdot = _fast_controller(np.where(lag > 0.0, lag, 0.0).tolist(),
-                                ctx.total_delay, ctx.fast_params)
+                                total_delay, proto)
     jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
     send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, wdot=wdot)
     if not (np.isfinite(send).all() and np.isfinite(w).all()
@@ -459,12 +453,9 @@ def _user_block(ctx: _UserCtx, queues: dict, dt: float, k0: int, k1: int) -> Non
             f"t={ticks[sane.argmin()]:.6f}")
     st.sending.record(ticks[0], send)
     st.acks.record(ticks[0], acks)
-    cum = ctx.rect_cum
-    cum[k0:k1 + 1] = np.cumsum(np.concatenate(([cum[k0]], send * dt)))
-    last = np.arange(k0, k1)
-    rect = _rect_at(cum, ctx.send0, np.concatenate((ticks, b_t)),
-                    np.concatenate((last, last)), dt)
-    flight = rect[:k1 - k0] - rect[k1 - k0:]
+    # flight by the independent route: the sending integral back to the
+    # circuit entry time, each tick's rate held over its step
+    flight = st.sending.integrate_hold(b_t, ticks)
     for col, values in zip(ctx.columns, (w, pi, flight, flight_ode, active)):
         col[k0:k1] = values
 
@@ -489,28 +480,14 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, dt: float,
     col_congested[k0:k1] = congested
 
 
-def _fast_controller(tau_back: list, total_delay: float, params: FastParams):
+def _fast_controller(tau_back: list, total_delay: float, proto: FastProtocol):
     """FAST window rate for a block: tick ``j`` measures ``tau_back[j]``.
 
     ``fast_wdot`` is looked up at each call, so a patched global is seen.
     """
     def wdot(window: float, j: int) -> float:
-        return fast_wdot(window, tau_back[j], total_delay, params)
+        return fast_wdot(window, tau_back[j], total_delay, proto)
     return wdot
-
-
-def _rect_at(cum: np.ndarray, send0: float, x: np.ndarray, last: np.ndarray,
-             dt: float) -> np.ndarray:
-    """Piecewise-linear cumulative of the recorded sending rate at times x.
-
-    Matches the rectangle quadrature of the per-tick rate samples, clamped
-    to ``cum[last]``, the sum over the ticks before each read's own tick;
-    before t=0 the pre-history rate extends linearly.
-    """
-    pos = x / dt
-    i = np.minimum(np.maximum(pos, 0.0), last).astype(np.int64)
-    inner = cum[i] + (cum[np.minimum(i + 1, last)] - cum[i]) * (pos - i)
-    return np.where(x <= 0.0, send0 * x, np.where(i < last, inner, cum[last]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Two unrelated routes to the same physics: a packet-level discrete-event
 simulation (integer packets, FIFO service, per-packet timings) and an
 analytic fixed point for steady-state queueing delays.  The fluid engine is
 checked against both; neither shares code with it beyond the scenario
-description.
+description, whose window controllers (``ScheduledProtocol``) both run.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import ConstantProfile, FastProtocol, Scenario, ScheduledProtocol
-from .protocol import WindowSchedule
+from .protocol import FastProtocol
+from .scenario import ConstantProfile, Scenario
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
@@ -108,15 +108,12 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
 
     flow_ids_by_queue = {q.id: [] for q in scenario.queues}
     routes: dict[str, tuple] = {}
-    schedules: dict[str, WindowSchedule] = {}
     for u in scenario.users:
         if isinstance(u.protocol, FastProtocol):
             raise OracleError(
                 f"user '{u.id}': the packet oracle only supports scheduled "
                 "windows; validate FAST runs against the equilibrium oracle")
         routes[u.id] = (tuple(zip(u.hop_delays_s, u.queue_path)), u.return_delay_s)
-        schedules[u.id] = WindowSchedule(u.protocol.initial_window_pkts,
-                                         u.protocol.steps)
         for qid in u.queue_path:
             flow_ids_by_queue[qid].append(u.id)
     for f in scenario.rate_flows:
@@ -139,7 +136,7 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     events: list[PacketEvent] | None = [] if record_events else None
     send_times: dict[str, list[float]] = {u.id: [] for u in scenario.users}
     flight = {u.id: 0 for u in scenario.users}
-    window = {u.id: schedules[u.id].window_at(t0) for u in scenario.users}
+    window = {u.id: u.protocol.window_at(t0) for u in scenario.users}
     next_pid = 0
 
     def log(pid, fid, kind, t):
@@ -163,9 +160,9 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     # initial bursts, schedule steps, exogenous emissions, sampling chain
     for uid in window:
         fill_window(uid, t0)
-    for uid, sched in schedules.items():
-        for ts, ws in sched.steps:
-            push(ts, "window", (uid, ws))
+    for u in scenario.users:
+        for ts, ws in u.protocol.steps:
+            push(ts, "window", (u.id, ws))
     for f in scenario.rate_flows:
         first = _next_emission(f.profile, t0, need=0.5)
         if first is not None:

@@ -1,5 +1,8 @@
 """Window controllers: scheduled steps and the FAST-TCP continuous model.
 
+Each controller is its scenario description: ``ScheduledProtocol`` and
+``FastProtocol`` are the ``protocol`` of a ``UserConf``, check themselves on
+construction and answer the engine and the packet oracle directly.
 Controllers only decide how the congestion window moves; turning the window
 into a sending flow is the user block's job.  Scheduled controllers report
 instantaneous window changes as impulses so the user block can emit the
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FastParams", "fast_wdot", "WindowSchedule", "ProtocolError"]
+__all__ = ["ScheduledProtocol", "FastProtocol", "fast_wdot", "ProtocolError"]
 
 
 class ProtocolError(ValueError):
@@ -18,51 +21,29 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class FastParams:
-    """FAST-TCP gains: update gain and the per-user target of queued packets."""
-
-    gamma: float
-    alpha_pkts: float
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.alpha_pkts <= 0:
-            raise ProtocolError("FAST parameters gamma and alpha must be positive")
-
-
-def fast_wdot(window_pkts: float, backward_queueing_delay_s: float,
-              total_prop_delay_s: float, params: FastParams) -> float:
-    """FAST-TCP window rate of change.
-
-    The measurement is the queueing delay experienced by the traffic whose
-    acknowledgements are arriving now (the backward queueing delay).  The
-    rate is affine in the window: positive below the equilibrium window
-    alpha*(T+tau)/tau, negative above it.
-    """
-    if total_prop_delay_s <= 0:
-        raise ProtocolError("total propagation delay must be positive for FAST")
-    tau = backward_queueing_delay_s
-    return params.gamma * (
-        -tau / (total_prop_delay_s + tau) * window_pkts + params.alpha_pkts)
-
-
-class WindowSchedule:
+class ScheduledProtocol:
     """Piecewise-constant window: an initial value plus timed step changes."""
 
-    __slots__ = ("initial_pkts", "steps")
+    initial_window_pkts: float
+    steps: tuple[tuple[float, float], ...] = ()  # (time_s, window_pkts)
+    kind: str = "scheduled"
 
-    def __init__(self, initial_pkts: float, steps=()):
-        steps = tuple((float(t), float(w)) for t, w in steps)
-        for (t0, _), (t1, _) in zip(steps, steps[1:]):
-            if t1 <= t0:
-                raise ProtocolError("schedule step times must be strictly increasing")
-        if initial_pkts < 0 or any(w < 0 for _, w in steps):
+    def __post_init__(self):
+        if self.initial_window_pkts < 0:
             raise ProtocolError("window values must be nonnegative")
-        self.initial_pkts = float(initial_pkts)
-        self.steps = steps
+        prev = None
+        for t, w in self.steps:
+            # a run starts at t=0, so an earlier step would reach no tick
+            if (t < 0) if prev is None else (t <= prev):
+                raise ProtocolError(
+                    "schedule step times must be nonnegative and strictly increasing")
+            if w < 0:
+                raise ProtocolError("window values must be nonnegative")
+            prev = t
 
     def window_at(self, t: float) -> float:
         """Window value at ``t`` (right-continuous at step instants)."""
-        w = self.initial_pkts
+        w = self.initial_window_pkts
         for ts, ws in self.steps:
             if t >= ts:
                 w = ws
@@ -77,9 +58,40 @@ class WindowSchedule:
         ``k * dt`` grids; schedules are expected to lie on the grid anyway.
         """
         jumps: dict[int, float] = {}
-        w_prev = self.initial_pkts
+        w_prev = self.initial_window_pkts
         for ts, ws in self.steps:
             k = int(ts / dt + 0.5)
             jumps[k] = jumps.get(k, 0.0) + (ws - w_prev)
             w_prev = ws
         return {k: j for k, j in jumps.items() if j != 0.0}
+
+
+@dataclass(frozen=True)
+class FastProtocol:
+    """FAST-TCP: update gain, per-user target of queued packets, and the
+    window it starts from."""
+
+    gamma: float
+    alpha_pkts: float
+    initial_window_pkts: float
+    kind: str = "fast"
+
+    def __post_init__(self):
+        if self.gamma <= 0 or self.alpha_pkts <= 0:
+            raise ProtocolError("FAST parameters gamma and alpha must be positive")
+
+
+def fast_wdot(window_pkts: float, backward_queueing_delay_s: float,
+              total_prop_delay_s: float, proto: FastProtocol) -> float:
+    """FAST-TCP window rate of change.
+
+    The measurement is the queueing delay experienced by the traffic whose
+    acknowledgements are arriving now (the backward queueing delay).  The
+    rate is affine in the window: positive below the equilibrium window
+    alpha*(T+tau)/tau, negative above it.
+    """
+    if total_prop_delay_s <= 0:
+        raise ProtocolError("total propagation delay must be positive for FAST")
+    tau = backward_queueing_delay_s
+    return proto.gamma * (
+        -tau / (total_prop_delay_s + tau) * window_pkts + proto.alpha_pkts)

@@ -3,9 +3,11 @@
 This module owns the flow types: ``QueueConf``, ``UserConf`` and
 ``RateFlowConf`` describe each queue, user and rate flow once, and the
 same objects are the network (``topology`` checks their ids, paths and
-delays and orders the queues).  One YAML document describes a run.  Keys
-carry explicit units (``capacity_mbps``, ``hop_delays_ms``) and everything
-is normalized to packets and seconds on load; capacities given in Mb/s
+delays and orders the queues).  A user's ``protocol`` is one of the
+controllers of ``protocol`` (``ScheduledProtocol``, ``FastProtocol``),
+re-exported here: the one description that the engine and the packet
+oracle both run.  One YAML document describes a run.  Keys carry explicit
+units (``capacity_mbps``, ``hop_delays_ms``) and everything is normalized to packets and seconds on load; capacities given in Mb/s
 are converted with the scenario's packet size (bits per second divided by
 8 * packet bytes).  The parser adds each entry to a ``Network`` as it
 reads it, so a topology fault names the entry's field.  Serialization
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
-from .protocol import FastParams, ProtocolError, WindowSchedule
+from .protocol import FastProtocol, ProtocolError, ScheduledProtocol
 from .topology import Network, TopologyError, build_network
 
 __all__ = [
@@ -46,21 +48,6 @@ def mbps_to_pps(mbps: float, packet_bytes: int) -> float:
 class QueueConf:
     id: str
     capacity_pps: float
-
-
-@dataclass(frozen=True)
-class ScheduledProtocol:
-    initial_window_pkts: float
-    steps: tuple[tuple[float, float], ...] = ()  # (time_s, window_pkts)
-    kind: str = "scheduled"
-
-
-@dataclass(frozen=True)
-class FastProtocol:
-    gamma: float
-    alpha_pkts: float
-    initial_window_pkts: float
-    kind: str = "fast"
 
 
 @dataclass(frozen=True)
@@ -209,27 +196,34 @@ def _section(doc: dict, key: str) -> list:
     return [_mapping(x, f"{key}[{i}]") for i, x in enumerate(items)]
 
 
-def _validated(path: str, check, *args, keys: dict | None = None) -> None:
-    """Run a controller's or the topology's own checks, naming the field.
+def _validated(path: str, check, *args, keys: dict | None = None):
+    """Run a controller's or the topology's own checks, naming the field;
+    returns what ``check`` returns.
 
     ``keys`` maps the attribute a topology fault names to the entry's key
     in the document, e.g. ``queue_path`` to ``path``.
     """
     try:
-        check(*args)
+        return check(*args)
     except (ProtocolError, TopologyError) as e:
         key = (keys or {}).get(getattr(e, "field", None))
         raise _err(f"{path}.{key}" if key else path, str(e)) from None
 
 
 def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
-              capacity_pps: float) -> float:
-    """Resolve one rate given as _pps, _mbps, or a capacity fraction."""
-    keys = [k for k in (f"{prefix}_pps", f"{prefix}_mbps", f"{prefix}_fraction")
-            if k in d]
+              capacity_pps: float | None = None) -> float:
+    """Resolve one rate given as _pps, _mbps, or a fraction of
+    ``capacity_pps``; without a capacity a fraction is refused."""
+    options = [f"{prefix}_pps", f"{prefix}_mbps"]
+    if capacity_pps is not None:
+        options.append(f"{prefix}_fraction")
+    elif f"{prefix}_fraction" in d:
+        raise _err(f"{path}.{prefix}_fraction", "no capacity to take a fraction "
+                                                f"of; give {' or '.join(options)}")
+    keys = [k for k in options if k in d]
     if len(keys) != 1:
-        raise _err(path, f"give exactly one of {prefix}_pps / {prefix}_mbps / "
-                         f"{prefix}_fraction (got {keys or 'none'})")
+        raise _err(path, f"give exactly one of {' / '.join(options)} "
+                         f"(got {keys or 'none'})")
     key = keys[0]
     val = _number(d.pop(key), f"{path}.{key}")
     if key.endswith("_pps"):
@@ -261,13 +255,11 @@ def _parse_protocol(d, path: str):
             _no_leftovers(s, sp)
             steps.append((at, w))
         _no_leftovers(d, path)
-        _validated(f"{path}.steps", WindowSchedule, w0, steps)
-        return ScheduledProtocol(w0, tuple(steps))
+        return _validated(f"{path}.steps", ScheduledProtocol, w0, tuple(steps))
     gamma = _number(_take(d, path, "gamma"), f"{path}.gamma")
     alpha = _number(_take(d, path, "alpha_pkts"), f"{path}.alpha_pkts")
     _no_leftovers(d, path)
-    _validated(path, FastParams, gamma, alpha)
-    return FastProtocol(gamma, alpha, w0)
+    return _validated(path, FastProtocol, gamma, alpha, w0)
 
 
 def _delays_s(d: dict, path: str, prefix: str, listed: bool):
@@ -317,7 +309,7 @@ def parse_scenario(text: str) -> Scenario:
         path = f"queues[{i}]"
         q = _mapping(q, path)
         qid = _name(_take(q, path, "id"), f"{path}.id")
-        cap = _rate_pps(q, path, "capacity", packet_bytes, 0.0)
+        cap = _rate_pps(q, path, "capacity", packet_bytes)
         _no_leftovers(q, path)
         _validated(path, net.add_queue, QueueConf(qid, cap), keys={"id": "id"})
 

@@ -20,6 +20,7 @@ from ackflow.scenario import (
     ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps, preset,
     to_network,
 )
+from ackflow.user import circuit_backward_time
 
 OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
                    / "fast_pair_offgrid.yaml")
@@ -309,6 +310,23 @@ class TestOffGridReads:
         for uid in ("u1", "u2"):
             gap = np.abs(traces[f"flight.{uid}"] - traces[f"flight_ode.{uid}"])
             assert gap[second].max() < 1.0, uid
+
+
+class TestFlightRecord:
+    @pytest.mark.parametrize("source, horizon_s", [("scenario1", 3.5), (OFFGRID_YAML, 1.0)],
+                             ids=["scenario1", "fast_pair_offgrid"])
+    def test_flight_is_the_sending_columns_hold_integral(self, source, horizon_s):
+        # one record of the sent mass: flight reads the sending column's own
+        # hold cumulative back to the circuit entry time, on the grid
+        # (scenario1, across its window step) and off it (the FAST pair)
+        sc = load_scenario(source)
+        traces = simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
+        t = traces.time
+        for u in sc.users:
+            entry = circuit_backward_time(u, traces.queues, t)
+            expected = traces.users[u.id].sending.integrate_hold(entry, t)
+            assert np.array_equal(traces[f"flight.{u.id}"], expected), u.id
 
 
 class TestHorizonIndependence:

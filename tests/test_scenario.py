@@ -74,6 +74,12 @@ def zero_delay_cycle(doc):
     doc["users"][1].update(path=["b2", "b1"], hop_delays_s=[0.0, 0.0])
 
 
+def capacity_fraction(doc):
+    # a queue's capacity has nothing to be a fraction of
+    del doc["queues"][0]["capacity_pps"]
+    doc["queues"][0]["capacity_fraction"] = 0.5
+
+
 MALFORMED = {
     "queues-not-a-list": (lambda d: d.update(queues=5), "queues"),
     "queue-not-a-mapping": (lambda d: d.update(queues=["b1"]), "queues[0]"),
@@ -111,6 +117,10 @@ MALFORMED = {
     "zero-gamma": (lambda d: d["users"][1]["protocol"].update(gamma=0.0), "users[1].protocol"),
     "unsorted-steps": (lambda d: sched(d)["steps"].insert(0, {"at_s": 2.0, "window_pkts": 5.0}),
                        "users[0].protocol.steps"),
+    "negative-step-time": (
+        lambda d: sched(d)["steps"].insert(0, {"at_s": -1.0, "window_pkts": 50.0}),
+        "users[0].protocol.steps"),
+    "queue-capacity-fraction": (capacity_fraction, "queues[0].capacity_fraction"),
     "negative-step-window": (
         lambda d: sched(d)["steps"].append({"at_s": 2.0, "window_pkts": -5.0}),
         "users[0].protocol.steps"),

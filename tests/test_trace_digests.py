@@ -24,30 +24,30 @@ OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
                    / "fast_pair_offgrid.yaml")
 
 FROZEN = {
-    "scenario1": "99e80c03a5987ff1e0c5b51e191a56be889a47187bddd26c5da63650b306af02",
-    "scenario2": "183dded0edf0b86b9890226e6c51ef164014246c8185582e89cb19c87ec2a268",
-    "scenario3": "f91811fc3c723a90eb26a8cbe38a67f4f1e88ca944974c1d0c2d4d419df8672a",
-    "scenario4": "f91811fc3c723a90eb26a8cbe38a67f4f1e88ca944974c1d0c2d4d419df8672a",
-    "scenario5": "1823ff192ff6727cdd809fbc36fc15b32a805c3aa5f36480f26a91ebcb69e291",
-    "scenario6": "1823ff192ff6727cdd809fbc36fc15b32a805c3aa5f36480f26a91ebcb69e291",
-    "scenario7": "2aab0f25d139be4418860eb03200d0d8a0e6cb95647c044470bdc47c1887b566",
-    "scenario8": "65696250566d7a3580f72d119ca37715944b92db3c495724cd3c314d85bbb612",
+    "scenario1": "5d9e479d9988bc1683d25d5dd85d8018379ac2abd33fa1225dc8f743871d164e",
+    "scenario2": "3cc9ce0b234a3ead76304ccc9e01430f13cac718cc73fe17ffe3b0ab2edf6560",
+    "scenario3": "e877d8daa4977554f8abd8b689386a0b262ecb3452c0e830b92686db79dfe962",
+    "scenario4": "e877d8daa4977554f8abd8b689386a0b262ecb3452c0e830b92686db79dfe962",
+    "scenario5": "880a10bfd6ec93d6f5bcb6ac7a8e052731072cd5bcb30c4ff8fcd6f2b85a81de",
+    "scenario6": "880a10bfd6ec93d6f5bcb6ac7a8e052731072cd5bcb30c4ff8fcd6f2b85a81de",
+    "scenario7": "d47345deb6f5a85ec277931efebc18ca4842c82ccae41a11c62cf349a3e252a1",
+    "scenario8": "d418d8edd55a36e9ba6be0404453d9238d4bbe9d11e9b861b10261972b5cbf83",
     "squarewave": "3aca413b5f8328c99ab264cd4c374e5513de175dfbda8592dd91898f9c428098",
-    "fast2": "f21021489d3100da71ef0b9f7de93ef1df4a76353dd520bf6d414ff3869f0967",
-    "staticlink": "a161aea5f140ef989a98f0df076fd4492d59985c2a08204f0cde898d446cef51",
+    "fast2": "fa252acbe818b347edc724396929565b5755e86ee693714def0fce02f290242d",
+    "staticlink": "eb7661cd80916b1649f24d038c6a30dd65e39aa6bbd488f896c0e4adf10ef6b9",
 }
 
 
 # (scenario source, horizon in seconds) -> digest
 FROZEN_LONG = {
     ("scenario1", 3.5):
-        "256b666f86a739e2b7a696364d6bc6f3cd8677bf75a91499027e9392dcd62b55",
+        "88648ef78f27f2994672c0d088d970232bfbf769cdcc6e9dd8a30a3244ea9fea",
     ("scenario7", 5.5):
-        "2a2db4146e27fb9e562abc8c5042bcef811536fe409f03ac244285b1c41c384d",
+        "b1e6fa1cece36811502649820203ba0df822ada88a4ae0b134f22afdaa82d345",
     ("staticlink", 3.5):
-        "47c70fe6e6bdbb3dc5f77520fc62de756831dac67e1388484c7ca69806eb96e1",
+        "9ee606a19efdc8dfe09cd9dd359e974f99fa7e1eb870f4e18eca1f0413dd69df",
     (OFFGRID_YAML, 0.3):
-        "36f9ef2af0a9f77cd746512480e228c351a636b2430d2946e696dec54d47c87a",
+        "89e37218fa3267ba8bf1f5305fdda5544652f29de551d383765c236a6867946d",
 }
 
 

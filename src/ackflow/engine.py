@@ -52,8 +52,8 @@ depend on the blocks, the frontiers or the spans, and a failed check names
 the first bad tick.
 
 Every signal is one float64 column on the grid ``k * dt``.  The flows
-(sending, ACK, queue input and output rates) are the history columns the
-blocks read back, by index when a delay is a grid multiple and by
+(sending, queue input and output rates) are the history columns the blocks
+read back, by index when a delay is a grid multiple and by
 interpolation otherwise; the returned traces are views of the columns.  A
 user's flight is its sending column's hold integral back to the circuit
 entry time, the same running sum a queue's transport reads from its inputs.
@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +118,6 @@ class TraceSet:
     users: dict[str, UserState]
     # blocks each component ran, keyed like ``input_lags``
     blocks: dict[tuple[str, str], int]
-    runtime_s: float = 0.0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.signals[name]
@@ -133,7 +131,7 @@ class _Reader:
     # the sum of all channel delays plus PRUNE_MARGIN_S.
     __slots__ = ("traj", "profile", "delay", "shift")
 
-    def __init__(self, *, traj=None, profile=None, delay_s=0.0, dt_s=1e-4):
+    def __init__(self, *, dt_s, traj=None, profile=None, delay_s=0.0):
         self.profile = profile
         self.traj = traj
         self.delay = delay_s
@@ -242,7 +240,6 @@ def shortest_cycles(lags: dict) -> dict:
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
     """Run the fluid model; returns every signal on the engine grid."""
-    t_wall = time.perf_counter()
     dt = config.dt_s
     for name in ("dt_s", "horizon_s"):
         value = getattr(config, name)
@@ -324,7 +321,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             elif fid in users:
                 src = users[fid].state.sending
             else:
-                readers.append(_Reader(profile=flow.profile, delay_s=delay))
+                readers.append(_Reader(profile=flow.profile, delay_s=delay, dt_s=dt))
                 continue
             readers.append(_Reader(traj=src, delay_s=delay, dt_s=dt))
 
@@ -422,7 +419,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         queues=queues,
         users={uid: ctx.state for uid, ctx in users.items()},
         blocks=blocks,
-        runtime_s=time.perf_counter() - t_wall,
     )
 
 
@@ -465,19 +461,18 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, dt: float,
     """Advance one queue over ticks ``[k0, k1)``."""
     times = np.arange(k0, k1 + 1) * dt
     ticks = times[:-1]
-    col_q, col_r, col_arrival, col_congested = columns
-    total = q.record_inputs(ticks, [r.read(k0, ticks) for r in readers])
-    backlog, service, congested = q.step(dt, times[1:])
+    rates = [r.read(k0, ticks) for r in readers]
+    total = q.record_inputs(ticks, rates)
+    backlog, service, congested = q.step(dt, times[1:], total)
     if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
         ends = np.isfinite(np.append(backlog[1:], q.backlog))
         raise SimulationError(
             f"divergence in queue block '{q.queue_id}' at "
             f"t={ticks[ends.argmin()]:.6f}")
-    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt))
-    col_q[k0:k1] = backlog
-    col_r[k0:k1] = service
-    col_arrival[k0:k1] = total
-    col_congested[k0:k1] = congested
+    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt, rates,
+                                                   total, congested))
+    for col, values in zip(columns, (backlog, service, total, congested)):
+        col[k0:k1] = values
 
 
 def _fast_controller(tau_back: list, total_delay: float, proto: FastProtocol):

@@ -10,7 +10,10 @@ order-preserving at the flow level: the mass departing over any interval is
 exactly the mass that arrived over the backward image of that interval.
 
 The queue advances a block of ticks per call sequence: ``record_inputs``,
-``step``, ``transport_outputs``, ``record_outputs``.  The backlog and mode
+``step``, ``transport_outputs``, ``record_outputs``.  Each call is passed
+the block data it needs (the input rates, their total, the congested
+flags), so between blocks the queue holds only its backlog, its histories
+and the arrival mix carried for stalled steps.  The backlog and mode
 recurrence runs as regime spans, congested ones as one ``np.cumsum`` of
 ``(a - c) * dt``, cut at each mode switch; the transport is array
 arithmetic over the block, with one bracket pass shared by all input flows.
@@ -53,8 +56,7 @@ class FifoQueue:
 
     __slots__ = (
         "queue_id", "capacity", "flow_ids", "backlog", "inputs", "outputs",
-        "forward_map", "stall_fallbacks", "_share_hint", "_hint_before",
-        "_rates", "_total", "_congested",
+        "forward_map", "stall_fallbacks", "_share_hint",
     )
 
     def __init__(
@@ -92,18 +94,13 @@ class FifoQueue:
             self._share_hint = tuple(1.0 / len(self.flow_ids) for _ in self.flow_ids)
         else:
             self._share_hint = ()
-        # the block being stepped: per-flow and total input rates, congested
-        # flags, and the mix in force before it (for stalled steps)
-        self._rates: list[np.ndarray] = []
-        self._total = self._congested = np.zeros(0)
-        self._hint_before = self._share_hint
 
     def record_inputs(self, ticks: np.ndarray, rates) -> np.ndarray:
         """Record one block of per-flow arrival rates.
 
         ``ticks`` are the grid times of the block's ticks, and ``rates[i]``
         holds flow ``flow_ids[i]``'s rate at each.  Returns the total
-        arrival rate per tick.
+        arrival rate per tick, which ``step`` and ``transport_outputs`` take.
         """
         rates = [np.asarray(r, dtype=np.float64) for r in rates]
         if rates:
@@ -117,22 +114,21 @@ class FifoQueue:
         for traj, r in zip(self.inputs.values(), rates):
             traj.record(ticks[0], r)
             total = total + r
-        self._rates, self._total = rates, total
-        self._hint_before = self._share_hint
-        self._share_hint = self._hint_at(len(total) - 1)
         return total
 
     def backward_time(self, t):
         """Arrival time of the traffic departing at ``t`` (elementwise)."""
         return self.forward_map.invert_monotone(t)
 
-    def step(self, dt: float, end_times_s: np.ndarray):
+    def step(self, dt: float, end_times_s: np.ndarray, total_pps: np.ndarray):
         """Advance the backlog over the recorded block.
 
         ``end_times_s`` are the exact grid times at which its steps end
-        (accumulating ``dt`` would drift against later queries).  Locates
-        each emptying instant inside its step so the backlog never crosses
-        zero, and extends the arrival->departure map at the step ends.
+        (accumulating ``dt`` would drift against later queries), and
+        ``total_pps`` is the block's total arrival rate from
+        ``record_inputs``.  Locates each emptying instant inside its step
+        so the backlog never crosses zero, and extends the
+        arrival->departure map at the step ends.
         Returns, per tick, the backlog at the step start, the average
         service rate over the step (the instantaneous rate except on a mode
         switch) and whether the queue was congested.
@@ -147,7 +143,7 @@ class FifoQueue:
         backlog is the tick-by-tick sum whatever the spans.
         """
         c = self.capacity
-        a = self._total
+        a = total_pps
         n = len(a)
         over = a > c
         backlog, services = np.empty(n), np.empty(n)
@@ -180,27 +176,33 @@ class FifoQueue:
         self.backlog = float(b)
         ends = np.append(backlog[1:], b)
         self.forward_map.record(end_times_s[0], end_times_s + ends / c)
-        self._congested = congested
         return backlog, services, congested
 
-    def transport_outputs(self, times: np.ndarray,
-                          total_departed_pkts: np.ndarray) -> list[np.ndarray]:
+    def transport_outputs(self, times: np.ndarray, total_departed_pkts: np.ndarray,
+                          rates: list[np.ndarray], total_pps: np.ndarray,
+                          congested: np.ndarray) -> list[np.ndarray]:
         """Average per-flow departure rates over the block's steps.
 
         Step ``j`` spans ``[times[j], times[j + 1]]`` and released
-        ``total_departed_pkts[j]``.  While serving a backlog the departures
-        over a step are the arrivals over the backward image [g(t0), g(t1)],
-        split exactly in proportion to each flow's arrival mass there and
-        normalized to the total the server actually released.  Masses use
-        the sample-hold quadrature so they agree exactly with the stepping
-        that built the time map; per-flow packet counts then survive
-        arbitrarily sharp input transients.  If the backward image carries
-        no arrivals at all (all sources stalled before a backlog formed),
-        the last known mix is reused and the event counted in
-        ``stall_fallbacks``.  Uncongested, the outputs are the inputs.
+        ``total_departed_pkts[j]``.  ``rates`` and ``total_pps`` are the
+        block's per-flow and total arrival rates (``record_inputs``) and
+        ``congested`` its flags (``step``).  While serving a backlog the
+        departures over a step are the arrivals over the backward image
+        [g(t0), g(t1)], split exactly in proportion to each flow's arrival
+        mass there and normalized to the total the server actually
+        released.  Masses use the sample-hold quadrature so they agree
+        exactly with the stepping that built the time map; per-flow packet
+        counts then survive arbitrarily sharp input transients.  If the
+        backward image carries no arrivals at all (all sources stalled
+        before a backlog formed), the step reuses the mix of the block's
+        latest arrivals at or before it, else the mix carried from earlier
+        blocks, and counts the event in ``stall_fallbacks``.  Uncongested,
+        the outputs are the inputs.
         """
-        outs = [r.copy() for r in self._rates]
-        busy = np.flatnonzero(self._congested)
+        carried = self._share_hint
+        self._share_hint = _mix_at(rates, total_pps, len(total_pps) - 1, carried)
+        outs = [r.copy() for r in rates]
+        busy = np.flatnonzero(congested)
         if not busy.size:
             return outs
         g = self.backward_time(times)
@@ -213,37 +215,37 @@ class FifoQueue:
         bound = np.where(g1 <= t0, g1, t0)
         tail = g1 > t0
         masses = []
-        total = np.zeros(busy.size)
-        for m, r in zip(hold_integrals(self.inputs.values(), g0, bound), self._rates):
+        arrived = np.zeros(busy.size)
+        for m, r in zip(hold_integrals(self.inputs.values(), g0, bound), rates):
             m = np.where(tail, m + r[busy] * (g1 - t0), m)
             masses.append(m)
-            total = total + m
-        fed = total > 0.0
-        scale = departed[fed] / total[fed] / width[fed]
+            arrived = arrived + m
+        fed = arrived > 0.0
+        scale = departed[fed] / arrived[fed] / width[fed]
         for out, m in zip(outs, masses):
             out[busy[fed]] = scale * m[fed]
         for j in np.flatnonzero(~fed):
             self.stall_fallbacks += 1
             k = busy[j]
-            hint = self._hint_at(k)
-            for out, s in zip(outs, hint):
+            mix = _mix_at(rates, total_pps, k, carried)
+            for out, s in zip(outs, mix):
                 out[k] = departed[j] / width[j] * s
         return outs
-
-    def _hint_at(self, k: int) -> tuple[float, ...]:
-        """The arrival mix in force at the block's tick ``k``: the latest
-        tick with arrivals, else the mix from before the block."""
-        total = self._total
-        if k >= 0 and total[k] > 0:
-            i = k
-        else:
-            fed = np.flatnonzero(total[:k + 1] > 0)
-            if not fed.size:
-                return self._hint_before
-            i = fed[-1]
-        return tuple(r[i] / total[i] for r in self._rates)
 
     def record_outputs(self, t: float, rates) -> None:
         """Record one block of per-flow departure rates from grid time ``t``."""
         for traj, r in zip(self.outputs.values(), rates):
             traj.record(t, r)
+
+
+def _mix_at(rates, total_pps, k: int, carried: tuple) -> tuple[float, ...]:
+    """The arrival mix at a block's tick ``k``: the latest tick at or before
+    it with arrivals, else the ``carried`` mix from earlier blocks."""
+    if total_pps[k] > 0:
+        i = k
+    else:
+        fed = np.flatnonzero(total_pps[:k + 1] > 0)
+        if not fed.size:
+            return carried
+        i = fed[-1]
+    return tuple(r[i] / total_pps[i] for r in rates)

@@ -85,8 +85,7 @@ def _next_emission(profile, t: float, need: float = 1.0) -> float | None:
 
 
 def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
-               warmup_s: float = 0.0, horizon_s: float | None = None,
-               record_events: bool = False) -> PacketSimResult:
+               warmup_s: float = 0.0, record_events: bool = False) -> PacketSimResult:
     """Event-driven packet simulation of a scenario.
 
     Sources with scheduled windows send whenever their flight size is below
@@ -103,7 +102,7 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     FAST-controlled users are not supported here (they are validated against
     the analytic fixed point instead).
     """
-    horizon = scenario.run.horizon_s if horizon_s is None else horizon_s
+    horizon = scenario.run.horizon_s
     t0 = -abs(warmup_s)
 
     flow_ids_by_queue = {q.id: [] for q in scenario.queues}
@@ -279,20 +278,22 @@ def equilibrium_from_scenario(scenario: Scenario) -> EquilibriumProblem:
     )
 
 
-def equilibrium_queue(problem: EquilibriumProblem, *,
-                      windows: dict[str, float] | None = None,
-                      max_sweeps: int = 100_000,
-                      tol_factor: float = 1e-9,
-                      damping: float = 1.0) -> EquilibriumResult:
+# Gauss-Seidel sweeps before giving up, and the residual each queue must
+# meet, relative to its capacity
+MAX_SWEEPS = 100_000
+TOL_FACTOR = 1e-9
+
+
+def equilibrium_queue(problem: EquilibriumProblem) -> EquilibriumResult:
     """Steady-state queueing delays and per-user rates.
 
     At equilibrium each user's rate is window / (propagation + queueing
     along its path), and every congested queue's arrivals exactly fill the
-    capacity left over by cross traffic.  Solved by damped Gauss-Seidel
-    sweeps with a monotone bisection for each queue's delay; queues whose
-    arrivals fit within capacity settle at zero delay.
+    capacity left over by cross traffic.  Solved by Gauss-Seidel sweeps
+    with a monotone bisection for each queue's delay; queues whose arrivals
+    fit within capacity settle at zero delay.
     """
-    w = dict(problem.windows_pkts if windows is None else windows)
+    w = problem.windows_pkts
     T = problem.total_delays_s
     circuits = problem.circuits
     caps = problem.capacities_pps
@@ -312,9 +313,7 @@ def equilibrium_queue(problem: EquilibriumProblem, *,
             s += w[uid] / (base + tq)
         return s
 
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        moved = 0.0
+    for sweeps in range(1, MAX_SWEEPS + 1):
         for q in caps:
             target = targets[q]
             if not users_at[q] or inflow(q, 0.0) <= target:
@@ -335,8 +334,7 @@ def equilibrium_queue(problem: EquilibriumProblem, *,
                     if hi - lo <= 1e-15 + 1e-13 * hi:
                         break
                 new = 0.5 * (lo + hi)
-            moved = max(moved, abs(new - tau[q]))
-            tau[q] = tau[q] + damping * (new - tau[q])
+            tau[q] = new
         # residuals with the full, updated delay set
         max_resid = 0.0
         ok = True
@@ -347,13 +345,13 @@ def equilibrium_queue(problem: EquilibriumProblem, *,
             else:
                 resid = max(0.0, flow_in - targets[q])
             max_resid = max(max_resid, resid)
-            if resid > tol_factor * caps[q]:
+            if resid > TOL_FACTOR * caps[q]:
                 ok = False
         if ok:
             break
     else:
         raise OracleError(
-            f"equilibrium iteration did not converge in {max_sweeps} sweeps "
+            f"equilibrium iteration did not converge in {MAX_SWEEPS} sweeps "
             f"(residual {max_resid:.3e} pkt/s)")
 
     rates = {uid: w[uid] / (T[uid] + sum(tau[p] for p in circuits[uid]))

@@ -32,7 +32,7 @@ __all__ = [
     "Scenario", "QueueConf", "UserConf", "RateFlowConf", "RunConf",
     "ScheduledProtocol", "FastProtocol", "ConstantProfile", "SquareProfile",
     "ScenarioError", "parse_scenario", "serialize_scenario", "load_scenario",
-    "preset", "preset_names", "mbps_to_pps", "to_network",
+    "preset_names", "mbps_to_pps", "to_network",
 ]
 
 
@@ -226,6 +226,8 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
                          f"(got {keys or 'none'})")
     key = keys[0]
     val = _number(d.pop(key), f"{path}.{key}")
+    if val < 0:
+        raise _err(f"{path}.{key}", "must be nonnegative")
     if key.endswith("_pps"):
         return val
     if key.endswith("_mbps"):
@@ -379,6 +381,11 @@ def parse_scenario(text: str) -> Scenario:
     init = _take(run_raw, "run", "init", required=False, default=RunConf.init)
     if init not in ("cold", "equilibrium"):
         raise _err("run.init", f"must be 'cold' or 'equilibrium', got {init!r}")
+    if init == "equilibrium":
+        for fid, f in net.rate_flows.items():
+            if not isinstance(f.profile, ConstantProfile):
+                raise _err("run.init", f"an equilibrium start needs constant rate "
+                                       f"flows, and rate flow '{fid}' varies in time")
     if dt <= 0 or horizon <= 0:
         raise _err("run", "dt_s and horizon_s must be positive")
     _no_leftovers(run_raw, "run")
@@ -443,11 +450,12 @@ def load_scenario(name_or_path: str) -> Scenario:
         return _PRESETS[name_or_path]()
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
-    except FileNotFoundError:
+            text = fh.read()
+    except OSError as e:
         raise ScenarioError(
             f"'{name_or_path}' is neither a preset ({', '.join(preset_names())}) "
-            "nor a readable file") from None
+            f"nor a readable file: {e.strerror}") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +622,6 @@ _PRESETS = {
     "fast2": _fast2,
     "staticlink": _staticlink,
 }
-
-
-def preset(name: str) -> Scenario:
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise ScenarioError(f"unknown preset '{name}'") from None
 
 
 def preset_names() -> tuple[str, ...]:

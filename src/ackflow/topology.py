@@ -33,7 +33,7 @@ class Network:
         self.queues: dict = {}      # id -> QueueConf
         self.users: dict = {}       # id -> UserConf
         self.rate_flows: dict = {}  # id -> RateFlowConf
-        self.queue_order: tuple[str, ...] = ()  # causal evaluation order per tick
+        self.queue_order: tuple[str, ...] = ()  # the engine's sweep order
 
     def add_queue(self, q) -> None:
         if q.id in self.queues:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -17,7 +18,7 @@ from ackflow.history import Trajectory
 from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps, preset,
+    ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps,
     to_network,
 )
 from ackflow.user import circuit_backward_time
@@ -136,8 +137,8 @@ class TestEquilibrium:
         sc = two_user_scenario(steps1=[(2.0, 200.0)], horizon=5.0)
         traces = run(sc)
         eq_pre = equilibrium_queue(equilibrium_from_scenario(sc))
-        eq_post = equilibrium_queue(
-            equilibrium_from_scenario(sc), windows={"u1": 200.0, "u2": 50.0})
+        eq_post = equilibrium_queue(dataclasses.replace(
+            equilibrium_from_scenario(sc), windows_pkts={"u1": 200.0, "u2": 50.0}))
         dt = traces.dt_s
         pre_window = traces["tau.b1"][int(1.0 / dt):int(1.9 / dt)]
         assert float(pre_window.mean()) == pytest.approx(
@@ -332,7 +333,7 @@ class TestFlightRecord:
 class TestHorizonIndependence:
     def test_short_run_is_prefix_of_long_run(self):
         # nothing in a run may depend on how long it is going to be
-        sc = preset("scenario1")
+        sc = load_scenario("scenario1")
         short, long = (simulate(to_network(sc), sc, SimConfig(
             dt_s=sc.run.dt_s, horizon_s=h, init=sc.run.init)) for h in (0.3, 3.0))
         n = len(short.time)
@@ -443,7 +444,7 @@ class TestBlocks:
     def test_a_long_loop_waits_for_its_own_long_blocks(self):
         # scenario1: u1's loop is 32 ticks, u2's 1170; u2 reads the same
         # queue that u1's short loop moves, yet takes capped blocks
-        sc = preset("scenario1")
+        sc = load_scenario("scenario1")
         blocks = simulate(to_network(sc), sc, SimConfig(
             dt_s=sc.run.dt_s, horizon_s=4.0, init=sc.run.init)).blocks
         assert blocks[U2] <= blocks[U1] / 10

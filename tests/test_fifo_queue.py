@@ -13,9 +13,9 @@ def drive(queue, input_fns, dt, n_ticks, block=7):
         times = np.arange(k0, min(k0 + block, n_ticks) + 1) * dt
         ticks = times[:-1]
         rates = [np.array([fn(t) for t in ticks.tolist()]) for fn in input_fns]
-        queue.record_inputs(ticks, rates)
-        backlog, service, _ = queue.step(dt, times[1:])
-        out = queue.transport_outputs(times, service * dt)
+        total = queue.record_inputs(ticks, rates)
+        backlog, service, congested = queue.step(dt, times[1:], total)
+        out = queue.transport_outputs(times, service * dt, rates, total, congested)
         queue.record_outputs(ticks[0], out)
         trace["t"] += ticks.tolist()
         trace["backlog"] += backlog.tolist()
@@ -130,26 +130,31 @@ class TestOutputSeparation:
         assert tr["out"][-1] == (pytest.approx(30.0), pytest.approx(20.0))
 
     def test_stalled_sources_reuse_last_mix_with_diagnostic(self):
-        # a 10-pkt backlog whose pre-history carries no arrivals: serving
-        # it finds no arrival mass to split, so each step's service goes
-        # out in the last known mix (even until sources start at 0.05 s,
-        # then theirs) and every such step is counted
-        q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01, backlog0_pkts=10.0)
+        # a 10-pkt backlog whose pre-history carries no arrivals drains by
+        # 0.1 s: serving it finds no arrival mass to split, so each step's
+        # service goes out in the mix of the latest arrivals at or before it
+        # (the even pre-history mix until the sources send at ticks 5 and
+        # 6), and every such step is counted; in blocks of 7, ticks 7-9 have
+        # no arrivals and take tick 6's mix from the block before
         dt = 0.01
-        hints = []
-        for k in range(30):  # blocks of one tick, to see each step's mix
-            times = np.array([k, k + 1]) * dt
-            q.record_inputs(times[:1], [[30.0], [10.0]] if k >= 5 else [[0.0], [0.0]])
-            hint, before = q._share_hint, q.stall_fallbacks
-            _, (service,), _ = q.step(dt, times[1:])
-            out = tuple(o[0] for o in q.transport_outputs(times, [service * dt]))
-            q.record_outputs(times[0], out)
-            if q.stall_fallbacks > before:
-                hints.append(hint)
-                assert sum(out) == pytest.approx(service, rel=1e-12)
-                assert out == pytest.approx(tuple(service * s for s in hint))
-        assert q.stall_fallbacks == len(hints) > 0
-        assert set(hints) == {(0.5, 0.5), (0.75, 0.25)}
+        sends = {5: (30.0, 10.0), 6: (10.0, 30.0)}
+        fns = [lambda t, i=i: sends.get(round(t / dt), (0.0, 0.0))[i] for i in (0, 1)]
+        runs = []
+        for block in (1, 7):
+            q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=dt, backlog0_pkts=10.0)
+            runs.append((drive(q, fns, dt=dt, n_ticks=30, block=block),
+                         q.stall_fallbacks))
+        assert runs[0] == runs[1]
+        tr, stall_fallbacks = runs[0]
+        assert stall_fallbacks == 10
+        mix, mixes = (0.5, 0.5), set()
+        for rates, out, service in list(zip(tr["in"], tr["out"], tr["service"]))[:10]:
+            if sum(rates) > 0:
+                mix = tuple(r / sum(rates) for r in rates)
+            mixes.add(mix)
+            assert sum(out) == pytest.approx(service, rel=1e-12)
+            assert out == pytest.approx(tuple(service * s for s in mix), rel=1e-12)
+        assert mixes == {(0.5, 0.5), (0.75, 0.25), (0.25, 0.75)}
 
 
 class TestBlocks:

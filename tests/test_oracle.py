@@ -7,7 +7,7 @@ from ackflow.oracle import (
 )
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, preset,
+    ScheduledProtocol, UserConf, load_scenario,
 )
 
 
@@ -91,7 +91,7 @@ class TestEquilibrium:
             equilibrium_queue(prob)
 
     def test_two_queue_chain_consistent(self):
-        sc = preset("scenario3")
+        sc = load_scenario("scenario3")
         res = equilibrium_queue(equilibrium_from_scenario(sc))
         tau1 = res.queueing_delays_s["b1"]
         tau2 = res.queueing_delays_s["b2"]

@@ -19,6 +19,10 @@ against the FAST fixed point on one bottleneck, where each user keeps
 ``alpha`` packets queued: over the last 5 % of the run the backlog must lie
 within ``FAST_QUEUE_PKTS`` of the sum of the alphas, and each user's
 ``send * q / c`` within ``FAST_USER_PKTS`` of its alpha.
+
+On every gated run, no queue may count a stall fallback: no congested step
+may find its backward image empty of arrivals and fall back to the carried
+arrival mix.  A transport that loses the arrival mass fails here.
 """
 
 import dataclasses
@@ -29,7 +33,7 @@ import pytest
 
 from ackflow.engine import SimConfig, simulate
 from ackflow.oracle import packet_sim
-from ackflow.scenario import load_scenario, preset, to_network
+from ackflow.scenario import load_scenario, to_network
 
 GATE_PKTS = 5.0
 FAST_QUEUE_PKTS = 1.0
@@ -45,7 +49,7 @@ CASES = {
 DEQUEUES_GATED = {"scenario3", "squarewave"}
 # the presets tier-1 cuts short
 LONG = sorted(name for name, (horizon_s, _) in CASES.items()
-              if horizon_s < preset(name).run.horizon_s)
+              if horizon_s < load_scenario(name).run.horizon_s)
 
 OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
                    / "fast_pair_offgrid.yaml")
@@ -55,12 +59,14 @@ def run(sc, horizon_s: float):
     sc = dataclasses.replace(sc, run=dataclasses.replace(sc.run, horizon_s=horizon_s))
     traces = simulate(to_network(sc), sc, SimConfig(
         dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
+    stalls = {qid: q.stall_fallbacks for qid, q in traces.queues.items()}
+    assert stalls == dict.fromkeys(stalls, 0), stalls
     return sc, traces
 
 
 def oracle_errors(name: str, horizon_s: float) -> tuple[float, float]:
     """Largest queue-length and cumulative-dequeue gaps to packet_sim, in pkts."""
-    sc, traces = run(preset(name), horizon_s)
+    sc, traces = run(load_scenario(name), horizon_s)
     ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=CASES[name][1])
     dt = traces.dt_s
     idx = np.rint(ref.sample_times / dt).astype(int)
@@ -88,7 +94,7 @@ def test_fluid_tracks_packet_sim_within_the_gate(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", LONG)
 def test_fluid_tracks_packet_sim_over_the_full_horizon(name):
-    check_gate(name, preset(name).run.horizon_s)
+    check_gate(name, load_scenario(name).run.horizon_s)
 
 
 def fast_errors(source: str) -> tuple[float, float]:

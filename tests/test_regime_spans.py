@@ -246,23 +246,25 @@ def test_queue_step_matches_the_tick_loop(block):
         if k1 == k0:
             continue
         times = np.arange(k0, k1 + 1) * dt
-        total = q.record_inputs(times[:-1], [np.array(f[k0:k1]) for f in flows])
+        rates = [np.array(f[k0:k1]) for f in flows]
+        total = q.record_inputs(times[:-1], rates)
         *ref, b = reference_queue(b, total, CAP, dt)
-        got = q.step(dt, times[1:])
+        got = q.step(dt, times[1:], total)
         assert bits(*got) == bits(*ref)
         assert bits(q.backlog) == bits(b)
         ends = np.append(ref[0][1:], b)
         assert bits(q.forward_map.values[k0 + 1:]) == bits(times[1:] + ends / CAP)
-        q.record_outputs(times[0], q.transport_outputs(times, got[1] * dt))
+        q.record_outputs(times[0], q.transport_outputs(times, got[1] * dt, rates,
+                                                       total, got[2]))
 
 
 def check_queue(b0, total, dt):
     """Run one block against the reference; returns the arrays."""
     q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0)
     times = np.arange(len(total) + 1) * dt
-    q.record_inputs(times[:-1], [np.asarray(total, dtype=np.float64)])
-    *ref, b = reference_queue(b0, np.asarray(total, dtype=np.float64), CAP, dt)
-    got = q.step(dt, times[1:])
+    total = q.record_inputs(times[:-1], [np.asarray(total, dtype=np.float64)])
+    *ref, b = reference_queue(b0, total, CAP, dt)
+    got = q.step(dt, times[1:], total)
     assert bits(*got) == bits(*ref)
     assert bits(q.backlog) == bits(b)
     return got

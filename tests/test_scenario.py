@@ -1,13 +1,14 @@
 """Scenario files: round trip, the frozen preset library, malformed input."""
 
 import copy
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
 from ackflow.scenario import (
-    ScenarioError, load_scenario, parse_scenario, preset, preset_names,
+    ScenarioError, load_scenario, parse_scenario, preset_names,
     scenario_digest, serialize_scenario,
 )
 
@@ -37,7 +38,8 @@ def test_serialize_parse_round_trip(source):
 
 
 def test_every_preset_digest_frozen():
-    assert {name: scenario_digest(preset(name)) for name in preset_names()} == FROZEN_PRESETS
+    assert ({name: scenario_digest(load_scenario(name)) for name in preset_names()}
+            == FROZEN_PRESETS)
 
 
 BASE = {
@@ -121,6 +123,16 @@ MALFORMED = {
         lambda d: sched(d)["steps"].insert(0, {"at_s": -1.0, "window_pkts": 50.0}),
         "users[0].protocol.steps"),
     "queue-capacity-fraction": (capacity_fraction, "queues[0].capacity_fraction"),
+    "negative-rate": (lambda d: d["rate_flows"][0]["profile"].update(rate_pps=-50.0),
+                      "rate_flows[0].profile.rate_pps"),
+    "negative-square-low": (
+        lambda d: d["rate_flows"][0].update(profile={
+            "kind": "square", "high_pps": 5.0, "low_pps": -5.0, "period_s": 1.0}),
+        "rate_flows[0].profile.low_pps"),
+    "equilibrium-with-square-wave": (
+        lambda d: (d["run"].update(init="equilibrium"), d["rate_flows"][0].update(profile={
+            "kind": "square", "high_pps": 5.0, "low_pps": 0.0, "period_s": 1.0})),
+        "run.init"),
     "negative-step-window": (
         lambda d: sched(d)["steps"].append({"at_s": 2.0, "window_pkts": -5.0}),
         "users[0].protocol.steps"),
@@ -156,3 +168,8 @@ def test_malformed_input_names_the_field(case):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(yaml.safe_dump(doc))
     assert str(err.value).startswith(f"{field}: "), str(err.value)
+
+
+def test_a_directory_is_refused_with_its_path(tmp_path):
+    with pytest.raises(ScenarioError, match=re.escape(f"'{tmp_path}' is neither a preset")):
+        load_scenario(str(tmp_path))

@@ -2,7 +2,7 @@ import pytest
 
 from ackflow.fifo_queue import FifoQueue
 from ackflow.scenario import (
-    ConstantProfile, QueueConf, RateFlowConf, ScheduledProtocol, UserConf, preset,
+    ConstantProfile, QueueConf, RateFlowConf, ScheduledProtocol, UserConf, load_scenario,
     to_network,
 )
 from ackflow.topology import TopologyError, build_network
@@ -48,7 +48,7 @@ def series_net():
 
 class TestBuild:
     def test_network_indexes_the_scenario_objects(self):
-        sc = preset("scenario5")
+        sc = load_scenario("scenario5")
         net = to_network(sc)
         assert all(net.queues[q.id] is q for q in sc.queues)
         assert all(net.users[u.id] is u for u in sc.users)

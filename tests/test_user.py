@@ -161,9 +161,11 @@ class TestCircuitBackwardOps:
         q = FifoQueue("b", 100.0, ["u"], dt_s=dt)
         for k0 in range(0, 200, 64):  # the last block is short
             times = np.arange(k0, min(k0 + 64, 200) + 1) * dt
-            q.record_inputs(times[:-1], [np.full(len(times) - 1, 150.0)])
-            _, service, _ = q.step(dt, times[1:])
-            q.record_outputs(times[0], q.transport_outputs(times, service * dt))
+            rates = [np.full(len(times) - 1, 150.0)]
+            total = q.record_inputs(times[:-1], rates)
+            _, service, congested = q.step(dt, times[1:], total)
+            q.record_outputs(times[0], q.transport_outputs(times, service * dt, rates,
+                                                           total, congested))
         return net.users["u"], {"b": q}
 
     def test_backward_time_composition(self):

@@ -51,12 +51,13 @@ expression is the per-tick one on the same data, so the traces do not
 depend on the blocks, the frontiers or the spans, and a failed check names
 the first bad tick.
 
-Every signal is one float64 column on the grid ``k * dt``.  The flows
-(sending, queue input and output rates) are the history columns the blocks
-read back, by index when a delay is a grid multiple and by
-interpolation otherwise; the returned traces are views of the columns.  A
-user's flight is its sending column's hold integral back to the circuit
-entry time, the same running sum a queue's transport reads from its inputs.
+Every signal is sampled on one grid ``k * dt``, whose times the blocks
+slice.  The flows (a user's sending, a queue's (flows x ticks) input and
+output rates) are the histories the blocks read back, a reader holding a
+history and its row, by index when a delay is a grid multiple and by
+interpolation otherwise; the returned traces are views of the histories.
+A user's flight is its sending history's hold integral back to the circuit
+entry time, the same running sum a queue's transport takes of its inputs.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ from .scenario import RunConf, Scenario
 from .topology import Network
 from .user import UserState, circuit_backward_time
 
-__all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate",
-           "StaticLinkResult", "static_link_check"]
+__all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate"]
 
 
 # history readable after pruning: the sum of all channel delays plus this
@@ -124,16 +124,18 @@ class TraceSet:
 
 
 class _Reader:
-    """Delayed read of a recorded per-tick trajectory or analytic profile."""
+    """Delayed read of a recorded per-tick signal, a history and its row
+    (``...`` for a one-signal history), or of an analytic profile."""
 
     # An index read skips the history's prune floor, and needs no check: its
     # shift is one channel delay, while the floor lags the current time by
     # the sum of all channel delays plus PRUNE_MARGIN_S.
-    __slots__ = ("traj", "profile", "delay", "shift")
+    __slots__ = ("traj", "row", "profile", "delay", "shift")
 
-    def __init__(self, *, dt_s, traj=None, profile=None, delay_s=0.0):
+    def __init__(self, *, dt_s, traj=None, row=..., profile=None, delay_s=0.0):
         self.profile = profile
         self.traj = traj
+        self.row = row
         self.delay = delay_s
         self.shift = None if traj is None else _grid_shift(delay_s, dt_s)
 
@@ -142,19 +144,19 @@ class _Reader:
         if self.profile is not None:
             return self.profile.rates_at(ticks - self.delay)
         if self.shift is None:
-            return self.traj.eval_at(ticks - self.delay)
-        traj = self.traj
+            return self.traj.eval_at(ticks - self.delay, self.row)
+        values = self.traj.values[self.row]
         lo = k0 - self.shift
         hi = lo + len(ticks)
-        if hi > len(traj):
-            t = float(ticks[max(len(traj) - lo, 0)])
+        if hi > len(values):
+            t = float(ticks[max(len(values) - lo, 0)])
             raise SimulationError(
                 f"causality violation: read {self.delay}s behind t={t} "
                 "touches an unrecorded sample")
         if lo >= 0:
-            return traj.values[lo:hi]
-        head = np.full(min(-lo, len(ticks)), traj.initial_value)
-        return np.concatenate((head, traj.values[:max(hi, 0)]))
+            return values[lo:hi]
+        head = np.full(min(-lo, len(ticks)), self.traj.initial_value[self.row])
+        return np.concatenate((head, values[:max(hi, 0)]))
 
 
 class _UserCtx:
@@ -265,6 +267,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         raise SimulationError(f"unknown init mode {config.init!r}")
 
     n_ticks = int(round(config.horizon_s / dt)) + 1
+    # the tick times, and the end of the last step
+    grid = np.arange(n_ticks + 1) * dt
     queues: dict[str, FifoQueue] = {}
     for qid in network.queue_order:
         cap = network.queues[qid].capacity_pps
@@ -302,8 +306,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             # the window appears at t=0: emitted as an opening burst
             impulses[0] = impulses.get(0, 0.0) + w0
         ctx.impulses = {k: v for k, v in impulses.items() if v}  # tick -> jump
-        last_q = uconf.queue_path[-1]
-        ctx.ack_reader = _Reader(traj=queues[last_q].outputs[uid],
+        last_q = queues[uconf.queue_path[-1]]
+        ctx.ack_reader = _Reader(traj=last_q.departures, row=last_q.flow_ids.index(uid),
                                  delay_s=uconf.return_delay_s, dt_s=dt)
         users[uid] = ctx
 
@@ -317,15 +321,16 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             pos = flow.queue_path.index(qid)
             delay = flow.hop_delays_s[pos]
             if pos:
-                src = queues[flow.queue_path[pos - 1]].outputs[fid]
+                up = queues[flow.queue_path[pos - 1]]
+                readers.append(_Reader(traj=up.departures, row=up.flow_ids.index(fid),
+                                       delay_s=delay, dt_s=dt))
             elif fid in users:
-                src = users[fid].state.sending
+                readers.append(_Reader(traj=users[fid].state.sending, delay_s=delay,
+                                       dt_s=dt))
             else:
                 readers.append(_Reader(profile=flow.profile, delay_s=delay, dt_s=dt))
-                continue
-            readers.append(_Reader(traj=src, delay_s=delay, dt_s=dt))
 
-    # traces, named here once: the flows are history columns, every other
+    # traces, named here once: the flows are history rows, every other
     # signal a preallocated column the blocks fill
     columns: dict[str, np.ndarray] = {}
 
@@ -345,18 +350,18 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
     prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
-                 for h in (q.forward_map, *q.inputs.values(), *q.outputs.values())]
+                 for h in (q.forward_map, q.arrivals, q.departures)]
     histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
 
     # the sweep, per component keyed like input_lags (a user and a queue
     # may share an id): its block body, block length and inputs as (key, lag)
     lags = input_lags(network, dt)
     cycles = shortest_cycles(lags)
-    bodies = {("user", ctx.uid): functools.partial(_user_block, ctx, queues, dt)
+    bodies = {("user", ctx.uid): functools.partial(_user_block, ctx, queues, grid, dt)
               for ctx in user_list}
     for qid in network.queue_order:
         bodies["queue", qid] = functools.partial(
-            _queue_block, queues[qid], input_readers[qid], queue_columns[qid], dt)
+            _queue_block, queues[qid], input_readers[qid], queue_columns[qid], grid, dt)
     sweep = []
     for key, body in bodies.items():
         cycle = cycles[key]
@@ -394,12 +399,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                               for (kind, cid), k in frontier.items() if k < barrier)
             raise SimulationError(f"no component can advance: {stuck}")
 
-    # the flows are views of the history columns; tau is q / capacity, which
+    # the flows are views of the histories; tau is q / capacity, which
     # IEEE division rounds exactly as a per-tick division would
     for qid, q in queues.items():
-        for fid in q.flow_ids:
-            columns[f"in.{qid}.{fid}"] = q.inputs[fid].values
-            columns[f"out.{qid}.{fid}"] = q.outputs[fid].values
+        columns.update((f"in.{qid}.{fid}", row) for fid, row in q.inputs.items())
+        columns.update((f"out.{qid}.{fid}", row) for fid, row in q.outputs.items())
     for ctx in user_list:
         columns[f"send.{ctx.uid}"] = ctx.state.sending.values
         columns[f"ack.{ctx.uid}"] = ctx.state.acks.values
@@ -410,7 +414,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         if kind == "q":
             signals[f"tau.{qid}"] = col / queues[qid].capacity
     return TraceSet(
-        time=np.arange(n_ticks) * dt,
+        time=grid[:n_ticks],
         dt_s=dt,
         signals=signals,
         scenario=scenario,
@@ -422,9 +426,10 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     )
 
 
-def _user_block(ctx: _UserCtx, queues: dict, dt: float, k0: int, k1: int) -> None:
+def _user_block(ctx: _UserCtx, queues: dict, grid: np.ndarray, dt: float,
+                k0: int, k1: int) -> None:
     """Advance one user over ticks ``[k0, k1)``."""
-    ticks = np.arange(k0, k1) * dt
+    ticks = grid[k0:k1]
     st = ctx.state
     acks = ctx.ack_reader.read(k0, ticks)
     # entry time of the traffic being acknowledged now
@@ -456,12 +461,12 @@ def _user_block(ctx: _UserCtx, queues: dict, dt: float, k0: int, k1: int) -> Non
         col[k0:k1] = values
 
 
-def _queue_block(q: FifoQueue, readers: list, columns: tuple, dt: float,
-                 k0: int, k1: int) -> None:
+def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
+                 dt: float, k0: int, k1: int) -> None:
     """Advance one queue over ticks ``[k0, k1)``."""
-    times = np.arange(k0, k1 + 1) * dt
+    times = grid[k0:k1 + 1]
     ticks = times[:-1]
-    rates = [r.read(k0, ticks) for r in readers]
+    rates = np.reshape([r.read(k0, ticks) for r in readers], (len(readers), k1 - k0))
     total = q.record_inputs(ticks, rates)
     backlog, service, congested = q.step(dt, times[1:], total)
     if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
@@ -483,57 +488,3 @@ def _fast_controller(tau_back: list, total_delay: float, proto: FastProtocol):
     def wdot(window: float, j: int) -> float:
         return fast_wdot(window, tau_back[j], total_delay, proto)
     return wdot
-
-
-# ---------------------------------------------------------------------------
-# reduced-model check
-
-@dataclass(frozen=True)
-class StaticLinkResult:
-    applicable: bool
-    reasons: tuple[str, ...]
-    max_deviation_pkts: float | None
-
-
-def static_link_check(traces: TraceSet) -> StaticLinkResult:
-    """Compare the run against the reduced window-sum model.
-
-    Valid only for a single bottleneck shared by users with identical
-    forward and return delays, no exogenous traffic, permanent congestion
-    and no ACK retaining; then capacity * delay must track the delayed
-    window sum minus the propagation backlog, within a couple packets.
-    On any violated condition the check reports not-applicable.
-    """
-    sc = traces.scenario
-    reasons = []
-    if len(sc.queues) != 1:
-        reasons.append("more than one queue")
-    if sc.rate_flows:
-        reasons.append("exogenous cross traffic present")
-    if not sc.users:
-        reasons.append("no users")
-    fwd = {u.hop_delays_s[0] for u in sc.users} if sc.users else set()
-    ret = {u.return_delay_s for u in sc.users} if sc.users else set()
-    if len(fwd) > 1 or len(ret) > 1:
-        reasons.append("heterogeneous propagation delays")
-    if not reasons:
-        qid = sc.queues[0].id
-        if traces[f"congested.{qid}"].min() < 1.0:
-            reasons.append("queue not permanently congested")
-        for u in sc.users:
-            if traces[f"active.{u.id}"].min() < 1.0:
-                reasons.append(f"user '{u.id}' entered ACK-retaining mode")
-                break
-    if reasons:
-        return StaticLinkResult(False, tuple(reasons), None)
-
-    qid = sc.queues[0].id
-    cap = sc.queues[0].capacity_pps
-    t_fwd, t_ret = fwd.pop(), ret.pop()
-    t_grid = traces.time
-    w_sum = np.zeros_like(t_grid)
-    for u in sc.users:
-        w = traces[f"w.{u.id}"]
-        w_sum += np.interp(t_grid - t_fwd, t_grid, w, left=w[0])
-    deviation = np.abs(cap * traces[f"tau.{qid}"] - w_sum + cap * (t_fwd + t_ret))
-    return StaticLinkResult(True, (), float(deviation.max()))

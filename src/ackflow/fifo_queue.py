@@ -1,13 +1,14 @@
 """Integrator FIFO queue with mode-switched service and per-flow outputs.
 
 The queue integrates total input minus service rate while congested, and
-passes traffic straight through otherwise.  It records, per input flow, the
-arrival-rate history at its input node and the departure-rate history at its
-output node, plus the arrival->departure time map whose inverse answers all
-backward-time queries.  Per-flow departures are the arrivals scaled and
-time-warped through that inverse, which is what makes the queue
-order-preserving at the flow level: the mass departing over any interval is
-exactly the mass that arrived over the backward image of that interval.
+passes traffic straight through otherwise.  It records the arrival rates at
+its input node and the departure rates at its output node (``arrivals``
+and ``departures``, row ``i`` for flow ``flow_ids[i]``), plus the
+arrival->departure time map whose inverse answers all backward-time
+queries.  Per-flow departures are the arrivals scaled and time-warped
+through that inverse, which is what makes the queue order-preserving at
+the flow level: the mass departing over any interval is exactly the mass
+that arrived over the backward image of that interval.
 
 The queue advances a block of ticks per call sequence: ``record_inputs``,
 ``step``, ``transport_outputs``, ``record_outputs``.  Each call is passed
@@ -16,14 +17,14 @@ flags), so between blocks the queue holds only its backlog, its histories
 and the arrival mix carried for stalled steps.  The backlog and mode
 recurrence runs as regime spans, congested ones as one ``np.cumsum`` of
 ``(a - c) * dt``, cut at each mode switch; the transport is array
-arithmetic over the block, with one bracket pass shared by all input flows.
+arithmetic over the block and its flows, on one hold integral.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .history import Trajectory, first_true, hold_integrals
+from .history import Trajectory, first_true
 
 __all__ = ["FifoQueue"]
 
@@ -51,11 +52,11 @@ class FifoQueue:
         arrival->departure map there is the line t + backlog0 / capacity,
         which answers backward reads at simulation start.
     n_ticks : int
-        Ticks to preallocate in every history.
+        Ticks of the run: every history is sized once to hold them.
     """
 
     __slots__ = (
-        "queue_id", "capacity", "flow_ids", "backlog", "inputs", "outputs",
+        "queue_id", "capacity", "flow_ids", "backlog", "arrivals", "departures",
         "forward_map", "stall_fallbacks", "_share_hint",
     )
 
@@ -68,7 +69,7 @@ class FifoQueue:
         dt_s: float,
         backlog0_pkts: float = 0.0,
         input_rates0: dict[str, float] | None = None,
-        n_ticks: int = 16,
+        n_ticks: int,
     ):
         if capacity_pps <= 0:
             raise ValueError(f"queue '{queue_id}': capacity must be positive")
@@ -78,43 +79,44 @@ class FifoQueue:
         self.capacity = float(capacity_pps)
         self.flow_ids = tuple(flow_ids)
         self.backlog = float(backlog0_pkts)
-        rates0 = tuple(float((input_rates0 or {}).get(f, 0.0)) for f in self.flow_ids)
-        self.inputs = {f: Trajectory(dt_s, r, capacity=n_ticks)
-                       for f, r in zip(self.flow_ids, rates0)}
-        self.outputs = {f: Trajectory(dt_s, r, capacity=n_ticks)
-                        for f, r in zip(self.flow_ids, rates0)}
+        rates0 = np.array([(input_rates0 or {}).get(f, 0.0) for f in self.flow_ids],
+                          dtype=np.float64)
+        self.arrivals = Trajectory(dt_s, rates0, n_ticks=n_ticks)
+        self.departures = Trajectory(dt_s, rates0, n_ticks=n_ticks)
         tau0 = self.backlog / self.capacity
-        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0, capacity=n_ticks + 1)
+        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0, n_ticks=n_ticks + 1)
         self.forward_map.record(0.0, tau0)
         self.stall_fallbacks = 0
-        total0 = sum(rates0)
-        if total0 > 0:
-            self._share_hint = tuple(r / total0 for r in rates0)
-        elif self.flow_ids:
-            self._share_hint = tuple(1.0 / len(self.flow_ids) for _ in self.flow_ids)
-        else:
-            self._share_hint = ()
+        # the pre-history's mix, else an even one
+        self._share_hint = _mix_at(rates0[:, None], np.array([sum(rates0)]), 0,
+                                   np.full(len(rates0), 1.0 / max(len(rates0), 1)))
+
+    @property
+    def inputs(self) -> dict[str, np.ndarray]:
+        """Each flow's recorded arrival rates, a row view of ``arrivals``."""
+        return dict(zip(self.flow_ids, self.arrivals.values))
+
+    @property
+    def outputs(self) -> dict[str, np.ndarray]:
+        """Each flow's recorded departure rates, a row view of ``departures``."""
+        return dict(zip(self.flow_ids, self.departures.values))
 
     def record_inputs(self, ticks: np.ndarray, rates) -> np.ndarray:
         """Record one block of per-flow arrival rates.
 
-        ``ticks`` are the grid times of the block's ticks, and ``rates[i]``
-        holds flow ``flow_ids[i]``'s rate at each.  Returns the total
-        arrival rate per tick, which ``step`` and ``transport_outputs`` take.
+        ``ticks`` are the grid times of the block's ticks, and row ``i`` of
+        ``rates`` holds flow ``flow_ids[i]``'s rate at each.  Returns the
+        total arrival rate per tick, which ``step`` and
+        ``transport_outputs`` take.
         """
-        rates = [np.asarray(r, dtype=np.float64) for r in rates]
-        if rates:
-            negative = np.array(rates) < 0
-            if negative.any():
-                j = negative.any(axis=0).argmax()
-                f = negative[:, j].argmax()
-                raise ValueError(f"queue '{self.queue_id}': negative input flow "
-                                 f"{float(rates[f][j])!r} at t={float(ticks[j])!r}")
-        total = np.zeros(len(ticks))
-        for traj, r in zip(self.inputs.values(), rates):
-            traj.record(ticks[0], r)
-            total = total + r
-        return total
+        rates = np.asarray(rates, dtype=np.float64)
+        negative = rates < 0
+        if negative.any():
+            j, f = np.argwhere(negative.T)[0]
+            raise ValueError(f"queue '{self.queue_id}': negative input flow "
+                             f"{float(rates[f, j])!r} at t={float(ticks[j])!r}")
+        self.arrivals.record(ticks[0], rates)
+        return _sum_rows(rates)
 
     def backward_time(self, t):
         """Arrival time of the traffic departing at ``t`` (elementwise)."""
@@ -179,29 +181,29 @@ class FifoQueue:
         return backlog, services, congested
 
     def transport_outputs(self, times: np.ndarray, total_departed_pkts: np.ndarray,
-                          rates: list[np.ndarray], total_pps: np.ndarray,
-                          congested: np.ndarray) -> list[np.ndarray]:
+                          rates: np.ndarray, total_pps: np.ndarray,
+                          congested: np.ndarray) -> np.ndarray:
         """Average per-flow departure rates over the block's steps.
 
         Step ``j`` spans ``[times[j], times[j + 1]]`` and released
         ``total_departed_pkts[j]``.  ``rates`` and ``total_pps`` are the
-        block's per-flow and total arrival rates (``record_inputs``) and
-        ``congested`` its flags (``step``).  While serving a backlog the
-        departures over a step are the arrivals over the backward image
-        [g(t0), g(t1)], split exactly in proportion to each flow's arrival
-        mass there and normalized to the total the server actually
-        released.  Masses use the sample-hold quadrature so they agree
-        exactly with the stepping that built the time map; per-flow packet
-        counts then survive arbitrarily sharp input transients.  If the
-        backward image carries no arrivals at all (all sources stalled
-        before a backlog formed), the step reuses the mix of the block's
-        latest arrivals at or before it, else the mix carried from earlier
-        blocks, and counts the event in ``stall_fallbacks``.  Uncongested,
-        the outputs are the inputs.
+        block's per-flow (flows x ticks, as returned) and total arrival
+        rates (``record_inputs``) and ``congested`` its flags (``step``).
+        While serving a backlog the departures over a step are the arrivals
+        over the backward image [g(t0), g(t1)], split exactly in proportion
+        to each flow's arrival mass there and normalized to the total the
+        server actually released.  Masses use the sample-hold quadrature so
+        they agree exactly with the stepping that built the time map;
+        per-flow packet counts then survive arbitrarily sharp input
+        transients.  If the backward image carries no arrivals at all (all
+        sources stalled before a backlog formed), the step reuses the mix of
+        the block's latest arrivals at or before it, else the mix carried
+        from earlier blocks, and counts the event in ``stall_fallbacks``.
+        Uncongested, the outputs are the inputs.
         """
         carried = self._share_hint
         self._share_hint = _mix_at(rates, total_pps, len(total_pps) - 1, carried)
-        outs = [r.copy() for r in rates]
+        outs = rates.copy()
         busy = np.flatnonzero(congested)
         if not busy.size:
             return outs
@@ -214,31 +216,34 @@ class FifoQueue:
         # continue at the current rates (same convention as the state update)
         bound = np.where(g1 <= t0, g1, t0)
         tail = g1 > t0
-        masses = []
-        arrived = np.zeros(busy.size)
-        for m, r in zip(hold_integrals(self.inputs.values(), g0, bound), rates):
-            m = np.where(tail, m + r[busy] * (g1 - t0), m)
-            masses.append(m)
-            arrived = arrived + m
+        masses = self.arrivals.integrate_hold(g0, bound)
+        if tail.any():
+            masses = np.where(tail, masses + rates.take(busy, axis=1) * (g1 - t0),
+                              masses)
+        arrived = _sum_rows(masses)
         fed = arrived > 0.0
-        scale = departed[fed] / arrived[fed] / width[fed]
-        for out, m in zip(outs, masses):
-            out[busy[fed]] = scale * m[fed]
+        # a step with no arrival mass gets 0 here and its mix below
+        outs[:, busy] = departed / np.where(fed, arrived, np.inf) / width * masses
         for j in np.flatnonzero(~fed):
             self.stall_fallbacks += 1
             k = busy[j]
-            mix = _mix_at(rates, total_pps, k, carried)
-            for out, s in zip(outs, mix):
-                out[k] = departed[j] / width[j] * s
+            outs[:, k] = departed[j] / width[j] * _mix_at(rates, total_pps, k, carried)
         return outs
 
     def record_outputs(self, t: float, rates) -> None:
         """Record one block of per-flow departure rates from grid time ``t``."""
-        for traj, r in zip(self.outputs.values(), rates):
-            traj.record(t, r)
+        self.departures.record(t, rates)
 
 
-def _mix_at(rates, total_pps, k: int, carried: tuple) -> tuple[float, ...]:
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` added in order from 0.0, as a loop over the flows
+    adds them: an accumulation adds in sequence, where ``sum`` may pair."""
+    if not len(a):
+        return np.zeros(a.shape[1:])
+    return np.add.accumulate(a, axis=0)[-1] + 0.0
+
+
+def _mix_at(rates: np.ndarray, total_pps, k: int, carried: np.ndarray) -> np.ndarray:
     """The arrival mix at a block's tick ``k``: the latest tick at or before
     it with arrivals, else the ``carried`` mix from earlier blocks."""
     if total_pps[k] > 0:
@@ -248,4 +253,4 @@ def _mix_at(rates, total_pps, k: int, carried: tuple) -> tuple[float, ...]:
         if not fed.size:
             return carried
         i = fed[-1]
-    return tuple(r[i] / total_pps[i] for r in rates)
+    return rates[:, i] / total_pps[i]

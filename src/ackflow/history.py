@@ -1,14 +1,15 @@
 """Signal histories on the engine's uniform time grid.
 
-Every engine signal is sampled once per tick, so a :class:`Trajectory` is a
-float64 column whose sample ``i`` sits at time ``i * dt``.  The engine
-appends and reads whole blocks of ticks: ``record`` takes an array of
-consecutive samples, and the reads take arrays of times and answer
-elementwise.  Delayed reads are index arithmetic with linear interpolation
-between samples, a sample-and-hold running integral gives queue transport
-masses, and a binary search over the values inverts monotone (arrival ->
-departure) time maps.  The columns are also the engine's output: its
-traces are zero-copy views of them.
+Every engine signal is sampled once per tick, so a :class:`Trajectory`
+holds float64 samples whose sample ``i`` sits at time ``i * dt``: one
+signal, or a block of rows on the same grid (a queue's per-flow arrivals).
+It is sized once, at its run length.  The engine appends and reads whole
+blocks of ticks: ``record`` takes consecutive samples, and the reads take
+arrays of times and answer elementwise.  Delayed reads are index
+arithmetic with linear interpolation between samples, a sample-and-hold
+running integral gives queue transport masses, and a binary search over
+the values inverts monotone (arrival -> departure) time maps.  The samples
+are also the engine's output: its traces are zero-copy views of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Trajectory", "HistoryError", "CausalityError", "hold_integrals"]
+__all__ = ["Trajectory", "HistoryError", "CausalityError"]
 
 
 class HistoryError(ValueError):
@@ -26,15 +27,6 @@ class HistoryError(ValueError):
 
 class CausalityError(HistoryError):
     """A query touched data the simulation has not produced yet."""
-
-
-def _grown(buf: np.ndarray, keep: int, size: int) -> np.ndarray:
-    """``buf`` with room for ``size`` samples, its first ``keep`` kept."""
-    if size <= len(buf):
-        return buf
-    new = np.empty(max(size, 2 * len(buf)))
-    new[:keep] = buf[:keep]
-    return new
 
 
 def first_true(mask: np.ndarray) -> int:
@@ -50,7 +42,13 @@ def _times(t) -> tuple[np.ndarray, bool]:
 
 
 class Trajectory:
-    """Scalar signal sampled on the grid ``i * dt``, linear between samples.
+    """Signal sampled on the grid ``i * dt``, linear between samples.
+
+    A float ``initial_value`` makes one signal; a sequence of them makes a
+    block with one row per value, whose rows share the grid, the recorded
+    length and the read floor.  ``n_ticks`` sizes the history once, and a
+    record past it raises :class:`HistoryError`, so views of the samples
+    stay valid for the whole run.
 
     Before ``t = 0`` the signal is its pre-history.  By default that is the
     constant ``initial_value``, taken to be sampled at ``-dt`` and
@@ -60,10 +58,9 @@ class Trajectory:
     backwards).  Reads beyond the newest sample raise
     :class:`CausalityError`: the engine must never consume values it has not
     produced yet.  Reads take a time or an array of times; a check that
-    fails names the first offending time.
-
-    ``capacity`` preallocates that many samples; the column doubles when it
-    runs out, which leaves earlier ``values`` views behind.
+    fails names the first offending time.  ``eval_at`` reads one signal:
+    its ``row`` picks a block's row, and the default ``...`` takes a
+    one-signal trajectory whole.  ``integrate_hold`` answers every row.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
@@ -72,16 +69,16 @@ class Trajectory:
     __slots__ = ("dt", "_buf", "_n", "_cum", "_n_cum", "initial_value",
                  "pre_slope", "pruned_before")
 
-    def __init__(self, dt: float, initial_value: float = 0.0, *,
-                 pre_slope: float = 0.0, capacity: int = 16):
+    def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
+                 pre_slope: float = 0.0):
         self.dt = dt
-        self._buf = np.empty(max(capacity, 1))
+        self.initial_value = np.asarray(initial_value, dtype=np.float64)
+        self._buf = np.empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
-        # _cum[i] = integral from 0 to i * dt, each value held to the next
-        # sample; built on the first integral that needs it
+        # _cum[..., i] = integral from 0 to i * dt, each value held to the
+        # next sample; built on the first integral that needs it
         self._cum = None
         self._n_cum = 0
-        self.initial_value = float(initial_value)
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -91,11 +88,12 @@ class Trajectory:
 
     @property
     def values(self) -> np.ndarray:
-        """The recorded samples, as a view of the column."""
-        return self._buf[:self._n]
+        """The recorded samples (rows x samples for a block), as a view."""
+        return self._buf[..., :self._n]
 
     def record(self, t: float, v) -> None:
-        """Append one sample or an array of consecutive ones.
+        """Append one sample or an array of consecutive ones (a block's: one
+        row each).
 
         ``t`` is the grid time of the first, which must be the next one,
         ``len(self) * dt``.
@@ -104,10 +102,13 @@ class Trajectory:
         if t != n * self.dt:
             raise HistoryError(f"record at t={float(t)!r} is not sample {n} at "
                                f"{n * self.dt!r} (engine ordering bug)")
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        end = n + len(v)
-        self._buf = _grown(self._buf, n, end)
-        self._buf[n:end] = v
+        v = np.asarray(v, dtype=np.float64)
+        end = n + (v.shape[-1] if v.ndim else 1)
+        size = self._buf.shape[-1]
+        if end > size:
+            raise HistoryError(f"record of sample {size} at t={size * self.dt!r} "
+                               f"is past the sized length of {size} samples")
+        self._buf[..., n:end] = v
         self._n = end
 
     def _index(self, t: np.ndarray) -> np.ndarray:
@@ -127,10 +128,10 @@ class Trajectory:
                 f"read at t={float(t[below.argmax()])!r} precedes pruned history "
                 f"(< {self.pruned_before!r})")
 
-    def eval_at(self, t):
+    def eval_at(self, t, row=...):
         """Value at ``t``; exact on samples, interpolated between them."""
         t, scalar = _times(t)
-        values = self.values
+        values, p0 = self._buf[row, :self._n], float(self.initial_value[row])
         dt = self.dt
         last = self._n - 1
         late = t > last * dt
@@ -140,7 +141,6 @@ class Trajectory:
                 f"(history ends at {last * dt!r})")
         self._check_not_pruned(t)
         neg = t < 0.0
-        p0 = self.initial_value
         if self.pre_slope:
             out = p0 + self.pre_slope * t
         else:
@@ -164,29 +164,61 @@ class Trajectory:
         gives each cell exactly the one-at-a-time running sum.
         """
         n0 = self._n_cum
-        if self._cum is None or len(self._cum) < len(self._buf):
-            self._cum = _grown(self._cum if self._cum is not None else np.empty(0),
-                               n0, len(self._buf))
+        if self._cum is None:
+            self._cum, n0 = np.zeros(self._buf.shape), 1
         cum, dt = self._cum, self.dt
-        if n0 == 0:
-            cum[0] = 0.0
-            n0 = 1
         n = np.arange(n0, top)
         # each cell as wide as its grid times
-        cells = self._buf[n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
-        cum[n0 - 1:top] = np.cumsum(np.concatenate(([cum[n0 - 1]], cells)))
+        cells = self._buf[..., n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
+        cum[..., n0 - 1:top] = np.cumsum(
+            np.concatenate((cum[..., n0 - 1:n0], cells), axis=-1), axis=-1)
         self._n_cum = top
 
     def integrate_hold(self, t0, t1):
-        """Integral reading each sample as held until the next one.
+        """Integral reading each sample as held until the next one, over
+        ``[t0, t1]`` elementwise; a block answers every row.
 
         Matches explicit left-point state stepping, so queue transport
         accounting based on it is exact.  The pre-history counts as the
         constant ``initial_value``.
         """
         (t0, scalar), (t1, _) = _times(t0), _times(t1)
-        (out,) = hold_integrals((self,), *np.broadcast_arrays(t0, t1))
-        return float(out[0]) if scalar else out
+        if t0.shape != t1.shape:
+            t0, t1 = np.broadcast_arrays(t0, t1)
+        reversed_ = t1 < t0
+        if reversed_.any():
+            j = reversed_.argmax()
+            raise HistoryError(
+                f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
+        span = t0 != t1
+        if span.all():
+            out = self._hold(t0, t1)
+        else:  # empty spans integrate to zero, unchecked
+            out = np.zeros(np.shape(self.initial_value) + t0.shape)
+            if span.any():
+                out[..., span] = self._hold(t0[span], t1[span])
+        return out[..., 0] if scalar else out
+
+    def _hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """``integrate_hold`` over nonempty spans."""
+        self._check_not_pruned(t0)
+        last = (self._n - 1) * self.dt
+        late = t1 > last
+        if late.any():
+            raise CausalityError(
+                f"integration end t={float(t1[late.argmax()])!r} beyond history "
+                f"({last!r})")
+        t = np.concatenate((t0, t1))
+        early = t.min() < 0.0
+        i = self._index(np.maximum(t, 0.0) if early else t)
+        top = int(i.max()) + 1
+        if top > self._n_cum:
+            self._extend_cumulative(top)
+        held = (self._cum.take(i, axis=-1)
+                + self._buf.take(i, axis=-1) * (t - i * self.dt))
+        if early:
+            held = np.where(t < 0.0, np.multiply.outer(self.initial_value, t), held)
+        return held[..., len(t0):] - held[..., :len(t0)]
 
     def invert_monotone(self, y):
         """Earliest time where a nondecreasing trajectory reaches ``y``.
@@ -224,7 +256,7 @@ class Trajectory:
         """Raise the read floor to the sample bracketing ``t``.
 
         Reads at or after that sample stay exact; older ones raise
-        :class:`HistoryError`.  Every sample is kept: the columns are the
+        :class:`HistoryError`.  Every sample is kept: the samples are the
         run's traces, so pruning guards reads and frees no memory.
         """
         n = self._n
@@ -232,49 +264,3 @@ class Trajectory:
             floor = min(int(self._index(np.array([t]))[0]), n - 1) * self.dt
             self.pruned_before = max(self.pruned_before, floor)
 
-
-def hold_integrals(trajs, t0: np.ndarray, t1: np.ndarray) -> list[np.ndarray]:
-    """``Trajectory.integrate_hold`` of several trajectories over the same
-    bounds ``[t0, t1]`` (1-D arrays).
-
-    The trajectories must share one grid, length and read floor, as a
-    queue's input columns do: the bound checks and the index arithmetic run
-    once, and each trajectory only gathers from its own hold cumulative.
-    """
-    trajs = tuple(trajs)
-    if not trajs:
-        return []
-    ref = trajs[0]
-    reversed_ = t1 < t0
-    if reversed_.any():
-        j = reversed_.argmax()
-        raise HistoryError(
-            f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
-    span = t0 != t1
-    if not span.all():  # empty spans integrate to zero, unchecked
-        outs = [np.zeros(t0.shape) for _ in trajs]
-        if span.any():
-            for out, part in zip(outs, hold_integrals(trajs, t0[span], t1[span])):
-                out[span] = part
-        return outs
-    ref._check_not_pruned(t0)
-    last = (ref._n - 1) * ref.dt
-    late = t1 > last
-    if late.any():
-        raise CausalityError(
-            f"integration end t={float(t1[late.argmax()])!r} beyond history "
-            f"({last!r})")
-    t = np.concatenate((t0, t1))
-    early = t.min() < 0.0
-    i = ref._index(np.maximum(t, 0.0) if early else t)
-    top = int(i.max()) + 1
-    offset = t - i * ref.dt
-    outs = []
-    for tr in trajs:
-        if top > tr._n_cum:
-            tr._extend_cumulative(top)
-        held = tr._cum[i] + tr._buf[i] * offset
-        if early:
-            held = np.where(t < 0.0, tr.initial_value * t, held)
-        outs.append(held[len(t0):] - held[:len(t0)])
-    return outs

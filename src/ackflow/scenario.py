@@ -311,9 +311,11 @@ def parse_scenario(text: str) -> Scenario:
         path = f"queues[{i}]"
         q = _mapping(q, path)
         qid = _name(_take(q, path, "id"), f"{path}.id")
+        cap_key = "capacity_mbps" if "capacity_mbps" in q else "capacity_pps"
         cap = _rate_pps(q, path, "capacity", packet_bytes)
         _no_leftovers(q, path)
-        _validated(path, net.add_queue, QueueConf(qid, cap), keys={"id": "id"})
+        _validated(path, net.add_queue, QueueConf(qid, cap),
+                   keys={"id": "id", "capacity_pps": cap_key})
 
     for i, u in enumerate(_section(doc, "users")):
         path = f"users[{i}]"

@@ -27,13 +27,13 @@ class UserState:
 
     def __init__(self, user_id: str, window0_pkts: float, *, dt_s: float,
                  sending0_pps: float = 0.0, flight0_pkts: float = 0.0,
-                 n_ticks: int = 16):
+                 n_ticks: int):
         self.user_id = user_id
         self.window = float(window0_pkts)
         self.ack_buffer = 0.0          # nonpositive; packets to absorb
         self.flight_balance = float(flight0_pkts)
-        self.sending = Trajectory(dt_s, sending0_pps, capacity=n_ticks)
-        self.acks = Trajectory(dt_s, sending0_pps, capacity=n_ticks)
+        self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
+        self.acks = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
         self.active = True
 
     def step(self, acks, dt: float, *, jumps=None, wdot=None):

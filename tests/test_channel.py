@@ -44,8 +44,9 @@ def traces():
 
 def grid_flow(rate_at, initial, until=5.0, dt=0.01):
     """A flow sampled from ``rate_at`` on the grid ``k * dt`` up to ``until``."""
-    tr = Trajectory(dt, initial)
-    tr.record(0.0, [rate_at(k * dt) for k in range(int(round(until / dt)) + 1)])
+    n = int(round(until / dt)) + 1
+    tr = Trajectory(dt, initial, n_ticks=n)
+    tr.record(0.0, [rate_at(k * dt) for k in range(n)])
     return tr
 
 

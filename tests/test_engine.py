@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import ackflow.engine as engine
 from ackflow.engine import (
     BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, shortest_cycles,
-    simulate, static_link_check,
+    simulate,
 )
 from ackflow.history import Trajectory
-from ackflow.oracle import equilibrium_from_scenario, equilibrium_queue, packet_sim
+from ackflow.oracle import (
+    equilibrium_from_scenario, equilibrium_queue, packet_sim, static_link_check,
+)
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
     ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps,
@@ -69,6 +71,15 @@ class TestBasics:
         for name in ("q.b1", "send.u1", "send.u2", "ack.u1", "flight.u1"):
             assert np.all(traces[name] == 0.0)
 
+    def test_queue_no_flow_crosses_stays_idle(self):
+        # a queue with no input flows records (0 x ticks) blocks
+        sc = dataclasses.replace(two_user_scenario(horizon=0.5),
+                                 queues=(QueueConf("b1", 500.0), QueueConf("b0", 100.0)))
+        traces = run(sc)
+        assert traces.queues["b0"].arrivals.values.shape == (0, len(traces.time))
+        for name in ("q.b0", "arrival.b0", "r.b0", "congested.b0"):
+            assert np.all(traces[name] == 0.0), name
+
     def test_determinism_bitwise(self):
         sc = two_user_scenario(steps1=[(2.0, 150.0)])
         t1, t2 = run(sc), run(sc)
@@ -85,10 +96,13 @@ class TestBasics:
         # send/ack/in/out traces are the store's columns, not copies
         traces = run(two_user_scenario(cross=100.0, horizon=0.5))
         q, u = traces.queues["b1"], traces.users["u1"]
-        for name, traj in (("send.u1", u.sending), ("ack.u1", u.acks),
-                           ("in.b1.u1", q.inputs["u1"]),
-                           ("out.b1.cross_b1", q.outputs["cross_b1"])):
-            assert np.shares_memory(traces[name], np.frombuffer(traj.values)), name
+        row = q.flow_ids.index
+        for name, values in (("send.u1", u.sending.values), ("ack.u1", u.acks.values),
+                             ("in.b1.u1", q.arrivals.values[row("u1")]),
+                             ("out.b1.cross_b1", q.departures.values[row("cross_b1")])):
+            assert np.shares_memory(traces[name], values), name
+        assert np.array_equal(traces["in.b1.u1"], q.inputs["u1"])
+        assert np.array_equal(traces["out.b1.cross_b1"], q.outputs["cross_b1"])
 
     @pytest.mark.parametrize("field", ["dt_s", "horizon_s"])
     @pytest.mark.parametrize("value, problem", [
@@ -348,7 +362,7 @@ class TestPruning:
         # and 8 s
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
         full, pruned = run(sc), run(sc, prune_history=True)
-        assert pruned.queues["b1"].inputs["u1"].pruned_before > 0
+        assert pruned.queues["b1"].arrivals.pruned_before > 0
         for name in full.signals:
             assert np.array_equal(full[name], pruned[name]), name
 

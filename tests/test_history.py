@@ -5,22 +5,23 @@ from hypothesis import given, settings, strategies as st
 from ackflow.history import CausalityError, HistoryError, Trajectory
 
 
-def make(values, dt=1.0, initial=0.0, **kwargs):
-    """Trajectory holding ``values`` as samples 0, 1, ... at ``i * dt``."""
-    tr = Trajectory(dt, initial, **kwargs)
+def make(values, dt=1.0, initial=0.0, n_ticks=None, **kwargs):
+    """Trajectory holding ``values`` as samples 0, 1, ... at ``i * dt``,
+    sized to them unless ``n_ticks`` says otherwise."""
+    tr = Trajectory(dt, initial, n_ticks=n_ticks or len(values), **kwargs)
     tr.record(0.0, values)
     return tr
 
 
 class TestRecordEval:
     def test_exact_sample_hit(self):
-        tr = Trajectory(0.1)
+        tr = Trajectory(0.1, n_ticks=1)
         tr.record(0.0, 5.0)
         assert tr.eval_at(0.0) == 5.0
 
     def test_out_of_order_record_rejected(self):
         # only the next grid time is accepted
-        tr = make([1.0, 2.0, 3.0])
+        tr = make([1.0, 2.0, 3.0], n_ticks=6)
         for t in (1.0, 2.0, 4.0):  # past, repeated, skipping a sample
             with pytest.raises(HistoryError):
                 tr.record(t, 0.0)
@@ -31,11 +32,15 @@ class TestRecordEval:
         assert len(tr) == 6
         assert tr.values.tolist() == [1.0, 2.0, 3.0, 0.0, 5.0, 6.0]
 
-    def test_column_grows_past_its_capacity(self):
-        tr = Trajectory(0.5, capacity=2)
-        for k in range(5):
-            tr.record(3 * k * 0.5, [float(k)] * 3)
-        assert tr.values.tolist() == [float(k) for k in range(5) for _ in range(3)]
+    def test_record_past_the_sized_length_is_refused(self):
+        tr = make([1.0, 2.0, 3.0], dt=0.5, n_ticks=5)
+        with pytest.raises(HistoryError, match=r"sample 5 at t=2.5 is past the sized"):
+            tr.record(1.5, [4.0, 5.0, 6.0])
+        assert len(tr) == 3  # nothing was written
+        tr.record(1.5, [4.0, 5.0])
+        assert tr.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(HistoryError, match="sample 5 "):
+            tr.record(2.5, 6.0)
 
     def test_linear_interpolation_midpoint(self):
         tr = make([0.0, 10.0])
@@ -58,7 +63,7 @@ class TestRecordEval:
         with pytest.raises(CausalityError):
             tr.integrate_hold(0.0, 1.5)
         with pytest.raises(CausalityError):
-            Trajectory(1.0).eval_at(0.0)
+            Trajectory(1.0, n_ticks=1).eval_at(0.0)
 
     def test_interp_between_samples(self):
         tr = make([0.0, 2.0, 4.0])
@@ -179,6 +184,18 @@ class TestBlockReads:
             tr.integrate_hold(a, b) for a, b in zip(times, t1)]
         ys = np.array([1.0, 3.0, 4.0, 8.0, 9.0])
         assert tr.invert_monotone(ys).tolist() == [tr.invert_monotone(y) for y in ys]
+
+    def test_block_rows_read_as_their_own_signals(self):
+        rows = [[1.0, 2.0, 4.0, 4.0, 9.0], [0.5, 0.0, 3.0, 7.0, 7.5]]
+        block = Trajectory(0.5, [1.5, 2.0], n_ticks=5)
+        block.record(0.0, [r[:2] for r in rows])
+        block.record(1.0, [r[2:] for r in rows])
+        assert block.values.tolist() == rows
+        times = np.array([-1.0, -0.2, 0.0, 0.3, 1.0, 1.7, 2.0])
+        for i, (row, initial) in enumerate(zip(rows, (1.5, 2.0))):
+            one = make(row, dt=0.5, initial=initial)
+            assert block.values[i].tolist() == row
+            assert block.eval_at(times, i).tolist() == one.eval_at(times).tolist()
 
     def test_check_names_the_first_offending_time(self):
         tr = make([float(k) for k in range(10)])

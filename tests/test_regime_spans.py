@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ackflow.fifo_queue import EPS_BACKLOG_PKTS, FifoQueue
-from ackflow.history import HistoryError, Trajectory, hold_integrals
+from ackflow.history import HistoryError, Trajectory
 from ackflow.scenario import ConstantProfile, SquareProfile
 from ackflow.user import EPS_ACK_BUFFER_PKTS, UserState
 
@@ -148,7 +148,7 @@ def test_user_step_matches_the_tick_loop(block):
     dt, acks, jumps, wdot, (window, buf, balance, active), split = block
     ref, ref_end = reference_user(window, buf, balance, active, acks, dt, jumps, wdot)
 
-    u = UserState("u", window, dt_s=dt, flight0_pkts=balance)
+    u = UserState("u", window, dt_s=dt, flight0_pkts=balance, n_ticks=len(acks))
     u.ack_buffer, u.active = buf, active
     parts = []
     for k0, k1 in ((0, split), (split, len(acks))):
@@ -166,7 +166,7 @@ def check_user(window, buf, acks, dt, jumps=None, wdot=None):
     """Run one block against the reference; returns the arrays."""
     jumps = jumps or {}
     ref, ref_end = reference_user(window, buf, 100.0, True, acks, dt, jumps, wdot)
-    u = UserState("u", window, dt_s=dt, flight0_pkts=100.0)
+    u = UserState("u", window, dt_s=dt, flight0_pkts=100.0, n_ticks=len(acks))
     u.ack_buffer = buf
     got = u.step(acks, dt, jumps=jumps, wdot=wdot)
     assert bits(*got) == bits(*ref)
@@ -204,7 +204,7 @@ def test_negative_zeros_survive():
 
 
 def test_empty_block_leaves_the_user_unchanged():
-    u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=3.0)
+    u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=3.0, n_ticks=1)
     out = u.step([], 1e-3, jumps={0: 5.0})
     assert all(len(v) == 0 for v in out)
     assert (u.window, u.ack_buffer, u.flight_balance) == (10.0, 0.0, 3.0)
@@ -246,7 +246,7 @@ def test_queue_step_matches_the_tick_loop(block):
         if k1 == k0:
             continue
         times = np.arange(k0, k1 + 1) * dt
-        rates = [np.array(f[k0:k1]) for f in flows]
+        rates = np.array([f[k0:k1] for f in flows])
         total = q.record_inputs(times[:-1], rates)
         *ref, b = reference_queue(b, total, CAP, dt)
         got = q.step(dt, times[1:], total)
@@ -260,7 +260,7 @@ def test_queue_step_matches_the_tick_loop(block):
 
 def check_queue(b0, total, dt):
     """Run one block against the reference; returns the arrays."""
-    q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0)
+    q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0, n_ticks=len(total))
     times = np.arange(len(total) + 1) * dt
     total = q.record_inputs(times[:-1], [np.asarray(total, dtype=np.float64)])
     *ref, b = reference_queue(b0, total, CAP, dt)
@@ -339,17 +339,19 @@ def test_constant_profile_array_reads_equal_scalar_reads():
 
 
 # ---------------------------------------------------------------------------
-# one bracket pass for several columns
+# one hold integral for the rows of a block
 
-def test_hold_integrals_share_one_bracket_pass():
+def test_many_row_hold_integral_equals_each_rows_own():
     dt = 0.1
-    trajs = [Trajectory(dt, v0) for v0 in (3.0, 0.0)]
-    for tr, scale in zip(trajs, (1.0, 2.5)):
-        tr.record(0.0, scale * np.arange(20.0))
+    rows = np.array([1.0, 2.5])[:, None] * np.arange(20.0)
+    block = Trajectory(dt, [3.0, 0.0], n_ticks=20)
+    block.record(0.0, rows)
     t0 = np.array([-0.25, 0.0, 0.3, 0.75, 1.2])
     t1 = np.array([0.05, 0.0, 0.95, 1.85, 1.2])
-    got = hold_integrals(trajs, t0, t1)
-    for tr, g in zip(trajs, got):
-        assert bits(g) == bits([tr.integrate_hold(a, b) for a, b in zip(t0, t1)])
+    got = block.integrate_hold(t0, t1)
+    for v0, row, g in zip((3.0, 0.0), rows, got):
+        one = Trajectory(dt, v0, n_ticks=20)
+        one.record(0.0, row)
+        assert bits(g) == bits([one.integrate_hold(a, b) for a, b in zip(t0, t1)])
     with pytest.raises(HistoryError, match="reversed integration bounds"):
-        hold_integrals(trajs, t1, t0)
+        block.integrate_hold(t1, t0)

@@ -123,6 +123,10 @@ MALFORMED = {
         lambda d: sched(d)["steps"].insert(0, {"at_s": -1.0, "window_pkts": 50.0}),
         "users[0].protocol.steps"),
     "queue-capacity-fraction": (capacity_fraction, "queues[0].capacity_fraction"),
+    "zero-capacity-pps": (lambda d: d["queues"][0].update(capacity_pps=0),
+                          "queues[0].capacity_pps"),
+    "zero-capacity-mbps": (lambda d: d.update(queues=[{"id": "b1", "capacity_mbps": 0}]),
+                           "queues[0].capacity_mbps"),
     "negative-rate": (lambda d: d["rate_flows"][0]["profile"].update(rate_pps=-50.0),
                       "rate_flows[0].profile.rate_pps"),
     "negative-square-low": (

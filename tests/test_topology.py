@@ -132,7 +132,7 @@ class TestCircuitInvariants:
         # reaches the user's output one total propagation delay earlier
         net = net_fn()
         queues = {qid: FifoQueue(qid, q.capacity_pps, net.flows_through(qid),
-                                     dt_s=1e-3)
+                                     dt_s=1e-3, n_ticks=1)
                   for qid, q in net.queues.items()}
         for user in net.users.values():
             assert circuit_backward_time(user, queues, 0.0) == pytest.approx(

@@ -5,6 +5,8 @@ mode; the SHA-256 covers every signal name and its float64 bytes in sorted
 order.  ``FROZEN_LONG`` adds longer runs that reach what 0.3 s does not: a
 window step (scenario1, staticlink), ACK retaining after a window cut
 (scenario7) and interpolated reads of off-grid delays (fast_pair_offgrid).
+``FROZEN_FULL`` runs every preset and fast_pair_offgrid over its whole
+horizon, under the ``slow`` marker.
 A refactor that claims identical engine behaviour must leave these digests
 unchanged.  A deliberate behaviour change re-freezes them and says why in
 CHANGES.md.
@@ -51,10 +53,40 @@ FROZEN_LONG = {
 }
 
 
-def trace_digest(source: str, horizon_s: float = HORIZON_S) -> str:
+# scenario source -> digest over the scenario's own horizon (``slow``)
+FROZEN_FULL = {
+    "fast2":
+        "a121ba0ec4ea2a4b9c42817e4fc46d44252a1e508de387108eb51cfb7940bf43",
+    "scenario1":
+        "3f509602e417ade9a7d80b388bc2db93c752803e9b7d657b9112e556e753a102",
+    "scenario2":
+        "3afe38863ac96ccc2eb1e6b751c5d3ceb2960e174cdf8f8406b638b30c87cdc6",
+    "scenario3":
+        "5e11c89ed3cb1b5b6a16e7d59f9bbc293e8a4a4f17b31b5268ae8ab0024d704e",
+    "scenario4":
+        "7fc031356a5f8abb65235e796a26d16a75bfb8f766429248e9dc12260ff5406e",
+    "scenario5":
+        "74d41b07c18b29994f9a2c3d66f7fbadbae720083bb0fa5315e8e66738478d93",
+    "scenario6":
+        "b52f3ad6488459d7f67805baecf74b2aa296a62905026400f13800e11f4a19ea",
+    "scenario7":
+        "4dafb503a7285a1148b576467d9d5522660a909370ee36f801f549822c890234",
+    "scenario8":
+        "c0dc7ad7900ea69cc6ba2d2c61e0740519de8147382ae1c07bd21a8c2f68c78f",
+    "squarewave":
+        "8162401f3323aec1d36084aa035f4681c1bf467d94bda1b63f732c6e1589e020",
+    "staticlink":
+        "6caa62f3614fc54fe0a72127db904ebb663a0cafcddb0a6c491f7bf85f40abee",
+    OFFGRID_YAML:
+        "f21be986cd218fbd14f055be944775406349c0474010b1da73c34997fd8f495a",
+}
+
+
+def trace_digest(source: str, horizon_s: float | None = HORIZON_S) -> str:
+    """Digest of a run over ``horizon_s``, or the scenario's own horizon."""
     sc = load_scenario(source)
     traces = simulate(to_network(sc), sc, SimConfig(
-        dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
+        dt_s=sc.run.dt_s, horizon_s=horizon_s or sc.run.horizon_s, init=sc.run.init))
     digest = hashlib.sha256()
     for signal in sorted(traces.signals):
         digest.update(signal.encode())
@@ -65,6 +97,7 @@ def trace_digest(source: str, horizon_s: float = HORIZON_S) -> str:
 
 def test_every_preset_is_frozen():
     assert set(FROZEN) == set(preset_names())
+    assert set(FROZEN_FULL) == set(preset_names()) | {OFFGRID_YAML}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -76,3 +109,10 @@ def test_preset_trace_digest_unchanged(name):
                          ids=[f"{Path(s).stem}-{h}" for s, h in FROZEN_LONG])
 def test_long_trace_digest_unchanged(source, horizon_s):
     assert trace_digest(source, horizon_s) == FROZEN_LONG[source, horizon_s]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("source", list(FROZEN_FULL),
+                         ids=[Path(s).stem for s in FROZEN_FULL])
+def test_full_horizon_trace_digest_unchanged(source):
+    assert trace_digest(source, None) == FROZEN_FULL[source]

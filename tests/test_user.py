@@ -9,6 +9,9 @@ from ackflow.scenario import (
 from ackflow.topology import build_network
 from ackflow.user import UserState, circuit_backward_time
 
+# history length of the standalone users, which step but record nothing
+N_TICKS = 1000
+
 
 def constant_wdot(rate):
     return lambda window, j: rate
@@ -28,16 +31,16 @@ def burst_of(u, delta_pkts, dt=1e-3):
 
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
-        u = UserState("u", 10.0, dt_s=1e-3)
+        u = UserState("u", 10.0, dt_s=1e-3, n_ticks=N_TICKS)
         assert send_of(u, 100.0) == pytest.approx(100.0)
 
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
-        u = UserState("u", 10.0, dt_s=1e-3)
+        u = UserState("u", 10.0, dt_s=1e-3, n_ticks=N_TICKS)
         assert send_of(u, 100.0, wdot=constant_wdot(50.0)) == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
-        u = UserState("u", 200.0, dt_s=1e-3)
+        u = UserState("u", 200.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -100.0)
         assert send_of(u, 1000.0, wdot=constant_wdot(50.0)) == 0.0
         assert not u.active
@@ -45,7 +48,7 @@ class TestSendingFlow:
 
 class TestAckBufferStep:
     def test_halving_drops_buffer_by_deficit(self):
-        u = UserState("u", 500.0, dt_s=1e-3)
+        u = UserState("u", 500.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst = burst_of(u, -250.0)
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
@@ -55,7 +58,7 @@ class TestAckBufferStep:
 
     def test_refill_time_matches_analytic_fill(self):
         # analytic: |buffer| / ack_rate = 250/100 = 2.5 s to refill
-        u = UserState("u", 500.0, dt_s=1e-3)
+        u = UserState("u", 500.0, dt_s=1e-3, n_ticks=N_TICKS)
         dt = 1e-3
         send, _, _, _, active = u.step(np.full(3000, 100.0), dt, jumps={0: -250.0})
         k_resume = int(np.argmax(active == 1.0))
@@ -65,21 +68,21 @@ class TestAckBufferStep:
         assert 0.0 <= send[k_resume] <= 100.0
 
     def test_buffer_stays_zero_when_active(self):
-        u = UserState("u", 100.0, dt_s=1e-3)
+        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
         u.step(np.full(10, 50.0), 1e-3)
         assert u.ack_buffer == 0.0
         assert u.active
 
     def test_buffer_never_positive(self):
         # the buffer at each tick start is the one the step before left
-        u = UserState("u", 100.0, dt_s=1e-3)
+        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -30.0)
         _, _, buffers, _, _ = u.step(np.full(2000, 40.0), 1e-3)
         assert np.all(buffers <= 0.0)
         assert u.ack_buffer <= 0.0
 
     def test_positive_jump_while_retaining_refills_buffer(self):
-        u = UserState("u", 100.0, dt_s=1e-3)
+        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -50.0)
         burst = burst_of(u, +50.0)
         assert u.ack_buffer == pytest.approx(0.0)
@@ -89,7 +92,7 @@ class TestAckBufferStep:
         assert burst_of(u, +10.0) == pytest.approx(10.0)
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
-        u = UserState("u", 100.0, dt_s=1e-3)
+        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
         send = send_of(u, 100.0, wdot=constant_wdot(-500.0))
         assert send == 0.0
         assert u.ack_buffer < 0.0
@@ -123,7 +126,7 @@ class TestFlightSize:
         assert np.all(flight == 0.0)
 
     def test_balance_form_tracks_burst(self):
-        u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=10.0)
+        u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=10.0, n_ticks=N_TICKS)
         dt = 1e-3
         # a burst of 100 on top of send-on-ack, then 100 more steps
         u.step(np.full(101, 10.0), dt, jumps={0: +100.0})
@@ -138,7 +141,7 @@ class TestBlocks:
         jumps = {5: -40.0, 200: +25.0}
         runs = []
         for block in (250, 16):
-            u = UserState("u", 100.0, dt_s=1e-3, flight0_pkts=100.0)
+            u = UserState("u", 100.0, dt_s=1e-3, flight0_pkts=100.0, n_ticks=N_TICKS)
             parts = [u.step(acks[k0:k0 + block], 1e-3,
                             jumps={k - k0: v for k, v in jumps.items()
                                    if k0 <= k < k0 + block},
@@ -158,10 +161,10 @@ class TestCircuitBackwardOps:
             users=[UserConf("u", ("b",), (0.01,), 0.02, ScheduledProtocol(10.0))],
         )
         dt = 0.01
-        q = FifoQueue("b", 100.0, ["u"], dt_s=dt)
+        q = FifoQueue("b", 100.0, ["u"], dt_s=dt, n_ticks=200)
         for k0 in range(0, 200, 64):  # the last block is short
             times = np.arange(k0, min(k0 + 64, 200) + 1) * dt
-            rates = [np.full(len(times) - 1, 150.0)]
+            rates = np.full((1, len(times) - 1), 150.0)
             total = q.record_inputs(times[:-1], rates)
             _, service, congested = q.step(dt, times[1:], total)
             q.record_outputs(times[0], q.transport_outputs(times, service * dt, rates,

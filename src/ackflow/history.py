@@ -92,8 +92,8 @@ class Trajectory:
         return self._buf[..., :self._n]
 
     def record(self, t: float, v) -> None:
-        """Append one sample or an array of consecutive ones (a block's: one
-        row each).
+        """Append one sample or an array of consecutive ones; a block takes
+        one row of them per signal.
 
         ``t`` is the grid time of the first, which must be the next one,
         ``len(self) * dt``.

@@ -263,4 +263,3 @@ class Trajectory:
         if n and t > 0.0:
             floor = min(int(self._index(np.array([t]))[0]), n - 1) * self.dt
             self.pruned_before = max(self.pruned_before, floor)
-

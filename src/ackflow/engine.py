@@ -466,7 +466,7 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
     """Advance one queue over ticks ``[k0, k1)``."""
     times = grid[k0:k1 + 1]
     ticks = times[:-1]
-    rates = np.reshape([r.read(k0, ticks) for r in readers], (len(readers), k1 - k0))
+    rates = np.array([r.read(k0, ticks) for r in readers]).reshape(len(readers), k1 - k0)
     total = q.record_inputs(ticks, rates)
     backlog, service, congested = q.step(dt, times[1:], total)
     if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):

@@ -109,7 +109,7 @@ class FifoQueue:
         total arrival rate per tick, which ``step`` and
         ``transport_outputs`` take.
         """
-        rates = np.asarray(rates, dtype=np.float64)
+        rates = np.ascontiguousarray(rates, dtype=np.float64)
         negative = rates < 0
         if negative.any():
             j, f = np.argwhere(negative.T)[0]
@@ -204,13 +204,16 @@ class FifoQueue:
         carried = self._share_hint
         self._share_hint = _mix_at(rates, total_pps, len(total_pps) - 1, carried)
         outs = rates.copy()
-        busy = np.flatnonzero(congested)
-        if not busy.size:
+        ticks = np.flatnonzero(congested)
+        if not ticks.size:
             return outs
+        # one run of congested ticks is read and written as a slice
+        run = ticks[-1] - ticks[0] + 1 == ticks.size
+        busy = slice(ticks[0], ticks[-1] + 1) if run else ticks
         g = self.backward_time(times)
-        g0, g1 = g[busy], g[busy + 1]
-        t0 = times[busy]
-        width = times[busy + 1] - t0
+        g0, g1 = g[:-1][busy], g[1:][busy]
+        t0 = times[:-1][busy]
+        width = times[1:][busy] - t0
         departed = np.asarray(total_departed_pkts, dtype=np.float64)[busy]
         # arrivals are recorded through t0; within the running step they
         # continue at the current rates (same convention as the state update)
@@ -218,15 +221,14 @@ class FifoQueue:
         tail = g1 > t0
         masses = self.arrivals.integrate_hold(g0, bound)
         if tail.any():
-            masses = np.where(tail, masses + rates.take(busy, axis=1) * (g1 - t0),
-                              masses)
+            masses = np.where(tail, masses + rates[:, busy] * (g1 - t0), masses)
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
         # a step with no arrival mass gets 0 here and its mix below
         outs[:, busy] = departed / np.where(fed, arrived, np.inf) / width * masses
         for j in np.flatnonzero(~fed):
             self.stall_fallbacks += 1
-            k = busy[j]
+            k = ticks[j]
             outs[:, k] = departed[j] / width[j] * _mix_at(rates, total_pps, k, carried)
         return outs
 
@@ -236,11 +238,12 @@ class FifoQueue:
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of ``a`` added in order from 0.0, as a loop over the flows
-    adds them: an accumulation adds in sequence, where ``sum`` may pair."""
-    if not len(a):
-        return np.zeros(a.shape[1:])
-    return np.add.accumulate(a, axis=0)[-1] + 0.0
+    """The rows of a C-ordered ``a`` added in order from 0.0, as a loop over
+    the flows adds them.  ``sum`` adds row after row, except down a single
+    column, which is memory's fast axis and which it may sum pairwise."""
+    if len(a) and a.shape[1] == 1:
+        return np.add.accumulate(a, axis=0)[-1] + 0.0
+    return a.sum(axis=0) + 0.0
 
 
 def _mix_at(rates: np.ndarray, total_pps, k: int, carried: np.ndarray) -> np.ndarray:

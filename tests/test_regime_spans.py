@@ -270,6 +270,21 @@ def check_queue(b0, total, dt):
     return got
 
 
+@pytest.mark.parametrize("flows, n", [(1, 5), (3, 1), (3, 40), (9, 1), (9, 4), (20, 1)])
+def test_total_arrival_adds_the_flows_in_order(flows, n):
+    # the per-flow loop from 0.0, whatever the block's shape: numpy's sum
+    # pairs the terms of one long column, and -0.0 rates total +0.0
+    rng = np.random.default_rng(100 * flows + n)
+    rates = rng.random((flows, n)) * 10.0 ** rng.integers(-6, 6, (flows, n))
+    if n > 1:
+        rates[:, -1] = -0.0
+    total = np.zeros(n)
+    for r in rates:
+        total = total + r
+    q = FifoQueue("b", CAP, [f"f{i}" for i in range(flows)], dt_s=1e-3, n_ticks=n)
+    assert bits(q.record_inputs(np.arange(n) * 1e-3, rates)) == bits(total)
+
+
 def test_queue_empties_mid_block_and_idles_at_eps():
     # 5 pkts drained at 50 pkt/s net empty inside a tick near t = 0.1 s
     total = np.concatenate((np.full(150, 50.0), np.full(10, 10.0)))

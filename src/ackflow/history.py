@@ -92,8 +92,7 @@ class Trajectory:
         return self._buf[..., :self._n]
 
     def record(self, t: float, v) -> None:
-        """Append one sample or an array of consecutive ones; a block takes
-        one row of them per signal.
+        """Append one sample or an array of consecutive ones (a row each).
 
         ``t`` is the grid time of the first, which must be the next one,
         ``len(self) * dt``.
@@ -175,8 +174,7 @@ class Trajectory:
         self._n_cum = top
 
     def integrate_hold(self, t0, t1):
-        """Integral reading each sample as held until the next one, over
-        ``[t0, t1]`` elementwise; a block answers every row.
+        """Integral reading each sample as held until the next one.
 
         Matches explicit left-point state stepping, so queue transport
         accounting based on it is exact.  The pre-history counts as the

@@ -45,8 +45,9 @@ recurrences run as regime spans: runs of ticks in which no branch of the
 recurrence changes, each one ``np.cumsum`` or array copy, cut where a
 branch would flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum``
 adds in sequence, so a span's sums are the tick-by-tick ones.  The FAST
-window ODE is the one loop left tick by tick: its window multiplies its own
-previous value, which no cumulative sum reproduces to the bit.  Every
+window ODE, whose window multiplies its own previous value (no cumulative
+sum reproduces that to the bit), is a plain loop with no call per tick,
+and one vectorised ``fast_wdot`` call gives the block's rates.  Every
 expression is the per-tick one on the same data, so the traces do not
 depend on the blocks, the frontiers or the spans, and a failed check names
 the first bad tick.
@@ -434,15 +435,17 @@ def _user_block(ctx: _UserCtx, queues: dict, grid: np.ndarray, dt: float,
     acks = ctx.ack_reader.read(k0, ticks)
     # entry time of the traffic being acknowledged now
     b_t = circuit_backward_time(ctx.conf, queues, ticks)
-    wdot = None
+    fast = None
     proto = ctx.conf.protocol
     if isinstance(proto, FastProtocol):
         total_delay = ctx.conf.total_delay_s
         lag = (ticks - b_t) - total_delay
-        wdot = _fast_controller(np.where(lag > 0.0, lag, 0.0).tolist(),
-                                total_delay, proto)
+        tau = np.where(lag > 0.0, lag, 0.0)
+        # fast_wdot's gains, and its rates from the global a tracer may patch
+        fast = ((-tau / (total_delay + tau)).tolist(), proto.gamma, proto.alpha_pkts,
+                lambda windows: fast_wdot(windows, tau, total_delay, proto))
     jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
-    send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, wdot=wdot)
+    send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, fast=fast)
     if not (np.isfinite(send).all() and np.isfinite(w).all()
             and np.isfinite(pi).all() and math.isfinite(st.window)
             and math.isfinite(st.ack_buffer)):
@@ -478,13 +481,3 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
                                                    total, congested))
     for col, values in zip(columns, (backlog, service, total, congested)):
         col[k0:k1] = values
-
-
-def _fast_controller(tau_back: list, total_delay: float, proto: FastProtocol):
-    """FAST window rate for a block: tick ``j`` measures ``tau_back[j]``.
-
-    ``fast_wdot`` is looked up at each call, so a patched global is seen.
-    """
-    def wdot(window: float, j: int) -> float:
-        return fast_wdot(window, tau_back[j], total_delay, proto)
-    return wdot

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import Trajectory, first_true
+from .history import Trajectory, first_true, write_runs
 
 __all__ = ["FifoQueue"]
 
@@ -207,25 +207,23 @@ class FifoQueue:
         ticks = np.flatnonzero(congested)
         if not ticks.size:
             return outs
-        # one run of congested ticks is read and written as a slice
-        run = ticks[-1] - ticks[0] + 1 == ticks.size
-        busy = slice(ticks[0], ticks[-1] + 1) if run else ticks
         g = self.backward_time(times)
-        g0, g1 = g[:-1][busy], g[1:][busy]
-        t0 = times[:-1][busy]
-        width = times[1:][busy] - t0
-        departed = np.asarray(total_departed_pkts, dtype=np.float64)[busy]
+        g0, g1 = g[ticks], g[ticks + 1]
+        t0 = times[ticks]
+        width = times[ticks + 1] - t0
+        departed = np.asarray(total_departed_pkts, dtype=np.float64)[ticks]
         # arrivals are recorded through t0; within the running step they
         # continue at the current rates (same convention as the state update)
         bound = np.where(g1 <= t0, g1, t0)
         tail = g1 > t0
         masses = self.arrivals.integrate_hold(g0, bound)
         if tail.any():
-            masses = np.where(tail, masses + rates[:, busy] * (g1 - t0), masses)
+            masses = np.where(tail, masses + rates[:, ticks] * (g1 - t0), masses)
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
         # a step with no arrival mass gets 0 here and its mix below
-        outs[:, busy] = departed / np.where(fed, arrived, np.inf) / width * masses
+        shares = departed / np.where(fed, arrived, np.inf) / width * masses
+        write_runs(outs, ticks, shares)
         for j in np.flatnonzero(~fed):
             self.stall_fallbacks += 1
             k = ticks[j]

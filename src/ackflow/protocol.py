@@ -11,6 +11,7 @@ burst (increase) or absorb the deficit (decrease) exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ScheduledProtocol", "FastProtocol", "fast_wdot", "ProtocolError"]
@@ -29,7 +30,7 @@ class ScheduledProtocol:
     kind: str = "scheduled"
 
     def __post_init__(self):
-        if self.initial_window_pkts < 0:
+        if not self.initial_window_pkts >= 0:  # NaN fails too
             raise ProtocolError("window values must be nonnegative")
         prev = None
         for t, w in self.steps:
@@ -37,7 +38,7 @@ class ScheduledProtocol:
             if (t < 0) if prev is None else (t <= prev):
                 raise ProtocolError(
                     "schedule step times must be nonnegative and strictly increasing")
-            if w < 0:
+            if not w >= 0:
                 raise ProtocolError("window values must be nonnegative")
             prev = t
 
@@ -77,8 +78,11 @@ class FastProtocol:
     kind: str = "fast"
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.alpha_pkts <= 0:
-            raise ProtocolError("FAST parameters gamma and alpha must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.alpha_pkts < math.inf):
+            raise ProtocolError("FAST parameters gamma and alpha must be positive "
+                                "and finite")
+        if not self.initial_window_pkts >= 0:  # NaN fails too
+            raise ProtocolError("window values must be nonnegative")
 
 
 def fast_wdot(window_pkts: float, backward_queueing_delay_s: float,

@@ -36,16 +36,17 @@ class UserState:
         self.acks = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
         self.active = True
 
-    def step(self, acks, dt: float, *, jumps=None, wdot=None):
+    def step(self, acks, dt: float, *, jumps=None, fast=None):
         """Advance window and ACK buffer over one block of steps of ``dt``.
 
         ``acks`` holds the arriving ACK rate per tick.  ``jumps`` maps a
         tick's offset in the block to an instantaneous window change, applied
         at the tick start (a positive one opens a burst spread over that
-        step).  ``wdot(window, j)`` gives tick ``j``'s window rate of change
-        from the window at the tick start; without it the window only jumps.
-        The buffer-refill instant is located inside its step so packet
-        counts stay exact.
+        step).  With ``fast = (gains, gamma, alpha, wdot)`` tick ``j``'s
+        window rate is ``gamma * (gains[j] * w + alpha)`` at its start
+        window ``w``, and ``wdot(windows)`` gives the block's rates in one
+        call; without it the window only jumps.  The buffer-refill instant
+        is located inside its step so packet counts stay exact.
 
         The block is cut at its jump ticks and, between cuts, into regime
         spans: an active span sends the whole inflow (window rate plus ACK
@@ -56,9 +57,9 @@ class UserState:
         rest of that step.  ``np.cumsum`` adds in sequence and every branch
         is decided on the value a tick-by-tick loop would see, so the
         result does not depend on how the ticks are grouped.  The FAST
-        window ODE is the one loop left tick by tick: the window multiplies
-        its own previous value, so no cumulative sum reproduces its
-        rounding.
+        window ODE is a plain loop with no call per tick: the window
+        multiplies its own previous value, so no cumulative sum reproduces
+        its rounding.
 
         Returns arrays over the block: the average sending rate over each
         step (what a rate sample at the step start should carry), and at
@@ -71,7 +72,7 @@ class UserState:
         jumps = jumps or {}
         cuts = sorted(j for j in jumps if 0 <= j < n)
         windows, rates, self.window = _window_path(self.window, n, dt, cuts, jumps,
-                                                   wdot)
+                                                   fast)
         inflow = (rates + 0.0) + acks
         sends, actives, bufs = np.zeros(n), np.zeros(n), np.empty(n)
         buf, active = self.ack_buffer, self.active
@@ -120,10 +121,10 @@ class UserState:
         return sends, windows, bufs, balance[:-1], actives
 
 
-def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, wdot):
+def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, fast):
     """Window at each tick start of a block from ``w``, its rate of change,
     and the window at the block end."""
-    if wdot is None:
+    if fast is None:
         # flat between jumps: each step adds 0.0 * dt
         windows = np.full(n, w)
         start = 0
@@ -132,15 +133,19 @@ def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, wdot):
             if j < n:
                 w, start = windows[j] + jumps[j], j
         return windows, np.zeros(n), float(w + 0.0) if n else w
-    windows, rates = [], []
-    for j in range(n):
-        windows.append(w)
-        rate = wdot(w, j)
-        rates.append(rate)
-        if j in jumps:
-            w += jumps[j]
-        w += rate * dt
-    return np.array(windows, dtype=np.float64), np.array(rates, dtype=np.float64), w
+    gains, gamma, alpha, wdot = fast
+    windows = []
+    for a, end in zip([0, *cuts], [*cuts, n]):
+        if a in jumps and a < end:  # the rate is the window's before the jump
+            windows.append(w)
+            w = w + jumps[a] + gamma * (gains[a] * w + alpha) * dt
+            a += 1
+        for gain in gains[a:end]:
+            windows.append(w)
+            w += gamma * (gain * w + alpha) * dt
+    windows = np.array(windows, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # the engine names the tick
+        return windows, wdot(windows), w
 
 
 def _absorb_jump(buf: float, delta_pkts: float) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from ackflow.history import Trajectory
 from ackflow.oracle import (
     equilibrium_from_scenario, equilibrium_queue, packet_sim, static_link_check,
 )
+from ackflow.protocol import fast_wdot
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
     ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps,
@@ -454,6 +455,25 @@ class TestBlocks:
     ], ids=["scenario3", "squarewave", "fast_pair_offgrid"])
     def test_blocks_counts_each_components_blocks(self, source, blocks):
         assert run(load_scenario(source)).blocks == blocks
+
+    def test_fast_wdot_is_called_once_per_fast_user_block(self, monkeypatch):
+        # the FAST window loop makes no call per tick: one call on arrays
+        # gives a block's rates, through the global a tracer patches
+        sc = load_scenario(OFFGRID_YAML)
+        config = SimConfig(dt_s=sc.run.dt_s, horizon_s=1.0, init=sc.run.init)
+        plain = simulate(to_network(sc), sc, config)
+        calls = dict.fromkeys((u.total_delay_s for u in sc.users), 0)
+
+        def counted(window, tau, total_delay, proto):
+            calls[total_delay] += 1
+            return fast_wdot(window, tau, total_delay, proto)
+
+        monkeypatch.setattr(engine, "fast_wdot", counted)
+        patched = simulate(to_network(sc), sc, config)
+        assert calls == {u.total_delay_s: patched.blocks["user", u.id] for u in sc.users}
+        assert min(calls.values()) > 1
+        for name in plain.signals:
+            assert np.array_equal(plain[name], patched[name]), name
 
     def test_a_long_loop_waits_for_its_own_long_blocks(self):
         # scenario1: u1's loop is 32 ticks, u2's 1170; u2 reads the same

@@ -1,4 +1,8 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ackflow.protocol import FastProtocol, ProtocolError, ScheduledProtocol, fast_wdot
 
@@ -49,6 +53,25 @@ class TestFastWdot:
         with pytest.raises(ProtocolError):
             fast_wdot(10.0, 0.01, 0.0, fast(1.0, 1.0))
 
+    @pytest.mark.parametrize("gamma, alpha, w0", [
+        (math.inf, 10.0, 10.0), (1.0, math.inf, 10.0), (math.nan, 10.0, 10.0),
+        (1.0, math.nan, 10.0), (1.0, 10.0, -1.0), (1.0, 10.0, math.nan),
+    ])
+    def test_infinite_or_nan_parameters_rejected(self, gamma, alpha, w0):
+        # checked on construction, not only by the scenario parser
+        with pytest.raises(ProtocolError):
+            FastProtocol(gamma=gamma, alpha_pkts=alpha, initial_window_pkts=w0)
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 10.0)),
+                    min_size=1, max_size=20),
+           st.floats(1e-3, 1.0), st.floats(0.01, 100.0), st.floats(0.1, 500.0))
+    def test_arrays_give_the_scalar_rates_to_the_bit(self, points, T, gamma, alpha):
+        # the engine takes a block's rates in one call on arrays
+        p = fast(gamma, alpha)
+        w, tau = (np.array(v) for v in zip(*points))
+        scalar = [fast_wdot(wi, ti, T, p) for wi, ti in points]
+        assert fast_wdot(w, tau, T, p).tobytes() == np.array(scalar).tobytes()
+
 
 class TestScheduledProtocol:
     def test_step_up_at_instant(self):
@@ -83,6 +106,12 @@ class TestScheduledProtocol:
             ScheduledProtocol(-1.0)
         with pytest.raises(ProtocolError):
             ScheduledProtocol(10.0, ((2.0, -5.0),))
+
+    def test_nan_windows_rejected(self):
+        with pytest.raises(ProtocolError, match="nonnegative"):
+            ScheduledProtocol(math.nan)
+        with pytest.raises(ProtocolError, match="nonnegative"):
+            ScheduledProtocol(10.0, ((2.0, math.nan),))
 
     def test_step_before_the_start_rejected(self):
         # the run starts at t=0: a step at -1 s would land on no tick, so

@@ -124,51 +124,63 @@ def user_blocks(draw):
     jumps = draw(st.dictionaries(ticks, st.one_of(
         st.floats(-150.0, 150.0), st.sampled_from([0.0, -window, window])),
         max_size=4))
+    # the reference's per-tick wdot, and the step's (gains, gamma, alpha)
     kind = draw(st.sampled_from(["none", "constant", "affine", "per_tick"]))
     if kind == "none":
-        wdot = None
-    elif kind == "constant":
+        wdot = ode = None
+    elif kind == "constant":  # gain 0: gamma * (0 * w + 1) is gamma
         wdot = (lambda r: lambda w, j: r)(-fall)
+        ode = [0.0] * n, -fall, 1.0
     elif kind == "affine":  # FAST-like: the rate depends on the window itself
         g, k, alpha = draw(st.floats(0.1, 50.0)), draw(st.floats(0.0, 1.0)), \
             draw(st.floats(0.0, 200.0))
         wdot = lambda w, j: g * (-k * w + alpha)
-    else:
-        rates = draw(st.lists(st.floats(-fall - 200.0, 200.0) | st.just(-0.0),
+        ode = [-k] * n, g, alpha
+    else:  # FAST proper: the gain moves with the measured delay, tick by tick
+        g, alpha = draw(st.floats(0.1, 50.0)), draw(st.floats(0.0, 200.0))
+        gains = draw(st.lists(st.floats(-1.0, 0.0) | st.just(-0.0),
                               min_size=n, max_size=n))
-        wdot = lambda w, j: rates[j]
+        wdot = lambda w, j: g * (gains[j] * w + alpha)
+        ode = gains, g, alpha
     state = (window, draw(BUFFERS), draw(st.floats(-100.0, 300.0)), draw(st.booleans()))
     split = draw(st.integers(0, n))
-    return dt, acks, jumps, wdot, state, split
+    return dt, acks, jumps, wdot, ode, state, split
+
+
+def fast_of(gains, gamma, alpha):
+    """``UserState.step``'s ``fast`` for the window rate ``gamma * (gains[j]
+    * w + alpha)`` at tick ``j``, its rates over a window array in one call."""
+    return list(gains), gamma, alpha, lambda w: gamma * (np.array(gains) * w + alpha)
 
 
 @given(user_blocks())
 @settings(max_examples=300, deadline=None)
 def test_user_step_matches_the_tick_loop(block):
-    dt, acks, jumps, wdot, (window, buf, balance, active), split = block
+    dt, acks, jumps, wdot, ode, (window, buf, balance, active), split = block
     ref, ref_end = reference_user(window, buf, balance, active, acks, dt, jumps, wdot)
 
     u = UserState("u", window, dt_s=dt, flight0_pkts=balance, n_ticks=len(acks))
     u.ack_buffer, u.active = buf, active
     parts = []
     for k0, k1 in ((0, split), (split, len(acks))):
-        if k1 > k0:  # the second block's wdot sees its own tick offsets
-            w = None if wdot is None else (lambda k0: lambda x, j: wdot(x, j + k0))(k0)
+        if k1 > k0:  # the second block gets its own ticks' gains
+            fast = None if ode is None else fast_of(ode[0][k0:k1], *ode[1:])
             block_jumps = {k - k0: v for k, v in jumps.items() if k0 <= k < k1}
-            parts.append(u.step(acks[k0:k1], dt, wdot=w, jumps=block_jumps))
+            parts.append(u.step(acks[k0:k1], dt, fast=fast, jumps=block_jumps))
     got = [np.concatenate(v) for v in zip(*parts)]
     assert bits(*got) == bits(*ref)
     assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
     assert u.active == ref_end[3]
 
 
-def check_user(window, buf, acks, dt, jumps=None, wdot=None):
-    """Run one block against the reference; returns the arrays."""
+def check_user(window, buf, acks, dt, jumps=None, wdot=None, fast=None):
+    """Run one block against the reference, which takes ``wdot`` where the
+    step takes ``fast``; returns the arrays."""
     jumps = jumps or {}
     ref, ref_end = reference_user(window, buf, 100.0, True, acks, dt, jumps, wdot)
     u = UserState("u", window, dt_s=dt, flight0_pkts=100.0, n_ticks=len(acks))
     u.ack_buffer = buf
-    got = u.step(acks, dt, jumps=jumps, wdot=wdot)
+    got = u.step(acks, dt, jumps=jumps, fast=fast)
     assert bits(*got) == bits(*ref)
     assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
     assert u.active == ref_end[3]
@@ -197,7 +209,7 @@ def test_retaining_spans_end_at_the_buffer_threshold(buf, ack):
 def test_negative_zeros_survive():
     # a -0.0 window and -0.0 rates: the span solver keeps the loop's signs
     got = check_user(-0.0, 0.0, np.array([-0.0, 0.0, -0.0]), 1e-3,
-                     wdot=lambda w, j: -0.0)
+                     wdot=lambda w, j: -0.0, fast=fast_of([0.0] * 3, -0.0, 1.0))
     assert bits(got[1]) == bits([-0.0, -0.0, -0.0])
     got = check_user(-0.0, 0.0, np.array([-0.0, 0.0]), 1e-3)
     assert bits(got[1]) == bits([-0.0, 0.0])

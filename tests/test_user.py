@@ -13,8 +13,10 @@ from ackflow.user import UserState, circuit_backward_time
 N_TICKS = 1000
 
 
-def constant_wdot(rate):
-    return lambda window, j: rate
+def constant_fast(rate, n=1):
+    """``UserState.step``'s ``fast`` for a window rate of ``rate`` over ``n``
+    ticks: gain 0, so ``gamma * (0 * w + 1)`` is ``gamma``."""
+    return [0.0] * n, rate, 1.0, lambda windows: rate * (0.0 * windows + 1.0)
 
 
 def send_of(u, ack, dt=1e-3, **kwargs):
@@ -37,12 +39,12 @@ class TestSendingFlow:
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
         u = UserState("u", 10.0, dt_s=1e-3, n_ticks=N_TICKS)
-        assert send_of(u, 100.0, wdot=constant_wdot(50.0)) == pytest.approx(150.0)
+        assert send_of(u, 100.0, fast=constant_fast(50.0)) == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
         u = UserState("u", 200.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -100.0)
-        assert send_of(u, 1000.0, wdot=constant_wdot(50.0)) == 0.0
+        assert send_of(u, 1000.0, fast=constant_fast(50.0)) == 0.0
         assert not u.active
 
 
@@ -93,7 +95,7 @@ class TestAckBufferStep:
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
         u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
-        send = send_of(u, 100.0, wdot=constant_wdot(-500.0))
+        send = send_of(u, 100.0, fast=constant_fast(-500.0))
         assert send == 0.0
         assert u.ack_buffer < 0.0
         assert not u.active
@@ -145,7 +147,7 @@ class TestBlocks:
             parts = [u.step(acks[k0:k0 + block], 1e-3,
                             jumps={k - k0: v for k, v in jumps.items()
                                    if k0 <= k < k0 + block},
-                            wdot=constant_wdot(-20.0))
+                            fast=constant_fast(-20.0, len(acks[k0:k0 + block])))
                      for k0 in range(0, 250, block)]
             runs.append([np.concatenate(v).tolist() for v in zip(*parts)]
                         + [u.window, u.ack_buffer, u.flight_balance, u.active])

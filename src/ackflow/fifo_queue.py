@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import Trajectory, first_true, write_runs
+from .history import Trajectory, first_true
 
 __all__ = ["FifoQueue"]
 
@@ -207,26 +207,29 @@ class FifoQueue:
         ticks = np.flatnonzero(congested)
         if not ticks.size:
             return outs
-        g = self.backward_time(times)
-        g0, g1 = g[ticks], g[ticks + 1]
-        t0 = times[ticks]
-        width = times[ticks + 1] - t0
-        departed = np.asarray(total_departed_pkts, dtype=np.float64)[ticks]
+        # the ticks from the first congested one to the last, read as slices;
+        # the uncongested ones among them are computed too, then dropped
+        busy = slice(ticks[0], ticks[-1] + 1)
+        g = self.backward_time(times[busy.start:busy.stop + 1])
+        g0, g1 = g[:-1], g[1:]
+        t0 = times[busy]
+        width = times[1:][busy] - t0
+        departed = np.asarray(total_departed_pkts, dtype=np.float64)[busy]
         # arrivals are recorded through t0; within the running step they
         # continue at the current rates (same convention as the state update)
         bound = np.where(g1 <= t0, g1, t0)
         tail = g1 > t0
         masses = self.arrivals.integrate_hold(g0, bound)
         if tail.any():
-            masses = np.where(tail, masses + rates[:, ticks] * (g1 - t0), masses)
+            masses = np.where(tail, masses + rates[:, busy] * (g1 - t0), masses)
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
         # a step with no arrival mass gets 0 here and its mix below
         shares = departed / np.where(fed, arrived, np.inf) / width * masses
-        write_runs(outs, ticks, shares)
-        for j in np.flatnonzero(~fed):
+        np.copyto(outs[:, busy], shares, where=congested[busy])
+        for j in np.flatnonzero(~fed & congested[busy]):
             self.stall_fallbacks += 1
-            k = ticks[j]
+            k = busy.start + j
             outs[:, k] = departed[j] / width[j] * _mix_at(rates, total_pps, k, carried)
         return outs
 

@@ -35,15 +35,6 @@ def first_true(mask: np.ndarray) -> int:
     return i if mask[i] else len(mask)
 
 
-def write_runs(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """``out[..., index] = values`` for increasing ``index``, each run of
-    consecutive entries copied as one slice (a 2-D scatter costs several
-    times the copies)."""
-    cuts = (np.flatnonzero(np.diff(index) != 1) + 1).tolist()
-    for p, e in zip([0, *cuts], [*cuts, len(index)]):
-        out[..., index[p]:index[e - 1] + 1] = values[..., p:e]
-
-
 def _times(t) -> tuple[np.ndarray, bool]:
     """Times as a 1-D float64 array, and whether a scalar was given."""
     arr = np.asarray(t, dtype=np.float64)
@@ -200,11 +191,13 @@ class Trajectory:
         span = t0 != t1
         if span.all():
             out = self._hold(t0, t1)
-        else:  # empty spans integrate to zero, unchecked
+        elif span.any():
+            # an empty span integrates to zero, unchecked: it reads a nonempty
+            # span's start as both bounds, where the held integral cancels
+            safe = t0[span.argmax()]
+            out = self._hold(np.where(span, t0, safe), np.where(span, t1, safe))
+        else:
             out = np.zeros(np.shape(self.initial_value) + t0.shape)
-            nonempty = np.flatnonzero(span)
-            if nonempty.size:
-                write_runs(out, nonempty, self._hold(t0[nonempty], t1[nonempty]))
         return out[..., 0] if scalar else out
 
     def _hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ackflow.history import CausalityError, HistoryError, Trajectory, write_runs
+from ackflow.history import CausalityError, HistoryError, Trajectory
 
 
 def make(values, dt=1.0, initial=0.0, n_ticks=None, **kwargs):
@@ -198,24 +198,16 @@ class TestBlockReads:
             assert block.eval_at(times, i).tolist() == one.eval_at(times).tolist()
 
     def test_empty_spans_among_nonempty_ones(self):
-        # the nonempty spans come in runs of one and of more, each written
-        # as a slice: every row is the one-span integral
+        # empty spans inside and past the history, among nonempty ones:
+        # every row is the one-span integral, and an empty span exactly 0.0
         block = Trajectory(0.5, [1.5, 2.0], n_ticks=5)
         block.record(0.0, [[1.0, 2.0, 4.0, 4.0, 9.0], [0.5, 0.0, 3.0, 7.0, 7.5]])
-        t0 = np.array([0.0, 0.3, 0.3, 1.0, 1.2, 1.4, -0.5, 2.0])
-        t1 = np.array([0.0, 0.9, 0.3, 1.7, 1.9, 1.4, 0.2, 2.0])
+        t0 = np.array([0.0, 0.3, 0.3, 1.0, 1.2, 1.4, -0.5, 2.0, 7.0])
+        t1 = np.array([0.0, 0.9, 0.3, 1.7, 1.9, 1.4, 0.2, 2.0, 7.0])
         got = block.integrate_hold(t0, t1)
         for j, (a, b) in enumerate(zip(t0, t1)):
-            assert got[:, j].tolist() == block.integrate_hold(a, b).tolist()
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=40).filter(any))
-    def test_write_runs_is_the_scatter(self, mask):
-        index = np.flatnonzero(mask)
-        values = np.arange(1.0, 2 * index.size + 1).reshape(2, -1)
-        out, want = np.zeros((2, len(mask))), np.zeros((2, len(mask)))
-        write_runs(out, index, values)
-        want[:, index] = values
-        assert out.tobytes() == want.tobytes()
+            assert got[:, j].tobytes() == block.integrate_hold(a, b).tobytes()
+        assert got[:, t0 == t1].tobytes() == np.zeros((2, 5)).tobytes()
 
     def test_check_names_the_first_offending_time(self):
         tr = make([float(k) for k in range(10)])

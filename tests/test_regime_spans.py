@@ -270,6 +270,31 @@ def test_queue_step_matches_the_tick_loop(block):
                                                        total, got[2]))
 
 
+@given(queue_blocks())
+@settings(max_examples=100, deadline=None)
+def test_queue_transport_is_the_per_tick_one(block):
+    # a block's congested ticks may form several runs; one tick per block
+    # has one run at most
+    dt, flows, backlog0, split = block
+    n = len(flows[0])
+    departures, stalls = [], []
+    for bounds in ([0, split, n], range(n + 1)):
+        q = FifoQueue("b", CAP, [f"f{i}" for i in range(len(flows))], dt_s=dt,
+                      backlog0_pkts=backlog0, n_ticks=n)
+        for k0, k1 in zip(bounds, bounds[1:]):
+            if k1 > k0:
+                times = np.arange(k0, k1 + 1) * dt
+                rates = np.array([f[k0:k1] for f in flows])
+                total = q.record_inputs(times[:-1], rates)
+                _, service, congested = q.step(dt, times[1:], total)
+                q.record_outputs(times[0], q.transport_outputs(
+                    times, service * dt, rates, total, congested))
+        departures.append(bits(q.departures.values))
+        stalls.append(q.stall_fallbacks)
+    assert departures[0] == departures[1]
+    assert stalls[0] == stalls[1]
+
+
 def check_queue(b0, total, dt):
     """Run one block against the reference; returns the arrays."""
     q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0, n_ticks=len(total))

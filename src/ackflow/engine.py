@@ -20,24 +20,24 @@ across the return delay plus the hops after it.  A component's next block
 ends at the least of the horizon, its frontier plus ``BLOCK_CAP_TICKS``,
 and each input's frontier plus that input's lag.
 
-A sweep runs the users, then the queues in ``network.queue_order``, which
-serves zero-delay hops, in two passes.  The first advances only the
-components whose next block is a full length, or ends at the barrier (the
-horizon, or the pruning tick below).  A component's length is its
-shortest feedback cycle (``shortest_cycles``), capped at
+A sweep runs the users, then the queues, in declaration order.  It
+advances each component whose next block is a full length, or ends at the
+barrier (the horizon, or the pruning tick below).  A component's length is
+its shortest feedback cycle (``shortest_cycles``), capped at
 ``BLOCK_CAP_TICKS``: the longest block it can ever take, since around its
 cycle each frontier is at most its input's plus the lag, so no block runs
-further past its own frontier.  Without the first pass, a long-loop
-component would advance whenever the short loop that paces its queue
-moved, in that loop's short blocks, and every block has a fixed cost.  If
-the first pass advances nothing, the second advances every component that
-can, as far as it can.  Every cycle of inputs has a positive total lag (a
-return delay is at least one tick, and the topology refuses zero-delay
-cycles of queues), so that pass advances some component, and a feedback
-loop advances by its whole cycle delay per sweep.  ``TraceSet.blocks``
-counts each component's blocks.  With pruning on, every block also ends by
-the next pruning tick + 1: the components wait at that barrier, the
-histories are pruned, and the barrier moves on.
+further past its own frontier.  Without that rule, a long-loop component
+would advance whenever the short loop that paces its queue moved, in that
+loop's short blocks, and every block has a fixed cost.  If a sweep
+advances nothing, the one component whose block ends furthest advances
+(the first in sweep order on a tie).  Every cycle of inputs has a positive
+total lag (a return delay is at least one tick, and the topology refuses
+zero-delay cycles of queues), so some component can always advance.  One
+partial block at a time needs no order among the components: a queue
+behind a zero-delay hop waits for its upstream queue's block.
+``TraceSet.blocks`` counts each component's blocks.  With pruning on,
+every block also ends by the next pruning tick + 1: the components wait at
+that barrier, the histories are pruned, and the barrier moves on.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The window, ACK-buffer and backlog
@@ -71,6 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fifo_queue import FifoQueue
+from .history import CausalityError, HistoryError
 from .oracle import EquilibriumResult, equilibrium_from_scenario, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
 from .scenario import RunConf, Scenario
@@ -151,9 +152,8 @@ class _Reader:
         hi = lo + len(ticks)
         if hi > len(values):
             t = float(ticks[max(len(values) - lo, 0)])
-            raise SimulationError(
-                f"causality violation: read {self.delay}s behind t={t} "
-                "touches an unrecorded sample")
+            raise CausalityError(
+                f"read {self.delay}s behind t={t} touches an unrecorded sample")
         if lo >= 0:
             return values[lo:hi]
         head = np.full(min(-lo, len(ticks)), self.traj.initial_value[self.row])
@@ -200,7 +200,7 @@ def input_lags(network: Network, dt: float) -> dict:
         for qid, hop in zip(reversed(u.queue_path), reversed(u.hop_delays_s)):
             feeds["queue", qid] = _lag_ticks(delay, dt)
             delay += hop
-    for qid in network.queue_order:
+    for qid in network.queues:
         feeds = lags["queue", qid] = {}
         for fid in network.flows_through(qid):
             flow = network.users.get(fid) or network.rate_flows[fid]
@@ -271,7 +271,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     # the tick times, and the end of the last step
     grid = np.arange(n_ticks + 1) * dt
     queues: dict[str, FifoQueue] = {}
-    for qid in network.queue_order:
+    for qid in network.queues:
         cap = network.queues[qid].capacity_pps
         flows = network.flows_through(qid)
         rates0 = {}
@@ -315,7 +315,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     # per-queue input readers, in the queue's flow order: the upstream
     # queue's output, else the user's sending flow or the flow's profile
     input_readers: dict[str, list[_Reader]] = {}
-    for qid in network.queue_order:
+    for qid in network.queues:
         readers = input_readers[qid] = []
         for fid in queues[qid].flow_ids:
             flow = network.users.get(fid) or network.rate_flows[fid]
@@ -360,7 +360,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     cycles = shortest_cycles(lags)
     bodies = {("user", ctx.uid): functools.partial(_user_block, ctx, queues, grid, dt)
               for ctx in user_list}
-    for qid in network.queue_order:
+    for qid in network.queues:
         bodies["queue", qid] = functools.partial(
             _queue_block, queues[qid], input_readers[qid], queue_columns[qid], grid, dt)
     sweep = []
@@ -371,21 +371,28 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     frontier = dict.fromkeys(bodies, 0)
     blocks = dict.fromkeys(bodies, 0)
 
+    def advance(key, body, k0, k1):
+        try:
+            body(k0, k1)
+        except HistoryError as err:
+            raise SimulationError(
+                f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
+        frontier[key] = k1
+        blocks[key] += 1
+
     barrier = 1 if prune_every else n_ticks  # the next pruning tick + 1
     while True:
-        advanced = False
-        for eager in (False, True):
-            for key, body, length, feeds in sweep:
-                k0 = frontier[key]
-                k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
-                         *[frontier[src] + lag for src, lag in feeds])
-                if k1 > k0 and (eager or k1 == barrier or k1 - k0 >= length):
-                    body(k0, k1)
-                    frontier[key] = k1
-                    blocks[key] += 1
-                    advanced = True
-            if advanced:
-                break
+        # every whole block, else the one partial block that ends furthest
+        advanced, furthest = False, (None, None, 0, 0)
+        for key, body, length, feeds in sweep:
+            k0 = frontier[key]
+            k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
+                     *[frontier[src] + lag for src, lag in feeds])
+            if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
+                advance(key, body, k0, k1)
+                advanced = True
+            elif k1 > max(k0, furthest[3]):
+                furthest = (key, body, k0, k1)
         if all(f == barrier for f in frontier.values()):
             k = barrier - 1
             t = k * dt
@@ -396,9 +403,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 break
             barrier = min(barrier + prune_every, n_ticks)
         elif not advanced:
-            stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
-                              for (kind, cid), k in frontier.items() if k < barrier)
-            raise SimulationError(f"no component can advance: {stuck}")
+            if furthest[0] is None:
+                stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
+                                  for (kind, cid), k in frontier.items() if k < barrier)
+                raise SimulationError(f"no component can advance: {stuck}")
+            advance(*furthest)
 
     # the flows are views of the histories; tau is q / capacity, which
     # IEEE division rounds exactly as a per-tick division would

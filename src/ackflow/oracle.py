@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocol import FastProtocol
-from .scenario import ConstantProfile, Scenario
+from .scenario import ConstantProfile, Scenario, SquareProfile
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
@@ -68,21 +68,31 @@ def _next_emission(profile, t: float, need: float = 1.0) -> float | None:
 
     Emissions use the midpoint convention: the first packet leaves after
     half a packet of mass has accumulated, so the integer packet stream
-    stays centered on the fluid mass it discretizes.
+    stays centered on the fluid mass it discretizes.  None when the
+    profile never sends again.
     """
     cur = t
-    for _ in range(10000):
+    while True:
         r = profile.rate_at(cur)
         boundary = profile.next_change_after(cur)
         if r > 0:
-            dt_need = need / r
-            if cur + dt_need <= boundary:
-                return cur + dt_need
+            if cur + need / r <= boundary:
+                return cur + need / r
             need -= (boundary - cur) * r
         if boundary == float("inf"):
             return None
         cur = boundary
-    return None
+        if isinstance(profile, SquareProfile):
+            # skip the whole periods the need spans but one, landing on a
+            # boundary as next_change_after puts it
+            mass = (profile.high_pps + profile.low_pps) * profile.period_s / 2.0
+            if mass <= 0.0:
+                return None
+            skip = math.floor(need / mass) - 1
+            if skip > 0:
+                half = profile.period_s / 2.0
+                cur = (round(cur / half) + 2 * skip) * half
+                need -= skip * mass
 
 
 def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
@@ -166,7 +176,7 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     for f in scenario.rate_flows:
         first = _next_emission(f.profile, t0, need=0.5)
         if first is not None:
-            push(first, "emit", f.id)
+            push(first, "emit", f)
     n_samples = int(round(horizon / sample_dt_s)) + 1
     sample_times = np.arange(n_samples) * sample_dt_s
     qlen = {qid: np.zeros(n_samples) for qid in queues}
@@ -212,16 +222,15 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
             window[uid] = new_w
             fill_window(uid, t)
         elif kind == "emit":
-            fid = data
+            fid = data.id
             pid = next_pid
             next_pid += 1
             log(pid, fid, "send", t)
             hops, _ = routes[fid]
             push(t + hops[0][0], "arrive", (fid, pid, 0))
-            prof = next(f.profile for f in scenario.rate_flows if f.id == fid)
-            nxt = _next_emission(prof, t)
+            nxt = _next_emission(data.profile, t)
             if nxt is not None and nxt <= horizon + 1e-12:
-                push(nxt, "emit", fid)
+                push(nxt, "emit", data)
         elif kind == "sample":
             k = data
             for qid, q in queues.items():

@@ -5,11 +5,13 @@ defined once, in ``scenario``; this module reads only their ids,
 capacities, queue paths and channel delays, so it imports nothing from
 there.  A user's closed circuit is its ``UserConf``: hop channels into
 each queue on the path, then the return channel back to the user.  A
-``Network`` indexes those objects by id, checks each one as it is added,
-and keeps a causal evaluation order for the queues.
+``Network`` indexes those objects by id and checks each one as it is
+added.
 """
 
 from __future__ import annotations
+
+import graphlib
 
 __all__ = ["TopologyError", "Network", "build_network"]
 
@@ -33,7 +35,6 @@ class Network:
         self.queues: dict = {}      # id -> QueueConf
         self.users: dict = {}       # id -> UserConf
         self.rate_flows: dict = {}  # id -> RateFlowConf
-        self.queue_order: tuple[str, ...] = ()  # the engine's sweep order
 
     def add_queue(self, q) -> None:
         if q.id in self.queues:
@@ -42,10 +43,9 @@ class Network:
             raise TopologyError(f"queue '{q.id}' capacity must be positive",
                                 "capacity_pps")
         self.queues[q.id] = q
-        self.queue_order += (q.id,)
 
     def add_user(self, u) -> None:
-        order = self.check_route("user", u.id, u.queue_path, u.hop_delays_s)
+        self.check_route("user", u.id, u.queue_path, u.hop_delays_s)
         if u.return_delay_s < 0:
             raise TopologyError(f"user '{u.id}' has a negative return delay",
                                 "return_delay_s")
@@ -53,22 +53,20 @@ class Network:
             raise TopologyError(
                 f"user '{u.id}' circuit has zero total propagation delay; "
                 "at least one channel must be strictly positive")
-        self.queue_order = order
         self.users[u.id] = u
 
     def add_rate_flow(self, f) -> None:
         """An exogenous open-loop flow: enters its first queue after
         ``hop_delays_s[0]``, leaves after its last queue, is never acknowledged."""
-        self.queue_order = self.check_route(
-            "rate flow", f.id, f.queue_path, f.hop_delays_s)
+        self.check_route("rate flow", f.id, f.queue_path, f.hop_delays_s)
         self.rate_flows[f.id] = f
 
-    def check_route(self, kind: str, fid: str, path, hops) -> tuple[str, ...]:
-        """Check a new flow's id and route; returns the queue order with it.
+    def check_route(self, kind: str, fid: str, path, hops) -> None:
+        """Check a new flow's id and route.
 
-        The order is topological over zero-delay inter-queue channels: a
-        queue fed through one needs its upstream queue evaluated first
-        within the same tick; positive delays impose nothing.
+        A route may not close a cycle of zero-delay channels between
+        queues with the routes already added: around such a cycle no queue
+        could advance before the others.
         """
         if fid in self.users or fid in self.rate_flows:
             raise TopologyError(f"duplicate flow id '{fid}' ({kind})", "id")
@@ -92,43 +90,26 @@ class Network:
             raise TopologyError(f"{kind} '{fid}' has a negative channel delay",
                                 "hop_delays_s")
         if 0.0 not in hops[1:]:
-            return self.queue_order  # the route adds no same-tick dependency
-
-        ids = list(self.queues)
-        deps: dict[str, set[str]] = {q: set() for q in ids}
+            return  # the route adds no zero-delay channel between queues
+        upstream: dict[str, set[str]] = {}
         routes = [(f.queue_path, f.hop_delays_s)
                   for f in (*self.users.values(), *self.rate_flows.values())]
         for p, h in (*routes, (path, hops)):
             for i in range(1, len(p)):
                 if h[i] == 0.0:
-                    deps[p[i]].add(p[i - 1])
-        order: list[str] = []
-        ready = [q for q in ids if not deps[q]]
-        while ready:
-            q = ready.pop(0)
-            order.append(q)
-            for other in ids:
-                if q in deps[other]:
-                    deps[other].discard(q)
-                    if not deps[other] and other not in order and other not in ready:
-                        ready.append(other)
-        if len(order) != len(ids):
-            stuck = sorted(set(ids) - set(order))
+                    upstream.setdefault(p[i], set()).add(p[i - 1])
+        try:
+            graphlib.TopologicalSorter(upstream).prepare()
+        except graphlib.CycleError as err:
             raise TopologyError(
                 f"{kind} '{fid}' closes a zero-delay channel cycle through queues "
-                f"{stuck}; insert a positive propagation delay", "hop_delays_s")
-        return tuple(order)
+                f"{sorted(set(err.args[1]))}; insert a positive propagation delay",
+                "hop_delays_s") from None
 
     def flows_through(self, queue_id: str) -> tuple[str, ...]:
-        """Flow ids entering a queue, in deterministic declaration order."""
-        out = []
-        for uid, u in self.users.items():
-            if queue_id in u.queue_path:
-                out.append(uid)
-        for fid, f in self.rate_flows.items():
-            if queue_id in f.queue_path:
-                out.append(fid)
-        return tuple(out)
+        """Flow ids entering a queue: users, then rate flows, as declared."""
+        return tuple(fid for flows in (self.users, self.rate_flows)
+                     for fid, f in flows.items() if queue_id in f.queue_path)
 
     def channel_delays_s(self) -> tuple[float, ...]:
         """Every channel delay: users' hops then return, then rate flows' hops.

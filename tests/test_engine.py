@@ -14,7 +14,7 @@ from ackflow.engine import (
     BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, shortest_cycles,
     simulate,
 )
-from ackflow.history import Trajectory
+from ackflow.history import CausalityError, Trajectory
 from ackflow.oracle import (
     equilibrium_from_scenario, equilibrium_queue, packet_sim, static_link_check,
 )
@@ -52,6 +52,24 @@ def two_user_scenario(w1=100.0, w2=50.0, steps1=(), cap=500.0, horizon=4.0,
 # component keys of input_lags
 U1, U2, U3 = ("user", "u1"), ("user", "u2"), ("user", "u3")
 B1, B2 = ("queue", "b1"), ("queue", "b2")
+
+
+def zero_hop_chain():
+    # u1 crosses b1 -> b2 -> b3 over zero-delay hops, u2 joins at b3; b2
+    # and b3 read their upstream queue with no lag at all
+    return Scenario(
+        name="zero_hop_chain", packet_bytes=1000,
+        queues=(QueueConf("b1", 500.0), QueueConf("b2", 400.0), QueueConf("b3", 300.0)),
+        users=(
+            UserConf("u1", ("b1", "b2", "b3"), (0.01, 0.0, 0.0), 0.02,
+                     ScheduledProtocol(40.0, ((1.0, 20.0),))),
+            UserConf("u2", ("b3",), (0.01,), 0.015, ScheduledProtocol(20.0)),
+        ),
+        run=RunConf(1e-3, 2.0, "cold"))
+
+
+def cold(sc):
+    return dataclasses.replace(sc, run=dataclasses.replace(sc.run, init="cold"))
 
 
 def run(sc, **overrides):
@@ -447,14 +465,56 @@ class TestBlocks:
     @pytest.mark.parametrize("source, blocks", [
         # 160001 ticks: u3 and b1 in 400-tick blocks; u1, u2 and b2 wait
         # for 800-tick ones, u1 paced by b2
-        ("scenario3", {U1: 201, U2: 201, U3: 401, B1: 401, B2: 201}),
+        ("scenario3", {U1: 200, U2: 201, U3: 401, B1: 401, B2: 201}),
         # 110001 ticks in blocks of BLOCK_CAP_TICKS
         ("squarewave", {B1: 108}),
         # 200001 ticks; u2 (916-tick cycle) is paced by b1's 500-tick blocks
         (OFFGRID_YAML, {U1: 401, U2: 400, B1: 401}),
-    ], ids=["scenario3", "squarewave", "fast_pair_offgrid"])
+        # 80001 ticks; u1 and b1 in 32-tick blocks, u2 (1170-tick cycle)
+        # capped at BLOCK_CAP_TICKS
+        ("scenario1", {U1: 2501, U2: 79, B1: 2501}),
+    ], ids=["scenario3", "squarewave", "fast_pair_offgrid", "scenario1"])
     def test_blocks_counts_each_components_blocks(self, source, blocks):
         assert run(load_scenario(source)).blocks == blocks
+
+    @pytest.mark.parametrize("declared", [
+        # equilibrium starts differ in the last bits with the queue order
+        # (equilibrium_queue sweeps the queues as declared), so start cold
+        cold(load_scenario("scenario3")),
+        zero_hop_chain(),
+    ], ids=["scenario3", "zero_hop_chain"])
+    def test_queue_declaration_order_changes_neither_blocks_nor_traces(self, declared):
+        reversed_ = dataclasses.replace(declared, queues=declared.queues[::-1])
+        assert reversed_.queues != declared.queues
+        a, b = run(declared), run(reversed_)
+        assert a.blocks == b.blocks
+        assert a.signals.keys() == b.signals.keys()
+        for name in a.signals:
+            assert np.array_equal(a[name], b[name]), name
+
+    @pytest.mark.parametrize("source, message", [
+        # an index read past its input's frontier
+        ("scenario3", "queue block 'b1' from t=0.000000: read 0.0s behind "
+                      "t=0.04 touches an unrecorded sample"),
+        # an interpolated read past it
+        (OFFGRID_YAML, "queue block 'b1' from t=0.000000: future read at "
+                       "t=0.037630000000000004 (history ends at 0.0376)"),
+    ], ids=["scenario3", "fast_pair_offgrid"])
+    def test_a_history_fault_names_the_component_and_its_block(
+            self, monkeypatch, source, message):
+        # lags 50 ticks too long let b1 run ahead of what its inputs recorded
+        def overlong(network, dt):
+            lags = input_lags(network, dt)
+            lags[B1] = {src: lag + 50 for src, lag in lags[B1].items()}
+            return lags
+
+        sc = load_scenario(source)
+        monkeypatch.setattr(engine, "input_lags", overlong)
+        with pytest.raises(SimulationError) as err:
+            simulate(to_network(sc), sc, SimConfig(
+                dt_s=sc.run.dt_s, horizon_s=1.0, init=sc.run.init))
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, CausalityError)
 
     def test_fast_wdot_is_called_once_per_fast_user_block(self, monkeypatch):
         # the FAST window loop makes no call per tick: one call on arrays

@@ -175,3 +175,21 @@ class TestPacketSim:
             run=RunConf(1e-4, 2.0, "cold"))
         res = packet_sim(sc, sample_dt_s=0.1)
         assert res.dequeue_counts[("b1", "f1")][-1] == pytest.approx(200, abs=2)
+
+    def test_slow_square_flow_keeps_emitting(self):
+        # 0.2 pkt/s for half of each 1 ms period: 1e-4 pkts a period, so
+        # each packet spans 10 000 periods; 30 s carry 3 pkts of mass
+        from ackflow.scenario import RateFlowConf, SquareProfile
+        sc = Scenario(
+            name="slow", packet_bytes=1000,
+            queues=(QueueConf("b1", 100.0),),
+            rate_flows=(RateFlowConf("f1", ("b1",), (0.0,),
+                                     SquareProfile(0.2, 0.0, 0.001)),),
+            run=RunConf(1e-3, 30.0, "cold"))
+        res = packet_sim(sc, sample_dt_s=0.1, record_events=True)
+        sends = [e.time_s for e in res.events if e.kind == "send"]
+        # the midpoint convention: half a packet's mass, then one per packet,
+        # each at the end of a high half; within a period, since the float
+        # phase of a half-period boundary may read as either half
+        assert sends == pytest.approx([4.9995, 14.9995, 24.9995], abs=0.001)
+        assert res.dequeue_counts[("b1", "f1")][-1] == 3

@@ -68,7 +68,6 @@ class TestBuild:
             [rate_flow("x", ("b1", "b2"), (0.0, 0.005))],
         )
         assert net.flows_through("b2") == ("u1", "u2", "x")
-        assert net.queue_order == ("b1", "b2")
 
     def test_series_circuit_traverses_queues_in_order(self):
         net = series_net()
@@ -116,13 +115,6 @@ class TestBuild:
                     user("u2", ("b", "a"), (0.0, 0.0), 0.1),
                 ],
             )
-
-    def test_queue_order_respects_zero_delay_links(self):
-        net = build_network(
-            [QueueConf("b2", 1.0), QueueConf("b1", 1.0)],
-            [user("u1", ("b1", "b2"), (0.0, 0.0), 0.1)],
-        )
-        assert net.queue_order.index("b1") < net.queue_order.index("b2")
 
 
 class TestCircuitInvariants:

@@ -1,24 +1,26 @@
 """Fixed-step causal integration of the interconnected fluid model.
 
-Every tick evaluates, in circuit order, only data with timestamps at or
-before the current time: ACK rates from recorded queue outputs, controller
-window rates, sending flows, then queue arrivals, per-flow departures and
-the state integration with event sub-stepping (queue emptying, ACK-buffer
-refill).
-
 Each user and each queue advances in blocks of ticks (the time-stepped
-fluid solution of Liu et al., SIGMETRICS 2003, with its step loop batched)
-and keeps its own frontier: the number of ticks it has recorded.  This is
-conservative lookahead (Chandy and Misra, IEEE TSE 1979; Nicol, JACM 1993).
-A component reads another only across a channel, so it may run ahead of
-each input by that channel's lag in whole ticks: the index shift for a delay
-on the grid, the floor of ``delay / dt`` off it (``input_lags``).  A queue's
-inputs are its flows' first-hop users and its upstream queues, across the
-hop delays; a user's are its last queue, across the return delay (its ACKs
-and the circuit inversion of its flight size), and each upstream queue,
-across the return delay plus the hops after it.  A component's next block
-ends at the least of the horizon, its frontier plus ``BLOCK_CAP_TICKS``,
-and each input's frontier plus that input's lag.
+fluid solution of Liu et al., SIGMETRICS 2003, with its step loop batched).
+A block reads only recorded samples, each across a channel delay, and
+records its own: a user block its ACK rates, window, ACK buffer and sending
+flow, a queue block its arrivals, backlog and per-flow departures; each
+locates its events (buffer refill, queue emptying) inside their steps.
+
+Every component keeps its own frontier: the number of ticks it has
+recorded.  This is conservative lookahead (Chandy and Misra, IEEE TSE 1979;
+Nicol, JACM 1993).  A component reads another only across a channel, so it
+may run ahead of each input by that channel's lag in whole ticks: the index
+shift for a delay on the grid, the floor of ``delay / dt`` off it.  One walk
+of the topology, ``_feeds``, lists every component's reads as (source,
+flow, delay).  A queue reads each flow across its hop: the upstream queue's
+departures, the user's sending flow or the rate flow's profile.  A user
+reads its last queue across the return delay (its ACKs and the circuit
+inversion of its flight size), and each upstream queue across the return
+delay plus the hops after it.  The blocks' readers come from that table,
+and so does the schedule (``input_lags``, the least lag per source).  A
+component's next block ends at the least of the horizon, its frontier plus
+``BLOCK_CAP_TICKS``, and each input's frontier plus that input's lag.
 
 A sweep runs the users, then the queues, in declaration order.  It
 advances each component whose next block is a full length, or ends at the
@@ -74,7 +76,7 @@ from .fifo_queue import FifoQueue
 from .history import CausalityError, HistoryError
 from .oracle import EquilibriumResult, equilibrium_from_scenario, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
-from .scenario import RunConf, Scenario
+from .scenario import RunConf, Scenario, UserConf
 from .topology import Network
 from .user import UserState, circuit_backward_time
 
@@ -160,13 +162,6 @@ class _Reader:
         return np.concatenate((head, values[:max(hi, 0)]))
 
 
-class _UserCtx:
-    __slots__ = ("uid", "state", "conf", "impulses", "ack_reader", "columns")
-
-    def __init__(self, uid):
-        self.uid = uid
-
-
 def _grid_shift(delay_s: float, dt: float) -> int | None:
     """A delay in whole ticks when it is a grid multiple, else None."""
     ticks = delay_s / dt
@@ -182,37 +177,48 @@ def _lag_ticks(delay_s: float, dt: float) -> int:
     return math.floor(delay_s / dt) if shift is None else shift
 
 
-def input_lags(network: Network, dt: float) -> dict:
-    """Every component's inputs with their lags in whole ticks.
+def _feeds(network: Network) -> dict:
+    """Every component's reads as ``(source, flow id, delay_s)``.
 
-    Components are keyed ``("user", id)`` and ``("queue", id)``, since a
-    user and a queue may share an id.  A user reads its last queue across
-    the return delay (ACKs and the circuit inversion), and each upstream
-    queue across the return delay plus the hops after it, in the order
-    ``circuit_backward_time`` walks them.  A queue reads each flow's
-    upstream queue across that hop, or a user's sending flow across its
-    first hop; a rate flow's profile is known at every time and is no input.
+    Components and sources are keyed ``("user", id)`` and ``("queue", id)``,
+    since a user and a queue may share an id.  A user reads its last queue
+    across the return delay (its ACKs, the first entry, and the circuit
+    inversion), then each upstream queue across the return delay plus the
+    hops after it, in the order ``circuit_backward_time`` walks them.  A
+    queue reads its flows in order: each one's upstream queue across that
+    hop, else the user's sending flow across its first hop, else (source
+    None) the rate flow's profile, known at every time.
     """
-    lags: dict = {}
+    feeds: dict = {}
     for uid, u in network.users.items():
-        feeds = lags["user", uid] = {}
+        reads = feeds["user", uid] = []
         delay = u.return_delay_s
         for qid, hop in zip(reversed(u.queue_path), reversed(u.hop_delays_s)):
-            feeds["queue", qid] = _lag_ticks(delay, dt)
+            reads.append((("queue", qid), uid, delay))
             delay += hop
     for qid in network.queues:
-        feeds = lags["queue", qid] = {}
+        reads = feeds["queue", qid] = []
         for fid in network.flows_through(qid):
             flow = network.users.get(fid) or network.rate_flows[fid]
             pos = flow.queue_path.index(qid)
             if pos:
                 src = ("queue", flow.queue_path[pos - 1])
-            elif fid in network.users:
-                src = ("user", fid)
             else:
-                continue
-            lag = _lag_ticks(flow.hop_delays_s[pos], dt)
-            feeds[src] = min(lag, feeds.get(src, lag))
+                src = ("user", fid) if fid in network.users else None
+            reads.append((src, fid, flow.hop_delays_s[pos]))
+    return feeds
+
+
+def input_lags(network: Network, dt: float) -> dict:
+    """Every component's inputs with their lags in whole ticks: the least
+    ``_lag_ticks`` over its reads of each source (``_feeds``)."""
+    lags: dict = {}
+    for key, reads in _feeds(network).items():
+        inputs = lags[key] = {}
+        for src, _, delay in reads:
+            if src is not None:
+                lag = _lag_ticks(delay, dt)
+                inputs[src] = min(lag, inputs.get(src, lag))
     return lags
 
 
@@ -270,66 +276,30 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     n_ticks = int(round(config.horizon_s / dt)) + 1
     # the tick times, and the end of the last step
     grid = np.arange(n_ticks + 1) * dt
+    feeds = _feeds(network)
     queues: dict[str, FifoQueue] = {}
-    for qid in network.queues:
-        cap = network.queues[qid].capacity_pps
-        flows = network.flows_through(qid)
-        rates0 = {}
-        backlog0 = 0.0
+    for qid, qconf in network.queues.items():
+        flows = [fid for _, fid, _ in feeds["queue", qid]]
+        backlog0, rates0 = 0.0, {}
         if eq_init is not None:
-            backlog0 = cap * eq_init.queueing_delays_s[qid]
+            backlog0 = qconf.capacity_pps * eq_init.queueing_delays_s[qid]
             for fid in flows:
-                if fid in network.rate_flows:
-                    rates0[fid] = network.rate_flows[fid].profile.rate_at(0.0)
-                else:
-                    rates0[fid] = eq_init.rates_pps[fid]
-        queues[qid] = FifoQueue(qid, cap, flows, dt_s=dt, backlog0_pkts=backlog0,
-                                input_rates0=rates0, n_ticks=n_ticks)
+                rates0[fid] = (eq_init.rates_pps[fid] if fid in network.users
+                               else network.rate_flows[fid].profile.rate_at(0.0))
+        queues[qid] = FifoQueue(qid, qconf.capacity_pps, flows, dt_s=dt,
+                                backlog0_pkts=backlog0, input_rates0=rates0,
+                                n_ticks=n_ticks)
 
-    users: dict[str, _UserCtx] = {}
-    for uid, uconf in network.users.items():
-        ctx = _UserCtx(uid)
-        ctx.conf = uconf
-        proto = uconf.protocol
-        w0 = proto.initial_window_pkts
-        send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
-        window_start = w0 if eq_init is not None else 0.0
-        flight0 = w0 if eq_init is not None else 0.0
-        ctx.state = UserState(uid, window_start, dt_s=dt, sending0_pps=send0,
-                              flight0_pkts=flight0, n_ticks=n_ticks)
-        if isinstance(proto, ScheduledProtocol):
-            impulses = proto.impulses_by_tick(dt)
-        elif isinstance(proto, FastProtocol):
-            impulses = {}
-        else:
-            raise SimulationError(f"user '{uid}': unsupported protocol {proto!r}")
-        if eq_init is None:
-            # the window appears at t=0: emitted as an opening burst
-            impulses[0] = impulses.get(0, 0.0) + w0
-        ctx.impulses = {k: v for k, v in impulses.items() if v}  # tick -> jump
-        last_q = queues[uconf.queue_path[-1]]
-        ctx.ack_reader = _Reader(traj=last_q.departures, row=last_q.flow_ids.index(uid),
-                                 delay_s=uconf.return_delay_s, dt_s=dt)
-        users[uid] = ctx
-
-    # per-queue input readers, in the queue's flow order: the upstream
-    # queue's output, else the user's sending flow or the flow's profile
-    input_readers: dict[str, list[_Reader]] = {}
-    for qid in network.queues:
-        readers = input_readers[qid] = []
-        for fid in queues[qid].flow_ids:
-            flow = network.users.get(fid) or network.rate_flows[fid]
-            pos = flow.queue_path.index(qid)
-            delay = flow.hop_delays_s[pos]
-            if pos:
-                up = queues[flow.queue_path[pos - 1]]
-                readers.append(_Reader(traj=up.departures, row=up.flow_ids.index(fid),
-                                       delay_s=delay, dt_s=dt))
-            elif fid in users:
-                readers.append(_Reader(traj=users[fid].state.sending, delay_s=delay,
-                                       dt_s=dt))
-            else:
-                readers.append(_Reader(profile=flow.profile, delay_s=delay, dt_s=dt))
+    def reader(src, fid: str, delay_s: float) -> _Reader:
+        """The read of one ``_feeds`` entry."""
+        if src is None:
+            return _Reader(profile=network.rate_flows[fid].profile, delay_s=delay_s,
+                           dt_s=dt)
+        if src[0] == "user":
+            return _Reader(traj=states[src[1]].sending, delay_s=delay_s, dt_s=dt)
+        up = queues[src[1]]
+        return _Reader(traj=up.departures, row=up.flow_ids.index(fid), delay_s=delay_s,
+                       dt_s=dt)
 
     # traces, named here once: the flows are history rows, every other
     # signal a preallocated column the blocks fill
@@ -340,29 +310,46 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         columns.update((f"{name}.{owner}", col) for name, col in zip(names, new))
         return new
 
-    queue_columns = {}
-    for qid in network.queues:
-        queue_columns[qid] = new_columns(qid, "q", "r", "arrival", "congested")
-    user_list = list(users.values())
-    for ctx in user_list:
-        ctx.columns = new_columns(ctx.uid, "w", "ackbuf", "flight", "flight_ode",
-                                  "active")
+    # each component's block body, keyed like input_lags: the users, then
+    # the queues, as declared, which is the sweep order
+    states: dict[str, UserState] = {}
+    bodies = {}
+    for uid, uconf in network.users.items():
+        proto = uconf.protocol
+        w0 = proto.initial_window_pkts if eq_init is not None else 0.0
+        send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
+        states[uid] = UserState(uid, w0, dt_s=dt, sending0_pps=send0, flight0_pkts=w0,
+                                n_ticks=n_ticks)
+        if isinstance(proto, ScheduledProtocol):
+            impulses = proto.impulses_by_tick(dt)
+        elif isinstance(proto, FastProtocol):
+            impulses = {}
+        else:
+            raise SimulationError(f"user '{uid}': unsupported protocol {proto!r}")
+        if eq_init is None:
+            # the window appears at t=0: emitted as an opening burst
+            impulses[0] = impulses.get(0, 0.0) + proto.initial_window_pkts
+        bodies["user", uid] = functools.partial(
+            _user_block, uconf, states[uid],
+            {k: v for k, v in impulses.items() if v},  # tick -> jump
+            reader(*feeds["user", uid][0]),
+            new_columns(uid, "w", "ackbuf", "flight", "flight_ode", "active"),
+            queues, grid, dt)
+    for qid, q in queues.items():
+        bodies["queue", qid] = functools.partial(
+            _queue_block, q, [reader(*read) for read in feeds["queue", qid]],
+            new_columns(qid, "q", "r", "arrival", "congested"), grid, dt)
 
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
     prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
                  for h in (q.forward_map, q.arrivals, q.departures)]
-    histories += [h for ctx in user_list for h in (ctx.state.sending, ctx.state.acks)]
+    histories += [h for st in states.values() for h in (st.sending, st.acks)]
 
-    # the sweep, per component keyed like input_lags (a user and a queue
-    # may share an id): its block body, block length and inputs as (key, lag)
+    # the sweep, per component: its block body, block length and inputs as
+    # (key, lag)
     lags = input_lags(network, dt)
     cycles = shortest_cycles(lags)
-    bodies = {("user", ctx.uid): functools.partial(_user_block, ctx, queues, grid, dt)
-              for ctx in user_list}
-    for qid in network.queues:
-        bodies["queue", qid] = functools.partial(
-            _queue_block, queues[qid], input_readers[qid], queue_columns[qid], grid, dt)
     sweep = []
     for key, body in bodies.items():
         cycle = cycles[key]
@@ -384,10 +371,10 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     while True:
         # every whole block, else the one partial block that ends furthest
         advanced, furthest = False, (None, None, 0, 0)
-        for key, body, length, feeds in sweep:
+        for key, body, length, inputs in sweep:
             k0 = frontier[key]
             k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
-                     *[frontier[src] + lag for src, lag in feeds])
+                     *[frontier[src] + lag for src, lag in inputs])
             if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
                 advance(key, body, k0, k1)
                 advanced = True
@@ -414,9 +401,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     for qid, q in queues.items():
         columns.update((f"in.{qid}.{fid}", row) for fid, row in q.inputs.items())
         columns.update((f"out.{qid}.{fid}", row) for fid, row in q.outputs.items())
-    for ctx in user_list:
-        columns[f"send.{ctx.uid}"] = ctx.state.sending.values
-        columns[f"ack.{ctx.uid}"] = ctx.state.acks.values
+    for uid, st in states.items():
+        columns[f"send.{uid}"] = st.sending.values
+        columns[f"ack.{uid}"] = st.acks.values
     signals = {}
     for name, col in columns.items():
         signals[name] = col
@@ -431,29 +418,29 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         config=config,
         equilibrium_init=eq_init,
         queues=queues,
-        users={uid: ctx.state for uid, ctx in users.items()},
+        users=states,
         blocks=blocks,
     )
 
 
-def _user_block(ctx: _UserCtx, queues: dict, grid: np.ndarray, dt: float,
+def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Reader,
+                columns: tuple, queues: dict, grid: np.ndarray, dt: float,
                 k0: int, k1: int) -> None:
     """Advance one user over ticks ``[k0, k1)``."""
     ticks = grid[k0:k1]
-    st = ctx.state
-    acks = ctx.ack_reader.read(k0, ticks)
+    acks = ack_reader.read(k0, ticks)
     # entry time of the traffic being acknowledged now
-    b_t = circuit_backward_time(ctx.conf, queues, ticks)
+    b_t = circuit_backward_time(conf, queues, ticks)
     fast = None
-    proto = ctx.conf.protocol
+    proto = conf.protocol
     if isinstance(proto, FastProtocol):
-        total_delay = ctx.conf.total_delay_s
+        total_delay = conf.total_delay_s
         lag = (ticks - b_t) - total_delay
         tau = np.where(lag > 0.0, lag, 0.0)
         # fast_wdot's gains, and its rates from the global a tracer may patch
         fast = ((-tau / (total_delay + tau)).tolist(), proto.gamma, proto.alpha_pkts,
                 lambda windows: fast_wdot(windows, tau, total_delay, proto))
-    jumps = {k - k0: v for k, v in ctx.impulses.items() if k0 <= k < k1}
+    jumps = {k - k0: v for k, v in impulses.items() if k0 <= k < k1}
     send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, fast=fast)
     if not (np.isfinite(send).all() and np.isfinite(w).all()
             and np.isfinite(pi).all() and math.isfinite(st.window)
@@ -462,14 +449,14 @@ def _user_block(ctx: _UserCtx, queues: dict, grid: np.ndarray, dt: float,
         sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
                 & np.isfinite(np.append(pi[1:], st.ack_buffer)))
         raise SimulationError(
-            f"divergence in user block '{ctx.uid}' at "
+            f"divergence in user block '{conf.id}' at "
             f"t={ticks[sane.argmin()]:.6f}")
     st.sending.record(ticks[0], send)
     st.acks.record(ticks[0], acks)
     # flight by the independent route: the sending integral back to the
     # circuit entry time, each tick's rate held over its step
     flight = st.sending.integrate_hold(b_t, ticks)
-    for col, values in zip(ctx.columns, (w, pi, flight, flight_ode, active)):
+    for col, values in zip(columns, (w, pi, flight, flight_ode, active)):
         col[k0:k1] = values
 
 

@@ -66,7 +66,7 @@ class Trajectory:
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_n_cum", "initial_value",
+    __slots__ = ("dt", "_buf", "_n", "_cum", "initial_value",
                  "pre_slope", "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
@@ -76,9 +76,9 @@ class Trajectory:
         self._buf = np.empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
         # _cum[..., i] = integral from 0 to i * dt, each value held to the
-        # next sample; built on the first integral that needs it
+        # next sample: built on the first integral, then kept up to the
+        # last sample by each record
         self._cum = None
-        self._n_cum = 0
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -109,6 +109,8 @@ class Trajectory:
                                f"is past the sized length of {size} samples")
         self._buf[..., n:end] = v
         self._n = end
+        if self._cum is not None:
+            self._extend_cumulative(n)
 
     def _index(self, t: np.ndarray) -> np.ndarray:
         """Largest ``i`` with ``i * dt <= t``, elementwise, for ``t >= 0``."""
@@ -156,22 +158,18 @@ class Trajectory:
                 v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
         return float(out[0]) if scalar else out
 
-    def _extend_cumulative(self, top: int) -> None:
-        """Fill the hold cumulative up to entry ``top - 1``.
+    def _extend_cumulative(self, n0: int) -> None:
+        """Fill the hold cumulative from entry ``n0`` to the last sample's.
 
         ``np.cumsum`` adds in sequence, so seeding it with the last entry
         gives each cell exactly the one-at-a-time running sum.
         """
-        n0 = self._n_cum
-        if self._cum is None:
-            self._cum, n0 = np.zeros(self._buf.shape), 1
-        cum, dt = self._cum, self.dt
+        n0, top, dt = max(n0, 1), self._n, self.dt
         n = np.arange(n0, top)
         # each cell as wide as its grid times
         cells = self._buf[..., n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
-        cum[..., n0 - 1:top] = np.cumsum(
-            np.concatenate((cum[..., n0 - 1:n0], cells), axis=-1), axis=-1)
-        self._n_cum = top
+        self._cum[..., n0 - 1:top] = np.cumsum(
+            np.concatenate((self._cum[..., n0 - 1:n0], cells), axis=-1), axis=-1)
 
     def integrate_hold(self, t0, t1):
         """Integral reading each sample as held until the next one.
@@ -210,11 +208,14 @@ class Trajectory:
                 f"integration end t={float(t1[late.argmax()])!r} beyond history "
                 f"({last!r})")
         t = np.concatenate((t0, t1))
+        if not self._n:  # no sample: every bound lies in the pre-history
+            held = np.multiply.outer(self.initial_value, t)
+            return held[..., len(t0):] - held[..., :len(t0)]
+        if self._cum is None:
+            self._cum = np.zeros(self._buf.shape)
+            self._extend_cumulative(1)
         early = t.min() < 0.0
         i = self._index(np.maximum(t, 0.0) if early else t)
-        top = int(i.max()) + 1
-        if top > self._n_cum:
-            self._extend_cumulative(top)
         held = (self._cum.take(i, axis=-1)
                 + self._buf.take(i, axis=-1) * (t - i * self.dt))
         if early:

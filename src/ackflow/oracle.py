@@ -301,13 +301,15 @@ def equilibrium_queue(problem: EquilibriumProblem) -> EquilibriumResult:
     along its path), and every congested queue's arrivals exactly fill the
     capacity left over by cross traffic.  Solved by Gauss-Seidel sweeps
     with a monotone bisection for each queue's delay; queues whose arrivals
-    fit within capacity settle at zero delay.
+    fit within capacity settle at zero delay.  The sweeps take the queues,
+    and each queue's inflow sums its users, in sorted-id order, so the
+    result does not depend on the order a scenario declares them in.
     """
     w = problem.windows_pkts
     T = problem.total_delays_s
     circuits = problem.circuits
     caps = problem.capacities_pps
-    users_at = {q: [u for u, path in circuits.items() if q in path] for q in caps}
+    users_at = {q: [u for u in sorted(circuits) if q in circuits[u]] for q in caps}
     targets = {}
     for q, c in caps.items():
         target = c - problem.cross_rates_pps.get(q, 0.0)
@@ -324,7 +326,7 @@ def equilibrium_queue(problem: EquilibriumProblem) -> EquilibriumResult:
         return s
 
     for sweeps in range(1, MAX_SWEEPS + 1):
-        for q in caps:
+        for q in sorted(caps):
             target = targets[q]
             if not users_at[q] or inflow(q, 0.0) <= target:
                 new = 0.0

@@ -3,16 +3,16 @@
 This module owns the flow types: ``QueueConf``, ``UserConf`` and
 ``RateFlowConf`` describe each queue, user and rate flow once, and the
 same objects are the network (``topology`` checks their ids, paths and
-delays and orders the queues).  A user's ``protocol`` is one of the
-controllers of ``protocol`` (``ScheduledProtocol``, ``FastProtocol``),
-re-exported here: the one description that the engine and the packet
-oracle both run.  One YAML document describes a run.  Keys carry explicit
-units (``capacity_mbps``, ``hop_delays_ms``) and everything is normalized to packets and seconds on load; capacities given in Mb/s
-are converted with the scenario's packet size (bits per second divided by
-8 * packet bytes).  The parser adds each entry to a ``Network`` as it
-reads it, so a topology fault names the entry's field.  Serialization
-emits the canonical normalized form, which parses back to an identical
-scenario.
+delays).  A user's ``protocol`` is one of the controllers of ``protocol``
+(``ScheduledProtocol``, ``FastProtocol``), re-exported here: the one
+description that the engine and the packet oracle both run.  One YAML
+document describes a run.  Keys carry explicit units (``capacity_mbps``,
+``hop_delays_ms``) and everything is normalized to packets and seconds on
+load; capacities given in Mb/s are converted with the scenario's packet
+size (bits per second divided by 8 * packet bytes).  The parser adds each
+entry to a ``Network`` as it reads it, so a topology fault names the
+entry's field.  Serialization emits the canonical normalized form, which
+parses back to an identical scenario.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Network validation and ordering over the scenario's flow descriptions.
+"""Network validation over the scenario's flow descriptions.
 
 The flow types, ``QueueConf``, ``UserConf`` and ``RateFlowConf``, are
 defined once, in ``scenario``; this module reads only their ids,

@@ -478,11 +478,11 @@ class TestBlocks:
         assert run(load_scenario(source)).blocks == blocks
 
     @pytest.mark.parametrize("declared", [
-        # equilibrium starts differ in the last bits with the queue order
-        # (equilibrium_queue sweeps the queues as declared), so start cold
         cold(load_scenario("scenario3")),
+        # the equilibrium start too: equilibrium_queue sweeps in id order
+        load_scenario("scenario3"),
         zero_hop_chain(),
-    ], ids=["scenario3", "zero_hop_chain"])
+    ], ids=["scenario3", "scenario3-equilibrium", "zero_hop_chain"])
     def test_queue_declaration_order_changes_neither_blocks_nor_traces(self, declared):
         reversed_ = dataclasses.replace(declared, queues=declared.queues[::-1])
         assert reversed_.queues != declared.queues
@@ -611,6 +611,64 @@ class TestBlocks:
                 run(sc)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "divergence in user block 'u1' at t=0.199000"
+
+
+@st.composite
+def random_chains(draw):
+    """1-3 queues in a chain and 1-3 scheduled users on contiguous sub-paths,
+    hops of 0 or 10-60 ms on or off the 1 ms grid, an optional constant or
+    square rate flow, and a cold or equilibrium start, over 0.5 s."""
+    queues = tuple(QueueConf(f"b{i}", draw(st.floats(200.0, 1000.0)))
+                   for i in range(draw(st.integers(1, 3))))
+    # on the grid, or in steps of 0.1 ms
+    delay = st.integers(10, 60).map(lambda ms: ms / 1e3) | st.integers(100, 600).map(
+        lambda d: d / 1e4)
+
+    def route():
+        first = draw(st.integers(0, len(queues) - 1))
+        last = draw(st.integers(first, len(queues) - 1))
+        path = tuple(q.id for q in queues[first:last + 1])
+        return path, tuple(draw(st.just(0.0) | delay) for _ in path)
+
+    users = tuple(
+        UserConf(f"u{i}", *route(), draw(delay), ScheduledProtocol(
+            draw(st.floats(1.0, 80.0)),
+            tuple(draw(st.lists(st.tuples(st.floats(0.05, 0.45), st.floats(0.0, 80.0)),
+                                max_size=1)))))
+        for i in range(draw(st.integers(1, 3))))
+    kind = draw(st.sampled_from([None, "constant", "square"]))
+    flows = ()
+    if kind:
+        low = draw(st.floats(0.0, 0.5)) * min(q.capacity_pps for q in queues)
+        profile = (ConstantProfile(low) if kind == "constant" else SquareProfile(
+            2.0 * low, low, draw(st.floats(0.05, 0.4))))
+        flows = (RateFlowConf("x", *route(), profile),)
+    # the equilibrium start needs a constant rate flow
+    init = draw(st.sampled_from(["cold"] if kind == "square" else ["cold", "equilibrium"]))
+    return Scenario(name="random_chain", packet_bytes=1000, queues=queues, users=users,
+                    rate_flows=flows, run=RunConf(1e-3, 0.5, init))
+
+
+class TestRandomTopologies:
+    @given(sc=random_chains(), cap=st.integers(1, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_random_chains_run_finite_balanced_and_block_free(self, sc, cap):
+        traces = run(sc)
+        for name, values in traces.signals.items():
+            assert np.isfinite(values).all(), name
+        # each queue's mass balance, as perfbench checks it
+        dt = traces.dt_s
+        for qid, q in traces.queues.items():
+            arrived = float(np.sum(traces[f"arrival.{qid}"])) * dt
+            served = float(np.sum(traces[f"r.{qid}"])) * dt
+            departed = sum(float(np.sum(row)) for row in q.outputs.values()) * dt
+            gap = max(abs(q.backlog - traces[f"q.{qid}"][0] - (arrived - served)),
+                      abs(departed - served))
+            assert gap <= 1e-9 * max(1.0, arrived), qid
+        with mock.patch.object(engine, "BLOCK_CAP_TICKS", cap):
+            capped = run(sc)
+        for name in traces.signals:
+            assert np.array_equal(traces[name], capped[name]), name
 
 
 @functools.cache

@@ -111,6 +111,28 @@ class TestIntegrate:
         # half a cell at 1 and half a cell at 3
         assert tr.integrate_hold(0.5, 1.5) == pytest.approx(2.0)
 
+    def test_a_history_with_no_samples_integrates_its_pre_history(self):
+        block = Trajectory(0.5, [2.0, 3.0], n_ticks=4)
+        assert block.integrate_hold(-2.0, -0.5).tolist() == [3.0, 4.5]
+        with pytest.raises(CausalityError):
+            block.integrate_hold(-1.0, 0.0)
+        # the first sample then ends the pre-history
+        block.record(0.0, [[1.0], [5.0]])
+        assert block.integrate_hold(-1.0, 0.0).tolist() == [2.0, 3.0]
+
+    def test_records_after_an_integral_keep_it_bitwise(self):
+        # the cumulative built on the first integral is then extended by
+        # each record; integrals read it as if it were built at once
+        values = [0.1 * k + 1.0 / (k + 3) for k in range(40)]
+        whole = make(values, dt=0.003)
+        tr = Trajectory(0.003, 0.0, n_ticks=40)
+        times = np.array([-0.004, 0.0, 0.0017, 0.0031, 0.025])
+        for a, b in ((0, 1), (1, 2), (2, 9), (9, 40)):
+            tr.record(a * 0.003, values[a:b])
+            t = np.minimum(times, (b - 1) * 0.003)
+            assert (tr.integrate_hold(-0.004, t).tobytes()
+                    == whole.integrate_hold(-0.004, t).tobytes()), b
+
 
 class TestInvertMonotone:
     def test_identity_map(self):

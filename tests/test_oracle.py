@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,16 @@ class TestEquilibrium:
         x3 = 5.0 / (0.04 + tau1)
         assert x1 + x3 == pytest.approx(c1, rel=1e-8)
         assert x1 + x2 == pytest.approx(c2, rel=1e-8)
+
+    def test_declaration_order_leaves_the_fixed_point_bitwise_equal(self):
+        # scenario3's two queues and three users, listed in reverse
+        sc = load_scenario("scenario3")
+        reversed_ = dataclasses.replace(sc, queues=sc.queues[::-1],
+                                        users=sc.users[::-1])
+        a, b = (equilibrium_queue(equilibrium_from_scenario(s))
+                for s in (sc, reversed_))
+        assert list(b.queueing_delays_s) == ["b2", "b1"]
+        assert a == b
 
 
 class TestPacketSim:

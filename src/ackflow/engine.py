@@ -284,8 +284,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         if eq_init is not None:
             backlog0 = qconf.capacity_pps * eq_init.queueing_delays_s[qid]
             for fid in flows:
-                rates0[fid] = (eq_init.rates_pps[fid] if fid in network.users
-                               else network.rate_flows[fid].profile.rate_at(0.0))
+                rates0[fid] = (eq_init.rates_pps[fid] if fid in network.users else
+                               float(network.rate_flows[fid].profile.rates_at(0.0)))
         queues[qid] = FifoQueue(qid, qconf.capacity_pps, flows, dt_s=dt,
                                 backlog0_pkts=backlog0, input_rates0=rates0,
                                 n_ticks=n_ticks)

@@ -225,7 +225,13 @@ class FifoQueue:
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
         # a step with no arrival mass gets 0 here and its mix below
-        shares = departed / np.where(fed, arrived, np.inf) / width * masses
+        with np.errstate(over="ignore", invalid="ignore"):
+            shares = departed / np.where(fed, arrived, np.inf) / width * masses
+        # an arrival mass far below the departures over it (subnormal input
+        # rates) overflows the quotient; take the masses' fractions first
+        big = ~np.isfinite(shares).all(axis=0)
+        if big.any():
+            shares[:, big] = masses[:, big] / arrived[big] * (departed[big] / width[big])
         np.copyto(outs[:, busy], shares, where=congested[busy])
         for j in np.flatnonzero(~fed & congested[busy]):
             self.stall_fallbacks += 1

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Trajectory", "HistoryError", "CausalityError"]
+__all__ = ["Trajectory", "HistoryError", "CausalityError", "grid_index"]
 
 
 class HistoryError(ValueError):
@@ -33,6 +33,17 @@ def first_true(mask: np.ndarray) -> int:
     """Index of the first true entry of a nonempty mask, else its length."""
     i = int(mask.argmax())
     return i if mask[i] else len(mask)
+
+
+def grid_index(t, step: float) -> np.ndarray:
+    """Largest ``i`` with ``i * step <= t``, elementwise: the cell holding
+    ``t`` on the grid of floats ``i * step``.  Negative times count down
+    from cell ``-1``, which holds ``[-step, 0)``."""
+    t = np.asarray(t, dtype=np.float64)
+    i = (t / step).astype(np.int64)
+    i -= i * step > t
+    i += (i + 1) * step <= t  # never after a decrement, which leaves (i+1)*step > t
+    return i
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -112,14 +123,6 @@ class Trajectory:
         if self._cum is not None:
             self._extend_cumulative(n)
 
-    def _index(self, t: np.ndarray) -> np.ndarray:
-        """Largest ``i`` with ``i * dt <= t``, elementwise, for ``t >= 0``."""
-        dt = self.dt
-        i = (t / dt).astype(np.int64)
-        i -= i * dt > t
-        i += (i + 1) * dt <= t  # never after a decrement, which leaves (i+1)*dt > t
-        return i
-
     def _check_not_pruned(self, t: np.ndarray) -> None:
         if self.pruned_before == -math.inf:
             return
@@ -150,7 +153,7 @@ class Trajectory:
             first = values[0] if self._n else p0
             out = np.where(lag >= dt, p0, p0 + (first - p0) * (dt - lag) / dt)
         if not neg.all():
-            i = self._index(np.where(neg, 0.0, t))
+            i = grid_index(np.where(neg, 0.0, t), dt)
             t0 = i * dt
             v0, v1 = values[i], values[np.minimum(i + 1, last)]
             out = np.where(neg, out, np.where(
@@ -215,7 +218,7 @@ class Trajectory:
             self._cum = np.zeros(self._buf.shape)
             self._extend_cumulative(1)
         early = t.min() < 0.0
-        i = self._index(np.maximum(t, 0.0) if early else t)
+        i = grid_index(np.maximum(t, 0.0) if early else t, self.dt)
         held = (self._cum.take(i, axis=-1)
                 + self._buf.take(i, axis=-1) * (t - i * self.dt))
         if early:
@@ -263,5 +266,5 @@ class Trajectory:
         """
         n = self._n
         if n and t > 0.0:
-            floor = min(int(self._index(np.array([t]))[0]), n - 1) * self.dt
+            floor = min(int(grid_index(t, self.dt)), n - 1) * self.dt
             self.pruned_before = max(self.pruned_before, floor)

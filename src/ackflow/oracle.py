@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocol import FastProtocol
-from .scenario import ConstantProfile, Scenario, SquareProfile
+from .scenario import ConstantProfile, Scenario
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
@@ -52,47 +52,48 @@ class PacketSimResult:
 
 
 class _PQueue:
-    __slots__ = ("qid", "capacity", "service_s", "buf", "busy", "deq")
+    __slots__ = ("qid", "service_s", "buf", "busy", "deq")
 
     def __init__(self, qid, capacity_pps, flow_ids):
         self.qid = qid
-        self.capacity = capacity_pps
         self.service_s = 1.0 / capacity_pps
         self.buf = deque()
         self.busy = False
         self.deq = {f: 0 for f in flow_ids}
 
 
-def _next_emission(profile, t: float, need: float = 1.0) -> float | None:
-    """Time when the profile's cumulative mass next grows by ``need``.
+def _emissions(profile, t: float):
+    """The times after ``t`` at which the profile's cumulative mass crosses
+    each next packet: a walk over its pieces by index, from the one
+    holding ``t``.
 
     Emissions use the midpoint convention: the first packet leaves after
     half a packet of mass has accumulated, so the integer packet stream
-    stays centered on the fluid mass it discretizes.  None when the
-    profile never sends again.
+    stays centered on the fluid mass it discretizes.  The walk ends when
+    the profile never sends again.
     """
-    cur = t
+    h, need = profile.piece_at(t), 0.5
     while True:
-        r = profile.rate_at(cur)
-        boundary = profile.next_change_after(cur)
+        r, end = profile.piece(h)
         if r > 0:
-            if cur + need / r <= boundary:
-                return cur + need / r
-            need -= (boundary - cur) * r
-        if boundary == float("inf"):
-            return None
-        cur = boundary
-        if isinstance(profile, SquareProfile):
-            # skip the whole periods the need spans but one, landing on a
-            # boundary as next_change_after puts it
-            mass = (profile.high_pps + profile.low_pps) * profile.period_s / 2.0
-            if mass <= 0.0:
-                return None
-            skip = math.floor(need / mass) - 1
-            if skip > 0:
-                half = profile.period_s / 2.0
-                cur = (round(cur / half) + 2 * skip) * half
-                need -= skip * mass
+            while t + need / r <= end:
+                t += need / r
+                yield t
+                need = 1.0
+            need -= (end - t) * r
+        if end == math.inf:
+            return
+        # a piece that ends is a square wave's: skip the whole periods the
+        # need spans but one, an even count of pieces
+        h, t = h + 1, end
+        mass = (profile.high_pps + profile.low_pps) * profile.period_s / 2.0
+        if mass <= 0.0:
+            return
+        skip = math.floor(need / mass) - 1
+        if skip > 0:
+            h += 2 * skip
+            t = h * (profile.period_s / 2.0)
+            need -= skip * mass
 
 
 def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
@@ -174,9 +175,10 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         for ts, ws in u.protocol.steps:
             push(ts, "window", (u.id, ws))
     for f in scenario.rate_flows:
-        first = _next_emission(f.profile, t0, need=0.5)
+        emissions = _emissions(f.profile, t0)
+        first = next(emissions, None)
         if first is not None:
-            push(first, "emit", f)
+            push(first, "emit", (f.id, emissions))
     n_samples = int(round(horizon / sample_dt_s)) + 1
     sample_times = np.arange(n_samples) * sample_dt_s
     qlen = {qid: np.zeros(n_samples) for qid in queues}
@@ -222,13 +224,13 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
             window[uid] = new_w
             fill_window(uid, t)
         elif kind == "emit":
-            fid = data.id
+            fid, emissions = data
             pid = next_pid
             next_pid += 1
             log(pid, fid, "send", t)
             hops, _ = routes[fid]
             push(t + hops[0][0], "arrive", (fid, pid, 0))
-            nxt = _next_emission(data.profile, t)
+            nxt = next(emissions, None)
             if nxt is not None and nxt <= horizon + 1e-12:
                 push(nxt, "emit", data)
         elif kind == "sample":

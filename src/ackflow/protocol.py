@@ -12,7 +12,7 @@ burst (increase) or absorb the deficit (decrease) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ScheduledProtocol", "FastProtocol", "fast_wdot", "ProtocolError"]
 
@@ -27,7 +27,7 @@ class ScheduledProtocol:
 
     initial_window_pkts: float
     steps: tuple[tuple[float, float], ...] = ()  # (time_s, window_pkts)
-    kind: str = "scheduled"
+    kind: str = field(default="scheduled", init=False)
 
     def __post_init__(self):
         if not self.initial_window_pkts >= 0:  # NaN fails too
@@ -75,7 +75,7 @@ class FastProtocol:
     gamma: float
     alpha_pkts: float
     initial_window_pkts: float
-    kind: str = "fast"
+    kind: str = field(default="fast", init=False)
 
     def __post_init__(self):
         if not (0 < self.gamma < math.inf and 0 < self.alpha_pkts < math.inf):

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
+from .history import grid_index
 from .protocol import FastProtocol, ProtocolError, ScheduledProtocol
 from .topology import Network, TopologyError, build_network
 
@@ -66,49 +67,50 @@ class UserConf:
 @dataclass(frozen=True)
 class ConstantProfile:
     rate_pps: float
-    kind: str = "constant"
+    kind: str = field(default="constant", init=False)
 
-    def rate_at(self, t: float) -> float:
-        return self.rate_pps
-
-    def rates_at(self, t: np.ndarray) -> np.ndarray:
-        """``rate_at`` over an array of times."""
+    def rates_at(self, t) -> np.ndarray:
+        """The rate at each of the times ``t``."""
         return np.full(np.shape(t), float(self.rate_pps))
 
-    def next_change_after(self, t: float) -> float:
-        return float("inf")
+    def piece_at(self, t: float) -> int:
+        """The piece holding ``t``."""
+        return 0
+
+    def piece(self, h: int) -> tuple[float, float]:
+        """The rate of piece ``h`` and its end: one piece, which never ends."""
+        return self.rate_pps, math.inf
 
 
 @dataclass(frozen=True)
 class SquareProfile:
-    """Square wave alternating between two rates, half a period each."""
+    """Square wave alternating between two rates, half a period each: piece
+    ``h`` holds ``[h * half, (h + 1) * half)`` by ``grid_index``'s rule, with
+    ``half = period_s / 2``, and runs at ``high_pps`` where ``(h % 2 == 0)
+    == start_high``, at ``low_pps`` elsewhere."""
 
     high_pps: float
     low_pps: float
     period_s: float
     start_high: bool = True
-    kind: str = "square"
+    kind: str = field(default="square", init=False)
 
-    def rate_at(self, t: float) -> float:
-        phase = (t % self.period_s) / self.period_s
-        in_first_half = phase < 0.5
-        if in_first_half == self.start_high:
-            return self.high_pps
-        return self.low_pps
+    def _high(self, h):
+        return (h % 2 == 0) == self.start_high
 
-    def rates_at(self, t: np.ndarray) -> np.ndarray:
-        """``rate_at`` over an array of times; numpy's float ``%`` takes the
-        divisor's sign as Python's does, so the values are the same."""
-        in_first_half = (t % self.period_s) / self.period_s < 0.5
-        return np.where(in_first_half == self.start_high,
+    def rates_at(self, t) -> np.ndarray:
+        """The rate at each of the times ``t``."""
+        return np.where(self._high(grid_index(t, self.period_s / 2.0)),
                         float(self.high_pps), float(self.low_pps))
 
-    def next_change_after(self, t: float) -> float:
-        half = self.period_s / 2.0
-        nxt = (math.floor(t / half) + 1) * half
-        while nxt <= t + 1e-15:
-            nxt += half
-        return nxt
+    def piece_at(self, t: float) -> int:
+        """The piece holding ``t``."""
+        return int(grid_index(t, self.period_s / 2.0))
+
+    def piece(self, h: int) -> tuple[float, float]:
+        """The rate of piece ``h`` and its end."""
+        rate = self.high_pps if self._high(h) else self.low_pps
+        return rate, (h + 1) * (self.period_s / 2.0)
 
 
 @dataclass(frozen=True)
@@ -410,32 +412,21 @@ def serialize_scenario(scenario: Scenario) -> str:
         "run": {"dt_s": scenario.run.dt_s, "horizon_s": scenario.run.horizon_s,
                 "init": scenario.run.init},
     }
+    # each controller and profile as its fields, ``kind`` among them, which
+    # are the document's keys but for a schedule's steps
     for u in scenario.users:
-        if isinstance(u.protocol, ScheduledProtocol):
-            proto = {"kind": "scheduled",
-                     "initial_window_pkts": u.protocol.initial_window_pkts,
-                     "steps": [{"at_s": t, "window_pkts": w}
-                               for t, w in u.protocol.steps]}
-        else:
-            proto = {"kind": "fast", "gamma": u.protocol.gamma,
-                     "alpha_pkts": u.protocol.alpha_pkts,
-                     "initial_window_pkts": u.protocol.initial_window_pkts}
+        proto = asdict(u.protocol)
+        if "steps" in proto:
+            proto["steps"] = [{"at_s": t, "window_pkts": w} for t, w in u.protocol.steps]
         doc["users"].append({
             "id": u.id, "path": list(u.queue_path),
             "hop_delays_s": list(u.hop_delays_s),
             "return_delay_s": u.return_delay_s, "protocol": proto,
         })
     for f in scenario.rate_flows:
-        if isinstance(f.profile, ConstantProfile):
-            profile = {"kind": "constant", "rate_pps": f.profile.rate_pps}
-        else:
-            profile = {"kind": "square", "high_pps": f.profile.high_pps,
-                       "low_pps": f.profile.low_pps,
-                       "period_s": f.profile.period_s,
-                       "start_high": f.profile.start_high}
         doc["rate_flows"].append({
             "id": f.id, "path": list(f.queue_path),
-            "hop_delays_s": list(f.hop_delays_s), "profile": profile,
+            "hop_delays_s": list(f.hop_delays_s), "profile": asdict(f.profile),
         })
     return yaml.safe_dump(doc, sort_keys=False)
 

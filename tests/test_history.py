@@ -1,8 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ackflow.history import CausalityError, HistoryError, Trajectory
+from ackflow.history import CausalityError, HistoryError, Trajectory, grid_index
 
 
 def make(values, dt=1.0, initial=0.0, n_ticks=None, **kwargs):
@@ -240,6 +243,46 @@ class TestBlockReads:
             tr.eval_at(np.array([6.0, 9.5, 12.0]))
         with pytest.raises(HistoryError, match=r"inverse of 9.5 not"):
             tr.invert_monotone(np.array([6.0, 9.5]))
+
+
+@st.composite
+def grid_times(draw):
+    """A step, and its multiples ``i * step`` of either sign with the float
+    on each side of them."""
+    step = draw(st.sampled_from([0.5, 2.0 ** -13, 1e-4, 0.3, 0.07])
+                | st.floats(1e-4, 5.0))
+    i = np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=20)))
+    t = i * step
+    return step, np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)))
+
+
+class TestGridIndex:
+    """``grid_index``: the cell of a time on a grid, at any sign."""
+
+    @given(grid_times())
+    @settings(max_examples=200, deadline=None)
+    def test_cell_holds_the_time(self, case):
+        # the cell's grid point, as a float, is at or below the time, and
+        # the next one above it
+        step, t = case
+        i = grid_index(t, step)
+        assert (i * step <= t).all() and ((i + 1) * step > t).all()
+
+    @given(grid_times().filter(lambda c: math.frexp(c[0])[0] == 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_steps_floor_the_quotient(self, case):
+        # the grid points are exact, so the cell is the floor of the exact
+        # quotient, negative times too; a float quotient can round across a
+        # cell edge (-5e-324 / 2.0 underflows to -0.0)
+        step, t = case
+        assert grid_index(t, step).tolist() == [
+            math.floor(Fraction(x) / Fraction(step)) for x in t.tolist()]
+
+    def test_cells_at_negative_times(self):
+        t = np.array([-1.0, -0.75, -0.5, -0.25, -1e-300, 0.0, 0.25])
+        assert grid_index(t, 0.5).tolist() == [-2, -2, -1, -1, -1, 0, 0]
+        assert int(grid_index(-0.1, 0.3)) == -1
+        assert grid_index(np.array([-5e-324, 5e-324]), 2.0).tolist() == [-1, 0]
 
 
 @st.composite

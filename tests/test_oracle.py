@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -201,7 +202,32 @@ class TestPacketSim:
         res = packet_sim(sc, sample_dt_s=0.1, record_events=True)
         sends = [e.time_s for e in res.events if e.kind == "send"]
         # the midpoint convention: half a packet's mass, then one per packet,
-        # each at the end of a high half; within a period, since the float
-        # phase of a half-period boundary may read as either half
-        assert sends == pytest.approx([4.9995, 14.9995, 24.9995], abs=0.001)
+        # each at the end of a high half
+        assert sends == pytest.approx([4.9995, 14.9995, 24.9995], abs=1e-9)
         assert res.dequeue_counts[("b1", "f1")][-1] == 3
+
+
+# squarewave over its whole horizon: every rate-flow send time, per flow,
+# then every queue length and per-flow dequeue count, as float64 bytes
+SQUAREWAVE_PACKET_DIGEST = (
+    "10fc98cf12ff8a4335eb9fca44710c4f59020302ae925447f96038485dd9b14e")
+
+
+def packet_digest(res) -> str:
+    digest = hashlib.sha256()
+    sends: dict[str, list[float]] = {}
+    for e in res.events:
+        if e.kind == "send":
+            sends.setdefault(e.flow_id, []).append(e.time_s)
+    series = [(f"send.{fid}", times) for fid, times in sends.items()]
+    series += [(f"q.{qid}", q) for qid, q in res.queue_lengths.items()]
+    series += [(f"deq.{qid}.{fid}", n) for (qid, fid), n in res.dequeue_counts.items()]
+    for name, values in sorted(series, key=lambda s: s[0]):
+        digest.update(name.encode())
+        digest.update(np.asarray(values, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_squarewave_packet_digest_unchanged():
+    res = packet_sim(load_scenario("squarewave"), record_events=True)
+    assert packet_digest(res) == SQUAREWAVE_PACKET_DIGEST

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ackflow.fifo_queue import EPS_BACKLOG_PKTS, FifoQueue
 from ackflow.history import HistoryError, Trajectory
-from ackflow.scenario import ConstantProfile, SquareProfile
+from ackflow.scenario import SquareProfile
 from ackflow.user import EPS_ACK_BUFFER_PKTS, UserState
 
 
@@ -295,6 +295,23 @@ def test_queue_transport_is_the_per_tick_one(block):
     assert stalls[0] == stalls[1]
 
 
+def test_subnormal_arrivals_behind_a_backlog_split_the_departures():
+    # the backlog drains within the first tick, so its departures map back
+    # onto arrival mass of about 1e-312 packets: the flows share them 1:3
+    # by that mass, with no overflow on the way
+    dt, n = 1e-2, 4
+    q = FifoQueue("b", CAP, ["f0", "f1"], dt_s=dt, backlog0_pkts=0.5, n_ticks=n)
+    times = np.arange(n + 1) * dt
+    rates = np.array([[1e-310] * n, [3e-310] * n])
+    total = q.record_inputs(times[:-1], rates)
+    _, service, congested = q.step(dt, times[1:], total)
+    outs = q.transport_outputs(times, service * dt, rates, total, congested)
+    assert congested.tolist() == [True, False, False, False]
+    assert outs[:, 0] == pytest.approx([0.25 * service[0], 0.75 * service[0]], rel=1e-9)
+    assert bits(outs[:, 1:]) == bits(rates[:, 1:])
+    assert q.stall_fallbacks == 0
+
+
 def check_queue(b0, total, dt):
     """Run one block against the reference; returns the arrays."""
     q = FifoQueue("b", CAP, ["f"], dt_s=dt, backlog0_pkts=b0, n_ticks=len(total))
@@ -378,16 +395,18 @@ def profile_times(draw):
 
 @given(profile_times())
 @settings(max_examples=200, deadline=None)
-def test_square_profile_array_reads_equal_scalar_reads(case):
+def test_fluid_reads_and_the_packet_walk_see_the_same_pieces(case):
+    # each piece the draws touch, read at its start and one float below it:
+    # the engine's rates_at gives the rates packet_sim's walk runs those
+    # pieces at, and the walk ends each piece where the next one starts
     profile, t = case
-    scalar = np.array([profile.rate_at(x) for x in t.tolist()], dtype=np.float64)
-    assert bits(profile.rates_at(t)) == bits(scalar)
-
-
-def test_constant_profile_array_reads_equal_scalar_reads():
-    profile = ConstantProfile(1234.5)
-    t = np.array([-1.0, 0.0, 0.5, 1e9])
-    assert bits(profile.rates_at(t)) == bits([profile.rate_at(x) for x in t])
+    pieces = sorted({profile.piece_at(x) for x in t.tolist()})
+    starts = np.array([h * (profile.period_s / 2.0) for h in pieces])
+    assert [profile.piece(h - 1)[1] for h in pieces] == starts.tolist()
+    assert bits(profile.rates_at(starts)) == bits(
+        [profile.piece(h)[0] for h in pieces])
+    assert bits(profile.rates_at(np.nextafter(starts, -np.inf))) == bits(
+        [profile.piece(h - 1)[0] for h in pieces])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario files: round trip, the frozen preset library, malformed input."""
 
 import copy
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 import yaml
 
 from ackflow.scenario import (
-    ScenarioError, load_scenario, parse_scenario, preset_names,
+    ConstantProfile, FastProtocol, ScenarioError, ScheduledProtocol,
+    SquareProfile, load_scenario, parse_scenario, preset_names,
     scenario_digest, serialize_scenario,
 )
 
@@ -40,6 +42,19 @@ def test_serialize_parse_round_trip(source):
 def test_every_preset_digest_frozen():
     assert ({name: scenario_digest(load_scenario(name)) for name in preset_names()}
             == FROZEN_PRESETS)
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda *k: ConstantProfile(1.0, *k), "constant"),
+    (lambda *k: SquareProfile(1.0, 0.0, 1.0, True, *k), "square"),
+    (lambda *k: ScheduledProtocol(1.0, (), *k), "scheduled"),
+    (lambda *k: FastProtocol(0.5, 1.0, 1.0, *k), "fast"),
+])
+def test_kind_follows_the_type_and_is_not_settable(make, kind):
+    # still a field, so the scenario digest's asdict carries it
+    assert dataclasses.asdict(make())["kind"] == kind
+    with pytest.raises(TypeError):
+        make("other")
 
 
 BASE = {

@@ -57,8 +57,10 @@ the first bad tick.
 Every signal is sampled on one grid ``k * dt``, whose times the blocks
 slice.  The flows (a user's sending, a queue's (flows x ticks) input and
 output rates) are the histories the blocks read back, a reader holding a
-history and its row, by index when a delay is a grid multiple and by
-interpolation otherwise; the returned traces are views of the histories.
+history and its row: one slice when a delay is a grid multiple, else two
+slices, the samples either side of each tick's delayed time, with a
+per-tick interpolation weight; the returned traces are views of the
+histories.
 A user's flight is its sending history's hold integral back to the circuit
 entry time, the same running sum a queue's transport takes of its inputs.
 """
@@ -131,35 +133,52 @@ class _Reader:
     """Delayed read of a recorded per-tick signal, a history and its row
     (``...`` for a one-signal history), or of an analytic profile."""
 
-    # An index read skips the history's prune floor, and needs no check: its
-    # shift is one channel delay, while the floor lags the current time by
-    # the sum of all channel delays plus PRUNE_MARGIN_S.
-    __slots__ = ("traj", "row", "profile", "delay", "shift")
+    # Neither slice path checks the history's prune floor, and neither needs
+    # to: each reads at most one channel delay plus one tick back, while the
+    # floor lags the current time by the sum of all channel delays plus
+    # PRUNE_MARGIN_S.
+    __slots__ = ("traj", "row", "profile", "delay", "lag", "off_grid")
 
     def __init__(self, *, dt_s, traj=None, row=..., profile=None, delay_s=0.0):
         self.profile = profile
         self.traj = traj
         self.row = row
         self.delay = delay_s
-        self.shift = None if traj is None else _grid_shift(delay_s, dt_s)
+        # tick k reads sample k - lag on the grid; off it, its delayed time
+        # lies between samples k - lag - 1 and k - lag
+        self.lag = _lag_ticks(delay_s, dt_s)
+        self.off_grid = _grid_shift(delay_s, dt_s) is None
 
     def read(self, k0: int, ticks: np.ndarray) -> np.ndarray:
         """The delayed values at a block's tick times, the first tick ``k0``."""
         if self.profile is not None:
             return self.profile.rates_at(ticks - self.delay)
-        if self.shift is None:
-            return self.traj.eval_at(ticks - self.delay, self.row)
         values = self.traj.values[self.row]
-        lo = k0 - self.shift
+        lo = k0 - self.lag  # the first tick's right sample
         hi = lo + len(ticks)
         if hi > len(values):
-            t = float(ticks[max(len(values) - lo, 0)])
+            t = ticks[max(len(values) - lo, 0)]  # the first unrecorded one's
             raise CausalityError(
-                f"read {self.delay}s behind t={t} touches an unrecorded sample")
-        if lo >= 0:
-            return values[lo:hi]
-        head = np.full(min(-lo, len(ticks)), self.traj.initial_value[self.row])
-        return np.concatenate((head, values[:max(hi, 0)]))
+                f"future read at t={float(t - self.delay)!r} (history ends at "
+                f"{(len(values) - 1) * self.traj.dt!r})" if self.off_grid else
+                f"read {self.delay}s behind t={float(t)} touches an unrecorded sample")
+        if not self.off_grid:
+            if lo >= 0:
+                return values[lo:hi]
+            head = np.full(min(-lo, len(ticks)), self.traj.initial_value[self.row])
+            return np.concatenate((head, values[:max(hi, 0)]))
+        # The bracket is grid_index(k*dt - delay) for every tick: _grid_shift
+        # calls a delay off the grid only 1e-6 ticks or more away from it,
+        # and k*dt - delay rounds by about 1e-16*k ticks.  So the operands
+        # are eval_at's, and so is the value to the bit; eval_at also stays
+        # the one definition of the pre-history, which the head reads.
+        n = min(max(1 - lo, 0), len(ticks))  # ticks whose left sample precedes 0
+        t, dt = ticks - self.delay, self.traj.dt
+        i = np.arange(lo - 1 + n, hi - 1)
+        t0 = i * dt
+        v0, v1 = values[lo - 1 + n:hi - 1], values[lo + n:hi]
+        body = v0 + (v1 - v0) * (t[n:] - t0) / ((i + 1) * dt - t0)
+        return np.concatenate((self.traj.eval_at(t[:n], self.row), body)) if n else body
 
 
 def _grid_shift(delay_s: float, dt: float) -> int | None:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -345,6 +346,57 @@ class TestOffGridReads:
             gap = np.abs(traces[f"flight.{uid}"] - traces[f"flight_ode.{uid}"])
             assert gap[second].max() < 1.0, uid
 
+    @given(dt=st.floats(1e-5, 1e-2), rows=st.sampled_from([None, 1, 3]),
+           recorded=st.integers(0, 40) | st.integers(0, 300_000),
+           lag=st.integers(0, 30),
+           # the fractional tick: anywhere, or at _grid_shift's 1e-6 edges
+           frac=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
+               [0.0, 1e-6, 1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), 1 - 1e-6,
+                1 - 1e-6 * (1 - 1e-9), 1 - 1e-6 * (1 + 1e-9)]),
+           pre_slope=st.sampled_from([0.0, 0.5]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reader_is_eval_at_off_the_grid_and_a_slice_on_it(
+            self, dt, rows, recorded, lag, frac, pre_slope, data):
+        # off the grid the two slices give eval_at's values and errors to the
+        # bit, up to 300k ticks into a run; on it, one slice after a head of
+        # initial_value
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        initial = 7.0 if rows is None else (7.0 + np.arange(rows)).tolist()
+        traj = Trajectory(dt, initial, n_ticks=recorded, pre_slope=pre_slope)
+        traj.record(0.0, rng.uniform(-1e3, 1e3, np.shape(initial) + (recorded,)))
+        row = ... if rows is None else data.draw(st.integers(0, rows - 1))
+        delay = (lag + frac) * dt
+        reader = engine._Reader(traj=traj, row=row, delay_s=delay, dt_s=dt)
+        shift = engine._grid_shift(delay, dt)
+        lag = engine._lag_ticks(delay, dt)
+        # a block that may straddle sample 0, end on the last readable
+        # sample, or run past it
+        end = recorded + lag  # one past the last readable tick
+        k1 = data.draw(st.just(end) | st.integers(1, end + 3) if end else
+                       st.integers(1, 3))
+        k0 = data.draw(st.integers(max(0, min(k1, lag) - 3), k1 - 1) |
+                       st.integers(0, k1 - 1))
+        ticks = np.arange(k0, k1) * dt
+        if shift is None:
+            try:
+                want = traj.eval_at(ticks - delay, row)
+            except CausalityError as err:
+                with pytest.raises(CausalityError, match=re.escape(str(err))):
+                    reader.read(k0, ticks)
+                assert k1 > end
+                return
+            got = reader.read(k0, ticks)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        elif k1 > end:
+            with pytest.raises(CausalityError, match="touches an unrecorded sample"):
+                reader.read(k0, ticks)
+        else:
+            k = np.arange(k0, k1) - shift
+            values = traj.values[row]
+            want = np.where(k >= 0, values[np.maximum(k, 0)] if recorded else 0.0,
+                            traj.initial_value[row])
+            assert reader.read(k0, ticks).tobytes() == want.tobytes()
+
 
 class TestFlightRecord:
     @pytest.mark.parametrize("source, horizon_s", [("scenario1", 3.5), (OFFGRID_YAML, 1.0)],
@@ -499,13 +551,21 @@ class TestBlocks:
         # an interpolated read past it
         (OFFGRID_YAML, "queue block 'b1' from t=0.000000: future read at "
                        "t=0.037630000000000004 (history ends at 0.0376)"),
-    ], ids=["scenario3", "fast_pair_offgrid"])
+        # an interpolated read of b1's departures across u1's return delay,
+        # before b1 has recorded a sample
+        (OFFGRID_YAML, "user block 'u1' from t=0.000000: future read at "
+                       "t=-9.999999999996123e-06 (history ends at -0.0001)"),
+    ], ids=["scenario3", "fast_pair_offgrid", "fast_pair_offgrid-user"])
     def test_a_history_fault_names_the_component_and_its_block(
             self, monkeypatch, source, message):
-        # lags 50 ticks too long let b1 run ahead of what its inputs recorded
+        # lags 50 ticks too long let the component the message names run
+        # ahead of what its inputs recorded
+        kind, _, rest = message.partition(" block '")
+        key = (kind, rest.partition("'")[0])
+
         def overlong(network, dt):
             lags = input_lags(network, dt)
-            lags[B1] = {src: lag + 50 for src, lag in lags[B1].items()}
+            lags[key] = {src: lag + 50 for src, lag in lags[key].items()}
             return lags
 
         sc = load_scenario(source)

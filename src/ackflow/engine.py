@@ -22,24 +22,24 @@ and so does the schedule (``input_lags``, the least lag per source).  A
 component's next block ends at the least of the horizon, its frontier plus
 ``BLOCK_CAP_TICKS``, and each input's frontier plus that input's lag.
 
-A sweep runs the users, then the queues, in declaration order.  It
-advances each component whose next block is a full length, or ends at the
-barrier (the horizon, or the pruning tick below).  A component's length is
-its shortest feedback cycle (``shortest_cycles``), capped at
-``BLOCK_CAP_TICKS``: the longest block it can ever take, since around its
-cycle each frontier is at most its input's plus the lag, so no block runs
-further past its own frontier.  Without that rule, a long-loop component
-would advance whenever the short loop that paces its queue moved, in that
-loop's short blocks, and every block has a fixed cost.  If a sweep
-advances nothing, the one component whose block ends furthest advances
-(the first in sweep order on a tie).  Every cycle of inputs has a positive
-total lag (a return delay is at least one tick, and the topology refuses
-zero-delay cycles of queues), so some component can always advance.  One
-partial block at a time needs no order among the components: a queue
-behind a zero-delay hop waits for its upstream queue's block.
-``TraceSet.blocks`` counts each component's blocks.  With pruning on,
-every block also ends by the next pruning tick + 1: the components wait at
-that barrier, the histories are pruned, and the barrier moves on.
+``block_schedule``, a generator over the lags, picks the blocks and knows
+nothing of what they run.  A pass visits the users, then the queues, in
+declaration order, and takes each component's next block if it is a full
+length or ends at the barrier.  A component's length is its shortest
+feedback cycle (``shortest_cycles``), capped at ``BLOCK_CAP_TICKS``: the
+longest block it can ever take, since around its cycle each frontier is at
+most its input's plus the lag, so no block runs further past its own
+frontier.  Without that rule, a long-loop component would advance whenever
+the short loop that paces its queue moved, in that loop's short blocks, and
+every block has a fixed cost.  If a pass takes nothing, the one component
+whose block ends furthest advances (the first in sweep order on a tie).
+Every cycle of inputs has a positive total lag (a return delay is at least
+one tick, and the topology refuses zero-delay cycles of queues), so some
+component can always advance.  One partial block at a time needs no order
+among the components: a queue behind a zero-delay hop waits for its
+upstream queue's block.  ``simulate`` takes the schedule to each barrier in
+turn (with pruning on, each pruning tick + 1, then the horizon), runs and
+counts the blocks (``TraceSet.blocks``) and prunes the histories there.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The window, ACK-buffer and backlog
@@ -266,6 +266,38 @@ def shortest_cycles(lags: dict) -> dict:
     return cycles
 
 
+def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: float):
+    """Yield ``(key, k0, k1)`` for the blocks that bring every component to
+    ``barrier``, moving ``frontier[key]`` to ``k1`` on resuming; ``cycles``
+    is ``shortest_cycles(lags)``.  Each pass takes every whole block in
+    ``lags`` order, and a pass that takes none the partial block that ends
+    furthest, the first on a tie.
+    """
+    cap = BLOCK_CAP_TICKS
+    sweep = [(key, cap if cycles[key] is None else min(cap, cycles[key]),
+              list(inputs.items())) for key, inputs in lags.items()]
+    while True:
+        advanced, furthest = False, (None, 0, 0)
+        for key, length, inputs in sweep:
+            k0 = frontier[key]
+            k1 = min(barrier, k0 + cap, *[frontier[src] + lag for src, lag in inputs])
+            if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
+                yield key, k0, k1
+                frontier[key] = k1
+                advanced = True
+            elif k1 > max(k0, furthest[2]):
+                furthest = (key, k0, k1)
+        if all(f == barrier for f in frontier.values()):
+            return
+        if not advanced:
+            if furthest[0] is None:
+                stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
+                                  for (kind, cid), k in frontier.items() if k < barrier)
+                raise SimulationError(f"no component can advance: {stuck}")
+            yield furthest
+            frontier[furthest[0]] = furthest[2]
+
+
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
     """Run the fluid model; returns every signal on the engine grid."""
     dt = config.dt_s
@@ -365,55 +397,25 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                  for h in (q.forward_map, q.arrivals, q.departures)]
     histories += [h for st in states.values() for h in (st.sending, st.acks)]
 
-    # the sweep, per component: its block body, block length and inputs as
-    # (key, lag)
     lags = input_lags(network, dt)
     cycles = shortest_cycles(lags)
-    sweep = []
-    for key, body in bodies.items():
-        cycle = cycles[key]
-        length = BLOCK_CAP_TICKS if cycle is None else min(BLOCK_CAP_TICKS, cycle)
-        sweep.append((key, body, length, list(lags[key].items())))
-    frontier = dict.fromkeys(bodies, 0)
+    frontier = dict.fromkeys(lags, 0)
     blocks = dict.fromkeys(bodies, 0)
-
-    def advance(key, body, k0, k1):
-        try:
-            body(k0, k1)
-        except HistoryError as err:
-            raise SimulationError(
-                f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
-        frontier[key] = k1
-        blocks[key] += 1
-
-    barrier = 1 if prune_every else n_ticks  # the next pruning tick + 1
-    while True:
-        # every whole block, else the one partial block that ends furthest
-        advanced, furthest = False, (None, None, 0, 0)
-        for key, body, length, inputs in sweep:
-            k0 = frontier[key]
-            k1 = min(barrier, k0 + BLOCK_CAP_TICKS,
-                     *[frontier[src] + lag for src, lag in inputs])
-            if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
-                advance(key, body, k0, k1)
-                advanced = True
-            elif k1 > max(k0, furthest[3]):
-                furthest = (key, body, k0, k1)
-        if all(f == barrier for f in frontier.values()):
-            k = barrier - 1
-            t = k * dt
-            if prune_every and k % prune_every == 0 and t > prune_lag:
-                for h in histories:
-                    h.prune_before(t - prune_lag)
-            if barrier == n_ticks:
-                break
-            barrier = min(barrier + prune_every, n_ticks)
-        elif not advanced:
-            if furthest[0] is None:
-                stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
-                                  for (kind, cid), k in frontier.items() if k < barrier)
-                raise SimulationError(f"no component can advance: {stuck}")
-            advance(*furthest)
+    # each pruning tick + 1, then the horizon
+    barriers = range(1, n_ticks, prune_every) if prune_every else ()
+    for barrier in (*barriers, n_ticks):
+        for key, k0, k1 in block_schedule(lags, cycles, frontier, barrier, dt):
+            try:
+                bodies[key](k0, k1)
+            except HistoryError as err:
+                raise SimulationError(
+                    f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
+            blocks[key] += 1
+        # every component has recorded through tick barrier - 1
+        t = (barrier - 1) * dt
+        if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:
+            for h in histories:
+                h.prune_before(t - prune_lag)
 
     # the flows are views of the histories; tau is q / capacity, which
     # IEEE division rounds exactly as a per-tick division would

@@ -110,11 +110,12 @@ class FifoQueue:
         ``transport_outputs`` take.
         """
         rates = np.ascontiguousarray(rates, dtype=np.float64)
-        negative = rates < 0
-        if negative.any():
-            j, f = np.argwhere(negative.T)[0]
-            raise ValueError(f"queue '{self.queue_id}': negative input flow "
-                             f"{float(rates[f, j])!r} at t={float(ticks[j])!r}")
+        bad = ~(rates >= 0)  # negative or NaN
+        if bad.any():
+            j, f = np.argwhere(bad.T)[0]
+            rate = float(rates[f, j])
+            raise ValueError(f"queue '{self.queue_id}': {'negative ' if rate < 0 else ''}"
+                             f"input flow {rate!r} at t={float(ticks[j])!r}")
         self.arrivals.record(ticks[0], rates)
         return _sum_rows(rates)
 

@@ -5,7 +5,8 @@ simulation (integer packets, FIFO service, per-packet timings) and an
 analytic fixed point for steady-state queueing delays, plus a reduced
 window-sum model of a finished run on one static link.  The fluid engine is
 checked against them; none shares code with it beyond the scenario
-description, whose window controllers (``ScheduledProtocol``) both run.
+description, whose window controllers (``ScheduledProtocol``) both run, and
+the topology's checks of it (``to_network``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocol import FastProtocol
-from .scenario import ConstantProfile, Scenario
+from .scenario import ConstantProfile, Scenario, to_network
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
@@ -117,7 +118,7 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     horizon = scenario.run.horizon_s
     t0 = -abs(warmup_s)
 
-    flow_ids_by_queue = {q.id: [] for q in scenario.queues}
+    net = to_network(scenario)
     routes: dict[str, tuple] = {}
     for u in scenario.users:
         if isinstance(u.protocol, FastProtocol):
@@ -125,15 +126,11 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
                 f"user '{u.id}': the packet oracle only supports scheduled "
                 "windows; validate FAST runs against the equilibrium oracle")
         routes[u.id] = (tuple(zip(u.hop_delays_s, u.queue_path)), u.return_delay_s)
-        for qid in u.queue_path:
-            flow_ids_by_queue[qid].append(u.id)
     for f in scenario.rate_flows:
         routes[f.id] = (tuple(zip(f.hop_delays_s, f.queue_path)), None)
-        for qid in f.queue_path:
-            flow_ids_by_queue[qid].append(f.id)
 
-    queues = {q.id: _PQueue(q.id, q.capacity_pps, flow_ids_by_queue[q.id])
-              for q in scenario.queues}
+    queues = {qid: _PQueue(qid, q.capacity_pps, net.flows_through(qid))
+              for qid, q in net.queues.items()}
 
     heap: list = []
     seq = 0

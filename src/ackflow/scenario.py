@@ -69,6 +69,11 @@ class ConstantProfile:
     rate_pps: float
     kind: str = field(default="constant", init=False)
 
+    def __post_init__(self):
+        if not 0 <= self.rate_pps < math.inf:  # NaN fails too
+            raise ScenarioError(
+                f"rate must be finite and nonnegative, got {self.rate_pps!r}")
+
     def rates_at(self, t) -> np.ndarray:
         """The rate at each of the times ``t``."""
         return np.full(np.shape(t), float(self.rate_pps))
@@ -94,6 +99,15 @@ class SquareProfile:
     period_s: float
     start_high: bool = True
     kind: str = field(default="square", init=False)
+
+    def __post_init__(self):
+        # NaN fails each test
+        if not (0 <= self.high_pps < math.inf and 0 <= self.low_pps < math.inf):
+            raise ScenarioError(f"rates must be finite and nonnegative, got "
+                                f"{self.high_pps!r} and {self.low_pps!r}")
+        if not 0 < self.period_s < math.inf:
+            raise ScenarioError(
+                f"period_s must be finite and positive, got {self.period_s!r}")
 
     def _high(self, h):
         return (h % 2 == 0) == self.start_high
@@ -199,15 +213,15 @@ def _section(doc: dict, key: str) -> list:
 
 
 def _validated(path: str, check, *args, keys: dict | None = None):
-    """Run a controller's or the topology's own checks, naming the field;
-    returns what ``check`` returns.
+    """Run a controller's, a profile's or the topology's own checks, naming
+    the field; returns what ``check`` returns.
 
     ``keys`` maps the attribute a topology fault names to the entry's key
     in the document, e.g. ``queue_path`` to ``path``.
     """
     try:
         return check(*args)
-    except (ProtocolError, TopologyError) as e:
+    except (ProtocolError, ScenarioError, TopologyError) as e:
         key = (keys or {}).get(getattr(e, "field", None))
         raise _err(f"{path}.{key}" if key else path, str(e)) from None
 
@@ -353,9 +367,7 @@ def parse_scenario(text: str) -> Scenario:
             start_high = _take(praw, ppath, "start_high", required=False, default=True)
             if not isinstance(start_high, bool):
                 raise _err(f"{ppath}.start_high", f"expected true or false, got {start_high!r}")
-            if period <= 0:
-                raise _err(ppath, "period_s must be positive")
-            profile = SquareProfile(high, low, period, start_high)
+            profile = _validated(ppath, SquareProfile, high, low, period, start_high)
         else:
             raise _err(ppath, f"unknown profile kind '{pkind}'")
         _no_leftovers(praw, ppath)
@@ -479,15 +491,7 @@ def _one_bottleneck(name, w1, steps1, w2, t1_ms, t2_ms, horizon):
     )
 
 
-def _scenario1():
-    return _one_bottleneck("scenario1", 50, [(3.0, 150)], 550, 3.2, 117.0, 8.0)
-
-
-def _scenario2():
-    return _one_bottleneck("scenario2", 210, [(5.0, 300)], 750, 10.0, 90.0, 10.0)
-
-
-def _two_queue_chain(name, w1, w2, w3, step_user, cross, horizon=16.0):
+def _two_queue_chain(name, w1, w2, w3, step_user, cross=False, horizon=16.0):
     # chain: user 1 crosses both queues (20 ms between them), user 3 the
     # first only, user 2 the second only; round trips 120/80/40 ms
     c1 = mbps_to_pps(72.0, 1448)
@@ -515,22 +519,6 @@ def _two_queue_chain(name, w1, w2, w3, step_user, cross, horizon=16.0):
     )
 
 
-def _scenario3():
-    return _two_queue_chain("scenario3", 1600, 1200, 5, "u1", cross=False)
-
-
-def _scenario4():
-    return _two_queue_chain("scenario4", 1600, 1200, 5, "u2", cross=False)
-
-
-def _scenario5():
-    return _two_queue_chain("scenario5", 1200, 1600, 5, "u1", cross=True)
-
-
-def _scenario6():
-    return _two_queue_chain("scenario6", 1200, 1600, 5, "u2", cross=True)
-
-
 def _halving(name, cap_mbps, cross_fraction):
     cap = mbps_to_pps(cap_mbps, 1040)
     flows = ()
@@ -545,14 +533,6 @@ def _halving(name, cap_mbps, cross_fraction):
         rate_flows=flows,
         run=RunConf(1e-4, 10.0, "equilibrium"),
     )
-
-
-def _scenario7():
-    return _halving("scenario7", 12.5, 0.0)
-
-
-def _scenario8():
-    return _halving("scenario8", 25.0, 0.5)
 
 
 def _squarewave():
@@ -603,14 +583,16 @@ def _staticlink():
 
 
 _PRESETS = {
-    "scenario1": _scenario1,
-    "scenario2": _scenario2,
-    "scenario3": _scenario3,
-    "scenario4": _scenario4,
-    "scenario5": _scenario5,
-    "scenario6": _scenario6,
-    "scenario7": _scenario7,
-    "scenario8": _scenario8,
+    "scenario1": lambda: _one_bottleneck(
+        "scenario1", 50, [(3.0, 150)], 550, 3.2, 117.0, 8.0),
+    "scenario2": lambda: _one_bottleneck(
+        "scenario2", 210, [(5.0, 300)], 750, 10.0, 90.0, 10.0),
+    "scenario3": lambda: _two_queue_chain("scenario3", 1600, 1200, 5, "u1"),
+    "scenario4": lambda: _two_queue_chain("scenario4", 1600, 1200, 5, "u2"),
+    "scenario5": lambda: _two_queue_chain("scenario5", 1200, 1600, 5, "u1", cross=True),
+    "scenario6": lambda: _two_queue_chain("scenario6", 1200, 1600, 5, "u2", cross=True),
+    "scenario7": lambda: _halving("scenario7", 12.5, 0.0),
+    "scenario8": lambda: _halving("scenario8", 25.0, 0.5),
     "squarewave": _squarewave,
     "fast2": _fast2,
     "staticlink": _staticlink,

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import ackflow.engine as engine
 from ackflow.engine import (
-    BLOCK_CAP_TICKS, SimConfig, SimulationError, input_lags, shortest_cycles,
-    simulate,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, block_schedule, input_lags,
+    shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
 from ackflow.oracle import (
@@ -67,6 +67,78 @@ def zero_hop_chain():
             UserConf("u2", ("b3",), (0.01,), 0.015, ScheduledProtocol(20.0)),
         ),
         run=RunConf(1e-3, 2.0, "cold"))
+
+
+def dumbbell(n):
+    """The many-flow case: one 100 Mb/s queue and n scheduled users with
+    1500 B packets, hops of 10 ms + 0.1 ms*i and returns of 20 ms + 0.2 ms*i,
+    windows of 600/n, and u0's window doubling at 2.005 s; 5 s from an
+    equilibrium start."""
+    return Scenario(
+        name=f"dumbbell{n}", packet_bytes=1500,
+        queues=(QueueConf("b1", mbps_to_pps(100.0, 1500)),),
+        users=tuple(
+            UserConf(f"u{i}", ("b1",), (0.01 + 1e-4 * i,), 0.02 + 2e-4 * i,
+                     ScheduledProtocol(600.0 / n, ((2.005, 1200.0 / n),) if i == 0 else ()))
+            for i in range(n)),
+        run=RunConf(1e-4, 5.0, "equilibrium"))
+
+
+def reference_schedule(lags, n_ticks, barriers, dt, cap, order):
+    """The block schedule as one loop of passes, as ``simulate`` once ran it
+    inline around its block bodies; appends each block to ``order`` and
+    returns the frontiers.  The barrier moves on through ``barriers`` once
+    every component has reached it."""
+    cycles = shortest_cycles(lags)
+    sweep = []
+    for key, inputs in lags.items():
+        cycle = cycles[key]
+        length = cap if cycle is None else min(cap, cycle)
+        sweep.append((key, length, list(inputs.items())))
+    frontier = dict.fromkeys(lags, 0)
+
+    def advance(key, k0, k1):
+        order.append((key, k0, k1))
+        frontier[key] = k1
+
+    ends = iter(barriers)
+    barrier = next(ends)
+    while True:
+        # every whole block, else the one partial block that ends furthest
+        advanced, furthest = False, (None, 0, 0)
+        for key, length, inputs in sweep:
+            k0 = frontier[key]
+            k1 = min(barrier, k0 + cap, *[frontier[src] + lag for src, lag in inputs])
+            if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
+                advance(key, k0, k1)
+                advanced = True
+            elif k1 > max(k0, furthest[2]):
+                furthest = (key, k0, k1)
+        if all(f == barrier for f in frontier.values()):
+            if barrier == n_ticks:
+                return frontier
+            barrier = next(ends)
+        elif not advanced:
+            if furthest[0] is None:
+                stuck = ", ".join(f"{kind} '{cid}' at t={k * dt:.6f}"
+                                  for (kind, cid), k in frontier.items() if k < barrier)
+                raise SimulationError(f"no component can advance: {stuck}")
+            advance(*furthest)
+
+
+@st.composite
+def lag_graphs(draw):
+    """1-8 components keyed like ``input_lags``, 0-3 inputs each with lags of
+    0-40 ticks (zero-lag cycles too), a run of up to 3000 ticks, and
+    increasing barriers that end at the run's last tick."""
+    keys = [(draw(st.sampled_from(["user", "queue"])), f"c{i}")
+            for i in range(draw(st.integers(1, 8)))]
+    lags = {key: draw(st.dictionaries(st.sampled_from(keys), st.integers(0, 40),
+                                      max_size=3))
+            for key in keys}
+    n_ticks = draw(st.integers(1, 3000))
+    cuts = draw(st.sets(st.integers(1, n_ticks), max_size=5)) if n_ticks > 1 else set()
+    return lags, n_ticks, sorted(cuts | {n_ticks})
 
 
 def cold(sc):
@@ -656,6 +728,39 @@ class TestBlocks:
         assert str(err.value) == (
             "no component can advance: user 'u1' at t=0.000000, user 'u2' at "
             "t=0.050000, queue 'b1' at t=0.000000")
+
+    @given(graph=lag_graphs(), cap=st.integers(1, 64))
+    @settings(max_examples=50, deadline=None)
+    def test_block_schedule_is_the_reference_sweep(self, graph, cap):
+        # no block body runs: the schedule is a function of the lags alone
+        lags, n_ticks, barriers = graph
+        want, got = [], []
+        try:
+            want_frontier = reference_schedule(lags, n_ticks, barriers, 1e-3, cap, want)
+        except SimulationError as err:
+            want_frontier = str(err)
+        frontier = dict.fromkeys(lags, 0)
+        with mock.patch.object(engine, "BLOCK_CAP_TICKS", cap):
+            try:
+                for barrier in barriers:
+                    got.extend(block_schedule(lags, shortest_cycles(lags), frontier,
+                                              barrier, 1e-3))
+            except SimulationError as err:
+                frontier = str(err)
+        assert got == want
+        assert frontier == want_frontier
+
+    @pytest.mark.parametrize("n, blocks", [(10, 1838), (50, 8518)])
+    def test_many_users_take_the_baseline_blocks(self, n, blocks):
+        # the schedule alone on the dumbbell's lags, with no block body
+        sc = dumbbell(n)
+        dt = sc.run.dt_s
+        lags = input_lags(to_network(sc), dt)
+        n_ticks = int(round(sc.run.horizon_s / dt)) + 1
+        frontier = dict.fromkeys(lags, 0)
+        schedule = block_schedule(lags, shortest_cycles(lags), frontier, n_ticks, dt)
+        assert sum(1 for _ in schedule) == blocks
+        assert set(frontier.values()) == {n_ticks}
 
     def test_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
         # a FAST gain far too high for the step blows the window up

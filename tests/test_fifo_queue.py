@@ -66,6 +66,11 @@ class TestStep:
         with pytest.raises(ValueError, match="negative input flow -1.0 at t=0.02"):
             q.record_inputs(np.arange(3) * 0.01, [[0.0, 2.0, -1.0]])
 
+    def test_nan_input_rejected(self):
+        q = FifoQueue("b", 100.0, ["f", "g"], dt_s=0.01, n_ticks=3)
+        with pytest.raises(ValueError, match="input flow nan at t=0.01"):
+            q.record_inputs(np.arange(3) * 0.01, [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0]])
+
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
         # the recorded average rates must still integrate to the backlog

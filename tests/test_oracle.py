@@ -12,6 +12,7 @@ from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RunConf, Scenario,
     ScheduledProtocol, UserConf, load_scenario,
 )
+from ackflow.topology import TopologyError
 
 
 def tiny_scenario(w0=100.0, cap=500.0, t_fwd=0.05, t_back=0.05, steps=(),
@@ -169,6 +170,21 @@ class TestPacketSim:
             run=RunConf(1e-4, 1.0, "cold"))
         with pytest.raises(OracleError):
             packet_sim(sc)
+
+    @pytest.mark.parametrize("second, field", [
+        (dict(id="u2", queue_path=("b9",)), "queue_path"),
+        (dict(id="u2", hop_delays_s=(0.05, 0.05)), "hop_delays_s"),
+        (dict(protocol=ScheduledProtocol(50.0)), "id"),
+    ], ids=["unknown-queue", "extra-hop-delay", "duplicate-user-id"])
+    def test_an_invalid_network_names_the_field(self, second, field):
+        # the topology's own checks, as the engine meets them, on a second
+        # user edited from the first
+        sc = tiny_scenario()
+        u1 = sc.users[0]
+        sc = dataclasses.replace(sc, users=(u1, dataclasses.replace(u1, **second)))
+        with pytest.raises(TopologyError) as err:
+            packet_sim(sc)
+        assert err.value.field == field
 
     def test_determinism(self):
         sc = tiny_scenario(w0=50.0, cap=500.0, steps=[(1.0, 80.0)], horizon=2.0)

@@ -148,6 +148,11 @@ MALFORMED = {
         lambda d: d["rate_flows"][0].update(profile={
             "kind": "square", "high_pps": 5.0, "low_pps": -5.0, "period_s": 1.0}),
         "rate_flows[0].profile.low_pps"),
+    # the profile's own check
+    "zero-square-period": (
+        lambda d: d["rate_flows"][0].update(profile={
+            "kind": "square", "high_pps": 5.0, "low_pps": 0.0, "period_s": 0.0}),
+        "rate_flows[0].profile"),
     "equilibrium-with-square-wave": (
         lambda d: (d["run"].update(init="equilibrium"), d["rate_flows"][0].update(profile={
             "kind": "square", "high_pps": 5.0, "low_pps": 0.0, "period_s": 1.0})),
@@ -187,6 +192,21 @@ def test_malformed_input_names_the_field(case):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(yaml.safe_dump(doc))
     assert str(err.value).startswith(f"{field}: "), str(err.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantProfile(float("nan")),
+    lambda: ConstantProfile(float("inf")),
+    lambda: SquareProfile(800.0, float("nan"), 1.0),
+    lambda: SquareProfile(800.0, 0.0, -1.0),
+    lambda: SquareProfile(800.0, 0.0, 0.0),
+    lambda: SquareProfile(800.0, 0.0, float("inf")),
+], ids=["nan-rate", "infinite-rate", "nan-low", "negative-period", "zero-period",
+        "infinite-period"])
+def test_a_profile_refuses_what_no_run_could_read(make):
+    # each would run as some other flow, or fail mid-run
+    with pytest.raises(ScenarioError, match="must be finite"):
+        make()
 
 
 def test_a_directory_is_refused_with_its_path(tmp_path):

@@ -76,7 +76,7 @@ import numpy as np
 
 from .fifo_queue import FifoQueue
 from .history import CausalityError, HistoryError
-from .oracle import EquilibriumResult, equilibrium_from_scenario, equilibrium_queue
+from .oracle import EquilibriumResult, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
 from .scenario import RunConf, Scenario, UserConf
 from .topology import Network
@@ -299,7 +299,8 @@ def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: f
 
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
-    """Run the fluid model; returns every signal on the engine grid."""
+    """Run the fluid model on ``network``; returns every signal on the
+    engine grid.  ``scenario`` is only handed back in the ``TraceSet``."""
     dt = config.dt_s
     for name in ("dt_s", "horizon_s"):
         value = getattr(config, name)
@@ -320,7 +321,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
     eq_init: EquilibriumResult | None = None
     if config.init == "equilibrium":
-        eq_init = equilibrium_queue(equilibrium_from_scenario(scenario))
+        eq_init = equilibrium_queue(network)
     elif config.init != "cold":
         raise SimulationError(f"unknown init mode {config.init!r}")
 
@@ -331,12 +332,10 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     queues: dict[str, FifoQueue] = {}
     for qid, qconf in network.queues.items():
         flows = [fid for _, fid, _ in feeds["queue", qid]]
-        backlog0, rates0 = 0.0, {}
+        backlog0, rates0 = 0.0, None
         if eq_init is not None:
             backlog0 = qconf.capacity_pps * eq_init.queueing_delays_s[qid]
-            for fid in flows:
-                rates0[fid] = (eq_init.rates_pps[fid] if fid in network.users else
-                               float(network.rate_flows[fid].profile.rates_at(0.0)))
+            rates0 = eq_init.rates_pps
         queues[qid] = FifoQueue(qid, qconf.capacity_pps, flows, dt_s=dt,
                                 backlog0_pkts=backlog0, input_rates0=rates0,
                                 n_ticks=n_ticks)

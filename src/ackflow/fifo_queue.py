@@ -71,7 +71,7 @@ class FifoQueue:
         input_rates0: dict[str, float] | None = None,
         n_ticks: int,
     ):
-        if capacity_pps <= 0:
+        if not capacity_pps > 0:  # NaN fails too
             raise ValueError(f"queue '{queue_id}': capacity must be positive")
         if backlog0_pkts < 0:
             raise ValueError(f"queue '{queue_id}': negative initial backlog")

@@ -5,8 +5,9 @@ simulation (integer packets, FIFO service, per-packet timings) and an
 analytic fixed point for steady-state queueing delays, plus a reduced
 window-sum model of a finished run on one static link.  The fluid engine is
 checked against them; none shares code with it beyond the scenario
-description, whose window controllers (``ScheduledProtocol``) both run, and
-the topology's checks of it (``to_network``).
+description, whose window controllers (``ScheduledProtocol``) both run.
+Both oracles read the validated ``Network`` (``to_network``), the one the
+engine runs on, so they refuse what the engine refuses.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import FastProtocol
 from .scenario import ConstantProfile, Scenario, to_network
+from .topology import Network
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
-    "EquilibriumProblem", "EquilibriumResult", "equilibrium_queue",
-    "equilibrium_from_scenario", "StaticLinkResult", "static_link_check",
+    "EquilibriumResult", "equilibrium_queue", "StaticLinkResult",
+    "static_link_check",
 ]
 
 
@@ -119,15 +121,12 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     t0 = -abs(warmup_s)
 
     net = to_network(scenario)
-    routes: dict[str, tuple] = {}
-    for u in scenario.users:
+    users = net.users
+    for u in users.values():
         if isinstance(u.protocol, FastProtocol):
             raise OracleError(
                 f"user '{u.id}': the packet oracle only supports scheduled "
                 "windows; validate FAST runs against the equilibrium oracle")
-        routes[u.id] = (tuple(zip(u.hop_delays_s, u.queue_path)), u.return_delay_s)
-    for f in scenario.rate_flows:
-        routes[f.id] = (tuple(zip(f.hop_delays_s, f.queue_path)), None)
 
     queues = {qid: _PQueue(qid, q.capacity_pps, net.flows_through(qid))
               for qid, q in net.queues.items()}
@@ -142,9 +141,9 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         seq += 1
 
     events: list[PacketEvent] | None = [] if record_events else None
-    send_times: dict[str, list[float]] = {u.id: [] for u in scenario.users}
-    flight = {u.id: 0 for u in scenario.users}
-    window = {u.id: u.protocol.window_at(t0) for u in scenario.users}
+    send_times: dict[str, list[float]] = {uid: [] for uid in users}
+    flight = dict.fromkeys(users, 0)
+    window = {uid: u.protocol.window_at(t0) for uid, u in users.items()}
     next_pid = 0
 
     def log(pid, fid, kind, t):
@@ -158,8 +157,8 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         flight[uid] += 1
         send_times[uid].append(t)
         log(pid, uid, "send", t)
-        hops, _ = routes[uid]
-        push(t + hops[0][0], "arrive", (uid, pid, 0))
+        u = users[uid]
+        push(t + u.hop_delays_s[0], "arrive", (u, pid, 0))
 
     def fill_window(uid, t):
         while flight[uid] < int(window[uid] + 1e-9):
@@ -168,14 +167,14 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     # initial bursts, schedule steps, exogenous emissions, sampling chain
     for uid in window:
         fill_window(uid, t0)
-    for u in scenario.users:
+    for uid, u in users.items():
         for ts, ws in u.protocol.steps:
-            push(ts, "window", (u.id, ws))
-    for f in scenario.rate_flows:
+            push(ts, "window", (uid, ws))
+    for f in net.rate_flows.values():
         emissions = _emissions(f.profile, t0)
         first = next(emissions, None)
         if first is not None:
-            push(first, "emit", (f.id, emissions))
+            push(first, "emit", (f, emissions))
     n_samples = int(round(horizon / sample_dt_s)) + 1
     sample_times = np.arange(n_samples) * sample_dt_s
     qlen = {qid: np.zeros(n_samples) for qid in queues}
@@ -188,28 +187,26 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         if t > horizon + 1e-12:
             break
         if kind == "arrive":
-            fid, pid, hop_idx = data
-            hops, _ = routes[fid]
-            q = queues[hops[hop_idx][1]]
-            q.buf.append((fid, pid, hop_idx))
-            log(pid, fid, "enqueue", t)
+            f, pid, hop_idx = data
+            q = queues[f.queue_path[hop_idx]]
+            q.buf.append(data)
+            log(pid, f.id, "enqueue", t)
             if not q.busy:
                 q.busy = True
                 push(t + q.service_s, "depart", q.qid)
         elif kind == "depart":
             q = queues[data]
-            fid, pid, hop_idx = q.buf.popleft()
-            q.deq[fid] += 1
-            log(pid, fid, "dequeue", t)
+            f, pid, hop_idx = q.buf.popleft()
+            q.deq[f.id] += 1
+            log(pid, f.id, "dequeue", t)
             if q.buf:
                 push(t + q.service_s, "depart", q.qid)
             else:
                 q.busy = False
-            hops, return_delay = routes[fid]
-            if hop_idx + 1 < len(hops):
-                push(t + hops[hop_idx + 1][0], "arrive", (fid, pid, hop_idx + 1))
-            elif return_delay is not None:
-                push(t + return_delay, "ack", (fid, pid))
+            if hop_idx + 1 < len(f.queue_path):
+                push(t + f.hop_delays_s[hop_idx + 1], "arrive", (f, pid, hop_idx + 1))
+            elif f.id in users:
+                push(t + f.return_delay_s, "ack", (f.id, pid))
             # rate flows leave the network after their last queue
         elif kind == "ack":
             uid, pid = data
@@ -221,12 +218,11 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
             window[uid] = new_w
             fill_window(uid, t)
         elif kind == "emit":
-            fid, emissions = data
+            f, emissions = data
             pid = next_pid
             next_pid += 1
-            log(pid, fid, "send", t)
-            hops, _ = routes[fid]
-            push(t + hops[0][0], "arrive", (fid, pid, 0))
+            log(pid, f.id, "send", t)
+            push(t + f.hop_delays_s[0], "arrive", (f, pid, 0))
             nxt = next(emissions, None)
             if nxt is not None and nxt <= horizon + 1e-12:
                 push(nxt, "emit", data)
@@ -252,39 +248,12 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
 # analytic steady state
 
 @dataclass(frozen=True)
-class EquilibriumProblem:
-    windows_pkts: dict[str, float]
-    total_delays_s: dict[str, float]
-    circuits: dict[str, tuple[str, ...]]   # user id -> queue ids on its path
-    capacities_pps: dict[str, float]
-    cross_rates_pps: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class EquilibriumResult:
     queueing_delays_s: dict[str, float]
-    rates_pps: dict[str, float]
+    rates_pps: dict[str, float]  # each user's, then each rate flow's
     congested: dict[str, bool]
     sweeps: int
     max_residual_pps: float
-
-
-def equilibrium_from_scenario(scenario: Scenario) -> EquilibriumProblem:
-    cross: dict[str, float] = {}
-    for f in scenario.rate_flows:
-        if not isinstance(f.profile, ConstantProfile):
-            raise OracleError(
-                f"rate flow '{f.id}': steady state undefined for a "
-                "time-varying exogenous profile")
-        for qid in f.queue_path:
-            cross[qid] = cross.get(qid, 0.0) + f.profile.rate_pps
-    return EquilibriumProblem(
-        windows_pkts={u.id: u.protocol.initial_window_pkts for u in scenario.users},
-        total_delays_s={u.id: u.total_delay_s for u in scenario.users},
-        circuits={u.id: u.queue_path for u in scenario.users},
-        capacities_pps={q.id: q.capacity_pps for q in scenario.queues},
-        cross_rates_pps=cross,
-    )
 
 
 # Gauss-Seidel sweeps before giving up, and the residual each queue must
@@ -293,25 +262,39 @@ MAX_SWEEPS = 100_000
 TOL_FACTOR = 1e-9
 
 
-def equilibrium_queue(problem: EquilibriumProblem) -> EquilibriumResult:
-    """Steady-state queueing delays and per-user rates.
+def equilibrium_queue(network: Network) -> EquilibriumResult:
+    """Steady-state queueing delays and per-flow rates.
 
     At equilibrium each user's rate is window / (propagation + queueing
     along its path), and every congested queue's arrivals exactly fill the
-    capacity left over by cross traffic.  Solved by Gauss-Seidel sweeps
-    with a monotone bisection for each queue's delay; queues whose arrivals
-    fit within capacity settle at zero delay.  The sweeps take the queues,
-    and each queue's inflow sums its users, in sorted-id order, so the
-    result does not depend on the order a scenario declares them in.
+    capacity left over by the rate flows, whose profiles must be constant.
+    Solved by Gauss-Seidel sweeps with a monotone bisection for each
+    queue's delay; queues whose arrivals fit within capacity settle at zero
+    delay.  The sweeps take the queues, and each queue's inflow sums its
+    users, in sorted-id order, so the result does not depend on the order a
+    scenario declares them in.  A user enters at its protocol's initial
+    window, a FAST user too, so the engine's equilibrium start is that
+    window's operating point, not FAST's fixed point.
     """
-    w = problem.windows_pkts
-    T = problem.total_delays_s
-    circuits = problem.circuits
-    caps = problem.capacities_pps
+    flow_rates: dict[str, float] = {}
+    cross = dict.fromkeys(network.queues, 0.0)
+    for fid, f in network.rate_flows.items():
+        if not isinstance(f.profile, ConstantProfile):
+            raise OracleError(
+                f"rate flow '{fid}': steady state undefined for a "
+                "time-varying exogenous profile")
+        flow_rates[fid] = f.profile.rate_pps
+        for qid in f.queue_path:
+            cross[qid] += flow_rates[fid]
+    users = network.users
+    w = {uid: u.protocol.initial_window_pkts for uid, u in users.items()}
+    T = {uid: u.total_delay_s for uid, u in users.items()}
+    circuits = {uid: u.queue_path for uid, u in users.items()}
+    caps = {qid: q.capacity_pps for qid, q in network.queues.items()}
     users_at = {q: [u for u in sorted(circuits) if q in circuits[u]] for q in caps}
     targets = {}
     for q, c in caps.items():
-        target = c - problem.cross_rates_pps.get(q, 0.0)
+        target = c - cross[q]
         if target <= 0:
             raise OracleError(f"queue '{q}': cross traffic saturates the capacity")
         targets[q] = target
@@ -367,6 +350,7 @@ def equilibrium_queue(problem: EquilibriumProblem) -> EquilibriumResult:
 
     rates = {uid: w[uid] / (T[uid] + sum(tau[p] for p in circuits[uid]))
              for uid in w}
+    rates.update(flow_rates)
     congested = {q: tau[q] > 1e-12 for q in caps}
     return EquilibriumResult(tau, rates, congested, sweeps, max_resid)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -247,7 +248,10 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
     if key.endswith("_pps"):
         return val
     if key.endswith("_mbps"):
-        return mbps_to_pps(val, packet_bytes)
+        val = mbps_to_pps(val, packet_bytes)
+        if not math.isfinite(val):
+            raise _err(f"{path}.{key}", f"converts to {val!r} pkt/s, not a finite rate")
+        return val
     if not 0.0 <= val < 1.0:
         raise _err(path, f"{key} must lie in [0, 1)")
     return val * capacity_pps
@@ -315,10 +319,11 @@ def parse_scenario(text: str) -> Scenario:
 
     name = _name(_take(doc, "scenario", "name"), "name")
     packet_bytes = _take(doc, "scenario", "packet_bytes")
-    # a YAML true is an int to isinstance, not a packet size
+    # a YAML true is an int to isinstance, not a packet size; a size past
+    # the float range cannot convert a Mb/s rate
     if (not isinstance(packet_bytes, int) or isinstance(packet_bytes, bool)
-            or packet_bytes <= 0):
-        raise _err("packet_bytes", "must be a positive integer")
+            or not 0 < packet_bytes <= sys.float_info.max):
+        raise _err("packet_bytes", "must be a positive integer within the float range")
 
     # every entry joins the network as it is read, so the topology's own
     # checks run on it and a fault names the entry's field
@@ -402,8 +407,9 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(f.profile, ConstantProfile):
                 raise _err("run.init", f"an equilibrium start needs constant rate "
                                        f"flows, and rate flow '{fid}' varies in time")
-    if dt <= 0 or horizon <= 0:
-        raise _err("run", "dt_s and horizon_s must be positive")
+    for key, value in (("dt_s", dt), ("horizon_s", horizon)):
+        if value <= 0:
+            raise _err(f"run.{key}", "must be positive")
     _no_leftovers(run_raw, "run")
 
     _no_leftovers(doc, "scenario")

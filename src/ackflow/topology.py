@@ -12,6 +12,7 @@ added.
 from __future__ import annotations
 
 import graphlib
+import math
 
 __all__ = ["TopologyError", "Network", "build_network"]
 
@@ -39,15 +40,16 @@ class Network:
     def add_queue(self, q) -> None:
         if q.id in self.queues:
             raise TopologyError(f"duplicate queue id '{q.id}'", "id")
-        if q.capacity_pps <= 0:
-            raise TopologyError(f"queue '{q.id}' capacity must be positive",
-                                "capacity_pps")
+        if not 0 < q.capacity_pps < math.inf:  # NaN fails too
+            what = "positive" if q.capacity_pps <= 0 else "finite"
+            raise TopologyError(f"queue '{q.id}' capacity must be {what}", "capacity_pps")
         self.queues[q.id] = q
 
     def add_user(self, u) -> None:
         self.check_route("user", u.id, u.queue_path, u.hop_delays_s)
-        if u.return_delay_s < 0:
-            raise TopologyError(f"user '{u.id}' has a negative return delay",
+        if not 0 <= u.return_delay_s < math.inf:  # NaN fails too
+            what = "negative" if u.return_delay_s < 0 else "non-finite"
+            raise TopologyError(f"user '{u.id}' has a {what} return delay",
                                 "return_delay_s")
         if u.total_delay_s <= 0:
             raise TopologyError(
@@ -86,9 +88,11 @@ class Network:
             raise TopologyError(
                 f"{kind} '{fid}': {len(path)} queues but {len(hops)} hop delays",
                 "hop_delays_s")
-        if any(d < 0 for d in hops):
-            raise TopologyError(f"{kind} '{fid}' has a negative channel delay",
-                                "hop_delays_s")
+        for d in hops:
+            if not 0 <= d < math.inf:  # NaN fails too
+                what = "negative" if d < 0 else "non-finite"
+                raise TopologyError(f"{kind} '{fid}' has a {what} channel delay",
+                                    "hop_delays_s")
         if 0.0 not in hops[1:]:
             return  # the route adds no zero-delay channel between queues
         upstream: dict[str, set[str]] = {}

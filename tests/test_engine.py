@@ -16,9 +16,7 @@ from ackflow.engine import (
     shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
-from ackflow.oracle import (
-    equilibrium_from_scenario, equilibrium_queue, packet_sim, static_link_check,
-)
+from ackflow.oracle import equilibrium_queue, packet_sim, static_link_check
 from ackflow.protocol import fast_wdot
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
@@ -226,7 +224,7 @@ class TestEquilibrium:
     def test_warm_start_stays_at_fixed_point(self):
         sc = two_user_scenario()
         traces = run(sc)
-        eq = equilibrium_queue(equilibrium_from_scenario(sc))
+        eq = equilibrium_queue(to_network(sc))
         tau_star = eq.queueing_delays_s["b1"]
         assert tau_star > 0
         tau_tail = tail_mean(traces, "tau.b1")
@@ -235,16 +233,15 @@ class TestEquilibrium:
     def test_cold_start_converges_to_same_fixed_point(self):
         sc = two_user_scenario(init="cold", horizon=6.0)
         traces = run(sc)
-        eq = equilibrium_queue(equilibrium_from_scenario(sc))
+        eq = equilibrium_queue(to_network(sc))
         assert tail_mean(traces, "tau.b1") == pytest.approx(
             eq.queueing_delays_s["b1"], rel=0.02)
 
     def test_window_step_moves_equilibrium(self):
         sc = two_user_scenario(steps1=[(2.0, 200.0)], horizon=5.0)
         traces = run(sc)
-        eq_pre = equilibrium_queue(equilibrium_from_scenario(sc))
-        eq_post = equilibrium_queue(dataclasses.replace(
-            equilibrium_from_scenario(sc), windows_pkts={"u1": 200.0, "u2": 50.0}))
+        eq_pre = equilibrium_queue(to_network(sc))
+        eq_post = equilibrium_queue(to_network(two_user_scenario(w1=200.0)))
         dt = traces.dt_s
         pre_window = traces["tau.b1"][int(1.0 / dt):int(1.9 / dt)]
         assert float(pre_window.mean()) == pytest.approx(
@@ -252,10 +249,23 @@ class TestEquilibrium:
         assert tail_mean(traces, "tau.b1") == pytest.approx(
             eq_post.queueing_delays_s["b1"], rel=0.01)
 
+    def test_run_reads_the_network_not_the_scenario(self):
+        # the scenario only rides along in the TraceSet: an equilibrium start
+        # from a network whose scenario lists no users runs bit for bit alike
+        sc = load_scenario("scenario3")
+        cfg = SimConfig(dt_s=sc.run.dt_s, horizon_s=0.5, init=sc.run.init)
+        plain = simulate(to_network(sc), sc, cfg)
+        bare = simulate(to_network(sc), dataclasses.replace(sc, users=()), cfg)
+        assert plain.signals.keys() == bare.signals.keys()
+        for name, values in plain.signals.items():
+            assert values.tobytes() == bare[name].tobytes(), name
+        assert plain.blocks == bare.blocks
+        assert plain.equilibrium_init == bare.equilibrium_init
+
     def test_cross_traffic_occupies_capacity(self):
         sc = two_user_scenario(cross=250.0)
         traces = run(sc)
-        eq = equilibrium_queue(equilibrium_from_scenario(sc))
+        eq = equilibrium_queue(to_network(sc))
         assert tail_mean(traces, "tau.b1") == pytest.approx(
             eq.queueing_delays_s["b1"], rel=0.01)
         # queue output includes the cross flow

@@ -71,6 +71,10 @@ class TestStep:
         with pytest.raises(ValueError, match="input flow nan at t=0.01"):
             q.record_inputs(np.arange(3) * 0.01, [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0]])
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            FifoQueue("b", np.nan, ["f"], dt_s=0.01, n_ticks=3)
+
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
         # the recorded average rates must still integrate to the backlog

@@ -4,15 +4,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from ackflow.oracle import (
-    EquilibriumProblem, OracleError, equilibrium_from_scenario,
-    equilibrium_queue, packet_sim,
-)
+from ackflow.oracle import OracleError, equilibrium_queue, packet_sim
 from ackflow.scenario import (
-    ConstantProfile, FastProtocol, QueueConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, load_scenario,
+    ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
+    ScheduledProtocol, UserConf, load_scenario, to_network,
 )
-from ackflow.topology import TopologyError
+from ackflow.topology import TopologyError, build_network
 
 
 def tiny_scenario(w0=100.0, cap=500.0, t_fwd=0.05, t_back=0.05, steps=(),
@@ -32,22 +29,28 @@ def tiny_scenario(w0=100.0, cap=500.0, t_fwd=0.05, t_back=0.05, steps=(),
     )
 
 
+def one_queue_network(cap, users, cross=0.0):
+    """Queue b1 with scheduled users ``{id: (window, total delay)}`` and an
+    optional constant cross flow; each total delay is split evenly between
+    hop and return, and the halves sum back exactly."""
+    flows = [RateFlowConf("cross_b1", ("b1",), (0.0,), ConstantProfile(cross))] if cross else []
+    return build_network(
+        [QueueConf("b1", cap)],
+        [UserConf(uid, ("b1",), (t / 2,), t / 2, ScheduledProtocol(w))
+         for uid, (w, t) in users.items()],
+        flows)
+
+
 class TestEquilibrium:
     def test_single_user_closed_form(self):
         # congested single bottleneck: tau = w/c - T = 100/500 - 0.1 = 0.1
-        prob = EquilibriumProblem(
-            windows_pkts={"u1": 100.0}, total_delays_s={"u1": 0.1},
-            circuits={"u1": ("b1",)}, capacities_pps={"b1": 500.0})
-        res = equilibrium_queue(prob)
+        res = equilibrium_queue(one_queue_network(500.0, {"u1": (100.0, 0.1)}))
         assert res.queueing_delays_s["b1"] == pytest.approx(0.1, rel=1e-9)
         assert res.rates_pps["u1"] == pytest.approx(500.0, rel=1e-9)
         assert res.congested["b1"]
 
     def test_window_too_small_gives_zero_delay(self):
-        prob = EquilibriumProblem(
-            windows_pkts={"u1": 10.0}, total_delays_s={"u1": 0.1},
-            circuits={"u1": ("b1",)}, capacities_pps={"b1": 500.0})
-        res = equilibrium_queue(prob)
+        res = equilibrium_queue(one_queue_network(500.0, {"u1": (10.0, 0.1)}))
         assert res.queueing_delays_s["b1"] == 0.0
         assert res.rates_pps["u1"] == pytest.approx(100.0)
         assert not res.congested["b1"]
@@ -56,12 +59,8 @@ class TestEquilibrium:
         # the first preset's post-step operating point, cross-checked with a
         # from-scratch bisection on the single unknown
         c = 100e6 / (8 * 1590)
-        prob = EquilibriumProblem(
-            windows_pkts={"u1": 150.0, "u2": 550.0},
-            total_delays_s={"u1": 0.0032, "u2": 0.117},
-            circuits={"u1": ("b1",), "u2": ("b1",)},
-            capacities_pps={"b1": c})
-        res = equilibrium_queue(prob)
+        res = equilibrium_queue(one_queue_network(
+            c, {"u1": (150.0, 0.0032), "u2": (550.0, 0.117)}))
 
         def total_rate(tau):
             return 150.0 / (0.0032 + tau) + 550.0 / (0.117 + tau)
@@ -78,25 +77,18 @@ class TestEquilibrium:
         assert res.rates_pps["u1"] == pytest.approx(150.0 / (0.0032 + tau_ref), rel=1e-9)
 
     def test_cross_traffic_reduces_effective_capacity(self):
-        prob = EquilibriumProblem(
-            windows_pkts={"u1": 100.0}, total_delays_s={"u1": 0.1},
-            circuits={"u1": ("b1",)}, capacities_pps={"b1": 500.0},
-            cross_rates_pps={"b1": 250.0})
-        res = equilibrium_queue(prob)
+        res = equilibrium_queue(one_queue_network(500.0, {"u1": (100.0, 0.1)}, 250.0))
         # user fills the leftover 250 pkt/s: tau = 100/250 - 0.1 = 0.3
         assert res.queueing_delays_s["b1"] == pytest.approx(0.3, rel=1e-9)
 
     def test_saturating_cross_traffic_rejected(self):
-        prob = EquilibriumProblem(
-            windows_pkts={"u1": 1.0}, total_delays_s={"u1": 0.1},
-            circuits={"u1": ("b1",)}, capacities_pps={"b1": 500.0},
-            cross_rates_pps={"b1": 500.0})
+        net = one_queue_network(500.0, {"u1": (1.0, 0.1)}, 500.0)
         with pytest.raises(OracleError):
-            equilibrium_queue(prob)
+            equilibrium_queue(net)
 
     def test_two_queue_chain_consistent(self):
         sc = load_scenario("scenario3")
-        res = equilibrium_queue(equilibrium_from_scenario(sc))
+        res = equilibrium_queue(to_network(sc))
         tau1 = res.queueing_delays_s["b1"]
         tau2 = res.queueing_delays_s["b2"]
         assert res.congested["b1"] and res.congested["b2"]
@@ -107,12 +99,18 @@ class TestEquilibrium:
         assert x1 + x3 == pytest.approx(c1, rel=1e-8)
         assert x1 + x2 == pytest.approx(c2, rel=1e-8)
 
+    def test_rates_carry_each_rate_flow_at_its_constant_rate(self):
+        # the engine's equilibrium start feeds these rates to every queue
+        sc = load_scenario("scenario5")
+        res = equilibrium_queue(to_network(sc))
+        assert res.rates_pps["cross_b1"].hex() == sc.rate_flows[0].profile.rate_pps.hex()
+
     def test_declaration_order_leaves_the_fixed_point_bitwise_equal(self):
         # scenario3's two queues and three users, listed in reverse
         sc = load_scenario("scenario3")
         reversed_ = dataclasses.replace(sc, queues=sc.queues[::-1],
                                         users=sc.users[::-1])
-        a, b = (equilibrium_queue(equilibrium_from_scenario(s))
+        a, b = (equilibrium_queue(to_network(s))
                 for s in (sc, reversed_))
         assert list(b.queueing_delays_s) == ["b2", "b1"]
         assert a == b
@@ -131,7 +129,7 @@ class TestPacketSim:
         # oracle self-consistency: time-averaged backlog ~ capacity * tau*
         sc = tiny_scenario(w0=100.0, cap=500.0, horizon=3.0)
         res = packet_sim(sc, sample_dt_s=0.01, warmup_s=3.0)
-        eq = equilibrium_queue(equilibrium_from_scenario(sc))
+        eq = equilibrium_queue(to_network(sc))
         expected = 500.0 * eq.queueing_delays_s["b1"]
         mask = res.sample_times >= 1.0
         avg = float(np.mean(res.queue_lengths["b1"][mask]))

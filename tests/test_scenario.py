@@ -181,6 +181,17 @@ MALFORMED = {
     "zero-total-delay": (lambda d: d["users"][0].update(hop_delays_s=0.0, return_delay_s=0.0),
                          "users[0]"),
     "zero-delay-queue-cycle": (zero_delay_cycle, "users[1].hop_delays_s"),
+    # Mb/s converted past the float range, and a packet size that cannot
+    # convert at all
+    "infinite-capacity-mbps": (lambda d: d.update(queues=[{"id": "b1", "capacity_mbps": 1e308}]),
+                               "queues[0].capacity_mbps"),
+    "infinite-rate-mbps": (lambda d: d["rate_flows"][0].update(profile={
+        "kind": "constant", "rate_mbps": 1e308}), "rate_flows[0].profile.rate_mbps"),
+    "oversized-packet-bytes": (
+        lambda d: d.update(packet_bytes=10**400, queues=[{"id": "b1", "capacity_mbps": 1.0}]),
+        "packet_bytes"),
+    "zero-step": (lambda d: d["run"].update(dt_s=0), "run.dt_s"),
+    "negative-horizon": (lambda d: d["run"].update(horizon_s=-1), "run.horizon_s"),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ackflow.fifo_queue import FifoQueue
@@ -105,6 +107,24 @@ class TestBuild:
                 [QueueConf("b", 1.0)],
                 [user("u", ("b",), (0.0,), 0.0)],
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_capacity_rejected(self, bad):
+        with pytest.raises(TopologyError, match="capacity must be finite") as err:
+            build_network([QueueConf("b", bad)], [])
+        assert err.value.field == "capacity_pps"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hop_delay_rejected(self, bad):
+        with pytest.raises(TopologyError, match="non-finite channel") as err:
+            build_network([QueueConf("b", 1.0)], [user("u", ("b",), (bad,), 0.1)])
+        assert err.value.field == "hop_delays_s"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_return_delay_rejected(self, bad):
+        with pytest.raises(TopologyError, match="non-finite return") as err:
+            build_network([QueueConf("b", 1.0)], [user("u", ("b",), (0.1,), bad)])
+        assert err.value.field == "return_delay_s"
 
     def test_zero_delay_cycle_rejected(self):
         with pytest.raises(TopologyError, match="cycle"):

@@ -39,7 +39,8 @@ component can always advance.  One partial block at a time needs no order
 among the components: a queue behind a zero-delay hop waits for its
 upstream queue's block.  ``simulate`` takes the schedule to each barrier in
 turn (with pruning on, each pruning tick + 1, then the horizon), runs and
-counts the blocks (``TraceSet.blocks``) and prunes the histories there.
+counts the blocks (``TraceSet.blocks``), fills the flights up to it and
+prunes the histories there.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The window, ACK-buffer and backlog
@@ -61,8 +62,13 @@ history and its row: one slice when a delay is a grid multiple, else two
 slices, the samples either side of each tick's delayed time, with a
 per-tick interpolation weight; the returned traces are views of the
 histories.
+
 A user's flight is its sending history's hold integral back to the circuit
 entry time, the same running sum a queue's transport takes of its inputs.
+It checks the conservation law (what was sent is in flight, lost or
+received) and no block reads it, so ``simulate`` fills it at each barrier,
+before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``; only a FAST user's
+block inverts the circuit, for its queueing delay.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ PRUNE_MARGIN_S = 5.0
 
 # most ticks in one block, whatever the delays: bounds the block's arrays
 BLOCK_CAP_TICKS = 1024
+
+# ticks of one flight computation, which bounds its arrays the same way
+FLIGHT_CHUNK_TICKS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -363,6 +372,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     # each component's block body, keyed like input_lags: the users, then
     # the queues, as declared, which is the sweep order
     states: dict[str, UserState] = {}
+    flights: dict[str, np.ndarray] = {}
     bodies = {}
     for uid, uconf in network.users.items():
         proto = uconf.protocol
@@ -379,11 +389,12 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         if eq_init is None:
             # the window appears at t=0: emitted as an opening burst
             impulses[0] = impulses.get(0, 0.0) + proto.initial_window_pkts
+        w, ackbuf, flights[uid], flight_ode, active = new_columns(
+            uid, "w", "ackbuf", "flight", "flight_ode", "active")
         bodies["user", uid] = functools.partial(
             _user_block, uconf, states[uid],
             {k: v for k, v in impulses.items() if v},  # tick -> jump
-            reader(*feeds["user", uid][0]),
-            new_columns(uid, "w", "ackbuf", "flight", "flight_ode", "active"),
+            reader(*feeds["user", uid][0]), (w, ackbuf, flight_ode, active),
             queues, grid, dt)
     for qid, q in queues.items():
         bodies["queue", qid] = functools.partial(
@@ -402,6 +413,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     blocks = dict.fromkeys(bodies, 0)
     # each pruning tick + 1, then the horizon
     barriers = range(1, n_ticks, prune_every) if prune_every else ()
+    done = 0
     for barrier in (*barriers, n_ticks):
         for key, k0, k1 in block_schedule(lags, cycles, frontier, barrier, dt):
             try:
@@ -410,7 +422,22 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 raise SimulationError(
                     f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
             blocks[key] += 1
-        # every component has recorded through tick barrier - 1
+        # every component has recorded through tick barrier - 1: the flights
+        # up to it read histories the pruning below may put out of reach
+        for uid, flight in flights.items():
+            conf, sending = network.users[uid], states[uid].sending
+            for k0 in range(done, barrier, FLIGHT_CHUNK_TICKS):
+                k1 = min(k0 + FLIGHT_CHUNK_TICKS, barrier)
+                ticks = grid[k0:k1]
+                try:
+                    # the sending integral back to the circuit entry time,
+                    # each tick's rate held over its step
+                    flight[k0:k1] = sending.integrate_hold(
+                        circuit_backward_time(conf, queues, ticks), ticks)
+                except HistoryError as err:
+                    raise SimulationError(
+                        f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
+        done = barrier
         t = (barrier - 1) * dt
         if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:
             for h in histories:
@@ -449,13 +476,12 @@ def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Read
     """Advance one user over ticks ``[k0, k1)``."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
-    # entry time of the traffic being acknowledged now
-    b_t = circuit_backward_time(conf, queues, ticks)
     fast = None
     proto = conf.protocol
     if isinstance(proto, FastProtocol):
+        # the queueing delay since the entry of the traffic acknowledged now
         total_delay = conf.total_delay_s
-        lag = (ticks - b_t) - total_delay
+        lag = (ticks - circuit_backward_time(conf, queues, ticks)) - total_delay
         tau = np.where(lag > 0.0, lag, 0.0)
         # fast_wdot's gains, and its rates from the global a tracer may patch
         fast = ((-tau / (total_delay + tau)).tolist(), proto.gamma, proto.alpha_pkts,
@@ -473,10 +499,8 @@ def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Read
             f"t={ticks[sane.argmin()]:.6f}")
     st.sending.record(ticks[0], send)
     st.acks.record(ticks[0], acks)
-    # flight by the independent route: the sending integral back to the
-    # circuit entry time, each tick's rate held over its step
-    flight = st.sending.integrate_hold(b_t, ticks)
-    for col, values in zip(columns, (w, pi, flight, flight_ode, active)):
+    # the flight column is filled by simulate, off the block path
+    for col, values in zip(columns, (w, pi, flight_ode, active)):
         col[k0:k1] = values
 
 

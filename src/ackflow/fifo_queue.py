@@ -217,12 +217,16 @@ class FifoQueue:
         width = times[1:][busy] - t0
         departed = np.asarray(total_departed_pkts, dtype=np.float64)[busy]
         # arrivals are recorded through t0; within the running step they
-        # continue at the current rates (same convention as the state update)
-        bound = np.where(g1 <= t0, g1, t0)
+        # continue at the current rates (same convention as the state update).
+        # The other steps' masses are differences of the held integral at g,
+        # whose inner points are both one step's end and the next one's start
         tail = g1 > t0
-        masses = self.arrivals.integrate_hold(g0, bound)
+        if tail[-1]:
+            g = np.append(g0, t0[-1])
+        masses = self.arrivals.integrate_hold_steps(g)
         if tail.any():
-            masses = np.where(tail, masses + rates[:, busy] * (g1 - t0), masses)
+            masses[:, tail] = (self.arrivals.integrate_hold(g0[tail], t0[tail])
+                               + rates[:, busy][:, tail] * (g1 - t0)[tail])
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
         # a step with no arrival mass gets 0 here and its mix below

@@ -71,13 +71,14 @@ class Trajectory:
     produced yet.  Reads take a time or an array of times; a check that
     fails names the first offending time.  ``eval_at`` reads one signal:
     its ``row`` picks a block's row, and the default ``...`` takes a
-    one-signal trajectory whole.  ``integrate_hold`` answers every row.
+    one-signal trajectory whole.  ``integrate_hold`` and
+    ``integrate_hold_steps`` answer every row.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "initial_value",
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value",
                  "pre_slope", "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
@@ -87,9 +88,10 @@ class Trajectory:
         self._buf = np.empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
         # _cum[..., i] = integral from 0 to i * dt, each value held to the
-        # next sample: built on the first integral, then kept up to the
-        # last sample by each record
+        # next sample, for i < _ncum: allocated on the first integral and
+        # extended by each integral only through the last sample it reads
         self._cum = None
+        self._ncum = 0
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -120,8 +122,6 @@ class Trajectory:
                                f"is past the sized length of {size} samples")
         self._buf[..., n:end] = v
         self._n = end
-        if self._cum is not None:
-            self._extend_cumulative(n)
 
     def _check_not_pruned(self, t: np.ndarray) -> None:
         if self.pruned_before == -math.inf:
@@ -161,18 +161,21 @@ class Trajectory:
                 v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
         return float(out[0]) if scalar else out
 
-    def _extend_cumulative(self, n0: int) -> None:
-        """Fill the hold cumulative from entry ``n0`` to the last sample's.
+    def _extend_cumulative(self, top: int) -> None:
+        """Fill the hold cumulative from its first missing entry through
+        entry ``top - 1``, sample ``top - 1``'s.
 
         ``np.cumsum`` adds in sequence, so seeding it with the last entry
-        gives each cell exactly the one-at-a-time running sum.
+        gives each cell exactly the one-at-a-time running sum, however the
+        entries are split between extensions.
         """
-        n0, top, dt = max(n0, 1), self._n, self.dt
+        n0, dt = self._ncum, self.dt
         n = np.arange(n0, top)
         # each cell as wide as its grid times
         cells = self._buf[..., n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
         self._cum[..., n0 - 1:top] = np.cumsum(
             np.concatenate((self._cum[..., n0 - 1:n0], cells), axis=-1), axis=-1)
+        self._ncum = top
 
     def integrate_hold(self, t0, t1):
         """Integral reading each sample as held until the next one.
@@ -184,25 +187,42 @@ class Trajectory:
         (t0, scalar), (t1, _) = _times(t0), _times(t1)
         if t0.shape != t1.shape:
             t0, t1 = np.broadcast_arrays(t0, t1)
+        spans = self._checked_spans(t0, t1)
+        if spans is None:
+            out = np.zeros(np.shape(self.initial_value) + t0.shape)
+        else:
+            held = self._held(np.concatenate(spans))
+            out = held[..., len(t0):] - held[..., :len(t0)]
+        return out[..., 0] if scalar else out
+
+    def integrate_hold_steps(self, t):
+        """``integrate_hold(t[:-1], t[1:])`` to the bit, over two or more
+        times ``t``, with the same checks; the held integral is read once
+        at each time, not twice at each inner one."""
+        t = np.asarray(t, dtype=np.float64)
+        if self._checked_spans(t[:-1], t[1:]) is None:
+            return np.zeros(np.shape(self.initial_value) + (len(t) - 1,))
+        # the times are nondecreasing, so each lies between the first
+        # nonempty span's start and the last one's end, which were checked
+        held = self._held(t)
+        return held[..., 1:] - held[..., :-1]
+
+    def _checked_spans(self, t0: np.ndarray, t1: np.ndarray):
+        """The spans ``[t0, t1]`` with each empty one moved onto a nonempty
+        span's start, where the held integral cancels, or None when all are
+        empty.  Bounds must not be reversed; a nonempty span must start at
+        or above the prune floor and end within the history."""
         reversed_ = t1 < t0
         if reversed_.any():
             j = reversed_.argmax()
             raise HistoryError(
                 f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
         span = t0 != t1
-        if span.all():
-            out = self._hold(t0, t1)
-        elif span.any():
-            # an empty span integrates to zero, unchecked: it reads a nonempty
-            # span's start as both bounds, where the held integral cancels
+        if not span.all():
+            if not span.any():
+                return None
             safe = t0[span.argmax()]
-            out = self._hold(np.where(span, t0, safe), np.where(span, t1, safe))
-        else:
-            out = np.zeros(np.shape(self.initial_value) + t0.shape)
-        return out[..., 0] if scalar else out
-
-    def _hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """``integrate_hold`` over nonempty spans."""
+            t0, t1 = np.where(span, t0, safe), np.where(span, t1, safe)
         self._check_not_pruned(t0)
         last = (self._n - 1) * self.dt
         late = t1 > last
@@ -210,20 +230,25 @@ class Trajectory:
             raise CausalityError(
                 f"integration end t={float(t1[late.argmax()])!r} beyond history "
                 f"({last!r})")
-        t = np.concatenate((t0, t1))
-        if not self._n:  # no sample: every bound lies in the pre-history
-            held = np.multiply.outer(self.initial_value, t)
-            return held[..., len(t0):] - held[..., :len(t0)]
-        if self._cum is None:
-            self._cum = np.zeros(self._buf.shape)
-            self._extend_cumulative(1)
+        return t0, t1
+
+    def _held(self, t: np.ndarray) -> np.ndarray:
+        """The held integral from 0 to each time, unchecked."""
+        if not self._n:  # no sample: every time lies in the pre-history
+            return np.multiply.outer(self.initial_value, t)
         early = t.min() < 0.0
         i = grid_index(np.maximum(t, 0.0) if early else t, self.dt)
+        top = int(i.max()) + 1
+        if top > self._ncum:
+            if self._cum is None:
+                self._cum = np.zeros(self._buf.shape)
+                self._ncum = 1
+            self._extend_cumulative(top)
         held = (self._cum.take(i, axis=-1)
                 + self._buf.take(i, axis=-1) * (t - i * self.dt))
         if early:
             held = np.where(t < 0.0, np.multiply.outer(self.initial_value, t), held)
-        return held[..., len(t0):] - held[..., :len(t0)]
+        return held
 
     def invert_monotone(self, y):
         """Earliest time where a nondecreasing trajectory reaches ``y``.

@@ -496,6 +496,47 @@ class TestFlightRecord:
             expected = traces.users[u.id].sending.integrate_hold(entry, t)
             assert np.array_equal(traces[f"flight.{u.id}"], expected), u.id
 
+    @pytest.mark.parametrize("source, horizon_s", [("scenario3", 2.0), (OFFGRID_YAML, 0.3)],
+                             ids=["scenario3", "fast_pair_offgrid"])
+    def test_only_the_flight_chunks_and_fast_blocks_invert_the_circuit(
+            self, monkeypatch, source, horizon_s):
+        # the flight is filled off the block path, one circuit inversion per
+        # user and chunk of FLIGHT_CHUNK_TICKS; a FAST user's block inverts
+        # the circuit once more, for its queueing delay
+        calls = []
+
+        def counted(user, queues, t):
+            calls.append(user.id)
+            return circuit_backward_time(user, queues, t)
+
+        monkeypatch.setattr(engine, "circuit_backward_time", counted)
+        sc = load_scenario(source)
+        traces = simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
+        chunks = -(-len(traces.time) // engine.FLIGHT_CHUNK_TICKS)
+        for u in sc.users:
+            fast = isinstance(u.protocol, FastProtocol)
+            assert calls.count(u.id) == chunks + fast * traces.blocks["user", u.id], u.id
+
+    def test_a_history_fault_in_the_flight_names_the_user_and_its_chunk(self, monkeypatch):
+        # a fault in the flight pass is reported like one in a block, from
+        # the first tick of the chunk that met it
+        start = engine.FLIGHT_CHUNK_TICKS
+
+        def faulty(user, queues, t):
+            if t[0] >= start * 1e-4:
+                raise CausalityError("read past the history")
+            return circuit_backward_time(user, queues, t)
+
+        monkeypatch.setattr(engine, "circuit_backward_time", faulty)
+        sc = load_scenario("scenario3")
+        with pytest.raises(SimulationError) as err:
+            simulate(to_network(sc), sc, SimConfig(
+                dt_s=sc.run.dt_s, horizon_s=1.0, init=sc.run.init))
+        assert str(err.value) == (f"user flight 'u1' from t={start * 1e-4:.6f}: "
+                                  "read past the history")
+        assert isinstance(err.value.__cause__, CausalityError)
+
 
 class TestHorizonIndependence:
     def test_short_run_is_prefix_of_long_run(self):

@@ -182,6 +182,24 @@ class TestBlocks:
         assert runs[0] == runs[1]
         assert max(runs[0][0]["backlog"]) > 0.0 and min(runs[0][0]["backlog"]) == 0.0
 
+    def test_tail_steps_inside_a_block_keep_every_trace_bitwise(self):
+        # the input hovers about the capacity, so the backlog stays below
+        # one step's service: each such step's backward image ends inside
+        # it, past the recorded arrivals (a tail step), among steps whose
+        # masses are differences of the held integral at g; one-tick blocks
+        # hold a tail step only as the last one
+        runs = []
+        for block in (1, 64):
+            q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=0.01, n_ticks=200)
+            tr = drive(q, [lambda t: 60.0 + 30.0 * np.sin(7.0 * t),
+                           lambda t: 41.0 if round(t / 0.01) % 3 else 30.0],
+                       dt=0.01, n_ticks=200, block=block)
+            runs.append((tr, q.forward_map.values.tolist(), q.backlog))
+        t = np.arange(201) * 0.01
+        tail = (q.backward_time(t[1:]) > t[:-1]) & (np.array(tr["backlog"]) > 0.0)
+        assert 10 < tail.sum() < (np.array(tr["backlog"]) > 0.0).sum() - 10
+        assert runs[0] == runs[1]
+
 
 def rect_sum(values, dt):
     return sum(values) * dt

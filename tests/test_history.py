@@ -137,6 +137,75 @@ class TestIntegrate:
                     == whole.integrate_hold(-0.004, t).tobytes()), b
 
 
+    def test_integrals_after_many_records_match_an_eager_cumulative(self):
+        # many blocks recorded with no integral between them, then integrals
+        # at scattered times (the pre-history, inner cells, the last sample)
+        # in no order: bitwise those of a history whose cumulative was built
+        # whole before any of them, for one signal and for a block of rows
+        rng = np.random.default_rng(7)
+        dt, n = 0.003, 300
+        for initial in (0.25, [1.5, 2.0]):
+            values = rng.uniform(0.0, 50.0, np.shape(initial) + (n,))
+            eager = make(values, dt=dt, initial=initial, n_ticks=n)
+            eager.integrate_hold(0.0, (n - 1) * dt)
+            lazy = Trajectory(dt, initial, n_ticks=n)
+            for k in range(0, n, 7):
+                lazy.record(k * dt, values[..., k:k + 7])
+            t0 = rng.uniform(-0.02, (n - 1) * dt, 40)
+            t1 = np.minimum(t0 + rng.uniform(0.0, 0.3, 40), (n - 1) * dt)
+            t0[:3], t1[:3] = [-0.02, -0.01, 0.0], [-0.005, 0.0, 0.0]
+            for j in rng.permutation(40):
+                assert (lazy.integrate_hold(t0[j], t1[j]).tobytes()
+                        == eager.integrate_hold(t0[j], t1[j]).tobytes()), (initial, j)
+            assert (lazy.integrate_hold(t0, t1).tobytes()
+                    == eager.integrate_hold(t0, t1).tobytes()), initial
+
+    def test_an_integral_extends_the_cumulative_only_through_what_it_reads(
+            self, monkeypatch):
+        # the cumulative grows on demand, through the last sample a read
+        # touches; records alone never extend it
+        tops = []
+        extend = Trajectory._extend_cumulative
+
+        def spy(traj, top):
+            tops.append(top)
+            extend(traj, top)
+
+        monkeypatch.setattr(Trajectory, "_extend_cumulative", spy)
+        tr = make([float(k + 1) for k in range(15)], dt=0.5, n_ticks=20)
+        tr.integrate_hold(-0.5, 1.2)           # through sample 2
+        tr.integrate_hold(0.0, 0.7)            # already covered
+        tr.integrate_hold(-1.0, -0.5)          # the pre-history only
+        tr.integrate_hold(np.array([0.3, 2.0]), np.array([3.1, 2.6]))  # sample 6
+        tr.integrate_hold_steps([3.2, 3.9, 4.5])  # sample 9
+        tr.record(7.5, [1.0, 1.0])
+        assert tops == [3, 7, 10]
+        assert not tr._cum[10:].any()
+        assert tr.integrate_hold(0.0, 4.5) == sum(range(1, 10)) * 0.5
+
+    def test_steps_are_the_pairwise_integrals_with_their_checks(self):
+        # integrate_hold_steps(t) is integrate_hold(t[:-1], t[1:]) to the bit,
+        # empty spans and the pre-history included, and fails as it does
+        block = Trajectory(0.5, [1.5, 2.0], n_ticks=10)
+        block.record(0.0, [[1.0, 2.0, 4.0, 4.0, 9.0, 3.0], [0.5, 0.0, 3.0, 7.0, 7.5, 1.0]])
+        for t in ([-1.0, -0.2, -0.2, 0.0, 0.3, 0.3, 1.0, 1.7, 2.5, 2.5],
+                  [0.4, 0.4, 0.4], [1.1, 1.1, 2.5, 2.5], [0.7, 0.9]):
+            t = np.array(t)
+            got = block.integrate_hold_steps(t)
+            assert got.shape == (2, len(t) - 1)
+            assert got.tobytes() == block.integrate_hold(t[:-1], t[1:]).tobytes(), t
+        block.prune_before(1.2)
+        for t in ([1.0, 1.5, 1.4], [0.5, 0.5, 1.5], [0.5, 1.5], [1.5, 2.0, 2.7],
+                  [2.7, 2.7, 3.0]):
+            t = np.array(t)
+            with pytest.raises(HistoryError) as steps:
+                block.integrate_hold_steps(t)
+            with pytest.raises(HistoryError) as pairs:
+                block.integrate_hold(t[:-1], t[1:])
+            assert type(steps.value) is type(pairs.value), t
+            assert str(steps.value) == str(pairs.value), t
+
+
 class TestInvertMonotone:
     def test_identity_map(self):
         tr = make([0.0, 10.0], dt=10.0)

@@ -63,12 +63,12 @@ slices, the samples either side of each tick's delayed time, with a
 per-tick interpolation weight; the returned traces are views of the
 histories.
 
-A user's flight is its sending history's hold integral back to the circuit
-entry time, the same running sum a queue's transport takes of its inputs.
-It checks the conservation law (what was sent is in flight, lost or
-received) and no block reads it, so ``simulate`` fills it at each barrier,
-before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``; only a FAST user's
-block inverts the circuit, for its queueing delay.
+A user's flight, in two forms, checks the conservation law (what was sent
+is in flight, lost or received): ``flight`` is the sending history's hold
+integral back to the circuit entry time, ``flight_ode`` the running sum of
+sent minus acked mass.  No block reads them, so ``simulate`` fills both at
+each barrier, before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``; only a
+FAST user's block inverts the circuit, for its queueing delay.
 """
 
 from __future__ import annotations
@@ -317,6 +317,10 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             raise SimulationError(f"{name} must be finite, got {value!r}")
         if value <= 0:
             raise SimulationError(f"{name} must be positive, got {value!r}")
+    if not config.horizon_s / dt < 2.0 ** 60:  # at 8 bytes a tick, past 2**63 bytes
+        raise SimulationError(
+            f"horizon_s / dt_s is {config.horizon_s / dt!r} ticks, too many for one "
+            f"run (horizon_s={config.horizon_s!r}, dt_s={dt!r})")
     min_delay = network.min_positive_delay_s()
     if min_delay is not None and dt > min_delay / 10:
         raise SimulationError(
@@ -372,14 +376,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     # each component's block body, keyed like input_lags: the users, then
     # the queues, as declared, which is the sweep order
     states: dict[str, UserState] = {}
-    flights: dict[str, np.ndarray] = {}
+    flights: dict[str, tuple] = {}
     bodies = {}
     for uid, uconf in network.users.items():
         proto = uconf.protocol
         w0 = proto.initial_window_pkts if eq_init is not None else 0.0
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
-        states[uid] = UserState(uid, w0, dt_s=dt, sending0_pps=send0, flight0_pkts=w0,
-                                n_ticks=n_ticks)
+        states[uid] = UserState(w0, dt_s=dt, sending0_pps=send0, n_ticks=n_ticks)
         if isinstance(proto, ScheduledProtocol):
             impulses = proto.impulses_by_tick(dt)
         elif isinstance(proto, FastProtocol):
@@ -389,13 +392,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         if eq_init is None:
             # the window appears at t=0: emitted as an opening burst
             impulses[0] = impulses.get(0, 0.0) + proto.initial_window_pkts
-        w, ackbuf, flights[uid], flight_ode, active = new_columns(
+        w, ackbuf, flight, flight_ode, active = new_columns(
             uid, "w", "ackbuf", "flight", "flight_ode", "active")
+        flights[uid] = (flight, flight_ode, w0)  # w0: the mass in flight at t=0
         bodies["user", uid] = functools.partial(
             _user_block, uconf, states[uid],
             {k: v for k, v in impulses.items() if v},  # tick -> jump
-            reader(*feeds["user", uid][0]), (w, ackbuf, flight_ode, active),
-            queues, grid, dt)
+            reader(*feeds["user", uid][0]), (w, ackbuf, active), queues, grid, dt)
     for qid, q in queues.items():
         bodies["queue", qid] = functools.partial(
             _queue_block, q, [reader(*read) for read in feeds["queue", qid]],
@@ -424,8 +427,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             blocks[key] += 1
         # every component has recorded through tick barrier - 1: the flights
         # up to it read histories the pruning below may put out of reach
-        for uid, flight in flights.items():
+        for uid, (flight, balance, w0) in flights.items():
             conf, sending = network.users[uid], states[uid].sending
+            send, ack = sending.values, states[uid].acks.values
             for k0 in range(done, barrier, FLIGHT_CHUNK_TICKS):
                 k1 = min(k0 + FLIGHT_CHUNK_TICKS, barrier)
                 ticks = grid[k0:k1]
@@ -437,6 +441,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 except HistoryError as err:
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
+                # sent minus acked, added tick by tick: np.cumsum adds in
+                # sequence, so each chunk resumes the last one's sum exactly
+                start = balance[k0 - 1] + (send[k0 - 1] - ack[k0 - 1]) * dt if k0 else w0
+                balance[k0:k1] = np.cumsum(np.concatenate(
+                    ([start], (send[k0:k1 - 1] - ack[k0:k1 - 1]) * dt)))
         done = barrier
         t = (barrier - 1) * dt
         if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:
@@ -487,7 +496,7 @@ def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Read
         fast = ((-tau / (total_delay + tau)).tolist(), proto.gamma, proto.alpha_pkts,
                 lambda windows: fast_wdot(windows, tau, total_delay, proto))
     jumps = {k - k0: v for k, v in impulses.items() if k0 <= k < k1}
-    send, w, pi, flight_ode, active = st.step(acks, dt, jumps=jumps, fast=fast)
+    send, w, pi, active = st.step(acks, dt, jumps=jumps, fast=fast)
     if not (np.isfinite(send).all() and np.isfinite(w).all()
             and np.isfinite(pi).all() and math.isfinite(st.window)
             and math.isfinite(st.ack_buffer)):
@@ -499,8 +508,8 @@ def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Read
             f"t={ticks[sane.argmin()]:.6f}")
     st.sending.record(ticks[0], send)
     st.acks.record(ticks[0], acks)
-    # the flight column is filled by simulate, off the block path
-    for col, values in zip(columns, (w, pi, flight_ode, active)):
+    # the flight columns are filled by simulate, off the block path
+    for col, values in zip(columns, (w, pi, active)):
         col[k0:k1] = values
 
 

@@ -22,19 +22,14 @@ EPS_ACK_BUFFER_PKTS = 1e-9
 class UserState:
     """Evolving state of one window-controlled source."""
 
-    __slots__ = ("user_id", "window", "ack_buffer", "flight_balance",
-                 "sending", "acks", "active")
+    __slots__ = ("window", "ack_buffer", "sending", "acks")
 
-    def __init__(self, user_id: str, window0_pkts: float, *, dt_s: float,
-                 sending0_pps: float = 0.0, flight0_pkts: float = 0.0,
+    def __init__(self, window0_pkts: float, *, dt_s: float, sending0_pps: float = 0.0,
                  n_ticks: int):
-        self.user_id = user_id
         self.window = float(window0_pkts)
         self.ack_buffer = 0.0          # nonpositive; packets to absorb
-        self.flight_balance = float(flight0_pkts)
         self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
         self.acks = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
-        self.active = True
 
     def step(self, acks, dt: float, *, jumps=None, fast=None):
         """Advance window and ACK buffer over one block of steps of ``dt``.
@@ -62,10 +57,11 @@ class UserState:
         its rounding.
 
         Returns arrays over the block: the average sending rate over each
-        step (what a rate sample at the step start should carry), and at
-        each tick start the window before any jump, the ACK buffer after
-        it and the flight balance, and 1.0 where the source ended the step
-        sending.
+        step (what a rate sample at the step start should carry), the
+        window before any jump and the ACK buffer after it at each tick
+        start, and 1.0 where the source ended the step sending.  Whether the
+        source sends follows from the buffer, so the window and the buffer
+        are its whole state.
         """
         acks = np.asarray(acks, dtype=np.float64)
         n = len(acks)
@@ -75,7 +71,7 @@ class UserState:
                                                    fast)
         inflow = (rates + 0.0) + acks
         sends, actives, bufs = np.zeros(n), np.zeros(n), np.empty(n)
-        buf, active = self.ack_buffer, self.active
+        buf = self.ack_buffer
         for a, end in zip([0, *cuts], [*cuts, n]):
             if a in jumps and a < end:
                 buf, burst = _absorb_jump(buf, jumps[a])
@@ -88,10 +84,7 @@ class UserState:
                     sends[a:stop] = inflow[a:stop]
                     actives[a:stop] = 1.0
                     bufs[a + 1:stop + 1] = 0.0
-                    if stop == end:
-                        buf, active = 0.0, True
-                    else:
-                        buf, active = inflow[stop] * dt, False
+                    buf = 0.0 if stop == end else inflow[stop] * dt
                     a = stop + 1
                 else:
                     # retaining: the buffer fills until a tick ends near zero
@@ -99,7 +92,6 @@ class UserState:
                     r = first_true(cum[1:] >= -EPS_ACK_BUFFER_PKTS)
                     stop = a + r
                     bufs[a:stop] = cum[:r]
-                    active = False
                     if stop == end:
                         buf = cum[-1]
                     else:
@@ -110,15 +102,12 @@ class UserState:
                             theta = -cum[r] / rate
                             sends[stop] = rate * (dt - theta) / dt
                             actives[stop] = 1.0
-                            buf, active = 0.0, True
+                            buf = 0.0
                         else:
                             buf = min(nb, 0.0)
                     a = stop + 1
-        balance = np.cumsum(np.concatenate(([self.flight_balance],
-                                            (sends - acks) * dt)))
-        self.ack_buffer, self.active = float(buf), active
-        self.flight_balance = float(balance[-1])
-        return sends, windows, bufs, balance[:-1], actives
+        self.ack_buffer = float(buf)
+        return sends, windows, bufs, actives
 
 
 def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, fast):

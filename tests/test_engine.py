@@ -206,6 +206,31 @@ class TestBasics:
         with pytest.raises(SimulationError, match=f"^{field} must be {problem}"):
             simulate(to_network(sc), sc, cfg)
 
+    @pytest.mark.parametrize("horizon_s, dt_s", [(1e308, 1e-4), (1.0, 1e-300)],
+                             ids=["infinite_ticks", "too_many_ticks"])
+    def test_a_tick_count_past_any_array_names_both_fields(self, horizon_s, dt_s):
+        # each is finite and positive, but horizon_s / dt_s overflows to inf
+        # or cannot size an array; neither may reach the allocation
+        sc = two_user_scenario()
+        fields = re.escape(f"(horizon_s={horizon_s!r}, dt_s={dt_s!r})")
+        with pytest.raises(SimulationError, match=f"^horizon_s / dt_s is .* {fields}$"):
+            simulate(to_network(sc), sc, SimConfig(dt_s=dt_s, horizon_s=horizon_s,
+                                                   init="cold"))
+
+    def test_an_unknown_init_mode_is_refused(self):
+        sc = two_user_scenario()
+        with pytest.raises(SimulationError, match="^unknown init mode 'warm'$"):
+            simulate(to_network(sc), sc, SimConfig(dt_s=1e-3, horizon_s=1.0, init="warm"))
+
+    def test_a_protocol_that_is_neither_controller_is_refused(self):
+        # a cold start reads no initial window, so only the engine's own
+        # check stops a protocol it cannot run
+        sc = two_user_scenario(init="cold")
+        user = dataclasses.replace(sc.users[1], protocol="reno")
+        sc = dataclasses.replace(sc, users=(sc.users[0], user))
+        with pytest.raises(SimulationError, match="^user 'u2': unsupported protocol 'reno'$"):
+            simulate(to_network(sc), sc, SimConfig(dt_s=1e-3, horizon_s=1.0, init="cold"))
+
     def test_return_delay_must_cover_one_step(self):
         # a zero return delay passes the headroom rule, which looks only at
         # positive delays, and must still be refused
@@ -536,6 +561,34 @@ class TestFlightRecord:
         assert str(err.value) == (f"user flight 'u1' from t={start * 1e-4:.6f}: "
                                   "read past the history")
         assert isinstance(err.value.__cause__, CausalityError)
+
+
+    @pytest.mark.parametrize("source, init, horizon_s", [
+        ("two_user", "cold", 2.5), ("two_user", "equilibrium", 2.5),
+        (OFFGRID_YAML, "cold", 1.5)], ids=["cold", "equilibrium", "fast_pair_offgrid"])
+    def test_flight_ode_is_the_per_tick_sent_minus_acked_sum(
+            self, monkeypatch, source, init, horizon_s):
+        # the balance is filled chunk by chunk at each barrier (one each
+        # simulated second with pruning on), yet it is the one running sum
+        # a tick loop takes from the start's window, to the bit: across the
+        # opening burst, a window step and every chunk and barrier edge
+        monkeypatch.setattr(engine, "FLIGHT_CHUNK_TICKS", 7)
+        if source == "two_user":
+            sc = two_user_scenario(steps1=[(1.5, 150.0)], horizon=horizon_s, init=init)
+        else:
+            sc = load_scenario(source)
+        assert sc.run.init == init
+        traces = simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=horizon_s, init=init, prune_history=True))
+        dt = traces.dt_s
+        for u in sc.users:
+            b = u.protocol.initial_window_pkts if init == "equilibrium" else 0.0
+            expected = []
+            for send, ack in zip(traces[f"send.{u.id}"].tolist(),
+                                 traces[f"ack.{u.id}"].tolist()):
+                expected.append(b)
+                b += (send - ack) * dt
+            assert traces[f"flight_ode.{u.id}"].tobytes() == np.array(expected).tobytes()
 
 
 class TestHorizonIndependence:

@@ -124,8 +124,9 @@ class TestIntegrate:
         assert block.integrate_hold(-1.0, 0.0).tolist() == [2.0, 3.0]
 
     def test_records_after_an_integral_keep_it_bitwise(self):
-        # the cumulative built on the first integral is then extended by
-        # each record; integrals read it as if it were built at once
+        # records between integrals leave the cumulative as the first
+        # integral built it, and the next integral extends it through what
+        # it reads; integrals read it as if it were built at once
         values = [0.1 * k + 1.0 / (k + 3) for k in range(40)]
         whole = make(values, dt=0.003)
         tr = Trajectory(0.003, 0.0, n_ticks=40)

@@ -25,9 +25,9 @@ def bits(*values) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # reference loops
 
-def reference_user(window, buf, balance, active, acks, dt, jumps, wdot):
+def reference_user(window, buf, acks, dt, jumps, wdot):
     """One tick at a time; returns the per-tick arrays and the end state."""
-    sends, windows, bufs, balances, actives = [], [], [], [], []
+    sends, windows, bufs, actives = [], [], [], []
     for j, ack in enumerate(np.asarray(acks, dtype=np.float64).tolist()):
         windows.append(window)
         rate = wdot(window, j) if wdot is not None else 0.0
@@ -45,7 +45,6 @@ def reference_user(window, buf, balance, active, acks, dt, jumps, wdot):
                     buf, burst = nb, 0.0
             burst_rate = burst / dt
         bufs.append(buf)
-        balances.append(balance)
         window += rate * dt
 
         inflow = rate + burst_rate + ack
@@ -70,12 +69,10 @@ def reference_user(window, buf, balance, active, acks, dt, jumps, wdot):
                 active = False
                 send = 0.0
 
-        balance += (send - ack) * dt
         sends.append(send)
         actives.append(1.0 if active else 0.0)
-    arrays = tuple(np.array(v, dtype=np.float64)
-                   for v in (sends, windows, bufs, balances, actives))
-    return arrays, (window, buf, balance, active)
+    arrays = tuple(np.array(v, dtype=np.float64) for v in (sends, windows, bufs, actives))
+    return arrays, (window, buf)
 
 
 def reference_queue(b, total, c, dt):
@@ -142,9 +139,8 @@ def user_blocks(draw):
                               min_size=n, max_size=n))
         wdot = lambda w, j: g * (gains[j] * w + alpha)
         ode = gains, g, alpha
-    state = (window, draw(BUFFERS), draw(st.floats(-100.0, 300.0)), draw(st.booleans()))
     split = draw(st.integers(0, n))
-    return dt, acks, jumps, wdot, ode, state, split
+    return dt, acks, jumps, wdot, ode, (window, draw(BUFFERS)), split
 
 
 def fast_of(gains, gamma, alpha):
@@ -156,11 +152,11 @@ def fast_of(gains, gamma, alpha):
 @given(user_blocks())
 @settings(max_examples=300, deadline=None)
 def test_user_step_matches_the_tick_loop(block):
-    dt, acks, jumps, wdot, ode, (window, buf, balance, active), split = block
-    ref, ref_end = reference_user(window, buf, balance, active, acks, dt, jumps, wdot)
+    dt, acks, jumps, wdot, ode, (window, buf), split = block
+    ref, ref_end = reference_user(window, buf, acks, dt, jumps, wdot)
 
-    u = UserState("u", window, dt_s=dt, flight0_pkts=balance, n_ticks=len(acks))
-    u.ack_buffer, u.active = buf, active
+    u = UserState(window, dt_s=dt, n_ticks=len(acks))
+    u.ack_buffer = buf
     parts = []
     for k0, k1 in ((0, split), (split, len(acks))):
         if k1 > k0:  # the second block gets its own ticks' gains
@@ -169,21 +165,19 @@ def test_user_step_matches_the_tick_loop(block):
             parts.append(u.step(acks[k0:k1], dt, fast=fast, jumps=block_jumps))
     got = [np.concatenate(v) for v in zip(*parts)]
     assert bits(*got) == bits(*ref)
-    assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
-    assert u.active == ref_end[3]
+    assert bits(u.window, u.ack_buffer) == bits(*ref_end)
 
 
 def check_user(window, buf, acks, dt, jumps=None, wdot=None, fast=None):
     """Run one block against the reference, which takes ``wdot`` where the
     step takes ``fast``; returns the arrays."""
     jumps = jumps or {}
-    ref, ref_end = reference_user(window, buf, 100.0, True, acks, dt, jumps, wdot)
-    u = UserState("u", window, dt_s=dt, flight0_pkts=100.0, n_ticks=len(acks))
+    ref, ref_end = reference_user(window, buf, acks, dt, jumps, wdot)
+    u = UserState(window, dt_s=dt, n_ticks=len(acks))
     u.ack_buffer = buf
     got = u.step(acks, dt, jumps=jumps, fast=fast)
     assert bits(*got) == bits(*ref)
-    assert bits(u.window, u.ack_buffer, u.flight_balance) == bits(*ref_end[:3])
-    assert u.active == ref_end[3]
+    assert bits(u.window, u.ack_buffer) == bits(*ref_end)
     return got
 
 
@@ -192,7 +186,7 @@ def test_jump_while_retaining_and_to_a_zero_window(delta):
     # a cut into retaining at tick 3, then a second jump while retaining:
     # -40.0 takes the window to exactly 0, +80.0 refills the buffer past zero
     got = check_user(100.0, 0.0, np.full(50, 120.0), 1e-3, {3: -60.0, 10: delta})
-    assert 0.0 in got[4]  # it did retain
+    assert 0.0 in got[3]  # it did retain
 
 
 @pytest.mark.parametrize("buf, ack", [
@@ -203,7 +197,7 @@ def test_jump_while_retaining_and_to_a_zero_window(delta):
 def test_retaining_spans_end_at_the_buffer_threshold(buf, ack):
     assert -EPS_ACK_BUFFER_PKTS <= buf + ack * 1e-3 <= 0.0
     got = check_user(100.0, buf, np.full(4, ack), 1e-3)
-    assert got[4][-1] == 1.0
+    assert got[3][-1] == 1.0
 
 
 def test_negative_zeros_survive():
@@ -216,11 +210,10 @@ def test_negative_zeros_survive():
 
 
 def test_empty_block_leaves_the_user_unchanged():
-    u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=3.0, n_ticks=1)
+    u = UserState(10.0, dt_s=1e-3, n_ticks=1)
     out = u.step([], 1e-3, jumps={0: 5.0})
-    assert all(len(v) == 0 for v in out)
-    assert (u.window, u.ack_buffer, u.flight_balance) == (10.0, 0.0, 3.0)
-    assert u.active
+    assert len(out) == 4 and all(len(v) == 0 for v in out)
+    assert (u.window, u.ack_buffer) == (10.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ def constant_fast(rate, n=1):
     return [0.0] * n, rate, 1.0, lambda windows: rate * (0.0 * windows + 1.0)
 
 
-def send_of(u, ack, dt=1e-3, **kwargs):
-    """Sending rate of a one-tick block."""
-    send, *_ = u.step([ack], dt, **kwargs)
-    return send[0]
+def one_tick(u, ack, dt=1e-3, **kwargs):
+    """Sending rate of a one-tick block, and whether it ended sending."""
+    send, _, _, active = u.step([ack], dt, **kwargs)
+    return send[0], active[0] == 1.0
 
 
 def burst_of(u, delta_pkts, dt=1e-3):
@@ -33,36 +33,34 @@ def burst_of(u, delta_pkts, dt=1e-3):
 
 class TestSendingFlow:
     def test_steady_state_send_on_ack(self):
-        u = UserState("u", 10.0, dt_s=1e-3, n_ticks=N_TICKS)
-        assert send_of(u, 100.0) == pytest.approx(100.0)
+        u = UserState(10.0, dt_s=1e-3, n_ticks=N_TICKS)
+        assert one_tick(u, 100.0)[0] == pytest.approx(100.0)
 
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
-        u = UserState("u", 10.0, dt_s=1e-3, n_ticks=N_TICKS)
-        assert send_of(u, 100.0, fast=constant_fast(50.0)) == pytest.approx(150.0)
+        u = UserState(10.0, dt_s=1e-3, n_ticks=N_TICKS)
+        assert one_tick(u, 100.0, fast=constant_fast(50.0))[0] == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
-        u = UserState("u", 200.0, dt_s=1e-3, n_ticks=N_TICKS)
+        u = UserState(200.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -100.0)
-        assert send_of(u, 1000.0, fast=constant_fast(50.0)) == 0.0
-        assert not u.active
+        assert one_tick(u, 1000.0, fast=constant_fast(50.0)) == (0.0, False)
 
 
 class TestAckBufferStep:
     def test_halving_drops_buffer_by_deficit(self):
-        u = UserState("u", 500.0, dt_s=1e-3, n_ticks=N_TICKS)
+        u = UserState(500.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst = burst_of(u, -250.0)
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
         assert u.window == pytest.approx(250.0)
-        assert send_of(u, 0.0) == 0.0
-        assert not u.active
+        assert one_tick(u, 0.0) == (0.0, False)
 
     def test_refill_time_matches_analytic_fill(self):
         # analytic: |buffer| / ack_rate = 250/100 = 2.5 s to refill
-        u = UserState("u", 500.0, dt_s=1e-3, n_ticks=N_TICKS)
+        u = UserState(500.0, dt_s=1e-3, n_ticks=N_TICKS)
         dt = 1e-3
-        send, _, _, _, active = u.step(np.full(3000, 100.0), dt, jumps={0: -250.0})
+        send, _, _, active = u.step(np.full(3000, 100.0), dt, jumps={0: -250.0})
         k_resume = int(np.argmax(active == 1.0))
         assert k_resume * dt == pytest.approx(2.5, abs=2 * dt)
         # silent the whole way, except the partial resume step
@@ -70,21 +68,21 @@ class TestAckBufferStep:
         assert 0.0 <= send[k_resume] <= 100.0
 
     def test_buffer_stays_zero_when_active(self):
-        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
-        u.step(np.full(10, 50.0), 1e-3)
+        u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
+        *_, active = u.step(np.full(10, 50.0), 1e-3)
         assert u.ack_buffer == 0.0
-        assert u.active
+        assert active[-1] == 1.0
 
     def test_buffer_never_positive(self):
         # the buffer at each tick start is the one the step before left
-        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
+        u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -30.0)
-        _, _, buffers, _, _ = u.step(np.full(2000, 40.0), 1e-3)
+        _, _, buffers, _ = u.step(np.full(2000, 40.0), 1e-3)
         assert np.all(buffers <= 0.0)
         assert u.ack_buffer <= 0.0
 
     def test_positive_jump_while_retaining_refills_buffer(self):
-        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
+        u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -50.0)
         burst = burst_of(u, +50.0)
         assert u.ack_buffer == pytest.approx(0.0)
@@ -94,11 +92,9 @@ class TestAckBufferStep:
         assert burst_of(u, +10.0) == pytest.approx(10.0)
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
-        u = UserState("u", 100.0, dt_s=1e-3, n_ticks=N_TICKS)
-        send = send_of(u, 100.0, fast=constant_fast(-500.0))
-        assert send == 0.0
+        u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
+        assert one_tick(u, 100.0, fast=constant_fast(-500.0)) == (0.0, False)
         assert u.ack_buffer < 0.0
-        assert not u.active
 
 
 def flight_trace(window_pkts, init):
@@ -127,13 +123,6 @@ class TestFlightSize:
         assert np.all(send == 0.0)
         assert np.all(flight == 0.0)
 
-    def test_balance_form_tracks_burst(self):
-        u = UserState("u", 10.0, dt_s=1e-3, flight0_pkts=10.0, n_ticks=N_TICKS)
-        dt = 1e-3
-        # a burst of 100 on top of send-on-ack, then 100 more steps
-        u.step(np.full(101, 10.0), dt, jumps={0: +100.0})
-        assert u.flight_balance == pytest.approx(110.0, abs=1e-6)
-
 
 class TestBlocks:
     def test_block_size_leaves_every_trace_bitwise_equal(self):
@@ -143,16 +132,16 @@ class TestBlocks:
         jumps = {5: -40.0, 200: +25.0}
         runs = []
         for block in (250, 16):
-            u = UserState("u", 100.0, dt_s=1e-3, flight0_pkts=100.0, n_ticks=N_TICKS)
+            u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
             parts = [u.step(acks[k0:k0 + block], 1e-3,
                             jumps={k - k0: v for k, v in jumps.items()
                                    if k0 <= k < k0 + block},
                             fast=constant_fast(-20.0, len(acks[k0:k0 + block])))
                      for k0 in range(0, 250, block)]
             runs.append([np.concatenate(v).tolist() for v in zip(*parts)]
-                        + [u.window, u.ack_buffer, u.flight_balance, u.active])
+                        + [u.window, u.ack_buffer])
         assert runs[0] == runs[1]
-        send, active = np.array(runs[0][0]), np.array(runs[0][4])
+        send, active = np.array(runs[0][0]), np.array(runs[0][3])
         assert send.min() == 0.0 and 0.0 in active and active[-1] == 1.0
 
 

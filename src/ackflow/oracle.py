@@ -2,12 +2,15 @@
 
 Two unrelated routes to the same physics: a packet-level discrete-event
 simulation (integer packets, FIFO service, per-packet timings) and an
-analytic fixed point for steady-state queueing delays, plus a reduced
-window-sum model of a finished run on one static link.  The fluid engine is
-checked against them; none shares code with it beyond the scenario
-description, whose window controllers (``ScheduledProtocol``) both run.
-Both oracles read the validated ``Network`` (``to_network``), the one the
-engine runs on, so they refuse what the engine refuses.
+analytic fixed point for steady-state queueing delays.  The fluid engine is
+checked against them; neither shares code with it beyond the scenario
+description, whose window controllers (``ScheduledProtocol``) the engine
+and the packet simulation both run.  Both oracles read the validated
+``Network`` (``to_network``), the one the engine runs on, so they refuse
+what the engine refuses; neither reads the engine's traces.  The earlier
+fluid models recovered from the engine's, by exact reduction (the
+window-sum model of a static link) or approximation (the classic rate
+model), are reference code in ``tests/test_reductions.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .topology import Network
 
 __all__ = [
     "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
-    "EquilibriumResult", "equilibrium_queue", "StaticLinkResult",
-    "static_link_check",
+    "EquilibriumResult", "equilibrium_queue",
 ]
 
 
@@ -353,57 +355,3 @@ def equilibrium_queue(network: Network) -> EquilibriumResult:
     rates.update(flow_rates)
     congested = {q: tau[q] > 1e-12 for q in caps}
     return EquilibriumResult(tau, rates, congested, sweeps, max_resid)
-
-
-# ---------------------------------------------------------------------------
-# reduced-model check
-
-@dataclass(frozen=True)
-class StaticLinkResult:
-    applicable: bool
-    reasons: tuple[str, ...]
-    max_deviation_pkts: float | None
-
-
-def static_link_check(traces) -> StaticLinkResult:
-    """Compare a run's ``TraceSet`` against the reduced window-sum model.
-
-    Valid only for a single bottleneck shared by users with identical
-    forward and return delays, no exogenous traffic, permanent congestion
-    and no ACK retaining; then capacity * delay must track the delayed
-    window sum minus the propagation backlog, within a couple packets.
-    On any violated condition the check reports not-applicable.
-    """
-    sc = traces.scenario
-    reasons = []
-    if len(sc.queues) != 1:
-        reasons.append("more than one queue")
-    if sc.rate_flows:
-        reasons.append("exogenous cross traffic present")
-    if not sc.users:
-        reasons.append("no users")
-    fwd = {u.hop_delays_s[0] for u in sc.users} if sc.users else set()
-    ret = {u.return_delay_s for u in sc.users} if sc.users else set()
-    if len(fwd) > 1 or len(ret) > 1:
-        reasons.append("heterogeneous propagation delays")
-    if not reasons:
-        qid = sc.queues[0].id
-        if traces[f"congested.{qid}"].min() < 1.0:
-            reasons.append("queue not permanently congested")
-        for u in sc.users:
-            if traces[f"active.{u.id}"].min() < 1.0:
-                reasons.append(f"user '{u.id}' entered ACK-retaining mode")
-                break
-    if reasons:
-        return StaticLinkResult(False, tuple(reasons), None)
-
-    qid = sc.queues[0].id
-    cap = sc.queues[0].capacity_pps
-    t_fwd, t_ret = fwd.pop(), ret.pop()
-    t_grid = traces.time
-    w_sum = np.zeros_like(t_grid)
-    for u in sc.users:
-        w = traces[f"w.{u.id}"]
-        w_sum += np.interp(t_grid - t_fwd, t_grid, w, left=w[0])
-    deviation = np.abs(cap * traces[f"tau.{qid}"] - w_sum + cap * (t_fwd + t_ret))
-    return StaticLinkResult(True, (), float(deviation.max()))

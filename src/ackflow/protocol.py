@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["ScheduledProtocol", "FastProtocol", "fast_wdot", "ProtocolError"]
 
 
@@ -85,9 +87,12 @@ class FastProtocol:
             raise ProtocolError("window values must be nonnegative")
 
 
-def fast_wdot(window_pkts: float, backward_queueing_delay_s: float,
-              total_prop_delay_s: float, proto: FastProtocol) -> float:
-    """FAST-TCP window rate of change.
+def fast_wdot(window_pkts: np.ndarray | float,
+              backward_queueing_delay_s: np.ndarray | float,
+              total_prop_delay_s: float, proto: FastProtocol) -> np.ndarray | float:
+    """FAST-TCP window rate of change, elementwise over the window and the
+    delay: the engine passes one user block's windows and backward queueing
+    delays, one entry per tick, in a single call.
 
     The measurement is the queueing delay experienced by the traffic whose
     acknowledgements are arriving now (the backward queueing delay).  The

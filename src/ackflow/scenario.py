@@ -475,8 +475,8 @@ def load_scenario(name_or_path: str) -> Scenario:
 # Two users over one 100 Mb/s bottleneck (1590 B packets), two-queue chains
 # at 72/180 Mb/s (1448 B), single-user halving runs (1040 B), a square-wave
 # flow-separation demo, a two-user FAST run and a homogeneous pair for the
-# reduced static-link check.  Parameter values are frozen and covered by a
-# digest test.
+# reduced static-link check (tests/test_reductions.py, beside the classic
+# rate model).  Parameter values are frozen and covered by a digest test.
 
 def _sched(w0, *steps):
     return ScheduledProtocol(float(w0), tuple((float(t), float(w)) for t, w in steps))

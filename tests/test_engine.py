@@ -16,7 +16,7 @@ from ackflow.engine import (
     shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
-from ackflow.oracle import equilibrium_queue, packet_sim, static_link_check
+from ackflow.oracle import equilibrium_queue, packet_sim
 from ackflow.protocol import fast_wdot
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
@@ -341,49 +341,6 @@ class TestBackwardIdentities:
         assert np.abs(f_of_g - grid[congested]).max() <= 1e-6
         tau_at_g = f_of_g - g
         assert np.abs(g + tau_at_g - grid[congested]).max() <= 1e-6
-
-
-class TestStaticLink:
-    def homogeneous_scenario(self):
-        return Scenario(
-            name="homog", packet_bytes=1000,
-            queues=(QueueConf("b1", 500.0),),
-            users=(
-                UserConf("u1", ("b1",), (0.02,), 0.08,
-                         ScheduledProtocol(60.0, ((2.0, 90.0),))),
-                UserConf("u2", ("b1",), (0.02,), 0.08, ScheduledProtocol(70.0)),
-            ),
-            run=RunConf(1e-3, 5.0, "equilibrium"))
-
-    def test_reduced_model_holds_when_applicable(self):
-        traces = run(self.homogeneous_scenario())
-        res = static_link_check(traces)
-        assert res.applicable
-        assert res.max_deviation_pkts <= 2.0
-
-    def test_heterogeneous_delays_not_applicable(self):
-        traces = run(two_user_scenario())
-        res = static_link_check(traces)
-        assert not res.applicable
-        assert any("heterogeneous" in r for r in res.reasons)
-
-    def test_cross_traffic_not_applicable(self):
-        traces = run(two_user_scenario(cross=100.0))
-        res = static_link_check(traces)
-        assert not res.applicable
-
-    def test_uncongested_not_applicable(self):
-        sc = Scenario(
-            name="idle", packet_bytes=1000,
-            queues=(QueueConf("b1", 500.0),),
-            users=(
-                UserConf("u1", ("b1",), (0.02,), 0.08, ScheduledProtocol(5.0)),
-                UserConf("u2", ("b1",), (0.02,), 0.08, ScheduledProtocol(5.0)),
-            ),
-            run=RunConf(1e-3, 2.0, "cold"))
-        res = static_link_check(run(sc))
-        assert not res.applicable
-        assert any("congested" in r for r in res.reasons)
 
 
 class TestRetainingMode:

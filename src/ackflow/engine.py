@@ -43,17 +43,17 @@ counts the blocks (``TraceSet.blocks``), fills the flights up to it and
 prunes the histories there.
 
 Reads, profile rates, the circuit inversion and the queue transport are
-array arithmetic over a block.  The window, ACK-buffer and backlog
-recurrences run as regime spans: runs of ticks in which no branch of the
-recurrence changes, each one ``np.cumsum`` or array copy, cut where a
-branch would flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum``
-adds in sequence, so a span's sums are the tick-by-tick ones.  The FAST
-window ODE, whose window multiplies its own previous value (no cumulative
-sum reproduces that to the bit), is a plain loop with no call per tick,
-and one vectorised ``fast_wdot`` call gives the block's rates.  Every
-expression is the per-tick one on the same data, so the traces do not
-depend on the blocks, the frontiers or the spans, and a failed check names
-the first bad tick.
+array arithmetic over a block.  The ACK-buffer and backlog recurrences run
+as regime spans: runs of ticks in which no branch of the recurrence
+changes, each one ``np.cumsum`` or array copy, cut where a branch would
+flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum`` adds in
+sequence, so a span's sums are the tick-by-tick ones.  A user block is cut
+at its window jumps, so each piece takes at most one, at its first tick;
+the controller's ``window_path`` gives the piece's windows (FAST's is a
+plain loop with no call per tick), and one vectorised ``fast_wdot`` call a
+FAST piece's rates.  Every expression is the per-tick one on the same
+data, so the traces do not depend on the blocks, the frontiers or the
+spans, and a failed check names the first bad tick.
 
 Every signal is sampled on one grid ``k * dt``, whose times the blocks
 slice.  The flows (a user's sending, a queue's (flows x ticks) input and
@@ -482,35 +482,43 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Reader,
                 columns: tuple, queues: dict, grid: np.ndarray, dt: float,
                 k0: int, k1: int) -> None:
-    """Advance one user over ticks ``[k0, k1)``."""
+    """Advance one user over ticks ``[k0, k1)``, cut at its window jumps
+    (``impulses``, tick -> jump): each piece takes at most one, at its first tick."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
-    fast = None
     proto = conf.protocol
-    if isinstance(proto, FastProtocol):
+    fast = isinstance(proto, FastProtocol)
+    if fast:
         # the queueing delay since the entry of the traffic acknowledged now
         total_delay = conf.total_delay_s
         lag = (ticks - circuit_backward_time(conf, queues, ticks)) - total_delay
         tau = np.where(lag > 0.0, lag, 0.0)
-        # fast_wdot's gains, and its rates from the global a tracer may patch
-        fast = ((-tau / (total_delay + tau)).tolist(), proto.gamma, proto.alpha_pkts,
-                lambda windows: fast_wdot(windows, tau, total_delay, proto))
-    jumps = {k - k0: v for k, v in impulses.items() if k0 <= k < k1}
-    send, w, pi, active = st.step(acks, dt, jumps=jumps, fast=fast)
-    if not (np.isfinite(send).all() and np.isfinite(w).all()
-            and np.isfinite(pi).all() and math.isfinite(st.window)
-            and math.isfinite(st.ack_buffer)):
-        # a step's end state is the next tick's start
-        sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
-                & np.isfinite(np.append(pi[1:], st.ack_buffer)))
-        raise SimulationError(
-            f"divergence in user block '{conf.id}' at "
-            f"t={ticks[sane.argmin()]:.6f}")
-    st.sending.record(ticks[0], send)
-    st.acks.record(ticks[0], acks)
-    # the flight columns are filled by simulate, off the block path
-    for col, values in zip(columns, (w, pi, active)):
-        col[k0:k1] = values
+    cuts = [k0, *sorted(k for k in impulses if k0 < k < k1), k1]
+    for a, b in zip(cuts, cuts[1:]):
+        piece, jump = slice(a - k0, b - k0), impulses.get(a, 0.0)
+        if fast:
+            w, st.window = proto.window_path(st.window, tau[piece], total_delay, dt, jump)
+            # the global a tracer may patch; the check below names the tick
+            with np.errstate(over="ignore", invalid="ignore"):
+                rates = fast_wdot(w, tau[piece], total_delay, proto)
+        else:
+            w, st.window = proto.window_path(st.window, b - a, jump)
+            rates = np.zeros(b - a)
+        send, pi, active = st.step(acks[piece], rates, dt, jump)
+        if not (np.isfinite(send).all() and np.isfinite(w).all()
+                and np.isfinite(pi).all() and math.isfinite(st.window)
+                and math.isfinite(st.ack_buffer)):
+            # a step's end state is the next tick's start
+            sane = (np.isfinite(send) & np.isfinite(np.append(w[1:], st.window))
+                    & np.isfinite(np.append(pi[1:], st.ack_buffer)))
+            raise SimulationError(
+                f"divergence in user block '{conf.id}' at "
+                f"t={grid[a + sane.argmin()]:.6f}")
+        st.sending.record(grid[a], send)
+        st.acks.record(grid[a], acks[piece])
+        # the flight columns are filled by simulate, off the block path
+        for col, values in zip(columns, (w, pi, active)):
+            col[a:b] = values
 
 
 def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
@@ -519,8 +527,9 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
     times = grid[k0:k1 + 1]
     ticks = times[:-1]
     rates = np.array([r.read(k0, ticks) for r in readers]).reshape(len(readers), k1 - k0)
-    total = q.record_inputs(ticks, rates)
-    backlog, service, congested = q.step(dt, times[1:], total)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the tick
+        total = q.record_inputs(ticks, rates)
+        backlog, service, congested = q.step(dt, times[1:], total)
     if not (math.isfinite(q.backlog) and np.isfinite(backlog).all()):
         ends = np.isfinite(np.append(backlog[1:], q.backlog))
         raise SimulationError(

@@ -3,10 +3,12 @@
 Each controller is its scenario description: ``ScheduledProtocol`` and
 ``FastProtocol`` are the ``protocol`` of a ``UserConf``, check themselves on
 construction and answer the engine and the packet oracle directly.
-Controllers only decide how the congestion window moves; turning the window
-into a sending flow is the user block's job.  Scheduled controllers report
-instantaneous window changes as impulses so the user block can emit the
-burst (increase) or absorb the deficit (decrease) exactly.
+Controllers only decide how the congestion window moves, each in its
+``window_path``; turning the window into a sending flow is the user
+block's job (``UserState.step``).  A window jump (a scheduled step, or a
+cold start's opening window) lands at the start of a path's first tick, so
+the user block can emit the burst (increase) or absorb the deficit
+(decrease) exactly.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ class ScheduledProtocol:
             w_prev = ws
         return {k: j for k, j in jumps.items() if j != 0.0}
 
+    def window_path(self, w: float, n: int, jump: float = 0.0):
+        """The window at each of ``n`` tick starts from ``w``, and at their
+        end: flat after ``jump``, which lands after the first sample, each
+        step adding ``0.0``."""
+        end = (w + jump) + 0.0 if n else w
+        windows = np.full(n, end)
+        windows[:1] = w
+        return windows, end
+
 
 @dataclass(frozen=True)
 class FastProtocol:
@@ -85,6 +96,26 @@ class FastProtocol:
                                 "and finite")
         if not self.initial_window_pkts >= 0:  # NaN fails too
             raise ProtocolError("window values must be nonnegative")
+
+    def window_path(self, w: float, tau: np.ndarray, total_delay_s: float, dt: float,
+                    jump: float = 0.0):
+        """The window at each tick start from ``w``, and at their end, given
+        one backward queueing delay per tick in ``tau``: each tick adds
+        ``gamma * (gain * w + alpha) * dt`` at its start window ``w``, with
+        ``fast_wdot``'s gain ``-tau / (T + tau)``, and the first also takes
+        ``jump``, at the rate of the window before it.  A plain loop: the
+        window multiplies its own previous value, which no cumulative sum
+        rounds alike."""
+        gamma, alpha = self.gamma, self.alpha_pkts
+        gains = (-tau / (total_delay_s + tau)).tolist()
+        windows = []
+        if gains:
+            windows.append(w)
+            w = w + jump + gamma * (gains[0] * w + alpha) * dt
+        for gain in gains[1:]:
+            windows.append(w)
+            w += gamma * (gain * w + alpha) * dt
+        return np.array(windows, dtype=np.float64), w
 
 
 def fast_wdot(window_pkts: np.ndarray | float,

@@ -253,7 +253,7 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
             raise _err(f"{path}.{key}", f"converts to {val!r} pkt/s, not a finite rate")
         return val
     if not 0.0 <= val < 1.0:
-        raise _err(path, f"{key} must lie in [0, 1)")
+        raise _err(f"{path}.{key}", "must lie in [0, 1)")
     return val * capacity_pps
 
 
@@ -389,7 +389,7 @@ def parse_scenario(text: str) -> Scenario:
                    keys={"id": "queue", "queue_path": "queue"})
         frac = _number(_take(x, path, "fraction"), f"{path}.fraction")
         if not 0.0 <= frac < 1.0:
-            raise _err(path, "fraction must lie in [0, 1)")
+            raise _err(f"{path}.fraction", "must lie in [0, 1)")
         _no_leftovers(x, path)
         net.add_rate_flow(RateFlowConf(
             fid, (qid,), (0.0,), ConstantProfile(frac * net.queues[qid].capacity_pps)))

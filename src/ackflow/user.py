@@ -5,6 +5,8 @@ arriving acknowledgement rate (send-on-ACK).  When the window drops below
 the flight size, the deficit lands in a nonpositive ACK buffer: arriving
 acknowledgements are absorbed, sending stays at exactly zero, and traffic
 resumes the instant the buffer refills to zero (located inside the step).
+How the window moves is its controller's ``window_path``; this block takes
+the window's rates of change as given.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ EPS_ACK_BUFFER_PKTS = 1e-9
 
 
 class UserState:
-    """Evolving state of one window-controlled source."""
+    """Evolving state of one window-controlled source: the window, which
+    its controller moves, and the ACK buffer, which ``step`` moves."""
 
     __slots__ = ("window", "ack_buffer", "sending", "acks")
 
@@ -31,120 +34,74 @@ class UserState:
         self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
         self.acks = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
 
-    def step(self, acks, dt: float, *, jumps=None, fast=None):
-        """Advance window and ACK buffer over one block of steps of ``dt``.
+    def step(self, acks, rates, dt: float, jump: float = 0.0):
+        """Advance the ACK buffer over one block of steps of ``dt``.
 
-        ``acks`` holds the arriving ACK rate per tick.  ``jumps`` maps a
-        tick's offset in the block to an instantaneous window change, applied
-        at the tick start (a positive one opens a burst spread over that
-        step).  With ``fast = (gains, gamma, alpha, wdot)`` tick ``j``'s
-        window rate is ``gamma * (gains[j] * w + alpha)`` at its start
-        window ``w``, and ``wdot(windows)`` gives the block's rates in one
-        call; without it the window only jumps.  The buffer-refill instant
-        is located inside its step so packet counts stay exact.
+        ``acks`` holds the arriving ACK rate per tick and ``rates`` (an
+        array) the window's rate of change.  ``jump``, a window change at
+        the first tick's start, opens a burst spread over that step or moves
+        the buffer; a refill is located inside its step, so packet counts
+        stay exact.
 
-        The block is cut at its jump ticks and, between cuts, into regime
-        spans: an active span sends the whole inflow (window rate plus ACK
-        rate) until the first tick whose inflow is negative, which starts
-        retaining; a retaining span fills the buffer by ``inflow * dt`` per
-        tick, one ``np.cumsum``, until the first tick that ends at or above
-        ``-EPS_ACK_BUFFER_PKTS``, where a refill resumes sending for the
+        Regime spans: an active span sends the whole inflow (window rate
+        plus ACK rate) up to the first tick whose inflow is negative, which
+        starts retaining; a retaining span fills the buffer by ``inflow *
+        dt`` per tick, one ``np.cumsum``, up to the first tick that ends at
+        or above ``-EPS_ACK_BUFFER_PKTS``, where sending resumes for the
         rest of that step.  ``np.cumsum`` adds in sequence and every branch
-        is decided on the value a tick-by-tick loop would see, so the
-        result does not depend on how the ticks are grouped.  The FAST
-        window ODE is a plain loop with no call per tick: the window
-        multiplies its own previous value, so no cumulative sum reproduces
-        its rounding.
+        is decided on the value a tick-by-tick loop would see, so the result
+        does not depend on how the ticks are grouped.
 
         Returns arrays over the block: the average sending rate over each
-        step (what a rate sample at the step start should carry), the
-        window before any jump and the ACK buffer after it at each tick
-        start, and 1.0 where the source ended the step sending.  Whether the
-        source sends follows from the buffer, so the window and the buffer
-        are its whole state.
+        step (what a rate sample at the step start carries), the ACK buffer
+        after the jump at each tick start, and 1.0 where the source ended
+        the step sending.
         """
         acks = np.asarray(acks, dtype=np.float64)
         n = len(acks)
-        jumps = jumps or {}
-        cuts = sorted(j for j in jumps if 0 <= j < n)
-        windows, rates, self.window = _window_path(self.window, n, dt, cuts, jumps,
-                                                   fast)
         inflow = (rates + 0.0) + acks
         sends, actives, bufs = np.zeros(n), np.zeros(n), np.empty(n)
         buf = self.ack_buffer
-        for a, end in zip([0, *cuts], [*cuts, n]):
-            if a in jumps and a < end:
-                buf, burst = _absorb_jump(buf, jumps[a])
-                inflow[a] = (rates[a] + burst / dt) + acks[a]
-            while a < end:
-                if buf >= -EPS_ACK_BUFFER_PKTS:
-                    # active: send the inflow up to the first tick it is negative
-                    bufs[a] = buf
-                    stop = a + first_true(~(inflow[a:end] >= 0.0))
-                    sends[a:stop] = inflow[a:stop]
-                    actives[a:stop] = 1.0
-                    bufs[a + 1:stop + 1] = 0.0
-                    buf = 0.0 if stop == end else inflow[stop] * dt
-                    a = stop + 1
+        if n:
+            burst = jump
+            if not (buf >= -EPS_ACK_BUFFER_PKTS and jump >= 0):
+                # the jump lands in the buffer: only a refill past zero bursts
+                nb = buf + jump
+                buf, burst = (0.0, nb) if nb > 0 else (nb, 0.0)
+            inflow[0] = (rates[0] + burst / dt) + acks[0]
+        a = 0
+        while a < n:
+            if buf >= -EPS_ACK_BUFFER_PKTS:
+                # active: send the inflow up to the first tick it is negative
+                bufs[a] = buf
+                stop = a + first_true(~(inflow[a:] >= 0.0))
+                sends[a:stop] = inflow[a:stop]
+                actives[a:stop] = 1.0
+                bufs[a + 1:stop + 1] = 0.0
+                buf = 0.0 if stop == n else inflow[stop] * dt
+                a = stop + 1
+            else:
+                # retaining: the buffer fills until a tick ends near zero
+                cum = np.cumsum(np.concatenate(([buf], inflow[a:] * dt)))
+                r = first_true(cum[1:] >= -EPS_ACK_BUFFER_PKTS)
+                stop = a + r
+                bufs[a:stop] = cum[:r]
+                if stop == n:
+                    buf = cum[-1]
                 else:
-                    # retaining: the buffer fills until a tick ends near zero
-                    cum = np.cumsum(np.concatenate(([buf], inflow[a:end] * dt)))
-                    r = first_true(cum[1:] >= -EPS_ACK_BUFFER_PKTS)
-                    stop = a + r
-                    bufs[a:stop] = cum[:r]
-                    if stop == end:
-                        buf = cum[-1]
+                    bufs[stop] = cum[r]
+                    nb, rate = cum[r + 1], inflow[stop]
+                    if nb >= 0.0 and rate > 0.0:
+                        # refills during this step: resume for the rest of it
+                        theta = -cum[r] / rate
+                        sends[stop] = rate * (dt - theta) / dt
+                        actives[stop] = 1.0
+                        buf = 0.0
                     else:
-                        bufs[stop] = cum[r]
-                        nb, rate = cum[r + 1], inflow[stop]
-                        if nb >= 0.0 and rate > 0.0:
-                            # refills during this step: resume for the rest of it
-                            theta = -cum[r] / rate
-                            sends[stop] = rate * (dt - theta) / dt
-                            actives[stop] = 1.0
-                            buf = 0.0
-                        else:
-                            buf = min(nb, 0.0)
-                    a = stop + 1
+                        buf = min(nb, 0.0)
+                a = stop + 1
         self.ack_buffer = float(buf)
-        return sends, windows, bufs, actives
-
-
-def _window_path(w: float, n: int, dt: float, cuts: list, jumps: dict, fast):
-    """Window at each tick start of a block from ``w``, its rate of change,
-    and the window at the block end."""
-    if fast is None:
-        # flat between jumps: each step adds 0.0 * dt
-        windows = np.full(n, w)
-        start = 0
-        for j in (*cuts, n):
-            windows[start + 1:j + 1] = w + 0.0
-            if j < n:
-                w, start = windows[j] + jumps[j], j
-        return windows, np.zeros(n), float(w + 0.0) if n else w
-    gains, gamma, alpha, wdot = fast
-    windows = []
-    for a, end in zip([0, *cuts], [*cuts, n]):
-        if a in jumps and a < end:  # the rate is the window's before the jump
-            windows.append(w)
-            w = w + jumps[a] + gamma * (gains[a] * w + alpha) * dt
-            a += 1
-        for gain in gains[a:end]:
-            windows.append(w)
-            w += gamma * (gain * w + alpha) * dt
-    windows = np.array(windows, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # the engine names the tick
-        return windows, wdot(windows), w
-
-
-def _absorb_jump(buf: float, delta_pkts: float) -> tuple[float, float]:
-    """ACK buffer after a window jump of ``delta_pkts``, and the burst."""
-    if buf >= -EPS_ACK_BUFFER_PKTS and delta_pkts >= 0:
-        return buf, delta_pkts
-    nb = buf + delta_pkts
-    if nb > 0:
-        return 0.0, nb
-    return nb, 0.0
+        return sends, bufs, actives
 
 
 def circuit_backward_time(user: UserConf, queues: dict, t):

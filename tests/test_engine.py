@@ -739,7 +739,8 @@ class TestBlocks:
     @staticmethod
     def mixed_scenario():
         # two queues joined by a 13 ms hop, an off-grid return delay, a
-        # window cut into ACK retaining and back, a FAST user and square
+        # window cut into ACK retaining and back, a FAST user, window steps
+        # on two adjacent ticks (a one-tick piece of u3's block) and square
         # cross traffic; 1501 ticks are a whole number of none of its lags
         return Scenario(
             name="mixed", packet_bytes=1000,
@@ -750,6 +751,8 @@ class TestBlocks:
                 UserConf("u2", ("b2",), (0.0152,), 0.02,
                          FastProtocol(gamma=0.5, alpha_pkts=10.0,
                                       initial_window_pkts=5.0)),
+                UserConf("u3", ("b1",), (0.011,), 0.017,
+                         ScheduledProtocol(20.0, ((0.3, 5.0), (0.301, 25.0)))),
             ),
             rate_flows=(RateFlowConf("x", ("b1",), (0.0,),
                                      SquareProfile(600.0, 100.0, 0.4)),),
@@ -837,6 +840,21 @@ class TestBlocks:
                 run(sc)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "divergence in user block 'u1' at t=0.199000"
+
+    def test_queue_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
+        # a flow of 1e308 pkt/s overflows the backlog; no numpy warning
+        # escapes the block, whose own check names the tick
+        sc = Scenario(
+            name="diverge", packet_bytes=1000, queues=(QueueConf("b1", 100.0),),
+            rate_flows=(RateFlowConf("x", ("b1",), (0.0,), ConstantProfile(1e308)),),
+            run=RunConf(1e-3, 2.0, "cold"))
+        messages = []
+        for cap in (BLOCK_CAP_TICKS, 7, 1):
+            monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", cap)
+            with pytest.raises(SimulationError) as err:
+                run(sc)
+            messages.append(str(err.value))
+        assert messages == ["divergence in queue block 'b1' at t=1.797000"] * 3
 
 
 @st.composite

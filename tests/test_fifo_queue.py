@@ -75,6 +75,10 @@ class TestStep:
         with pytest.raises(ValueError, match="capacity must be positive"):
             FifoQueue("b", np.nan, ["f"], dt_s=0.01, n_ticks=3)
 
+    def test_negative_initial_backlog_rejected(self):
+        with pytest.raises(ValueError, match="queue 'b': negative initial backlog"):
+            FifoQueue("b", 100.0, ["f"], dt_s=0.01, backlog0_pkts=-1.0, n_ticks=3)
+
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
         # the recorded average rates must still integrate to the backlog

@@ -228,6 +228,8 @@ class TestInvertMonotone:
             tr.invert_monotone(2.5)
         with pytest.raises(HistoryError):
             tr.invert_monotone(0.5)
+        with pytest.raises(HistoryError, match="cannot invert an empty trajectory"):
+            Trajectory(1.0, 0.0, n_ticks=2).invert_monotone(0.0)
 
     def test_rising_pre_history_line(self):
         # a time map t -> t + 0.2 extended backwards before its first sample

@@ -4,10 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import ackflow.oracle as oracle
 from ackflow.oracle import OracleError, equilibrium_queue, packet_sim
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, UserConf, load_scenario, to_network,
+    ScheduledProtocol, SquareProfile, UserConf, load_scenario, to_network,
 )
 from ackflow.topology import TopologyError, build_network
 
@@ -85,6 +86,23 @@ class TestEquilibrium:
         net = one_queue_network(500.0, {"u1": (1.0, 0.1)}, 500.0)
         with pytest.raises(OracleError):
             equilibrium_queue(net)
+
+    def test_a_square_rate_flow_has_no_steady_state(self):
+        # built in Python, so the parser's equilibrium-start check never ran
+        net = build_network([QueueConf("b1", 100.0)], [], [RateFlowConf(
+            "sq", ("b1",), (0.0,), SquareProfile(50.0, 0.0, 1.0))])
+        with pytest.raises(OracleError, match="rate flow 'sq': steady state undefined"):
+            equilibrium_queue(net)
+
+    def test_a_window_no_finite_delay_can_hold_is_refused(self):
+        net = one_queue_network(1.0, {"u1": (1e15, 0.1)})
+        with pytest.raises(OracleError, match="queue 'b1': no finite equilibrium delay"):
+            equilibrium_queue(net)
+
+    def test_too_few_sweeps_are_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+        with pytest.raises(OracleError, match="did not converge in 1 sweeps"):
+            equilibrium_queue(to_network(load_scenario("scenario3")))
 
     def test_two_queue_chain_consistent(self):
         sc = load_scenario("scenario3")
@@ -202,6 +220,19 @@ class TestPacketSim:
             run=RunConf(1e-4, 2.0, "cold"))
         res = packet_sim(sc, sample_dt_s=0.1)
         assert res.dequeue_counts[("b1", "f1")][-1] == pytest.approx(200, abs=2)
+
+    def test_silent_rate_flows_end_their_walk_and_send_nothing(self):
+        # the walk ends at once for a zero-rate constant flow and for a
+        # square flow whose pieces carry no mass
+        sc = Scenario(
+            name="silent", packet_bytes=1000,
+            queues=(QueueConf("b1", 100.0),),
+            rate_flows=(RateFlowConf("f1", ("b1",), (0.0,), ConstantProfile(0.0)),
+                        RateFlowConf("f2", ("b1",), (0.0,), SquareProfile(0.0, 0.0, 0.1))),
+            run=RunConf(1e-3, 1.0, "cold"))
+        res = packet_sim(sc, sample_dt_s=0.1)
+        assert not res.dequeue_counts["b1", "f1"].any()
+        assert not res.dequeue_counts["b1", "f2"].any()
 
     def test_slow_square_flow_keeps_emitting(self):
         # 0.2 pkt/s for half of each 1 ms period: 1e-4 pkts a period, so

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ackflow.protocol import FastProtocol, ProtocolError, ScheduledProtocol, fast_wdot
+from test_regime_spans import bits, reference_user
 
 
 def fast(gamma, alpha_pkts):
@@ -119,3 +120,62 @@ class TestScheduledProtocol:
         with pytest.raises(ProtocolError, match="nonnegative"):
             ScheduledProtocol(5.0, ((-1.0, 50.0),))
         assert ScheduledProtocol(5.0, ((0.0, 50.0),)).impulses_by_tick(1e-4) == {0: 45.0}
+
+
+# ---------------------------------------------------------------------------
+# window paths against the per-tick user reference
+
+DTS = st.sampled_from([1e-4, 1e-3, 1e-2])
+WINDOWS = st.floats(0.0, 200.0) | st.just(-0.0)
+JUMPS = st.floats(-150.0, 150.0) | st.sampled_from([0.0, -0.0])
+
+
+def check_path(path, w, n, dt, jump, wdot, split):
+    """``path(w, a, b, jump)``, the window path over ticks ``[a, b)``,
+    against the reference's windows with ``jump`` at tick 0; and cut at
+    ``split``, the second piece resuming from the first one's end."""
+    (_, ref, *_), (ref_end, _) = reference_user(w, 0.0, np.zeros(n), dt, {0: jump}, wdot)
+    windows, end = path(w, 0, n, jump)
+    assert bits(windows, end) == bits(ref, ref_end)
+    if 0 < split < n:
+        head, mid = path(w, 0, split, jump)
+        tail, last = path(mid, split, n, 0.0)
+        assert bits(np.concatenate((head, tail)), last) == bits(windows, end)
+
+
+@given(w=WINDOWS, n=st.integers(0, 40), dt=DTS, jump=JUMPS, split=st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+@example(w=7.0, n=0, dt=1e-3, jump=5.0, split=0)  # an empty block drops the jump
+@example(w=-0.0, n=2, dt=1e-3, jump=-0.0, split=1)  # only the first sample keeps -0.0
+def test_scheduled_window_path_is_the_tick_loop(w, n, dt, jump, split):
+    proto = ScheduledProtocol(10.0)
+    check_path(lambda w, a, b, jump: proto.window_path(w, b - a, jump),
+               w, n, dt, jump, None, split)
+
+
+@st.composite
+def fast_paths(draw):
+    n = draw(st.integers(0, 40))
+    tau = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+                   dtype=np.float64)
+    proto = FastProtocol(gamma=draw(st.floats(0.1, 50.0)),
+                         alpha_pkts=draw(st.floats(1e-3, 200.0)), initial_window_pkts=1.0)
+    return (proto, tau, draw(st.floats(1e-3, 1.0)), draw(WINDOWS), draw(DTS),
+            draw(JUMPS), draw(st.integers(0, n)))
+
+
+FAST = FastProtocol(gamma=1.0, alpha_pkts=10.0, initial_window_pkts=10.0)
+
+
+# (controller, tau, T, w, dt, jump, split): an empty block, a -0.0 window,
+# and a jump at gain -1/2, where the old and the new window's rates differ
+@given(fast_paths())
+@settings(max_examples=150, deadline=None)
+@example((FAST, np.zeros(0), 0.1, 7.0, 1e-2, 5.0, 0))
+@example((FAST, np.zeros(2), 0.1, -0.0, 1e-2, 0.0, 1))
+@example((FAST, np.full(3, 0.1), 0.1, 10.0, 1e-2, 5.0, 1))
+def test_fast_window_path_is_the_tick_loop(case):
+    # the reference moves the window at fast_wdot's per-tick rate
+    proto, tau, T, w, dt, jump, split = case
+    check_path(lambda w, a, b, jump: proto.window_path(w, tau[a:b], T, dt, jump),
+               w, len(tau), dt, jump, lambda w, j: fast_wdot(w, tau[j], T, proto), split)

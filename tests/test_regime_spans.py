@@ -5,7 +5,9 @@ in which no branch of the recurrence changes, and the rate profiles answer
 a whole block of times at once.  The references below are the per-tick
 loops those replaced, kept here verbatim in their arithmetic.  Every
 result must match them to the bit (``tobytes`` tells -0.0 from 0.0 and
-keeps NaN payloads), whatever the block split.
+keeps NaN payloads), whatever the block split.  The user reference also
+moves the window; each controller's ``window_path`` is checked against it
+in ``test_protocol.py``.
 """
 
 import numpy as np
@@ -26,11 +28,13 @@ def bits(*values) -> list[bytes]:
 # reference loops
 
 def reference_user(window, buf, acks, dt, jumps, wdot):
-    """One tick at a time; returns the per-tick arrays and the end state."""
-    sends, windows, bufs, actives = [], [], [], []
+    """One tick at a time; returns the per-tick arrays (sends, windows,
+    buffers, actives and window rates) and the end state."""
+    sends, windows, bufs, actives, rates = [], [], [], [], []
     for j, ack in enumerate(np.asarray(acks, dtype=np.float64).tolist()):
         windows.append(window)
         rate = wdot(window, j) if wdot is not None else 0.0
+        rates.append(rate)
         burst_rate = 0.0
         if j in jumps:
             delta = jumps[j]
@@ -71,7 +75,8 @@ def reference_user(window, buf, acks, dt, jumps, wdot):
 
         sends.append(send)
         actives.append(1.0 if active else 0.0)
-    arrays = tuple(np.array(v, dtype=np.float64) for v in (sends, windows, bufs, actives))
+    arrays = tuple(np.array(v, dtype=np.float64)
+                   for v in (sends, windows, bufs, actives, rates))
     return arrays, (window, buf)
 
 
@@ -121,64 +126,51 @@ def user_blocks(draw):
     jumps = draw(st.dictionaries(ticks, st.one_of(
         st.floats(-150.0, 150.0), st.sampled_from([0.0, -window, window])),
         max_size=4))
-    # the reference's per-tick wdot, and the step's (gains, gamma, alpha)
+    # the window's rate of change: none, constant, FAST-like affine in the
+    # window, or FAST proper, whose gain moves with the delay tick by tick
     kind = draw(st.sampled_from(["none", "constant", "affine", "per_tick"]))
     if kind == "none":
-        wdot = ode = None
-    elif kind == "constant":  # gain 0: gamma * (0 * w + 1) is gamma
+        wdot = None
+    elif kind == "constant":
         wdot = (lambda r: lambda w, j: r)(-fall)
-        ode = [0.0] * n, -fall, 1.0
-    elif kind == "affine":  # FAST-like: the rate depends on the window itself
+    elif kind == "affine":
         g, k, alpha = draw(st.floats(0.1, 50.0)), draw(st.floats(0.0, 1.0)), \
             draw(st.floats(0.0, 200.0))
         wdot = lambda w, j: g * (-k * w + alpha)
-        ode = [-k] * n, g, alpha
-    else:  # FAST proper: the gain moves with the measured delay, tick by tick
+    else:
         g, alpha = draw(st.floats(0.1, 50.0)), draw(st.floats(0.0, 200.0))
         gains = draw(st.lists(st.floats(-1.0, 0.0) | st.just(-0.0),
                               min_size=n, max_size=n))
         wdot = lambda w, j: g * (gains[j] * w + alpha)
-        ode = gains, g, alpha
     split = draw(st.integers(0, n))
-    return dt, acks, jumps, wdot, ode, (window, draw(BUFFERS)), split
+    return dt, acks, jumps, wdot, (window, draw(BUFFERS)), split
 
 
-def fast_of(gains, gamma, alpha):
-    """``UserState.step``'s ``fast`` for the window rate ``gamma * (gains[j]
-    * w + alpha)`` at tick ``j``, its rates over a window array in one call."""
-    return list(gains), gamma, alpha, lambda w: gamma * (np.array(gains) * w + alpha)
+def check_user(window, buf, acks, dt, jumps=None, wdot=None, split=0):
+    """Run the ACK walk on one block against the reference, given the
+    reference's window rates, in pieces cut at ``split`` and at the jump
+    ticks as the engine cuts a user block; returns the walk's arrays."""
+    jumps = jumps or {}
+    acks = np.asarray(acks, dtype=np.float64)
+    (sends, _, bufs, actives, rates), (_, ref_buf) = reference_user(
+        window, buf, acks, dt, jumps, wdot)
+    u = UserState(window, dt_s=dt, n_ticks=len(acks))
+    u.ack_buffer = buf
+    cuts = sorted({0, split, *jumps, len(acks)})
+    parts = [u.step(acks[a:b], rates[a:b], dt, jumps.get(a, 0.0))
+             for a, b in zip(cuts, cuts[1:])]
+    got = [np.concatenate(v) for v in zip(*parts)]
+    assert bits(*got) == bits(sends, bufs, actives)
+    assert bits(u.ack_buffer) == bits(ref_buf)
+    return got
 
 
 @given(user_blocks())
 @settings(max_examples=300, deadline=None)
 def test_user_step_matches_the_tick_loop(block):
-    dt, acks, jumps, wdot, ode, (window, buf), split = block
-    ref, ref_end = reference_user(window, buf, acks, dt, jumps, wdot)
-
-    u = UserState(window, dt_s=dt, n_ticks=len(acks))
-    u.ack_buffer = buf
-    parts = []
-    for k0, k1 in ((0, split), (split, len(acks))):
-        if k1 > k0:  # the second block gets its own ticks' gains
-            fast = None if ode is None else fast_of(ode[0][k0:k1], *ode[1:])
-            block_jumps = {k - k0: v for k, v in jumps.items() if k0 <= k < k1}
-            parts.append(u.step(acks[k0:k1], dt, fast=fast, jumps=block_jumps))
-    got = [np.concatenate(v) for v in zip(*parts)]
-    assert bits(*got) == bits(*ref)
-    assert bits(u.window, u.ack_buffer) == bits(*ref_end)
-
-
-def check_user(window, buf, acks, dt, jumps=None, wdot=None, fast=None):
-    """Run one block against the reference, which takes ``wdot`` where the
-    step takes ``fast``; returns the arrays."""
-    jumps = jumps or {}
-    ref, ref_end = reference_user(window, buf, acks, dt, jumps, wdot)
-    u = UserState(window, dt_s=dt, n_ticks=len(acks))
-    u.ack_buffer = buf
-    got = u.step(acks, dt, jumps=jumps, fast=fast)
-    assert bits(*got) == bits(*ref)
-    assert bits(u.window, u.ack_buffer) == bits(*ref_end)
-    return got
+    # the ACK walk, given the reference's window rates
+    dt, acks, jumps, wdot, (window, buf), split = block
+    check_user(window, buf, acks, dt, jumps, wdot, split)
 
 
 @pytest.mark.parametrize("delta", [-40.0, -40.0 - 1e-12, -10.0, +25.0, +80.0])
@@ -186,7 +178,7 @@ def test_jump_while_retaining_and_to_a_zero_window(delta):
     # a cut into retaining at tick 3, then a second jump while retaining:
     # -40.0 takes the window to exactly 0, +80.0 refills the buffer past zero
     got = check_user(100.0, 0.0, np.full(50, 120.0), 1e-3, {3: -60.0, 10: delta})
-    assert 0.0 in got[3]  # it did retain
+    assert 0.0 in got[2]  # it did retain
 
 
 @pytest.mark.parametrize("buf, ack", [
@@ -197,22 +189,23 @@ def test_jump_while_retaining_and_to_a_zero_window(delta):
 def test_retaining_spans_end_at_the_buffer_threshold(buf, ack):
     assert -EPS_ACK_BUFFER_PKTS <= buf + ack * 1e-3 <= 0.0
     got = check_user(100.0, buf, np.full(4, ack), 1e-3)
-    assert got[3][-1] == 1.0
+    assert got[2][-1] == 1.0
 
 
 def test_negative_zeros_survive():
-    # a -0.0 window and -0.0 rates: the span solver keeps the loop's signs
-    got = check_user(-0.0, 0.0, np.array([-0.0, 0.0, -0.0]), 1e-3,
-                     wdot=lambda w, j: -0.0, fast=fast_of([0.0] * 3, -0.0, 1.0))
-    assert bits(got[1]) == bits([-0.0, -0.0, -0.0])
-    got = check_user(-0.0, 0.0, np.array([-0.0, 0.0]), 1e-3)
-    assert bits(got[1]) == bits([-0.0, 0.0])
+    # -0.0 window rates, ACKs and jump: the span solver keeps the loop's
+    # signs (a -0.0 window's path is test_protocol's)
+    acks = np.array([-0.0, 0.0, -0.0])
+    got = check_user(-0.0, 0.0, acks, 1e-3, {0: -0.0}, wdot=lambda w, j: -0.0)
+    assert bits(got[0]) == bits([-0.0, 0.0, 0.0])
+    got = check_user(-0.0, 0.0, acks, 1e-3, wdot=lambda w, j: -0.0)
+    assert bits(got[0]) == bits([0.0, 0.0, 0.0])
 
 
 def test_empty_block_leaves_the_user_unchanged():
     u = UserState(10.0, dt_s=1e-3, n_ticks=1)
-    out = u.step([], 1e-3, jumps={0: 5.0})
-    assert len(out) == 4 and all(len(v) == 0 for v in out)
+    out = u.step([], np.zeros(0), 1e-3, 5.0)
+    assert len(out) == 3 and all(len(v) == 0 for v in out)
     assert (u.window, u.ack_buffer) == (10.0, 0.0)
 
 

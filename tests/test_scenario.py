@@ -205,6 +205,64 @@ def test_malformed_input_names_the_field(case):
     assert str(err.value).startswith(f"{field}: "), str(err.value)
 
 
+def edited(edit):
+    """BASE after ``edit``, as YAML text."""
+    doc = copy.deepcopy(BASE)
+    edit(doc)
+    return yaml.safe_dump(doc)
+
+
+def profile(doc):
+    return doc["rate_flows"][0]["profile"]
+
+
+# refusals each named by the start of its message: the field, then the
+# reason; the last two documents have no field to name
+REFUSED = {
+    "missing-key": (lambda d: d["users"][0].pop("path"),
+                    "users[0]: missing required key 'path'"),
+    "unknown-key": (lambda d: d["queues"][0].update(colour="red"),
+                    "queues[0]: unknown key(s) ['colour']"),
+    "int-past-float-range": (lambda d: d["users"][1]["protocol"].update(gamma=10**400),
+                             "users[1].protocol.gamma: expected a finite number"),
+    "two-rate-keys": (lambda d: profile(d).update(rate_mbps=1.0),
+                      "rate_flows[0].profile: give exactly one of rate_pps / rate_mbps"),
+    "rate-fraction-past-one": (
+        lambda d: d["rate_flows"][0].update(profile={"kind": "constant", "rate_fraction": 1.5}),
+        "rate_flows[0].profile.rate_fraction: must lie in [0, 1)"),
+    "unknown-protocol-kind": (lambda d: sched(d).update(kind="cubic"),
+                              "users[0].protocol: unknown protocol kind 'cubic'"),
+    "unknown-profile-kind": (lambda d: profile(d).update(kind="ramp"),
+                             "rate_flows[0].profile: unknown profile kind 'ramp'"),
+    "hop-delays-in-s-and-ms": (lambda d: d["users"][0].update(hop_delays_ms=20.0),
+                               "users[0]: give exactly one of hop_delays_s / hop_delays_ms"),
+    "cross-traffic-fraction-one": (lambda d: d["cross_traffic"][0].update(fraction=1.0),
+                                   "cross_traffic[0].fraction: must lie in [0, 1)"),
+    "warm-start": (lambda d: d["run"].update(init="warm"),
+                   "run.init: must be 'cold' or 'equilibrium', got 'warm'"),
+    "empty-user-path": (lambda d: d["users"][0].update(path=[]),
+                        "users[0].path: user 'u1' has an empty queue path"),
+    "invalid-yaml": ("queues: [unclosed", "invalid YAML: "),
+    "not-a-mapping": ("- 1\n- 2\n", "scenario file must contain a YAML mapping"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusals_start_with_the_field_and_the_reason(case):
+    doc, prefix = REFUSED[case]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc if isinstance(doc, str) else edited(doc))
+    assert str(err.value).startswith(prefix), str(err.value)
+
+
+def test_a_rate_fraction_is_of_the_first_queues_capacity():
+    def quarter(doc):
+        doc["queues"][0]["capacity_pps"] = 100.0
+        doc["rate_flows"][0]["profile"] = {"kind": "constant", "rate_fraction": 0.25}
+
+    assert parse_scenario(edited(quarter)).rate_flows[0].profile.rate_pps == 25.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: ConstantProfile(float("nan")),
     lambda: ConstantProfile(float("inf")),

@@ -13,21 +13,16 @@ from ackflow.user import UserState, circuit_backward_time
 N_TICKS = 1000
 
 
-def constant_fast(rate, n=1):
-    """``UserState.step``'s ``fast`` for a window rate of ``rate`` over ``n``
-    ticks: gain 0, so ``gamma * (0 * w + 1)`` is ``gamma``."""
-    return [0.0] * n, rate, 1.0, lambda windows: rate * (0.0 * windows + 1.0)
-
-
-def one_tick(u, ack, dt=1e-3, **kwargs):
-    """Sending rate of a one-tick block, and whether it ended sending."""
-    send, _, _, active = u.step([ack], dt, **kwargs)
+def one_tick(u, ack, wdot=0.0, dt=1e-3):
+    """Sending rate of a one-tick block whose window moves at ``wdot``, and
+    whether it ended sending."""
+    send, _, active = u.step([ack], np.array([wdot]), dt)
     return send[0], active[0] == 1.0
 
 
 def burst_of(u, delta_pkts, dt=1e-3):
     """Packets a one-tick block without ACKs emits after a window jump."""
-    send, *_ = u.step([0.0], dt, jumps={0: delta_pkts})
+    send, *_ = u.step([0.0], np.zeros(1), dt, delta_pkts)
     return send[0] * dt
 
 
@@ -39,12 +34,12 @@ class TestSendingFlow:
     def test_growing_window_adds_to_ack_rate(self):
         # direct evaluation: wdot + ack = 50 + 100
         u = UserState(10.0, dt_s=1e-3, n_ticks=N_TICKS)
-        assert one_tick(u, 100.0, fast=constant_fast(50.0))[0] == pytest.approx(150.0)
+        assert one_tick(u, 100.0, wdot=50.0)[0] == pytest.approx(150.0)
 
     def test_retaining_mode_sends_nothing(self):
         u = UserState(200.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -100.0)
-        assert one_tick(u, 1000.0, fast=constant_fast(50.0)) == (0.0, False)
+        assert one_tick(u, 1000.0, wdot=50.0) == (0.0, False)
 
 
 class TestAckBufferStep:
@@ -53,14 +48,15 @@ class TestAckBufferStep:
         burst = burst_of(u, -250.0)
         assert burst == 0.0
         assert u.ack_buffer == pytest.approx(-250.0)
-        assert u.window == pytest.approx(250.0)
+        # the window is its controller's: the same jump halves it
+        assert ScheduledProtocol(500.0).window_path(u.window, 1, -250.0)[1] == 250.0
         assert one_tick(u, 0.0) == (0.0, False)
 
     def test_refill_time_matches_analytic_fill(self):
         # analytic: |buffer| / ack_rate = 250/100 = 2.5 s to refill
         u = UserState(500.0, dt_s=1e-3, n_ticks=N_TICKS)
         dt = 1e-3
-        send, _, _, active = u.step(np.full(3000, 100.0), dt, jumps={0: -250.0})
+        send, _, active = u.step(np.full(3000, 100.0), np.zeros(3000), dt, -250.0)
         k_resume = int(np.argmax(active == 1.0))
         assert k_resume * dt == pytest.approx(2.5, abs=2 * dt)
         # silent the whole way, except the partial resume step
@@ -69,7 +65,7 @@ class TestAckBufferStep:
 
     def test_buffer_stays_zero_when_active(self):
         u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
-        *_, active = u.step(np.full(10, 50.0), 1e-3)
+        *_, active = u.step(np.full(10, 50.0), np.zeros(10), 1e-3)
         assert u.ack_buffer == 0.0
         assert active[-1] == 1.0
 
@@ -77,7 +73,7 @@ class TestAckBufferStep:
         # the buffer at each tick start is the one the step before left
         u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
         burst_of(u, -30.0)
-        _, _, buffers, _ = u.step(np.full(2000, 40.0), 1e-3)
+        _, buffers, _ = u.step(np.full(2000, 40.0), np.zeros(2000), 1e-3)
         assert np.all(buffers <= 0.0)
         assert u.ack_buffer <= 0.0
 
@@ -93,7 +89,7 @@ class TestAckBufferStep:
 
     def test_rapid_decrease_via_wdot_enters_retaining(self):
         u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
-        assert one_tick(u, 100.0, fast=constant_fast(-500.0)) == (0.0, False)
+        assert one_tick(u, 100.0, wdot=-500.0) == (0.0, False)
         assert u.ack_buffer < 0.0
 
 
@@ -127,21 +123,21 @@ class TestFlightSize:
 class TestBlocks:
     def test_block_size_leaves_every_trace_bitwise_equal(self):
         # a window cut into retaining, a refill and a burst over 250 ticks,
-        # in one block and in blocks of 16 (the last one short)
+        # in one block and in blocks of 16 (the last one short), each cut
+        # at the jumps as the engine cuts a user block
         acks = np.where(np.arange(250) < 120, 300.0, 150.0)
+        rates = np.full(250, -20.0)
         jumps = {5: -40.0, 200: +25.0}
         runs = []
         for block in (250, 16):
             u = UserState(100.0, dt_s=1e-3, n_ticks=N_TICKS)
-            parts = [u.step(acks[k0:k0 + block], 1e-3,
-                            jumps={k - k0: v for k, v in jumps.items()
-                                   if k0 <= k < k0 + block},
-                            fast=constant_fast(-20.0, len(acks[k0:k0 + block])))
-                     for k0 in range(0, 250, block)]
+            cuts = sorted({*range(0, 250, block), *jumps, 250})
+            parts = [u.step(acks[a:b], rates[a:b], 1e-3, jumps.get(a, 0.0))
+                     for a, b in zip(cuts, cuts[1:])]
             runs.append([np.concatenate(v).tolist() for v in zip(*parts)]
-                        + [u.window, u.ack_buffer])
+                        + [u.ack_buffer])
         assert runs[0] == runs[1]
-        send, active = np.array(runs[0][0]), np.array(runs[0][3])
+        send, active = np.array(runs[0][0]), np.array(runs[0][2])
         assert send.min() == 0.0 and 0.0 in active and active[-1] == 1.0
 
 

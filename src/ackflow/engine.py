@@ -16,11 +16,15 @@ of the topology, ``_feeds``, lists every component's reads as (source,
 flow, delay).  A queue reads each flow across its hop: the upstream queue's
 departures, the user's sending flow or the rate flow's profile.  A user
 reads its last queue across the return delay (its ACKs and the circuit
-inversion of its flight size), and each upstream queue across the return
-delay plus the hops after it.  The blocks' readers come from that table,
-and so does the schedule (``input_lags``, the least lag per source).  A
-component's next block ends at the least of the horizon, its frontier plus
-``BLOCK_CAP_TICKS``, and each input's frontier plus that input's lag.
+inversion of its flight size, ``circuit_backward_time``), and each upstream
+queue across the return delay plus the hops after it.  The blocks' readers
+come from that table, and so does the schedule (``input_lags``, the least
+lag per source).  A component's next block ends at the least of the
+horizon, its frontier plus ``BLOCK_CAP_TICKS``, and each input's frontier
+plus that input's lag.  Only the engine puts a run on its grid: the
+elements' descriptions are in seconds, and ``_window_jumps`` snaps a
+user's window steps to ticks, while ``_channel_delays_s`` gives the
+coarsest ``dt`` allowed and the history the pruning keeps.
 
 ``block_schedule``, a generator over the lags, picks the blocks and knows
 nothing of what they run.  A pass visits the users, then the queues, in
@@ -86,7 +90,7 @@ from .oracle import EquilibriumResult, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
 from .scenario import RunConf, Scenario, UserConf
 from .topology import Network
-from .user import UserState, circuit_backward_time
+from .user import UserState
 
 __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate"]
 
@@ -250,6 +254,41 @@ def input_lags(network: Network, dt: float) -> dict:
     return lags
 
 
+def circuit_backward_time(user: UserConf, queues: dict, t):
+    """Entry time of the traffic leaving the user's circuit at ``t``, over
+    an array of times: undo the return channel, then for each queue back
+    along the path invert its arrival->departure map and undo its hop."""
+    x = t - user.return_delay_s
+    for qid, hop in zip(reversed(user.queue_path), reversed(user.hop_delays_s)):
+        x = queues[qid].backward_time(x)
+        x -= hop
+    return x
+
+
+def _channel_delays_s(network: Network) -> list[float]:
+    """Every channel delay: each user's hops then its return, then each
+    rate flow's hops, an order that keeps the prune lag's sum reproducible."""
+    users = network.users.values()
+    delays = [d for u in users for d in (*u.hop_delays_s, u.return_delay_s)]
+    return delays + [d for f in network.rate_flows.values() for d in f.hop_delays_s]
+
+
+def _window_jumps(proto, dt: float, cold: bool) -> dict[int, float]:
+    """A user's window jumps, tick -> net jump, none of them zero: each
+    scheduled step at its nearest tick, which absorbs float jitter in
+    ``k * dt`` (schedules are expected on the grid anyway), and on a cold
+    start the opening window at tick 0, emitted as a burst."""
+    jumps: dict[int, float] = {}
+    w = proto.initial_window_pkts
+    for ts, ws in proto.steps if isinstance(proto, ScheduledProtocol) else ():
+        k = int(ts / dt + 0.5)
+        jumps[k] = jumps.get(k, 0.0) + (ws - w)
+        w = ws
+    if cold:
+        jumps[0] = jumps.get(0, 0.0) + proto.initial_window_pkts
+    return {k: j for k, j in jumps.items() if j}
+
+
 def shortest_cycles(lags: dict) -> dict:
     """Each component's shortest feedback cycle in ticks, from ``input_lags``.
 
@@ -321,8 +360,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         raise SimulationError(
             f"horizon_s / dt_s is {config.horizon_s / dt!r} ticks, too many for one "
             f"run (horizon_s={config.horizon_s!r}, dt_s={dt!r})")
-    min_delay = network.min_positive_delay_s()
-    if min_delay is not None and dt > min_delay / 10:
+    delays = _channel_delays_s(network)
+    min_delay = min((d for d in delays if d > 0), default=math.inf)
+    if dt > min_delay / 10:
         raise SimulationError(
             f"dt={dt} too coarse for the smallest positive propagation delay "
             f"{min_delay}s; need dt <= delay/10 for causality headroom")
@@ -331,6 +371,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             raise SimulationError(
                 f"user '{u.id}': return channel delay {u.return_delay_s}s must "
                 f"be at least one step ({dt}s) so ACK reads stay in the past")
+        if not isinstance(u.protocol, (ScheduledProtocol, FastProtocol)):
+            raise SimulationError(f"user '{u.id}': unsupported protocol {u.protocol!r}")
 
     eq_init: EquilibriumResult | None = None
     if config.init == "equilibrium":
@@ -383,21 +425,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         w0 = proto.initial_window_pkts if eq_init is not None else 0.0
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
         states[uid] = UserState(w0, dt_s=dt, sending0_pps=send0, n_ticks=n_ticks)
-        if isinstance(proto, ScheduledProtocol):
-            impulses = proto.impulses_by_tick(dt)
-        elif isinstance(proto, FastProtocol):
-            impulses = {}
-        else:
-            raise SimulationError(f"user '{uid}': unsupported protocol {proto!r}")
-        if eq_init is None:
-            # the window appears at t=0: emitted as an opening burst
-            impulses[0] = impulses.get(0, 0.0) + proto.initial_window_pkts
         w, ackbuf, flight, flight_ode, active = new_columns(
             uid, "w", "ackbuf", "flight", "flight_ode", "active")
         flights[uid] = (flight, flight_ode, w0)  # w0: the mass in flight at t=0
         bodies["user", uid] = functools.partial(
-            _user_block, uconf, states[uid],
-            {k: v for k, v in impulses.items() if v},  # tick -> jump
+            _user_block, uconf, states[uid], _window_jumps(proto, dt, eq_init is None),
             reader(*feeds["user", uid][0]), (w, ackbuf, active), queues, grid, dt)
     for qid, q in queues.items():
         bodies["queue", qid] = functools.partial(
@@ -405,7 +437,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             new_columns(qid, "q", "r", "arrival", "congested"), grid, dt)
 
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
-    prune_lag = sum(network.channel_delays_s()) + PRUNE_MARGIN_S
+    prune_lag = sum(delays) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
                  for h in (q.forward_map, q.arrivals, q.departures)]
     histories += [h for st in states.values() for h in (st.sending, st.acks)]
@@ -479,11 +511,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     )
 
 
-def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Reader,
+def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
                 columns: tuple, queues: dict, grid: np.ndarray, dt: float,
                 k0: int, k1: int) -> None:
     """Advance one user over ticks ``[k0, k1)``, cut at its window jumps
-    (``impulses``, tick -> jump): each piece takes at most one, at its first tick."""
+    (``jumps``, tick -> jump): each piece takes at most one, at its first tick."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
     proto = conf.protocol
@@ -493,9 +525,9 @@ def _user_block(conf: UserConf, st: UserState, impulses: dict, ack_reader: _Read
         total_delay = conf.total_delay_s
         lag = (ticks - circuit_backward_time(conf, queues, ticks)) - total_delay
         tau = np.where(lag > 0.0, lag, 0.0)
-    cuts = [k0, *sorted(k for k in impulses if k0 < k < k1), k1]
+    cuts = [k0, *sorted(k for k in jumps if k0 < k < k1), k1]
     for a, b in zip(cuts, cuts[1:]):
-        piece, jump = slice(a - k0, b - k0), impulses.get(a, 0.0)
+        piece, jump = slice(a - k0, b - k0), jumps.get(a, 0.0)
         if fast:
             w, st.window = proto.window_path(st.window, tau[piece], total_delay, dt, jump)
             # the global a tracer may patch; the check below names the tick

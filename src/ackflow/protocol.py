@@ -4,10 +4,11 @@ Each controller is its scenario description: ``ScheduledProtocol`` and
 ``FastProtocol`` are the ``protocol`` of a ``UserConf``, check themselves on
 construction and answer the engine and the packet oracle directly.
 Controllers only decide how the congestion window moves, each in its
-``window_path``; turning the window into a sending flow is the user
-block's job (``UserState.step``).  A window jump (a scheduled step, or a
-cold start's opening window) lands at the start of a path's first tick, so
-the user block can emit the burst (increase) or absorb the deficit
+``window_path``, given in ticks.  Turning the window into a sending flow
+is the user block's job (``UserState.step``), and snapping the window
+jumps (a scheduled step, or a cold start's opening window) to the tick
+grid is the engine's.  A jump lands at the start of a path's first tick,
+so the user block can emit the burst (increase) or absorb the deficit
 (decrease) exactly.
 """
 
@@ -22,7 +23,20 @@ __all__ = ["ScheduledProtocol", "FastProtocol", "fast_wdot", "ProtocolError"]
 
 
 class ProtocolError(ValueError):
-    """Invalid controller configuration."""
+    """Invalid controller configuration.
+
+    ``field`` is the controller's attribute at fault (``gamma``,
+    ``steps``, ...), or None when no single one is.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_window(w: float, field: str) -> None:
+    if not 0 <= w < math.inf:  # NaN fails too
+        raise ProtocolError("window values must be finite and nonnegative", field)
 
 
 @dataclass(frozen=True)
@@ -34,16 +48,14 @@ class ScheduledProtocol:
     kind: str = field(default="scheduled", init=False)
 
     def __post_init__(self):
-        if not self.initial_window_pkts >= 0:  # NaN fails too
-            raise ProtocolError("window values must be nonnegative")
+        _check_window(self.initial_window_pkts, "initial_window_pkts")
         prev = None
         for t, w in self.steps:
             # a run starts at t=0, so an earlier step would reach no tick
-            if (t < 0) if prev is None else (t <= prev):
-                raise ProtocolError(
-                    "schedule step times must be nonnegative and strictly increasing")
-            if not w >= 0:
-                raise ProtocolError("window values must be nonnegative")
+            if not ((t >= 0) if prev is None else (t > prev)) or t == math.inf:
+                raise ProtocolError("schedule step times must be finite, nonnegative "
+                                    "and strictly increasing", "steps")
+            _check_window(w, "steps")
             prev = t
 
     def window_at(self, t: float) -> float:
@@ -55,20 +67,6 @@ class ScheduledProtocol:
             else:
                 break
         return w
-
-    def impulses_by_tick(self, dt: float) -> dict[int, float]:
-        """Net window jump per grid tick; steps snap to the nearest tick.
-
-        Snapping keeps step application robust against float jitter in
-        ``k * dt`` grids; schedules are expected to lie on the grid anyway.
-        """
-        jumps: dict[int, float] = {}
-        w_prev = self.initial_window_pkts
-        for ts, ws in self.steps:
-            k = int(ts / dt + 0.5)
-            jumps[k] = jumps.get(k, 0.0) + (ws - w_prev)
-            w_prev = ws
-        return {k: j for k, j in jumps.items() if j != 0.0}
 
     def window_path(self, w: float, n: int, jump: float = 0.0):
         """The window at each of ``n`` tick starts from ``w``, and at their
@@ -91,11 +89,10 @@ class FastProtocol:
     kind: str = field(default="fast", init=False)
 
     def __post_init__(self):
-        if not (0 < self.gamma < math.inf and 0 < self.alpha_pkts < math.inf):
-            raise ProtocolError("FAST parameters gamma and alpha must be positive "
-                                "and finite")
-        if not self.initial_window_pkts >= 0:  # NaN fails too
-            raise ProtocolError("window values must be nonnegative")
+        for name in ("gamma", "alpha_pkts"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ProtocolError(f"FAST {name} must be positive and finite", name)
+        _check_window(self.initial_window_pkts, "initial_window_pkts")
 
     def window_path(self, w: float, tau: np.ndarray, total_delay_s: float, dt: float,
                     jump: float = 0.0):

@@ -138,7 +138,7 @@ class RateFlowConf:
 
 @dataclass(frozen=True)
 class RunConf:
-    dt_s: float = 1e-4  # must be <= smallest positive delay / 10
+    dt_s: float = 1e-4  # the engine refuses more than its smallest positive delay / 10
     horizon_s: float = 10.0
     init: str = "cold"  # "cold" | "equilibrium"
 
@@ -217,8 +217,8 @@ def _validated(path: str, check, *args, keys: dict | None = None):
     """Run a controller's, a profile's or the topology's own checks, naming
     the field; returns what ``check`` returns.
 
-    ``keys`` maps the attribute a topology fault names to the entry's key
-    in the document, e.g. ``queue_path`` to ``path``.
+    ``keys`` maps the attribute a controller or topology fault names to the
+    entry's key in the document, e.g. ``queue_path`` to ``path``.
     """
     try:
         return check(*args)
@@ -263,8 +263,6 @@ def _parse_protocol(d, path: str):
     if kind not in ("scheduled", "fast"):
         raise _err(path, f"unknown protocol kind '{kind}'")
     w0 = _number(_take(d, path, "initial_window_pkts"), f"{path}.initial_window_pkts")
-    if w0 < 0:
-        raise _err(f"{path}.initial_window_pkts", "must be nonnegative")
     if kind == "scheduled":
         raw_steps = _list(_take(d, path, "steps", required=False, default=[]),
                           f"{path}.steps")
@@ -277,11 +275,13 @@ def _parse_protocol(d, path: str):
             _no_leftovers(s, sp)
             steps.append((at, w))
         _no_leftovers(d, path)
-        return _validated(f"{path}.steps", ScheduledProtocol, w0, tuple(steps))
+        return _validated(path, ScheduledProtocol, w0, tuple(steps),
+                          keys={k: k for k in ("initial_window_pkts", "steps")})
     gamma = _number(_take(d, path, "gamma"), f"{path}.gamma")
     alpha = _number(_take(d, path, "alpha_pkts"), f"{path}.alpha_pkts")
     _no_leftovers(d, path)
-    return _validated(path, FastProtocol, gamma, alpha, w0)
+    return _validated(path, FastProtocol, gamma, alpha, w0,
+                      keys={k: k for k in ("gamma", "alpha_pkts", "initial_window_pkts")})
 
 
 def _delays_s(d: dict, path: str, prefix: str, listed: bool):

@@ -6,7 +6,7 @@ capacities, queue paths and channel delays, so it imports nothing from
 there.  A user's closed circuit is its ``UserConf``: hop channels into
 each queue on the path, then the return channel back to the user.  A
 ``Network`` indexes those objects by id and checks each one as it is
-added.
+added; the engine walks the circuits and sums their delays.
 """
 
 from __future__ import annotations
@@ -114,24 +114,6 @@ class Network:
         """Flow ids entering a queue: users, then rate flows, as declared."""
         return tuple(fid for flows in (self.users, self.rate_flows)
                      for fid, f in flows.items() if queue_id in f.queue_path)
-
-    def channel_delays_s(self) -> tuple[float, ...]:
-        """Every channel delay: users' hops then return, then rate flows' hops.
-
-        The engine sums these for the history its pruning must keep; the
-        fixed order keeps that float sum reproducible.
-        """
-        delays: list[float] = []
-        for u in self.users.values():
-            delays.extend(u.hop_delays_s)
-            delays.append(u.return_delay_s)
-        for f in self.rate_flows.values():
-            delays.extend(f.hop_delays_s)
-        return tuple(delays)
-
-    def min_positive_delay_s(self) -> float | None:
-        delays = [d for d in self.channel_delays_s() if d > 0]
-        return min(delays) if delays else None
 
 
 def build_network(queues, users, rate_flows=()) -> Network:

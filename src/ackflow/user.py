@@ -6,7 +6,8 @@ the flight size, the deficit lands in a nonpositive ACK buffer: arriving
 acknowledgements are absorbed, sending stays at exactly zero, and traffic
 resumes the instant the buffer refills to zero (located inside the step).
 How the window moves is its controller's ``window_path``; this block takes
-the window's rates of change as given.
+the window's rates of change and its jumps as given.  What it reads, and
+the circuit inversion a FAST window needs, are the engine's.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .history import Trajectory, first_true
-from .scenario import UserConf
 
-__all__ = ["UserState", "circuit_backward_time"]
+__all__ = ["UserState"]
 
 EPS_ACK_BUFFER_PKTS = 1e-9
 
@@ -102,18 +102,4 @@ class UserState:
                 a = stop + 1
         self.ack_buffer = float(buf)
         return sends, bufs, actives
-
-
-def circuit_backward_time(user: UserConf, queues: dict, t):
-    """Entry time of the traffic leaving the user's circuit at ``t``
-    (elementwise over an array of times).
-
-    Walks the circuit backwards: undo the return channel, invert each
-    queue's arrival->departure map, undo each hop channel.
-    """
-    x = t - user.return_delay_s
-    for qid, hop in zip(reversed(user.queue_path), reversed(user.hop_delays_s)):
-        x = queues[qid].backward_time(x)
-        x -= hop
-    return x
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import ackflow.engine as engine
 from ackflow.engine import (
-    BLOCK_CAP_TICKS, SimConfig, SimulationError, block_schedule, input_lags,
-    shortest_cycles, simulate,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, _channel_delays_s, block_schedule,
+    circuit_backward_time, input_lags, shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
 from ackflow.oracle import equilibrium_queue, packet_sim
@@ -23,7 +23,6 @@ from ackflow.scenario import (
     ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps,
     to_network,
 )
-from ackflow.user import circuit_backward_time
 
 OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
                    / "fast_pair_offgrid.yaml")
@@ -584,7 +583,7 @@ class TestPruning:
 
         monkeypatch.setattr(Trajectory, "prune_before", spy)
         run(sc, prune_history=True)
-        lag = sum(to_network(sc).channel_delays_s()) + engine.PRUNE_MARGIN_S
+        lag = sum(_channel_delays_s(to_network(sc))) + engine.PRUNE_MARGIN_S
         assert sorted({round(t + lag, 9) for t, _ in calls}) == [6.0, 7.0, 8.0]
         for t, recorded in calls:
             assert recorded == round((t + lag) / sc.run.dt_s) + 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ackflow.engine import _window_jumps
 from ackflow.protocol import FastProtocol, ProtocolError, ScheduledProtocol, fast_wdot
 from test_regime_spans import bits, reference_user
 
@@ -90,13 +91,14 @@ class TestScheduledProtocol:
         sched = ScheduledProtocol(10.0)
         assert sched.window_at(0.0) == 10.0
         assert sched.window_at(99.0) == 10.0
-        assert sched.impulses_by_tick(1e-4) == {}
+        assert _window_jumps(sched, 1e-4, cold=False) == {}
 
     def test_impulses_snap_to_grid_ticks(self):
         dt = 1e-4
         sched = ScheduledProtocol(50.0, ((3.0, 150.0), (7.0, 100.0)))
-        jumps = sched.impulses_by_tick(dt)
-        assert jumps == {30000: 100.0, 70000: -50.0}
+        assert _window_jumps(sched, dt, cold=False) == {30000: 100.0, 70000: -50.0}
+        # a cold start opens its window at tick 0
+        assert _window_jumps(sched, dt, cold=True) == {0: 50.0, 30000: 100.0, 70000: -50.0}
 
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ProtocolError):
@@ -119,7 +121,25 @@ class TestScheduledProtocol:
         # the fluid engine would drop it while the packet oracle applies it
         with pytest.raises(ProtocolError, match="nonnegative"):
             ScheduledProtocol(5.0, ((-1.0, 50.0),))
-        assert ScheduledProtocol(5.0, ((0.0, 50.0),)).impulses_by_tick(1e-4) == {0: 45.0}
+        sched = ScheduledProtocol(5.0, ((0.0, 50.0),))
+        assert _window_jumps(sched, 1e-4, cold=False) == {0: 45.0}
+        assert _window_jumps(sched, 1e-4, cold=True) == {0: 50.0}
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ScheduledProtocol(math.inf), "initial_window_pkts"),
+        (lambda: ScheduledProtocol(10.0, ((2.0, math.inf),)), "steps"),
+        (lambda: ScheduledProtocol(10.0, ((math.nan, 5.0),)), "steps"),
+        (lambda: ScheduledProtocol(10.0, ((1.0, 5.0), (math.nan, 6.0))), "steps"),
+        (lambda: ScheduledProtocol(10.0, ((math.inf, 5.0),)), "steps"),
+        (lambda: FastProtocol(0.5, 200.0, math.inf), "initial_window_pkts"),
+    ], ids=["initial-window", "step-window", "step-time-nan", "later-step-time-nan",
+            "step-time-inf", "fast-initial-window"])
+    def test_non_finite_values_rejected(self, make, field):
+        # each would stop a run mid-way, or put a NaN time in packet_sim's
+        # event heap, instead of naming the value
+        with pytest.raises(ProtocolError) as err:
+            make()
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +199,50 @@ def test_fast_window_path_is_the_tick_loop(case):
     proto, tau, T, w, dt, jump, split = case
     check_path(lambda w, a, b, jump: proto.window_path(w, tau[a:b], T, dt, jump),
                w, len(tau), dt, jump, lambda w, j: fast_wdot(w, tau[j], T, proto), split)
+
+
+# ---------------------------------------------------------------------------
+# the engine's window jump table against the rule spelled out
+
+
+def reference_jumps(proto, dt, cold):
+    """The jump table in two passes: per nearest tick, the step jumps summed
+    from 0.0 in schedule order, zero sums dropped; then on a cold start the
+    opening window added at tick 0, and zeros dropped again."""
+    jumps, w_prev = {}, proto.initial_window_pkts
+    for ts, ws in getattr(proto, "steps", ()):
+        k = int(ts / dt + 0.5)
+        jumps[k] = jumps.get(k, 0.0) + (ws - w_prev)
+        w_prev = ws
+    jumps = {k: j for k, j in jumps.items() if j != 0.0}
+    if cold:
+        jumps[0] = jumps.get(0, 0.0) + proto.initial_window_pkts
+    return {k: j for k, j in jumps.items() if j}
+
+
+# repeated values make zero jumps, half ticks the snap's edge
+JUMP_WINDOWS = st.sampled_from([0.0, 5.0, 50.0]) | st.floats(0.0, 1e3)
+GAPS_TICKS = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 3.0)
+
+
+@given(dt=DTS, w0=JUMP_WINDOWS, first=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
+       gaps=st.lists(GAPS_TICKS, max_size=7),
+       windows=st.lists(JUMP_WINDOWS, min_size=8, max_size=8),
+       cold=st.booleans(), fast=st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(dt=1e-3, w0=5.0, first=0.0, gaps=[], windows=[5.0] * 8, cold=True, fast=False)
+@example(dt=1e-3, w0=5.0, first=0.0, gaps=[0.25], windows=[0.0, 5.0] + [0.0] * 6,
+         cold=True, fast=False)  # a zero net jump at tick 0 under the opening window
+@example(dt=1e-3, w0=0.0, first=0.0, gaps=[], windows=[0.0] * 8, cold=True, fast=True)
+@example(dt=1e-3, w0=0.1, first=0.0, gaps=[0.25], windows=[0.2] + [1.1] * 7,
+         cold=True, fast=False)  # the steps' sum, then the opening window, rounds apart
+def test_window_jumps_are_the_schedule_rule(dt, w0, first, gaps, windows, cold, fast):
+    # step times in ticks, strictly increasing from the first
+    ticks = np.cumsum([first, *gaps])
+    if fast:
+        proto = FastProtocol(gamma=1.0, alpha_pkts=10.0, initial_window_pkts=w0)
+    else:
+        proto = ScheduledProtocol(w0, tuple(zip((ticks * dt).tolist(), windows)))
+    got, ref = _window_jumps(proto, dt, cold), reference_jumps(proto, dt, cold)
+    assert sorted((k, j.hex()) for k, j in got.items()) == sorted(
+        (k, j.hex()) for k, j in ref.items())

@@ -126,12 +126,16 @@ MALFORMED = {
     "run-not-a-mapping": (lambda d: d.update(run="fast"), "run"),
     "nan-step": (lambda d: d["run"].update(dt_s=float("nan")), "run.dt_s"),
     "infinite-horizon": (lambda d: d["run"].update(horizon_s=float("inf")), "run.horizon_s"),
+    # the controllers' own checks, each naming its field
     "negative-initial-window": (lambda d: sched(d).update(initial_window_pkts=-5.0),
                                 "users[0].protocol.initial_window_pkts"),
     "negative-fast-initial-window": (
         lambda d: d["users"][1]["protocol"].update(initial_window_pkts=-1.0),
         "users[1].protocol.initial_window_pkts"),
-    "zero-gamma": (lambda d: d["users"][1]["protocol"].update(gamma=0.0), "users[1].protocol"),
+    "zero-gamma": (lambda d: d["users"][1]["protocol"].update(gamma=0.0),
+                   "users[1].protocol.gamma"),
+    "zero-alpha": (lambda d: d["users"][1]["protocol"].update(alpha_pkts=0.0),
+                   "users[1].protocol.alpha_pkts"),
     "unsorted-steps": (lambda d: sched(d)["steps"].insert(0, {"at_s": 2.0, "window_pkts": 5.0}),
                        "users[0].protocol.steps"),
     "negative-step-time": (

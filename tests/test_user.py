@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ackflow.engine import SimConfig, simulate
+from ackflow.engine import SimConfig, circuit_backward_time, simulate
 from ackflow.fifo_queue import FifoQueue
 from ackflow.scenario import (
     QueueConf, RunConf, Scenario, ScheduledProtocol, UserConf, to_network,
 )
 from ackflow.topology import build_network
-from ackflow.user import UserState, circuit_backward_time
+from ackflow.user import UserState
 
 # history length of the standalone users, which step but record nothing
 N_TICKS = 1000

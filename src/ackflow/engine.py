@@ -348,14 +348,15 @@ def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: f
 
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
     """Run the fluid model on ``network``; returns every signal on the
-    engine grid.  ``scenario`` is only handed back in the ``TraceSet``."""
+    engine grid.  ``scenario`` is only handed back in the ``TraceSet``.
+
+    The descriptions arrive checked: ``config`` and each user's protocol
+    refused bad values when they were built, and ``network`` its routes
+    and delays.  What is checked here needs the network and the step
+    together: the tick count, ``dt``'s headroom under the smallest
+    positive delay, and a return delay of at least one step.
+    """
     dt = config.dt_s
-    for name in ("dt_s", "horizon_s"):
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise SimulationError(f"{name} must be finite, got {value!r}")
-        if value <= 0:
-            raise SimulationError(f"{name} must be positive, got {value!r}")
     if not config.horizon_s / dt < 2.0 ** 60:  # at 8 bytes a tick, past 2**63 bytes
         raise SimulationError(
             f"horizon_s / dt_s is {config.horizon_s / dt!r} ticks, too many for one "
@@ -371,14 +372,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             raise SimulationError(
                 f"user '{u.id}': return channel delay {u.return_delay_s}s must "
                 f"be at least one step ({dt}s) so ACK reads stay in the past")
-        if not isinstance(u.protocol, (ScheduledProtocol, FastProtocol)):
-            raise SimulationError(f"user '{u.id}': unsupported protocol {u.protocol!r}")
 
-    eq_init: EquilibriumResult | None = None
-    if config.init == "equilibrium":
-        eq_init = equilibrium_queue(network)
-    elif config.init != "cold":
-        raise SimulationError(f"unknown init mode {config.init!r}")
+    eq_init = equilibrium_queue(network) if config.init == "equilibrium" else None
 
     n_ticks = int(round(config.horizon_s / dt)) + 1
     # the tick times, and the end of the last step
@@ -440,7 +435,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     prune_lag = sum(delays) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
                  for h in (q.forward_map, q.arrivals, q.departures)]
-    histories += [h for st in states.values() for h in (st.sending, st.acks)]
+    histories += [st.sending for st in states.values()]
 
     lags = input_lags(network, dt)
     cycles = shortest_cycles(lags)
@@ -461,7 +456,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         # up to it read histories the pruning below may put out of reach
         for uid, (flight, balance, w0) in flights.items():
             conf, sending = network.users[uid], states[uid].sending
-            send, ack = sending.values, states[uid].acks.values
+            send, ack = sending.values, states[uid].acks
             for k0 in range(done, barrier, FLIGHT_CHUNK_TICKS):
                 k1 = min(k0 + FLIGHT_CHUNK_TICKS, barrier)
                 ticks = grid[k0:k1]
@@ -491,7 +486,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         columns.update((f"out.{qid}.{fid}", row) for fid, row in q.outputs.items())
     for uid, st in states.items():
         columns[f"send.{uid}"] = st.sending.values
-        columns[f"ack.{uid}"] = st.acks.values
+        columns[f"ack.{uid}"] = st.acks
     signals = {}
     for name, col in columns.items():
         signals[name] = col
@@ -518,6 +513,7 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
     (``jumps``, tick -> jump): each piece takes at most one, at its first tick."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
+    st.acks[k0:k1] = acks
     proto = conf.protocol
     fast = isinstance(proto, FastProtocol)
     if fast:
@@ -547,7 +543,6 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
                 f"divergence in user block '{conf.id}' at "
                 f"t={grid[a + sane.argmin()]:.6f}")
         st.sending.record(grid[a], send)
-        st.acks.record(grid[a], acks[piece])
         # the flight columns are filled by simulate, off the block path
         for col, values in zip(columns, (w, pi, active)):
             col[a:b] = values

@@ -119,6 +119,11 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     FAST-controlled users are not supported here (they are validated against
     the analytic fixed point instead).
     """
+    # an infinite warm-up puts every event at -inf, so the run never ends
+    if not math.isfinite(warmup_s):
+        raise OracleError(f"warmup_s must be finite, got {warmup_s!r}")
+    if not 0 < sample_dt_s < math.inf:  # NaN fails too
+        raise OracleError(f"sample_dt_s must be finite and positive, got {sample_dt_s!r}")
     horizon = scenario.run.horizon_s
     t0 = -abs(warmup_s)
 

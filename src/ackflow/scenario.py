@@ -5,14 +5,24 @@ This module owns the flow types: ``QueueConf``, ``UserConf`` and
 same objects are the network (``topology`` checks their ids, paths and
 delays).  A user's ``protocol`` is one of the controllers of ``protocol``
 (``ScheduledProtocol``, ``FastProtocol``), re-exported here: the one
-description that the engine and the packet oracle both run.  One YAML
-document describes a run.  Keys carry explicit units (``capacity_mbps``,
-``hop_delays_ms``) and everything is normalized to packets and seconds on
-load; capacities given in Mb/s are converted with the scenario's packet
-size (bits per second divided by 8 * packet bytes).  The parser adds each
-entry to a ``Network`` as it reads it, so a topology fault names the
-entry's field.  Serialization emits the canonical normalized form, which
-parses back to an identical scenario.
+description that the engine and the packet oracle both run.  ``RunConf``
+holds the run settings.  Each description checks itself where it is
+built, from Python or from a document: the controllers, the profiles,
+``RunConf`` and a user's protocol kind in their constructors, a route and
+its delays in the ``Network`` they join.  A fault names the attribute at
+fault, where one is, as its ``field``, and no reader of a description
+re-checks it.
+
+One YAML document describes a run.  Keys carry explicit units
+(``capacity_mbps``, ``hop_delays_ms``) and everything is normalized to
+packets and seconds on load; capacities given in Mb/s are converted with
+the scenario's packet size (bits per second divided by 8 * packet bytes).
+The parser checks what only the document holds (its keys and types, and
+the units and fractions it converts).  It adds each entry to a ``Network``
+as it reads it and builds each description, and only maps a fault's
+``field`` to the entry's key, so the message names the key.
+Serialization emits the canonical normalized form, which parses back to an
+identical scenario.
 """
 
 from __future__ import annotations
@@ -39,7 +49,12 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario; the message names the offending field."""
+    """Malformed scenario; the message names the offending field, and
+    ``field`` the description's attribute at fault, or None."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def mbps_to_pps(mbps: float, packet_bytes: int) -> float:
@@ -59,6 +74,11 @@ class UserConf:
     hop_delays_s: tuple[float, ...]
     return_delay_s: float
     protocol: ScheduledProtocol | FastProtocol
+
+    def __post_init__(self):
+        if not isinstance(self.protocol, (ScheduledProtocol, FastProtocol)):
+            raise ScenarioError(
+                f"user '{self.id}': unsupported protocol {self.protocol!r}", "protocol")
 
     @property
     def total_delay_s(self) -> float:
@@ -142,6 +162,14 @@ class RunConf:
     horizon_s: float = 10.0
     init: str = "cold"  # "cold" | "equilibrium"
 
+    def __post_init__(self):
+        for name in ("dt_s", "horizon_s"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ScenarioError(f"{name} must be finite and positive, "
+                                    f"got {getattr(self, name)!r}", name)
+        if self.init not in ("cold", "equilibrium"):
+            raise ScenarioError(f"must be 'cold' or 'equilibrium', got {self.init!r}", "init")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -214,16 +242,17 @@ def _section(doc: dict, key: str) -> list:
 
 
 def _validated(path: str, check, *args, keys: dict | None = None):
-    """Run a controller's, a profile's or the topology's own checks, naming
-    the field; returns what ``check`` returns.
+    """Run a description's own checks, naming the field; returns what
+    ``check`` returns.
 
-    ``keys`` maps the attribute a controller or topology fault names to the
-    entry's key in the document, e.g. ``queue_path`` to ``path``.
+    ``keys`` maps the attribute a fault names to the entry's key in the
+    document, e.g. ``queue_path`` to ``path``; without it, the key is the
+    attribute.
     """
     try:
         return check(*args)
     except (ProtocolError, ScenarioError, TopologyError) as e:
-        key = (keys or {}).get(getattr(e, "field", None))
+        key = e.field if keys is None else keys.get(e.field)
         raise _err(f"{path}.{key}" if key else path, str(e)) from None
 
 
@@ -275,13 +304,11 @@ def _parse_protocol(d, path: str):
             _no_leftovers(s, sp)
             steps.append((at, w))
         _no_leftovers(d, path)
-        return _validated(path, ScheduledProtocol, w0, tuple(steps),
-                          keys={k: k for k in ("initial_window_pkts", "steps")})
+        return _validated(path, ScheduledProtocol, w0, tuple(steps))
     gamma = _number(_take(d, path, "gamma"), f"{path}.gamma")
     alpha = _number(_take(d, path, "alpha_pkts"), f"{path}.alpha_pkts")
     _no_leftovers(d, path)
-    return _validated(path, FastProtocol, gamma, alpha, w0,
-                      keys={k: k for k in ("gamma", "alpha_pkts", "initial_window_pkts")})
+    return _validated(path, FastProtocol, gamma, alpha, w0)
 
 
 def _delays_s(d: dict, path: str, prefix: str, listed: bool):
@@ -400,22 +427,17 @@ def parse_scenario(text: str) -> Scenario:
     horizon = _number(_take(run_raw, "run", "horizon_s", required=False,
                             default=RunConf.horizon_s), "run.horizon_s")
     init = _take(run_raw, "run", "init", required=False, default=RunConf.init)
-    if init not in ("cold", "equilibrium"):
-        raise _err("run.init", f"must be 'cold' or 'equilibrium', got {init!r}")
+    run = _validated("run", RunConf, dt, horizon, init)
     if init == "equilibrium":
         for fid, f in net.rate_flows.items():
             if not isinstance(f.profile, ConstantProfile):
                 raise _err("run.init", f"an equilibrium start needs constant rate "
                                        f"flows, and rate flow '{fid}' varies in time")
-    for key, value in (("dt_s", dt), ("horizon_s", horizon)):
-        if value <= 0:
-            raise _err(f"run.{key}", "must be positive")
     _no_leftovers(run_raw, "run")
 
     _no_leftovers(doc, "scenario")
     return Scenario(name, packet_bytes, tuple(net.queues.values()),
-                    tuple(net.users.values()), tuple(net.rate_flows.values()),
-                    RunConf(dt, horizon, init))
+                    tuple(net.users.values()), tuple(net.rate_flows.values()), run)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -32,7 +32,7 @@ class UserState:
         self.window = float(window0_pkts)
         self.ack_buffer = 0.0          # nonpositive; packets to absorb
         self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
-        self.acks = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
+        self.acks = np.empty(n_ticks)  # the arrived ACK rates; no block reads them back
 
     def step(self, acks, rates, dt: float, jump: float = 0.0):
         """Advance the ACK buffer over one block of steps of ``dt``.

@@ -20,8 +20,8 @@ from ackflow.oracle import equilibrium_queue, packet_sim
 from ackflow.protocol import fast_wdot
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
-    ScheduledProtocol, SquareProfile, UserConf, load_scenario, mbps_to_pps,
-    to_network,
+    ScenarioError, ScheduledProtocol, SquareProfile, UserConf, load_scenario,
+    mbps_to_pps, to_network,
 )
 
 OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
@@ -182,11 +182,13 @@ class TestBasics:
             simulate(to_network(sc), sc, cfg)
 
     def test_flow_traces_are_views_of_the_history_store(self):
-        # send/ack/in/out traces are the store's columns, not copies
+        # send/in/out traces are the store's columns, not copies; no block
+        # reads the ACKs back, so ack is a plain column of the user state
         traces = run(two_user_scenario(cross=100.0, horizon=0.5))
         q, u = traces.queues["b1"], traces.users["u1"]
+        assert type(u.acks) is np.ndarray and len(u.acks) == len(traces.time)
         row = q.flow_ids.index
-        for name, values in (("send.u1", u.sending.values), ("ack.u1", u.acks.values),
+        for name, values in (("send.u1", u.sending.values), ("ack.u1", u.acks),
                              ("in.b1.u1", q.arrivals.values[row("u1")]),
                              ("out.b1.cross_b1", q.departures.values[row("cross_b1")])):
             assert np.shares_memory(traces[name], values), name
@@ -199,11 +201,21 @@ class TestBasics:
         (0.0, "positive"), (-1e-3, "positive"),
     ])
     def test_bad_step_or_horizon_names_the_field(self, field, value, problem):
-        sc = two_user_scenario()
-        cfg = SimConfig(**{"dt_s": 1e-3, "horizon_s": 1.0, "init": "cold",
-                           field: value})
-        with pytest.raises(SimulationError, match=f"^{field} must be {problem}"):
-            simulate(to_network(sc), sc, cfg)
+        # the run settings refuse it where they are built, so no run and no
+        # oracle meets it; ``problem`` is the test the value fails
+        with pytest.raises(ScenarioError, match=f"^{field} must be finite and positive, "
+                                                f"got {re.escape(repr(value))}$") as err:
+            SimConfig(**{"dt_s": 1e-3, "horizon_s": 1.0, "init": "cold", field: value})
+        assert err.value.field == field
+        assert problem in str(err.value)
+
+    def test_a_nan_horizon_never_reaches_the_packet_oracle(self):
+        # packet_sim reads scenario.run itself, and a NaN horizon stopped it
+        # as "cannot convert float NaN to integer"
+        sc = load_scenario("scenario7")
+        with pytest.raises(ScenarioError) as err:
+            dataclasses.replace(sc, run=RunConf(1e-4, math.nan, "equilibrium"))
+        assert err.value.field == "horizon_s"
 
     @pytest.mark.parametrize("horizon_s, dt_s", [(1e308, 1e-4), (1.0, 1e-300)],
                              ids=["infinite_ticks", "too_many_ticks"])
@@ -217,18 +229,19 @@ class TestBasics:
                                                    init="cold"))
 
     def test_an_unknown_init_mode_is_refused(self):
-        sc = two_user_scenario()
-        with pytest.raises(SimulationError, match="^unknown init mode 'warm'$"):
-            simulate(to_network(sc), sc, SimConfig(dt_s=1e-3, horizon_s=1.0, init="warm"))
+        with pytest.raises(ScenarioError,
+                           match="^must be 'cold' or 'equilibrium', got 'warm'$") as err:
+            SimConfig(dt_s=1e-3, horizon_s=1.0, init="warm")
+        assert err.value.field == "init"
 
     def test_a_protocol_that_is_neither_controller_is_refused(self):
-        # a cold start reads no initial window, so only the engine's own
-        # check stops a protocol it cannot run
+        # the user refuses it where it is built: the engine, packet_sim and
+        # equilibrium_queue all read the protocol as one of the controllers
         sc = two_user_scenario(init="cold")
-        user = dataclasses.replace(sc.users[1], protocol="reno")
-        sc = dataclasses.replace(sc, users=(sc.users[0], user))
-        with pytest.raises(SimulationError, match="^user 'u2': unsupported protocol 'reno'$"):
-            simulate(to_network(sc), sc, SimConfig(dt_s=1e-3, horizon_s=1.0, init="cold"))
+        with pytest.raises(ScenarioError,
+                           match="^user 'u2': unsupported protocol 'reno'$") as err:
+            dataclasses.replace(sc.users[1], protocol="reno")
+        assert err.value.field == "protocol"
 
     def test_return_delay_must_cover_one_step(self):
         # a zero return delay passes the headroom rule, which looks only at

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +203,27 @@ class TestPacketSim:
         with pytest.raises(TopologyError) as err:
             packet_sim(sc)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("param, value, problem", [
+        ("warmup_s", math.inf, "finite"), ("warmup_s", -math.inf, "finite"),
+        ("warmup_s", math.nan, "finite"),
+        ("sample_dt_s", 0.0, "finite and positive"),
+        ("sample_dt_s", -0.01, "finite and positive"),
+        ("sample_dt_s", math.inf, "finite and positive"),
+        ("sample_dt_s", math.nan, "finite and positive"),
+    ])
+    def test_a_bad_warmup_or_sample_step_is_refused_before_any_event(
+            self, monkeypatch, param, value, problem):
+        # an infinite warm-up put every event at -inf and never returned, a
+        # NaN one ran with no dequeues, and a bad sample step raised or
+        # warned mid-run
+        def no_event(*args):
+            raise AssertionError("an event was pushed")
+
+        monkeypatch.setattr(oracle.heapq, "heappush", no_event)
+        with pytest.raises(OracleError, match=f"^{param} must be {problem}, "
+                                              f"got {re.escape(repr(value))}$"):
+            packet_sim(load_scenario("scenario7"), **{param: value})
 
     def test_determinism(self):
         sc = tiny_scenario(w0=50.0, cap=500.0, steps=[(1.0, 80.0)], horizon=2.0)

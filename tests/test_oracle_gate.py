@@ -20,6 +20,9 @@ against the FAST fixed point on one bottleneck, where each user keeps
 within ``FAST_QUEUE_PKTS`` of the sum of the alphas, and each user's
 ``send * q / c`` within ``FAST_USER_PKTS`` of its alpha.
 
+An ACK buffer that refills inside a step, which no preset reaches, is
+gated on scenario7 with its window step moved to 249.9 pkts.
+
 On every gated run, no queue may count a stall fallback: no congested step
 may find its backward image empty of arrivals and fall back to the carried
 arrival mix.  A transport that loses the arrival mass fails here.
@@ -33,7 +36,8 @@ import pytest
 
 from ackflow.engine import SimConfig, simulate
 from ackflow.oracle import packet_sim
-from ackflow.scenario import load_scenario, to_network
+from ackflow.scenario import ScheduledProtocol, load_scenario, to_network
+from ackflow.user import EPS_ACK_BUFFER_PKTS
 
 GATE_PKTS = 5.0
 FAST_QUEUE_PKTS = 1.0
@@ -64,10 +68,9 @@ def run(sc, horizon_s: float):
     return sc, traces
 
 
-def oracle_errors(name: str, horizon_s: float) -> tuple[float, float]:
+def oracle_errors(sc, traces, warmup_s: float) -> tuple[float, float]:
     """Largest queue-length and cumulative-dequeue gaps to packet_sim, in pkts."""
-    sc, traces = run(load_scenario(name), horizon_s)
-    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=CASES[name][1])
+    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=warmup_s)
     dt = traces.dt_s
     idx = np.rint(ref.sample_times / dt).astype(int)
     q_err = max(float(np.abs(traces[f"q.{qid}"][idx] - q_pkt).max())
@@ -80,7 +83,7 @@ def oracle_errors(name: str, horizon_s: float) -> tuple[float, float]:
 
 
 def check_gate(name: str, horizon_s: float) -> None:
-    q_err, dep_err = oracle_errors(name, horizon_s)
+    q_err, dep_err = oracle_errors(*run(load_scenario(name), horizon_s), CASES[name][1])
     assert q_err <= GATE_PKTS, q_err
     if name in DEQUEUES_GATED:
         assert dep_err <= GATE_PKTS, dep_err
@@ -95,6 +98,24 @@ def test_fluid_tracks_packet_sim_within_the_gate(name):
 @pytest.mark.parametrize("name", LONG)
 def test_fluid_tracks_packet_sim_over_the_full_horizon(name):
     check_gate(name, load_scenario(name).run.horizon_s)
+
+
+def test_an_ack_buffer_refill_inside_a_step_tracks_packet_sim():
+    # scenario7 halves its window at 5 s from 500 to 250 pkts, a deficit of
+    # exactly 1664 ticks of ACK mass at 1e-4 s, so its buffer refills on a
+    # tick boundary; at 249.9 pkts 0.1 pkts are left after those ticks, the
+    # buffer refills inside the next step and the source resumes for the
+    # rest of it
+    sc = load_scenario("scenario7")
+    (user,) = sc.users
+    user = dataclasses.replace(user, protocol=ScheduledProtocol(500.0, ((5.0, 249.9),)))
+    sc, traces = run(dataclasses.replace(sc, users=(user,)), 6.0)
+    retaining = traces["ackbuf.u1"] < -EPS_ACK_BUFFER_PKTS
+    refills = np.flatnonzero(retaining & (traces["active.u1"] == 1.0))
+    assert len(refills) == 1, refills
+    q_err, dep_err = oracle_errors(sc, traces, 5.0)
+    assert q_err <= GATE_PKTS, q_err
+    assert dep_err <= GATE_PKTS, dep_err
 
 
 def fast_errors(source: str) -> tuple[float, float]:

@@ -49,15 +49,16 @@ prunes the histories there.
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The ACK-buffer and backlog recurrences run
 as regime spans: runs of ticks in which no branch of the recurrence
-changes, each one ``np.cumsum`` or array copy, cut where a branch would
-flip (``UserState.step``, ``FifoQueue.step``).  ``np.cumsum`` adds in
-sequence, so a span's sums are the tick-by-tick ones.  A user block is cut
-at its window jumps, so each piece takes at most one, at its first tick;
-the controller's ``window_path`` gives the piece's windows (FAST's is a
-plain loop with no call per tick), and one vectorised ``fast_wdot`` call a
-FAST piece's rates.  Every expression is the per-tick one on the same
-data, so the traces do not depend on the blocks, the frontiers or the
-spans, and a failed check names the first bad tick.
+changes, each one running sum (``np.cumsum``, ``np.add.accumulate``) or
+array copy, cut where a branch would flip (``UserState.step``,
+``FifoQueue.step``).  A running sum adds in sequence, so a span's sums are
+the tick-by-tick ones.  A user block is cut at its window jumps, so each
+piece takes at most one, at its first tick; the controller's
+``window_path`` gives the piece's windows (FAST's is a plain loop with no
+call per tick), and one vectorised ``fast_wdot`` call a FAST piece's
+rates.  Every expression is the per-tick one on the same data, so the
+traces do not depend on the blocks, the frontiers or the spans, and a
+failed check names the first bad tick.
 
 Every signal is sampled on one grid ``k * dt``, whose times the blocks
 slice.  The flows (a user's sending, a queue's (flows x ticks) input and
@@ -71,8 +72,12 @@ A user's flight, in two forms, checks the conservation law (what was sent
 is in flight, lost or received): ``flight`` is the sending history's hold
 integral back to the circuit entry time, ``flight_ode`` the running sum of
 sent minus acked mass.  No block reads them, so ``simulate`` fills both at
-each barrier, before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``; only a
-FAST user's block inverts the circuit, for its queueing delay.
+each barrier, before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``, with one
+circuit inversion per user and chunk; only a FAST user's block inverts the
+circuit too, for its queueing delay.  A flight ends on a tick, where the
+held integral is the sending history's hold cumulative itself, so a chunk
+is that cumulative's slice less its value at each entry time
+(``Trajectory.integrate_hold_to_samples``).
 """
 
 from __future__ import annotations
@@ -459,20 +464,22 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             send, ack = sending.values, states[uid].acks
             for k0 in range(done, barrier, FLIGHT_CHUNK_TICKS):
                 k1 = min(k0 + FLIGHT_CHUNK_TICKS, barrier)
-                ticks = grid[k0:k1]
                 try:
                     # the sending integral back to the circuit entry time,
                     # each tick's rate held over its step
-                    flight[k0:k1] = sending.integrate_hold(
-                        circuit_backward_time(conf, queues, ticks), ticks)
+                    flight[k0:k1] = sending.integrate_hold_to_samples(
+                        circuit_backward_time(conf, queues, grid[k0:k1]), k0)
                 except HistoryError as err:
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
-                # sent minus acked, added tick by tick: np.cumsum adds in
-                # sequence, so each chunk resumes the last one's sum exactly
-                start = balance[k0 - 1] + (send[k0 - 1] - ack[k0 - 1]) * dt if k0 else w0
-                balance[k0:k1] = np.cumsum(np.concatenate(
-                    ([start], (send[k0:k1 - 1] - ack[k0:k1 - 1]) * dt)))
+                # sent minus acked, added tick by tick in place from the
+                # chunk's start: np.add.accumulate adds in sequence, so each
+                # chunk resumes the last one's sum exactly
+                chunk = balance[k0:k1]
+                chunk[0] = balance[k0 - 1] + (send[k0 - 1] - ack[k0 - 1]) * dt if k0 else w0
+                np.subtract(send[k0:k1 - 1], ack[k0:k1 - 1], out=chunk[1:])
+                chunk[1:] *= dt
+                np.add.accumulate(chunk, out=chunk)
         done = barrier
         t = (barrier - 1) * dt
         if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:

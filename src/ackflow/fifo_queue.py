@@ -13,11 +13,11 @@ that arrived over the backward image of that interval.
 The queue advances a block of ticks per call sequence: ``record_inputs``,
 ``step``, ``transport_outputs``, ``record_outputs``.  Each call is passed
 the block data it needs (the input rates, their total, the congested
-flags), so between blocks the queue holds only its backlog, its histories
-and the arrival mix carried for stalled steps.  The backlog and mode
-recurrence runs as regime spans, congested ones as one ``np.cumsum`` of
-``(a - c) * dt``, cut at each mode switch; the transport is array
-arithmetic over the block and its flows, on one hold integral.
+flags), so between blocks the queue holds only its backlog and its
+histories.  The backlog and mode recurrence runs as regime spans,
+congested ones as one running sum of ``(a - c) * dt``, cut at each mode
+switch; the transport is array arithmetic over the block and its flows,
+on one hold integral.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class FifoQueue:
 
     __slots__ = (
         "queue_id", "capacity", "flow_ids", "backlog", "arrivals", "departures",
-        "forward_map", "stall_fallbacks", "_share_hint",
+        "forward_map", "stall_fallbacks",
     )
 
     def __init__(
@@ -87,9 +87,6 @@ class FifoQueue:
         self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0, n_ticks=n_ticks + 1)
         self.forward_map.record(0.0, tau0)
         self.stall_fallbacks = 0
-        # the pre-history's mix, else an even one
-        self._share_hint = _mix_at(rates0[:, None], np.array([sum(rates0)]), 0,
-                                   np.full(len(rates0), 1.0 / max(len(rates0), 1)))
 
     @property
     def inputs(self) -> dict[str, np.ndarray]:
@@ -110,9 +107,8 @@ class FifoQueue:
         ``transport_outputs`` take.
         """
         rates = np.ascontiguousarray(rates, dtype=np.float64)
-        bad = ~(rates >= 0)  # negative or NaN
-        if bad.any():
-            j, f = np.argwhere(bad.T)[0]
+        if not (rates >= 0).all():  # negative or NaN
+            j, f = np.argwhere(~(rates >= 0).T)[0]
             rate = float(rates[f, j])
             raise ValueError(f"queue '{self.queue_id}': {'negative ' if rate < 0 else ''}"
                              f"input flow {rate!r} at t={float(ticks[j])!r}")
@@ -137,35 +133,41 @@ class FifoQueue:
         switch) and whether the queue was congested.
 
         The block runs as regime spans.  A congested span integrates
-        ``(a - c) * dt`` with one ``np.cumsum`` from its start backlog and
-        ends at the first tick whose start value no longer congests the
-        queue, or whose end value is negative: that tick empties the queue
-        at the instant ``theta`` inside it.  An uncongested span holds the
-        backlog and serves the arrivals until the first tick whose arrival
-        rate exceeds the capacity.  ``np.cumsum`` adds in sequence, so the
-        backlog is the tick-by-tick sum whatever the spans.
+        ``(a - c) * dt`` with one ``np.add.accumulate`` from its start
+        backlog and ends at the first tick whose start value no longer
+        congests the queue, or whose end value is negative: that tick
+        empties the queue at the instant ``theta`` inside it.  An uncongested
+        span holds the backlog and serves the arrivals until the first tick
+        whose arrival rate exceeds the capacity.  ``np.add.accumulate`` adds
+        in sequence, so the backlog is the tick-by-tick sum whatever the
+        spans.
         """
         c = self.capacity
         a = total_pps
         n = len(a)
         over = a > c
-        backlog, services = np.empty(n), np.empty(n)
+        # the backlog at each step's start, then at the last step's end; a
+        # congested span sums its steps in place from its start backlog
+        backlog = np.empty(n + 1)
+        services = np.empty(n)
         congested = np.zeros(n, dtype=bool)
         b = self.backlog
         s = 0
         while s < n:
+            backlog[s] = b
             if b > EPS_BACKLOG_PKTS or over[s]:
-                cum = np.cumsum(np.concatenate(([b], (a[s:] - c) * dt)))
+                cum = backlog[s:]
+                np.subtract(a[s:], c, out=cum[1:])
+                cum[1:] *= dt
+                np.add.accumulate(cum, out=cum)
                 stays = (cum[:-1] > EPS_BACKLOG_PKTS) | over[s:]
                 r = first_true(~(stays & (cum[1:] >= 0.0)))
                 e = s + r
-                backlog[s:e] = cum[:r]
                 services[s:e] = c
                 congested[s:e] = True
                 b = cum[r]
                 if e < n and stays[r]:
                     # empties during this step: serve c until theta, then a
-                    backlog[e] = b
                     theta = b / (c - a[e])
                     services[e] = (c * theta + a[e] * (dt - theta)) / dt
                     congested[e] = True
@@ -176,10 +178,10 @@ class FifoQueue:
                 backlog[s:e] = b
                 services[s:e] = a[s:e]
             s = e
+        backlog[n] = b
         self.backlog = float(b)
-        ends = np.append(backlog[1:], b)
-        self.forward_map.record(end_times_s[0], end_times_s + ends / c)
-        return backlog, services, congested
+        self.forward_map.record(end_times_s[0], end_times_s + backlog[1:] / c)
+        return backlog[:n], services, congested
 
     def transport_outputs(self, times: np.ndarray, total_departed_pkts: np.ndarray,
                           rates: np.ndarray, total_pps: np.ndarray,
@@ -197,13 +199,11 @@ class FifoQueue:
         they agree exactly with the stepping that built the time map;
         per-flow packet counts then survive arbitrarily sharp input
         transients.  If the backward image carries no arrivals at all (all
-        sources stalled before a backlog formed), the step reuses the mix of
-        the block's latest arrivals at or before it, else the mix carried
-        from earlier blocks, and counts the event in ``stall_fallbacks``.
-        Uncongested, the outputs are the inputs.
+        sources stalled before a backlog formed), the step takes the mix of
+        the latest arrivals at or before it (``_mix_at``) and counts the
+        event in ``stall_fallbacks``.  Uncongested, the outputs are the
+        inputs.
         """
-        carried = self._share_hint
-        self._share_hint = _mix_at(rates, total_pps, len(total_pps) - 1, carried)
         outs = rates.copy()
         ticks = np.flatnonzero(congested)
         if not ticks.size:
@@ -229,20 +229,40 @@ class FifoQueue:
                                + rates[:, busy][:, tail] * (g1 - t0)[tail])
         arrived = _sum_rows(masses)
         fed = arrived > 0.0
+        stalled = not fed.all()
         # a step with no arrival mass gets 0 here and its mix below
         with np.errstate(over="ignore", invalid="ignore"):
-            shares = departed / np.where(fed, arrived, np.inf) / width * masses
+            shares = (departed / (np.where(fed, arrived, np.inf) if stalled else arrived)
+                      / width * masses)
         # an arrival mass far below the departures over it (subnormal input
         # rates) overflows the quotient; take the masses' fractions first
-        big = ~np.isfinite(shares).all(axis=0)
-        if big.any():
+        if not np.isfinite(shares).all():
+            big = ~np.isfinite(shares).all(axis=0)
             shares[:, big] = masses[:, big] / arrived[big] * (departed[big] / width[big])
         np.copyto(outs[:, busy], shares, where=congested[busy])
-        for j in np.flatnonzero(~fed & congested[busy]):
-            self.stall_fallbacks += 1
-            k = busy.start + j
-            outs[:, k] = departed[j] / width[j] * _mix_at(rates, total_pps, k, carried)
+        if stalled:
+            # the block's first tick is sample k0 of the arrivals
+            k0 = len(self.arrivals) - len(total_pps)
+            for j in np.flatnonzero(~fed & congested[busy]):
+                self.stall_fallbacks += 1
+                k = busy.start + j
+                outs[:, k] = departed[j] / width[j] * self._mix_at(k0 + k)
         return outs
+
+    def _mix_at(self, k: int) -> np.ndarray:
+        """The arrival mix at recorded tick ``k``: that of the latest tick at
+        or before it with arrivals, else the pre-history's, else an even
+        one.  The search looks back over twice as many ticks each time it
+        finds none, so it costs what it passes over."""
+        values = self.arrivals.values
+        hi, width = k + 1, 64
+        while hi > 0:
+            lo = max(hi - width, 0)
+            fed = np.flatnonzero(values[:, lo:hi].any(axis=0))
+            if fed.size:
+                return _mix(values[:, lo + fed[-1]])
+            hi, width = lo, 2 * width
+        return _mix(self.arrivals.initial_value)
 
     def record_outputs(self, t: float, rates) -> None:
         """Record one block of per-flow departure rates from grid time ``t``."""
@@ -258,14 +278,10 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) + 0.0
 
 
-def _mix_at(rates: np.ndarray, total_pps, k: int, carried: np.ndarray) -> np.ndarray:
-    """The arrival mix at a block's tick ``k``: the latest tick at or before
-    it with arrivals, else the ``carried`` mix from earlier blocks."""
-    if total_pps[k] > 0:
-        i = k
-    else:
-        fed = np.flatnonzero(total_pps[:k + 1] > 0)
-        if not fed.size:
-            return carried
-        i = fed[-1]
-    return rates[:, i] / total_pps[i]
+def _mix(rates: np.ndarray) -> np.ndarray:
+    """One tick's per-flow rates over their total, added as ``_sum_rows``
+    adds a block's, or an even mix where they total nothing."""
+    total = _sum_rows(rates[:, None])[0]
+    if total > 0:
+        return rates / total
+    return np.full(len(rates), 1.0 / max(len(rates), 1))

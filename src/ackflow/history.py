@@ -7,9 +7,13 @@ It is sized once, at its run length.  The engine appends and reads whole
 blocks of ticks: ``record`` takes consecutive samples, and the reads take
 arrays of times and answer elementwise.  Delayed reads are index
 arithmetic with linear interpolation between samples, a sample-and-hold
-running integral gives queue transport masses, and a binary search over
-the values inverts monotone (arrival -> departure) time maps.  The samples
-are also the engine's output: its traces are zero-copy views of them.
+running integral gives queue transport masses and the users' flights, and
+a binary search over the values inverts monotone (arrival -> departure)
+time maps.  One block's queries lie close together, so the search runs in
+a window around the trajectory's previous answer, widened until it holds
+them all; the answers do not depend on the order of the calls.  The
+samples are also the engine's output: its traces are zero-copy views of
+them.
 """
 
 from __future__ import annotations
@@ -71,14 +75,15 @@ class Trajectory:
     produced yet.  Reads take a time or an array of times; a check that
     fails names the first offending time.  ``eval_at`` reads one signal:
     its ``row`` picks a block's row, and the default ``...`` takes a
-    one-signal trajectory whole.  ``integrate_hold`` and
-    ``integrate_hold_steps`` answer every row.
+    one-signal trajectory whole.  ``integrate_hold``,
+    ``integrate_hold_steps`` and ``integrate_hold_to_samples`` answer every
+    row.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value",
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "_cursor", "initial_value",
                  "pre_slope", "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
@@ -92,6 +97,8 @@ class Trajectory:
         # extended by each integral only through the last sample it reads
         self._cum = None
         self._ncum = 0
+        # the index invert_monotone last answered, where its next search starts
+        self._cursor = 0
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -161,20 +168,31 @@ class Trajectory:
                 v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
         return float(out[0]) if scalar else out
 
+    def _cumulative(self, top: int) -> np.ndarray:
+        """The hold cumulative, filled at least through entry ``top - 1``."""
+        if top > self._ncum:
+            if self._cum is None:
+                self._cum = np.zeros(self._buf.shape)
+                self._ncum = 1
+            self._extend_cumulative(top)
+        return self._cum
+
     def _extend_cumulative(self, top: int) -> None:
         """Fill the hold cumulative from its first missing entry through
         entry ``top - 1``, sample ``top - 1``'s.
 
-        ``np.cumsum`` adds in sequence, so seeding it with the last entry
-        gives each cell exactly the one-at-a-time running sum, however the
-        entries are split between extensions.
+        The cells are written after the last entry and summed in place from
+        it: ``np.add.accumulate`` adds in sequence, so each entry is exactly
+        the one-at-a-time running sum, however the entries are split between
+        extensions.
         """
-        n0, dt = self._ncum, self.dt
-        n = np.arange(n0, top)
+        n0 = self._ncum
+        cum = self._cum[..., n0 - 1:top]
         # each cell as wide as its grid times
-        cells = self._buf[..., n0 - 1:top - 1] * (n * dt - (n - 1) * dt)
-        self._cum[..., n0 - 1:top] = np.cumsum(
-            np.concatenate((self._cum[..., n0 - 1:n0], cells), axis=-1), axis=-1)
+        grid = np.arange(n0 - 1, top) * self.dt
+        np.subtract(grid[1:], grid[:-1], out=cum[..., 1:])
+        cum[..., 1:] *= self._buf[..., n0 - 1:top - 1]
+        np.add.accumulate(cum, axis=-1, out=cum)
         self._ncum = top
 
     def integrate_hold(self, t0, t1):
@@ -204,8 +222,28 @@ class Trajectory:
             return np.zeros(np.shape(self.initial_value) + (len(t) - 1,))
         # the times are nondecreasing, so each lies between the first
         # nonempty span's start and the last one's end, which were checked
-        held = self._held(t)
+        held = self._held(t, ascending=True)
         return held[..., 1:] - held[..., :-1]
+
+    def integrate_hold_to_samples(self, t0, k0: int):
+        """``integrate_hold(t0, t1)`` to the bit, with the same checks, where
+        ``t1[j]`` is the time of sample ``k0 + j``, which must be recorded.
+
+        At sample ``k``'s own time the held integral is its cumulative entry
+        plus ``buf[k] * 0.0``, which is that entry for a finite sample, so
+        the ends are a slice of the cumulative and only the starts are
+        searched.
+        """
+        t0 = np.asarray(t0, dtype=np.float64)
+        k1 = k0 + len(t0)
+        t1 = np.arange(k0, k1) * self.dt
+        spans = self._checked_spans(t0, t1)
+        if k1 > self._n:  # an empty span skips the check above, but its end is read
+            self._check_recorded(t1)
+        if spans is None:
+            return np.zeros(np.shape(self.initial_value) + t0.shape)
+        # each start is at or before its end, so the cumulative covers it
+        return self._cumulative(k1)[..., k0:k1] - self._held(t0)
 
     def _checked_spans(self, t0: np.ndarray, t1: np.ndarray):
         """The spans ``[t0, t1]`` with each empty one moved onto a nonempty
@@ -224,28 +262,29 @@ class Trajectory:
             safe = t0[span.argmax()]
             t0, t1 = np.where(span, t0, safe), np.where(span, t1, safe)
         self._check_not_pruned(t0)
+        self._check_recorded(t1)
+        return t0, t1
+
+    def _check_recorded(self, t1: np.ndarray) -> None:
         last = (self._n - 1) * self.dt
         late = t1 > last
         if late.any():
             raise CausalityError(
                 f"integration end t={float(t1[late.argmax()])!r} beyond history "
                 f"({last!r})")
-        return t0, t1
 
-    def _held(self, t: np.ndarray) -> np.ndarray:
-        """The held integral from 0 to each time, unchecked."""
+    def _held(self, t: np.ndarray, ascending: bool = False) -> np.ndarray:
+        """The held integral from 0 to each time, unchecked; ``ascending``
+        times have their least first and their greatest last."""
         if not self._n:  # no sample: every time lies in the pre-history
             return np.multiply.outer(self.initial_value, t)
-        early = t.min() < 0.0
+        early = (t[0] if ascending else t.min()) < 0.0
         i = grid_index(np.maximum(t, 0.0) if early else t, self.dt)
-        top = int(i.max()) + 1
-        if top > self._ncum:
-            if self._cum is None:
-                self._cum = np.zeros(self._buf.shape)
-                self._ncum = 1
-            self._extend_cumulative(top)
-        held = (self._cum.take(i, axis=-1)
-                + self._buf.take(i, axis=-1) * (t - i * self.dt))
+        cum = self._cumulative(int(i[-1] if ascending else i.max()) + 1)
+        # cum + buf * (t - i * dt), summed in place: a float sum commutes
+        held = self._buf.take(i, axis=-1)
+        held *= t - i * self.dt
+        held += cum.take(i, axis=-1)
         if early:
             held = np.where(t < 0.0, np.multiply.outer(self.initial_value, t), held)
         return held
@@ -256,27 +295,51 @@ class Trajectory:
         Where the map is flat, the left edge of the flat interval is
         returned (FIFO earliest-arrival tie-break).  ``y`` must lie inside
         the recorded value range, or below it on a rising pre-history line.
+
+        The search starts at the index of the previous answer and gallops
+        out from it, doubling its step, to the window ``values[a:b + 1]``
+        with ``values[a - 1] < min(y)`` (or ``a == 0``) and
+        ``max(y) <= values[b]``; every answer's index lies in it, so a
+        search of the window finds the whole map's, whatever the order of
+        the queries and of the calls.
         """
         y, scalar = _times(y)
         values = self.values
         if not self._n:
             raise HistoryError("cannot invert an empty trajectory")
         lo, hi = values[0], values[-1]
-        early = y.min() < lo
+        least, most = y.min(), y.max()
+        early = least < lo
         rising = self.pre_slope > 0.0
-        if y.max() > hi or (early and not rising):
-            outside = (y > hi) | (y < lo) & (not rising)
+        if not most <= hi or (early and not rising):  # NaN is outside too
+            outside = ~(y <= hi) | (y < lo) & (not rising)
             raise HistoryError(
                 f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "
                 f"range [{float(lo)!r}, {float(hi)!r}]")
+        a = b = self._cursor
+        step = 1
+        while a and values[a - 1] >= least:
+            a = max(a - step, 0)
+            step *= 2
+        step = 1
+        while values[b] < most:  # stops at the last sample, hi >= most
+            b = min(b + step, self._n - 1)
+            step *= 2
         # values[i - 1] < y <= values[i]; i == 0 only where y <= lo, and
         # there values[i - 1] wraps to an entry the result does not use
-        i = np.searchsorted(values, y)
-        v0, v1 = values[i - 1], values[i]
+        i = a + np.searchsorted(values[a:b + 1], y)
+        self._cursor = int(i[-1])
+        below = i - 1
+        v0, v1 = values.take(below), values.take(i)
         ti = i * self.dt
-        t0 = (i - 1) * self.dt
+        t0 = below * self.dt
+        # ti where y is v1, else t0 + (ti - t0) * (y - v0) / (v1 - v0), in place
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(v1 == y, ti, t0 + (ti - t0) * (y - v0) / (v1 - v0))
+            x = ti - t0
+            x *= y - v0
+            x /= v1 - v0
+            x += t0
+        np.copyto(x, ti, where=v1 == y)
         if early:
             x = np.where(y < lo, (y - self.initial_value) / self.pre_slope, x)
         self._check_not_pruned(x)

@@ -125,6 +125,11 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     if not 0 < sample_dt_s < math.inf:  # NaN fails too
         raise OracleError(f"sample_dt_s must be finite and positive, got {sample_dt_s!r}")
     horizon = scenario.run.horizon_s
+    # simulate's bound on its tick count: at 8 bytes a sample, past 2**63 bytes
+    if not horizon / sample_dt_s < 2.0 ** 60:
+        raise OracleError(
+            f"horizon_s / sample_dt_s is {horizon / sample_dt_s!r} samples, too many for "
+            f"one run (horizon_s={horizon!r}, sample_dt_s={sample_dt_s!r})")
     t0 = -abs(warmup_s)
 
     net = to_network(scenario)

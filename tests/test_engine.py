@@ -475,8 +475,9 @@ class TestOffGridReads:
 
 
 class TestFlightRecord:
-    @pytest.mark.parametrize("source, horizon_s", [("scenario1", 3.5), (OFFGRID_YAML, 1.0)],
-                             ids=["scenario1", "fast_pair_offgrid"])
+    @pytest.mark.parametrize("source, horizon_s", [
+        ("scenario1", 3.5), (OFFGRID_YAML, 1.0), ("scenario3", 1.0)],
+        ids=["scenario1", "fast_pair_offgrid", "scenario3"])
     def test_flight_is_the_sending_columns_hold_integral(self, source, horizon_s):
         # one record of the sent mass: flight reads the sending column's own
         # hold cumulative back to the circuit entry time, on the grid

@@ -170,6 +170,27 @@ class TestOutputSeparation:
             assert out == pytest.approx(tuple(service * s for s in mix), rel=1e-12)
         assert mixes == {(0.5, 0.5), (0.75, 0.25), (0.25, 0.75)}
 
+    def test_a_stall_long_after_the_last_arrivals_takes_their_mix(self):
+        # a 2-pkt backlog with no arrivals behind it drains at 100 pkt/s
+        # over 2000 ticks, while the sources send only at tick 3, in a 1:3
+        # mix: every later stalled step goes out in that mix, found however
+        # far back it lies and however the ticks are cut into blocks
+        dt, n = 1e-5, 2000
+        fns = [lambda t, i=i: (1.0, 3.0)[i] if round(t / dt) == 3 else 0.0
+               for i in (0, 1)]
+        runs = []
+        for block in (1, 7, 500, n):
+            q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=dt, backlog0_pkts=2.0,
+                          n_ticks=n)
+            runs.append((drive(q, fns, dt=dt, n_ticks=n, block=block),
+                         q.stall_fallbacks))
+        assert all(run == runs[0] for run in runs[1:])
+        tr, stall_fallbacks = runs[0]
+        assert stall_fallbacks == n
+        for k, (out, service) in enumerate(zip(tr["out"], tr["service"])):
+            mix = (0.5, 0.5) if k < 3 else (0.25, 0.75)
+            assert out == pytest.approx(tuple(service * m for m in mix), rel=1e-12), k
+
 
 class TestBlocks:
     def test_block_size_leaves_every_trace_bitwise_equal(self):

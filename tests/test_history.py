@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,37 @@ class TestIntegrate:
             assert type(steps.value) is type(pairs.value), t
             assert str(steps.value) == str(pairs.value), t
 
+    def test_integrals_to_samples_are_the_pairwise_integrals_with_their_checks(self):
+        # integrate_hold_to_samples(t0, k0) is integrate_hold(t0, t1) to the
+        # bit, t1 being the times of samples k0, k0 + 1, ...: pre-history
+        # starts and empty spans included, and it fails as that does
+        block = Trajectory(0.5, [1.5, 2.0], n_ticks=10)
+        block.record(0.0, [[1.0, 2.0, 4.0, 4.0, 9.0, 3.0], [0.5, 0.0, 3.0, 7.0, 7.5, 1.0]])
+
+        def ends(t0, k0):
+            return np.arange(k0, k0 + len(t0)) * 0.5
+
+        for t0, k0 in (([-1.0, -0.2, 0.3, 1.0, 1.7], 0), ([0.5, 0.5, 1.0], 1),
+                       ([2.5], 5), ([-3.0, 2.1], 4), ([0.0, 0.5], 0)):
+            t0 = np.array(t0)
+            got = block.integrate_hold_to_samples(t0, k0)
+            assert got.shape == (2, len(t0))
+            assert got.tobytes() == block.integrate_hold(t0, ends(t0, k0)).tobytes(), t0
+        block.prune_before(1.2)
+        for t0, k0 in (([1.0, 1.6], 2), ([0.5, 1.5], 2), ([1.0, 0.2], 2),
+                       ([2.0, 2.5, 2.7], 4)):
+            t0 = np.array(t0)
+            with pytest.raises(HistoryError) as samples:
+                block.integrate_hold_to_samples(t0, k0)
+            with pytest.raises(HistoryError) as pairs:
+                block.integrate_hold(t0, ends(t0, k0))
+            assert type(samples.value) is type(pairs.value), t0
+            assert str(samples.value) == str(pairs.value), t0
+        # its ends are samples, which must be recorded, empty spans' too
+        for t0 in ([2.0, 3.0], [2.5, 3.0]):
+            with pytest.raises(CausalityError, match=r"^integration end t=3.0 beyond"):
+                block.integrate_hold_to_samples(np.array(t0), 5)
+
 
 class TestInvertMonotone:
     def test_identity_map(self):
@@ -237,6 +269,34 @@ class TestInvertMonotone:
         assert tr.eval_at(-0.5) == -0.5 + 0.2
         assert tr.invert_monotone(0.1) == 0.1 - 0.2
         assert tr.invert_monotone(0.2) == 0.0
+
+
+@st.composite
+def inversion_sessions(draw):
+    """A nondecreasing map with flat runs, recorded in a few blocks, and the
+    inversions asked after each block: ascending, descending, unsorted and
+    scalar queries among its values, between them and (on a rising
+    pre-history line) below them."""
+    dt = draw(st.sampled_from([1e-4, 0.5]) | st.floats(1e-3, 2.0))
+    steps = draw(st.lists(st.just(0.0) | st.floats(1e-6, 10.0), min_size=1, max_size=80))
+    values = np.cumsum([draw(st.floats(-5.0, 5.0)), *steps])
+    slope = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 5.0))
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(values)), max_size=4))))
+    blocks = []
+    for end in (*cuts, len(values)):
+        recorded = values[:end]
+        pool = st.sampled_from(list(recorded)) | st.floats(recorded[0], recorded[-1])
+        if slope:
+            pool |= st.floats(recorded[0] - 10.0, recorded[0])
+        calls = []
+        for order in draw(st.lists(st.sampled_from(["up", "down", "any", "one"]),
+                                   max_size=5)):
+            ys = np.array(draw(st.lists(pool, min_size=1, max_size=30)))
+            calls.append(float(ys[0]) if order == "one" else
+                         np.sort(ys) if order == "up" else
+                         np.sort(ys)[::-1] if order == "down" else ys)
+        blocks.append((end, calls))
+    return dt, values, slope, blocks
 
 
 class TestPrune:
@@ -315,6 +375,9 @@ class TestBlockReads:
             tr.eval_at(np.array([6.0, 9.5, 12.0]))
         with pytest.raises(HistoryError, match=r"inverse of 9.5 not"):
             tr.invert_monotone(np.array([6.0, 9.5]))
+        # a NaN has no place in the map either
+        with pytest.raises(HistoryError, match=r"inverse of nan not"):
+            tr.invert_monotone(np.array([6.0, math.nan, 7.0]))
 
 
 @st.composite
@@ -383,6 +446,28 @@ class TestProperties:
         whole = tr.integrate_hold(t0, t2)
         split = tr.integrate_hold(t0, t1) + tr.integrate_hold(t1, t2)
         assert whole == pytest.approx(split, rel=1e-12, abs=1e-9)
+
+    @given(inversion_sessions())
+    @settings(max_examples=150, deadline=None)
+    def test_an_inversion_does_not_depend_on_the_calls_before_it(self, session):
+        # each answer, and each refusal, is bitwise that of a fresh history
+        # holding the same samples, whatever was asked before and whatever
+        # was recorded since
+        dt, values, slope, blocks = session
+        tr = Trajectory(dt, values[0], n_ticks=len(values), pre_slope=slope)
+        done = 0
+        for end, calls in blocks:
+            tr.record(done * dt, values[done:end])
+            done = end
+            for y in calls:
+                fresh = make(values[:end], dt=dt, initial=values[0], pre_slope=slope)
+                try:
+                    want = np.float64(fresh.invert_monotone(y))
+                except HistoryError as err:
+                    with pytest.raises(HistoryError, match=re.escape(str(err))):
+                        tr.invert_monotone(y)
+                    continue
+                assert np.float64(tr.invert_monotone(y)).tobytes() == want.tobytes(), y
 
     @given(sampled_signal(), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)

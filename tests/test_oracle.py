@@ -225,6 +225,25 @@ class TestPacketSim:
                                               f"got {re.escape(repr(value))}$"):
             packet_sim(load_scenario("scenario7"), **{param: value})
 
+    def test_a_sample_count_past_simulates_bound_is_refused_before_any_array(
+            self, monkeypatch):
+        # numpy stopped it with a bare "Maximum allowed size exceeded"
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} was called")
+
+        def no_event(*args):
+            raise AssertionError("an event was pushed")
+
+        sc = load_scenario("scenario7")
+        monkeypatch.setattr(oracle, "np", NoArrays())
+        monkeypatch.setattr(oracle.heapq, "heappush", no_event)
+        count = sc.run.horizon_s / 1e-300
+        with pytest.raises(OracleError, match=re.escape(
+                f"horizon_s / sample_dt_s is {count!r} samples, too many for one run "
+                f"(horizon_s={sc.run.horizon_s!r}, sample_dt_s=1e-300)")):
+            packet_sim(sc, sample_dt_s=1e-300)
+
     def test_determinism(self):
         sc = tiny_scenario(w0=50.0, cap=500.0, steps=[(1.0, 80.0)], horizon=2.0)
         r1 = packet_sim(sc, sample_dt_s=0.01)

@@ -357,15 +357,23 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
     The descriptions arrive checked: ``config`` and each user's protocol
     refused bad values when they were built, and ``network`` its routes
-    and delays.  What is checked here needs the network and the step
-    together: the tick count, ``dt``'s headroom under the smallest
-    positive delay, and a return delay of at least one step.
+    and delays.  What is checked here needs the network and the run
+    together: the tick count, each square wave's piece index over the
+    run, ``dt``'s headroom under the smallest positive delay, and a return
+    delay of at least one step.
     """
     dt = config.dt_s
     if not config.horizon_s / dt < 2.0 ** 60:  # at 8 bytes a tick, past 2**63 bytes
         raise SimulationError(
             f"horizon_s / dt_s is {config.horizon_s / dt!r} ticks, too many for one "
             f"run (horizon_s={config.horizon_s!r}, dt_s={dt!r})")
+    for f in network.rate_flows.values():
+        # the profile is read at the ticks less the first hop
+        reach = max(config.horizon_s, f.hop_delays_s[0])
+        if not f.profile.counts_pieces_to(reach):
+            raise SimulationError(
+                f"rate flow '{f.id}': period_s={f.profile.period_s!r} is too short to "
+                f"index its half periods up to t={reach!r}")
     delays = _channel_delays_s(network)
     min_delay = min((d for d in delays if d > 0), default=math.inf)
     if dt > min_delay / 10:
@@ -569,7 +577,6 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
         raise SimulationError(
             f"divergence in queue block '{q.queue_id}' at "
             f"t={ticks[ends.argmin()]:.6f}")
-    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt, rates,
-                                                   total, congested))
+    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt, rates, congested))
     for col, values in zip(columns, (backlog, service, total, congested)):
         col[k0:k1] = values

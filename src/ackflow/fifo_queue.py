@@ -103,8 +103,7 @@ class FifoQueue:
 
         ``ticks`` are the grid times of the block's ticks, and row ``i`` of
         ``rates`` holds flow ``flow_ids[i]``'s rate at each.  Returns the
-        total arrival rate per tick, which ``step`` and
-        ``transport_outputs`` take.
+        total arrival rate per tick, which ``step`` takes.
         """
         rates = np.ascontiguousarray(rates, dtype=np.float64)
         if not (rates >= 0).all():  # negative or NaN
@@ -184,25 +183,24 @@ class FifoQueue:
         return backlog[:n], services, congested
 
     def transport_outputs(self, times: np.ndarray, total_departed_pkts: np.ndarray,
-                          rates: np.ndarray, total_pps: np.ndarray,
-                          congested: np.ndarray) -> np.ndarray:
+                          rates: np.ndarray, congested: np.ndarray) -> np.ndarray:
         """Average per-flow departure rates over the block's steps.
 
         Step ``j`` spans ``[times[j], times[j + 1]]`` and released
-        ``total_departed_pkts[j]``.  ``rates`` and ``total_pps`` are the
-        block's per-flow (flows x ticks, as returned) and total arrival
-        rates (``record_inputs``) and ``congested`` its flags (``step``).
-        While serving a backlog the departures over a step are the arrivals
-        over the backward image [g(t0), g(t1)], split exactly in proportion
-        to each flow's arrival mass there and normalized to the total the
-        server actually released.  Masses use the sample-hold quadrature so
-        they agree exactly with the stepping that built the time map;
-        per-flow packet counts then survive arbitrarily sharp input
-        transients.  If the backward image carries no arrivals at all (all
-        sources stalled before a backlog formed), the step takes the mix of
-        the latest arrivals at or before it (``_mix_at``) and counts the
-        event in ``stall_fallbacks``.  Uncongested, the outputs are the
-        inputs.
+        ``total_departed_pkts[j]``.  ``rates`` are the block's per-flow
+        arrival rates (flows x ticks, as recorded) and ``congested`` its
+        flags (``step``).  While serving a backlog the departures over a
+        step are the arrivals over the backward image [g(t0), g(t1)], split
+        exactly in proportion to each flow's arrival mass there and
+        normalized to the total the server actually released.  Masses use
+        the sample-hold quadrature so they agree exactly with the stepping
+        that built the time map; per-flow packet counts then survive
+        arbitrarily sharp input transients.  A backward image that carries
+        no arrivals at all lies before the start, in the initial backlog.
+        Under FIFO that backlog leaves in its own mix, the pre-history's
+        ``input_rates0``, ahead of any traffic that arrived later.  Each
+        such step is counted in ``stall_fallbacks``.  Uncongested, the
+        outputs are the inputs.
         """
         outs = rates.copy()
         ticks = np.flatnonzero(congested)
@@ -241,28 +239,11 @@ class FifoQueue:
             shares[:, big] = masses[:, big] / arrived[big] * (departed[big] / width[big])
         np.copyto(outs[:, busy], shares, where=congested[busy])
         if stalled:
-            # the block's first tick is sample k0 of the arrivals
-            k0 = len(self.arrivals) - len(total_pps)
+            mix = _mix(self.arrivals.initial_value)
             for j in np.flatnonzero(~fed & congested[busy]):
                 self.stall_fallbacks += 1
-                k = busy.start + j
-                outs[:, k] = departed[j] / width[j] * self._mix_at(k0 + k)
+                outs[:, busy.start + j] = departed[j] / width[j] * mix
         return outs
-
-    def _mix_at(self, k: int) -> np.ndarray:
-        """The arrival mix at recorded tick ``k``: that of the latest tick at
-        or before it with arrivals, else the pre-history's, else an even
-        one.  The search looks back over twice as many ticks each time it
-        finds none, so it costs what it passes over."""
-        values = self.arrivals.values
-        hi, width = k + 1, 64
-        while hi > 0:
-            lo = max(hi - width, 0)
-            fed = np.flatnonzero(values[:, lo:hi].any(axis=0))
-            if fed.size:
-                return _mix(values[:, lo + fed[-1]])
-            hi, width = lo, 2 * width
-        return _mix(self.arrivals.initial_value)
 
     def record_outputs(self, t: float, rates) -> None:
         """Record one block of per-flow departure rates from grid time ``t``."""

@@ -9,11 +9,9 @@ arrays of times and answer elementwise.  Delayed reads are index
 arithmetic with linear interpolation between samples, a sample-and-hold
 running integral gives queue transport masses and the users' flights, and
 a binary search over the values inverts monotone (arrival -> departure)
-time maps.  One block's queries lie close together, so the search runs in
-a window around the trajectory's previous answer, widened until it holds
-them all; the answers do not depend on the order of the calls.  The
-samples are also the engine's output: its traces are zero-copy views of
-them.
+time maps.  A read keeps no state between calls, so its answer depends
+only on the samples.  The samples are also the engine's output: its
+traces are zero-copy views of them.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ class Trajectory:
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "_cursor", "initial_value",
-                 "pre_slope", "pruned_before")
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value", "pre_slope",
+                 "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
                  pre_slope: float = 0.0):
@@ -97,8 +95,6 @@ class Trajectory:
         # extended by each integral only through the last sample it reads
         self._cum = None
         self._ncum = 0
-        # the index invert_monotone last answered, where its next search starts
-        self._cursor = 0
         self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -205,12 +201,9 @@ class Trajectory:
         (t0, scalar), (t1, _) = _times(t0), _times(t1)
         if t0.shape != t1.shape:
             t0, t1 = np.broadcast_arrays(t0, t1)
-        spans = self._checked_spans(t0, t1)
-        if spans is None:
-            out = np.zeros(np.shape(self.initial_value) + t0.shape)
-        else:
-            held = self._held(np.concatenate(spans))
-            out = held[..., len(t0):] - held[..., :len(t0)]
+        self._check_spans(t0, t1)
+        held = self._held(np.concatenate((t0, t1)))
+        out = held[..., len(t0):] - held[..., :len(t0)]
         return out[..., 0] if scalar else out
 
     def integrate_hold_steps(self, t):
@@ -218,10 +211,8 @@ class Trajectory:
         times ``t``, with the same checks; the held integral is read once
         at each time, not twice at each inner one."""
         t = np.asarray(t, dtype=np.float64)
-        if self._checked_spans(t[:-1], t[1:]) is None:
-            return np.zeros(np.shape(self.initial_value) + (len(t) - 1,))
-        # the times are nondecreasing, so each lies between the first
-        # nonempty span's start and the last one's end, which were checked
+        self._check_spans(t[:-1], t[1:])
+        # checked spans are not reversed, so the times are nondecreasing
         held = self._held(t, ascending=True)
         return held[..., 1:] - held[..., :-1]
 
@@ -236,34 +227,20 @@ class Trajectory:
         """
         t0 = np.asarray(t0, dtype=np.float64)
         k1 = k0 + len(t0)
-        t1 = np.arange(k0, k1) * self.dt
-        spans = self._checked_spans(t0, t1)
-        if k1 > self._n:  # an empty span skips the check above, but its end is read
-            self._check_recorded(t1)
-        if spans is None:
-            return np.zeros(np.shape(self.initial_value) + t0.shape)
+        self._check_spans(t0, np.arange(k0, k1) * self.dt)
         # each start is at or before its end, so the cumulative covers it
         return self._cumulative(k1)[..., k0:k1] - self._held(t0)
 
-    def _checked_spans(self, t0: np.ndarray, t1: np.ndarray):
-        """The spans ``[t0, t1]`` with each empty one moved onto a nonempty
-        span's start, where the held integral cancels, or None when all are
-        empty.  Bounds must not be reversed; a nonempty span must start at
-        or above the prune floor and end within the history."""
+    def _check_spans(self, t0: np.ndarray, t1: np.ndarray) -> None:
+        """Refuse reversed bounds, a start below the prune floor and an end
+        past the history, for every span ``[t0, t1]``, empty or not."""
         reversed_ = t1 < t0
         if reversed_.any():
             j = reversed_.argmax()
             raise HistoryError(
                 f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
-        span = t0 != t1
-        if not span.all():
-            if not span.any():
-                return None
-            safe = t0[span.argmax()]
-            t0, t1 = np.where(span, t0, safe), np.where(span, t1, safe)
         self._check_not_pruned(t0)
         self._check_recorded(t1)
-        return t0, t1
 
     def _check_recorded(self, t1: np.ndarray) -> None:
         last = (self._n - 1) * self.dt
@@ -295,40 +272,22 @@ class Trajectory:
         Where the map is flat, the left edge of the flat interval is
         returned (FIFO earliest-arrival tie-break).  ``y`` must lie inside
         the recorded value range, or below it on a rising pre-history line.
-
-        The search starts at the index of the previous answer and gallops
-        out from it, doubling its step, to the window ``values[a:b + 1]``
-        with ``values[a - 1] < min(y)`` (or ``a == 0``) and
-        ``max(y) <= values[b]``; every answer's index lies in it, so a
-        search of the window finds the whole map's, whatever the order of
-        the queries and of the calls.
         """
         y, scalar = _times(y)
         values = self.values
         if not self._n:
             raise HistoryError("cannot invert an empty trajectory")
         lo, hi = values[0], values[-1]
-        least, most = y.min(), y.max()
-        early = least < lo
+        early = y.min() < lo
         rising = self.pre_slope > 0.0
-        if not most <= hi or (early and not rising):  # NaN is outside too
+        if not y.max() <= hi or (early and not rising):  # NaN is outside too
             outside = ~(y <= hi) | (y < lo) & (not rising)
             raise HistoryError(
                 f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "
                 f"range [{float(lo)!r}, {float(hi)!r}]")
-        a = b = self._cursor
-        step = 1
-        while a and values[a - 1] >= least:
-            a = max(a - step, 0)
-            step *= 2
-        step = 1
-        while values[b] < most:  # stops at the last sample, hi >= most
-            b = min(b + step, self._n - 1)
-            step *= 2
         # values[i - 1] < y <= values[i]; i == 0 only where y <= lo, and
         # there values[i - 1] wraps to an entry the result does not use
-        i = a + np.searchsorted(values[a:b + 1], y)
-        self._cursor = int(i[-1])
+        i = np.searchsorted(values, y)
         below = i - 1
         v0, v1 = values.take(below), values.take(i)
         ti = i * self.dt

@@ -131,6 +131,12 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
             f"horizon_s / sample_dt_s is {horizon / sample_dt_s!r} samples, too many for "
             f"one run (horizon_s={horizon!r}, sample_dt_s={sample_dt_s!r})")
     t0 = -abs(warmup_s)
+    reach = max(horizon, -t0)
+    for f in scenario.rate_flows:
+        if not f.profile.counts_pieces_to(reach):
+            raise OracleError(
+                f"rate flow '{f.id}': period_s={f.profile.period_s!r} is too short to "
+                f"index its half periods up to t={reach!r}")
 
     net = to_network(scenario)
     users = net.users

@@ -103,6 +103,10 @@ class ConstantProfile:
         """The piece holding ``t``."""
         return 0
 
+    def counts_pieces_to(self, t: float) -> bool:
+        """Whether every time in ``[-t, t]`` has a piece index: one piece."""
+        return True
+
     def piece(self, h: int) -> tuple[float, float]:
         """The rate of piece ``h`` and its end: one piece, which never ends."""
         return self.rate_pps, math.inf
@@ -141,6 +145,12 @@ class SquareProfile:
     def piece_at(self, t: float) -> int:
         """The piece holding ``t``."""
         return int(grid_index(t, self.period_s / 2.0))
+
+    def counts_pieces_to(self, t: float) -> bool:
+        """Whether every time in ``[-t, t]`` has an int64 piece index, with
+        room for ``grid_index``'s neighbour ``h + 1``: ``t / half`` below
+        2**62.  Past it the index is garbage, and so is the rate."""
+        return t / (self.period_s / 2.0) < 2.0 ** 62
 
     def piece(self, h: int) -> tuple[float, float]:
         """The rate of piece ``h`` and its end."""

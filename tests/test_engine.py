@@ -16,7 +16,7 @@ from ackflow.engine import (
     circuit_backward_time, input_lags, shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
-from ackflow.oracle import equilibrium_queue, packet_sim
+from ackflow.oracle import OracleError, equilibrium_queue, packet_sim
 from ackflow.protocol import fast_wdot
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
@@ -227,6 +227,26 @@ class TestBasics:
         with pytest.raises(SimulationError, match=f"^horizon_s / dt_s is .* {fields}$"):
             simulate(to_network(sc), sc, SimConfig(dt_s=dt_s, horizon_s=horizon_s,
                                                    init="cold"))
+
+    def test_a_square_wave_too_fast_to_index_is_refused_by_both_models(self):
+        # half a period of 5e-301 s puts t = 1e-4 in piece 2e296, past any
+        # int64: the index came out as -2**63 + 1 with only a numpy warning,
+        # and its parity set f1's rate; both models refuse such a run before
+        # it starts, naming the flow and its period
+        sc = load_scenario("squarewave")
+        f1, f2 = sc.rate_flows
+        f1 = dataclasses.replace(f1, profile=SquareProfile(f1.profile.high_pps, 0.0, 1e-300))
+        sc = dataclasses.replace(sc, rate_flows=(f1, f2), run=RunConf(1e-4, 0.01, "cold"))
+        refusal = r"^rate flow 'f1': period_s=1e-300 is too short to index its half periods"
+        with pytest.raises(SimulationError, match=refusal):
+            simulate(to_network(sc), sc, SimConfig(dt_s=1e-4, horizon_s=0.01, init="cold"))
+        with pytest.raises(OracleError, match=refusal):
+            packet_sim(sc)
+        # the rule: |t| / (period_s / 2) below 2**62 at every time of the run
+        square = SquareProfile(1.0, 0.0, 2.0)
+        assert square.counts_pieces_to(2.0 ** 62 - 2.0 ** 10)
+        assert not square.counts_pieces_to(2.0 ** 62)
+        assert ConstantProfile(1.0).counts_pieces_to(math.inf)
 
     def test_an_unknown_init_mode_is_refused(self):
         with pytest.raises(ScenarioError,

@@ -15,7 +15,7 @@ def drive(queue, input_fns, dt, n_ticks, block=7):
         rates = np.array([[fn(t) for t in ticks.tolist()] for fn in input_fns])
         total = queue.record_inputs(ticks, rates)
         backlog, service, congested = queue.step(dt, times[1:], total)
-        out = queue.transport_outputs(times, service * dt, rates, total, congested)
+        out = queue.transport_outputs(times, service * dt, rates, congested)
         queue.record_outputs(ticks[0], out)
         trace["t"] += ticks.tolist()
         trace["backlog"] += backlog.tolist()
@@ -145,10 +145,11 @@ class TestOutputSeparation:
     def test_stalled_sources_reuse_last_mix_with_diagnostic(self):
         # a 10-pkt backlog whose pre-history carries no arrivals drains by
         # 0.1 s: serving it finds no arrival mass to split, so each step's
-        # service goes out in the mix of the latest arrivals at or before it
-        # (the even pre-history mix until the sources send at ticks 5 and
-        # 6), and every such step is counted; in blocks of 7, ticks 7-9 have
-        # no arrivals and take tick 6's mix from the block before
+        # service goes out in the backlog's own mix, the pre-history's (even
+        # where its rates are all zero), and every such step is counted; the
+        # sources' sends at ticks 5 and 6 queue behind the backlog and leave
+        # after it, so each flow's departures are its half of the backlog
+        # plus its own arrivals, however the ticks are cut into blocks
         dt = 0.01
         sends = {5: (30.0, 10.0), 6: (10.0, 30.0)}
         fns = [lambda t, i=i: sends.get(round(t / dt), (0.0, 0.0))[i] for i in (0, 1)]
@@ -161,20 +162,18 @@ class TestOutputSeparation:
         assert runs[0] == runs[1]
         tr, stall_fallbacks = runs[0]
         assert stall_fallbacks == 10
-        mix, mixes = (0.5, 0.5), set()
-        for rates, out, service in list(zip(tr["in"], tr["out"], tr["service"]))[:10]:
-            if sum(rates) > 0:
-                mix = tuple(r / sum(rates) for r in rates)
-            mixes.add(mix)
-            assert sum(out) == pytest.approx(service, rel=1e-12)
-            assert out == pytest.approx(tuple(service * s for s in mix), rel=1e-12)
-        assert mixes == {(0.5, 0.5), (0.75, 0.25), (0.25, 0.75)}
+        for out, service in list(zip(tr["out"], tr["service"]))[:10]:
+            assert out == pytest.approx((service / 2, service / 2), rel=1e-12)
+        for i in (0, 1):
+            departed = sum(out[i] for out in tr["out"]) * dt
+            assert departed == pytest.approx(5.0 + 0.4, rel=1e-9)
 
     def test_a_stall_long_after_the_last_arrivals_takes_their_mix(self):
         # a 2-pkt backlog with no arrivals behind it drains at 100 pkt/s
         # over 2000 ticks, while the sources send only at tick 3, in a 1:3
-        # mix: every later stalled step goes out in that mix, found however
-        # far back it lies and however the ticks are cut into blocks
+        # mix: that traffic queues behind the backlog, so every stalled step
+        # goes out in the backlog's even pre-history mix, not in the mix of
+        # the later arrivals, however the ticks are cut into blocks
         dt, n = 1e-5, 2000
         fns = [lambda t, i=i: (1.0, 3.0)[i] if round(t / dt) == 3 else 0.0
                for i in (0, 1)]
@@ -188,8 +187,7 @@ class TestOutputSeparation:
         tr, stall_fallbacks = runs[0]
         assert stall_fallbacks == n
         for k, (out, service) in enumerate(zip(tr["out"], tr["service"])):
-            mix = (0.5, 0.5) if k < 3 else (0.25, 0.75)
-            assert out == pytest.approx(tuple(service * m for m in mix), rel=1e-12), k
+            assert out == pytest.approx((service / 2, service / 2), rel=1e-12), k
 
 
 class TestBlocks:

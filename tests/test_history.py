@@ -355,16 +355,19 @@ class TestBlockReads:
             assert block.eval_at(times, i).tolist() == one.eval_at(times).tolist()
 
     def test_empty_spans_among_nonempty_ones(self):
-        # empty spans inside and past the history, among nonempty ones:
-        # every row is the one-span integral, and an empty span exactly 0.0
+        # empty spans inside the history, among nonempty ones: every row is
+        # the one-span integral, and an empty span exactly 0.0; an empty
+        # span past the history is refused, as a read there would be
         block = Trajectory(0.5, [1.5, 2.0], n_ticks=5)
         block.record(0.0, [[1.0, 2.0, 4.0, 4.0, 9.0], [0.5, 0.0, 3.0, 7.0, 7.5]])
-        t0 = np.array([0.0, 0.3, 0.3, 1.0, 1.2, 1.4, -0.5, 2.0, 7.0])
-        t1 = np.array([0.0, 0.9, 0.3, 1.7, 1.9, 1.4, 0.2, 2.0, 7.0])
+        t0 = np.array([0.0, 0.3, 0.3, 1.0, 1.2, 1.4, -0.5, 2.0])
+        t1 = np.array([0.0, 0.9, 0.3, 1.7, 1.9, 1.4, 0.2, 2.0])
         got = block.integrate_hold(t0, t1)
         for j, (a, b) in enumerate(zip(t0, t1)):
             assert got[:, j].tobytes() == block.integrate_hold(a, b).tobytes()
-        assert got[:, t0 == t1].tobytes() == np.zeros((2, 5)).tobytes()
+        assert got[:, t0 == t1].tobytes() == np.zeros((2, 4)).tobytes()
+        with pytest.raises(CausalityError, match=r"^integration end t=7.0 beyond"):
+            block.integrate_hold(np.append(t0, 7.0), np.append(t1, 7.0))
 
     def test_check_names_the_first_offending_time(self):
         tr = make([float(k) for k in range(10)])

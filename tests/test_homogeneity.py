@@ -1,0 +1,74 @@
+"""Homogeneity of the fluid model in its packet counts.
+
+Scale every capacity, window, FAST ``alpha_pkts`` and rate-flow rate by
+``N`` and keep every delay: every signal of the run scales by ``N``, and
+the congestion and activity flags and the queueing delays ``tau`` stay as
+they were.  At a power of two each product is exact, so each signal is
+bitwise ``N`` times the base run's, and every ``TraceSet.blocks`` count is
+equal.  The engine's ``EPS`` thresholds are absolute packet counts, which
+do not scale, so this is checked at the ``N`` named here only.
+"""
+
+import dataclasses
+import functools
+from pathlib import Path
+
+import pytest
+
+from ackflow.engine import SimConfig, simulate
+from ackflow.scenario import FastProtocol, SquareProfile, load_scenario, to_network
+
+HORIZON_S = 1.0
+SCALES = (4.0, 16.0)
+OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fast_pair_offgrid.yaml")
+SOURCES = ("scenario1", "scenario3", "scenario7", "squarewave", "fast2", "staticlink",
+           OFFGRID_YAML)
+# signals that do not scale with the packet counts
+UNSCALED = ("congested", "active", "tau")
+
+
+def scaled(sc, n: float):
+    """``sc`` with every capacity, window, FAST alpha and rate times ``n``."""
+    def protocol(p):
+        if isinstance(p, FastProtocol):
+            return dataclasses.replace(p, alpha_pkts=n * p.alpha_pkts,
+                                       initial_window_pkts=n * p.initial_window_pkts)
+        return dataclasses.replace(p, initial_window_pkts=n * p.initial_window_pkts,
+                                   steps=tuple((t, n * w) for t, w in p.steps))
+
+    def profile(p):
+        if isinstance(p, SquareProfile):
+            return dataclasses.replace(p, high_pps=n * p.high_pps, low_pps=n * p.low_pps)
+        return dataclasses.replace(p, rate_pps=n * p.rate_pps)
+
+    return dataclasses.replace(
+        sc,
+        queues=tuple(dataclasses.replace(q, capacity_pps=n * q.capacity_pps)
+                     for q in sc.queues),
+        users=tuple(dataclasses.replace(u, protocol=protocol(u.protocol))
+                    for u in sc.users),
+        rate_flows=tuple(dataclasses.replace(f, profile=profile(f.profile))
+                         for f in sc.rate_flows))
+
+
+def run(sc):
+    return simulate(to_network(sc), sc, SimConfig(dt_s=sc.run.dt_s, horizon_s=HORIZON_S,
+                                                  init=sc.run.init))
+
+
+@functools.lru_cache(maxsize=None)
+def base_run(source: str):
+    return run(load_scenario(source))
+
+
+@pytest.mark.parametrize("n", SCALES)
+@pytest.mark.parametrize("source", SOURCES, ids=[Path(s).stem for s in SOURCES])
+def test_scaling_the_packet_counts_scales_every_signal_bitwise(source, n):
+    base = base_run(source)
+    big = run(scaled(load_scenario(source), n))
+    assert big.blocks == base.blocks
+    assert sorted(big.signals) == sorted(base.signals)
+    for name, values in base.signals.items():
+        want = values if name.split(".")[0] in UNSCALED else n * values
+        assert big[name].tobytes() == want.tobytes(), name

@@ -24,8 +24,8 @@ An ACK buffer that refills inside a step, which no preset reaches, is
 gated on scenario7 with its window step moved to 249.9 pkts.
 
 On every gated run, no queue may count a stall fallback: no congested step
-may find its backward image empty of arrivals and fall back to the carried
-arrival mix.  A transport that loses the arrival mass fails here.
+may find its backward image empty of arrivals and fall back to the initial
+backlog's mix.  A transport that loses the arrival mass fails here.
 """
 
 import dataclasses

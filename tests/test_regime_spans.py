@@ -252,8 +252,7 @@ def test_queue_step_matches_the_tick_loop(block):
         assert bits(q.backlog) == bits(b)
         ends = np.append(ref[0][1:], b)
         assert bits(q.forward_map.values[k0 + 1:]) == bits(times[1:] + ends / CAP)
-        q.record_outputs(times[0], q.transport_outputs(times, got[1] * dt, rates,
-                                                       total, got[2]))
+        q.record_outputs(times[0], q.transport_outputs(times, got[1] * dt, rates, got[2]))
 
 
 @given(queue_blocks())
@@ -274,7 +273,7 @@ def test_queue_transport_is_the_per_tick_one(block):
                 total = q.record_inputs(times[:-1], rates)
                 _, service, congested = q.step(dt, times[1:], total)
                 q.record_outputs(times[0], q.transport_outputs(
-                    times, service * dt, rates, total, congested))
+                    times, service * dt, rates, congested))
         departures.append(bits(q.departures.values))
         stalls.append(q.stall_fallbacks)
     assert departures[0] == departures[1]
@@ -291,7 +290,7 @@ def test_subnormal_arrivals_behind_a_backlog_split_the_departures():
     rates = np.array([[1e-310] * n, [3e-310] * n])
     total = q.record_inputs(times[:-1], rates)
     _, service, congested = q.step(dt, times[1:], total)
-    outs = q.transport_outputs(times, service * dt, rates, total, congested)
+    outs = q.transport_outputs(times, service * dt, rates, congested)
     assert congested.tolist() == [True, False, False, False]
     assert outs[:, 0] == pytest.approx([0.25 * service[0], 0.75 * service[0]], rel=1e-9)
     assert bits(outs[:, 1:]) == bits(rates[:, 1:])

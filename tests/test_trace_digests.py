@@ -5,6 +5,8 @@ mode; the SHA-256 covers every signal name and its float64 bytes in sorted
 order.  ``FROZEN_LONG`` adds longer runs that reach what 0.3 s does not: a
 window step (scenario1, staticlink), ACK retaining after a window cut
 (scenario7) and interpolated reads of off-grid delays (fast_pair_offgrid).
+``FROZEN_REFILL`` moves scenario7's window cut off the ACK grid, so that
+its ACK buffer refills inside a step, which no preset does.
 ``FROZEN_FULL`` runs every preset and fast_pair_offgrid over its whole
 horizon, under the ``slow`` marker.
 A refactor that claims identical engine behaviour must leave these digests
@@ -12,6 +14,7 @@ unchanged.  A deliberate behaviour change re-freezes them and says why in
 CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from ackflow.engine import SimConfig, simulate
-from ackflow.scenario import load_scenario, preset_names, to_network
+from ackflow.scenario import ScheduledProtocol, load_scenario, preset_names, to_network
 
 HORIZON_S = 0.3
 OFFGRID_YAML = str(Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,6 +55,11 @@ FROZEN_LONG = {
         "89e37218fa3267ba8bf1f5305fdda5544652f29de551d383765c236a6867946d",
 }
 
+# scenario7 cut from 500 to 249.9 pkts at 5 s, over 5.5 s: the buffer
+# retains through 1664 whole ticks of ACK mass and refills inside the next
+# (tests/test_oracle_gate.py gates the same run against packet_sim)
+FROZEN_REFILL = "09643ee7aaa50ea6230b5902255d4cfa2394a41143f78fc7e66e22b0bfe72475"
+
 
 # scenario source -> digest over the scenario's own horizon (``slow``)
 FROZEN_FULL = {
@@ -82,9 +90,10 @@ FROZEN_FULL = {
 }
 
 
-def trace_digest(source: str, horizon_s: float | None = HORIZON_S) -> str:
-    """Digest of a run over ``horizon_s``, or the scenario's own horizon."""
-    sc = load_scenario(source)
+def trace_digest(source, horizon_s: float | None = HORIZON_S) -> str:
+    """Digest of a run of a scenario, or of the one a source names, over
+    ``horizon_s``, or the scenario's own horizon."""
+    sc = load_scenario(source) if isinstance(source, str) else source
     traces = simulate(to_network(sc), sc, SimConfig(
         dt_s=sc.run.dt_s, horizon_s=horizon_s or sc.run.horizon_s, init=sc.run.init))
     digest = hashlib.sha256()
@@ -109,6 +118,13 @@ def test_preset_trace_digest_unchanged(name):
                          ids=[f"{Path(s).stem}-{h}" for s, h in FROZEN_LONG])
 def test_long_trace_digest_unchanged(source, horizon_s):
     assert trace_digest(source, horizon_s) == FROZEN_LONG[source, horizon_s]
+
+
+def test_an_ack_buffer_refill_inside_a_step_is_frozen():
+    sc = load_scenario("scenario7")
+    (user,) = sc.users
+    user = dataclasses.replace(user, protocol=ScheduledProtocol(500.0, ((5.0, 249.9),)))
+    assert trace_digest(dataclasses.replace(sc, users=(user,)), 5.5) == FROZEN_REFILL
 
 
 @pytest.mark.slow

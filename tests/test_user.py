@@ -155,7 +155,7 @@ class TestCircuitBackwardOps:
             total = q.record_inputs(times[:-1], rates)
             _, service, congested = q.step(dt, times[1:], total)
             q.record_outputs(times[0], q.transport_outputs(times, service * dt, rates,
-                                                           total, congested))
+                                                           congested))
         return net.users["u"], {"b": q}
 
     def test_backward_time_composition(self):

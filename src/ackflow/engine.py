@@ -90,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fifo_queue import FifoQueue
-from .history import CausalityError, HistoryError
+from .history import HistoryError
 from .oracle import EquilibriumResult, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
 from .scenario import RunConf, Scenario, UserConf
@@ -174,12 +174,8 @@ class _Reader:
         values = self.traj.values[self.row]
         lo = k0 - self.lag  # the first tick's right sample
         hi = lo + len(ticks)
-        if hi > len(values):
-            t = ticks[max(len(values) - lo, 0)]  # the first unrecorded one's
-            raise CausalityError(
-                f"future read at t={float(t - self.delay)!r} (history ends at "
-                f"{(len(values) - 1) * self.traj.dt!r})" if self.off_grid else
-                f"read {self.delay}s behind t={float(t)} touches an unrecorded sample")
+        if hi > len(values):  # refused from the first unrecorded tick on
+            self.traj.check_recorded(ticks[max(len(values) - lo, 0):] - self.delay)
         if not self.off_grid:
             if lo >= 0:
                 return values[lo:hi]

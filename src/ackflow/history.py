@@ -10,8 +10,10 @@ arithmetic with linear interpolation between samples, a sample-and-hold
 running integral gives queue transport masses and the users' flights, and
 a binary search over the values inverts monotone (arrival -> departure)
 time maps.  A read keeps no state between calls, so its answer depends
-only on the samples.  The samples are also the engine's output: its
-traces are zero-copy views of them.
+only on the samples, and every read, the engine's index reads too, refuses
+a time past the newest sample with the one check ``check_recorded``.  A
+read of zero times answers zero values.  The samples are also the engine's
+output: its traces are zero-copy views of them.
 """
 
 from __future__ import annotations
@@ -68,14 +70,14 @@ class Trajectory:
     interpolated to the first sample, so delayed reads at simulation start
     are well defined.  With ``pre_slope`` set it is the line
     ``initial_value + pre_slope * t`` instead (a time map extended
-    backwards).  Reads beyond the newest sample raise
-    :class:`CausalityError`: the engine must never consume values it has not
-    produced yet.  Reads take a time or an array of times; a check that
-    fails names the first offending time.  ``eval_at`` reads one signal:
-    its ``row`` picks a block's row, and the default ``...`` takes a
-    one-signal trajectory whole.  ``integrate_hold``,
-    ``integrate_hold_steps`` and ``integrate_hold_to_samples`` answer every
-    row.
+    backwards).  Reads beyond the newest sample, or at a NaN time, raise
+    :class:`CausalityError` from ``check_recorded``: the engine must never
+    consume values it has not produced yet.  Reads take a time or an array
+    of times; a check that fails names the first offending time.
+    ``eval_at`` reads one signal: its ``row`` picks a block's row, and the
+    default ``...`` takes a one-signal trajectory whole.
+    ``integrate_hold``, ``integrate_hold_steps`` and
+    ``integrate_hold_to_samples`` answer every row.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
@@ -141,11 +143,7 @@ class Trajectory:
         values, p0 = self._buf[row, :self._n], float(self.initial_value[row])
         dt = self.dt
         last = self._n - 1
-        late = t > last * dt
-        if late.any():
-            raise CausalityError(
-                f"future read at t={float(t[late.argmax()])!r} "
-                f"(history ends at {last * dt!r})")
+        self.check_recorded(t)
         self._check_not_pruned(t)
         neg = t < 0.0
         if self.pre_slope:
@@ -228,32 +226,38 @@ class Trajectory:
         t0 = np.asarray(t0, dtype=np.float64)
         k1 = k0 + len(t0)
         self._check_spans(t0, np.arange(k0, k1) * self.dt)
+        if not len(t0):  # no span, so no sample to read
+            return self._held(t0)
         # each start is at or before its end, so the cumulative covers it
         return self._cumulative(k1)[..., k0:k1] - self._held(t0)
 
+    def check_recorded(self, t: np.ndarray) -> None:
+        """Refuse an array of read times unless each is at or before the
+        newest sample's: a later time, or a NaN, raises
+        :class:`CausalityError` naming the first."""
+        last = (self._n - 1) * self.dt
+        recorded = t <= last
+        if not recorded.all():
+            raise CausalityError(f"future read at t={float(t[recorded.argmin()])!r} "
+                                 f"(history ends at {last!r})")
+
     def _check_spans(self, t0: np.ndarray, t1: np.ndarray) -> None:
-        """Refuse reversed bounds, a start below the prune floor and an end
-        past the history, for every span ``[t0, t1]``, empty or not."""
-        reversed_ = t1 < t0
-        if reversed_.any():
-            j = reversed_.argmax()
+        """Refuse reversed bounds (or a NaN one), a start below the prune
+        floor and an end past the history, for every span ``[t0, t1]``,
+        empty or not."""
+        ordered = t0 <= t1
+        if not ordered.all():
+            j = ordered.argmin()
             raise HistoryError(
                 f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
         self._check_not_pruned(t0)
-        self._check_recorded(t1)
-
-    def _check_recorded(self, t1: np.ndarray) -> None:
-        last = (self._n - 1) * self.dt
-        late = t1 > last
-        if late.any():
-            raise CausalityError(
-                f"integration end t={float(t1[late.argmax()])!r} beyond history "
-                f"({last!r})")
+        self.check_recorded(t1)
 
     def _held(self, t: np.ndarray, ascending: bool = False) -> np.ndarray:
         """The held integral from 0 to each time, unchecked; ``ascending``
         times have their least first and their greatest last."""
-        if not self._n:  # no sample: every time lies in the pre-history
+        # no sample: every time lies in the pre-history; no time: no value
+        if not (self._n and t.size):
             return np.multiply.outer(self.initial_value, t)
         early = (t[0] if ascending else t.min()) < 0.0
         i = grid_index(np.maximum(t, 0.0) if early else t, self.dt)
@@ -278,9 +282,10 @@ class Trajectory:
         if not self._n:
             raise HistoryError("cannot invert an empty trajectory")
         lo, hi = values[0], values[-1]
-        early = y.min() < lo
+        # zero queries pass both range checks, and the search answers none
+        early = y.min(initial=math.inf) < lo
         rising = self.pre_slope > 0.0
-        if not y.max() <= hi or (early and not rising):  # NaN is outside too
+        if not y.max(initial=-math.inf) <= hi or (early and not rising):  # NaN too
             outside = ~(y <= hi) | (y < lo) & (not rising)
             raise HistoryError(
                 f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "

@@ -27,7 +27,7 @@ from .scenario import ConstantProfile, Scenario, to_network
 from .topology import Network
 
 __all__ = [
-    "OracleError", "PacketEvent", "PacketSimResult", "packet_sim",
+    "OracleError", "PacketEvent", "PacketSimResult", "SAMPLE_DT_S", "packet_sim",
     "EquilibriumResult", "equilibrium_queue",
 ]
 
@@ -52,8 +52,11 @@ class PacketSimResult:
     sample_times: np.ndarray
     queue_lengths: dict[str, np.ndarray]
     dequeue_counts: dict[tuple[str, str], np.ndarray]  # cumulative, per (queue, flow)
-    send_times: dict[str, np.ndarray]
     events: list[PacketEvent] | None = None
+
+
+# the sample step: the engine's traces are compared with the packets' on it
+SAMPLE_DT_S = 0.01
 
 
 class _PQueue:
@@ -101,8 +104,8 @@ def _emissions(profile, t: float):
             need -= skip * mass
 
 
-def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
-               warmup_s: float = 0.0, record_events: bool = False) -> PacketSimResult:
+def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
+               record_events: bool = False) -> PacketSimResult:
     """Event-driven packet simulation of a scenario.
 
     Sources with scheduled windows send whenever their flight size is below
@@ -115,21 +118,21 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
     departures, as the engine's ``q.*`` holds it at each tick start.
 
     ``warmup_s`` starts the system that long before t=0 so it reaches its
-    own steady state before the reported window; samples cover [0, horizon].
+    own steady state before the reported window; samples cover [0, horizon]
+    every ``SAMPLE_DT_S``.  ``record_events`` keeps every packet's send,
+    enqueue, dequeue and ACK, the one record of its send times.
     FAST-controlled users are not supported here (they are validated against
     the analytic fixed point instead).
     """
     # an infinite warm-up puts every event at -inf, so the run never ends
     if not math.isfinite(warmup_s):
         raise OracleError(f"warmup_s must be finite, got {warmup_s!r}")
-    if not 0 < sample_dt_s < math.inf:  # NaN fails too
-        raise OracleError(f"sample_dt_s must be finite and positive, got {sample_dt_s!r}")
     horizon = scenario.run.horizon_s
     # simulate's bound on its tick count: at 8 bytes a sample, past 2**63 bytes
-    if not horizon / sample_dt_s < 2.0 ** 60:
+    if not horizon / SAMPLE_DT_S < 2.0 ** 60:
         raise OracleError(
-            f"horizon_s / sample_dt_s is {horizon / sample_dt_s!r} samples, too many for "
-            f"one run (horizon_s={horizon!r}, sample_dt_s={sample_dt_s!r})")
+            f"horizon_s={horizon!r} is {horizon / SAMPLE_DT_S!r} samples of "
+            f"{SAMPLE_DT_S!r} s, too many for one run")
     t0 = -abs(warmup_s)
     reach = max(horizon, -t0)
     for f in scenario.rate_flows:
@@ -159,7 +162,6 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         seq += 1
 
     events: list[PacketEvent] | None = [] if record_events else None
-    send_times: dict[str, list[float]] = {uid: [] for uid in users}
     flight = dict.fromkeys(users, 0)
     window = {uid: u.protocol.window_at(t0) for uid, u in users.items()}
     next_pid = 0
@@ -173,7 +175,6 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         pid = next_pid
         next_pid += 1
         flight[uid] += 1
-        send_times[uid].append(t)
         log(pid, uid, "send", t)
         u = users[uid]
         push(t + u.hop_delays_s[0], "arrive", (u, pid, 0))
@@ -193,8 +194,8 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
         first = next(emissions, None)
         if first is not None:
             push(first, "emit", (f, emissions))
-    n_samples = int(round(horizon / sample_dt_s)) + 1
-    sample_times = np.arange(n_samples) * sample_dt_s
+    n_samples = int(round(horizon / SAMPLE_DT_S)) + 1
+    sample_times = np.arange(n_samples) * SAMPLE_DT_S
     qlen = {qid: np.zeros(n_samples) for qid in queues}
     deq_counts = {(qid, fid): np.zeros(n_samples)
                   for qid, q in queues.items() for fid in q.deq}
@@ -251,13 +252,12 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
                 for fid, n in q.deq.items():
                     deq_counts[(qid, fid)][k] = n
             if k + 1 < n_samples:
-                push((k + 1) * sample_dt_s, "sample", k + 1)
+                push((k + 1) * SAMPLE_DT_S, "sample", k + 1)
 
     return PacketSimResult(
         sample_times=sample_times,
         queue_lengths=qlen,
         dequeue_counts=deq_counts,
-        send_times={u: np.asarray(v) for u, v in send_times.items()},
         events=events,
     )
 
@@ -269,9 +269,7 @@ def packet_sim(scenario: Scenario, *, sample_dt_s: float = 0.01,
 class EquilibriumResult:
     queueing_delays_s: dict[str, float]
     rates_pps: dict[str, float]  # each user's, then each rate flow's
-    congested: dict[str, bool]
     sweeps: int
-    max_residual_pps: float
 
 
 # Gauss-Seidel sweeps before giving up, and the residual each queue must
@@ -369,5 +367,4 @@ def equilibrium_queue(network: Network) -> EquilibriumResult:
     rates = {uid: w[uid] / (T[uid] + sum(tau[p] for p in circuits[uid]))
              for uid in w}
     rates.update(flow_rates)
-    congested = {q: tau[q] > 1e-12 for q in caps}
-    return EquilibriumResult(tau, rates, congested, sweeps, max_resid)
+    return EquilibriumResult(tau, rates, sweeps)

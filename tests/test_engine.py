@@ -484,7 +484,10 @@ class TestOffGridReads:
             got = reader.read(k0, ticks)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         elif k1 > end:
-            with pytest.raises(CausalityError, match="touches an unrecorded sample"):
+            # the history's own check names the first unrecorded tick's time
+            t = float(ticks[max(end - k0, 0)] - delay)
+            with pytest.raises(CausalityError, match=re.escape(
+                    f"future read at t={t!r} (history ends at {(recorded - 1) * dt!r})")):
                 reader.read(k0, ticks)
         else:
             k = np.arange(k0, k1) - shift
@@ -492,6 +495,28 @@ class TestOffGridReads:
             want = np.where(k >= 0, values[np.maximum(k, 0)] if recorded else 0.0,
                             traj.initial_value[row])
             assert reader.read(k0, ticks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delay_s", [1.0, 1.25], ids=["on-grid", "off-grid"])
+    def test_a_read_answers_zero_ticks_and_refuses_nan_and_the_unrecorded(self, delay_s):
+        # a read past the record fails the history's one check on either
+        # path, which names the first unrecorded tick's delayed time, or a
+        # NaN; zero ticks read zero values wherever they start, where a
+        # block of none past the record indexed into its empty ticks
+        traj = Trajectory(0.5, 7.0, n_ticks=10)
+        traj.record(0.0, np.arange(10.0))
+        reader = engine._Reader(traj=traj, delay_s=delay_s, dt_s=0.5)
+        end = 10 + reader.lag  # one past the last readable tick
+        for k0 in (0, end - 1, end, end + 3):
+            got = reader.read(k0, np.array([]))
+            assert got.dtype == np.float64 and got.shape == (0,), k0
+        ticks = np.arange(end - 2, end + 2) * 0.5
+        with pytest.raises(CausalityError, match=re.escape(
+                f"future read at t={end * 0.5 - delay_s!r} (history ends at 4.5)")):
+            reader.read(end - 2, ticks)
+        ticks[2] = math.nan
+        with pytest.raises(CausalityError, match=re.escape(
+                "future read at t=nan (history ends at 4.5)")):
+            reader.read(end - 2, ticks)
 
 
 class TestFlightRecord:
@@ -639,7 +664,7 @@ class TestSharedPath:
             rate_flows=(RateFlowConf("x", ("b2",), (0.0,), ConstantProfile(300.0)),),
             run=RunConf(1e-3, 4.0, "equilibrium"))
         traces = run(sc)
-        ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=5.0)
+        ref = packet_sim(sc, warmup_s=5.0)
         dt = traces.dt_s
         idx = np.rint(ref.sample_times / dt).astype(int)
         assert traces["congested.b2"].min() == 1.0
@@ -712,8 +737,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("source, message", [
         # an index read past its input's frontier
-        ("scenario3", "queue block 'b1' from t=0.000000: read 0.0s behind "
-                      "t=0.04 touches an unrecorded sample"),
+        ("scenario3", "queue block 'b1' from t=0.000000: future read at "
+                      "t=0.04 (history ends at 0.039900000000000005)"),
         # an interpolated read past it
         (OFFGRID_YAML, "queue block 'b1' from t=0.000000: future read at "
                        "t=0.037630000000000004 (history ends at 0.0376)"),

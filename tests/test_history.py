@@ -235,7 +235,8 @@ class TestIntegrate:
             assert str(samples.value) == str(pairs.value), t0
         # its ends are samples, which must be recorded, empty spans' too
         for t0 in ([2.0, 3.0], [2.5, 3.0]):
-            with pytest.raises(CausalityError, match=r"^integration end t=3.0 beyond"):
+            with pytest.raises(CausalityError,
+                               match=r"^future read at t=3.0 \(history ends at 2.5\)$"):
                 block.integrate_hold_to_samples(np.array(t0), 5)
 
 
@@ -366,7 +367,8 @@ class TestBlockReads:
         for j, (a, b) in enumerate(zip(t0, t1)):
             assert got[:, j].tobytes() == block.integrate_hold(a, b).tobytes()
         assert got[:, t0 == t1].tobytes() == np.zeros((2, 4)).tobytes()
-        with pytest.raises(CausalityError, match=r"^integration end t=7.0 beyond"):
+        with pytest.raises(CausalityError,
+                           match=r"^future read at t=7.0 \(history ends at 2.0\)$"):
             block.integrate_hold(np.append(t0, 7.0), np.append(t1, 7.0))
 
     def test_check_names_the_first_offending_time(self):
@@ -381,6 +383,31 @@ class TestBlockReads:
         # a NaN has no place in the map either
         with pytest.raises(HistoryError, match=r"inverse of nan not"):
             tr.invert_monotone(np.array([6.0, math.nan, 7.0]))
+
+
+@pytest.mark.parametrize("read, late", [
+    (lambda tr, t: tr.eval_at(t), "future read at t=9.5 (history ends at 4.5)"),
+    # an empty span at each time
+    (lambda tr, t: tr.integrate_hold(t, t), "future read at t=9.5 (history ends at 4.5)"),
+    (lambda tr, t: tr.integrate_hold_steps(t.repeat(2)),
+     "future read at t=9.5 (history ends at 4.5)"),
+    # a span from each time to sample 20, 10.0 s, and on
+    (lambda tr, t: tr.integrate_hold_to_samples(t, 20),
+     "future read at t=10.0 (history ends at 4.5)"),
+    (lambda tr, t: tr.invert_monotone(t), "inverse of 9.5 not determined"),
+], ids=["eval_at", "integrate_hold", "integrate_hold_steps", "integrate_hold_to_samples",
+        "invert_monotone"])
+def test_a_read_answers_zero_times_and_refuses_nan_and_the_unrecorded(read, late):
+    # zero times read zero values, before any integral too, where numpy's
+    # min() of nothing stopped the integrals and the inversion; a NaN time
+    # is refused, where the grid index of NaN indexed far out of the samples
+    tr = make([float(k) for k in range(10)], dt=0.5)
+    got = read(tr, np.array([]))
+    assert got.dtype == np.float64 and got.shape == (0,)
+    with pytest.raises(HistoryError, match="nan"):
+        read(tr, np.array([1.0, math.nan]))
+    with pytest.raises(HistoryError, match=f"^{re.escape(late)}"):
+        read(tr, np.array([1.0, 9.5]))
 
 
 @st.composite

@@ -70,7 +70,7 @@ def run(sc, horizon_s: float):
 
 def oracle_errors(sc, traces, warmup_s: float) -> tuple[float, float]:
     """Largest queue-length and cumulative-dequeue gaps to packet_sim, in pkts."""
-    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=warmup_s)
+    ref = packet_sim(sc, warmup_s=warmup_s)
     dt = traces.dt_s
     idx = np.rint(ref.sample_times / dt).astype(int)
     q_err = max(float(np.abs(traces[f"q.{qid}"][idx] - q_pkt).max())

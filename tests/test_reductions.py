@@ -204,7 +204,7 @@ PRE_STEP_PKTS = 1e-5
 def test_rate_model_misses_the_transient_after_a_window_step(name):
     sc = load_scenario(name)
     traces = run(sc)
-    ref = packet_sim(sc, sample_dt_s=0.01, warmup_s=CASES[name][1])
+    ref = packet_sim(sc, warmup_s=CASES[name][1])
     rates = rate_model(sc)
     idx = np.rint(ref.sample_times / traces.dt_s).astype(int)
     (t_step,) = {t for u in sc.users for t, _ in u.protocol.steps}

@@ -39,18 +39,20 @@ class FifoQueue:
     ----------
     queue_id : str
     capacity_pps : float
-        Service rate in packets per second (> 0).
+        Service rate in packets per second, positive and finite, as the
+        ``Network`` the engine builds each queue from requires.
     flow_ids : sequence of str
         Flows entering this queue, in a fixed order.
     dt_s : float
         Engine grid step; every history holds one sample per step.
     backlog0_pkts : float
-        Initial queue size.
+        Initial queue size, nonnegative: the engine's is an equilibrium
+        ``capacity * tau``.
     input_rates0 : per-flow rates assumed for all times before the start
         (pre-history); also taken as the composition of any initial backlog.
         Before the start the queue holds its initial backlog, so the
         arrival->departure map there is the line t + backlog0 / capacity,
-        which answers backward reads at simulation start.
+        from which ``backward_time`` answers reads at simulation start.
     n_ticks : int
         Ticks of the run: every history is sized once to hold them.
     """
@@ -71,10 +73,6 @@ class FifoQueue:
         input_rates0: dict[str, float] | None = None,
         n_ticks: int,
     ):
-        if not capacity_pps > 0:  # NaN fails too
-            raise ValueError(f"queue '{queue_id}': capacity must be positive")
-        if backlog0_pkts < 0:
-            raise ValueError(f"queue '{queue_id}': negative initial backlog")
         self.queue_id = queue_id
         self.capacity = float(capacity_pps)
         self.flow_ids = tuple(flow_ids)
@@ -83,8 +81,10 @@ class FifoQueue:
                           dtype=np.float64)
         self.arrivals = Trajectory(dt_s, rates0, n_ticks=n_ticks)
         self.departures = Trajectory(dt_s, rates0, n_ticks=n_ticks)
+        # backward_time answers the pre-start line from the map's
+        # initial_value, tau0, which is also its first sample
         tau0 = self.backlog / self.capacity
-        self.forward_map = Trajectory(dt_s, tau0, pre_slope=1.0, n_ticks=n_ticks + 1)
+        self.forward_map = Trajectory(dt_s, tau0, n_ticks=n_ticks + 1)
         self.forward_map.record(0.0, tau0)
         self.stall_fallbacks = 0
 
@@ -115,8 +115,24 @@ class FifoQueue:
         return _sum_rows(rates)
 
     def backward_time(self, t):
-        """Arrival time of the traffic departing at ``t`` (elementwise)."""
-        return self.forward_map.invert_monotone(t)
+        """Arrival time of the traffic departing at ``t`` (elementwise).
+
+        Before ``tau0 = backlog0 / capacity`` the initial backlog departs,
+        which arrived on the pre-start line ``t - tau0``.  The later times
+        invert the recorded arrival->departure map, in one
+        ``invert_monotone`` call.  They are picked by a mask, never clamped
+        to ``tau0``: a drained queue's map may sit an ulp below its first
+        value.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        tau0 = self.forward_map.initial_value
+        if t.min(initial=np.inf) >= tau0:
+            return self.forward_map.invert_monotone(t)
+        # a NaN is late: the inversion refuses it by name
+        late = ~(t < tau0)
+        x = np.array(t - tau0)  # an array for one time too
+        x[late] = self.forward_map.invert_monotone(t[late])
+        return x if x.ndim else float(x)
 
     def step(self, dt: float, end_times_s: np.ndarray, total_pps: np.ndarray):
         """Advance the backlog over the recorded block.

@@ -65,12 +65,11 @@ class Trajectory:
     record past it raises :class:`HistoryError`, so views of the samples
     stay valid for the whole run.
 
-    Before ``t = 0`` the signal is its pre-history.  By default that is the
-    constant ``initial_value``, taken to be sampled at ``-dt`` and
-    interpolated to the first sample, so delayed reads at simulation start
-    are well defined.  With ``pre_slope`` set it is the line
-    ``initial_value + pre_slope * t`` instead (a time map extended
-    backwards).  Reads beyond the newest sample, or at a NaN time, raise
+    Before ``t = 0`` the signal is its pre-history, the constant
+    ``initial_value``, taken to be sampled at ``-dt`` and interpolated to
+    the first sample, so delayed reads at simulation start are well
+    defined; the hold integral holds it until ``t = 0``.  Reads beyond the
+    newest sample, or at a NaN time, raise
     :class:`CausalityError` from ``check_recorded``: the engine must never
     consume values it has not produced yet.  Reads take a time or an array
     of times; a check that fails names the first offending time.
@@ -83,11 +82,9 @@ class Trajectory:
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value", "pre_slope",
-                 "pruned_before")
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value", "pruned_before")
 
-    def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int,
-                 pre_slope: float = 0.0):
+    def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int):
         self.dt = dt
         self.initial_value = np.asarray(initial_value, dtype=np.float64)
         self._buf = np.empty(self.initial_value.shape + (n_ticks,))
@@ -97,7 +94,6 @@ class Trajectory:
         # extended by each integral only through the last sample it reads
         self._cum = None
         self._ncum = 0
-        self.pre_slope = float(pre_slope)
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
 
@@ -146,13 +142,10 @@ class Trajectory:
         self.check_recorded(t)
         self._check_not_pruned(t)
         neg = t < 0.0
-        if self.pre_slope:
-            out = p0 + self.pre_slope * t
-        else:
-            # with no sample yet, every read is at least dt early
-            lag = -t
-            first = values[0] if self._n else p0
-            out = np.where(lag >= dt, p0, p0 + (first - p0) * (dt - lag) / dt)
+        # with no sample yet, every read is at least dt early
+        lag = -t
+        first = values[0] if self._n else p0
+        out = np.where(lag >= dt, p0, p0 + (first - p0) * (dt - lag) / dt)
         if not neg.all():
             i = grid_index(np.where(neg, 0.0, t), dt)
             t0 = i * dt
@@ -242,12 +235,16 @@ class Trajectory:
                                  f"(history ends at {last!r})")
 
     def _check_spans(self, t0: np.ndarray, t1: np.ndarray) -> None:
-        """Refuse reversed bounds (or a NaN one), a start below the prune
-        floor and an end past the history, for every span ``[t0, t1]``,
-        empty or not."""
+        """Refuse reversed bounds, a start below the prune floor and an end
+        past the history, for every span ``[t0, t1]``, empty or not.  A
+        NaN bound has no order: the first span out of order names it as
+        ``check_recorded`` does."""
         ordered = t0 <= t1
         if not ordered.all():
             j = ordered.argmin()
+            bounds = np.array([t0[j], t1[j]])
+            if np.isnan(bounds).any():
+                self.check_recorded(bounds)
             raise HistoryError(
                 f"reversed integration bounds [{float(t0[j])!r}, {float(t1[j])!r}]")
         self._check_not_pruned(t0)
@@ -274,23 +271,24 @@ class Trajectory:
         """Earliest time where a nondecreasing trajectory reaches ``y``.
 
         Where the map is flat, the left edge of the flat interval is
-        returned (FIFO earliest-arrival tie-break).  ``y`` must lie inside
-        the recorded value range, or below it on a rising pre-history line.
+        returned (FIFO earliest-arrival tie-break).  Each ``y`` must lie
+        inside the recorded value range, from the first sample's value to
+        the newest one's: the pre-history holds no map to invert.  Zero
+        queries answer zero values, on a history with no samples too.
         """
         y, scalar = _times(y)
-        values = self.values
+        if not y.size:
+            return np.empty(0)
         if not self._n:
             raise HistoryError("cannot invert an empty trajectory")
+        values = self.values
         lo, hi = values[0], values[-1]
-        # zero queries pass both range checks, and the search answers none
-        early = y.min(initial=math.inf) < lo
-        rising = self.pre_slope > 0.0
-        if not y.max(initial=-math.inf) <= hi or (early and not rising):  # NaN too
-            outside = ~(y <= hi) | (y < lo) & (not rising)
+        if not (lo <= y.min() and y.max() <= hi):  # NaN too
+            outside = ~((lo <= y) & (y <= hi))
             raise HistoryError(
                 f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "
                 f"range [{float(lo)!r}, {float(hi)!r}]")
-        # values[i - 1] < y <= values[i]; i == 0 only where y <= lo, and
+        # values[i - 1] < y <= values[i]; i == 0 only where y is lo, and
         # there values[i - 1] wraps to an entry the result does not use
         i = np.searchsorted(values, y)
         below = i - 1
@@ -304,8 +302,6 @@ class Trajectory:
             x /= v1 - v0
             x += t0
         np.copyto(x, ti, where=v1 == y)
-        if early:
-            x = np.where(y < lo, (y - self.initial_value) / self.pre_slope, x)
         self._check_not_pruned(x)
         return float(x[0]) if scalar else x
 

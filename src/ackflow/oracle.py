@@ -60,13 +60,13 @@ SAMPLE_DT_S = 0.01
 
 
 class _PQueue:
-    __slots__ = ("qid", "service_s", "buf", "busy", "deq")
+    __slots__ = ("qid", "service_s", "buf", "deq")
 
     def __init__(self, qid, capacity_pps, flow_ids):
         self.qid = qid
         self.service_s = 1.0 / capacity_pps
+        # the packet in service stays at the head until it departs
         self.buf = deque()
-        self.busy = False
         self.deq = {f: 0 for f in flow_ids}
 
 
@@ -210,8 +210,7 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
             q = queues[f.queue_path[hop_idx]]
             q.buf.append(data)
             log(pid, f.id, "enqueue", t)
-            if not q.busy:
-                q.busy = True
+            if len(q.buf) == 1:  # it found the server idle
                 push(t + q.service_s, "depart", q.qid)
         elif kind == "depart":
             q = queues[data]
@@ -220,8 +219,6 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
             log(pid, f.id, "dequeue", t)
             if q.buf:
                 push(t + q.service_s, "depart", q.qid)
-            else:
-                q.busy = False
             if hop_idx + 1 < len(f.queue_path):
                 push(t + f.hop_delays_s[hop_idx + 1], "arrive", (f, pid, hop_idx + 1))
             elif f.id in users:

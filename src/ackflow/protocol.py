@@ -125,10 +125,9 @@ def fast_wdot(window_pkts: np.ndarray | float,
     The measurement is the queueing delay experienced by the traffic whose
     acknowledgements are arriving now (the backward queueing delay).  The
     rate is affine in the window: positive below the equilibrium window
-    alpha*(T+tau)/tau, negative above it.
+    alpha*(T+tau)/tau, negative above it.  The total propagation delay
+    ``T`` is positive, as ``Network.add_user`` requires of every user.
     """
-    if total_prop_delay_s <= 0:
-        raise ProtocolError("total propagation delay must be positive for FAST")
     tau = backward_queueing_delay_s
     return proto.gamma * (
         -tau / (total_prop_delay_s + tau) * window_pkts + proto.alpha_pkts)

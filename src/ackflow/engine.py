@@ -90,10 +90,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fifo_queue import FifoQueue
-from .history import HistoryError
+from .history import HistoryError, interpolate
 from .oracle import EquilibriumResult, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
-from .scenario import RunConf, Scenario, UserConf
+from .scenario import MAX_TICKS, RunConf, Scenario, UserConf, check_square_reach
 from .topology import Network
 from .user import UserState
 
@@ -164,8 +164,7 @@ class _Reader:
         self.delay = delay_s
         # tick k reads sample k - lag on the grid; off it, its delayed time
         # lies between samples k - lag - 1 and k - lag
-        self.lag = _lag_ticks(delay_s, dt_s)
-        self.off_grid = _grid_shift(delay_s, dt_s) is None
+        self.lag, self.off_grid = _lag_ticks(delay_s, dt_s)
 
     def read(self, k0: int, ticks: np.ndarray) -> np.ndarray:
         """The delayed values at a block's tick times, the first tick ``k0``."""
@@ -181,33 +180,29 @@ class _Reader:
                 return values[lo:hi]
             head = np.full(min(-lo, len(ticks)), self.traj.initial_value[self.row])
             return np.concatenate((head, values[:max(hi, 0)]))
-        # The bracket is grid_index(k*dt - delay) for every tick: _grid_shift
+        # The bracket is grid_index(k*dt - delay) for every tick: _lag_ticks
         # calls a delay off the grid only 1e-6 ticks or more away from it,
-        # and k*dt - delay rounds by about 1e-16*k ticks.  So the operands
-        # are eval_at's, and so is the value to the bit; eval_at also stays
-        # the one definition of the pre-history, which the head reads.
+        # and k*dt - delay rounds by about 1e-16*k ticks.  So the body is
+        # eval_at's formula on eval_at's operands, and its value to the bit;
+        # the head, before sample 0, is eval_at's read of the pre-history.
         n = min(max(1 - lo, 0), len(ticks))  # ticks whose left sample precedes 0
-        t, dt = ticks - self.delay, self.traj.dt
-        i = np.arange(lo - 1 + n, hi - 1)
-        t0 = i * dt
-        v0, v1 = values[lo - 1 + n:hi - 1], values[lo + n:hi]
-        body = v0 + (v1 - v0) * (t[n:] - t0) / ((i + 1) * dt - t0)
+        t = ticks - self.delay
+        body = interpolate(values[lo - 1 + n:hi - 1], values[lo + n:hi], t[n:],
+                           np.arange(lo - 1 + n, hi - 1), self.traj.dt)
         return np.concatenate((self.traj.eval_at(t[:n], self.row), body)) if n else body
 
 
-def _grid_shift(delay_s: float, dt: float) -> int | None:
-    """A delay in whole ticks when it is a grid multiple, else None."""
-    ticks = delay_s / dt
-    if abs(ticks - round(ticks)) < 1e-6:
-        return int(round(ticks))
-    return None
-
-
-def _lag_ticks(delay_s: float, dt: float) -> int:
-    """Ticks a reader may run ahead of a source across ``delay_s``: the
-    index shift on the grid, the floor off it."""
-    shift = _grid_shift(delay_s, dt)
-    return math.floor(delay_s / dt) if shift is None else shift
+def _lag_ticks(delay_s: float, dt: float) -> tuple[int, bool]:
+    """Ticks a reader may run ahead of a source across ``delay_s``, and
+    whether the delay is off the grid: the index shift of a delay within
+    1e-6 ticks of a grid multiple, else the floor.  A delay past any run,
+    ``MAX_TICKS`` ticks or more, counts as that many: its reads see only
+    the pre-history."""
+    ticks = min(delay_s / dt, MAX_TICKS)
+    shift = round(ticks)
+    if abs(ticks - shift) < 1e-6:
+        return shift, False
+    return math.floor(ticks), True
 
 
 def _feeds(network: Network) -> dict:
@@ -250,7 +245,7 @@ def input_lags(network: Network, dt: float) -> dict:
         inputs = lags[key] = {}
         for src, _, delay in reads:
             if src is not None:
-                lag = _lag_ticks(delay, dt)
+                lag, _ = _lag_ticks(delay, dt)
                 inputs[src] = min(lag, inputs.get(src, lag))
     return lags
 
@@ -278,11 +273,12 @@ def _window_jumps(proto, dt: float, cold: bool) -> dict[int, float]:
     """A user's window jumps, tick -> net jump, none of them zero: each
     scheduled step at its nearest tick, which absorbs float jitter in
     ``k * dt`` (schedules are expected on the grid anyway), and on a cold
-    start the opening window at tick 0, emitted as a burst."""
+    start the opening window at tick 0, emitted as a burst.  A step past
+    ``MAX_TICKS`` ticks counts as at that tick, which no run reaches."""
     jumps: dict[int, float] = {}
     w = proto.initial_window_pkts
     for ts, ws in proto.steps if isinstance(proto, ScheduledProtocol) else ():
-        k = int(ts / dt + 0.5)
+        k = int(min(ts / dt, MAX_TICKS) + 0.5)
         jumps[k] = jumps.get(k, 0.0) + (ws - w)
         w = ws
     if cold:
@@ -353,23 +349,13 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
     The descriptions arrive checked: ``config`` and each user's protocol
     refused bad values when they were built, and ``network`` its routes
-    and delays.  What is checked here needs the network and the run
-    together: the tick count, each square wave's piece index over the
-    run, ``dt``'s headroom under the smallest positive delay, and a return
-    delay of at least one step.
+    and delays, and ``config`` its tick count.  What is checked here needs
+    the network and the run together: each square wave's piece index over
+    the run, ``dt``'s headroom under the smallest positive delay, and a
+    return delay of at least one step.
     """
     dt = config.dt_s
-    if not config.horizon_s / dt < 2.0 ** 60:  # at 8 bytes a tick, past 2**63 bytes
-        raise SimulationError(
-            f"horizon_s / dt_s is {config.horizon_s / dt!r} ticks, too many for one "
-            f"run (horizon_s={config.horizon_s!r}, dt_s={dt!r})")
-    for f in network.rate_flows.values():
-        # the profile is read at the ticks less the first hop
-        reach = max(config.horizon_s, f.hop_delays_s[0])
-        if not f.profile.counts_pieces_to(reach):
-            raise SimulationError(
-                f"rate flow '{f.id}': period_s={f.profile.period_s!r} is too short to "
-                f"index its half periods up to t={reach!r}")
+    check_square_reach(network.rate_flows.values(), config.horizon_s)
     delays = _channel_delays_s(network)
     min_delay = min((d for d in delays if d > 0), default=math.inf)
     if dt > min_delay / 10:

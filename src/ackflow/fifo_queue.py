@@ -114,8 +114,8 @@ class FifoQueue:
         self.arrivals.record(ticks[0], rates)
         return _sum_rows(rates)
 
-    def backward_time(self, t):
-        """Arrival time of the traffic departing at ``t`` (elementwise).
+    def backward_time(self, t: np.ndarray) -> np.ndarray:
+        """Arrival time of the traffic departing at each time ``t``.
 
         Before ``tau0 = backlog0 / capacity`` the initial backlog departs,
         which arrived on the pre-start line ``t - tau0``.  The later times
@@ -124,15 +124,14 @@ class FifoQueue:
         to ``tau0``: a drained queue's map may sit an ulp below its first
         value.
         """
-        t = np.asarray(t, dtype=np.float64)
         tau0 = self.forward_map.initial_value
         if t.min(initial=np.inf) >= tau0:
             return self.forward_map.invert_monotone(t)
         # a NaN is late: the inversion refuses it by name
         late = ~(t < tau0)
-        x = np.array(t - tau0)  # an array for one time too
+        x = t - tau0
         x[late] = self.forward_map.invert_monotone(t[late])
-        return x if x.ndim else float(x)
+        return x
 
     def step(self, dt: float, end_times_s: np.ndarray, total_pps: np.ndarray):
         """Advance the backlog over the recorded block.

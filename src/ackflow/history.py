@@ -5,8 +5,9 @@ holds float64 samples whose sample ``i`` sits at time ``i * dt``: one
 signal, or a block of rows on the same grid (a queue's per-flow arrivals).
 It is sized once, at its run length.  The engine appends and reads whole
 blocks of ticks: ``record`` takes consecutive samples, and the reads take
-arrays of times and answer elementwise.  Delayed reads are index
-arithmetic with linear interpolation between samples, a sample-and-hold
+1-D float64 arrays of times and answer elementwise.  Delayed reads are
+index arithmetic with linear interpolation between samples (one formula,
+``interpolate``, which the engine's reader shares), a sample-and-hold
 running integral gives queue transport masses and the users' flights, and
 a binary search over the values inverts monotone (arrival -> departure)
 time maps.  A read keeps no state between calls, so its answer depends
@@ -50,10 +51,12 @@ def grid_index(t, step: float) -> np.ndarray:
     return i
 
 
-def _times(t) -> tuple[np.ndarray, bool]:
-    """Times as a 1-D float64 array, and whether a scalar was given."""
-    arr = np.asarray(t, dtype=np.float64)
-    return arr.reshape(-1), arr.ndim == 0
+def interpolate(v0, v1, t, i, dt: float):
+    """The line through ``v0`` at sample ``i``'s time ``i * dt`` and ``v1``
+    at the next sample's, at the times ``t``, elementwise: the one formula
+    of every read between samples."""
+    t0 = i * dt
+    return v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)
 
 
 class Trajectory:
@@ -71,8 +74,8 @@ class Trajectory:
     defined; the hold integral holds it until ``t = 0``.  Reads beyond the
     newest sample, or at a NaN time, raise
     :class:`CausalityError` from ``check_recorded``: the engine must never
-    consume values it has not produced yet.  Reads take a time or an array
-    of times; a check that fails names the first offending time.
+    consume values it has not produced yet.  Reads take a 1-D float64
+    array of times; a check that fails names the first offending time.
     ``eval_at`` reads one signal: its ``row`` picks a block's row, and the
     default ``...`` takes a one-signal trajectory whole.
     ``integrate_hold``, ``integrate_hold_steps`` and
@@ -133,9 +136,9 @@ class Trajectory:
                 f"read at t={float(t[below.argmax()])!r} precedes pruned history "
                 f"(< {self.pruned_before!r})")
 
-    def eval_at(self, t, row=...):
-        """Value at ``t``; exact on samples, interpolated between them."""
-        t, scalar = _times(t)
+    def eval_at(self, t: np.ndarray, row=...) -> np.ndarray:
+        """Value at each time ``t``; exact on samples, interpolated between
+        them, the pre-history as sample ``-1``."""
         values, p0 = self._buf[row, :self._n], float(self.initial_value[row])
         dt = self.dt
         last = self._n - 1
@@ -143,17 +146,14 @@ class Trajectory:
         self._check_not_pruned(t)
         neg = t < 0.0
         # with no sample yet, every read is at least dt early
-        lag = -t
         first = values[0] if self._n else p0
-        out = np.where(lag >= dt, p0, p0 + (first - p0) * (dt - lag) / dt)
+        out = np.where(t <= -dt, p0, interpolate(p0, first, t, -1, dt))
         if not neg.all():
             i = grid_index(np.where(neg, 0.0, t), dt)
-            t0 = i * dt
             v0, v1 = values[i], values[np.minimum(i + 1, last)]
-            out = np.where(neg, out, np.where(
-                (t == t0) | (i == last), v0,
-                v0 + (v1 - v0) * (t - t0) / ((i + 1) * dt - t0)))
-        return float(out[0]) if scalar else out
+            out = np.where(neg, out, np.where((t == i * dt) | (i == last), v0,
+                                              interpolate(v0, v1, t, i, dt)))
+        return out
 
     def _cumulative(self, top: int) -> np.ndarray:
         """The hold cumulative, filled at least through entry ``top - 1``."""
@@ -182,32 +182,28 @@ class Trajectory:
         np.add.accumulate(cum, axis=-1, out=cum)
         self._ncum = top
 
-    def integrate_hold(self, t0, t1):
-        """Integral reading each sample as held until the next one.
+    def integrate_hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Integral over each span ``[t0, t1]``, reading each sample as held
+        until the next one.
 
         Matches explicit left-point state stepping, so queue transport
         accounting based on it is exact.  The pre-history counts as the
         constant ``initial_value``.
         """
-        (t0, scalar), (t1, _) = _times(t0), _times(t1)
-        if t0.shape != t1.shape:
-            t0, t1 = np.broadcast_arrays(t0, t1)
         self._check_spans(t0, t1)
         held = self._held(np.concatenate((t0, t1)))
-        out = held[..., len(t0):] - held[..., :len(t0)]
-        return out[..., 0] if scalar else out
+        return held[..., len(t0):] - held[..., :len(t0)]
 
-    def integrate_hold_steps(self, t):
+    def integrate_hold_steps(self, t: np.ndarray) -> np.ndarray:
         """``integrate_hold(t[:-1], t[1:])`` to the bit, over two or more
         times ``t``, with the same checks; the held integral is read once
         at each time, not twice at each inner one."""
-        t = np.asarray(t, dtype=np.float64)
         self._check_spans(t[:-1], t[1:])
         # checked spans are not reversed, so the times are nondecreasing
         held = self._held(t, ascending=True)
         return held[..., 1:] - held[..., :-1]
 
-    def integrate_hold_to_samples(self, t0, k0: int):
+    def integrate_hold_to_samples(self, t0: np.ndarray, k0: int) -> np.ndarray:
         """``integrate_hold(t0, t1)`` to the bit, with the same checks, where
         ``t1[j]`` is the time of sample ``k0 + j``, which must be recorded.
 
@@ -216,7 +212,6 @@ class Trajectory:
         the ends are a slice of the cumulative and only the starts are
         searched.
         """
-        t0 = np.asarray(t0, dtype=np.float64)
         k1 = k0 + len(t0)
         self._check_spans(t0, np.arange(k0, k1) * self.dt)
         if not len(t0):  # no span, so no sample to read
@@ -257,17 +252,19 @@ class Trajectory:
         if not (self._n and t.size):
             return np.multiply.outer(self.initial_value, t)
         early = (t[0] if ascending else t.min()) < 0.0
-        i = grid_index(np.maximum(t, 0.0) if early else t, self.dt)
+        # a time before 0 reads sample 0 here, and the pre-history below
+        tc = np.maximum(t, 0.0) if early else t
+        i = grid_index(tc, self.dt)
         cum = self._cumulative(int(i[-1] if ascending else i.max()) + 1)
-        # cum + buf * (t - i * dt), summed in place: a float sum commutes
+        # cum + buf * (tc - i * dt), summed in place: a float sum commutes
         held = self._buf.take(i, axis=-1)
-        held *= t - i * self.dt
+        held *= tc - i * self.dt
         held += cum.take(i, axis=-1)
         if early:
             held = np.where(t < 0.0, np.multiply.outer(self.initial_value, t), held)
         return held
 
-    def invert_monotone(self, y):
+    def invert_monotone(self, y: np.ndarray) -> np.ndarray:
         """Earliest time where a nondecreasing trajectory reaches ``y``.
 
         Where the map is flat, the left edge of the flat interval is
@@ -276,7 +273,6 @@ class Trajectory:
         the newest one's: the pre-history holds no map to invert.  Zero
         queries answer zero values, on a history with no samples too.
         """
-        y, scalar = _times(y)
         if not y.size:
             return np.empty(0)
         if not self._n:
@@ -303,7 +299,7 @@ class Trajectory:
             x += t0
         np.copyto(x, ti, where=v1 == y)
         self._check_not_pruned(x)
-        return float(x[0]) if scalar else x
+        return x
 
     def prune_before(self, t: float) -> None:
         """Raise the read floor to the sample bracketing ``t``.

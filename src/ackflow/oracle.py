@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import FastProtocol
-from .scenario import ConstantProfile, Scenario, to_network
+from .scenario import MAX_TICKS, ConstantProfile, Scenario, check_square_reach, to_network
 from .topology import Network
 
 __all__ = [
@@ -127,21 +127,16 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
     # an infinite warm-up puts every event at -inf, so the run never ends
     if not math.isfinite(warmup_s):
         raise OracleError(f"warmup_s must be finite, got {warmup_s!r}")
+    if warmup_s < 0:
+        raise OracleError(f"warmup_s must be nonnegative, got {warmup_s!r}")
     horizon = scenario.run.horizon_s
-    # simulate's bound on its tick count: at 8 bytes a sample, past 2**63 bytes
-    if not horizon / SAMPLE_DT_S < 2.0 ** 60:
+    if not horizon / SAMPLE_DT_S < MAX_TICKS:
         raise OracleError(
             f"horizon_s={horizon!r} is {horizon / SAMPLE_DT_S!r} samples of "
             f"{SAMPLE_DT_S!r} s, too many for one run")
-    t0 = -abs(warmup_s)
-    reach = max(horizon, -t0)
-    for f in scenario.rate_flows:
-        if not f.profile.counts_pieces_to(reach):
-            raise OracleError(
-                f"rate flow '{f.id}': period_s={f.profile.period_s!r} is too short to "
-                f"index its half periods up to t={reach!r}")
-
+    t0 = -warmup_s
     net = to_network(scenario)
+    check_square_reach(net.rate_flows.values(), horizon, warmup_s)
     users = net.users
     for u in users.values():
         if isinstance(u.protocol, FastProtocol):

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# ticks of one run, and samples of one packet run, must stay below this
+MAX_TICKS = 2.0 ** 60
+
+
 class ScenarioError(ValueError):
     """Malformed scenario; the message names the offending field, and
     ``field`` the description's attribute at fault, or None."""
@@ -166,6 +170,18 @@ class RateFlowConf:
     profile: ConstantProfile | SquareProfile
 
 
+def check_square_reach(rate_flows, horizon_s: float, warmup_s: float = 0.0) -> None:
+    """Refuse a rate flow whose profile cannot index its pieces at every time
+    a model reads it: up to ``horizon_s``, and back to its first hop (the
+    engine's reads) or ``warmup_s`` (the packet oracle's start) before 0."""
+    for f in rate_flows:
+        reach = max(horizon_s, warmup_s, f.hop_delays_s[0])
+        if not f.profile.counts_pieces_to(reach):
+            raise ScenarioError(
+                f"rate flow '{f.id}': period_s={f.profile.period_s!r} is too short to "
+                f"index its half periods up to t={reach!r}", "period_s")
+
+
 @dataclass(frozen=True)
 class RunConf:
     dt_s: float = 1e-4  # the engine refuses more than its smallest positive delay / 10
@@ -177,6 +193,10 @@ class RunConf:
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ScenarioError(f"{name} must be finite and positive, "
                                     f"got {getattr(self, name)!r}", name)
+        if not self.horizon_s / self.dt_s < MAX_TICKS:
+            raise ScenarioError(
+                f"horizon_s / dt_s is {self.horizon_s / self.dt_s!r} ticks, too many for "
+                f"one run (horizon_s={self.horizon_s!r}, dt_s={self.dt_s!r})", "horizon_s")
         if self.init not in ("cold", "equilibrium"):
             raise ScenarioError(f"must be 'cold' or 'equilibrium', got {self.init!r}", "init")
 

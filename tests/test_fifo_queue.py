@@ -27,7 +27,8 @@ def drive(queue, input_fns, dt, n_ticks, block=7):
 
 
 def backward_slope(queue, t, h=1e-3):
-    """Right slope of the backward time map, by a finite difference."""
+    """Right slope of the backward time map at each time ``t``, by a finite
+    difference."""
     return (queue.backward_time(t + h) - queue.backward_time(t)) / h
 
 
@@ -89,30 +90,32 @@ class TestBackwardOps:
     def test_idle_queue_backward_identity(self):
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, n_ticks=101)
         drive(q, [lambda t: 20.0], dt=0.01, n_ticks=101)
-        assert q.backward_time(0.73) == pytest.approx(0.73, abs=1e-12)
-        assert backward_slope(q, 0.73) == pytest.approx(1.0)
+        t = np.array([0.73])
+        assert q.backward_time(t) == pytest.approx([0.73], abs=1e-12)
+        assert backward_slope(q, t) == pytest.approx([1.0])
 
     def test_linear_backlog_backward_time(self):
         # input 150, c=100: delay 0.5t so departure(t)=1.5t; analytic inverse
         # of 3.0 is 3.0/1.5 = 2.0
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, n_ticks=301)
         drive(q, [lambda t: 150.0], dt=0.01, n_ticks=301)
-        assert q.backward_time(3.0) == pytest.approx(2.0, rel=1e-9)
+        assert q.backward_time(np.array([3.0])) == pytest.approx([2.0], rel=1e-9)
 
     def test_constant_delay_backward_time(self):
         # backlog 20 pkts at c=100 and input exactly c: delay locked at 0.2
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, backlog0_pkts=20.0,
                       input_rates0={"f": 100.0}, n_ticks=101)
         drive(q, [lambda t: 100.0], dt=0.01, n_ticks=101)
-        assert q.backward_time(0.9) == pytest.approx(0.7, rel=1e-9)
+        t = np.array([0.9])
+        assert q.backward_time(t) == pytest.approx([0.7], rel=1e-9)
         # boundary continuity: arrivals exactly at capacity give slope one
-        assert backward_slope(q, 0.9) == pytest.approx(1.0)
+        assert backward_slope(q, t) == pytest.approx([1.0])
 
     def test_backward_rate_half_when_double_input(self):
         # direct evaluation: capacity / arrivals(backward time) = 100/200
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, n_ticks=101)
         drive(q, [lambda t: 200.0], dt=0.01, n_ticks=101)
-        assert backward_slope(q, 1.0) == pytest.approx(0.5, rel=1e-9)
+        assert backward_slope(q, np.array([1.0])) == pytest.approx([0.5], rel=1e-9)
 
     def test_backward_time_before_tau0_is_the_pre_start_line(self, monkeypatch):
         # a 20-pkt backlog at c = 100 departs until tau0 = 0.2 s, and it
@@ -133,8 +136,8 @@ class TestBackwardOps:
         got = q.backward_time(t)
         assert got[[0, 1, 4]].tolist() == (t[[0, 1, 4]] - 0.2).tolist()
         assert got[2] == 0.0 and got[3] == pytest.approx(0.05, abs=1e-15)
-        assert q.backward_time(0.1) == 0.1 - 0.2
-        assert q.backward_time(0.3) == pytest.approx(0.1, abs=1e-15)
+        assert q.backward_time(np.array([0.1])).tolist() == [0.1 - 0.2]
+        assert q.backward_time(np.array([0.3])) == pytest.approx([0.1], abs=1e-15)
         assert q.backward_time(np.array([])).shape == (0,)
         assert calls == [2, 0, 1, 0]
         with pytest.raises(HistoryError, match="inverse of nan not determined"):
@@ -156,7 +159,7 @@ class TestBackwardOps:
         q = FifoQueue("b", 100.0, ["f"], dt_s=0.01, n_ticks=2)
         drive(q, [lambda t: 10.0], dt=0.01, n_ticks=2)
         with pytest.raises(HistoryError):
-            q.backward_time(5.0)
+            q.backward_time(np.array([5.0]))
 
 
 class TestOutputSeparation:
@@ -279,10 +282,10 @@ def run_invariant_checks(capacity, rate_fns, dt, n_ticks, backlog0=0.0, rates0=N
         assert fout <= fin + share0 + 2.0
     # backward map identities on congested ticks; before the start the map
     # is the pre-start line g + backlog0 / capacity
-    for t in tr["t"][1:]:
-        g = q.backward_time(t)
-        f_of_g = g + backlog0 / capacity if g < 0.0 else q.forward_map.eval_at(g)
-        assert f_of_g == pytest.approx(t, abs=1e-6)
+    t = np.array(tr["t"][1:])
+    g = q.backward_time(t)
+    f_of_g = np.where(g < 0.0, g + backlog0 / capacity, q.forward_map.eval_at(g))
+    assert f_of_g == pytest.approx(t, abs=1e-6)
     return q, tr
 
 
@@ -293,20 +296,20 @@ class TestInvariants:
 
     def test_forward_then_backward_is_identity(self):
         q, tr = run_invariant_checks(100.0, [lambda t: 130.0], dt=0.01, n_ticks=100)
-        for t in tr["t"][::10]:
-            fwd = q.forward_map.eval_at(t)
-            assert q.backward_time(fwd) == pytest.approx(t, abs=1e-6)
+        t = np.array(tr["t"][::10])
+        fwd = q.forward_map.eval_at(t)
+        assert q.backward_time(fwd) == pytest.approx(t, abs=1e-6)
 
     def test_fifo_count_transport(self):
         # packets entered by t have all left by departure_time(t)
         q, tr = run_invariant_checks(
             100.0, [lambda t: 150.0 if t < 0.4 else 60.0], dt=0.002, n_ticks=500)
-        for t in (0.2, 0.4, 0.6):
-            fwd = q.forward_map.eval_at(t)
-            n_in = q.arrivals.integrate_hold(0.0, t)[0]
-            n_out = q.departures.integrate_hold(0.0, fwd)[0]
-            # transport uses the same sample-hold masses, so counts match
-            assert n_out == pytest.approx(n_in, abs=1e-9)
+        t = np.array([0.2, 0.4, 0.6])
+        fwd = q.forward_map.eval_at(t)
+        n_in = q.arrivals.integrate_hold(np.zeros(3), t)[0]
+        n_out = q.departures.integrate_hold(np.zeros(3), fwd)[0]
+        # transport uses the same sample-hold masses, so counts match
+        assert n_out == pytest.approx(n_in, abs=1e-9)
 
     @given(
         st.lists(st.floats(0.0, 250.0), min_size=3, max_size=6),

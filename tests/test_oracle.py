@@ -208,12 +208,13 @@ class TestPacketSim:
 
     @pytest.mark.parametrize("param, value, problem", [
         ("warmup_s", math.inf, "finite"), ("warmup_s", -math.inf, "finite"),
-        ("warmup_s", math.nan, "finite"),
+        ("warmup_s", math.nan, "finite"), ("warmup_s", -1.0, "nonnegative"),
     ])
     def test_a_bad_warmup_or_sample_step_is_refused_before_any_event(
             self, monkeypatch, param, value, problem):
-        # an infinite warm-up put every event at -inf and never returned, and
-        # a NaN one ran with no dequeues
+        # an infinite warm-up put every event at -inf and never returned, a
+        # NaN one ran with no dequeues, and a negative one ran as its
+        # positive
         def no_event(*args):
             raise AssertionError("an event was pushed")
 
@@ -232,12 +233,14 @@ class TestPacketSim:
         def no_event(*args):
             raise AssertionError("an event was pushed")
 
+        # a run of 1e17 ticks of 1 s is 1e19 samples of 0.01 s, past the
+        # bound; a finer step refuses such a horizon where the run is built
         sc = load_scenario("scenario7")
-        sc = dataclasses.replace(sc, run=dataclasses.replace(sc.run, horizon_s=1e300))
+        sc = dataclasses.replace(sc, run=RunConf(1.0, 1e17, "cold"))
         monkeypatch.setattr(oracle, "np", NoArrays())
         monkeypatch.setattr(oracle.heapq, "heappush", no_event)
         with pytest.raises(OracleError, match=re.escape(
-                f"horizon_s=1e+300 is {1e300 / oracle.SAMPLE_DT_S!r} samples of 0.01 s, "
+                f"horizon_s=1e+17 is {1e17 / oracle.SAMPLE_DT_S!r} samples of 0.01 s, "
                 "too many for one run")):
             packet_sim(sc)
 

@@ -15,6 +15,7 @@ from ackflow.scenario import (
 )
 
 OFFGRID_YAML = Path(__file__).resolve().parents[1] / "perfbench" / "fast_pair_offgrid.yaml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # scenario_digest of every preset; a change to a preset's parameters must
 # re-freeze its entry and say why in CHANGES.md
@@ -41,10 +42,21 @@ def test_serialize_parse_round_trip(source):
 
 def test_the_readme_example_is_scenario8():
     # README.md's scenario file, its constant cross flow a rate_flows entry
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (text,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    (text,) = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     sc = parse_scenario(text)
     assert dataclasses.replace(sc, name="scenario8") == load_scenario("scenario8")
+
+
+def test_the_readme_python_example_runs_as_written():
+    # README.md's simulate call and trace reads, run as written, so the
+    # documented API cannot drift from the code
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    scope: dict = {}
+    exec(code, scope)
+    traces = scope["traces"]
+    assert traces.scenario == load_scenario("scenario7")
+    assert len(traces["q.b1"]) == len(traces.time) == round(
+        traces.config.horizon_s / traces.dt_s) + 1
 
 
 def test_every_preset_digest_frozen():
@@ -203,6 +215,9 @@ MALFORMED = {
         "packet_bytes"),
     "zero-step": (lambda d: d["run"].update(dt_s=0), "run.dt_s"),
     "negative-horizon": (lambda d: d["run"].update(horizon_s=-1), "run.horizon_s"),
+    # finite and positive, but 2**60 ticks of dt_s: past any run's arrays
+    "tick-count-past-any-run": (lambda d: d["run"].update(horizon_s=2.0 ** 60 * 1e-3),
+                                "run.horizon_s"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ackflow.engine import (
@@ -149,8 +150,8 @@ class TestCircuitInvariants:
                                      dt_s=1e-3, n_ticks=1)
                   for qid, q in net.queues.items()}
         for user in net.users.values():
-            assert circuit_backward_time(user, queues, 0.0) == pytest.approx(
-                -user.total_delay_s, abs=1e-12)
+            assert circuit_backward_time(user, queues, np.array([0.0])) == pytest.approx(
+                [-user.total_delay_s], abs=1e-12)
 
     @pytest.mark.parametrize("net_fn", [single_buffer_net, shared_buffer_net, series_net])
     def test_total_delay_is_channel_sum(self, net_fn):

@@ -160,7 +160,7 @@ class TestCircuitBackwardOps:
 
     def test_backward_time_composition(self):
         circ, queues = self.make_env()
-        t = 1.5
+        t = np.array([1.5])
         # undo return channel, invert the queue map, undo the entry channel
         x = queues["b"].backward_time(t - 0.02) - 0.01
         assert circuit_backward_time(circ, queues, t) == pytest.approx(x)
@@ -169,7 +169,7 @@ class TestCircuitBackwardOps:
         # channels have slope one, so the circuit's backward map has the
         # queue's slope: capacity over arrival rate, 100 / 150
         circ, queues = self.make_env()
-        t, h = 1.5, 0.05
+        t, h = np.array([1.5]), 0.05
         circuit_slope = (circuit_backward_time(circ, queues, t + h)
                          - circuit_backward_time(circ, queues, t)) / h
         queue_slope = (queues["b"].backward_time(t + h - 0.02)
@@ -180,7 +180,7 @@ class TestCircuitBackwardOps:
     def test_rtt_identity(self):
         # entry time + propagation + queueing recovers the departure time
         circ, queues = self.make_env()
-        t = 1.5
+        t = np.array([1.5])
         b = circuit_backward_time(circ, queues, t)
         g = queues["b"].backward_time(t - 0.02)
         tau_at_g = queues["b"].forward_map.eval_at(g) - g

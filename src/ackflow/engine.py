@@ -74,10 +74,7 @@ integral back to the circuit entry time, ``flight_ode`` the running sum of
 sent minus acked mass.  No block reads them, so ``simulate`` fills both at
 each barrier, before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``, with one
 circuit inversion per user and chunk; only a FAST user's block inverts the
-circuit too, for its queueing delay.  A flight ends on a tick, where the
-held integral is the sending history's hold cumulative itself, so a chunk
-is that cumulative's slice less its value at each entry time
-(``Trajectory.integrate_hold_to_samples``).
+circuit too, for its queueing delay.
 """
 
 from __future__ import annotations
@@ -457,8 +454,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 try:
                     # the sending integral back to the circuit entry time,
                     # each tick's rate held over its step
-                    flight[k0:k1] = sending.integrate_hold_to_samples(
-                        circuit_backward_time(conf, queues, grid[k0:k1]), k0)
+                    ticks = grid[k0:k1]
+                    flight[k0:k1] = sending.integrate_hold(
+                        circuit_backward_time(conf, queues, ticks), ticks)
                 except HistoryError as err:
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err

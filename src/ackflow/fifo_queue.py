@@ -55,6 +55,13 @@ class FifoQueue:
         from which ``backward_time`` answers reads at simulation start.
     n_ticks : int
         Ticks of the run: every history is sized once to hold them.
+
+    ``forward_map`` holds the arrival->departure map from ``t = 0`` on:
+    sample ``i`` is the departure time of what arrives at ``i * dt``.  Its
+    ``initial_value`` is ``tau0``, the offset of the pre-start line ``t +
+    tau0``, which ``backward_time`` reads.  So ``forward_map.eval_at``
+    before 0 answers the constant ``tau0``, not ``t + tau0``: a read of
+    the map by value there must add the line itself.
     """
 
     __slots__ = (

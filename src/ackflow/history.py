@@ -78,8 +78,7 @@ class Trajectory:
     array of times; a check that fails names the first offending time.
     ``eval_at`` reads one signal: its ``row`` picks a block's row, and the
     default ``...`` takes a one-signal trajectory whole.
-    ``integrate_hold``, ``integrate_hold_steps`` and
-    ``integrate_hold_to_samples`` answer every row.
+    ``integrate_hold`` and ``integrate_hold_steps`` answer every row.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
@@ -156,31 +155,27 @@ class Trajectory:
         return out
 
     def _cumulative(self, top: int) -> np.ndarray:
-        """The hold cumulative, filled at least through entry ``top - 1``."""
+        """The hold cumulative, filled at least through entry ``top - 1``,
+        sample ``top - 1``'s.
+
+        Missing cells are written after the last filled entry and summed in
+        place from it: ``np.add.accumulate`` adds in sequence, so each entry
+        is exactly the one-at-a-time running sum, however the entries are
+        split between calls.
+        """
         if top > self._ncum:
             if self._cum is None:
                 self._cum = np.zeros(self._buf.shape)
                 self._ncum = 1
-            self._extend_cumulative(top)
+            n0 = self._ncum
+            cum = self._cum[..., n0 - 1:top]
+            # each cell as wide as its grid times
+            grid = np.arange(n0 - 1, top) * self.dt
+            np.subtract(grid[1:], grid[:-1], out=cum[..., 1:])
+            cum[..., 1:] *= self._buf[..., n0 - 1:top - 1]
+            np.add.accumulate(cum, axis=-1, out=cum)
+            self._ncum = top
         return self._cum
-
-    def _extend_cumulative(self, top: int) -> None:
-        """Fill the hold cumulative from its first missing entry through
-        entry ``top - 1``, sample ``top - 1``'s.
-
-        The cells are written after the last entry and summed in place from
-        it: ``np.add.accumulate`` adds in sequence, so each entry is exactly
-        the one-at-a-time running sum, however the entries are split between
-        extensions.
-        """
-        n0 = self._ncum
-        cum = self._cum[..., n0 - 1:top]
-        # each cell as wide as its grid times
-        grid = np.arange(n0 - 1, top) * self.dt
-        np.subtract(grid[1:], grid[:-1], out=cum[..., 1:])
-        cum[..., 1:] *= self._buf[..., n0 - 1:top - 1]
-        np.add.accumulate(cum, axis=-1, out=cum)
-        self._ncum = top
 
     def integrate_hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Integral over each span ``[t0, t1]``, reading each sample as held
@@ -199,25 +194,8 @@ class Trajectory:
         times ``t``, with the same checks; the held integral is read once
         at each time, not twice at each inner one."""
         self._check_spans(t[:-1], t[1:])
-        # checked spans are not reversed, so the times are nondecreasing
-        held = self._held(t, ascending=True)
+        held = self._held(t)
         return held[..., 1:] - held[..., :-1]
-
-    def integrate_hold_to_samples(self, t0: np.ndarray, k0: int) -> np.ndarray:
-        """``integrate_hold(t0, t1)`` to the bit, with the same checks, where
-        ``t1[j]`` is the time of sample ``k0 + j``, which must be recorded.
-
-        At sample ``k``'s own time the held integral is its cumulative entry
-        plus ``buf[k] * 0.0``, which is that entry for a finite sample, so
-        the ends are a slice of the cumulative and only the starts are
-        searched.
-        """
-        k1 = k0 + len(t0)
-        self._check_spans(t0, np.arange(k0, k1) * self.dt)
-        if not len(t0):  # no span, so no sample to read
-            return self._held(t0)
-        # each start is at or before its end, so the cumulative covers it
-        return self._cumulative(k1)[..., k0:k1] - self._held(t0)
 
     def check_recorded(self, t: np.ndarray) -> None:
         """Refuse an array of read times unless each is at or before the
@@ -245,17 +223,16 @@ class Trajectory:
         self._check_not_pruned(t0)
         self.check_recorded(t1)
 
-    def _held(self, t: np.ndarray, ascending: bool = False) -> np.ndarray:
-        """The held integral from 0 to each time, unchecked; ``ascending``
-        times have their least first and their greatest last."""
+    def _held(self, t: np.ndarray) -> np.ndarray:
+        """The held integral from 0 to each time, unchecked."""
         # no sample: every time lies in the pre-history; no time: no value
         if not (self._n and t.size):
             return np.multiply.outer(self.initial_value, t)
-        early = (t[0] if ascending else t.min()) < 0.0
+        early = t.min() < 0.0
         # a time before 0 reads sample 0 here, and the pre-history below
         tc = np.maximum(t, 0.0) if early else t
         i = grid_index(tc, self.dt)
-        cum = self._cumulative(int(i[-1] if ascending else i.max()) + 1)
+        cum = self._cumulative(int(i.max()) + 1)
         # cum + buf * (tc - i * dt), summed in place: a float sum commutes
         held = self._buf.take(i, axis=-1)
         held *= tc - i * self.dt

@@ -38,6 +38,7 @@ class Network:
         self.rate_flows: dict = {}  # id -> RateFlowConf
 
     def add_queue(self, q) -> None:
+        _check_id("queue", q.id)
         if q.id in self.queues:
             raise TopologyError(f"duplicate queue id '{q.id}'", "id")
         if not 0 < q.capacity_pps < math.inf:  # NaN fails too
@@ -70,6 +71,7 @@ class Network:
         queues with the routes already added: around such a cycle no queue
         could advance before the others.
         """
+        _check_id(kind, fid)
         if fid in self.users or fid in self.rate_flows:
             raise TopologyError(f"duplicate flow id '{fid}' ({kind})", "id")
         if not path:
@@ -114,6 +116,14 @@ class Network:
         """Flow ids entering a queue: users, then rate flows, as declared."""
         return tuple(fid for flows in (self.users, self.rate_flows)
                      for fid, f in flows.items() if queue_id in f.queue_path)
+
+
+def _check_id(kind: str, cid: str) -> None:
+    """Refuse an id with a ``.``: trace names join ids with it, so two
+    elements could share a trace name and one of the traces be lost."""
+    if "." in cid:
+        raise TopologyError(f"{kind} id '{cid}' contains '.', the trace name separator",
+                            "id")
 
 
 def build_network(queues, users, rate_flows=()) -> Network:

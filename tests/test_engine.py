@@ -424,7 +424,8 @@ class TestBackwardIdentities:
         grid = traces.time
         congested = traces["congested.b1"] > 0.5
         # the store's own reads; before the start the map is the queue's
-        # pre-start line g + tau0
+        # pre-start line g + tau0, which forward_map.eval_at does not answer
+        # there (see FifoQueue's docstring)
         g = q.backward_time(grid[congested])
         tau0 = q.forward_map.values[0]
         assert (g < 0.0).any()
@@ -603,21 +604,37 @@ class TestOffGridReads:
 
 
 class TestFlightRecord:
-    @pytest.mark.parametrize("source, horizon_s", [
-        ("scenario1", 3.5), (OFFGRID_YAML, 1.0), ("scenario3", 1.0)],
-        ids=["scenario1", "fast_pair_offgrid", "scenario3"])
-    def test_flight_is_the_sending_columns_hold_integral(self, source, horizon_s):
+    @pytest.mark.parametrize("source, horizon_s, pruned", [
+        ("scenario1", 3.5, False), (OFFGRID_YAML, 1.0, False), ("scenario3", 1.0, False),
+        ("two_user", 2.5, True), (OFFGRID_YAML, 1.5, True)],
+        ids=["scenario1", "fast_pair_offgrid", "scenario3", "two_user-pruned",
+             "fast_pair_offgrid-pruned"])
+    def test_flight_is_the_sending_columns_hold_integral(
+            self, monkeypatch, source, horizon_s, pruned):
         # one record of the sent mass: flight reads the sending column's own
         # hold cumulative back to the circuit entry time, on the grid
-        # (scenario1, across its window step) and off it (the FAST pair)
-        sc = load_scenario(source)
-        traces = simulate(to_network(sc), sc, SimConfig(
-            dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
-        t = traces.time
+        # (scenario1 and two_user, across their window steps) and off it
+        # (the FAST pair).  Pruned, with 7-tick chunks and a floor that
+        # rises at each barrier, the flight is filled across every chunk
+        # seam and barrier, yet it is still the one integral over the whole
+        # run, which only the unpruned run's histories can answer
+        if source == "two_user":
+            sc = two_user_scenario(steps1=[(1.5, 150.0)], horizon=horizon_s)
+        else:
+            sc = load_scenario(source)
+        config = SimConfig(dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init)
+        traces = whole = simulate(to_network(sc), sc, config)
+        if pruned:
+            monkeypatch.setattr(engine, "FLIGHT_CHUNK_TICKS", 7)
+            monkeypatch.setattr(engine, "PRUNE_MARGIN_S", 0.5)
+            traces = simulate(to_network(sc), sc,
+                              dataclasses.replace(config, prune_history=True))
+        t = whole.time
         for u in sc.users:
-            entry = circuit_backward_time(u, traces.queues, t)
-            expected = traces.users[u.id].sending.integrate_hold(entry, t)
-            assert np.array_equal(traces[f"flight.{u.id}"], expected), u.id
+            assert (traces.users[u.id].sending.pruned_before > 0.0) == pruned, u.id
+            entry = circuit_backward_time(u, whole.queues, t)
+            expected = whole.users[u.id].sending.integrate_hold(entry, t)
+            assert traces[f"flight.{u.id}"].tobytes() == expected.tobytes(), u.id
 
     @pytest.mark.parametrize("source, horizon_s", [("scenario3", 2.0), (OFFGRID_YAML, 0.3)],
                              ids=["scenario3", "fast_pair_offgrid"])

@@ -281,7 +281,8 @@ def run_invariant_checks(capacity, rate_fns, dt, n_ticks, backlog0=0.0, rates0=N
         share0 = backlog0 / len(flows)
         assert fout <= fin + share0 + 2.0
     # backward map identities on congested ticks; before the start the map
-    # is the pre-start line g + backlog0 / capacity
+    # is the pre-start line g + backlog0 / capacity, which forward_map.eval_at
+    # does not answer there (see FifoQueue's docstring)
     t = np.array(tr["t"][1:])
     g = q.backward_time(t)
     f_of_g = np.where(g < 0.0, g + backlog0 / capacity, q.forward_map.eval_at(g))

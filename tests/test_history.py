@@ -174,26 +174,24 @@ class TestIntegrate:
             assert (lazy.integrate_hold(t0, t1).tobytes()
                     == eager.integrate_hold(t0, t1).tobytes()), initial
 
-    def test_an_integral_extends_the_cumulative_only_through_what_it_reads(
-            self, monkeypatch):
+    def test_an_integral_extends_the_cumulative_only_through_what_it_reads(self):
         # the cumulative grows on demand, through the last sample a read
         # touches; records alone never extend it
-        tops = []
-        extend = Trajectory._extend_cumulative
-
-        def spy(traj, top):
-            tops.append(top)
-            extend(traj, top)
-
-        monkeypatch.setattr(Trajectory, "_extend_cumulative", spy)
         tr = make([float(k + 1) for k in range(15)], dt=0.5, n_ticks=20)
+        tops = []
         tr.integrate_hold(np.array([-0.5]), np.array([1.2]))     # through sample 2
+        tops.append(tr._ncum)
         tr.integrate_hold(np.array([0.0]), np.array([0.7]))      # already covered
+        tops.append(tr._ncum)
         tr.integrate_hold(np.array([-1.0]), np.array([-0.5]))    # the pre-history only
+        tops.append(tr._ncum)
         tr.integrate_hold(np.array([0.3, 2.0]), np.array([3.1, 2.6]))  # sample 6
+        tops.append(tr._ncum)
         tr.integrate_hold_steps(np.array([3.2, 3.9, 4.5]))      # sample 9
+        tops.append(tr._ncum)
         tr.record(7.5, [1.0, 1.0])
-        assert tops == [3, 7, 10]
+        tops.append(tr._ncum)
+        assert tops == [3, 3, 3, 7, 10, 10]
         assert not tr._cum[10:].any()
         assert tr.integrate_hold(np.array([0.0]), np.array([4.5])).tolist() == [
             sum(range(1, 10)) * 0.5]
@@ -219,38 +217,6 @@ class TestIntegrate:
                 block.integrate_hold(t[:-1], t[1:])
             assert type(steps.value) is type(pairs.value), t
             assert str(steps.value) == str(pairs.value), t
-
-    def test_integrals_to_samples_are_the_pairwise_integrals_with_their_checks(self):
-        # integrate_hold_to_samples(t0, k0) is integrate_hold(t0, t1) to the
-        # bit, t1 being the times of samples k0, k0 + 1, ...: pre-history
-        # starts and empty spans included, and it fails as that does
-        block = Trajectory(0.5, [1.5, 2.0], n_ticks=10)
-        block.record(0.0, [[1.0, 2.0, 4.0, 4.0, 9.0, 3.0], [0.5, 0.0, 3.0, 7.0, 7.5, 1.0]])
-
-        def ends(t0, k0):
-            return np.arange(k0, k0 + len(t0)) * 0.5
-
-        for t0, k0 in (([-1.0, -0.2, 0.3, 1.0, 1.7], 0), ([0.5, 0.5, 1.0], 1),
-                       ([2.5], 5), ([-3.0, 2.1], 4), ([0.0, 0.5], 0)):
-            t0 = np.array(t0)
-            got = block.integrate_hold_to_samples(t0, k0)
-            assert got.shape == (2, len(t0))
-            assert got.tobytes() == block.integrate_hold(t0, ends(t0, k0)).tobytes(), t0
-        block.prune_before(1.2)
-        for t0, k0 in (([1.0, 1.6], 2), ([0.5, 1.5], 2), ([1.0, 0.2], 2),
-                       ([2.0, 2.5, 2.7], 4)):
-            t0 = np.array(t0)
-            with pytest.raises(HistoryError) as samples:
-                block.integrate_hold_to_samples(t0, k0)
-            with pytest.raises(HistoryError) as pairs:
-                block.integrate_hold(t0, ends(t0, k0))
-            assert type(samples.value) is type(pairs.value), t0
-            assert str(samples.value) == str(pairs.value), t0
-        # its ends are samples, which must be recorded, empty spans' too
-        for t0 in ([2.0, 3.0], [2.5, 3.0]):
-            with pytest.raises(CausalityError,
-                               match=r"^future read at t=3.0 \(history ends at 2.5\)$"):
-                block.integrate_hold_to_samples(np.array(t0), 5)
 
 
 class TestInvertMonotone:
@@ -411,12 +377,8 @@ class TestBlockReads:
     (lambda tr, t: tr.integrate_hold(t, t), "future read at t=9.5 (history ends at 4.5)"),
     (lambda tr, t: tr.integrate_hold_steps(t.repeat(2)),
      "future read at t=9.5 (history ends at 4.5)"),
-    # a span from each time to sample 20, 10.0 s, and on
-    (lambda tr, t: tr.integrate_hold_to_samples(t, 20),
-     "future read at t=10.0 (history ends at 4.5)"),
     (lambda tr, t: tr.invert_monotone(t), "inverse of 9.5 not determined"),
-], ids=["eval_at", "integrate_hold", "integrate_hold_steps", "integrate_hold_to_samples",
-        "invert_monotone"])
+], ids=["eval_at", "integrate_hold", "integrate_hold_steps", "invert_monotone"])
 def test_a_read_answers_zero_times_and_refuses_nan_and_the_unrecorded(read, late):
     # zero times read zero values, before any integral too, where numpy's
     # min() of nothing stopped the integrals and the inversion; a NaN time

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ackflow.engine import SimConfig, simulate
 from ackflow.scenario import (
-    ConstantProfile, FastProtocol, ScenarioError, ScheduledProtocol,
-    SquareProfile, load_scenario, parse_scenario, preset_names,
-    scenario_digest, serialize_scenario,
+    ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
+    ScenarioError, ScheduledProtocol, SquareProfile, UserConf, load_scenario,
+    parse_scenario, preset_names, scenario_digest, serialize_scenario, to_network,
 )
 
 OFFGRID_YAML = Path(__file__).resolve().parents[1] / "perfbench" / "fast_pair_offgrid.yaml"
@@ -57,6 +58,28 @@ def test_the_readme_python_example_runs_as_written():
     assert traces.scenario == load_scenario("scenario7")
     assert len(traces["q.b1"]) == len(traces.time) == round(
         traces.config.horizon_s / traces.dt_s) + 1
+
+
+def test_the_readme_lists_every_signal_simulate_returns():
+    # README.md's Signals table, each row's ids filled in from a run with
+    # two queues, a scheduled user, a FAST user and a rate flow, names
+    # exactly the signals simulate returns
+    rows = re.findall(r"^\| `(\w+)\.(<[\w.<>]+>)` \|", README.read_text(encoding="utf-8"),
+                      re.M)
+    sc = Scenario(
+        name="signals", packet_bytes=1000,
+        queues=(QueueConf("b1", 500.0), QueueConf("b2", 800.0)),
+        users=(UserConf("u1", ("b1", "b2"), (0.01, 0.01), 0.02, ScheduledProtocol(10.0)),
+               UserConf("u2", ("b2",), (0.01,), 0.02, FastProtocol(0.5, 20.0, 10.0))),
+        rate_flows=(RateFlowConf("x", ("b1",), (0.0,), ConstantProfile(50.0)),),
+        run=RunConf(1e-3, 0.1))
+    net = to_network(sc)
+    ids = {"<user>": [(u,) for u in net.users], "<queue>": [(q,) for q in net.queues],
+           "<queue>.<flow>": [(q, f) for q in net.queues for f in net.flows_through(q)]}
+    listed = [".".join((family, *key)) for family, slots in rows for key in ids[slots]]
+    traces = simulate(net, sc, SimConfig(dt_s=sc.run.dt_s, horizon_s=sc.run.horizon_s))
+    assert len(rows) == 14
+    assert sorted(listed) == sorted(traces.signals)
 
 
 def test_every_preset_digest_frozen():
@@ -204,6 +227,11 @@ MALFORMED = {
     "zero-total-delay": (lambda d: d["users"][0].update(hop_delays_s=0.0, return_delay_s=0.0),
                          "users[0]"),
     "zero-delay-queue-cycle": (zero_delay_cycle, "users[1].hop_delays_s"),
+    # an id with the trace names' separator
+    "dotted-queue-id": (lambda d: d["queues"][0].update(id="b.1"), "queues[0].id"),
+    "dotted-user-id": (lambda d: d["users"][1].update(id="u.2"), "users[1].id"),
+    "dotted-rate-flow-id": (lambda d: d["rate_flows"][0].update(id="x.1"),
+                            "rate_flows[0].id"),
     # Mb/s converted past the float range, and a packet size that cannot
     # convert at all
     "infinite-capacity-mbps": (lambda d: d.update(queues=[{"id": "b1", "capacity_mbps": 1e308}]),

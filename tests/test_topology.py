@@ -97,6 +97,18 @@ class TestBuild:
                 [user("u", ("b",), (0.1,), 0.1), user("u", ("b",), (0.1,), 0.1)],
             )
 
+    def test_dotted_ids_rejected(self):
+        # trace names join ids with '.': queue 'a.b' with flow 'c' and queue
+        # 'a' with flow 'b.c' would both name their input 'in.a.b.c'
+        with pytest.raises(TopologyError, match=r"queue id 'a\.b' contains '\.'") as err:
+            build_network([QueueConf("a.b", 1.0)], [])
+        assert err.value.field == "id"
+        for users, flows in (([user("b.c", ("a",), (0.1,), 0.1)], []),
+                             ([], [rate_flow("b.c", ("a",), (0.1,))])):
+            with pytest.raises(TopologyError, match=r"id 'b\.c' contains '\.'") as err:
+                build_network([QueueConf("a", 1.0)], users, flows)
+            assert err.value.field == "id"
+
     def test_same_buffer_twice_rejected(self):
         with pytest.raises(TopologyError, match="twice"):
             build_network(

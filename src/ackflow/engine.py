@@ -20,31 +20,46 @@ inversion of its flight size, ``circuit_backward_time``), and each upstream
 queue across the return delay plus the hops after it.  The blocks' readers
 come from that table, and so does the schedule (``input_lags``, the least
 lag per source).  A component's next block ends at the least of the
-horizon, its frontier plus ``BLOCK_CAP_TICKS``, and each input's frontier
+horizon, its frontier plus ``BLOCK_CAP_TICKS``, and each input's reach
 plus that input's lag.  Only the engine puts a run on its grid: the
 elements' descriptions are in seconds, and ``_window_jumps`` snaps a
 user's window steps to ticks, while ``_channel_delays_s`` gives the
 coarsest ``dt`` allowed and the history the pruning keeps.
 
+An input's reach is the number of ticks of its outputs recorded: a user's
+frontier, and a queue's departures, which run ahead of its frontier while
+it holds a backlog.  In a FIFO queue what arrives at ``s`` leaves at
+``s + q(s)/c``, so the departures up to the forward map's sample at the
+last recorded arrival left from recorded arrivals, and every step past the
+frontier up to there serves the capacity.  A queue block transports them
+after its step, up to the barrier and at most ``BLOCK_CAP_TICKS`` past its
+frontier (``_departure_reach``).  This is lookahead taken from the state
+(Nicol, "Parallel discrete-event simulation of FCFS stochastic queueing
+networks", PPEALS 1988): each loop's blocks stretch by the backlogs its
+queues hold, in ticks, and the transport of a step is the per-tick one on
+the same operands wherever it runs.
+
 ``block_schedule``, a generator over the lags, picks the blocks and knows
-nothing of what they run.  A pass visits the users, then the queues, in
-declaration order, and takes each component's next block if it is a full
-length or ends at the barrier.  A component's length is its shortest
-feedback cycle (``shortest_cycles``), capped at ``BLOCK_CAP_TICKS``: the
-longest block it can ever take, since around its cycle each frontier is at
-most its input's plus the lag, so no block runs further past its own
-frontier.  Without that rule, a long-loop component would advance whenever
-the short loop that paces its queue moved, in that loop's short blocks, and
-every block has a fixed cost.  If a pass takes nothing, the one component
-whose block ends furthest advances (the first in sweep order on a tie).
-Every cycle of inputs has a positive total lag (a return delay is at least
-one tick, and the topology refuses zero-delay cycles of queues), so some
-component can always advance.  One partial block at a time needs no order
-among the components: a queue behind a zero-delay hop waits for its
-upstream queue's block.  ``simulate`` takes the schedule to each barrier in
-turn (with pruning on, each pruning tick + 1, then the horizon), runs and
-counts the blocks (``TraceSet.blocks``), fills the flights up to it and
-prunes the histories there.
+nothing of what they run; ``simulate`` hands it each block's reach.  A pass
+visits the users as declared, then the queues in id order, so a run does
+not depend on the order its queues are declared in, and takes each
+component's next block if it is a full length or ends at the barrier.  A
+component's length is its shortest feedback cycle (``shortest_cycles``),
+capped at ``BLOCK_CAP_TICKS``: with no backlog on the loop, the longest
+block it can take, since around its cycle each frontier is at most its
+input's plus the lag; a backlog's reach only lengthens it.  Without that
+rule, a long-loop component would advance whenever the short loop that
+paces its queue moved, in that loop's short blocks, and every block has a
+fixed cost.  If a pass takes nothing, the one component whose block ends
+furthest advances (the first in sweep order on a tie).  Every cycle of
+inputs has a positive total lag (a return delay is at least one tick, and
+the topology refuses zero-delay cycles of queues), so some component can
+always advance.  One partial block at a time needs no order among the
+components: a queue behind a zero-delay hop waits for its upstream queue's
+block.  ``simulate`` takes the schedule to each barrier in turn (with
+pruning on, each pruning tick + 1, then the horizon), runs and counts the
+blocks (``TraceSet.blocks``), fills the flights up to it and prunes the
+histories there.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The ACK-buffer and backlog recurrences run
@@ -57,7 +72,7 @@ piece takes at most one, at its first tick; the controller's
 ``window_path`` gives the piece's windows (FAST's is a plain loop with no
 call per tick), and one vectorised ``fast_wdot`` call a FAST piece's
 rates.  Every expression is the per-tick one on the same data, so the
-traces do not depend on the blocks, the frontiers or the spans, and a
+traces do not depend on the blocks, the reaches or the spans, and a
 failed check names the first bad tick.
 
 Every signal is sampled on one grid ``k * dt``, whose times the blocks
@@ -86,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fifo_queue import FifoQueue
+from .fifo_queue import EPS_BACKLOG_PKTS, FifoQueue
 from .history import HistoryError, interpolate
 from .oracle import EquilibriumResult, equilibrium_queue
 from .protocol import FastProtocol, ScheduledProtocol, fast_wdot
@@ -101,8 +116,9 @@ __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate"]
 # margin, which covers the queueing delays in any backward read
 PRUNE_MARGIN_S = 5.0
 
-# most ticks in one block, whatever the delays: bounds the block's arrays
-BLOCK_CAP_TICKS = 1024
+# most ticks in one block, and in a queue's departures past its frontier,
+# whatever the delays and the backlog: bounds the block's arrays
+BLOCK_CAP_TICKS = 4096
 
 # ticks of one flight computation, which bounds its arrays the same way
 FLIGHT_CHUNK_TICKS = 4096
@@ -203,7 +219,8 @@ def _lag_ticks(delay_s: float, dt: float) -> tuple[int, bool]:
 
 
 def _feeds(network: Network) -> dict:
-    """Every component's reads as ``(source, flow id, delay_s)``.
+    """Every component's reads as ``(source, flow id, delay_s)``: the users
+    as declared, then the queues in id order, which is the sweep order.
 
     Components and sources are keyed ``("user", id)`` and ``("queue", id)``,
     since a user and a queue may share an id.  A user reads its last queue
@@ -221,7 +238,7 @@ def _feeds(network: Network) -> dict:
         for qid, hop in zip(reversed(u.queue_path), reversed(u.hop_delays_s)):
             reads.append((("queue", qid), uid, delay))
             delay += hop
-    for qid in network.queues:
+    for qid in sorted(network.queues):
         reads = feeds["queue", qid] = []
         for fid in network.flows_through(qid):
             flow = network.users.get(fid) or network.rate_flows[fid]
@@ -308,21 +325,27 @@ def shortest_cycles(lags: dict) -> dict:
     return cycles
 
 
-def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: float):
+def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: float,
+                   reach: dict | None = None):
     """Yield ``(key, k0, k1)`` for the blocks that bring every component to
     ``barrier``, moving ``frontier[key]`` to ``k1`` on resuming; ``cycles``
     is ``shortest_cycles(lags)``.  Each pass takes every whole block in
     ``lags`` order, and a pass that takes none the partial block that ends
     furthest, the first on a tie.
+
+    A reader of ``src`` runs ahead of ``reach[src]`` by its lag: the number
+    of ticks of ``src``'s outputs recorded, which the caller sets to ``k1``
+    or beyond before resuming.  Without ``reach``, the frontiers.
     """
     cap = BLOCK_CAP_TICKS
+    reach = frontier if reach is None else reach
     sweep = [(key, cap if cycles[key] is None else min(cap, cycles[key]),
               list(inputs.items())) for key, inputs in lags.items()]
     while True:
         advanced, furthest = False, (None, 0, 0)
         for key, length, inputs in sweep:
             k0 = frontier[key]
-            k1 = min(barrier, k0 + cap, *[frontier[src] + lag for src, lag in inputs])
+            k1 = min(barrier, k0 + cap, *[reach[src] + lag for src, lag in inputs])
             if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
                 yield key, k0, k1
                 frontier[key] = k1
@@ -402,8 +425,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         columns.update((f"{name}.{owner}", col) for name, col in zip(names, new))
         return new
 
-    # each component's block body, keyed like input_lags: the users, then
-    # the queues, as declared, which is the sweep order
+    # each component's block body, keyed like input_lags: run over ticks
+    # [k0, k1) up to a barrier, it returns its reach
     states: dict[str, UserState] = {}
     flights: dict[str, tuple] = {}
     bodies = {}
@@ -432,14 +455,15 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     lags = input_lags(network, dt)
     cycles = shortest_cycles(lags)
     frontier = dict.fromkeys(lags, 0)
+    reach = dict(frontier)
     blocks = dict.fromkeys(bodies, 0)
     # each pruning tick + 1, then the horizon
     barriers = range(1, n_ticks, prune_every) if prune_every else ()
     done = 0
     for barrier in (*barriers, n_ticks):
-        for key, k0, k1 in block_schedule(lags, cycles, frontier, barrier, dt):
+        for key, k0, k1 in block_schedule(lags, cycles, frontier, barrier, dt, reach):
             try:
-                bodies[key](k0, k1)
+                reach[key] = bodies[key](k0, k1, barrier)
             except HistoryError as err:
                 raise SimulationError(
                     f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
@@ -503,9 +527,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
 def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
                 columns: tuple, queues: dict, grid: np.ndarray, dt: float,
-                k0: int, k1: int) -> None:
+                k0: int, k1: int, barrier: int) -> int:
     """Advance one user over ticks ``[k0, k1)``, cut at its window jumps
-    (``jumps``, tick -> jump): each piece takes at most one, at its first tick."""
+    (``jumps``, tick -> jump): each piece takes at most one, at its first
+    tick.  Returns ``k1``, its reach whatever the ``barrier``: a user
+    records its sending flow as far as its frontier."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
     st.acks[k0:k1] = acks
@@ -521,13 +547,12 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
         piece, jump = slice(a - k0, b - k0), jumps.get(a, 0.0)
         if fast:
             w, st.window = proto.window_path(st.window, tau[piece], total_delay, dt, jump)
-            # the global a tracer may patch; the check below names the tick
-            with np.errstate(over="ignore", invalid="ignore"):
-                rates = fast_wdot(w, tau[piece], total_delay, proto)
         else:
             w, st.window = proto.window_path(st.window, b - a, jump)
-            rates = np.zeros(b - a)
-        send, pi, active = st.step(acks[piece], rates, dt, jump)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the tick
+            # fast_wdot, the global a tracer may patch
+            rates = fast_wdot(w, tau[piece], total_delay, proto) if fast else np.zeros(b - a)
+            send, pi, active = st.step(acks[piece], rates, dt, jump)
         if not (np.isfinite(send).all() and np.isfinite(w).all()
                 and np.isfinite(pi).all() and math.isfinite(st.window)
                 and math.isfinite(st.ack_buffer)):
@@ -541,11 +566,35 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
         # the flight columns are filled by simulate, off the block path
         for col, values in zip(columns, (w, pi, active)):
             col[a:b] = values
+    return k1
+
+
+def _departure_reach(q: FifoQueue, k1: int, barrier: int) -> int:
+    """The ticks of departures a queue can record once its arrivals are
+    recorded through tick ``k1 - 1``: up to the last step end before the
+    forward map's sample there, capped ``BLOCK_CAP_TICKS`` past ``k1`` and
+    at ``barrier``, and at least ``k1`` and the departures recorded.
+
+    What arrives at tick ``k1 - 1`` departs at that sample, and no arrival
+    rate is negative, so each step before it serves ``capacity`` and
+    departs recorded arrivals.  The sample is cut by a relative 1e-10 and
+    ``EPS_BACKLOG_PKTS`` of service, far above the rounding of a backlog
+    summed over ``BLOCK_CAP_TICKS`` steps, so ``FifoQueue.step`` finds each
+    of those steps congested.  A sample past any run counts as
+    ``MAX_TICKS`` ticks, as in ``_lag_ticks``.
+    """
+    fmap = q.forward_map
+    f = float(fmap.values[k1 - 1]) * (1.0 - 1e-10) - EPS_BACKLOG_PKTS / q.capacity
+    ahead = math.floor(min(f / fmap.dt, MAX_TICKS))
+    return max(len(q.departures), k1, min(barrier, k1 + BLOCK_CAP_TICKS, ahead))
 
 
 def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
-                 dt: float, k0: int, k1: int) -> None:
-    """Advance one queue over ticks ``[k0, k1)``."""
+                 dt: float, k0: int, k1: int, barrier: int) -> int:
+    """Advance one queue over ticks ``[k0, k1)`` and transport its departures
+    from where the last block left them to ``_departure_reach``, which it
+    returns.  Past ``k1`` the transport reads no arrival rate: each step
+    there serves the capacity and departs traffic that arrived before it."""
     times = grid[k0:k1 + 1]
     ticks = times[:-1]
     rates = np.array([r.read(k0, ticks) for r in readers]).reshape(len(readers), k1 - k0)
@@ -557,6 +606,18 @@ def _queue_block(q: FifoQueue, readers: list, columns: tuple, grid: np.ndarray,
         raise SimulationError(
             f"divergence in queue block '{q.queue_id}' at "
             f"t={ticks[ends.argmin()]:.6f}")
-    q.record_outputs(ticks[0], q.transport_outputs(times, service * dt, rates, congested))
     for col, values in zip(columns, (backlog, service, total, congested)):
         col[k0:k1] = values
+    # the steps from the last block's reach: this block's own, then any
+    # past k1, congested at capacity
+    d0 = len(q.departures)
+    d1 = _departure_reach(q, k1, barrier)
+    own = slice(min(d0, k1) - k0, None)
+    departed, flags, rates = service[own] * dt, congested[own], rates[:, own]
+    ahead = d1 - max(d0, k1)
+    if ahead > 0:
+        departed = np.append(departed, np.full(ahead, q.capacity * dt))
+        flags = np.append(flags, np.ones(ahead, dtype=bool))
+        rates = np.hstack((rates, np.zeros((len(rates), ahead))))
+    q.record_outputs(grid[d0], q.transport_outputs(grid[d0:d1 + 1], departed, rates, flags))
+    return d1

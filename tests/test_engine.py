@@ -82,11 +82,13 @@ def dumbbell(n):
         run=RunConf(1e-4, 5.0, "equilibrium"))
 
 
-def reference_schedule(lags, n_ticks, barriers, dt, cap, order):
+def reference_schedule(lags, n_ticks, barriers, dt, cap, order, lookahead=None):
     """The block schedule as one loop of passes, as ``simulate`` once ran it
     inline around its block bodies; appends each block to ``order`` and
     returns the frontiers.  The barrier moves on through ``barriers`` once
-    every component has reached it."""
+    every component has reached it.  ``lookahead(key, k1, barrier)``, where
+    given, is how far a block to ``k1`` records its outputs, which its
+    readers run ahead of; else its frontier."""
     cycles = shortest_cycles(lags)
     sweep = []
     for key, inputs in lags.items():
@@ -94,10 +96,12 @@ def reference_schedule(lags, n_ticks, barriers, dt, cap, order):
         length = cap if cycle is None else min(cap, cycle)
         sweep.append((key, length, list(inputs.items())))
     frontier = dict.fromkeys(lags, 0)
+    reach = dict(frontier)
 
     def advance(key, k0, k1):
         order.append((key, k0, k1))
         frontier[key] = k1
+        reach[key] = lookahead(key, k1, barrier) if lookahead else k1
 
     ends = iter(barriers)
     barrier = next(ends)
@@ -106,7 +110,7 @@ def reference_schedule(lags, n_ticks, barriers, dt, cap, order):
         advanced, furthest = False, (None, 0, 0)
         for key, length, inputs in sweep:
             k0 = frontier[key]
-            k1 = min(barrier, k0 + cap, *[frontier[src] + lag for src, lag in inputs])
+            k1 = min(barrier, k0 + cap, *[reach[src] + lag for src, lag in inputs])
             if k1 > k0 and (k1 == barrier or k1 - k0 >= length):
                 advance(key, k0, k1)
                 advanced = True
@@ -807,16 +811,16 @@ class TestBlocks:
         assert shortest_cycles(input_lags(to_network(sc), sc.run.dt_s)) == cycles
 
     @pytest.mark.parametrize("source, blocks", [
-        # 160001 ticks: u3 and b1 in 400-tick blocks; u1, u2 and b2 wait
-        # for 800-tick ones, u1 paced by b2
-        ("scenario3", {U1: 200, U2: 201, U3: 401, B1: 401, B2: 201}),
+        # 160001 ticks: each loop's cycle plus the backlogs its queues hold
+        # (about 900 ticks at b1, 500 at b2) sets a block of about 1270
+        ("scenario3", {U1: 126, U2: 126, U3: 125, B1: 126, B2: 126}),
         # 110001 ticks in blocks of BLOCK_CAP_TICKS
-        ("squarewave", {B1: 108}),
-        # 200001 ticks; u2 (916-tick cycle) is paced by b1's 500-tick blocks
-        (OFFGRID_YAML, {U1: 401, U2: 400, B1: 401}),
-        # 80001 ticks; u1 and b1 in 32-tick blocks, u2 (1170-tick cycle)
-        # capped at BLOCK_CAP_TICKS
-        ("scenario1", {U1: 2501, U2: 79, B1: 2501}),
+        ("squarewave", {B1: 27}),
+        # 200001 ticks; b1's backlog stretches the 500-tick loop
+        (OFFGRID_YAML, {U1: 230, U2: 230, B1: 230}),
+        # 80001 ticks; b1's backlog stretches u1's 32-tick loop to about
+        # 220 ticks, and u2 (1170-tick cycle) waits for whole blocks
+        ("scenario1", {U1: 358, U2: 60, B1: 358}),
     ], ids=["scenario3", "squarewave", "fast_pair_offgrid", "scenario1"])
     def test_blocks_counts_each_components_blocks(self, source, blocks):
         assert run(load_scenario(source)).blocks == blocks
@@ -889,11 +893,16 @@ class TestBlocks:
 
     def test_a_long_loop_waits_for_its_own_long_blocks(self):
         # scenario1: u1's loop is 32 ticks, u2's 1170; u2 reads the same
-        # queue that u1's short loop moves, yet takes capped blocks
+        # queue that u1's short loop moves, yet takes only whole blocks of
+        # its own cycle or more, while u1 takes about 246
         sc = load_scenario("scenario1")
-        blocks = simulate(to_network(sc), sc, SimConfig(
-            dt_s=sc.run.dt_s, horizon_s=4.0, init=sc.run.init)).blocks
-        assert blocks[U2] <= blocks[U1] / 10
+        dt = sc.run.dt_s
+        traces = simulate(to_network(sc), sc, SimConfig(
+            dt_s=dt, horizon_s=4.0, init=sc.run.init))
+        cycle = shortest_cycles(input_lags(to_network(sc), dt))[U2]
+        assert cycle == 1170
+        assert traces.blocks[U2] <= math.ceil(len(traces.time) / cycle)
+        assert traces.blocks[U1] >= 5 * traces.blocks[U2]
 
     @staticmethod
     def mixed_scenario():
@@ -973,6 +982,72 @@ class TestBlocks:
         assert got == want
         assert frontier == want_frontier
 
+    @given(graph=lag_graphs(), cap=st.integers(1, 64),
+           ahead=st.lists(st.integers(0, 50), min_size=8, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_block_schedule_reads_a_reach_that_moves_with_the_state(
+            self, graph, cap, ahead):
+        # a queue's readers run ahead of its reach, which each of its blocks
+        # moves past the block's end by an amount that depends on where the
+        # block ended, as a backlog does; a user's reach is its frontier
+        lags, n_ticks, barriers = graph
+
+        def lookahead(key, k1, barrier):
+            if key[0] == "user":
+                return k1
+            return min(barrier, k1 + ahead[int(key[1][1:])] * (k1 % 3))
+
+        want, got = [], []
+        try:
+            want_frontier = reference_schedule(lags, n_ticks, barriers, 1e-3, cap, want,
+                                               lookahead)
+        except SimulationError as err:
+            want_frontier = str(err)
+        frontier = dict.fromkeys(lags, 0)
+        reach = dict(frontier)
+        with mock.patch.object(engine, "BLOCK_CAP_TICKS", cap):
+            try:
+                for barrier in barriers:
+                    for key, k0, k1 in block_schedule(lags, shortest_cycles(lags), frontier,
+                                                      barrier, 1e-3, reach):
+                        got.append((key, k0, k1))
+                        reach[key] = lookahead(key, k1, barrier)
+            except SimulationError as err:
+                frontier = str(err)
+        assert got == want
+        assert frontier == want_frontier
+
+    @pytest.mark.parametrize("source, blocks", [("scenario3", 1404), (OFFGRID_YAML, 1202)],
+                             ids=["scenario3", "fast_pair_offgrid"])
+    def test_without_lookahead_every_trace_stays_in_the_old_blocks(
+            self, monkeypatch, source, blocks):
+        # each queue's departures held to its frontier, in blocks of at most
+        # 1024 ticks: the blocks of a run with no lookahead, the same traces
+        sc = load_scenario(source)
+        ahead = run(sc)
+        monkeypatch.setattr(engine, "_departure_reach", lambda q, k1, barrier: k1)
+        monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", 1024)
+        held = run(sc)
+        assert sum(held.blocks.values()) == blocks
+        assert sum(ahead.blocks.values()) < blocks / 1.7
+        for name in ahead.signals:
+            assert np.array_equal(ahead[name], held[name]), name
+
+    def test_a_reach_past_the_recorded_arrivals_is_refused(self, monkeypatch):
+        # one tick too far, b1's first block would transport departures of
+        # traffic that has not arrived: the held integral of its arrivals
+        # refuses the read past the newest sample, and the error names b1
+        real = engine._departure_reach
+        monkeypatch.setattr(engine, "_departure_reach", lambda *args: real(*args) + 1)
+        sc = load_scenario("scenario3")
+        with pytest.raises(SimulationError) as err:
+            simulate(to_network(sc), sc, SimConfig(
+                dt_s=sc.run.dt_s, horizon_s=1.0, init=sc.run.init))
+        assert str(err.value) == (
+            "queue block 'b1' from t=0.000000: future read at t=0.039970794818422736 "
+            "(history ends at 0.039900000000000005)")
+        assert isinstance(err.value.__cause__, CausalityError)
+
     @pytest.mark.parametrize("n, blocks", [(10, 1838), (50, 8518)])
     def test_many_users_take_the_baseline_blocks(self, n, blocks):
         # the schedule alone on the dumbbell's lags, with no block body
@@ -986,19 +1061,23 @@ class TestBlocks:
         assert set(frontier.values()) == {n_ticks}
 
     def test_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
-        # a FAST gain far too high for the step blows the window up
+        # a FAST gain far too high for the step blows the window up; on the
+        # long loop the blow-up lands inside a long user block, in the ACK
+        # buffer's running sum, and no numpy warning escapes it either
         fast = FastProtocol(gamma=1e5, alpha_pkts=50.0, initial_window_pkts=10.0)
-        sc = Scenario(
-            name="diverge", packet_bytes=1000, queues=(QueueConf("b1", 500.0),),
-            users=(UserConf("u1", ("b1",), (0.01,), 0.02, fast),),
-            run=RunConf(1e-3, 1.0, "cold"))
-        messages = []
-        for cap in (BLOCK_CAP_TICKS, 1):
-            monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", cap)
-            with pytest.raises(SimulationError, match="divergence in user block 'u1'") as err:
-                run(sc)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == "divergence in user block 'u1' at t=0.199000"
+        for hop_s, return_s, t in ((0.01, 0.02, "0.199000"), (0.3, 0.4, "0.986000")):
+            sc = Scenario(
+                name="diverge", packet_bytes=1000, queues=(QueueConf("b1", 500.0),),
+                users=(UserConf("u1", ("b1",), (hop_s,), return_s, fast),),
+                run=RunConf(1e-3, 1.0, "cold"))
+            messages = []
+            for cap in (BLOCK_CAP_TICKS, 1):
+                monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", cap)
+                with pytest.raises(SimulationError,
+                                   match="divergence in user block 'u1'") as err:
+                    run(sc)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == f"divergence in user block 'u1' at t={t}"
 
     def test_queue_divergence_names_the_same_tick_whatever_the_block(self, monkeypatch):
         # a flow of 1e308 pkt/s overflows the backlog; no numpy warning
@@ -1070,8 +1149,12 @@ class TestRandomTopologies:
             assert gap <= 1e-9 * max(1.0, arrived), qid
         with mock.patch.object(engine, "BLOCK_CAP_TICKS", cap):
             capped = run(sc)
+        # and with each queue's departures held to its frontier
+        with mock.patch.object(engine, "_departure_reach", lambda q, k1, barrier: k1):
+            held = run(sc)
         for name in traces.signals:
             assert np.array_equal(traces[name], capped[name]), name
+            assert np.array_equal(traces[name], held[name]), name
 
 
 @functools.cache

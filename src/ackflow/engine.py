@@ -15,16 +15,20 @@ shift for a delay on the grid, the floor of ``delay / dt`` off it.  One walk
 of the topology, ``_feeds``, lists every component's reads as (source,
 flow, delay).  A queue reads each flow across its hop: the upstream queue's
 departures, the user's sending flow or the rate flow's profile.  A user
-reads its last queue across the return delay (its ACKs and the circuit
-inversion of its flight size, ``circuit_backward_time``), and each upstream
-queue across the return delay plus the hops after it.  The blocks' readers
-come from that table, and so does the schedule (``input_lags``, the least
-lag per source).  A component's next block ends at the least of the
-horizon, its frontier plus ``BLOCK_CAP_TICKS``, and each input's reach
-plus that input's lag.  Only the engine puts a run on its grid: the
-elements' descriptions are in seconds, and ``_window_jumps`` snaps a
-user's window steps to ticks, while ``_channel_delays_s`` gives the
-coarsest ``dt`` allowed and the history the pruning keeps.
+reads its ACKs from its last queue across the return delay.  A FAST
+user's block also inverts its circuit (``circuit_backward_time``) through
+every queue's forward map on its path, and the queue chain covers those
+reads: each queue's frontier trails its upstream queue's reach by the hop,
+and each queue's reach lies at or below its forward map's last sample, so
+every inversion lands in a recorded map (``invert_monotone`` refuses any
+other as a ``CausalityError``).  The blocks' readers come from that table, and so
+does the schedule (``input_lags``, the least lag per source).  A
+component's next block ends at the least of the horizon, its frontier
+plus ``BLOCK_CAP_TICKS``, and each input's reach plus that input's lag.
+Only the engine puts a run on its grid: the elements' descriptions are in
+seconds, and ``_window_jumps`` snaps a user's window steps to ticks, while
+``_channel_delays_s`` gives the coarsest ``dt`` allowed and the history
+the pruning keeps.
 
 An input's reach is the number of ticks of its outputs recorded: a user's
 frontier, and a queue's departures, which run ahead of its frontier while
@@ -224,20 +228,13 @@ def _feeds(network: Network) -> dict:
 
     Components and sources are keyed ``("user", id)`` and ``("queue", id)``,
     since a user and a queue may share an id.  A user reads its last queue
-    across the return delay (its ACKs, the first entry, and the circuit
-    inversion), then each upstream queue across the return delay plus the
-    hops after it, in the order ``circuit_backward_time`` walks them.  A
-    queue reads its flows in order: each one's upstream queue across that
-    hop, else the user's sending flow across its first hop, else (source
-    None) the rate flow's profile, known at every time.
+    across the return delay.  A queue reads its flows in order: each one's
+    upstream queue across that hop, else the user's sending flow across
+    its first hop, else (source None) the rate flow's profile, known at
+    every time.
     """
-    feeds: dict = {}
-    for uid, u in network.users.items():
-        reads = feeds["user", uid] = []
-        delay = u.return_delay_s
-        for qid, hop in zip(reversed(u.queue_path), reversed(u.hop_delays_s)):
-            reads.append((("queue", qid), uid, delay))
-            delay += hop
+    feeds = {("user", uid): [(("queue", u.queue_path[-1]), uid, u.return_delay_s)]
+             for uid, u in network.users.items()}
     for qid in sorted(network.queues):
         reads = feeds["queue", qid] = []
         for fid in network.flows_through(qid):

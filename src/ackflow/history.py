@@ -11,8 +11,10 @@ index arithmetic with linear interpolation between samples (one formula,
 running integral gives queue transport masses and the users' flights, and
 a binary search over the values inverts monotone (arrival -> departure)
 time maps.  A read keeps no state between calls, so its answer depends
-only on the samples, and every read, the engine's index reads too, refuses
-a time past the newest sample with the one check ``check_recorded``.  A
+only on the samples, and every read refuses the future with
+``CausalityError``: a time past the newest sample through
+``check_recorded``, which the engine's index reads call too, and a value
+past a time map's newest sample through the inversion's range check.  A
 read of zero times answers zero values.  The samples are also the engine's
 output: its traces are zero-copy views of them.
 """
@@ -247,8 +249,10 @@ class Trajectory:
         Where the map is flat, the left edge of the flat interval is
         returned (FIFO earliest-arrival tie-break).  Each ``y`` must lie
         inside the recorded value range, from the first sample's value to
-        the newest one's: the pre-history holds no map to invert.  Zero
-        queries answer zero values, on a history with no samples too.
+        the newest one's: a ``y`` below it raises :class:`HistoryError`,
+        since the pre-history holds no map to invert, and one above it or
+        a NaN :class:`CausalityError`.  Zero queries answer zero values, on
+        a history with no samples too.
         """
         if not y.size:
             return np.empty(0)
@@ -257,10 +261,11 @@ class Trajectory:
         values = self.values
         lo, hi = values[0], values[-1]
         if not (lo <= y.min() and y.max() <= hi):  # NaN too
-            outside = ~((lo <= y) & (y <= hi))
-            raise HistoryError(
-                f"inverse of {float(y[outside.argmax()])!r} not determined: recorded "
-                f"range [{float(lo)!r}, {float(hi)!r}]")
+            first = float(y[(~((lo <= y) & (y <= hi))).argmax()])
+            # past the newest sample, or a NaN, is a future read
+            error = HistoryError if first < lo else CausalityError
+            raise error(f"inverse of {first!r} not determined: recorded "
+                        f"range [{float(lo)!r}, {float(hi)!r}]")
         # values[i - 1] < y <= values[i]; i == 0 only where y is lo, and
         # there values[i - 1] wraps to an entry the result does not use
         i = np.searchsorted(values, y)

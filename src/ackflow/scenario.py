@@ -365,10 +365,32 @@ def _queue_path(raw, path: str) -> tuple[str, ...]:
     return tuple(_name(q, f"{path}[{i}]") for i, q in enumerate(_list(raw, path)))
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a mapping repeating a key, of which
+    PyYAML would keep the last value; a key merged in by ``<<`` may still
+    be overridden, as YAML's merge allows."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+        own = sum(k.tag != "tag:yaml.org,2002:merge" for k, _ in pairs)
+        mapping = super().construct_mapping(node, deep)  # merged pairs first
+        if len(mapping) < len(node.value):
+            seen = set()
+            # each key is built once: construct_object answers from its cache
+            for key_node, _ in node.value[len(node.value) - own:]:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return mapping
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate one YAML scenario document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as e:
         raise ScenarioError(f"invalid YAML: {e}") from None
     if not isinstance(doc, dict):

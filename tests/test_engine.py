@@ -784,9 +784,10 @@ class TestBlocks:
     @pytest.mark.parametrize("source, lags", [
         # u1's 1.6 ms hop and return channels, u2's 58.5 ms ones
         ("scenario1", {U1: {B1: 16}, U2: {B1: 585}, B1: {U1: 16, U2: 585}}),
-        # u1 reads b2 across its 100 ms return and b1 across the 20 ms hop
-        # more; the hop is b2's lag behind b1, and the users enter at 0 ms
-        ("scenario3", {U1: {B2: 1000, B1: 1200}, U2: {B2: 800}, U3: {B1: 400},
+        # a user reads only its last queue: u1 reads b2 across its 100 ms
+        # return; the 20 ms hop is b2's lag behind b1, and the users enter
+        # at 0 ms
+        ("scenario3", {U1: {B2: 1000}, U2: {B2: 800}, U3: {B1: 400},
                        B1: {U1: 0, U3: 0}, B2: {B1: 200, U2: 0}}),
         # off the grid: floor(37.71 ms / 0.1 ms), floor(12.37 ms / 0.1 ms), ...
         (OFFGRID_YAML, {U1: {B1: 377}, U2: {B1: 885}, B1: {U1: 123, U2: 31}}),
@@ -821,7 +822,9 @@ class TestBlocks:
         # 80001 ticks; b1's backlog stretches u1's 32-tick loop to about
         # 220 ticks, and u2 (1170-tick cycle) waits for whole blocks
         ("scenario1", {U1: 358, U2: 60, B1: 358}),
-    ], ids=["scenario3", "squarewave", "fast_pair_offgrid", "scenario1"])
+        # 160001 ticks; u1 waits on b2 alone, not on b1 across its hop too
+        ("scenario4", {U1: 108, U2: 132, U3: 133, B1: 133, B2: 132}),
+    ], ids=["scenario3", "squarewave", "fast_pair_offgrid", "scenario1", "scenario4"])
     def test_blocks_counts_each_components_blocks(self, source, blocks):
         assert run(load_scenario(source)).blocks == blocks
 
@@ -1033,19 +1036,28 @@ class TestBlocks:
         for name in ahead.signals:
             assert np.array_equal(ahead[name], held[name]), name
 
-    def test_a_reach_past_the_recorded_arrivals_is_refused(self, monkeypatch):
+    @pytest.mark.parametrize("source, message", [
+        # the held integral of b1's arrivals refuses the read past its
+        # newest sample
+        ("scenario3", "queue block 'b1' from t=0.000000: future read at "
+                      "t=0.039970794818422736 (history ends at 0.039900000000000005)"),
+        # an empty b1's forward map ends at its frontier, and its inversion
+        # refuses the step past it first
+        (OFFGRID_YAML, "queue block 'b1' from t=0.000000: inverse of "
+                       "0.050100000000000006 not determined: recorded range [0.0, 0.05]"),
+    ], ids=["scenario3", "fast_pair_offgrid"])
+    def test_a_reach_past_the_recorded_arrivals_is_refused(
+            self, monkeypatch, source, message):
         # one tick too far, b1's first block would transport departures of
-        # traffic that has not arrived: the held integral of its arrivals
-        # refuses the read past the newest sample, and the error names b1
+        # traffic that has not arrived: whichever read trips, the error names
+        # b1 and is a causality fault
         real = engine._departure_reach
         monkeypatch.setattr(engine, "_departure_reach", lambda *args: real(*args) + 1)
-        sc = load_scenario("scenario3")
+        sc = load_scenario(source)
         with pytest.raises(SimulationError) as err:
             simulate(to_network(sc), sc, SimConfig(
                 dt_s=sc.run.dt_s, horizon_s=1.0, init=sc.run.init))
-        assert str(err.value) == (
-            "queue block 'b1' from t=0.000000: future read at t=0.039970794818422736 "
-            "(history ends at 0.039900000000000005)")
+        assert str(err.value) == message
         assert isinstance(err.value.__cause__, CausalityError)
 
     @pytest.mark.parametrize("n, blocks", [(10, 1838), (50, 8518)])
@@ -1097,9 +1109,10 @@ class TestBlocks:
 
 @st.composite
 def random_chains(draw):
-    """1-3 queues in a chain and 1-3 scheduled users on contiguous sub-paths,
-    hops of 0 or 10-60 ms on or off the 1 ms grid, an optional constant or
-    square rate flow, and a cold or equilibrium start, over 0.5 s."""
+    """1-3 queues in a chain and 1-3 scheduled or FAST users on contiguous
+    sub-paths, hops of 0 or 10-60 ms on or off the 1 ms grid, an optional
+    constant or square rate flow, and a cold or equilibrium start, over
+    0.5 s."""
     queues = tuple(QueueConf(f"b{i}", draw(st.floats(200.0, 1000.0)))
                    for i in range(draw(st.integers(1, 3))))
     # on the grid, or in steps of 0.1 ms
@@ -1112,12 +1125,17 @@ def random_chains(draw):
         path = tuple(q.id for q in queues[first:last + 1])
         return path, tuple(draw(st.just(0.0) | delay) for _ in path)
 
-    users = tuple(
-        UserConf(f"u{i}", *route(), draw(delay), ScheduledProtocol(
-            draw(st.floats(1.0, 80.0)),
-            tuple(draw(st.lists(st.tuples(st.floats(0.05, 0.45), st.floats(0.0, 80.0)),
-                                max_size=1)))))
-        for i in range(draw(st.integers(1, 3))))
+    def protocol():
+        w0 = draw(st.floats(1.0, 80.0))
+        if draw(st.booleans()):
+            # a FAST block inverts the circuit through every queue on its path
+            return FastProtocol(gamma=draw(st.floats(0.1, 1.0)),
+                                alpha_pkts=draw(st.floats(5.0, 60.0)), initial_window_pkts=w0)
+        return ScheduledProtocol(w0, tuple(draw(st.lists(
+            st.tuples(st.floats(0.05, 0.45), st.floats(0.0, 80.0)), max_size=1))))
+
+    users = tuple(UserConf(f"u{i}", *route(), draw(delay), protocol())
+                  for i in range(draw(st.integers(1, 3))))
     kind = draw(st.sampled_from([None, "constant", "square"]))
     flows = ()
     if kind:

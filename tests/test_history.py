@@ -247,6 +247,14 @@ class TestInvertMonotone:
         with pytest.raises(HistoryError, match=r"inverse of 0.5 not determined"):
             make([1.0, 2.0], initial=0.0).invert_monotone(np.array([1.5, 0.5]))
 
+    @pytest.mark.parametrize("y, future", [(2.5, True), (math.nan, True), (0.5, False)],
+                             ids=["past-the-newest", "nan", "below-the-first"])
+    def test_a_value_past_the_map_is_a_future_read(self, y, future):
+        # as every other read past the record; below it lies the pre-history
+        with pytest.raises(HistoryError) as err:
+            make([1.0, 2.0]).invert_monotone(np.array([1.5, y]))
+        assert isinstance(err.value, CausalityError) == future
+
     def test_zero_queries_answer_zero_values_before_any_sample(self):
         # as eval_at and the integrals do; one query is still refused
         empty = Trajectory(1.0, 0.0, n_ticks=2)

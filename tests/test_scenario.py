@@ -314,6 +314,31 @@ def test_refusals_start_with_the_field_and_the_reason(case):
     assert str(err.value).startswith(prefix), str(err.value)
 
 
+@pytest.mark.parametrize("once, twice, key, line", [
+    ("packet_bytes: 1000\n", "packet_bytes: 1000\npacket_bytes: 1500\n", "packet_bytes", 3),
+    ("  capacity_pps: 500.0\n", "  capacity_pps: 100.0\n  capacity_pps: 900.0\n",
+     "capacity_pps", 6),
+    ("    gamma: 0.5\n", "    gamma: 0.5\n    gamma: 5.0\n", "gamma", 26),
+    ("  horizon_s: 1.0\n", "  horizon_s: 1.0\n  horizon_s: 9.0\n", "horizon_s", 39),
+], ids=["top-level", "queue", "protocol", "run"])
+def test_a_repeated_key_is_refused_with_its_line(once, twice, key, line):
+    # PyYAML alone keeps the last value: the queue would serve 900 pkt/s
+    text = yaml.safe_dump(BASE, sort_keys=False)
+    assert text.count(once) == 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text.replace(once, twice))
+    message = str(err.value)
+    assert message.startswith("invalid YAML: while constructing a mapping"), message
+    assert f"found duplicate key '{key}'\n  in \"<unicode string>\", line {line}," in message
+
+
+def test_a_merged_key_may_be_overridden():
+    # YAML's merge key: b2 takes b1's entry and overrides its id
+    sc = parse_scenario("name: merged\npacket_bytes: 1000\nqueues:\n"
+                        "- &b1 {id: b1, capacity_pps: 500.0}\n- {<<: *b1, id: b2}\n")
+    assert sc.queues == (QueueConf("b1", 500.0), QueueConf("b2", 500.0))
+
+
 def test_a_rate_fraction_is_of_the_first_queues_capacity():
     def quarter(doc):
         doc["queues"][0]["capacity_pps"] = 100.0

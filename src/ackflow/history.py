@@ -10,9 +10,10 @@ index arithmetic with linear interpolation between samples (one formula,
 ``interpolate``, which the engine's reader shares), a sample-and-hold
 running integral gives queue transport masses and the users' flights, and
 a binary search over the values inverts monotone (arrival -> departure)
-time maps.  A read keeps no state between calls, so its answer depends
-only on the samples, and every read refuses the future with
-``CausalityError``: a time past the newest sample through
+time maps.  The running integral keeps a window of its sums, not a
+second full-length copy of the samples.  A read's answer depends only on
+the samples, whatever the window held before it, and every read refuses
+the future with ``CausalityError``: a time past the newest sample through
 ``check_recorded``, which the engine's index reads call too, and a value
 past a time map's newest sample through the inversion's range check.  A
 read of zero times answers zero values.  The samples are also the engine's
@@ -82,21 +83,32 @@ class Trajectory:
     default ``...`` takes a one-signal trajectory whole.
     ``integrate_hold`` and ``integrate_hold_steps`` answer every row.
 
+    The hold integrals read a running sum from 0 that is kept in a window,
+    not for the whole history: the engine's integrals only move forward,
+    so a read past the window's end moves the part still in reach to the
+    front, and the window doubles only when one read spans more than it
+    holds.  A read below the window restarts it at 0 and sums forward
+    again; a read from ``t = 0`` after a run does so, and gets the same
+    bits.
+
     Concurrency: single writer appends; readers of strictly past data are
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_ncum", "initial_value", "pruned_before")
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_c0", "_ncum", "initial_value",
+                 "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int):
         self.dt = dt
         self.initial_value = np.asarray(initial_value, dtype=np.float64)
         self._buf = np.empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
-        # _cum[..., i] = integral from 0 to i * dt, each value held to the
-        # next sample, for i < _ncum: allocated on the first integral and
-        # extended by each integral only through the last sample it reads
+        # _cum[..., i - _c0] = integral from 0 to i * dt, each value held
+        # to the next sample, for _c0 <= i < _ncum: a window allocated on
+        # the first integral and extended by each integral only through the
+        # last sample it reads
         self._cum = None
+        self._c0 = 0
         self._ncum = 0
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
@@ -156,28 +168,46 @@ class Trajectory:
                                               interpolate(v0, v1, t, i, dt)))
         return out
 
-    def _cumulative(self, top: int) -> np.ndarray:
-        """The hold cumulative, filled at least through entry ``top - 1``,
-        sample ``top - 1``'s.
+    def _cumulative(self, lo: int, top: int) -> int:
+        """Fill the hold cumulative's window through entry ``top - 1``,
+        sample ``top - 1``'s, with entries ``lo`` on still in it, and return
+        the index of its first entry.
 
         Missing cells are written after the last filled entry and summed in
         place from it: ``np.add.accumulate`` adds in sequence, so each entry
-        is exactly the one-at-a-time running sum, however the entries are
-        split between calls.
+        is exactly the one-at-a-time running sum from 0, however the
+        entries are split between calls and windows.  A fill past the
+        window's end first moves the live tail, from ``lo`` or from the
+        last filled entry if that is lower, to the front; the window
+        doubles only when the span from ``lo`` to ``top`` needs it.  An
+        ``lo`` below the window restarts it at entry 0.
         """
-        if top > self._ncum:
-            if self._cum is None:
-                self._cum = np.zeros(self._buf.shape)
-                self._ncum = 1
-            n0 = self._ncum
-            cum = self._cum[..., n0 - 1:top]
+        rows, size = self._buf.shape[:-1], self._buf.shape[-1]
+        if self._cum is None:
+            self._cum = np.zeros(rows + (min(max(2 * (top - lo), 1024), size),))
+        if lo < self._c0 or not self._ncum:
+            self._cum[..., 0] = 0.0
+            self._c0, self._ncum = 0, 1
+        while top > self._ncum:
+            c0, n0, cum = self._c0, self._ncum, self._cum
+            width = cum.shape[-1]
+            if n0 == c0 + width:
+                keep = min(lo, n0 - 1)
+                if top - lo > width:
+                    width = min(max(2 * width, top - lo), size)
+                    self._cum = np.zeros(rows + (width,))
+                # numpy copies an overlapping slice as if through a buffer
+                self._cum[..., :n0 - keep] = cum[..., keep - c0:]
+                self._c0 = c0 = keep
+            end = min(top, c0 + width)
+            cells = self._cum[..., n0 - 1 - c0:end - c0]
             # each cell as wide as its grid times
-            grid = np.arange(n0 - 1, top) * self.dt
-            np.subtract(grid[1:], grid[:-1], out=cum[..., 1:])
-            cum[..., 1:] *= self._buf[..., n0 - 1:top - 1]
-            np.add.accumulate(cum, axis=-1, out=cum)
-            self._ncum = top
-        return self._cum
+            grid = np.arange(n0 - 1, end) * self.dt
+            np.subtract(grid[1:], grid[:-1], out=cells[..., 1:])
+            cells[..., 1:] *= self._buf[..., n0 - 1:end - 1]
+            np.add.accumulate(cells, axis=-1, out=cells)
+            self._ncum = end
+        return self._c0
 
     def integrate_hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Integral over each span ``[t0, t1]``, reading each sample as held
@@ -234,11 +264,11 @@ class Trajectory:
         # a time before 0 reads sample 0 here, and the pre-history below
         tc = np.maximum(t, 0.0) if early else t
         i = grid_index(tc, self.dt)
-        cum = self._cumulative(int(i.max()) + 1)
+        c0 = self._cumulative(int(i.min()), int(i.max()) + 1)
         # cum + buf * (tc - i * dt), summed in place: a float sum commutes
         held = self._buf.take(i, axis=-1)
         held *= tc - i * self.dt
-        held += cum.take(i, axis=-1)
+        held += self._cum.take(i - c0, axis=-1)
         if early:
             held = np.where(t < 0.0, np.multiply.outer(self.initial_value, t), held)
         return held

@@ -365,10 +365,10 @@ def _queue_path(raw, path: str) -> tuple[str, ...]:
     return tuple(_name(q, f"{path}[{i}]") for i, q in enumerate(_list(raw, path)))
 
 
-class _Loader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that refuses a mapping repeating a key, of which
-    PyYAML would keep the last value; a key merged in by ``<<`` may still
-    be overridden, as YAML's merge allows."""
+class _UniqueKeys:
+    """Loader mixin that refuses a mapping repeating a key, of which PyYAML
+    would keep the last value; a key merged in by ``<<`` may still be
+    overridden, as YAML's merge allows."""
 
     def construct_mapping(self, node, deep=False):
         pairs = node.value if isinstance(node, yaml.MappingNode) else ()
@@ -385,6 +385,11 @@ class _Loader(yaml.SafeLoader):
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
         return mapping
+
+
+class _Loader(_UniqueKeys, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader on libyaml where PyYAML was built with it, else in
+    pure Python, refusing repeated keys."""
 
 
 def parse_scenario(text: str) -> Scenario:

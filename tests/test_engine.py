@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -719,6 +720,31 @@ class TestHorizonIndependence:
         n = len(short.time)
         for name in short.signals:
             assert np.array_equal(short[name], long[name][:n]), name
+
+
+class TestMemory:
+    @pytest.mark.parametrize("source", ["scenario3", OFFGRID_YAML, "squarewave"],
+                             ids=["scenario3", "fast_pair_offgrid", "squarewave"])
+    def test_memory_beyond_the_returned_arrays_does_not_grow_with_the_horizon(self, source):
+        # numpy reports its buffers to tracemalloc: the peak traced during a
+        # run, less the arrays it returns (the signals' bases and each
+        # queue's time map), grows from a 1 s run to a 4 s one by less than
+        # one signal's 3 s of samples; a full-length copy of an integrated
+        # history would grow by at least that
+        sc = load_scenario(source)
+        beyond = []
+        for horizon_s in (1.0, 4.0):
+            tracemalloc.start()
+            try:
+                traces = simulate(to_network(sc), sc, SimConfig(
+                    dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = [a if a.base is None else a.base for a in traces.signals.values()]
+            arrays += [q.forward_map.values.base for q in traces.queues.values()]
+            beyond.append(peak - sum({id(a): a.nbytes for a in arrays}.values()))
+        assert beyond[1] - beyond[0] < round(3.0 / sc.run.dt_s) * 8
 
 
 class TestPruning:

@@ -192,9 +192,50 @@ class TestIntegrate:
         tr.record(7.5, [1.0, 1.0])
         tops.append(tr._ncum)
         assert tops == [3, 3, 3, 7, 10, 10]
-        assert not tr._cum[10:].any()
+        assert not tr._cum[10 - tr._c0:].any()
         assert tr.integrate_hold(np.array([0.0]), np.array([4.5])).tolist() == [
             sum(range(1, 10)) * 0.5]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_window_reads_bitwise_as_a_whole_cumulative(self, data):
+        # records in random chunks, integrals between them whose lowest
+        # time only rises, as the engine's do, and reads below the window
+        # mixed in: every read is bitwise the one on a cumulative built
+        # whole, and the window holds at most twice the widest read's cells
+        # (or 1024), so it moves its live tail to the front instead of
+        # growing with the history
+        dt = 0.003
+        n = data.draw(st.integers(1, 5000), label="n")
+        initial = data.draw(st.sampled_from([0.25, [1.5, 2.0]]), label="initial")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(0.0, 50.0, np.shape(initial) + (n,))
+        whole = make(values, dt=dt, initial=initial, n_ticks=n)
+        whole.integrate_hold(np.array([0.0]), np.array([(n - 1) * dt]))
+        tr = Trajectory(dt, initial, n_ticks=n)
+        floor, widest = -2.0 * dt, 0
+        while len(tr) < n:
+            k = len(tr)
+            tr.record(k * dt, values[..., k:k + data.draw(st.integers(1, 700))])
+            last = (len(tr) - 1) * dt
+            for _ in range(data.draw(st.integers(0, 3))):
+                below = floor > 0.0 and data.draw(st.booleans(), label="below")
+                lows = (-2.0 * dt, floor) if below else (floor, last)
+                t0 = np.array(data.draw(st.lists(st.floats(*lows), min_size=1, max_size=3)))
+                t1 = np.minimum(t0 + rng.uniform(0.0, 600 * dt, len(t0)), last)
+                if not below:
+                    floor = t0.min()
+                t = np.concatenate((t0, t1))
+                cells = grid_index(np.maximum(t, 0.0), dt)
+                widest = max(widest, int(cells.max() - cells.min()) + 1)
+                if data.draw(st.booleans(), label="steps"):
+                    t = np.sort(t)
+                    assert (tr.integrate_hold_steps(t).tobytes()
+                            == whole.integrate_hold_steps(t).tobytes()), t
+                else:
+                    assert (tr.integrate_hold(t0, t1).tobytes()
+                            == whole.integrate_hold(t0, t1).tobytes()), (t0, t1)
+                assert tr._cum.shape[-1] <= min(max(2 * widest, 1024), n)
 
     def test_steps_are_the_pairwise_integrals_with_their_checks(self):
         # integrate_hold_steps(t) is integrate_hold(t[:-1], t[1:]) to the bit,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ackflow import scenario
 from ackflow.engine import SimConfig, simulate
 from ackflow.scenario import (
     ConstantProfile, FastProtocol, QueueConf, RateFlowConf, RunConf, Scenario,
@@ -330,6 +331,25 @@ def test_a_repeated_key_is_refused_with_its_line(once, twice, key, line):
     message = str(err.value)
     assert message.startswith("invalid YAML: while constructing a mapping"), message
     assert f"found duplicate key '{key}'\n  in \"<unicode string>\", line {line}," in message
+
+
+@pytest.mark.parametrize("base", [
+    yaml.SafeLoader,
+    pytest.param(getattr(yaml, "CSafeLoader", None), marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
+], ids=["python", "libyaml"])
+def test_both_loader_bases_parse_alike(base, monkeypatch):
+    # parse_scenario loads on libyaml where PyYAML has it: on either base a
+    # repeated key is refused at its line, and every preset's text parses
+    # to the same scenario
+    monkeypatch.setattr(scenario, "_Loader", type("_Loader", (scenario._UniqueKeys, base), {}))
+    text = yaml.safe_dump(BASE, sort_keys=False)
+    with pytest.raises(ScenarioError, match=r"found duplicate key 'horizon_s'\n"
+                       r"  in \"<unicode string>\", line 39,"):
+        parse_scenario(text.replace("  horizon_s: 1.0\n", "  horizon_s: 1.0\n  horizon_s: 9.0\n"))
+    for name in preset_names():
+        sc = parse_scenario(serialize_scenario(load_scenario(name)))
+        assert scenario_digest(sc) == FROZEN_PRESETS[name], name
 
 
 def test_a_merged_key_may_be_overridden():

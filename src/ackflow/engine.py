@@ -62,8 +62,8 @@ always advance.  One partial block at a time needs no order among the
 components: a queue behind a zero-delay hop waits for its upstream queue's
 block.  ``simulate`` takes the schedule to each barrier in turn (with
 pruning on, each pruning tick + 1, then the horizon), runs and counts the
-blocks (``TraceSet.blocks``), fills the flights up to it and prunes the
-histories there.
+blocks (``TraceSet.blocks``), fills the flight integrals up to it and
+prunes the histories there.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The ACK-buffer and backlog recurrences run
@@ -90,10 +90,12 @@ histories.
 A user's flight, in two forms, checks the conservation law (what was sent
 is in flight, lost or received): ``flight`` is the sending history's hold
 integral back to the circuit entry time, ``flight_ode`` the running sum of
-sent minus acked mass.  No block reads them, so ``simulate`` fills both at
-each barrier, before pruning, in chunks of ``FLIGHT_CHUNK_TICKS``, with one
-circuit inversion per user and chunk; only a FAST user's block inverts the
-circuit too, for its queueing delay.
+sent minus acked mass.  No block reads them.  ``simulate`` fills ``flight``
+at each barrier, before pruning can put the histories it reads out of
+reach, in chunks of ``BLOCK_CAP_TICKS``, with one circuit inversion per user
+and chunk; only a FAST user's block inverts the circuit too, for its
+queueing delay.  ``flight_ode`` reads only the returned traces, so it is
+summed once, after the last block.
 """
 
 from __future__ import annotations
@@ -120,12 +122,10 @@ __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate"]
 # margin, which covers the queueing delays in any backward read
 PRUNE_MARGIN_S = 5.0
 
-# most ticks in one block, and in a queue's departures past its frontier,
-# whatever the delays and the backlog: bounds the block's arrays
+# most ticks in one block, in a queue's departures past its frontier and in
+# one chunk of a user's flight, whatever the delays and the backlog: the one
+# bound on an array pass
 BLOCK_CAP_TICKS = 4096
-
-# ticks of one flight computation, which bounds its arrays the same way
-FLIGHT_CHUNK_TICKS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -465,54 +465,46 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                 raise SimulationError(
                     f"{key[0]} block '{key[1]}' from t={k0 * dt:.6f}: {err}") from err
             blocks[key] += 1
-        # every component has recorded through tick barrier - 1: the flights
-        # up to it read histories the pruning below may put out of reach
-        for uid, (flight, balance, w0) in flights.items():
+        # every component has recorded through tick barrier - 1: the flight
+        # integrals up to it read histories the pruning below may put out of
+        # reach; each is the sending integral back to the circuit entry
+        # time, each tick's rate held over its step
+        for uid, (flight, _, _) in flights.items():
             conf, sending = network.users[uid], states[uid].sending
-            send, ack = sending.values, states[uid].acks
-            for k0 in range(done, barrier, FLIGHT_CHUNK_TICKS):
-                k1 = min(k0 + FLIGHT_CHUNK_TICKS, barrier)
+            for k0 in range(done, barrier, BLOCK_CAP_TICKS):
+                ticks = grid[k0:min(k0 + BLOCK_CAP_TICKS, barrier)]
                 try:
-                    # the sending integral back to the circuit entry time,
-                    # each tick's rate held over its step
-                    ticks = grid[k0:k1]
-                    flight[k0:k1] = sending.integrate_hold(
+                    flight[k0:k0 + len(ticks)] = sending.integrate_hold(
                         circuit_backward_time(conf, queues, ticks), ticks)
                 except HistoryError as err:
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
-                # sent minus acked, added tick by tick in place from the
-                # chunk's start: np.add.accumulate adds in sequence, so each
-                # chunk resumes the last one's sum exactly
-                chunk = balance[k0:k1]
-                chunk[0] = balance[k0 - 1] + (send[k0 - 1] - ack[k0 - 1]) * dt if k0 else w0
-                np.subtract(send[k0:k1 - 1], ack[k0:k1 - 1], out=chunk[1:])
-                chunk[1:] *= dt
-                np.add.accumulate(chunk, out=chunk)
         done = barrier
         t = (barrier - 1) * dt
         if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:
             for h in histories:
                 h.prune_before(t - prune_lag)
 
-    # the flows are views of the histories; tau is q / capacity, which
-    # IEEE division rounds exactly as a per-tick division would
+    # sent minus acked, added tick by tick in place from the start's window
+    for uid, (_, balance, w0) in flights.items():
+        send, ack = states[uid].sending.values, states[uid].acks
+        balance[0] = w0
+        np.subtract(send[:-1], ack[:-1], out=balance[1:])
+        balance[1:] *= dt
+        np.add.accumulate(balance, out=balance)
+    # the flows are views of the histories
     for qid, q in queues.items():
         columns.update((f"in.{qid}.{fid}", row) for fid, row in q.inputs.items())
         columns.update((f"out.{qid}.{fid}", row) for fid, row in q.outputs.items())
+        # q / capacity, which IEEE division rounds as a per-tick one would
+        columns[f"tau.{qid}"] = columns[f"q.{qid}"] / q.capacity
     for uid, st in states.items():
         columns[f"send.{uid}"] = st.sending.values
         columns[f"ack.{uid}"] = st.acks
-    signals = {}
-    for name, col in columns.items():
-        signals[name] = col
-        kind, _, qid = name.partition(".")
-        if kind == "q":
-            signals[f"tau.{qid}"] = col / queues[qid].capacity
     return TraceSet(
         time=grid[:n_ticks],
         dt_s=dt,
-        signals=signals,
+        signals=columns,
         scenario=scenario,
         config=config,
         equilibrium_init=eq_init,

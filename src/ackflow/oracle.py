@@ -189,7 +189,11 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
         first = next(emissions, None)
         if first is not None:
             push(first, "emit", (f, emissions))
+    # the samples the loop below takes: each one's time at or before its stop
+    stop = horizon + 1e-12
     n_samples = int(round(horizon / SAMPLE_DT_S)) + 1
+    if (n_samples - 1) * SAMPLE_DT_S > stop:  # rounded up past the horizon
+        n_samples -= 1
     sample_times = np.arange(n_samples) * SAMPLE_DT_S
     qlen = {qid: np.zeros(n_samples) for qid in queues}
     deq_counts = {(qid, fid): np.zeros(n_samples)
@@ -198,7 +202,7 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
 
     while heap:
         t, _, kind, data = heapq.heappop(heap)
-        if t > horizon + 1e-12:
+        if t > stop:
             break
         if kind == "arrive":
             f, pid, hop_idx = data
@@ -235,7 +239,7 @@ def packet_sim(scenario: Scenario, *, warmup_s: float = 0.0,
             log(pid, f.id, "send", t)
             push(t + f.hop_delays_s[0], "arrive", (f, pid, 0))
             nxt = next(emissions, None)
-            if nxt is not None and nxt <= horizon + 1e-12:
+            if nxt is not None and nxt <= stop:
                 push(nxt, "emit", data)
         elif kind == "sample":
             k = data

@@ -619,10 +619,10 @@ class TestFlightRecord:
         # one record of the sent mass: flight reads the sending column's own
         # hold cumulative back to the circuit entry time, on the grid
         # (scenario1 and two_user, across their window steps) and off it
-        # (the FAST pair).  Pruned, with 7-tick chunks and a floor that
-        # rises at each barrier, the flight is filled across every chunk
-        # seam and barrier, yet it is still the one integral over the whole
-        # run, which only the unpruned run's histories can answer
+        # (the FAST pair).  Pruned, with 7-tick blocks and flight chunks and
+        # a floor that rises at each barrier, the flight is filled across
+        # every chunk seam and barrier, yet it is still the one integral over
+        # the whole run, which only the unpruned run's histories can answer
         if source == "two_user":
             sc = two_user_scenario(steps1=[(1.5, 150.0)], horizon=horizon_s)
         else:
@@ -630,7 +630,7 @@ class TestFlightRecord:
         config = SimConfig(dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init)
         traces = whole = simulate(to_network(sc), sc, config)
         if pruned:
-            monkeypatch.setattr(engine, "FLIGHT_CHUNK_TICKS", 7)
+            monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", 7)
             monkeypatch.setattr(engine, "PRUNE_MARGIN_S", 0.5)
             traces = simulate(to_network(sc), sc,
                               dataclasses.replace(config, prune_history=True))
@@ -646,7 +646,7 @@ class TestFlightRecord:
     def test_only_the_flight_chunks_and_fast_blocks_invert_the_circuit(
             self, monkeypatch, source, horizon_s):
         # the flight is filled off the block path, one circuit inversion per
-        # user and chunk of FLIGHT_CHUNK_TICKS; a FAST user's block inverts
+        # user and chunk of BLOCK_CAP_TICKS; a FAST user's block inverts
         # the circuit once more, for its queueing delay
         calls = []
 
@@ -658,7 +658,7 @@ class TestFlightRecord:
         sc = load_scenario(source)
         traces = simulate(to_network(sc), sc, SimConfig(
             dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init))
-        chunks = -(-len(traces.time) // engine.FLIGHT_CHUNK_TICKS)
+        chunks = -(-len(traces.time) // engine.BLOCK_CAP_TICKS)
         for u in sc.users:
             fast = isinstance(u.protocol, FastProtocol)
             assert calls.count(u.id) == chunks + fast * traces.blocks["user", u.id], u.id
@@ -666,7 +666,7 @@ class TestFlightRecord:
     def test_a_history_fault_in_the_flight_names_the_user_and_its_chunk(self, monkeypatch):
         # a fault in the flight pass is reported like one in a block, from
         # the first tick of the chunk that met it
-        start = engine.FLIGHT_CHUNK_TICKS
+        start = engine.BLOCK_CAP_TICKS
 
         def faulty(user, queues, t):
             if t[0] >= start * 1e-4:
@@ -687,12 +687,11 @@ class TestFlightRecord:
         ("two_user", "cold", 2.5), ("two_user", "equilibrium", 2.5),
         (OFFGRID_YAML, "cold", 1.5)], ids=["cold", "equilibrium", "fast_pair_offgrid"])
     def test_flight_ode_is_the_per_tick_sent_minus_acked_sum(
-            self, monkeypatch, source, init, horizon_s):
-        # the balance is filled chunk by chunk at each barrier (one each
-        # simulated second with pruning on), yet it is the one running sum
-        # a tick loop takes from the start's window, to the bit: across the
-        # opening burst, a window step and every chunk and barrier edge
-        monkeypatch.setattr(engine, "FLIGHT_CHUNK_TICKS", 7)
+            self, source, init, horizon_s):
+        # the balance is the one running sum a tick loop takes from the
+        # start's window, to the bit, across the opening burst and a window
+        # step; pruning, whose floor rises each simulated second, leaves it
+        # alone, since it reads only the returned send and ack traces
         if source == "two_user":
             sc = two_user_scenario(steps1=[(1.5, 150.0)], horizon=horizon_s, init=init)
         else:

@@ -293,6 +293,21 @@ class TestPacketSim:
         assert sends == pytest.approx([4.9995, 14.9995, 24.9995], abs=1e-9)
         assert res.dequeue_counts[("b1", "f1")][-1] == 3
 
+    @pytest.mark.parametrize("horizon_s", [0.0151, 0.035])
+    def test_no_sample_lies_past_a_horizon_off_the_sample_grid(self, horizon_s):
+        # the samples stop where the event loop stops: the last one at or
+        # before the horizon and the next past it, each the state a longer
+        # run samples there
+        sc = load_scenario("squarewave")
+        res, longer = (packet_sim(dataclasses.replace(sc, run=dataclasses.replace(
+            sc.run, horizon_s=h))) for h in (horizon_s, 0.05))
+        n = len(res.sample_times)
+        assert res.sample_times[-1] <= horizon_s < longer.sample_times[n]
+        assert res.sample_times.tobytes() == longer.sample_times[:n].tobytes()
+        longer_counts = {**longer.queue_lengths, **longer.dequeue_counts}
+        for key, counts in {**res.queue_lengths, **res.dequeue_counts}.items():
+            assert counts.tobytes() == longer_counts[key][:n].tobytes(), key
+
 
 # squarewave over its whole horizon: every rate-flow send time, per flow,
 # then every queue length and per-flow dequeue count, as float64 bytes

@@ -27,8 +27,8 @@ component's next block ends at the least of the horizon, its frontier
 plus ``BLOCK_CAP_TICKS``, and each input's reach plus that input's lag.
 Only the engine puts a run on its grid: the elements' descriptions are in
 seconds, and ``_window_jumps`` snaps a user's window steps to ticks, while
-``_channel_delays_s`` gives the coarsest ``dt`` allowed and the history
-the pruning keeps.
+the delays ``_feeds`` lists give the coarsest ``dt`` allowed and the
+history the pruning keeps.
 
 An input's reach is the number of ticks of its outputs recorded: a user's
 frontier, and a queue's departures, which run ahead of its frontier while
@@ -214,7 +214,8 @@ def _lag_ticks(delay_s: float, dt: float) -> tuple[int, bool]:
     whether the delay is off the grid: the index shift of a delay within
     1e-6 ticks of a grid multiple, else the floor.  A delay past any run,
     ``MAX_TICKS`` ticks or more, counts as that many: its reads see only
-    the pre-history."""
+    the pre-history.  The same count gives a horizon's steps, so a run's
+    last tick lies at or before its horizon."""
     ticks = min(delay_s / dt, MAX_TICKS)
     shift = round(ticks)
     if abs(ticks - shift) < 1e-6:
@@ -270,14 +271,6 @@ def circuit_backward_time(user: UserConf, queues: dict, t):
         x = queues[qid].backward_time(x)
         x -= hop
     return x
-
-
-def _channel_delays_s(network: Network) -> list[float]:
-    """Every channel delay: each user's hops then its return, then each
-    rate flow's hops, an order that keeps the prune lag's sum reproducible."""
-    users = network.users.values()
-    delays = [d for u in users for d in (*u.hop_delays_s, u.return_delay_s)]
-    return delays + [d for f in network.rate_flows.values() for d in f.hop_delays_s]
 
 
 def _window_jumps(proto, dt: float, cold: bool) -> dict[int, float]:
@@ -373,7 +366,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     """
     dt = config.dt_s
     check_square_reach(network.rate_flows.values(), config.horizon_s)
-    delays = _channel_delays_s(network)
+    feeds = _feeds(network)
+    # every channel is read once: each hop by a queue, each return by a user
+    delays = [delay for reads in feeds.values() for _, _, delay in reads]
     min_delay = min((d for d in delays if d > 0), default=math.inf)
     if dt > min_delay / 10:
         raise SimulationError(
@@ -387,10 +382,9 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
     eq_init = equilibrium_queue(network) if config.init == "equilibrium" else None
 
-    n_ticks = int(round(config.horizon_s / dt)) + 1
+    n_ticks = _lag_ticks(config.horizon_s, dt)[0] + 1
     # the tick times, and the end of the last step
     grid = np.arange(n_ticks + 1) * dt
-    feeds = _feeds(network)
     queues: dict[str, FifoQueue] = {}
     for qid, qconf in network.queues.items():
         flows = [fid for _, fid, _ in feeds["queue", qid]]

@@ -84,19 +84,18 @@ class Trajectory:
     ``integrate_hold`` and ``integrate_hold_steps`` answer every row.
 
     The hold integrals read a running sum from 0 that is kept in a window,
-    not for the whole history: the engine's integrals only move forward,
-    so a read past the window's end moves the part still in reach to the
-    front, and the window doubles only when one read spans more than it
-    holds.  A read below the window restarts it at 0 and sums forward
-    again; a read from ``t = 0`` after a run does so, and gets the same
-    bits.
+    not for the whole history: the window holds exactly the entries summed
+    into it.  The engine's integrals only move forward, so a read past the
+    window's end builds the next window from the part still in reach, no
+    wider than twice the read's span or 1024 entries.  A read below the
+    window restarts it at 0 and sums forward again; a read from ``t = 0``
+    after a run does so, and gets the same bits.
 
     Concurrency: single writer appends; readers of strictly past data are
     safe.
     """
 
-    __slots__ = ("dt", "_buf", "_n", "_cum", "_c0", "_ncum", "initial_value",
-                 "pruned_before")
+    __slots__ = ("dt", "_buf", "_n", "_cum", "_c0", "initial_value", "pruned_before")
 
     def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int):
         self.dt = dt
@@ -104,12 +103,10 @@ class Trajectory:
         self._buf = np.empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
         # _cum[..., i - _c0] = integral from 0 to i * dt, each value held
-        # to the next sample, for _c0 <= i < _ncum: a window allocated on
-        # the first integral and extended by each integral only through the
-        # last sample it reads
-        self._cum = None
+        # to the next sample: a window of exactly the entries summed, from
+        # entry 0 alone until an integral reads past it
+        self._cum = np.zeros(self.initial_value.shape + (1,))
         self._c0 = 0
-        self._ncum = 0
         # prune_before() raises this floor; reads older than it fail
         self.pruned_before = -math.inf
 
@@ -169,44 +166,36 @@ class Trajectory:
         return out
 
     def _cumulative(self, lo: int, top: int) -> int:
-        """Fill the hold cumulative's window through entry ``top - 1``,
+        """Sum the hold cumulative's window through entry ``top - 1``,
         sample ``top - 1``'s, with entries ``lo`` on still in it, and return
         the index of its first entry.
 
-        Missing cells are written after the last filled entry and summed in
-        place from it: ``np.add.accumulate`` adds in sequence, so each entry
-        is exactly the one-at-a-time running sum from 0, however the
-        entries are split between calls and windows.  A fill past the
-        window's end first moves the live tail, from ``lo`` or from the
-        last filled entry if that is lower, to the front; the window
-        doubles only when the span from ``lo`` to ``top`` needs it.  An
-        ``lo`` below the window restarts it at entry 0.
+        A read past the window's end builds the next window from ``lo``, or
+        from the last summed entry if that is lower, copies the live tail
+        into it and sums the new cells in place from that last entry:
+        ``np.add.accumulate`` adds in sequence, so each entry is exactly the
+        one-at-a-time running sum from 0, however the entries are split
+        between calls and windows.  A window spans at most
+        ``max(2 * (top - lo), 1024)`` entries, so a read far past its end
+        slides it forward in steps.  An ``lo`` below it restarts it at
+        entry 0.
         """
-        rows, size = self._buf.shape[:-1], self._buf.shape[-1]
-        if self._cum is None:
-            self._cum = np.zeros(rows + (min(max(2 * (top - lo), 1024), size),))
-        if lo < self._c0 or not self._ncum:
-            self._cum[..., 0] = 0.0
-            self._c0, self._ncum = 0, 1
-        while top > self._ncum:
-            c0, n0, cum = self._c0, self._ncum, self._cum
-            width = cum.shape[-1]
-            if n0 == c0 + width:
-                keep = min(lo, n0 - 1)
-                if top - lo > width:
-                    width = min(max(2 * width, top - lo), size)
-                    self._cum = np.zeros(rows + (width,))
-                # numpy copies an overlapping slice as if through a buffer
-                self._cum[..., :n0 - keep] = cum[..., keep - c0:]
-                self._c0 = c0 = keep
-            end = min(top, c0 + width)
-            cells = self._cum[..., n0 - 1 - c0:end - c0]
+        if lo < self._c0:
+            self._cum, self._c0 = np.zeros(self.initial_value.shape + (1,)), 0
+        while top > self._c0 + self._cum.shape[-1]:
+            c0, cum = self._c0, self._cum
+            last = c0 + cum.shape[-1] - 1
+            keep = min(lo, last)
+            end = min(top, keep + max(2 * (top - lo), 1024))
+            self._cum = np.empty(cum.shape[:-1] + (end - keep,))
+            self._cum[..., :last + 1 - keep] = cum[..., keep - c0:]
+            self._c0 = keep
+            cells = self._cum[..., last - keep:]
             # each cell as wide as its grid times
-            grid = np.arange(n0 - 1, end) * self.dt
+            grid = np.arange(last, end) * self.dt
             np.subtract(grid[1:], grid[:-1], out=cells[..., 1:])
-            cells[..., 1:] *= self._buf[..., n0 - 1:end - 1]
+            cells[..., 1:] *= self._buf[..., last:end - 1]
             np.add.accumulate(cells, axis=-1, out=cells)
-            self._ncum = end
         return self._c0
 
     def integrate_hold(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ackflow.engine as engine
 from ackflow.engine import (
-    BLOCK_CAP_TICKS, SimConfig, SimulationError, _channel_delays_s, block_schedule,
+    BLOCK_CAP_TICKS, SimConfig, SimulationError, _feeds, block_schedule,
     circuit_backward_time, input_lags, shortest_cycles, simulate,
 )
 from ackflow.history import CausalityError, Trajectory
@@ -501,7 +501,8 @@ class TestGridRefinement:
         net = to_network(sc)
 
         def queues(dt):
-            assert not any(engine._lag_ticks(d, dt)[1] for d in _channel_delays_s(net))
+            assert not any(engine._lag_ticks(d, dt)[1]
+                           for reads in _feeds(net).values() for _, _, d in reads)
             traces = simulate(net, sc, SimConfig(dt_s=dt, horizon_s=2.0, init="cold"))
             stride = round(0.01 / dt)
             assert stride * dt == pytest.approx(0.01, rel=1e-12)
@@ -720,6 +721,18 @@ class TestHorizonIndependence:
         for name in short.signals:
             assert np.array_equal(short[name], long[name][:n]), name
 
+    @pytest.mark.parametrize("horizon_s", [0.03515, 6e-5])
+    def test_a_horizon_off_the_grid_ends_at_the_tick_before_it(self, horizon_s):
+        # a run's ticks are every k * dt at or before the horizon: the
+        # nearest tick would be 0.0352 s and 1e-4 s, past it
+        sc = load_scenario("squarewave")
+        short, long = (simulate(to_network(sc), sc, SimConfig(
+            dt_s=1e-4, horizon_s=h, init=sc.run.init)) for h in (horizon_s, 0.05))
+        n = len(short.time)
+        assert short.time[-1] <= horizon_s < short.time[-1] + 1e-4
+        for name in short.signals:
+            assert np.array_equal(short[name], long[name][:n]), name
+
 
 class TestMemory:
     @pytest.mark.parametrize("source", ["scenario3", OFFGRID_YAML, "squarewave"],
@@ -770,7 +783,8 @@ class TestPruning:
 
         monkeypatch.setattr(Trajectory, "prune_before", spy)
         maps = [q.forward_map for q in run(sc, prune_history=True).queues.values()]
-        lag = sum(_channel_delays_s(to_network(sc))) + engine.PRUNE_MARGIN_S
+        delays = [d for reads in _feeds(to_network(sc)).values() for _, _, d in reads]
+        lag = sum(delays) + engine.PRUNE_MARGIN_S
         assert sorted({round(t + lag, 9) for t, _, _ in calls}) == [6.0, 7.0, 8.0]
         for t, traj, recorded in calls:
             # a time map holds one sample more than the flows: its step ends

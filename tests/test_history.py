@@ -179,20 +179,23 @@ class TestIntegrate:
         # touches; records alone never extend it
         tr = make([float(k + 1) for k in range(15)], dt=0.5, n_ticks=20)
         tops = []
+
+        def window_end():
+            return tr._c0 + tr._cum.shape[-1]
+
         tr.integrate_hold(np.array([-0.5]), np.array([1.2]))     # through sample 2
-        tops.append(tr._ncum)
+        tops.append(window_end())
         tr.integrate_hold(np.array([0.0]), np.array([0.7]))      # already covered
-        tops.append(tr._ncum)
+        tops.append(window_end())
         tr.integrate_hold(np.array([-1.0]), np.array([-0.5]))    # the pre-history only
-        tops.append(tr._ncum)
+        tops.append(window_end())
         tr.integrate_hold(np.array([0.3, 2.0]), np.array([3.1, 2.6]))  # sample 6
-        tops.append(tr._ncum)
+        tops.append(window_end())
         tr.integrate_hold_steps(np.array([3.2, 3.9, 4.5]))      # sample 9
-        tops.append(tr._ncum)
+        tops.append(window_end())
         tr.record(7.5, [1.0, 1.0])
-        tops.append(tr._ncum)
+        tops.append(window_end())
         assert tops == [3, 3, 3, 7, 10, 10]
-        assert not tr._cum[10 - tr._c0:].any()
         assert tr.integrate_hold(np.array([0.0]), np.array([4.5])).tolist() == [
             sum(range(1, 10)) * 0.5]
 
@@ -203,8 +206,8 @@ class TestIntegrate:
         # time only rises, as the engine's do, and reads below the window
         # mixed in: every read is bitwise the one on a cumulative built
         # whole, and the window holds at most twice the widest read's cells
-        # (or 1024), so it moves its live tail to the front instead of
-        # growing with the history
+        # (or 1024), so it slides forward instead of growing with the
+        # history, and ends at or before the highest entry a read needed
         dt = 0.003
         n = data.draw(st.integers(1, 5000), label="n")
         initial = data.draw(st.sampled_from([0.25, [1.5, 2.0]]), label="initial")
@@ -213,7 +216,7 @@ class TestIntegrate:
         whole = make(values, dt=dt, initial=initial, n_ticks=n)
         whole.integrate_hold(np.array([0.0]), np.array([(n - 1) * dt]))
         tr = Trajectory(dt, initial, n_ticks=n)
-        floor, widest = -2.0 * dt, 0
+        floor, widest, needed = -2.0 * dt, 0, 0
         while len(tr) < n:
             k = len(tr)
             tr.record(k * dt, values[..., k:k + data.draw(st.integers(1, 700))])
@@ -228,6 +231,7 @@ class TestIntegrate:
                 t = np.concatenate((t0, t1))
                 cells = grid_index(np.maximum(t, 0.0), dt)
                 widest = max(widest, int(cells.max() - cells.min()) + 1)
+                needed = max(needed, int(cells.max()) + 1)
                 if data.draw(st.booleans(), label="steps"):
                     t = np.sort(t)
                     assert (tr.integrate_hold_steps(t).tobytes()
@@ -236,6 +240,7 @@ class TestIntegrate:
                     assert (tr.integrate_hold(t0, t1).tobytes()
                             == whole.integrate_hold(t0, t1).tobytes()), (t0, t1)
                 assert tr._cum.shape[-1] <= min(max(2 * widest, 1024), n)
+                assert tr._c0 + tr._cum.shape[-1] <= needed
 
     def test_steps_are_the_pairwise_integrals_with_their_checks(self):
         # integrate_hold_steps(t) is integrate_hold(t[:-1], t[1:]) to the bit,

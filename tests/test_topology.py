@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ackflow.engine import (
-    SimConfig, SimulationError, _channel_delays_s, circuit_backward_time, simulate,
+    SimConfig, SimulationError, _feeds, circuit_backward_time, simulate,
 )
 from ackflow.fifo_queue import FifoQueue
 from ackflow.scenario import (
@@ -171,14 +171,16 @@ class TestCircuitInvariants:
         for user in net.users.values():
             assert user.total_delay_s == pytest.approx(
                 sum(user.hop_delays_s) + user.return_delay_s)
-        assert sum(_channel_delays_s(net)) == pytest.approx(
+        delays = [d for reads in _feeds(net).values() for _, _, d in reads]
+        assert sum(delays) == pytest.approx(
             sum(u.total_delay_s for u in net.users.values()))
 
     def test_min_positive_delay(self):
         # the dt headroom check reads the smallest positive channel delay,
         # u1's 20 ms hop, past the zero-delay hops
         net = series_net()
-        assert min(d for d in _channel_delays_s(net) if d > 0) == pytest.approx(0.02)
+        delays = [d for reads in _feeds(net).values() for _, _, d in reads]
+        assert min(d for d in delays if d > 0) == pytest.approx(0.02)
         with pytest.raises(SimulationError, match=r"positive propagation delay 0\.02s;"):
             simulate(net, None, SimConfig(dt_s=0.0021, horizon_s=0.01, init="cold"))
         simulate(net, None, SimConfig(dt_s=0.0019, horizon_s=0.01, init="cold"))

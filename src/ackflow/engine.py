@@ -27,8 +27,7 @@ component's next block ends at the least of the horizon, its frontier
 plus ``BLOCK_CAP_TICKS``, and each input's reach plus that input's lag.
 Only the engine puts a run on its grid: the elements' descriptions are in
 seconds, and ``_window_jumps`` snaps a user's window steps to ticks, while
-the delays ``_feeds`` lists give the coarsest ``dt`` allowed and the
-history the pruning keeps.
+the delays ``_feeds`` lists give the coarsest ``dt`` allowed.
 
 An input's reach is the number of ticks of its outputs recorded: a user's
 frontier, and a queue's departures, which run ahead of its frontier while
@@ -61,9 +60,13 @@ the topology refuses zero-delay cycles of queues), so some component can
 always advance.  One partial block at a time needs no order among the
 components: a queue behind a zero-delay hop waits for its upstream queue's
 block.  ``simulate`` takes the schedule to each barrier in turn (with
-pruning on, each pruning tick + 1, then the horizon), runs and counts the
-blocks (``TraceSet.blocks``), fills the flight integrals up to it and
-prunes the histories there.
+pruning on, each whole simulated second, then the horizon), runs and
+counts the blocks (``TraceSet.blocks``), fills the flight integrals up to
+it and prunes the histories there, to the oldest time a later read can
+reach from the barrier's time ``T``: the least of ``T`` less the longest
+channel delay and one sample, each queue's backward image of ``T``, where
+its transport resumes, and each user's circuit entry time at ``T``.  Both
+images are nondecreasing in ``T``, so no later read reaches further back.
 
 Reads, profile rates, the circuit inversion and the queue transport are
 array arithmetic over a block.  The ACK-buffer and backlog recurrences run
@@ -118,10 +121,6 @@ from .user import UserState
 __all__ = ["SimConfig", "TraceSet", "SimulationError", "simulate"]
 
 
-# history readable after pruning: the sum of all channel delays plus this
-# margin, which covers the queueing delays in any backward read
-PRUNE_MARGIN_S = 5.0
-
 # most ticks in one block, in a queue's departures past its frontier and in
 # one chunk of a user's flight, whatever the delays and the backlog: the one
 # bound on an array pass
@@ -169,9 +168,9 @@ class _Reader:
     (``...`` for a one-signal history), or of an analytic profile."""
 
     # Neither slice path checks the history's prune floor, and neither needs
-    # to: each reads at most one channel delay plus one tick back, while the
-    # floor lags the current time by the sum of all channel delays plus
-    # PRUNE_MARGIN_S.
+    # to: each reads at most one channel delay plus one sample back from a
+    # block's first tick, and ``simulate`` sets the floor at least that far
+    # back from the barrier every later block starts at or after.
     __slots__ = ("traj", "row", "profile", "delay", "lag", "off_grid")
 
     def __init__(self, *, dt_s, traj=None, row=..., profile=None, delay_s=0.0):
@@ -438,7 +437,6 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             new_columns(qid, "q", "r", "arrival", "congested"), grid, dt)
 
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
-    prune_lag = sum(delays) + PRUNE_MARGIN_S
     histories = [h for q in queues.values()
                  for h in (q.forward_map, q.arrivals, q.departures)]
     histories += [st.sending for st in states.values()]
@@ -448,8 +446,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     frontier = dict.fromkeys(lags, 0)
     reach = dict(frontier)
     blocks = dict.fromkeys(bodies, 0)
-    # each pruning tick + 1, then the horizon
-    barriers = range(1, n_ticks, prune_every) if prune_every else ()
+    # with pruning on, each whole simulated second, then the horizon
+    barriers = range(prune_every, n_ticks, prune_every) if prune_every else ()
     done = 0
     for barrier in (*barriers, n_ticks):
         for key, k0, k1 in block_schedule(lags, cycles, frontier, barrier, dt, reach):
@@ -474,10 +472,15 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
         done = barrier
-        t = (barrier - 1) * dt
-        if prune_every and (barrier - 1) % prune_every == 0 and t > prune_lag:
+        if prune_every:
+            # every later read starts at or after this barrier's time
+            now = grid[barrier:barrier + 1]
+            floor = min(now[0] - max(delays, default=0.0) - dt,
+                        *(q.backward_time(now)[0] for q in queues.values()),
+                        *(circuit_backward_time(u, queues, now)[0]
+                          for u in network.users.values()))
             for h in histories:
-                h.prune_before(t - prune_lag)
+                h.prune_before(floor)
 
     # sent minus acked, added tick by tick in place from the start's window
     for uid, (_, balance, w0) in flights.items():

@@ -248,23 +248,20 @@ class FifoQueue:
             masses[:, tail] = (self.arrivals.integrate_hold(g0[tail], t0[tail])
                                + rates[:, busy][:, tail] * (g1 - t0)[tail])
         arrived = _sum_rows(masses)
-        fed = arrived > 0.0
-        stalled = not fed.all()
-        # a step with no arrival mass gets 0 here and its mix below
+        stalled = ~(arrived > 0.0)
+        if stalled.any():
+            # no arrival mass to split: the backlog's mix, as masses totalling 1
+            masses[:, stalled] = _mix(self.arrivals.initial_value)[:, None]
+            arrived[stalled] = 1.0
+            self.stall_fallbacks += int(np.count_nonzero(stalled & congested[busy]))
         with np.errstate(over="ignore", invalid="ignore"):
-            shares = (departed / (np.where(fed, arrived, np.inf) if stalled else arrived)
-                      / width * masses)
+            shares = departed / arrived / width * masses
         # an arrival mass far below the departures over it (subnormal input
         # rates) overflows the quotient; take the masses' fractions first
         if not np.isfinite(shares).all():
             big = ~np.isfinite(shares).all(axis=0)
             shares[:, big] = masses[:, big] / arrived[big] * (departed[big] / width[big])
         np.copyto(outs[:, busy], shares, where=congested[busy])
-        if stalled:
-            mix = _mix(self.arrivals.initial_value)
-            for j in np.flatnonzero(~fed & congested[busy]):
-                self.stall_fallbacks += 1
-                outs[:, busy.start + j] = departed[j] / width[j] * mix
         return outs
 
     def record_outputs(self, t: float, rates) -> None:

@@ -632,7 +632,6 @@ class TestFlightRecord:
         traces = whole = simulate(to_network(sc), sc, config)
         if pruned:
             monkeypatch.setattr(engine, "BLOCK_CAP_TICKS", 7)
-            monkeypatch.setattr(engine, "PRUNE_MARGIN_S", 0.5)
             traces = simulate(to_network(sc), sc,
                               dataclasses.replace(config, prune_history=True))
         t = whole.time
@@ -761,19 +760,41 @@ class TestMemory:
 
 class TestPruning:
     def test_pruned_run_is_bitwise_equal_to_unpruned(self):
-        # pruning starts once t exceeds the delays plus the 5 s margin and
-        # repeats every simulated second: 8 s gives three prunes, at 6, 7
-        # and 8 s
+        # the histories are pruned at every whole second from 1 s on, and
+        # at the horizon: no read goes below a floor, nor does any trace
+        # change
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
         full, pruned = run(sc), run(sc, prune_history=True)
         assert pruned.queues["b1"].arrivals.pruned_before > 0
         for name in full.signals:
             assert np.array_equal(full[name], pruned[name]), name
 
+    def test_a_queue_deeper_than_the_channels_prunes_behind_its_backlog(self):
+        # an 800-pkt window on a 100 pkt/s queue holds about 8 s of backlog
+        # behind 20 ms of channels: the transport and the flight read back
+        # that far, so the floor trails each barrier by the queueing delay
+        sc = Scenario(
+            name="deep", packet_bytes=1000, queues=(QueueConf("b1", 100.0),),
+            users=(UserConf("u1", ("b1",), (0.01,), 0.01, ScheduledProtocol(800.0)),),
+            run=RunConf(1e-3, 20.0, "equilibrium"))
+        full, pruned = run(sc), run(sc, prune_history=True)
+        assert full["tau.b1"][-1] == pytest.approx(7.98)
+        # the last floor: the horizon's barrier less both channels and tau
+        floor = pruned.queues["b1"].arrivals.pruned_before
+        assert floor == pytest.approx(20.0 - 0.02 - 7.98, abs=2e-3)
+        for name in full.signals:
+            assert np.array_equal(full[name], pruned[name]), name
+
     def test_every_history_waits_at_each_pruning_tick(self, monkeypatch):
-        # the histories are pruned at 6, 7 and 8 s, once all the components
-        # have recorded through that tick and none beyond it
+        # a barrier falls at every whole second and at the horizon; at each
+        # one every history is pruned once, after every component has
+        # recorded through the barrier and none beyond it, to the oldest
+        # time a later read can reach from the barrier's time T: the least
+        # of T less the longest channel delay and one step, each queue's
+        # backward image of T and each user's circuit entry time at T, here
+        # recomputed from the unpruned run's histories
         sc = two_user_scenario(steps1=[(2.0, 150.0)], horizon=8.0, cross=100.0)
+        dt = sc.run.dt_s
         calls = []
         prune = Trajectory.prune_before
 
@@ -782,14 +803,23 @@ class TestPruning:
             prune(traj, t)
 
         monkeypatch.setattr(Trajectory, "prune_before", spy)
-        maps = [q.forward_map for q in run(sc, prune_history=True).queues.values()]
+        pruned = run(sc, prune_history=True)
+        monkeypatch.undo()
+        full = run(sc)
+        maps = [q.forward_map for q in pruned.queues.values()]
+        histories = len(maps) * 3 + len(sc.users)
         delays = [d for reads in _feeds(to_network(sc)).values() for _, _, d in reads]
-        lag = sum(delays) + engine.PRUNE_MARGIN_S
-        assert sorted({round(t + lag, 9) for t, _, _ in calls}) == [6.0, 7.0, 8.0]
+        floors = {}
         for t, traj, recorded in calls:
             # a time map holds one sample more than the flows: its step ends
-            recorded -= any(traj is m for m in maps)
-            assert recorded == round((t + lag) / sc.run.dt_s) + 1
+            floors.setdefault(recorded - any(traj is m for m in maps), []).append(t)
+        assert sorted(floors) == [*range(1000, 8001, 1000), 8001]
+        for barrier, ts in floors.items():
+            at = np.array([barrier * dt])
+            bound = min(at[0] - max(delays) - dt,
+                        *(q.backward_time(at)[0] for q in full.queues.values()),
+                        *(circuit_backward_time(u, full.queues, at)[0] for u in sc.users))
+            assert ts == [bound] * histories, barrier
 
 
 class TestSharedPath:
@@ -1212,6 +1242,26 @@ class TestRandomTopologies:
         for name in traces.signals:
             assert np.array_equal(traces[name], capped[name]), name
             assert np.array_equal(traces[name], held[name]), name
+
+    @given(sc=random_chains())
+    @settings(max_examples=10, deadline=None)
+    def test_random_chains_prune_every_history_and_change_no_trace(self, sc):
+        # over 3 s, on or off the grid, with FAST users, rate flows and
+        # either start, every history's floor rises above 0 and no read
+        # goes below it.  The unpruned run keeps the pruned run's barriers,
+        # so only the floors differ between the two: a flight filled at a
+        # barrier may invert a time map that is flat to an ulp, whose
+        # binary search depends on the samples recorded by then
+        sc = dataclasses.replace(sc, run=dataclasses.replace(sc.run, horizon_s=3.0))
+        pruned = run(sc, prune_history=True)
+        with mock.patch.object(Trajectory, "prune_before", lambda traj, t: None):
+            full = run(sc, prune_history=True)
+        histories = [st.sending for st in pruned.users.values()]
+        histories += [h for q in pruned.queues.values()
+                      for h in (q.forward_map, q.arrivals, q.departures)]
+        assert min(h.pruned_before for h in histories) > 0.0
+        for name in full.signals:
+            assert np.array_equal(full[name], pruned[name]), name
 
 
 @functools.cache

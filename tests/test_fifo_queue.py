@@ -222,6 +222,28 @@ class TestOutputSeparation:
         for k, (out, service) in enumerate(zip(tr["out"], tr["service"])):
             assert out == pytest.approx((service / 2, service / 2), rel=1e-12), k
 
+    def test_a_stall_takes_the_pre_historys_proportional_mix(self):
+        # pre-history rates of 3e-320 and 1e-320 pkt/s total more than 0,
+        # so the 2-pkt backlog's mix is theirs, 3:1; over one 1e-5 s step
+        # their masses mostly underflow to 0, and each step left with none
+        # goes out at 75 and 25 pkt/s, however the ticks are cut into blocks
+        dt, n = 1e-5, 200
+        runs = []
+        for block in (1, 7, n):
+            q = FifoQueue("b", 100.0, ["f1", "f2"], dt_s=dt, backlog0_pkts=2.0,
+                          input_rates0={"f1": 3e-320, "f2": 1e-320}, n_ticks=n)
+            runs.append((drive(q, [lambda t: 0.0] * 2, dt=dt, n_ticks=n, block=block),
+                         q.stall_fallbacks))
+        assert all(run == runs[0] for run in runs[1:])
+        tr, stall_fallbacks = runs[0]
+        t = np.arange(n + 1) * dt
+        masses = q.arrivals.integrate_hold_steps(q.backward_time(t))
+        stalled = ~(masses.sum(axis=0) > 0.0)
+        assert stall_fallbacks == stalled.sum() == 188
+        assert set(tr["service"]) == {100.0}
+        for k in np.flatnonzero(stalled):
+            assert tr["out"][k] == pytest.approx((75.0, 25.0), rel=1e-12), k
+
 
 class TestBlocks:
     def test_block_size_leaves_every_trace_bitwise_equal(self):

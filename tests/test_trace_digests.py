@@ -8,7 +8,7 @@ window step (scenario1, staticlink), ACK retaining after a window cut
 ``FROZEN_REFILL`` moves scenario7's window cut off the ACK grid, so that
 its ACK buffer refills inside a step, which no preset does.
 ``FROZEN_FULL`` runs every preset and fast_pair_offgrid over its whole
-horizon, under the ``slow`` marker.
+horizon, with pruning off and on, under the ``slow`` marker.
 A refactor that claims identical engine behaviour must leave these digests
 unchanged.  A deliberate behaviour change re-freezes them and says why in
 CHANGES.md.
@@ -90,12 +90,14 @@ FROZEN_FULL = {
 }
 
 
-def trace_digest(source, horizon_s: float | None = HORIZON_S) -> str:
+def trace_digest(source, horizon_s: float | None = HORIZON_S,
+                 prune_history: bool = False) -> str:
     """Digest of a run of a scenario, or of the one a source names, over
     ``horizon_s``, or the scenario's own horizon."""
     sc = load_scenario(source) if isinstance(source, str) else source
     traces = simulate(to_network(sc), sc, SimConfig(
-        dt_s=sc.run.dt_s, horizon_s=horizon_s or sc.run.horizon_s, init=sc.run.init))
+        dt_s=sc.run.dt_s, horizon_s=horizon_s or sc.run.horizon_s, init=sc.run.init,
+        prune_history=prune_history))
     digest = hashlib.sha256()
     for signal in sorted(traces.signals):
         digest.update(signal.encode())
@@ -128,7 +130,10 @@ def test_an_ack_buffer_refill_inside_a_step_is_frozen():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("source", list(FROZEN_FULL),
-                         ids=[Path(s).stem for s in FROZEN_FULL])
-def test_full_horizon_trace_digest_unchanged(source):
-    assert trace_digest(source, None) == FROZEN_FULL[source]
+@pytest.mark.parametrize("source, prune_history", [
+    (s, prune) for s in FROZEN_FULL for prune in (False, True)],
+    ids=[Path(s).stem + suffix for s in FROZEN_FULL for suffix in ("", "-pruned")])
+def test_full_horizon_trace_digest_unchanged(source, prune_history):
+    # pruning only raises the floor below which a read fails, so a pruned
+    # run hashes as the unpruned one does
+    assert trace_digest(source, None, prune_history) == FROZEN_FULL[source]

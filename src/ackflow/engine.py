@@ -87,8 +87,10 @@ slice.  The flows (a user's sending, a queue's (flows x ticks) input and
 output rates) are the histories the blocks read back, a reader holding a
 history and its row: one slice when a delay is a grid multiple, else two
 slices, the samples either side of each tick's delayed time, with a
-per-tick interpolation weight; the returned traces are views of the
-histories.
+per-tick interpolation weight.  Every full-length array of a run, its
+histories, its other traces and the tick times, is a contiguous piece of
+one store, sized from ``_feeds`` and allocated once (``_store``), and the
+returned traces are views of it.
 
 A user's flight, in two forms, checks the conservation law (what was sent
 is in flight, lost or received): ``flight`` is the sending history's hold
@@ -145,7 +147,8 @@ class SimConfig(RunConf):
 class TraceSet:
     """All recorded signals of one run, on the shared engine grid.
 
-    The flow signals view the histories in ``queues`` and ``users``.
+    The flow signals view the histories in ``queues`` and ``users``, and
+    every signal and ``time`` view the run's one store.
     """
 
     time: np.ndarray
@@ -352,6 +355,26 @@ def block_schedule(lags: dict, cycles: dict, frontier: dict, barrier: int, dt: f
             frontier[furthest[0]] = furthest[2]
 
 
+def _store(feeds: dict, n_ticks: int, config: SimConfig) -> np.ndarray:
+    """One float64 allocation for every full-length array of a run, in
+    rows of ``n_ticks`` samples: per queue its flows' arrival and departure
+    rows and its ``q``, ``r``, ``arrival``, ``congested`` and ``tau``, per
+    user its sending history, its ACKs and its ``w``, ``ackbuf``,
+    ``flight``, ``flight_ode`` and ``active``; and one sample longer, each
+    queue's forward map and the tick times.  numpy asks the kernel to map
+    an allocation of 4 MiB or more in huge pages.  A run too large to
+    allocate fails here, before any other full-length array exists."""
+    queues = [reads for (kind, _), reads in feeds.items() if kind == "queue"]
+    signals = sum(2 * len(reads) + 5 for reads in queues) + 7 * (len(feeds) - len(queues))
+    size = signals * n_ticks + (len(queues) + 1) * (n_ticks + 1)
+    try:
+        return np.empty(size)
+    except (MemoryError, ValueError) as err:  # ValueError: past 2**63 bytes
+        raise SimulationError(
+            f"horizon_s={config.horizon_s!r} at dt_s={config.dt_s!r} is {n_ticks} ticks "
+            f"of {signals} signals, {8 * size} bytes: too large to allocate") from err
+
+
 def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSet:
     """Run the fluid model on ``network``; returns every signal on the
     engine grid.  ``scenario`` is only handed back in the ``TraceSet``.
@@ -382,8 +405,20 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
     eq_init = equilibrium_queue(network) if config.init == "equilibrium" else None
 
     n_ticks = _lag_ticks(config.horizon_s, dt)[0] + 1
-    # the tick times, and the end of the last step
-    grid = np.arange(n_ticks + 1) * dt
+    store, used = _store(feeds, n_ticks, config), 0
+
+    def empty(shape: tuple) -> np.ndarray:
+        """The store's next ``shape`` of samples, contiguous."""
+        nonlocal used
+        start, used = used, used + math.prod(shape)
+        return store[start:used].reshape(shape)
+
+    # the tick times, and the end of the last step, a bitwise arange * dt
+    # made a piece at a time: a full-length temporary would stay resident
+    grid = empty((n_ticks + 1,))
+    for k0 in range(0, n_ticks + 1, BLOCK_CAP_TICKS):
+        k1 = min(k0 + BLOCK_CAP_TICKS, n_ticks + 1)
+        np.multiply(np.arange(k0, k1), dt, out=grid[k0:k1])
     queues: dict[str, FifoQueue] = {}
     for qid, qconf in network.queues.items():
         flows = [fid for _, fid, _ in feeds["queue", qid]]
@@ -393,7 +428,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
             rates0 = eq_init.rates_pps
         queues[qid] = FifoQueue(qid, qconf.capacity_pps, flows, dt_s=dt,
                                 backlog0_pkts=backlog0, input_rates0=rates0,
-                                n_ticks=n_ticks)
+                                n_ticks=n_ticks, empty=empty)
 
     def reader(src, fid: str, delay_s: float) -> _Reader:
         """The read of one ``_feeds`` entry."""
@@ -407,11 +442,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
                        dt_s=dt)
 
     # traces, named here once: the flows are history rows, every other
-    # signal a preallocated column the blocks fill
+    # signal a column of the store the blocks fill
     columns: dict[str, np.ndarray] = {}
 
     def new_columns(owner: str, *names: str) -> tuple:
-        new = tuple(np.empty(n_ticks) for _ in names)
+        new = tuple(empty((n_ticks,)) for _ in names)
         columns.update((f"{name}.{owner}", col) for name, col in zip(names, new))
         return new
 
@@ -424,7 +459,8 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         proto = uconf.protocol
         w0 = proto.initial_window_pkts if eq_init is not None else 0.0
         send0 = eq_init.rates_pps[uid] if eq_init is not None else 0.0
-        states[uid] = UserState(w0, dt_s=dt, sending0_pps=send0, n_ticks=n_ticks)
+        states[uid] = UserState(w0, dt_s=dt, sending0_pps=send0, n_ticks=n_ticks,
+                                empty=empty)
         w, ackbuf, flight, flight_ode, active = new_columns(
             uid, "w", "ackbuf", "flight", "flight_ode", "active")
         flights[uid] = (flight, flight_ode, w0)  # w0: the mass in flight at t=0
@@ -435,6 +471,11 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         bodies["queue", qid] = functools.partial(
             _queue_block, q, [reader(*read) for read in feeds["queue", qid]],
             new_columns(qid, "q", "r", "arrival", "congested"), grid, dt)
+    # filled after the last block, named there to keep the signals' order
+    taus = {qid: empty((n_ticks,)) for qid in queues}
+    # _store's count and the arrays carved here must agree
+    if used != store.size:
+        raise SimulationError(f"the run's arrays hold {used} samples, its store {store.size}")
 
     prune_every = max(1, int(1.0 / dt)) if config.prune_history else 0
     histories = [h for q in queues.values()
@@ -494,7 +535,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         columns.update((f"in.{qid}.{fid}", row) for fid, row in q.inputs.items())
         columns.update((f"out.{qid}.{fid}", row) for fid, row in q.outputs.items())
         # q / capacity, which IEEE division rounds as a per-tick one would
-        columns[f"tau.{qid}"] = columns[f"q.{qid}"] / q.capacity
+        columns[f"tau.{qid}"] = np.divide(columns[f"q.{qid}"], q.capacity, out=taus[qid])
     for uid, st in states.items():
         columns[f"send.{uid}"] = st.sending.values
         columns[f"ack.{uid}"] = st.acks

@@ -55,6 +55,9 @@ class FifoQueue:
         from which ``backward_time`` answers reads at simulation start.
     n_ticks : int
         Ticks of the run: every history is sized once to hold them.
+    empty : callable
+        Allocates the histories' samples, called with a shape: ``np.empty``,
+        or the carver of the engine's one store.
 
     ``forward_map`` holds the arrival->departure map from ``t = 0`` on:
     sample ``i`` is the departure time of what arrives at ``i * dt``.  Its
@@ -79,6 +82,7 @@ class FifoQueue:
         backlog0_pkts: float = 0.0,
         input_rates0: dict[str, float] | None = None,
         n_ticks: int,
+        empty=np.empty,
     ):
         self.queue_id = queue_id
         self.capacity = float(capacity_pps)
@@ -86,12 +90,12 @@ class FifoQueue:
         self.backlog = float(backlog0_pkts)
         rates0 = np.array([(input_rates0 or {}).get(f, 0.0) for f in self.flow_ids],
                           dtype=np.float64)
-        self.arrivals = Trajectory(dt_s, rates0, n_ticks=n_ticks)
-        self.departures = Trajectory(dt_s, rates0, n_ticks=n_ticks)
+        self.arrivals = Trajectory(dt_s, rates0, n_ticks=n_ticks, empty=empty)
+        self.departures = Trajectory(dt_s, rates0, n_ticks=n_ticks, empty=empty)
         # backward_time answers the pre-start line from the map's
         # initial_value, tau0, which is also its first sample
         tau0 = self.backlog / self.capacity
-        self.forward_map = Trajectory(dt_s, tau0, n_ticks=n_ticks + 1)
+        self.forward_map = Trajectory(dt_s, tau0, n_ticks=n_ticks + 1, empty=empty)
         self.forward_map.record(0.0, tau0)
         self.stall_fallbacks = 0
 

@@ -17,7 +17,8 @@ the future with ``CausalityError``: a time past the newest sample through
 ``check_recorded``, which the engine's index reads call too, and a value
 past a time map's newest sample through the inversion's range check.  A
 read of zero times answers zero values.  The samples are also the engine's
-output: its traces are zero-copy views of them.
+output: it carves every history from one store per run, and its traces
+are zero-copy views of them.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ class Trajectory:
 
     A float ``initial_value`` makes one signal; a sequence of them makes a
     block with one row per value, whose rows share the grid, the recorded
-    length and the read floor.  ``n_ticks`` sizes the history once, and a
-    record past it raises :class:`HistoryError`, so views of the samples
-    stay valid for the whole run.
+    length and the read floor.  ``n_ticks`` sizes the history once, in
+    memory that ``empty`` allocates (called with a shape: ``np.empty``, or
+    the carver of the engine's one store), and a record past it raises
+    :class:`HistoryError`, so views of the samples stay valid for the
+    whole run.
 
     Before ``t = 0`` the signal is its pre-history, the constant
     ``initial_value``, taken to be sampled at ``-dt`` and interpolated to
@@ -97,10 +100,10 @@ class Trajectory:
 
     __slots__ = ("dt", "_buf", "_n", "_cum", "_c0", "initial_value", "pruned_before")
 
-    def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int):
+    def __init__(self, dt: float, initial_value=0.0, *, n_ticks: int, empty=np.empty):
         self.dt = dt
         self.initial_value = np.asarray(initial_value, dtype=np.float64)
-        self._buf = np.empty(self.initial_value.shape + (n_ticks,))
+        self._buf = empty(self.initial_value.shape + (n_ticks,))
         self._n = 0
         # _cum[..., i - _c0] = integral from 0 to i * dt, each value held
         # to the next sample: a window of exactly the entries summed, from

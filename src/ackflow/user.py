@@ -23,16 +23,18 @@ EPS_ACK_BUFFER_PKTS = 1e-9
 
 class UserState:
     """Evolving state of one window-controlled source: the window, which
-    its controller moves, and the ACK buffer, which ``step`` moves."""
+    its controller moves, and the ACK buffer, which ``step`` moves.
+    ``empty``, called with a shape, allocates the sending history's and the
+    ACKs' samples: ``np.empty``, or the carver of the engine's one store."""
 
     __slots__ = ("window", "ack_buffer", "sending", "acks")
 
     def __init__(self, window0_pkts: float, *, dt_s: float, sending0_pps: float = 0.0,
-                 n_ticks: int):
+                 n_ticks: int, empty=np.empty):
         self.window = float(window0_pkts)
         self.ack_buffer = 0.0          # nonpositive; packets to absorb
-        self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks)
-        self.acks = np.empty(n_ticks)  # the arrived ACK rates; no block reads them back
+        self.sending = Trajectory(dt_s, sending0_pps, n_ticks=n_ticks, empty=empty)
+        self.acks = empty((n_ticks,))  # the arrived ACK rates; no block reads them back
 
     def step(self, acks, rates, dt: float, jump: float = 0.0):
         """Advance the ACK buffer over one block of steps of ``dt``.

@@ -757,6 +757,39 @@ class TestMemory:
             beyond.append(peak - sum({id(a): a.nbytes for a in arrays}.values()))
         assert beyond[1] - beyond[0] < round(3.0 / sc.run.dt_s) * 8
 
+    @pytest.mark.parametrize("source", ["scenario3", OFFGRID_YAML, "squarewave"],
+                             ids=["scenario3", "fast_pair_offgrid", "squarewave"])
+    def test_every_returned_array_is_a_piece_of_one_store(self, source):
+        # the signals, the tick times and the forward maps are disjoint
+        # pieces of one allocation, sized exactly: a row per signal and one
+        # sample longer, a row per queue's map and one for the tick times
+        sc = load_scenario(source)
+        traces = simulate(to_network(sc), sc, SimConfig(
+            dt_s=sc.run.dt_s, horizon_s=0.3, init=sc.run.init))
+        arrays = [*traces.signals.values(), traces.time]
+        arrays += [q.forward_map.values for q in traces.queues.values()]
+        store = traces.time.base
+        assert store is not None and all(a.base is store for a in arrays)
+        spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        n, queues = len(traces.time), len(traces.queues)
+        assert store.nbytes == 8 * (len(traces.signals) * n + (queues + 1) * (n + 1))
+
+    @pytest.mark.parametrize("horizon_s, dt_s", [(1e9, 1e-4), (1.0, 2e-18)],
+                             ids=["beyond_memory", "past_2**63_bytes"])
+    def test_a_run_too_large_to_allocate_names_its_size(self, horizon_s, dt_s):
+        # the store is sized before any other full-length array exists, so
+        # its failure is the run's: 1e13 ticks want 800 TiB, 5e17 ticks more
+        # bytes than any array can hold; squarewave has 9 signals, 1 queue
+        sc = load_scenario("squarewave")
+        n = round(horizon_s / dt_s) + 1
+        size = 8 * (9 * n + 2 * (n + 1))
+        with pytest.raises(SimulationError, match=re.escape(
+                f"horizon_s={horizon_s!r} at dt_s={dt_s!r} is {n} ticks of 9 signals, "
+                f"{size} bytes: too large to allocate")):
+            simulate(to_network(sc), sc, SimConfig(dt_s=dt_s, horizon_s=horizon_s,
+                                                   init=sc.run.init))
+
 
 class TestPruning:
     def test_pruned_run_is_bitwise_equal_to_unpruned(self):

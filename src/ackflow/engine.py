@@ -95,12 +95,15 @@ returned traces are views of it.
 A user's flight, in two forms, checks the conservation law (what was sent
 is in flight, lost or received): ``flight`` is the sending history's hold
 integral back to the circuit entry time, ``flight_ode`` the running sum of
-sent minus acked mass.  No block reads them.  ``simulate`` fills ``flight``
-at each barrier, before pruning can put the histories it reads out of
-reach, in chunks of ``BLOCK_CAP_TICKS``, with one circuit inversion per user
-and chunk; only a FAST user's block inverts the circuit too, for its
-queueing delay.  ``flight_ode`` reads only the returned traces, so it is
-summed once, after the last block.
+sent minus acked mass.  No block reads them.  A FAST user's block inverts
+the circuit for its queueing delay and writes the entry times in its
+``flight`` column, which holds them until the fill; ``simulate`` fills
+``flight`` at each barrier, before pruning can put the histories it reads
+out of reach, in chunks of ``BLOCK_CAP_TICKS``, inverting a scheduled
+user's circuit once per chunk and integrating from the entry times in
+place.  So no user's circuit is inverted twice for the same tick.
+``flight_ode`` reads only the returned traces, so it is summed once, after
+the last block.
 """
 
 from __future__ import annotations
@@ -466,7 +469,7 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         flights[uid] = (flight, flight_ode, w0)  # w0: the mass in flight at t=0
         bodies["user", uid] = functools.partial(
             _user_block, uconf, states[uid], _window_jumps(proto, dt, eq_init is None),
-            reader(*feeds["user", uid][0]), (w, ackbuf, active), queues, grid, dt)
+            reader(*feeds["user", uid][0]), (w, ackbuf, active), flight, queues, grid, dt)
     for qid, q in queues.items():
         bodies["queue", qid] = functools.partial(
             _queue_block, q, [reader(*read) for read in feeds["queue", qid]],
@@ -501,14 +504,19 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
         # every component has recorded through tick barrier - 1: the flight
         # integrals up to it read histories the pruning below may put out of
         # reach; each is the sending integral back to the circuit entry
-        # time, each tick's rate held over its step
+        # time, each tick's rate held over its step.  A FAST user's blocks
+        # wrote its entry times in its flight column; a scheduled user's
+        # are written here
         for uid, (flight, _, _) in flights.items():
             conf, sending = network.users[uid], states[uid].sending
+            fast = isinstance(conf.protocol, FastProtocol)
             for k0 in range(done, barrier, BLOCK_CAP_TICKS):
-                ticks = grid[k0:min(k0 + BLOCK_CAP_TICKS, barrier)]
+                k1 = min(k0 + BLOCK_CAP_TICKS, barrier)
+                entry = flight[k0:k1]
                 try:
-                    flight[k0:k0 + len(ticks)] = sending.integrate_hold(
-                        circuit_backward_time(conf, queues, ticks), ticks)
+                    if not fast:
+                        entry[:] = circuit_backward_time(conf, queues, grid[k0:k1])
+                    entry[:] = sending.integrate_hold_to_ticks(entry, k0)
                 except HistoryError as err:
                     raise SimulationError(
                         f"user flight '{uid}' from t={k0 * dt:.6f}: {err}") from err
@@ -553,12 +561,14 @@ def simulate(network: Network, scenario: Scenario, config: SimConfig) -> TraceSe
 
 
 def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
-                columns: tuple, queues: dict, grid: np.ndarray, dt: float,
-                k0: int, k1: int, barrier: int) -> int:
+                columns: tuple, flight: np.ndarray, queues: dict, grid: np.ndarray,
+                dt: float, k0: int, k1: int, barrier: int) -> int:
     """Advance one user over ticks ``[k0, k1)``, cut at its window jumps
     (``jumps``, tick -> jump): each piece takes at most one, at its first
-    tick.  Returns ``k1``, its reach whatever the ``barrier``: a user
-    records its sending flow as far as its frontier."""
+    tick.  A FAST user writes its circuit entry times in its ``flight``
+    column, which ``simulate`` integrates from.  Returns ``k1``, its reach
+    whatever the ``barrier``: a user records its sending flow as far as its
+    frontier."""
     ticks = grid[k0:k1]
     acks = ack_reader.read(k0, ticks)
     st.acks[k0:k1] = acks
@@ -567,7 +577,9 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
     if fast:
         # the queueing delay since the entry of the traffic acknowledged now
         total_delay = conf.total_delay_s
-        lag = (ticks - circuit_backward_time(conf, queues, ticks)) - total_delay
+        entry = circuit_backward_time(conf, queues, ticks)
+        flight[k0:k1] = entry
+        lag = (ticks - entry) - total_delay
         tau = np.where(lag > 0.0, lag, 0.0)
     cuts = [k0, *sorted(k for k in jumps if k0 < k < k1), k1]
     for a, b in zip(cuts, cuts[1:]):
@@ -590,7 +602,8 @@ def _user_block(conf: UserConf, st: UserState, jumps: dict, ack_reader: _Reader,
                 f"divergence in user block '{conf.id}' at "
                 f"t={grid[a + sane.argmin()]:.6f}")
         st.sending.record(grid[a], send)
-        # the flight columns are filled by simulate, off the block path
+        # the flight column holds a FAST user's entry times until simulate
+        # integrates from them, off the block path
         for col, values in zip(columns, (w, pi, active)):
             col[a:b] = values
     return k1

@@ -30,6 +30,10 @@ __all__ = ["FifoQueue"]
 
 # backlog below this many packets counts as empty (avoids float mode flicker)
 EPS_BACKLOG_PKTS = 1e-9
+# least first window of a congested span's scan after the block's first one,
+# which doubles until the span breaks: a backlog that empties every few ticks
+# costs about its block's length, not its square
+SPAN_WINDOW_TICKS = 16
 
 
 class FifoQueue:
@@ -158,14 +162,18 @@ class FifoQueue:
         switch) and whether the queue was congested.
 
         The block runs as regime spans.  A congested span integrates
-        ``(a - c) * dt`` with one ``np.add.accumulate`` from its start
-        backlog and ends at the first tick whose start value no longer
-        congests the queue, or whose end value is negative: that tick
-        empties the queue at the instant ``theta`` inside it.  An uncongested
-        span holds the backlog and serves the arrivals until the first tick
-        whose arrival rate exceeds the capacity.  ``np.add.accumulate`` adds
-        in sequence, so the backlog is the tick-by-tick sum whatever the
-        spans.
+        ``(a - c) * dt`` with ``np.add.accumulate`` from its start backlog
+        and ends at the first tick whose start value no longer congests the
+        queue, or whose end value is negative: that tick empties the queue
+        at the instant ``theta`` inside it.  The block's first congested
+        span is summed to the block's end in one call; a later one in
+        windows from twice the last one's length (at least
+        ``SPAN_WINDOW_TICKS``), doubling, each resumed from the last one's
+        end, until one shows the break.  An uncongested span
+        holds the backlog and serves the arrivals until the first tick whose
+        arrival rate exceeds the capacity.  ``np.add.accumulate`` adds in
+        sequence, so the backlog is the tick-by-tick sum whatever the spans
+        and windows.
         """
         c = self.capacity
         a = total_pps
@@ -178,16 +186,25 @@ class FifoQueue:
         congested = np.zeros(n, dtype=bool)
         b = self.backlog
         s = 0
+        width = n  # the first congested span's scan reaches the block's end
         while s < n:
             backlog[s] = b
             if b > EPS_BACKLOG_PKTS or over[s]:
-                cum = backlog[s:]
-                np.subtract(a[s:], c, out=cum[1:])
-                cum[1:] *= dt
-                np.add.accumulate(cum, out=cum)
-                stays = (cum[:-1] > EPS_BACKLOG_PKTS) | over[s:]
-                r = first_true(~(stays & (cum[1:] >= 0.0)))
-                e = s + r
+                # each window resumes the sum from the last one's end entry
+                w0 = s
+                while True:
+                    w1 = min(n, w0 + width)
+                    cum = backlog[w0:w1 + 1]
+                    np.subtract(a[w0:w1], c, out=cum[1:])
+                    cum[1:] *= dt
+                    np.add.accumulate(cum, out=cum)
+                    stays = (cum[:-1] > EPS_BACKLOG_PKTS) | over[w0:w1]
+                    r = first_true(~(stays & (cum[1:] >= 0.0)))
+                    if r < w1 - w0 or w1 == n:
+                        break
+                    w0, width = w1, 2 * width
+                e = w0 + r
+                width = max(SPAN_WINDOW_TICKS, 2 * (e - s))
                 services[s:e] = c
                 congested[s:e] = True
                 b = cum[r]

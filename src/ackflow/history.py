@@ -84,7 +84,8 @@ class Trajectory:
     array of times; a check that fails names the first offending time.
     ``eval_at`` reads one signal: its ``row`` picks a block's row, and the
     default ``...`` takes a one-signal trajectory whole.
-    ``integrate_hold`` and ``integrate_hold_steps`` answer every row.
+    The hold integrals (``integrate_hold`` and its ``_steps`` and
+    ``_to_ticks`` forms) answer every row.
 
     The hold integrals read a running sum from 0 that is kept in a window,
     not for the whole history: the window holds exactly the entries summed
@@ -221,6 +222,16 @@ class Trajectory:
         held = self._held(t)
         return held[..., 1:] - held[..., :-1]
 
+    def integrate_hold_to_ticks(self, t0: np.ndarray, k0: int) -> np.ndarray:
+        """``integrate_hold(t0, np.arange(k0, k1) * dt)`` on finite samples
+        to the bit, with the same checks, for ``k1 = k0 + len(t0)``: each
+        span ends at its tick, where the held integral is the cumulative's
+        own entry, so it is read at the starts alone."""
+        k1 = k0 + len(t0)
+        self._check_spans(t0, np.arange(k0, k1) * self.dt)
+        held = self._held(t0, k0, k1)
+        return self._cum[..., k0 - self._c0:k1 - self._c0] - held
+
     def check_recorded(self, t: np.ndarray) -> None:
         """Refuse an array of read times unless each is at or before the
         newest sample's: a later time, or a NaN, raises
@@ -247,8 +258,9 @@ class Trajectory:
         self._check_not_pruned(t0)
         self.check_recorded(t1)
 
-    def _held(self, t: np.ndarray) -> np.ndarray:
-        """The held integral from 0 to each time, unchecked."""
+    def _held(self, t: np.ndarray, lo=math.inf, top=0) -> np.ndarray:
+        """The held integral from 0 to each time, unchecked; the window
+        also keeps the entries from ``lo`` to ``top - 1``."""
         # no sample: every time lies in the pre-history; no time: no value
         if not (self._n and t.size):
             return np.multiply.outer(self.initial_value, t)
@@ -256,7 +268,7 @@ class Trajectory:
         # a time before 0 reads sample 0 here, and the pre-history below
         tc = np.maximum(t, 0.0) if early else t
         i = grid_index(tc, self.dt)
-        c0 = self._cumulative(int(i.min()), int(i.max()) + 1)
+        c0 = self._cumulative(min(int(i.min()), lo), max(int(i.max()) + 1, top))
         # cum + buf * (tc - i * dt), summed in place: a float sum commutes
         held = self._buf.take(i, axis=-1)
         held *= tc - i * self.dt
@@ -275,6 +287,11 @@ class Trajectory:
         since the pre-history holds no map to invert, and one above it or
         a NaN :class:`CausalityError`.  Zero queries answer zero values, on
         a history with no samples too.
+
+        The search assumes the samples nondecreasing in floats.  A queue's
+        map can step down by an ulp while a backlog drains with no
+        arrivals; there the crossing found can depend on how many samples
+        are recorded when the read happens.
         """
         if not y.size:
             return np.empty(0)

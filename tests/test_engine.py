@@ -612,9 +612,10 @@ class TestOffGridReads:
 class TestFlightRecord:
     @pytest.mark.parametrize("source, horizon_s, pruned", [
         ("scenario1", 3.5, False), (OFFGRID_YAML, 1.0, False), ("scenario3", 1.0, False),
-        ("two_user", 2.5, True), (OFFGRID_YAML, 1.5, True)],
+        ("two_user", 2.5, True), (OFFGRID_YAML, 1.5, True), ("scenario3_fast", 1.0, False),
+        ("scenario3_fast", 1.5, True)],
         ids=["scenario1", "fast_pair_offgrid", "scenario3", "two_user-pruned",
-             "fast_pair_offgrid-pruned"])
+             "fast_pair_offgrid-pruned", "scenario3_fast", "scenario3_fast-pruned"])
     def test_flight_is_the_sending_columns_hold_integral(
             self, monkeypatch, source, horizon_s, pruned):
         # one record of the sent mass: flight reads the sending column's own
@@ -623,9 +624,18 @@ class TestFlightRecord:
         # (the FAST pair).  Pruned, with 7-tick blocks and flight chunks and
         # a floor that rises at each barrier, the flight is filled across
         # every chunk seam and barrier, yet it is still the one integral over
-        # the whole run, which only the unpruned run's histories can answer
+        # the whole run, which only the unpruned run's histories can answer.
+        # A FAST user's blocks hand the flight their entry times: scenario3
+        # with a FAST u1, whose circuit crosses both queues and the 20 ms
+        # hop between them, beside two scheduled users
         if source == "two_user":
             sc = two_user_scenario(steps1=[(1.5, 150.0)], horizon=horizon_s)
+        elif source == "scenario3_fast":
+            sc = load_scenario("scenario3")
+            u1 = dataclasses.replace(sc.users[0], protocol=FastProtocol(
+                gamma=0.5, alpha_pkts=200.0, initial_window_pkts=1600.0))
+            assert u1.queue_path == ("b1", "b2") and u1.hop_delays_s[1] == 0.020
+            sc = dataclasses.replace(sc, users=(u1, *sc.users[1:]))
         else:
             sc = load_scenario(source)
         config = SimConfig(dt_s=sc.run.dt_s, horizon_s=horizon_s, init=sc.run.init)
@@ -643,11 +653,12 @@ class TestFlightRecord:
 
     @pytest.mark.parametrize("source, horizon_s", [("scenario3", 2.0), (OFFGRID_YAML, 0.3)],
                              ids=["scenario3", "fast_pair_offgrid"])
-    def test_only_the_flight_chunks_and_fast_blocks_invert_the_circuit(
+    def test_a_fast_users_blocks_and_a_scheduled_users_flight_chunks_invert_the_circuit(
             self, monkeypatch, source, horizon_s):
-        # the flight is filled off the block path, one circuit inversion per
-        # user and chunk of BLOCK_CAP_TICKS; a FAST user's block inverts
-        # the circuit once more, for its queueing delay
+        # a FAST user's block inverts the circuit for its queueing delay and
+        # the flight integrates from those entry times, with no inversion
+        # of its own; a scheduled user's circuit is inverted once per chunk
+        # of BLOCK_CAP_TICKS of the flight, off the block path
         calls = []
 
         def counted(user, queues, t):
@@ -661,7 +672,8 @@ class TestFlightRecord:
         chunks = -(-len(traces.time) // engine.BLOCK_CAP_TICKS)
         for u in sc.users:
             fast = isinstance(u.protocol, FastProtocol)
-            assert calls.count(u.id) == chunks + fast * traces.blocks["user", u.id], u.id
+            expected = traces.blocks["user", u.id] if fast else chunks
+            assert calls.count(u.id) == expected, u.id
 
     def test_a_history_fault_in_the_flight_names_the_user_and_its_chunk(self, monkeypatch):
         # a fault in the flight pass is reported like one in a block, from

@@ -264,6 +264,48 @@ class TestIntegrate:
             assert type(steps.value) is type(pairs.value), t
             assert str(steps.value) == str(pairs.value), t
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_read_to_the_ticks_is_the_hold_integral_to_them(self, data):
+        # integrate_hold_to_ticks(t0, k0) is integrate_hold over the spans
+        # from t0 to the ticks k0, k0 + 1, ... to the bit, one signal or a
+        # block, from starts before 0 (the pre-history), on the grid and
+        # between its points, in any order of k0, so that a read below the
+        # window restarts it; each read runs on its own copy of the history
+        dt = data.draw(st.sampled_from([0.003, 1e-4, 0.5]), label="dt")
+        n = data.draw(st.integers(1, 3000), label="n")
+        initial = data.draw(st.sampled_from([0.25, [1.5, 2.0]]), label="initial")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(0.0, 50.0, np.shape(initial) + (n,))
+        ticks, spans = (make(values, dt=dt, initial=initial, n_ticks=n) for _ in range(2))
+        for _ in range(data.draw(st.integers(1, 4), label="reads")):
+            k0 = data.draw(st.integers(0, n - 1), label="k0")
+            k1 = data.draw(st.integers(k0, n), label="k1")
+            t1 = np.arange(k0, k1) * dt
+            t0 = t1 - rng.uniform(0.0, data.draw(st.floats(0.0, 700.0)) * dt, k1 - k0)
+            snap = rng.random(k1 - k0) < 0.3
+            t0[snap] = np.floor(t0[snap] / dt) * dt
+            got = ticks.integrate_hold_to_ticks(t0, k0)
+            assert got.shape == np.shape(initial) + (k1 - k0,)
+            assert got.tobytes() == spans.integrate_hold(t0, t1).tobytes(), (k0, t0)
+
+    def test_a_read_to_the_ticks_refuses_what_integrate_hold_refuses(self):
+        # a span ending before its start, starting below the prune floor or
+        # at NaN, or ending past the history fails with integrate_hold's
+        # error and message; no span reads nothing
+        tr = make([1.0, 2.0, 4.0, 4.0, 9.0, 3.0], dt=0.5, initial=1.5)
+        assert tr.integrate_hold_to_ticks(np.array([]), 3).shape == (0,)
+        tr.prune_before(1.2)
+        for t0, k0 in (([1.5, 2.1], 3), ([0.5, 1.5], 2), ([1.5, math.nan], 3),
+                       ([2.0, 2.5, 2.5], 4), ([2.5, 2.5], 6)):
+            t0 = np.array(t0)
+            with pytest.raises(HistoryError) as ticks:
+                tr.integrate_hold_to_ticks(t0, k0)
+            with pytest.raises(HistoryError) as spans:
+                tr.integrate_hold(t0, np.arange(k0, k0 + len(t0)) * 0.5)
+            assert type(ticks.value) is type(spans.value), t0
+            assert str(ticks.value) == str(spans.value), t0
+
 
 class TestInvertMonotone:
     def test_identity_map(self):

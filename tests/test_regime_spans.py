@@ -334,6 +334,21 @@ def test_queue_empties_mid_block_and_idles_at_eps():
     assert not got[2].any() and (got[0] == EPS_BACKLOG_PKTS).all()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_alternating_regimes_in_one_block_match_the_tick_loop(seed):
+    # bursts over the capacity, each drained by a pause as long, of 1 to
+    # 700 ticks, in one block: a congested span after the first is summed
+    # in windows that double until it breaks, across every window seam,
+    # long spans after short ones and short after long
+    rng = np.random.default_rng(seed)
+    pieces = []
+    while sum(map(len, pieces)) < 6000:
+        ticks = rng.integers(1, 700) // rng.choice([1, 10, 100])
+        pieces += [np.full(ticks + 1, 1.5 * CAP), np.zeros(ticks + rng.integers(1, 9))]
+    got = check_queue(0.0, np.concatenate(pieces), 1e-3)
+    assert np.count_nonzero(np.diff(got[2].astype(int)) == 1) > 10
+
+
 def test_congested_span_ends_on_a_backlog_of_exactly_eps():
     # the first tick drains the backlog to exactly EPS_BACKLOG_PKTS, which
     # no longer congests the queue at the next tick's lighter load
